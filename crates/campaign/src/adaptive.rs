@@ -23,22 +23,24 @@
 //! differently-partitioned shards as
 //! [`FaultSnapshot`](fmossim_core::FaultSnapshot)s
 //! ([`ConcurrentSim::export_fault`](fmossim_core::ConcurrentSim::export_fault)
-//! / [`resume`](fmossim_core::ConcurrentSim::resume)). Detection sets
+//! / [`resume_at`](fmossim_core::ConcurrentSim::resume_at)). Each batch
+//! runs through the shard executor ([`fmossim_par::run_shards`]); the
+//! coverage target and cancel token are checked between batches, so a
+//! batch is this backend's stop granularity. Detection sets
 //! are **bit-identical** to [`Backend::Parallel`](crate::Backend) for
 //! every batch size (`tests/adaptive_equivalence.rs` asserts it) —
 //! re-planning moves time around, never results.
 
-use crate::backend::{
-    emit_detections, is_cancelled, no_cancel, BackendRun, CampaignBackend, RunControl, Workload,
-};
+use crate::backend::{no_cancel, BackendRun, CampaignBackend, RunControl, StopRule, Workload};
 use crate::event::SimEvent;
 use fmossim_core::{ConcurrentConfig, PatternStats, RunReport, TapeRecorder};
 use fmossim_faults::FaultId;
 use fmossim_par::{
-    run_batch, ArenaPool, CostModel, Jobs, ResumePoint, ShardPlan, ShardStrategy,
-    DEFAULT_COST_ALPHA,
+    run_shards, ArenaPool, CostModel, Jobs, ResumePoint, ScopedPool, ShardPlan, ShardResult,
+    ShardStrategy, ShardWork, DEFAULT_COST_ALPHA,
 };
 use fmossim_telemetry::Registry;
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -304,11 +306,8 @@ impl CampaignBackend for AdaptiveBackend {
         // the workload is collapsed (each representative's detection
         // weighted by its class size); telemetry below stays in
         // workload terms.
-        let target = control.detection_target(w.coverage_denominator());
+        let mut stop = StopRule::new(w, control, &[&self.cancel]);
         let mut detected_total = 0usize;
-        let mut detected_weight = 0usize;
-        let mut stopped_early = false;
-        let mut cancelled = false;
         let mut pattern_stats: Vec<PatternStats> = Vec::new();
         let mut detections = Vec::new();
         let mut batches: Vec<BatchTelemetry> = Vec::new();
@@ -317,8 +316,7 @@ impl CampaignBackend for AdaptiveBackend {
 
         let mut first = 0usize;
         while first < total_patterns {
-            if is_cancelled(&self.cancel) {
-                cancelled = true;
+            if stop.cancel_requested() {
                 break;
             }
             if survivors.is_empty() {
@@ -334,47 +332,48 @@ impl CampaignBackend for AdaptiveBackend {
             tape_groups += tape.num_groups();
             let live_before = survivors.len();
 
-            let run = run_batch(
-                w.net,
-                w.universe,
-                &plan,
-                workers,
-                sim,
-                resume.as_ref(),
-                &tape,
-                batch,
-                w.outputs,
-                first,
+            let work = ShardWork {
+                first_pattern: first,
+                tape: Some(&tape),
+                resume: resume.as_ref(),
+                arenas: arenas.as_ref(),
+                export_survivors: first + batch.len() < total_patterns,
+                ..ShardWork::new(w.net, w.universe, &plan, batch, w.outputs, sim)
+            };
+            let mut results: Vec<ShardResult> = Vec::with_capacity(plan.num_shards());
+            run_shards(
+                &ScopedPool::new(workers),
+                Arc::new(work),
                 &self.telemetry,
-                arenas.as_ref(),
+                |r| {
+                    results.push(r);
+                    ControlFlow::Continue(())
+                },
             );
+            results.sort_unstable_by_key(|r| r.shard);
+            let shard_seconds: Vec<f64> = results.iter().map(|r| r.report.total_seconds).collect();
 
             // Stream events in shard order (deterministic, unlike the
             // one-shot parallel backend's completion order).
             let mut batch_detected = 0usize;
-            for (s, rep) in run.reports.iter().enumerate() {
-                emit_detections(&rep.detections, control.drop_detected, emit);
-                batch_detected += rep.detected();
-                detected_weight += rep
-                    .detections
-                    .iter()
-                    .map(|d| w.detection_weight(d.fault.index()))
-                    .sum::<usize>();
+            for r in &results {
+                stop.detected(&r.report.detections, emit);
+                batch_detected += r.report.detected();
                 emit(SimEvent::ShardDone {
-                    shard: s,
-                    faults: plan.shard(s).len(),
-                    detected: rep.detected(),
-                    seconds: rep.total_seconds,
+                    shard: r.shard,
+                    faults: r.faults,
+                    detected: r.report.detected(),
+                    seconds: r.report.total_seconds,
                 });
             }
             detected_total += batch_detected;
 
-            let shards_run = run.shard_seconds.len();
-            let max_s = run.shard_seconds.iter().copied().fold(0.0f64, f64::max);
+            let shards_run = shard_seconds.len();
+            let max_s = shard_seconds.iter().copied().fold(0.0f64, f64::max);
             let mean_s = if shards_run == 0 {
                 0.0
             } else {
-                run.shard_seconds.iter().sum::<f64>() / shards_run as f64
+                shard_seconds.iter().sum::<f64>() / shards_run as f64
             };
             let imbalance = if mean_s > 0.0 { max_s / mean_s } else { 1.0 };
             max_shard_seconds = max_shard_seconds.max(max_s);
@@ -403,26 +402,26 @@ impl CampaignBackend for AdaptiveBackend {
             m_batches.inc();
             m_imbalance.add(imbalance);
 
-            let merged = RunReport::merge(run.reports);
+            let mut survivors_out = Vec::new();
+            let merged = RunReport::merge(results.into_iter().map(|r| {
+                survivors_out.extend(r.survivors);
+                r.report
+            }));
             pattern_stats.extend(merged.patterns);
             detections.extend(merged.detections);
 
             first += batch.len();
-            if target.is_some_and(|t| detected_weight >= t) {
-                stopped_early = first < total_patterns;
-                break;
-            }
-            if first >= total_patterns {
+            if first >= total_patterns || stop.target_reached() {
                 break;
             }
 
             // Batch boundary: feed measurements back, carry the good
             // machine and the surviving fault states, and re-plan.
             let replan_t0 = Instant::now();
-            cost.observe(&plan, &run.shard_seconds);
+            cost.observe(&plan, &shard_seconds);
             let mut snapshots = vec![None; n];
             survivors.clear();
-            for (id, snap) in run.survivors {
+            for (id, snap) in survivors_out {
                 snapshots[id.index()] = Some(snap);
                 survivors.push(id);
             }
@@ -473,16 +472,13 @@ impl CampaignBackend for AdaptiveBackend {
             .sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
         let shards0 = batches.first().map(|b| b.shards);
         BackendRun {
-            run,
-            stopped_early,
-            cancelled,
             jobs: Some(resolved),
             shards: shards0,
             max_shard_seconds: Some(max_shard_seconds),
             tape_record_seconds: Some(tape_seconds),
             tape_groups: Some(tape_groups),
             batches,
-            ..BackendRun::default()
+            ..stop.finish(run)
         }
     }
 }

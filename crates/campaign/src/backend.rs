@@ -449,26 +449,120 @@ pub(crate) fn no_cancel() -> Arc<AtomicBool> {
     Arc::new(AtomicBool::new(false))
 }
 
-/// One relaxed load: cancellation needs no ordering beyond "seen
-/// eventually at the next work-item boundary".
-pub(crate) fn is_cancelled(token: &AtomicBool) -> bool {
-    token.load(Ordering::Relaxed)
+/// The one stop rule of the built-in backends, applied at each
+/// backend's own work-item boundary (pattern, fault, shard or batch).
+///
+/// It streams every work item's detections as [`SimEvent::Detected`]
+/// (plus [`SimEvent::FaultDropped`] under drop-on-detect), counts them
+/// in parent-universe terms — a collapsed representative counts for
+/// its whole class — and answers whether to stop: on a cancel request
+/// first, then on a reached [`RunControl::stop_at_coverage`] target.
+/// [`StopRule::finish`] carries why the run stopped into its
+/// [`BackendRun`].
+///
+/// ```
+/// use fmossim_campaign::{RunControl, StopRule, Workload};
+/// use fmossim_circuits::Ram;
+/// use fmossim_faults::FaultUniverse;
+/// use fmossim_testgen::TestSequence;
+/// use std::sync::atomic::{AtomicBool, Ordering};
+/// use std::sync::Arc;
+///
+/// let ram = Ram::new(4, 4);
+/// let universe = FaultUniverse::stuck_nodes(ram.network());
+/// let seq = TestSequence::full(&ram);
+/// let w = Workload {
+///     net: ram.network(),
+///     universe: &universe,
+///     patterns: seq.patterns(),
+///     outputs: ram.observed_outputs(),
+///     coverage: None,
+/// };
+/// let control = RunControl { stop_at_coverage: Some(0.0), ..RunControl::default() };
+/// let cancel = Arc::new(AtomicBool::new(false));
+/// let mut stop = StopRule::new(&w, &control, &[&cancel]);
+/// assert!(stop.check().is_break(), "a zero target is reached at once");
+/// cancel.store(true, Ordering::Relaxed);
+/// assert!(stop.check().is_break());
+/// let run = stop.finish(Default::default());
+/// assert!(run.stopped_early && run.cancelled);
+/// ```
+pub struct StopRule<'a> {
+    workload: Workload<'a>,
+    target: Option<usize>,
+    drop_detected: bool,
+    cancel: Vec<Arc<AtomicBool>>,
+    detected: usize,
+    stopped_early: bool,
+    cancelled: bool,
 }
 
-pub(crate) fn emit_detections(
-    detections: &[Detection],
-    drop_detected: bool,
-    emit: &mut dyn FnMut(SimEvent),
-) {
-    for d in detections {
-        emit(SimEvent::Detected {
-            fault: d.fault,
-            pattern: d.pattern,
-            phase: d.phase,
-            potential: d.is_potential(),
-        });
-        if drop_detected {
-            emit(SimEvent::FaultDropped { fault: d.fault });
+impl<'a> StopRule<'a> {
+    /// The rule for grading `w` under `control`; setting any of the
+    /// `cancel` tokens requests a cancel.
+    #[must_use]
+    pub fn new(w: &Workload<'a>, control: &RunControl, cancel: &[&Arc<AtomicBool>]) -> Self {
+        StopRule {
+            workload: *w,
+            target: control.detection_target(w.coverage_denominator()),
+            drop_detected: control.drop_detected,
+            cancel: cancel.iter().map(|&t| Arc::clone(t)).collect(),
+            detected: 0,
+            stopped_early: false,
+            cancelled: false,
+        }
+    }
+
+    /// Streams one work item's `detections` and counts them toward the
+    /// coverage target.
+    pub fn detected(&mut self, detections: &[Detection], emit: &mut dyn FnMut(SimEvent)) {
+        for d in detections {
+            emit(SimEvent::Detected {
+                fault: d.fault,
+                pattern: d.pattern,
+                phase: d.phase,
+                potential: d.is_potential(),
+            });
+            if self.drop_detected {
+                emit(SimEvent::FaultDropped { fault: d.fault });
+            }
+            self.detected += self.workload.detection_weight(d.fault.index());
+        }
+    }
+
+    /// Whether a cancel was requested (one relaxed load per token:
+    /// cancellation needs no ordering beyond "seen eventually at the
+    /// next work-item boundary"). `true` marks the run cancelled.
+    pub fn cancel_requested(&mut self) -> bool {
+        self.cancelled |= self.cancel.iter().any(|t| t.load(Ordering::Relaxed));
+        self.cancelled
+    }
+
+    /// Whether the detections so far reach the coverage target. `true`
+    /// marks the run stopped early.
+    pub fn target_reached(&mut self) -> bool {
+        self.stopped_early |= self.target.is_some_and(|t| self.detected >= t);
+        self.stopped_early
+    }
+
+    /// The check at a work-item boundary: break on a cancel request,
+    /// else on a reached coverage target.
+    pub fn check(&mut self) -> ControlFlow<()> {
+        if self.cancel_requested() || self.target_reached() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    /// `run` with the stop flags this rule recorded.
+    #[must_use]
+    pub fn finish(self, run: RunReport) -> BackendRun {
+        BackendRun {
+            run,
+            stopped_early: self.stopped_early,
+            cancelled: self.cancelled,
+            ..BackendRun::default()
         }
     }
 }
@@ -506,21 +600,13 @@ impl CampaignBackend for ConcurrentAdapter {
         };
         let mut sim = ConcurrentSim::new(w.net, w.universe.faults(), config);
         sim.attach_metrics(&self.telemetry);
-        let target = control.detection_target(w.coverage_denominator());
+        let mut stop = StopRule::new(w, control, &[&self.cancel]);
         let mut run = RunReport {
             num_faults: w.universe.len(),
             ..RunReport::default()
         };
-        let mut detected_weight = 0usize;
-        let mut stopped_early = false;
-        let mut cancelled = false;
         for (pi, pattern) in w.patterns.iter().enumerate() {
-            if is_cancelled(&self.cancel) {
-                cancelled = true;
-                break;
-            }
-            if target.is_some_and(|t| detected_weight >= t) {
-                stopped_early = true;
+            if stop.check().is_break() {
                 break;
             }
             emit(SimEvent::PatternStart {
@@ -529,12 +615,7 @@ impl CampaignBackend for ConcurrentAdapter {
             });
             let before = sim.detections().len();
             let stats = sim.step_pattern(pattern, w.outputs, pi);
-            let new = &sim.detections()[before..];
-            emit_detections(new, control.drop_detected, emit);
-            detected_weight += new
-                .iter()
-                .map(|d| w.detection_weight(d.fault.index()))
-                .sum::<usize>();
+            stop.detected(&sim.detections()[before..], emit);
             run.patterns.push(stats);
             emit(SimEvent::PatternDone {
                 pattern: pi,
@@ -549,12 +630,7 @@ impl CampaignBackend for ConcurrentAdapter {
         run.detections
             .sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
         run.total_seconds = t0.elapsed().as_secs_f64();
-        BackendRun {
-            run,
-            stopped_early,
-            cancelled,
-            ..BackendRun::default()
-        }
+        stop.finish(run)
     }
 }
 
@@ -586,23 +662,15 @@ impl CampaignBackend for SerialAdapter {
         let sim = SerialSim::new(w.net, config);
         let good = sim.observe_good(w.patterns, w.outputs);
         let t0 = Instant::now();
-        let target = control.detection_target(w.coverage_denominator());
+        let mut stop = StopRule::new(w, control, &[&self.cancel]);
         let mut run = RunReport {
             num_faults: w.universe.len(),
             patterns: vec![PatternStats::default(); w.patterns.len()],
             ..RunReport::default()
         };
         let mut estimate = 0.0;
-        let mut detected_weight = 0usize;
-        let mut stopped_early = false;
-        let mut cancelled = false;
         for (k, &fault) in w.universe.faults().iter().enumerate() {
-            if is_cancelled(&self.cancel) {
-                cancelled = true;
-                break;
-            }
-            if target.is_some_and(|t| detected_weight >= t) {
-                stopped_early = true;
+            if stop.check().is_break() {
                 break;
             }
             let id = FaultId(u32::try_from(k).expect("fault id fits"));
@@ -612,8 +680,7 @@ impl CampaignBackend for SerialAdapter {
                 .map_or(w.patterns.len(), |d| d.pattern + 1);
             estimate += charged as f64 * good.avg_pattern_seconds();
             if let Some(d) = outcome.detection {
-                emit_detections(&[d], control.drop_detected, emit);
-                detected_weight += w.detection_weight(k);
+                stop.detected(&[d], emit);
                 run.patterns[d.pattern].detected += 1;
                 run.detections.push(d);
             }
@@ -624,12 +691,9 @@ impl CampaignBackend for SerialAdapter {
             .sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
         run.total_seconds = t0.elapsed().as_secs_f64();
         BackendRun {
-            run,
-            stopped_early,
-            cancelled,
             good_seconds: Some(good.total_seconds),
             serial_estimate_seconds: Some(estimate),
-            ..BackendRun::default()
+            ..stop.finish(run)
         }
     }
 }
@@ -678,47 +742,27 @@ impl CampaignBackend for ParallelAdapter {
         if let Some(tape) = self.inject_tape.take() {
             sim.inject_good_tape(tape);
         }
-        let target = control.detection_target(w.coverage_denominator());
-        let cancel = Arc::clone(&self.cancel);
-        let mut detected = 0usize;
-        let mut stopped_early = false;
-        let mut cancelled = false;
+        let mut stop = StopRule::new(w, control, &[&self.cancel]);
         let run = sim.run_streaming(w.patterns, w.outputs, |o, rep| {
-            emit_detections(&rep.detections, control.drop_detected, emit);
-            detected += rep
-                .detections
-                .iter()
-                .map(|d| w.detection_weight(d.fault.index()))
-                .sum::<usize>();
+            stop.detected(&rep.detections, emit);
             emit(SimEvent::ShardDone {
                 shard: o.shard,
                 faults: o.faults,
                 detected: o.detected,
                 seconds: o.seconds,
             });
-            if is_cancelled(&cancel) {
-                cancelled = true;
-                ControlFlow::Break(())
-            } else if target.is_some_and(|t| detected >= t) {
-                stopped_early = true;
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+            stop.check()
         });
         if let (Some(slot), Some(tape)) = (&self.export_tape, &run.good_tape) {
             *slot.lock().expect("tape slot poisoned") = Some(Arc::clone(tape));
         }
         BackendRun {
-            run: run.report,
-            stopped_early,
-            cancelled,
             jobs: Some(sim.workers()),
             shards: Some(sim.plan().num_shards()),
             max_shard_seconds: Some(run.shard_seconds.iter().copied().fold(0.0, f64::max)),
             tape_record_seconds: run.tape.map(|t| t.record_seconds),
             tape_groups: run.tape.map(|t| t.groups),
-            ..BackendRun::default()
+            ..stop.finish(run.report)
         }
     }
 }

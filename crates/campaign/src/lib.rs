@@ -84,7 +84,7 @@ mod spec;
 
 pub use adaptive::{AdaptiveBackend, AdaptiveConfig, BatchTelemetry, DEFAULT_BATCH_PATTERNS};
 pub use backend::{
-    Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, TapeSlot, Workload,
+    Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, StopRule, TapeSlot, Workload,
 };
 pub use campaign::Campaign;
 pub use event::SimEvent;

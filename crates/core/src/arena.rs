@@ -159,9 +159,9 @@ impl EventQueue {
 /// lifetime so a batch driver can keep it across simulator rebuilds:
 /// the switch engine, the divergence-record store, the structural
 /// tables and all per-circuit flags and scratch. Constructing a
-/// simulator *in* an arena (`ConcurrentSim::new_in` /
-/// `ConcurrentSim::resume_in`) recycles each buffer in place;
-/// `ConcurrentSim::take_arena` gets the bundle back afterwards.
+/// simulator *in* an arena (`ConcurrentSim::new_in`) recycles each
+/// buffer in place; `ConcurrentSim::take_arena` gets the bundle back
+/// afterwards.
 /// `fmossim-par`'s `ArenaPool` parks arenas between
 /// record→replay→re-plan batches.
 pub struct SimArena {
@@ -178,10 +178,9 @@ pub struct SimArena {
 }
 
 impl SimArena {
-    /// Wraps a (possibly recycled) engine into an arena whose other
-    /// buffers start empty; the simulator constructors size them.
-    #[must_use]
-    pub fn with_engine(engine: Engine) -> SimArena {
+    /// Wraps a fresh engine into an arena whose other buffers start
+    /// empty; the simulator constructors size them.
+    pub(crate) fn with_engine(engine: Engine) -> SimArena {
         SimArena {
             engine,
             records: StateLists::new(0, 0, StateListStore::default()),
@@ -194,13 +193,6 @@ impl SimArena {
             triggered: Vec::new(),
             strobe_scratch: Vec::new(),
         }
-    }
-
-    /// The engine alone (dropping the other buffers) — interop with
-    /// engine-only pooling.
-    #[must_use]
-    pub fn into_engine(self) -> Engine {
-        self.engine
     }
 }
 

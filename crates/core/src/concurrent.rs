@@ -256,7 +256,7 @@ impl ConcurrentConfig {
 
 /// A faulty circuit's complete carried state at a pattern boundary,
 /// exported by [`ConcurrentSim::export_fault`] and re-imported by
-/// [`ConcurrentSim::resume`].
+/// [`ConcurrentSim::resume_at`].
 ///
 /// Because the good machine is shared (and, under record/replay,
 /// carried by the [`GoodTape`] / [`TapeRecorder`](crate::TapeRecorder)
@@ -369,7 +369,7 @@ struct GatingState {
     cones: Vec<u64>,
     /// Nodes whose good state changed (or whose inputs were assigned)
     /// since the last strobe. Starts all-ones so the first strobe — and
-    /// the first strobe after a [`ConcurrentSim::resume`] — checks
+    /// the first strobe after a [`ConcurrentSim::resume_at`] — checks
     /// every circuit.
     events: Vec<u64>,
     /// Scratch: per-circuit quiet flag for the current strobe.
@@ -479,27 +479,6 @@ impl<'n> ConcurrentSim<'n> {
         ConcurrentSim::new_multi(net, faults.iter().map(|&f| vec![f]).collect(), config)
     }
 
-    /// [`ConcurrentSim::new`] with a recycled [`Engine`] — the
-    /// allocation-free construction path for drivers that rebuild
-    /// simulators over the same network (the engine is
-    /// [`recycle`](Engine::recycle)d, so any prior state is fine).
-    /// Reclaim the engine afterwards with
-    /// [`ConcurrentSim::take_engine`].
-    #[must_use]
-    pub fn new_with_engine(
-        net: &'n Network,
-        faults: &[Fault],
-        config: ConcurrentConfig,
-        engine: Engine,
-    ) -> Self {
-        ConcurrentSim::new_multi_with_engine(
-            net,
-            faults.iter().map(|&f| vec![f]).collect(),
-            config,
-            engine,
-        )
-    }
-
     /// Creates a simulator where each circuit carries a *set* of
     /// simultaneous faults — double-fault and fault-masking studies.
     /// Set `k` becomes circuit `k + 1`; its [`Detection`] reports
@@ -510,31 +489,16 @@ impl<'n> ConcurrentSim<'n> {
         fault_sets: Vec<Vec<Fault>>,
         config: ConcurrentConfig,
     ) -> Self {
-        ConcurrentSim::new_multi_with_engine(
-            net,
-            fault_sets,
-            config,
-            Engine::with_config(net, config.engine),
-        )
-    }
-
-    /// [`ConcurrentSim::new_multi`] with a recycled [`Engine`] (see
-    /// [`ConcurrentSim::new_with_engine`]).
-    #[must_use]
-    pub fn new_multi_with_engine(
-        net: &'n Network,
-        fault_sets: Vec<Vec<Fault>>,
-        config: ConcurrentConfig,
-        engine: Engine,
-    ) -> Self {
-        ConcurrentSim::new_multi_in(net, fault_sets, config, SimArena::with_engine(engine))
+        let arena = SimArena::with_engine(Engine::with_config(net, config.engine));
+        ConcurrentSim::build(net, fault_sets, config, arena)
     }
 
     /// [`ConcurrentSim::new`] constructing *in* a recycled [`SimArena`]
-    /// — the full allocation-reuse path: the engine, record store,
+    /// — the allocation-reuse path: the engine, record store,
     /// structural tables, event queue and every scratch buffer are
     /// recycled in place. Reclaim the bundle afterwards with
-    /// [`ConcurrentSim::take_arena`].
+    /// [`ConcurrentSim::take_arena`]. A recycled arena behaves exactly
+    /// like a fresh one, so arena reuse cannot change any result bit.
     #[must_use]
     pub fn new_in(
         net: &'n Network,
@@ -542,7 +506,7 @@ impl<'n> ConcurrentSim<'n> {
         config: ConcurrentConfig,
         arena: SimArena,
     ) -> Self {
-        ConcurrentSim::new_multi_in(
+        ConcurrentSim::build(
             net,
             faults.iter().map(|&f| vec![f]).collect(),
             config,
@@ -550,12 +514,8 @@ impl<'n> ConcurrentSim<'n> {
         )
     }
 
-    /// [`ConcurrentSim::new_multi`] constructing *in* a recycled
-    /// [`SimArena`] (see [`ConcurrentSim::new_in`]). Every constructor
-    /// funnels here; a fresh arena behaves identically to a recycled
-    /// one, so arena reuse cannot change any result bit.
-    #[must_use]
-    pub fn new_multi_in(
+    /// Every constructor funnels here.
+    fn build(
         net: &'n Network,
         fault_sets: Vec<Vec<Fault>>,
         config: ConcurrentConfig,
@@ -658,20 +618,20 @@ impl<'n> ConcurrentSim<'n> {
         }
     }
 
-    /// Reconstructs a mid-sequence simulator from a good-machine state
-    /// snapshot and per-fault [`FaultSnapshot`]s — the batch-continuable
-    /// replay entry point that shard re-planners use between pattern
-    /// batches.
+    /// Moves a freshly built simulator to a mid-sequence boundary: the
+    /// good machine at `good` and every circuit at its exported
+    /// [`FaultSnapshot`] — the batch-continuable replay entry point
+    /// that shard re-planners use between pattern batches.
     ///
     /// `good` must be the good machine's state at the batch boundary
     /// (for replay: the [`TapeRecorder`](crate::TapeRecorder)'s state
     /// *before* recording the next batch), and `snapshots[k]` the state
-    /// [`ConcurrentSim::export_fault`] returned for `faults[k]` at that
-    /// same boundary. Unlike [`ConcurrentSim::new`], no initial fault
-    /// seeds are queued and no reset perturbation is pending: the
-    /// circuits were already seeded when their original simulator
-    /// started, and re-seeding here would replay start-of-sequence
-    /// transients into the middle of it.
+    /// [`ConcurrentSim::export_fault`] returned for this simulator's
+    /// fault `k` at that same boundary. The constructor's initial fault
+    /// seeds and reset perturbation are discarded: the circuits were
+    /// already seeded when their original simulator started, and
+    /// re-seeding here would replay start-of-sequence transients into
+    /// the middle of it.
     ///
     /// Continuing such a simulator with
     /// [`ConcurrentSim::run_replayed_from`] over the next batch's tape
@@ -682,107 +642,29 @@ impl<'n> ConcurrentSim<'n> {
     ///
     /// # Panics
     ///
-    /// Panics if `snapshots` and `faults` have different lengths.
-    #[must_use]
-    pub fn resume(
-        net: &'n Network,
-        faults: &[Fault],
-        config: ConcurrentConfig,
-        good: &DenseState<'n>,
-        snapshots: &[FaultSnapshot],
-    ) -> Self {
-        ConcurrentSim::resume_with_engine(
-            net,
-            faults,
-            config,
-            good,
-            snapshots,
-            Engine::with_config(net, config.engine),
-        )
-    }
-
-    /// [`ConcurrentSim::resume`] with a recycled [`Engine`] (see
-    /// [`ConcurrentSim::new_with_engine`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots` and `faults` have different lengths.
-    #[must_use]
-    pub fn resume_with_engine(
-        net: &'n Network,
-        faults: &[Fault],
-        config: ConcurrentConfig,
-        good: &DenseState<'n>,
-        snapshots: &[FaultSnapshot],
-        engine: Engine,
-    ) -> Self {
-        ConcurrentSim::resume_in(
-            net,
-            faults,
-            config,
-            good,
-            snapshots,
-            SimArena::with_engine(engine),
-        )
-    }
-
-    /// [`ConcurrentSim::resume`] constructing *in* a recycled
-    /// [`SimArena`] (see [`ConcurrentSim::new_in`]) — what a batch
-    /// driver's per-shard arena pool calls at every re-plan boundary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots` and `faults` have different lengths.
-    #[must_use]
-    pub fn resume_in(
-        net: &'n Network,
-        faults: &[Fault],
-        config: ConcurrentConfig,
-        good: &DenseState<'n>,
-        snapshots: &[FaultSnapshot],
-        arena: SimArena,
-    ) -> Self {
+    /// Panics if `snapshots` does not hold one entry per fault.
+    pub fn resume_at(&mut self, good: &DenseState<'n>, snapshots: &[FaultSnapshot]) {
         assert_eq!(
-            faults.len(),
+            self.fault_sets.len(),
             snapshots.len(),
             "one snapshot per resumed fault"
         );
-        let mut sim = ConcurrentSim::new_in(net, faults, config, arena);
-        // Replace the reset-state good machine with the boundary state
-        // and discard the constructor's pending perturbations and
-        // initial fault seeds: the tape covers the former, the original
-        // batch-0 run already consumed the latter.
-        sim.good = good.clone();
-        sim.engine.clear_pending();
-        sim.queue.clear();
+        self.good = good.clone();
+        self.engine.clear_pending();
+        self.queue.clear();
         for (k, snap) in snapshots.iter().enumerate() {
             let circ = u32::try_from(k + 1).expect("fault id fits");
             for &(node, v) in &snap.records {
-                sim.records.set(node, circ, v);
+                self.records.set(node, circ, v);
             }
-            sim.detected_once[circ as usize] = snap.detected;
+            self.detected_once[circ as usize] = snap.detected;
         }
-        sim
-    }
-
-    /// Consumes the simulator and returns its [`Engine`] for reuse via
-    /// [`ConcurrentSim::new_with_engine`] /
-    /// [`ConcurrentSim::resume_with_engine`] — together they let a
-    /// batch driver keep one engine's buffers (solver scratch, queues,
-    /// round stamps) alive across per-batch simulator rebuilds instead
-    /// of reallocating them every time.
-    #[must_use]
-    pub fn take_engine(self) -> Engine {
-        self.engine
     }
 
     /// Consumes the simulator and returns its whole [`SimArena`] for
-    /// reuse via [`ConcurrentSim::new_in`] /
-    /// [`ConcurrentSim::resume_in`] — the bundle generalises
-    /// [`ConcurrentSim::take_engine`] to every owned hot-path buffer
-    /// (record store, structural tables, event queue, scratch), so a
-    /// batch driver's rebuild loop stops paying per-rebuild allocator
-    /// traffic for any of them.
+    /// reuse via [`ConcurrentSim::new_in`], so a batch driver's rebuild
+    /// loop stops paying per-rebuild allocator traffic for the engine,
+    /// record store, structural tables, event queue and scratch.
     #[must_use]
     pub fn take_arena(self) -> SimArena {
         SimArena {
@@ -800,7 +682,7 @@ impl<'n> ConcurrentSim<'n> {
     }
 
     /// Exports the carried state of fault `f` at a pattern boundary —
-    /// the other half of [`ConcurrentSim::resume`]. Returns `None` for
+    /// the other half of [`ConcurrentSim::resume_at`]. Returns `None` for
     /// a dropped circuit (nothing survives to carry) or an
     /// out-of-range id.
     #[must_use]
@@ -1323,7 +1205,7 @@ impl<'n> ConcurrentSim<'n> {
     ///
     /// The simulator must be at the batch's starting state: a fresh
     /// simulator for the first batch, or one rebuilt at the boundary
-    /// via [`ConcurrentSim::resume`] (equivalently, the same simulator
+    /// via [`ConcurrentSim::resume_at`] (equivalently, the same simulator
     /// continued across batches), with the tape recorded by a single
     /// [`TapeRecorder`](crate::TapeRecorder) batch by batch.
     ///
@@ -2113,7 +1995,8 @@ mod tests {
         let (snap_a, snap_b) = snaps.split_at(n / 2);
         let mut detections = rep0.detections.clone();
         for (faults, snaps, id_base) in [(half_b, snap_b, n / 2), (half_a, snap_a, 0)] {
-            let mut sim = ConcurrentSim::resume(&net, faults, config, &boundary_good, snaps);
+            let mut sim = ConcurrentSim::new(&net, faults, config);
+            sim.resume_at(&boundary_good, snaps);
             let mut rep = sim.run_replayed_from(&patterns[cut..], &[out], &tape1, cut);
             rep.relabel_faults(|local| FaultId(u32::try_from(id_base + local.index()).unwrap()));
             detections.extend(rep.detections);

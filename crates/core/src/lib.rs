@@ -44,18 +44,11 @@ pub use concurrent::{ConcurrentConfig, ConcurrentSim, FaultSnapshot};
 pub use dictionary::{FaultDictionary, Syndrome};
 // `DenseState` is re-exported so batch drivers can snapshot the good
 // machine (`TapeRecorder::good_state`) and hand it to
-// `ConcurrentSim::resume` without depending on `fmossim-switch`.
+// `ConcurrentSim::resume_at` without depending on `fmossim-switch`.
 pub use fmossim_switch::DenseState;
-// `Engine` rides along for the engine-reuse constructors
-// (`ConcurrentSim::new_with_engine` / `take_engine`): batch drivers
-// pool engines across simulator rebuilds without depending on
-// `fmossim-switch`.
-pub use fmossim_switch::Engine;
 pub use overlay::{FaultyView, Overrides, SerialState};
 pub use pattern::{stimulus_content_hash, Pattern, Phase};
 pub use records::{StateListStore, StateLists};
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};
-#[allow(deprecated)]
-pub use serial::GoodTrace;
 pub use serial::{GoodObservations, SerialConfig, SerialOutcome, SerialReport, SerialSim};
 pub use tape::{GoodTape, PhaseTape, TapeRecorder};

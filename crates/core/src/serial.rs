@@ -53,9 +53,7 @@ impl SerialConfig {
 ///
 /// Naming note: this is an *observation log* (strobed output values),
 /// not a waveform ([`fmossim_switch::Trace`]) and not a replay log
-/// ([`GoodTape`](crate::GoodTape)). It was called `GoodTrace` before
-/// the tape subsystem landed; the old name remains as a deprecated
-/// alias.
+/// ([`GoodTape`](crate::GoodTape)).
 #[derive(Clone, Debug, Default)]
 pub struct GoodObservations {
     /// `strobes[pattern][strobe_index][output_index]`.
@@ -65,12 +63,6 @@ pub struct GoodObservations {
     /// Total good-only seconds.
     pub total_seconds: f64,
 }
-
-/// Deprecated name of [`GoodObservations`] — "trace" now means a
-/// waveform ([`fmossim_switch::Trace`]) and "tape" a replay log
-/// ([`GoodTape`](crate::GoodTape)).
-#[deprecated(since = "0.2.0", note = "renamed to `GoodObservations`")]
-pub type GoodTrace = GoodObservations;
 
 impl GoodObservations {
     /// Average good-circuit time per pattern — the unit of the paper's
@@ -205,13 +197,6 @@ impl<'n> SerialSim<'n> {
         }
         trace.total_seconds = t0.elapsed().as_secs_f64();
         trace
-    }
-
-    /// Deprecated name of [`SerialSim::observe_good`].
-    #[deprecated(since = "0.2.0", note = "renamed to `observe_good`")]
-    #[must_use]
-    pub fn good_trace(&self, patterns: &[Pattern], outputs: &[NodeId]) -> GoodObservations {
-        self.observe_good(patterns, outputs)
     }
 
     /// Simulates one fault through `patterns`, comparing observed

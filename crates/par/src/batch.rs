@@ -1,7 +1,8 @@
-//! Batch-level execution mechanics for *adaptive* parallel runs: a
-//! measured per-fault cost model ([`CostModel`]) and a pool that runs
-//! one pattern batch over a [`ShardPlan`] ([`run_batch`]), resuming
-//! carried fault state at every batch boundary.
+//! Batch-level state for *adaptive* parallel runs: a measured
+//! per-fault cost model ([`CostModel`]), the boundary state a batch
+//! resumes from ([`ResumePoint`]) and recycled simulator arenas
+//! ([`ArenaPool`]). The batches themselves run through the shard
+//! executor ([`run_shards`](crate::run_shards)).
 //!
 //! [`ParallelSim`](crate::ParallelSim) plans once and runs the whole
 //! sequence; the adaptive loop (implemented as a campaign backend on
@@ -12,22 +13,16 @@
 //! good machine is carried by the
 //! [`TapeRecorder`](fmossim_core::TapeRecorder), and each fault reduces
 //! to a [`FaultSnapshot`] ([`fmossim_core::ConcurrentSim::export_fault`]
-//! / [`resume`](fmossim_core::ConcurrentSim::resume)).
+//! / [`resume_at`](fmossim_core::ConcurrentSim::resume_at)).
 
 use crate::plan::{fault_cost, ShardPlan};
-use fmossim_core::{
-    ConcurrentConfig, ConcurrentSim, DenseState, FaultSnapshot, GoodTape, Pattern, RunReport,
-    SimArena,
-};
+use fmossim_core::{DenseState, FaultSnapshot, SimArena};
 use fmossim_faults::{FaultId, FaultUniverse};
-use fmossim_netlist::{Network, NodeId};
-use fmossim_telemetry::Registry;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use fmossim_netlist::Network;
 use std::sync::Mutex;
 
 /// A bag of recycled [`SimArena`]s shared by the shard workers of
-/// consecutive [`run_batch`] calls.
+/// consecutive batches ([`ShardWork::arenas`](crate::ShardWork::arenas)).
 ///
 /// Every shard simulator owns an arena — the switch engine (solver
 /// scratch, event queues, per-node round stamps), the divergence-record
@@ -38,7 +33,7 @@ use std::sync::Mutex;
 /// batches` times per run. Shards returning arenas here
 /// ([`ArenaPool::put`]) let later shards skip the allocations
 /// ([`ArenaPool::take`] + the in-place recycling inside
-/// `ConcurrentSim::new_in` / `resume_in`); the pool never holds more
+/// `ConcurrentSim::new_in`); the pool never holds more
 /// arenas than the widest batch's shard count. Reuse is bit-invisible:
 /// a recycled arena is indistinguishable from a fresh one.
 #[derive(Default)]
@@ -194,8 +189,9 @@ impl CostModel {
 /// boundary plus every surviving fault's carried divergence, indexed by
 /// parent-universe fault id.
 ///
-/// Produced by the previous [`run_batch`] call's
-/// [`BatchRun::survivors`] (folded into the id-indexed table) and the
+/// Produced by the previous batch's
+/// [`ShardResult::survivors`](crate::ShardResult::survivors) (folded
+/// into the id-indexed table) and the
 /// [`TapeRecorder::good_state`](fmossim_core::TapeRecorder::good_state)
 /// snapshot taken *before* recording the next batch.
 #[derive(Clone, Debug)]
@@ -208,188 +204,15 @@ pub struct ResumePoint<'n> {
     pub snapshots: Vec<Option<FaultSnapshot>>,
 }
 
-/// Everything one [`run_batch`] call produces.
-#[derive(Clone, Debug, Default)]
-pub struct BatchRun {
-    /// Per-shard reports (indexed by shard, detections relabelled to
-    /// parent-universe fault ids and carrying *global* pattern
-    /// indices).
-    pub reports: Vec<RunReport>,
-    /// Each shard's own wall-clock seconds, indexed by shard — the
-    /// feedback signal for [`CostModel::observe`].
-    pub shard_seconds: Vec<f64>,
-    /// Carried state of every fault that survived the batch
-    /// (undetected, or detected with dropping off), as
-    /// `(parent id, snapshot)` in ascending id order per shard.
-    pub survivors: Vec<(FaultId, FaultSnapshot)>,
-}
-
-/// Runs one pattern batch over `plan` on a pool of `workers` scoped
-/// threads, replaying `tape` in every shard.
-///
-/// For the first batch pass `resume: None`: each shard starts a fresh
-/// [`ConcurrentSim`] exactly as [`ParallelSim`](crate::ParallelSim)
-/// would. For later batches pass the [`ResumePoint`] assembled at the
-/// boundary; shard membership may differ arbitrarily from the previous
-/// batch's plan — results are bit-identical either way.
-///
-/// `patterns` is the batch slice, `first_pattern` its offset in the
-/// full sequence (detections carry global indices), and `tape` must be
-/// this batch's recording from the single
-/// [`TapeRecorder`](fmossim_core::TapeRecorder) that is carrying the
-/// good machine across batches.
-///
-/// `telemetry` collects the batch's activity (pass
-/// [`Registry::null`] when unused): every shard simulator publishes
-/// into a per-shard [`Registry::fork`] that is merged back on the
-/// collecting thread, plus the `par.*` shard timing metrics.
-///
-/// `arenas` is an optional [`ArenaPool`]: shards draw recycled
-/// [`SimArena`]s from it and park theirs back when done, so
-/// consecutive batches reuse the same buffer allocations. Pass `None`
-/// to allocate fresh per shard (the pre-pool behaviour); results are
-/// identical.
-///
-/// # Panics
-///
-/// Panics if a planned fault id has no snapshot in `resume`, or if the
-/// tape does not match the batch.
-#[allow(clippy::too_many_arguments)] // one call site, symmetric data
-#[must_use]
-pub fn run_batch(
-    net: &Network,
-    universe: &FaultUniverse,
-    plan: &ShardPlan,
-    workers: usize,
-    sim: ConcurrentConfig,
-    resume: Option<&ResumePoint<'_>>,
-    tape: &GoodTape,
-    patterns: &[Pattern],
-    outputs: &[NodeId],
-    first_pattern: usize,
-    telemetry: &Registry,
-    arenas: Option<&ArenaPool>,
-) -> BatchRun {
-    let n_shards = plan.num_shards();
-    let workers = workers.clamp(1, n_shards.max(1));
-
-    let run_shard = |s: usize| -> (RunReport, Vec<(FaultId, FaultSnapshot)>, Registry) {
-        let shard_metrics = telemetry.fork();
-        let ids = plan.shard(s);
-        let shard_universe = universe.subset(ids);
-        let recycled = arenas.and_then(ArenaPool::take);
-        let mut shard_sim = match resume {
-            None => match recycled {
-                Some(arena) => ConcurrentSim::new_in(net, shard_universe.faults(), sim, arena),
-                None => ConcurrentSim::new(net, shard_universe.faults(), sim),
-            },
-            Some(point) => {
-                let snaps: Vec<FaultSnapshot> = ids
-                    .iter()
-                    .map(|id| {
-                        point.snapshots[id.index()]
-                            .clone()
-                            .expect("planned fault has a carried snapshot")
-                    })
-                    .collect();
-                match recycled {
-                    Some(arena) => ConcurrentSim::resume_in(
-                        net,
-                        shard_universe.faults(),
-                        sim,
-                        &point.good,
-                        &snaps,
-                        arena,
-                    ),
-                    None => ConcurrentSim::resume(
-                        net,
-                        shard_universe.faults(),
-                        sim,
-                        &point.good,
-                        &snaps,
-                    ),
-                }
-            }
-        };
-        shard_sim.attach_metrics(&shard_metrics);
-        let mut report = shard_sim.run_replayed_from(patterns, outputs, tape, first_pattern);
-        report.relabel_faults(|local| ids[local.index()]);
-        let survivors = ids
-            .iter()
-            .enumerate()
-            .filter_map(|(k, &gid)| {
-                shard_sim
-                    .export_fault(FaultId(u32::try_from(k).expect("shard fits u32")))
-                    .map(|snap| (gid, snap))
-            })
-            .collect();
-        if let Some(pool) = arenas {
-            pool.put(shard_sim.take_arena());
-        }
-        shard_metrics.counter("par.shards").inc();
-        shard_metrics
-            .gauge("par.shard.seconds")
-            .add(report.total_seconds);
-        (report, survivors, shard_metrics)
-    };
-
-    let mut out = BatchRun {
-        reports: vec![RunReport::default(); n_shards],
-        shard_seconds: vec![0.0; n_shards],
-        survivors: Vec::new(),
-    };
-    let mut per_shard_survivors: Vec<Vec<(FaultId, FaultSnapshot)>> = vec![Vec::new(); n_shards];
-    if n_shards <= 1 || workers == 1 {
-        for (s, slot) in per_shard_survivors.iter_mut().enumerate() {
-            let (report, survivors, shard_metrics) = run_shard(s);
-            telemetry.merge(&shard_metrics);
-            out.shard_seconds[s] = report.total_seconds;
-            out.reports[s] = report;
-            *slot = survivors;
-        }
-    } else {
-        // Queue-pulling pool, the sibling of `ParallelSim::run_streaming`
-        // (driver.rs). Kept separate rather than unified: that pool
-        // streams completions to an observer and supports early
-        // cancellation mid-run, while a batch is the unit of
-        // cancellation here (the adaptive loop stops *between*
-        // batches), so this one only collects. A fix to the queue
-        // mechanics of either should be mirrored in the other.
-        let next = &AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let run_shard = &run_shard;
-                scope.spawn(move || loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= n_shards {
-                        break;
-                    }
-                    if tx.send((s, run_shard(s))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (s, (report, survivors, shard_metrics)) in rx {
-                telemetry.merge(&shard_metrics);
-                out.shard_seconds[s] = report.total_seconds;
-                out.reports[s] = report;
-                per_shard_survivors[s] = survivors;
-            }
-        });
-    }
-    // Survivors in shard-then-id order; callers index by id anyway.
-    out.survivors = per_shard_survivors.into_iter().flatten().collect();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmossim_core::{Phase, TapeRecorder};
-    use fmossim_netlist::{Drive, Logic, Size, TransistorType};
+    use crate::{run_shards, ScopedPool, ShardResult, ShardWork};
+    use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, Phase, TapeRecorder};
+    use fmossim_netlist::{Drive, Logic, NodeId, Size, TransistorType};
+    use fmossim_telemetry::Registry;
+    use std::ops::ControlFlow;
+    use std::sync::Arc;
 
     fn two_inverters() -> (Network, Vec<NodeId>, Vec<Pattern>) {
         let mut net = Network::new();
@@ -437,20 +260,32 @@ mod tests {
         // count is 1 or 2, not exactly 2: a shard that finishes before
         // the other starts donates its arena *within* the batch.
         let pool = ArenaPool::new();
-        let b0 = run_batch(
-            &net,
-            &universe,
-            &plan0,
-            2,
-            sim,
-            None,
-            &tape0,
-            &patterns[..1],
-            &outs,
-            0,
-            &Registry::null(),
-            Some(&pool),
-        );
+        let batch = |plan: &ShardPlan,
+                     resume: Option<&ResumePoint<'_>>,
+                     tape: &GoodTape,
+                     first: usize,
+                     last: bool| {
+            let work = ShardWork {
+                first_pattern: first,
+                tape: Some(tape),
+                resume,
+                arenas: Some(&pool),
+                export_survivors: !last,
+                ..ShardWork::new(&net, &universe, plan, &patterns[first..=first], &outs, sim)
+            };
+            let mut results: Vec<ShardResult> = Vec::new();
+            run_shards(
+                &ScopedPool::new(2),
+                Arc::new(work),
+                &Registry::null(),
+                |r| {
+                    results.push(r);
+                    ControlFlow::Continue(())
+                },
+            );
+            results
+        };
+        let b0 = batch(&plan0, None, &tape0, 0, false);
         let parked = pool.len();
         assert!(
             (1..=2).contains(&parked),
@@ -462,7 +297,7 @@ mod tests {
         let good = recorder.good_state().clone();
         let mut snapshots: Vec<Option<FaultSnapshot>> = vec![None; universe.len()];
         let mut alive = Vec::new();
-        for (id, snap) in &b0.survivors {
+        for (id, snap) in b0.iter().flat_map(|r| &r.survivors) {
             snapshots[id.index()] = Some(snap.clone());
             alive.push(*id);
         }
@@ -470,27 +305,14 @@ mod tests {
         let resume = ResumePoint { good, snapshots };
         let plan1 = ShardPlan::build_weighted(&alive, 1, |_| 1.0);
         let tape1 = recorder.record(&patterns[1..]);
-        let b1 = run_batch(
-            &net,
-            &universe,
-            &plan1,
-            2,
-            sim,
-            Some(&resume),
-            &tape1,
-            &patterns[1..],
-            &outs,
-            1,
-            &Registry::null(),
-            Some(&pool),
-        );
+        let b1 = batch(&plan1, Some(&resume), &tape1, 1, true);
         assert_eq!(pool.len(), parked, "one arena reused, then re-parked");
+        assert!(b1[0].survivors.is_empty(), "no export after the last batch");
 
         let mut detections: Vec<_> = b0
-            .reports
             .iter()
-            .chain(&b1.reports)
-            .flat_map(|r| r.detections.clone())
+            .chain(&b1)
+            .flat_map(|r| r.report.detections.clone())
             .collect();
         detections.sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
         assert_eq!(detections, one_shot.detections);

@@ -1,15 +1,17 @@
-//! The fault-parallel driver: one [`ConcurrentSim`] per shard on a
-//! worker pool of scoped `std::thread`s.
+//! The fault-parallel driver: plans the shards once, records the good
+//! tape once, and runs every shard's
+//! [`ConcurrentSim`](fmossim_core::ConcurrentSim) through the shard
+//! executor ([`run_shards`](crate::run_shards)) on a
+//! [`ScopedPool`](crate::ScopedPool).
 
+use crate::exec::{run_shards, ScopedPool, ShardWork};
 use crate::jobs::Jobs;
 use crate::plan::{ShardPlan, ShardStrategy};
-use fmossim_core::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, RunReport};
+use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, RunReport};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +37,7 @@ pub struct ParallelConfig {
     /// single shard the tape is skipped either way: recording would
     /// cost an extra good pass without saving one.
     pub reuse_good_tape: bool,
-    /// Configuration forwarded to every shard's [`ConcurrentSim`]
+    /// Configuration forwarded to every shard's [`ConcurrentSim`](fmossim_core::ConcurrentSim)
     /// (detection policy, per-shard drop-on-detect, store backend).
     pub sim: ConcurrentConfig,
 }
@@ -124,7 +126,7 @@ pub struct ParallelRun {
 
 /// Fault-parallel concurrent simulation: the fault universe is split
 /// into shards ([`ShardPlan`]), each shard is graded by its own
-/// [`ConcurrentSim`] (faulty circuits dropped on detection as usual),
+/// [`ConcurrentSim`](fmossim_core::ConcurrentSim) (faulty circuits dropped on detection as usual),
 /// and the per-shard [`RunReport`]s are folded into one
 /// ([`RunReport::merge`]) whose detections and coverage are identical
 /// to a one-shard run — sharding changes wall-clock time, never
@@ -288,6 +290,11 @@ impl<'n> ParallelSim<'n> {
     /// Returns the merged report, each shard's own wall-clock seconds
     /// (indexed by shard; `0.0` for skipped shards), and the tape
     /// stats.
+    ///
+    /// # Panics
+    ///
+    /// A shard that panics stops the queue like a `Break`; its panic is
+    /// re-raised here once the shards already running have finished.
     pub fn run_streaming(
         &self,
         patterns: &[Pattern],
@@ -296,7 +303,6 @@ impl<'n> ParallelSim<'n> {
     ) -> ParallelRun {
         let t0 = Instant::now();
         let n_shards = self.plan.num_shards();
-        let workers = self.workers.clamp(1, n_shards.max(1));
 
         // An injected tape (of the right shape) replays in every shard
         // with no record pass here; otherwise record the good machine
@@ -321,68 +327,37 @@ impl<'n> ParallelSim<'n> {
                 .add(t.num_groups() as u64);
         }
 
-        let outcome = |s: usize, rep: &RunReport| ShardOutcome {
-            shard: s,
-            faults: self.plan.shard(s).len(),
-            detected: rep.detected(),
-            seconds: rep.total_seconds,
+        let work = ShardWork {
+            tape: tape.as_deref(),
+            ..ShardWork::new(
+                self.net,
+                &self.universe,
+                &self.plan,
+                patterns,
+                outputs,
+                self.config.sim,
+            )
         };
-
         let mut reports: Vec<(usize, RunReport)> = Vec::with_capacity(n_shards);
-        if n_shards <= 1 || workers == 1 {
-            // In-line fast path: no thread overhead, same merge below.
-            for s in 0..n_shards {
-                let (rep, shard_metrics) =
-                    self.run_shard(s, patterns, outputs, tape.as_deref(), t0);
-                self.telemetry.merge(&shard_metrics);
-                let flow = on_shard(&outcome(s, &rep), &rep);
-                reports.push((s, rep));
-                if flow.is_break() {
-                    break;
-                }
-            }
-        } else {
-            // Queue-pulling pool with streaming + early cancel; its
-            // collect-only sibling lives in `batch::run_batch`. A fix
-            // to the queue mechanics of either should be mirrored.
-            let next = &AtomicUsize::new(0);
-            let stop = &AtomicBool::new(false);
-            let (tx, rx) = mpsc::channel::<(usize, RunReport, Registry)>();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let tape = tape.clone();
-                    scope.spawn(move || loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= n_shards {
-                            break;
-                        }
-                        let (rep, shard_metrics) =
-                            self.run_shard(s, patterns, outputs, tape.as_deref(), t0);
-                        if tx.send((s, rep, shard_metrics)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                // Observe completions from the calling thread, in
-                // completion order; a Break stops the queue but drains
-                // in-flight shards. Per-shard registries merge here —
-                // single-threaded, in completion order (merging is
-                // commutative, so the order does not matter).
-                for (s, rep, shard_metrics) in rx {
-                    self.telemetry.merge(&shard_metrics);
-                    let flow = on_shard(&outcome(s, &rep), &rep);
-                    reports.push((s, rep));
-                    if flow.is_break() {
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
+        run_shards(
+            &ScopedPool::new(self.workers),
+            Arc::new(work),
+            &self.telemetry,
+            |r| {
+                self.telemetry
+                    .gauge("par.queue.wait_seconds")
+                    .add((r.started - t0).as_secs_f64());
+                let outcome = ShardOutcome {
+                    shard: r.shard,
+                    faults: r.faults,
+                    detected: r.report.detected(),
+                    seconds: r.report.total_seconds,
+                };
+                let flow = on_shard(&outcome, &r.report);
+                reports.push((r.shard, r.report));
+                flow
+            },
+        );
 
         let replayed_shards = reports.len();
         // Merge in shard order for reproducible statistics; detection
@@ -415,51 +390,16 @@ impl<'n> ParallelSim<'n> {
             report: merged,
         }
     }
-
-    /// Simulates one shard to completion, relabelling detections to
-    /// parent-universe fault ids. With a tape, the shard replays the
-    /// recorded good machine instead of re-settling it.
-    ///
-    /// Returns the report plus the shard's local metric registry
-    /// (`run_started` is the whole run's start instant — the gap until
-    /// now is the shard's queue wait). The caller merges the registry
-    /// into the run-wide one on the collecting thread.
-    fn run_shard(
-        &self,
-        s: usize,
-        patterns: &[Pattern],
-        outputs: &[NodeId],
-        tape: Option<&GoodTape>,
-        run_started: Instant,
-    ) -> (RunReport, Registry) {
-        let shard_metrics = self.telemetry.fork();
-        shard_metrics
-            .gauge("par.queue.wait_seconds")
-            .add(run_started.elapsed().as_secs_f64());
-        let ids = self.plan.shard(s);
-        let shard_universe = self.universe.subset(ids);
-        let mut sim = ConcurrentSim::new(self.net, shard_universe.faults(), self.config.sim);
-        sim.attach_metrics(&shard_metrics);
-        let mut report = match tape {
-            Some(tape) => sim.run_replayed(patterns, outputs, tape),
-            None => sim.run(patterns, outputs),
-        };
-        report.relabel_faults(|local| ids[local.index()]);
-        shard_metrics.counter("par.shards").inc();
-        shard_metrics
-            .gauge("par.shard.seconds")
-            .add(report.total_seconds);
-        (report, shard_metrics)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::ShardStrategy;
-    use fmossim_core::{Phase, RunReport};
-    use fmossim_faults::FaultId;
+    use fmossim_core::{ConcurrentSim, Phase, RunReport};
+    use fmossim_faults::{Fault, FaultId};
     use fmossim_netlist::{Drive, Logic, Size, TransistorType};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn two_inverters() -> (Network, Vec<NodeId>, Vec<Pattern>) {
         let mut net = Network::new();
@@ -653,6 +593,60 @@ mod tests {
         let run = sim.run_streaming(&patterns, &outs, |_, _| ControlFlow::Continue(()));
         assert!(run.tape.is_none(), "mismatched tape not replayed");
         assert_eq!(run.report.detections, baseline.detections);
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("string panic")).to_string(),
+        }
+    }
+
+    /// A panicking shard stops the queue and its own panic re-raises
+    /// from `run_streaming` once the shards already running are done —
+    /// not a generic "scoped thread panicked" — and a clean run
+    /// afterwards is unaffected.
+    #[test]
+    fn shard_panic_reraises_on_the_calling_thread() {
+        let (net, outs, patterns) = two_inverters();
+        let bad = Fault::NodeStuck {
+            node: NodeId::from_index(1 << 30),
+            value: Logic::H,
+        };
+        let alone = catch_unwind(AssertUnwindSafe(|| {
+            ConcurrentSim::new(&net, &[bad], ConcurrentConfig::paper()).run(&patterns, &outs)
+        }));
+        let expected = panic_message(alone.expect_err("an out-of-range node panics"));
+
+        let mut faults = FaultUniverse::stuck_nodes(&net).faults().to_vec();
+        faults.push(bad);
+        let config = ParallelConfig {
+            shards: Some(4),
+            strategy: ShardStrategy::RoundRobin,
+            ..ParallelConfig::paper(2)
+        };
+        let registry = Registry::new();
+        let mut sim = ParallelSim::new(&net, FaultUniverse::from_faults(faults), config);
+        sim.attach_metrics(&registry);
+        assert_eq!((sim.workers(), sim.plan().num_shards()), (2, 4));
+        let mut seen = 0u64;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_streaming(&patterns, &outs, |_, _| {
+                seen += 1;
+                ControlFlow::Continue(())
+            })
+        }));
+        let payload = run.expect_err("the shard panic propagates");
+        assert_eq!(panic_message(payload), expected);
+        assert!(seen < 4, "the panicking shard never completed");
+        assert_eq!(
+            registry.snapshot().counters.get("par.shards").copied(),
+            Some(seen).filter(|&n| n > 0),
+            "only shards handed to the callback merged their metrics"
+        );
+
+        let clean = ParallelSim::new(&net, FaultUniverse::stuck_nodes(&net), config);
+        assert_eq!(clean.run(&patterns, &outs).detected(), 4);
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //!   `K` disjoint shards — [`ShardStrategy::RoundRobin`],
 //!   [`ShardStrategy::Contiguous`], or [`ShardStrategy::CostEstimated`]
 //!   (greedy LPT over per-fault footprint costs).
-//! * [`ParallelSim`] runs one `ConcurrentSim` per shard on a pool of
-//!   scoped `std::thread` workers (no extra dependencies). Workers pull
-//!   shards from a shared queue, so oversharding
+//! * [`run_shards`] is the one shard executor: it runs one
+//!   `ConcurrentSim` per shard on a [`ShardPool`] — [`ScopedPool`]'s
+//!   scoped `std::thread` workers offline, the server's shared pool in
+//!   `fmossim-serve` — and streams completions back to the caller.
+//!   Workers pull shards from a shared queue, so oversharding
 //!   ([`ParallelConfig::shards`]` > `[`ParallelConfig::jobs`]) load
 //!   balances uneven shards. Within each shard the usual per-shard
 //!   drop-on-detect applies: a detected fault stops consuming time.
+//! * [`ParallelSim`] plans the shards once and runs the whole sequence
+//!   through the executor; the adaptive campaign backend runs it once
+//!   per pattern batch, re-planning in between ([`CostModel`],
+//!   [`ResumePoint`], [`ArenaPool`]).
 //! * The per-shard [`fmossim_core::RunReport`]s are folded by
 //!   [`fmossim_core::RunReport::merge`] into a single report whose
 //!   detection set and coverage are identical to a one-shard run —
@@ -34,10 +40,12 @@
 
 mod batch;
 mod driver;
+mod exec;
 mod jobs;
 mod plan;
 
-pub use batch::{run_batch, ArenaPool, BatchRun, CostModel, ResumePoint, DEFAULT_COST_ALPHA};
+pub use batch::{ArenaPool, CostModel, ResumePoint, DEFAULT_COST_ALPHA};
 pub use driver::{ParallelConfig, ParallelRun, ParallelSim, ShardOutcome, TapeStats};
+pub use exec::{run_shards, ScopedPool, ShardJob, ShardPool, ShardResult, ShardTask, ShardWork};
 pub use jobs::{Jobs, AUTO_COST_PER_WORKER};
 pub use plan::{fault_cost, ShardPlan, ShardStrategy};

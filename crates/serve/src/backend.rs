@@ -1,21 +1,25 @@
 //! [`ServedBackend`] — the campaign backend the server runs jobs on.
 //!
-//! [`fmossim_par::ParallelSim`] spawns *scoped* threads borrowing the
-//! caller's network, so every campaign would bring its own pool — and
-//! four concurrent submissions on a four-core box would fight over
-//! sixteen threads. The served backend instead decomposes a campaign
-//! into owned per-shard tasks (each cloning an [`Arc<JobSpec>`]) and
-//! submits them to the server's one [`SharedPool`]; the pool's
+//! [`fmossim_par::ParallelSim`] runs its shards on *scoped* threads
+//! borrowing the caller's network, so every campaign would bring its
+//! own pool — and four concurrent submissions on a four-core box would
+//! fight over sixteen threads. The served backend instead runs the same
+//! shard executor ([`fmossim_par::run_shards`]) on the server's one
+//! [`SharedPool`]: the shard tasks own their inputs (an
+//! [`Arc<JobSpec>`] plus the job's plan and tape), and the pool's
 //! round-robin queues interleave all in-flight campaigns over a fixed
 //! worker count.
 //!
 //! Execution semantics match the parallel backend: the good machine is
 //! recorded once (or a cached tape is injected and the record pass is
 //! skipped — then `tape_record_seconds == 0`), every shard replays the
-//! tape over its fault subset, per-shard reports are relabelled to
-//! parent-universe ids and merged, and the merged detection set is
+//! tape over its fault subset, and the merged detection set is
 //! bit-identical to an offline single-machine run of the same
-//! workload.
+//! workload. Coverage targets stop the run at shard granularity
+//! ([`StopRule`]); a cancel also skips the job's still-queued shards at
+//! pick-up. A shard that panics fails the campaign: the executor
+//! re-raises the panic on the coordinator once the job's running
+//! shards are done.
 //!
 //! The server fixes the simulation configuration for every job —
 //! [`ConcurrentConfig::paper`] with
@@ -25,13 +29,15 @@
 
 use crate::pool::SharedPool;
 use crate::proto::JobSpec;
-use fmossim_campaign::{BackendRun, CampaignBackend, RunControl, SimEvent, TapeSlot, Workload};
-use fmossim_core::{ConcurrentConfig, ConcurrentSim, DetectionPolicy, GoodTape, RunReport};
-use fmossim_faults::FaultId;
-use fmossim_par::{ShardPlan, ShardStrategy};
+use fmossim_campaign::{
+    BackendRun, CampaignBackend, RunControl, SimEvent, StopRule, TapeSlot, Workload,
+};
+use fmossim_core::{ConcurrentConfig, DetectionPolicy, GoodTape, RunReport};
+use fmossim_faults::FaultUniverse;
+use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardStrategy, ShardWork};
 use fmossim_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The one simulation configuration every served campaign runs under.
@@ -88,9 +94,36 @@ impl ServedBackend {
             telemetry: Registry::null(),
         }
     }
+}
 
-    fn is_cancelled(&self) -> bool {
-        self.job_cancel.load(Ordering::Relaxed) || self.campaign_cancel.load(Ordering::Relaxed)
+/// What one served campaign's shard tasks share: owned inputs (so the
+/// tasks are `'static`) and both cancel tokens, checked at pick-up.
+struct ServedShards {
+    spec: Arc<JobSpec>,
+    universe: FaultUniverse,
+    plan: ShardPlan,
+    tape: Arc<GoodTape>,
+    config: ConcurrentConfig,
+    cancel: [Arc<AtomicBool>; 2],
+}
+
+impl ShardJob for ServedShards {
+    fn work(&self) -> ShardWork<'_> {
+        ShardWork {
+            tape: Some(&self.tape),
+            ..ShardWork::new(
+                &self.spec.net,
+                &self.universe,
+                &self.plan,
+                &self.spec.patterns,
+                &self.spec.outputs,
+                self.config,
+            )
+        }
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.iter().any(|t| t.load(Ordering::Relaxed))
     }
 }
 
@@ -124,19 +157,11 @@ impl CampaignBackend for ServedBackend {
         // The workload the campaign hands us borrows from the same
         // `JobSpec` the coordinator built the campaign from — except
         // the universe, which the campaign may have collapsed to class
-        // representatives. The tasks below need owned (`'static`)
-        // captures, so they clone the spec's Arc and one owned copy of
-        // the workload universe. Coverage targets stop the run at
-        // shard granularity, like the offline parallel backend;
-        // pattern limits are applied by the campaign driver before the
-        // backend runs.
+        // representatives. The shard tasks need owned (`'static`)
+        // inputs, so they share the spec's Arc and one owned copy of
+        // the workload universe. Pattern limits are applied by the
+        // campaign driver before the backend runs.
         let spec = &self.spec;
-        let universe = Arc::new(w.universe.clone());
-        let target = control.detection_target(w.coverage_denominator());
-        // Set once the coverage target is reached: still-queued shards
-        // see it at pick-up and are skipped, like cancellation — but
-        // the run counts as stopped-early, not cancelled.
-        let coverage_stop = Arc::new(AtomicBool::new(false));
         let config = ConcurrentConfig {
             drop_on_detect: control.drop_detected,
             // Collapsed campaigns gate, like the offline backends.
@@ -166,118 +191,58 @@ impl CampaignBackend for ServedBackend {
             *slot.lock().expect("tape slot poisoned") = Some(Arc::clone(&tape));
         }
 
-        let plan = ShardPlan::build(
-            &spec.net,
-            &universe,
-            spec.shards.max(1),
-            ShardStrategy::RoundRobin,
-        );
-        let n_shards = plan.num_shards();
-
-        let run_t0 = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        for s in 0..n_shards {
-            let ids: Vec<FaultId> = plan.shard(s).to_vec();
-            let spec = Arc::clone(&self.spec);
-            let universe = Arc::clone(&universe);
-            let tape = Arc::clone(&tape);
-            let cancels = (
+        let shards = ServedShards {
+            spec: Arc::clone(spec),
+            universe: w.universe.clone(),
+            plan: ShardPlan::build(
+                &spec.net,
+                w.universe,
+                spec.shards.max(1),
+                ShardStrategy::RoundRobin,
+            ),
+            tape: Arc::clone(&tape),
+            config,
+            cancel: [
                 Arc::clone(&self.job_cancel),
                 Arc::clone(&self.campaign_cancel),
-            );
-            let stop = Arc::clone(&coverage_stop);
-            let fork = self.telemetry.fork();
-            let tx = tx.clone();
-            self.pool.submit(self.job, move || {
-                // A cancelled (or coverage-stopped) job's still-queued
-                // shards are skipped at pick-up — cooperative
-                // cancellation reaches through the pool queue, not
-                // just between completions.
-                let outcome = if cancels.0.load(Ordering::Relaxed)
-                    || cancels.1.load(Ordering::Relaxed)
-                    || stop.load(Ordering::Relaxed)
-                {
-                    None
-                } else {
-                    let shard_universe = universe.subset(&ids);
-                    let mut sim = ConcurrentSim::new(&spec.net, shard_universe.faults(), config);
-                    sim.attach_metrics(&fork);
-                    let mut report = sim.run_replayed_from(&spec.patterns, &spec.outputs, &tape, 0);
-                    report.relabel_faults(|local| ids[local.index()]);
-                    fork.counter("par.shards").inc();
-                    fork.gauge("par.shard.seconds").add(report.total_seconds);
-                    Some(report)
-                };
-                // The coordinator only hangs up after collecting all
-                // n_shards messages, so this send cannot fail; being
-                // defensive costs nothing.
-                let _ = tx.send((s, ids.len(), outcome, fork));
-            });
-        }
-        drop(tx);
+            ],
+        };
+        let n_shards = shards.plan.num_shards();
 
+        let run_t0 = Instant::now();
+        let mut stop = StopRule::new(w, control, &[&self.job_cancel, &self.campaign_cancel]);
         let mut reports = Vec::with_capacity(n_shards);
         let mut max_shard_seconds = 0.0f64;
-        let mut skipped = 0usize;
-        let mut detected_weight = 0usize;
-        let mut stopped_early = false;
-        for (s, faults, outcome, fork) in rx {
-            self.telemetry.merge(&fork);
-            match outcome {
-                Some(report) => {
-                    for d in &report.detections {
-                        emit(SimEvent::Detected {
-                            fault: d.fault,
-                            pattern: d.pattern,
-                            phase: d.phase,
-                            potential: d.is_potential(),
-                        });
-                        if control.drop_detected {
-                            emit(SimEvent::FaultDropped { fault: d.fault });
-                        }
-                    }
-                    emit(SimEvent::ShardDone {
-                        shard: s,
-                        faults,
-                        detected: report.detections.len(),
-                        seconds: report.total_seconds,
-                    });
-                    max_shard_seconds = max_shard_seconds.max(report.total_seconds);
-                    detected_weight += report
-                        .detections
-                        .iter()
-                        .map(|d| w.detection_weight(d.fault.index()))
-                        .sum::<usize>();
-                    if !stopped_early && target.is_some_and(|t| detected_weight >= t) {
-                        stopped_early = true;
-                        coverage_stop.store(true, Ordering::Relaxed);
-                    }
-                    reports.push(report);
-                }
-                None => skipped += 1,
-            }
-        }
+        run_shards(
+            &self.pool.job(self.job),
+            Arc::new(shards),
+            &self.telemetry,
+            |r| {
+                stop.detected(&r.report.detections, emit);
+                emit(SimEvent::ShardDone {
+                    shard: r.shard,
+                    faults: r.faults,
+                    detected: r.report.detected(),
+                    seconds: r.report.total_seconds,
+                });
+                max_shard_seconds = max_shard_seconds.max(r.report.total_seconds);
+                reports.push(r.report);
+                stop.check()
+            },
+        );
+        // A cancel that only skipped queued shards still marks the run.
+        stop.cancel_requested();
 
-        // Skipped shards mean a token fired mid-run: the coverage stop
-        // (stopped-early) or a real cancel. Only the latter marks the
-        // run cancelled.
-        let cancelled = self.is_cancelled() || (skipped > 0 && !stopped_early);
         let mut run = RunReport::merge(reports);
-        run.num_faults = universe.len();
-        run.detections
-            .sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
+        run.num_faults = w.universe.len();
         run.total_seconds = run_t0.elapsed().as_secs_f64();
-
         BackendRun {
-            run,
-            stopped_early,
-            cancelled,
             jobs: Some(self.pool.workers()),
             shards: Some(n_shards),
             max_shard_seconds: Some(max_shard_seconds),
             tape_record_seconds: Some(record_seconds),
             tape_groups: Some(tape.num_groups()),
-            ..BackendRun::default()
+            ..stop.finish(run)
         }
     }
 }

@@ -40,6 +40,6 @@ pub use backend::{served_config, ServedBackend};
 pub use cache::{TapeCache, TapeKey};
 pub use client::{parse_sse, request, sse_events, HttpResponse};
 pub use job::{format_job_id, parse_job_id, Job, JobStatus, JobTable};
-pub use pool::SharedPool;
+pub use pool::{JobQueue, SharedPool};
 pub use proto::{parse_submission, JobSpec, DEFAULT_SHARDS, MAX_SHARDS};
 pub use server::{Server, ServerConfig};

@@ -1,10 +1,12 @@
 //! The shared campaign worker pool: a fixed set of OS threads serving
 //! per-job task queues in round-robin order.
 //!
-//! Every submitted campaign is decomposed into per-shard tasks (see
-//! [`ServedBackend`](crate::ServedBackend)) and *all* campaigns share
-//! this one pool — the server's CPU footprint is `workers` threads no
-//! matter how many campaigns are in flight. Fairness is structural:
+//! Every submitted campaign's shards run here: the served backend hands
+//! the shard executor ([`fmossim_par::run_shards`]) a
+//! [`SharedPool::job`] view, which submits one task per shard under the
+//! job's id. *All* campaigns share this one pool — the server's CPU
+//! footprint is `workers` threads no matter how many campaigns are in
+//! flight. Fairness is structural:
 //! each job owns its own FIFO queue and an idle worker always takes
 //! the *next job's* front task, so a 10 000-shard campaign cannot
 //! starve a 4-shard one submitted after it; they interleave one task
@@ -12,11 +14,16 @@
 //!
 //! Coordinator threads (one lightweight thread per job, owned by the
 //! server) never run on this pool — only leaf shard tasks do, so a
-//! full pool can never deadlock waiting on its own results.
+//! full pool can never deadlock waiting on its own results. A task that
+//! panics does not take its worker down: the worker catches it and
+//! moves on (the shard executor catches shard panics itself and
+//! re-raises them on the job's coordinator).
 
+use fmossim_par::{ShardPool, ShardTask};
 use fmossim_telemetry::{Gauge, Registry};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -126,6 +133,38 @@ impl SharedPool {
         drop(state);
         self.inner.ready.notify_one();
     }
+
+    /// `job`'s view of the pool for the shard executor: every task runs
+    /// under `job`'s queue, taking turns with other jobs' tasks.
+    #[must_use]
+    pub fn job(&self, job: u64) -> JobQueue<'_> {
+        JobQueue { pool: self, job }
+    }
+}
+
+/// One job's tasks on a [`SharedPool`] (see [`SharedPool::job`]). The
+/// pool outlives any one call, so it accepts only `'static` tasks.
+pub struct JobQueue<'p> {
+    pool: &'p SharedPool,
+    job: u64,
+}
+
+impl ShardPool<'static> for JobQueue<'_> {
+    fn run<R: Send + 'static>(&self, tasks: Vec<ShardTask<'static, R>>, done: &mut dyn FnMut(R)) {
+        let (tx, rx) = mpsc::channel();
+        for task in tasks {
+            let tx = tx.clone();
+            self.pool.submit(self.job, move || {
+                // The receiver outlives every task; a failed send can
+                // only mean the caller itself is unwinding.
+                let _ = tx.send(task());
+            });
+        }
+        drop(tx);
+        for result in rx {
+            done(result);
+        }
+    }
 }
 
 impl Drop for SharedPool {
@@ -162,7 +201,8 @@ fn worker_loop(inner: &Inner) {
                 state = inner.ready.wait(state).expect("pool state poisoned");
             }
         };
-        task();
+        // Keep the worker alive whatever the task does.
+        let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
 

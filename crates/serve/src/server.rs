@@ -356,3 +356,108 @@ fn stream_events(job: &Arc<Job>, w: &mut BufWriter<TcpStream>) -> io::Result<()>
     }
     finish_chunked(w)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::JobStatus;
+    use fmossim_circuits::Ram;
+    use fmossim_faults::{Fault, FaultUniverse};
+    use fmossim_netlist::{Logic, NodeId};
+    use fmossim_testgen::TestSequence;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    const BOUND: Duration = Duration::from_secs(60);
+
+    fn state(workers: usize) -> Arc<ServerState> {
+        let registry = Registry::new();
+        Arc::new(ServerState {
+            pool: Arc::new(SharedPool::new(workers, &registry)),
+            jobs: JobTable::new(),
+            cache: TapeCache::new(64 << 20, &registry),
+            registry,
+            default_shards: DEFAULT_SHARDS,
+        })
+    }
+
+    /// A 4-shard RAM 4x4 job. A `poisoned` universe also holds a fault
+    /// on a node the network does not have, which panics the shard
+    /// that grades it.
+    fn spec(poisoned: bool) -> JobSpec {
+        let ram = Ram::new(4, 4);
+        let mut faults = FaultUniverse::stuck_nodes(ram.network()).faults().to_vec();
+        if poisoned {
+            faults.push(Fault::NodeStuck {
+                node: NodeId::from_index(1 << 30),
+                value: Logic::H,
+            });
+        }
+        JobSpec {
+            name: "ram4x4".into(),
+            net: ram.network().clone(),
+            universe: FaultUniverse::from_faults(faults),
+            patterns: TestSequence::full(&ram).patterns().to_vec(),
+            outputs: ram.observed_outputs().to_vec(),
+            shards: 4,
+            collapse: false,
+            stop_at_coverage: None,
+        }
+    }
+
+    /// Runs one job on its own coordinator thread, as `submit` does,
+    /// and waits at most [`BOUND`] for it to end.
+    fn run_bounded(state: &Arc<ServerState>, spec: JobSpec) -> Arc<Job> {
+        let job = state.jobs.create(spec.name.clone());
+        let (tx, rx) = mpsc::channel();
+        let (state, coordinated) = (Arc::clone(state), Arc::clone(&job));
+        std::thread::spawn(move || {
+            run_job(&state, &coordinated, spec);
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(BOUND)
+            .unwrap_or_else(|_| panic!("job hung for {BOUND:?}"));
+        job
+    }
+
+    /// True iff `n` tasks submitted to `pool` run at the same time,
+    /// i.e. the pool has at least `n` live workers.
+    fn runs_at_once(pool: &SharedPool, n: usize) -> bool {
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..n {
+            let (arrived, tx) = (Arc::clone(&arrived), tx.clone());
+            pool.submit(0, move || {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                let _ = tx.send(arrived.load(Ordering::SeqCst) >= n);
+            });
+        }
+        (0..n).all(|_| rx.recv_timeout(BOUND) == Ok(true))
+    }
+
+    /// A shard that panics fails its job instead of completing it with
+    /// that shard's faults ungraded (2 workers) or hanging (1 worker),
+    /// and the pool keeps every worker: the next job completes.
+    #[test]
+    fn a_panicking_shard_fails_its_job_and_the_pool_keeps_its_workers() {
+        for workers in [1, 2] {
+            let state = state(workers);
+            let failed = run_bounded(&state, spec(true));
+            assert_eq!(failed.status(), JobStatus::Failed, "{workers} worker(s)");
+            assert!(
+                runs_at_once(&state.pool, workers),
+                "{workers} worker(s): the pool lost a worker"
+            );
+            let next = run_bounded(&state, spec(false));
+            assert_eq!(next.status(), JobStatus::Done, "{workers} worker(s)");
+            let counters = state.registry.snapshot().counters;
+            assert_eq!(counters.get("serve.jobs.failed"), Some(&1));
+            assert_eq!(counters.get("serve.jobs.completed"), Some(&1));
+        }
+    }
+}
