@@ -5,16 +5,13 @@
 //!   simulators partitioning "only according to DC-connected
 //!   components". Static locality is functionally identical but solves
 //!   far larger groups.
-//! * **Sorted state lists vs. hash maps** — the paper keeps per-node
-//!   state lists "sorted according to the circuit ID's … to minimize
-//!   the time spent searching these lists".
 //! * **Fault dropping on/off** — detected circuits are dropped; without
 //!   dropping, the cheap tail disappears and every pattern pays for all
 //!   428 circuits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fmossim_bench::{paper_universe, ram_with_bridges, SEED};
-use fmossim_core::{ConcurrentConfig, ConcurrentSim, StateListStore};
+use fmossim_core::{ConcurrentConfig, ConcurrentSim};
 use fmossim_switch::{EngineConfig, LocalityMode, LogicSim};
 use fmossim_testgen::TestSequence;
 
@@ -52,33 +49,6 @@ fn bench_locality(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_statelist(c: &mut Criterion) {
-    let (ram, bridges) = ram_with_bridges(8, 8);
-    let universe = paper_universe(&ram, bridges).sample(428, SEED);
-    let seq = TestSequence::full(&ram);
-    let mut g = c.benchmark_group("ablation_statelist/ram64_428_faults");
-    g.sample_size(10);
-    for (label, store) in [
-        ("sorted_vec", StateListStore::SortedVec),
-        ("hash_map", StateListStore::Hash),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &store, |b, &store| {
-            b.iter(|| {
-                let mut sim = ConcurrentSim::new(
-                    ram.network(),
-                    universe.faults(),
-                    ConcurrentConfig {
-                        store,
-                        ..ConcurrentConfig::paper()
-                    },
-                );
-                std::hint::black_box(sim.run(seq.patterns(), ram.observed_outputs()).detected())
-            });
-        });
-    }
-    g.finish();
-}
-
 fn bench_dropping(c: &mut Criterion) {
     let (ram, bridges) = ram_with_bridges(8, 8);
     let universe = paper_universe(&ram, bridges).sample(428, SEED);
@@ -103,5 +73,5 @@ fn bench_dropping(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_locality, bench_statelist, bench_dropping);
+criterion_group!(benches, bench_locality, bench_dropping);
 criterion_main!(benches);

@@ -41,8 +41,7 @@
 //! the fault-collapsing A/B instead (the `BENCH_collapse.json`
 //! artifact): per zoo circuit, the concurrent backend over the **full**
 //! stuck-node ∪ stuck-transistor universe with campaign-level
-//! collapsing (static equivalence classes + dynamic activity gating)
-//! off and on, median wall time over `--reps` repetitions each.
+//! collapsing (static equivalence classes) off and on, median wall time over `--reps` repetitions each.
 //! Detections must be bit-identical (the suite aborts otherwise) — the
 //! collapsed run fans every representative's detections back out to
 //! its class, so the FNV fingerprint doubles as the end-to-end proof
@@ -50,9 +49,8 @@
 //! here: sampling would break up the structural pairs (parallel twins,
 //! series stuck-opens, dominated drivers) that collapsing exists to
 //! find, understating the reduction. Each row archives the class
-//! statistics (`total_faults`, `simulated_faults`, `classes`), the
-//! gating counter (`core.gated_skips`), and the patterns-per-second
-//! ratio.
+//! statistics (`total_faults`, `simulated_faults`, `classes`) and the
+//! patterns-per-second ratio.
 //!
 //! `evalsuite --serve [--circuit name] [--requests N]` runs the
 //! server A/B instead (the `BENCH_serve.json` artifact): N campaigns
@@ -593,13 +591,11 @@ fn collapse_ab() {
 
         let pps =
             |r: &CampaignReport| r.patterns_total as f64 / r.wall_seconds.max(f64::MIN_POSITIVE);
-        let counter = |r: &CampaignReport, k: &str| r.metrics.counters.get(k).copied().unwrap_or(0);
-        let gated_skips = counter(&collapsed, "core.gated_skips");
         let reduction = cstats.simulated_faults as f64 / cstats.total_faults as f64;
         let speedup = pps(&collapsed) / pps(&plain).max(f64::MIN_POSITIVE);
         eprintln!(
             "{name}: {} -> {} faults ({} classes), {} patterns — plain {:.2} pat/s, \
-             collapsed {:.2} pat/s ({speedup:.2}x, {gated_skips} gated skips) — parity ok",
+             collapsed {:.2} pat/s ({speedup:.2}x) — parity ok",
             cstats.total_faults,
             cstats.simulated_faults,
             cstats.classes,
@@ -612,8 +608,7 @@ fn collapse_ab() {
              \"detected\": {detected}, \"detections_fnv1a\": \"{reference:016x}\",\n     \
              \"plain\": {{\"wall_seconds\": {:.4}, \"patterns_per_second\": {:.2}}},\n     \
              \"collapsed\": {{\"wall_seconds\": {:.4}, \"patterns_per_second\": {:.2}, \
-             \"total_faults\": {}, \"simulated_faults\": {}, \"classes\": {}, \
-             \"gated_skips\": {gated_skips}}},\n     \
+             \"total_faults\": {}, \"simulated_faults\": {}, \"classes\": {}}},\n     \
              \"fault_reduction\": {reduction:.4}, \"collapse_speedup\": {speedup:.4}}}",
             universe.len(),
             plain.patterns_total,

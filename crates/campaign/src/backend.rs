@@ -395,29 +395,6 @@ impl Backend {
         }
     }
 
-    /// Switches on dynamic activity gating
-    /// ([`ConcurrentConfig::gating`]) in the underlying simulator
-    /// config, for the backends built on the concurrent simulator.
-    /// The serial baseline is returned unchanged — it simulates each
-    /// fault privately and has no shared good machine to gate against.
-    ///
-    /// ```
-    /// use fmossim_campaign::{Backend, ConcurrentConfig};
-    ///
-    /// let b = Backend::Concurrent(ConcurrentConfig::paper()).with_gating();
-    /// assert!(matches!(b, Backend::Concurrent(c) if c.gating));
-    /// ```
-    #[must_use]
-    pub fn with_gating(mut self) -> Self {
-        match &mut self {
-            Backend::Serial(_) => {}
-            Backend::Concurrent(c) => c.gating = true,
-            Backend::Parallel(c) => c.sim.gating = true,
-            Backend::Adaptive(c) => c.sim.gating = true,
-        }
-        self
-    }
-
     /// Builds the adapter implementing this strategy.
     #[must_use]
     pub fn into_impl(self) -> Box<dyn CampaignBackend> {

@@ -197,10 +197,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
 
     /// Collapses the fault universe into structural equivalence
     /// classes before the backend runs (ERASER-style static fault
-    /// collapsing, [`CollapseClasses::analyze`]) and switches on
-    /// dynamic activity gating ([`ConcurrentConfig::gating`]) in the
-    /// simulators underneath. The backend grades only one
-    /// representative per class; at report time every
+    /// collapsing, [`CollapseClasses::analyze`]). The backend grades
+    /// only one representative per class; at report time every
     /// representative's detections fan back out to all class members,
     /// so the report — detection set, per-pattern counts, live
     /// counts, `num_faults` — is bit-identical to an uncollapsed run,
@@ -435,16 +433,9 @@ impl<'n, 'o> Campaign<'n, 'o> {
         } else {
             self.backend.packing()
         };
-        // Collapsed universes imply activity gating: the same
-        // structural analysis feeds both, and neither changes results.
-        let selected = if self.control.collapse {
-            self.backend.with_gating()
-        } else {
-            self.backend
-        };
         let mut backend: Box<dyn CampaignBackend + 'o> = match self.custom {
             Some(custom) => custom,
-            None => selected.into_impl(),
+            None => self.backend.into_impl(),
         };
         backend.attach_telemetry(&self.telemetry);
         backend.attach_cancel(&self.cancel);

@@ -29,7 +29,7 @@
 //! record→replay→re-plan rebuilds instead of reallocating per batch.
 
 use crate::overlay::Overrides;
-use crate::records::{StateListStore, StateLists};
+use crate::records::StateLists;
 use fmossim_faults::FaultId;
 use fmossim_netlist::{Logic, NodeId};
 use fmossim_switch::Engine;
@@ -183,7 +183,7 @@ impl SimArena {
     pub(crate) fn with_engine(engine: Engine) -> SimArena {
         SimArena {
             engine,
-            records: StateLists::new(0, 0, StateListStore::default()),
+            records: StateLists::new(0, 0),
             overrides: Vec::new(),
             attach: Csr::default(),
             forced_at: Csr::default(),

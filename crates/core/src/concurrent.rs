@@ -36,7 +36,7 @@ use crate::arena::{CircuitId, Csr, EventQueue, SimArena};
 use crate::overlay::{FaultyView, Overrides};
 use crate::packed::{PackedBucketView, PackedViewScratch};
 use crate::pattern::{Pattern, Phase};
-use crate::records::{StateListStore, StateLists};
+use crate::records::StateLists;
 use crate::report::{Detection, DetectionPolicy, PatternStats, RunReport};
 use crate::tape::{GoodTape, PhaseTape};
 use fmossim_faults::{Fault, FaultEffect, FaultId};
@@ -81,21 +81,16 @@ struct CoreMetrics {
     /// circuit. Same metric name as the packed engine's in-settle
     /// fallback counter: both mean "work packing could not share".
     scalar_fallbacks: Counter,
-    /// `core.gated_skips` — live faulty circuits whose strobe
-    /// observation was skipped by activity gating (their interaction
-    /// cone saw no good-machine event since the previous strobe).
-    gated_skips: Counter,
     local_events_scheduled: u64,
     local_circuit_settles: u64,
     local_faulty_groups: u64,
     local_good_groups: u64,
     local_replayed_groups: u64,
     local_scalar_fallbacks: u64,
-    local_gated_skips: u64,
 }
 
 impl CoreMetrics {
-    fn attach(registry: &Registry, gating: bool) -> Self {
+    fn attach(registry: &Registry) -> Self {
         CoreMetrics {
             events_scheduled: registry.counter("core.events_scheduled"),
             circuit_settles: registry.counter("core.circuit.settles"),
@@ -106,14 +101,6 @@ impl CoreMetrics {
             faults_dropped: registry.counter("core.faults_dropped"),
             faults_live: registry.gauge("core.faults_live"),
             scalar_fallbacks: registry.counter("switch.scalar_fallbacks"),
-            // Registered only when gating is on: an always-zero counter
-            // would otherwise appear in every ungated run's snapshot
-            // (and retroactively in every archived report fixture).
-            gated_skips: if gating {
-                registry.counter("core.gated_skips")
-            } else {
-                Counter::default()
-            },
             ..CoreMetrics::default()
         }
     }
@@ -125,14 +112,12 @@ impl CoreMetrics {
         self.good_groups.add(self.local_good_groups);
         self.replayed_groups.add(self.local_replayed_groups);
         self.scalar_fallbacks.add(self.local_scalar_fallbacks);
-        self.gated_skips.add(self.local_gated_skips);
         self.local_events_scheduled = 0;
         self.local_circuit_settles = 0;
         self.local_faulty_groups = 0;
         self.local_good_groups = 0;
         self.local_replayed_groups = 0;
         self.local_scalar_fallbacks = 0;
-        self.local_gated_skips = 0;
     }
 }
 
@@ -209,8 +194,6 @@ pub struct ConcurrentConfig {
     /// Disabling this is the `ablation_dropping` benchmark: every
     /// circuit is simulated for the whole sequence.
     pub drop_on_detect: bool,
-    /// Divergence-record storage back-end.
-    pub store: StateListStore,
     /// Bit-parallel (PPSFP-style) faulty-circuit settling: the
     /// triggered circuits of each phase are settled up to 64 at a time
     /// through one pass of bitwise plane operations
@@ -224,27 +207,11 @@ pub struct ConcurrentConfig {
     /// [`ConcurrentConfig::paper`]: the paper predates bit-parallel
     /// fault packing.
     pub packing: bool,
-    /// ERASER-style activity gating: each faulty circuit carries a
-    /// static interaction-cone bitset
-    /// ([`fmossim_netlist::influence::interaction_cone`] of its fault's
-    /// effect terminals), the simulator accumulates every good-machine
-    /// state change into an activity bitset, and at each strobe a live
-    /// circuit whose cone intersects no activity since the previous
-    /// strobe is skipped outright — its observable divergence provably
-    /// cannot have changed. Gating also skips the open-channel
-    /// input-change triggers for circuits that neither diverge at the
-    /// transistor's gate nor force it, which is exact rather than
-    /// conservative. Detections, drops and live counts are bit-identical
-    /// either way; only work counters (`core.circuit.settles`,
-    /// `core.faulty.groups`, `core.events_scheduled`) and the
-    /// `core.gated_skips` telemetry differ. Off by default and in
-    /// [`ConcurrentConfig::paper`].
-    pub gating: bool,
 }
 
 impl ConcurrentConfig {
     /// The paper's configuration: dynamic locality, drop on detect,
-    /// any-difference detection, sorted state lists.
+    /// any-difference detection, no packing.
     #[must_use]
     pub fn paper() -> Self {
         ConcurrentConfig {
@@ -343,92 +310,7 @@ pub struct ConcurrentSim<'n> {
     /// The bit-parallel lane machinery; present iff
     /// [`ConcurrentConfig::packing`] is on (and locality is dynamic).
     packed: Option<Box<PackedLanes>>,
-    /// Activity-gating state; present iff [`ConcurrentConfig::gating`].
-    gating: Option<Box<GatingState>>,
     metrics: CoreMetrics,
-}
-
-/// Activity-gating state: per-circuit interaction cones over the node
-/// set, plus the good-machine activity accumulated since the last
-/// strobe. Both are `u64` bitsets over node indices.
-///
-/// The soundness invariant is that a circuit's divergence records (and
-/// its pending private-event seeds) always stay inside its cone: the
-/// cone is closed under channel adjacency and both gate interaction
-/// directions, every vicinity that can trigger the circuit therefore
-/// lies wholly inside it, and old-value preservation only writes
-/// records at such vicinities' changed nodes. Hence if no good-machine
-/// change touched the cone since the previous strobe, the circuit's
-/// observable divergence — records at outputs, and its forced values
-/// against the (equally unchanged) good values there — is exactly what
-/// the previous strobe already adjudicated.
-struct GatingState {
-    /// Words per node bitset.
-    stride: usize,
-    /// `(n_sets + 1) × stride` words; circuit 0's slot is unused.
-    cones: Vec<u64>,
-    /// Nodes whose good state changed (or whose inputs were assigned)
-    /// since the last strobe. Starts all-ones so the first strobe — and
-    /// the first strobe after a [`ConcurrentSim::resume_at`] — checks
-    /// every circuit.
-    events: Vec<u64>,
-    /// Scratch: per-circuit quiet flag for the current strobe.
-    quiet: Vec<bool>,
-}
-
-impl GatingState {
-    fn build(net: &Network, fault_sets: &[Vec<Fault>]) -> Box<GatingState> {
-        let stride = net.num_nodes().div_ceil(64);
-        let n_sets = fault_sets.len();
-        let mut cones = vec![0u64; (n_sets + 1) * stride];
-        let mut seeds = Vec::new();
-        for (k, set) in fault_sets.iter().enumerate() {
-            seeds.clear();
-            for fault in set {
-                match fault.effect() {
-                    FaultEffect::ForceNode { node, .. } => seeds.push(node),
-                    FaultEffect::ForceTransistor { t, .. } => {
-                        let tr = net.transistor(t);
-                        seeds.push(tr.source);
-                        seeds.push(tr.drain);
-                    }
-                }
-            }
-            let cone = fmossim_netlist::influence::interaction_cone(net, &seeds);
-            let slot = &mut cones[(k + 1) * stride..(k + 2) * stride];
-            for (i, &inc) in cone.iter().enumerate() {
-                if inc {
-                    slot[i / 64] |= 1u64 << (i % 64);
-                }
-            }
-        }
-        Box::new(GatingState {
-            stride,
-            cones,
-            events: vec![u64::MAX; stride],
-            quiet: vec![false; n_sets + 1],
-        })
-    }
-
-    /// Marks good-machine activity at `node`.
-    #[inline]
-    fn mark(&mut self, node: NodeId) {
-        self.events[node.index() / 64] |= 1u64 << (node.index() % 64);
-    }
-
-    /// True iff circuit `circ`'s cone saw no activity since the last
-    /// [`GatingState::clear`].
-    fn is_quiet(&self, circ: u32) -> bool {
-        let slot = &self.cones[circ as usize * self.stride..(circ as usize + 1) * self.stride];
-        slot.iter()
-            .zip(&self.events)
-            .all(|(&cone, &ev)| cone & ev == 0)
-    }
-
-    /// Resets the activity accumulator (at the end of each strobe).
-    fn clear(&mut self) {
-        self.events.fill(0);
-    }
 }
 
 /// One triggered circuit's drained seed run: a range into the sorted
@@ -551,8 +433,7 @@ impl<'n> ConcurrentSim<'n> {
                 })
             });
         let n_sets = fault_sets.len();
-        let gating = config.gating.then(|| GatingState::build(net, &fault_sets));
-        records.recycle(net.num_nodes(), n_sets, config.store);
+        records.recycle(net.num_nodes(), n_sets);
         overrides.clear();
         overrides.resize(n_sets + 1, Overrides::default());
         dropped.clear();
@@ -613,7 +494,6 @@ impl<'n> ConcurrentSim<'n> {
             triggered,
             strobe_scratch,
             packed,
-            gating,
             metrics: CoreMetrics::default(),
         }
     }
@@ -717,7 +597,7 @@ impl<'n> ConcurrentSim<'n> {
     /// [`ConcurrentSim::step_phase`] call
     /// [`ConcurrentSim::flush_metrics`] before reading the registry.
     pub fn attach_metrics(&mut self, registry: &Registry) {
-        self.metrics = CoreMetrics::attach(registry, self.config.gating);
+        self.metrics = CoreMetrics::attach(registry);
         self.metrics.faults_live.set(self.live as f64);
         self.engine.attach_metrics(registry);
         if let Some(packed) = &mut self.packed {
@@ -890,15 +770,9 @@ impl<'n> ConcurrentSim<'n> {
                 dropped,
                 triggered,
                 overrides,
-                gating,
                 ..
             } = self;
             let rep = engine.settle_observed(good, |g| {
-                if let Some(gate) = gating.as_deref_mut() {
-                    for &(node, _, _) in g.changed {
-                        gate.mark(node);
-                    }
-                }
                 trigger_group(
                     records,
                     attach,
@@ -1310,11 +1184,6 @@ impl<'n> ConcurrentSim<'n> {
             for &(node, _old, new) in g.changed {
                 self.good.force(node, new);
             }
-            if let Some(gate) = self.gating.as_deref_mut() {
-                for &(node, _, _) in g.changed {
-                    gate.mark(node);
-                }
-            }
             let ConcurrentSim {
                 records,
                 attach,
@@ -1362,9 +1231,6 @@ impl<'n> ConcurrentSim<'n> {
             if self.good.node_state(n) == v {
                 continue;
             }
-            if let Some(gate) = self.gating.as_deref_mut() {
-                gate.mark(n);
-            }
             self.trigger_input_change(n);
             if live {
                 // Schedule consequences; the good settle consumes them.
@@ -1410,24 +1276,7 @@ impl<'n> ConcurrentSim<'n> {
             }
             triggered.sort_unstable();
             triggered.dedup();
-            let gated = self.gating.is_some();
             for &c in self.triggered.iter() {
-                // Under activity gating, an attached circuit that
-                // neither diverges at the transistor's gate nor forces
-                // the transistor (or its gate) sees the same open
-                // switch as the good circuit, so the input change
-                // cannot propagate through it: skip the trigger. This
-                // test is exact — the circuit's conduction of `t` is
-                // determined by exactly these three overlays.
-                if gated {
-                    let ov = &self.overrides[c as usize];
-                    if ov.forced_conduction(t).is_none()
-                        && ov.forced_value(tr.gate).is_none()
-                        && self.records.get(tr.gate, c).is_none()
-                    {
-                        continue;
-                    }
-                }
                 self.queue.schedule(CircuitId(c), other);
             }
         }
@@ -1443,21 +1292,6 @@ impl<'n> ConcurrentSim<'n> {
         phase_idx: usize,
         stats: &mut PatternStats,
     ) {
-        // Activity gating: a live circuit whose cone saw no good-machine
-        // event since the previous strobe is skipped — records inside
-        // its cone (all of them, by the GatingState invariant) and the
-        // good values of its forced/diverging outputs are unchanged, so
-        // the previous strobe already adjudicated its divergence.
-        if let Some(gate) = self.gating.as_deref_mut() {
-            for k in 1..=self.fault_sets.len() {
-                let c = u32::try_from(k).expect("circuit id fits");
-                let q = !self.dropped[k] && gate.is_quiet(c);
-                gate.quiet[k] = q;
-                if q {
-                    self.metrics.local_gated_skips += 1;
-                }
-            }
-        }
         // The per-output record and forced lists are snapshotted into a
         // reusable scratch buffer (detections drop circuits, mutating
         // the record store mid-iteration) — the allocation-free
@@ -1468,26 +1302,17 @@ impl<'n> ConcurrentSim<'n> {
             strobe.clear();
             self.records.for_records_at(out, |c, v| strobe.push((c, v)));
             for &(circ, val) in &strobe {
-                if self.gating.as_ref().is_some_and(|g| g.quiet[circ as usize]) {
-                    continue;
-                }
                 self.maybe_detect(circ, goodv, val, pattern_idx, phase_idx, stats);
             }
             strobe.clear();
             strobe.extend_from_slice(self.forced_at.row(out.index()));
             for &(circ, val) in &strobe {
-                if self.gating.as_ref().is_some_and(|g| g.quiet[circ as usize]) {
-                    continue;
-                }
                 if val != goodv {
                     self.maybe_detect(circ, goodv, val, pattern_idx, phase_idx, stats);
                 }
             }
         }
         self.strobe_scratch = strobe;
-        if let Some(gate) = self.gating.as_deref_mut() {
-            gate.clear();
-        }
     }
 
     fn maybe_detect(
@@ -1857,101 +1682,6 @@ mod tests {
         }
         assert_eq!(replay.detections(), live.detections());
         assert_eq!(replay.record_count(), live.record_count());
-    }
-
-    /// Two independent inverters so activity gating has something to
-    /// skip: patterns that only toggle A leave B's half event-free.
-    fn two_inverters() -> (Network, [NodeId; 4]) {
-        let mut net = Network::new();
-        let vdd = net.add_input("Vdd", Logic::H);
-        let gnd = net.add_input("Gnd", Logic::L);
-        let a = net.add_input("A", Logic::L);
-        let b = net.add_input("B", Logic::L);
-        let oa = net.add_storage("OA", Size::S1);
-        let ob = net.add_storage("OB", Size::S1);
-        for (inp, out) in [(a, oa), (b, ob)] {
-            net.add_transistor(TransistorType::P, Drive::D2, inp, vdd, out);
-            net.add_transistor(TransistorType::N, Drive::D2, inp, out, gnd);
-        }
-        (net, [a, b, oa, ob])
-    }
-
-    /// Activity gating must not change a single detection, drop, or
-    /// surviving fault state — only work counters may differ.
-    #[test]
-    fn gating_is_bit_identical_and_skips() {
-        let (net, [a, b, oa, ob]) = two_inverters();
-        let universe =
-            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
-        // Several strobes that only move A: B's cone stays quiet.
-        let patterns = vec![
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::L), (b, Logic::L)])]),
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::H)])]),
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::L)])]),
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::H), (b, Logic::H)])]),
-        ];
-        for (policy, drop) in [
-            (DetectionPolicy::DefiniteOnly, true),
-            (DetectionPolicy::DefiniteOnly, false),
-            (DetectionPolicy::AnyDifference, true),
-        ] {
-            let base = ConcurrentConfig {
-                policy,
-                drop_on_detect: drop,
-                ..ConcurrentConfig::paper()
-            };
-            let mut plain = ConcurrentSim::new(&net, universe.faults(), base);
-            let plain_report = plain.run(&patterns, &[oa, ob]);
-            let gated_cfg = ConcurrentConfig {
-                gating: true,
-                ..base
-            };
-            let registry = Registry::new();
-            let mut gated = ConcurrentSim::new(&net, universe.faults(), gated_cfg);
-            gated.attach_metrics(&registry);
-            let gated_report = gated.run(&patterns, &[oa, ob]);
-            assert_eq!(gated_report.detections, plain_report.detections);
-            assert_eq!(gated.live(), plain.live());
-            for (id, _) in universe.iter() {
-                assert_eq!(
-                    gated.export_fault(id),
-                    plain.export_fault(id),
-                    "fault {id} state"
-                );
-            }
-            assert!(
-                registry.counter("core.gated_skips").get() > 0,
-                "quiet circuits were skipped"
-            );
-        }
-    }
-
-    /// Gating under tape replay matches the plain replayed run too.
-    #[test]
-    fn gating_matches_under_replay() {
-        let (net, [a, b, oa, ob]) = two_inverters();
-        let universe =
-            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
-        let patterns = vec![
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::L), (b, Logic::L)])]),
-            Pattern::new(vec![Phase::strobe(vec![(a, Logic::H)])]),
-            Pattern::new(vec![Phase::strobe(vec![(b, Logic::H)])]),
-        ];
-        let base = ConcurrentConfig::paper();
-        let tape = crate::tape::GoodTape::record(&net, &patterns, base.engine);
-        let mut plain = ConcurrentSim::new(&net, universe.faults(), base);
-        let plain_report = plain.run_replayed(&patterns, &[oa, ob], &tape);
-        let mut gated = ConcurrentSim::new(
-            &net,
-            universe.faults(),
-            ConcurrentConfig {
-                gating: true,
-                ..base
-            },
-        );
-        let gated_report = gated.run_replayed(&patterns, &[oa, ob], &tape);
-        assert_eq!(gated_report.detections, plain_report.detections);
-        assert_eq!(gated.live(), plain.live());
     }
 
     /// Export at a pattern boundary, re-partition the surviving faults

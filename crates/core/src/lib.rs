@@ -48,7 +48,7 @@ pub use dictionary::{FaultDictionary, Syndrome};
 pub use fmossim_switch::DenseState;
 pub use overlay::{FaultyView, Overrides, SerialState};
 pub use pattern::{stimulus_content_hash, Pattern, Phase};
-pub use records::{StateListStore, StateLists};
+pub use records::StateLists;
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};
 pub use serial::{GoodObservations, SerialConfig, SerialOutcome, SerialReport, SerialSim};
 pub use tape::{GoodTape, PhaseTape, TapeRecorder};

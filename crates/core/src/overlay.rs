@@ -208,7 +208,6 @@ impl SwitchState for SerialState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::StateListStore;
     use fmossim_netlist::{Drive, Size, TransistorType};
 
     fn tiny() -> (Network, NodeId, NodeId, TransistorId) {
@@ -224,7 +223,7 @@ mod tests {
     fn view_reads_good_until_diverged() {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
-        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 2);
         let ov = Overrides::default();
         let mut view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
         assert_eq!(view.node_state(s), Logic::H, "falls back to good");
@@ -239,7 +238,7 @@ mod tests {
     fn forced_node_acts_as_input() {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
-        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 2);
         let ov = Overrides::from_effect(FaultEffect::ForceNode {
             node: s,
             value: Logic::L,
@@ -253,7 +252,7 @@ mod tests {
     fn forced_transistor_ignores_gate() {
         let (net, a, _, t) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
-        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 2);
         let ov = Overrides::from_effect(FaultEffect::ForceTransistor {
             t,
             cond: Conduction::Open,
@@ -269,7 +268,7 @@ mod tests {
     fn conduction_uses_divergent_gate_value() {
         let (net, a, _, t) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::H];
-        let mut recs = StateLists::new(3, 2, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 2);
         // Circuit 1 diverges on the gate: A is low there. (A is an input
         // node; record-on-input is how fault-control flips are stored.)
         recs.set(a, 1, Logic::L);

@@ -275,7 +275,6 @@ impl PackedState for PackedBucketView<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::StateListStore;
     use fmossim_faults::FaultEffect;
     use fmossim_netlist::{Drive, Size, TransistorType};
 
@@ -293,7 +292,7 @@ mod tests {
     fn gather_layers_good_records_and_forces() {
         let (net, a, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::X];
-        let mut recs = StateLists::new(3, 8, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 8);
         recs.set(s, 3, Logic::L); // lane 1 diverges at S
         recs.set(s, 7, Logic::H); // not in this chunk: invisible
         let overrides = vec![
@@ -321,7 +320,7 @@ mod tests {
     fn writes_scatter_back_as_records_or_convergence() {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::X];
-        let mut recs = StateLists::new(3, 4, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 4);
         recs.set(s, 1, Logic::L);
         let overrides = vec![Overrides::default(); 4];
         let circs = [1u32, 2];
@@ -347,7 +346,7 @@ mod tests {
     fn forced_transistor_lanes_override_gate() {
         let (net, _, _, t) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::X];
-        let recs = StateLists::new(3, 4, StateListStore::SortedVec);
+        let recs = StateLists::new(3, 4);
         let overrides = vec![
             Overrides::default(),
             Overrides::from_effect(FaultEffect::ForceTransistor {
@@ -373,7 +372,7 @@ mod tests {
     fn second_chunk_invalidates_gather_cache() {
         let (net, _, s, _) = tiny();
         let good = vec![Logic::L, Logic::H, Logic::X];
-        let mut recs = StateLists::new(3, 4, StateListStore::SortedVec);
+        let mut recs = StateLists::new(3, 4);
         let overrides = vec![Overrides::default(); 4];
         let mut scratch = PackedViewScratch::new(3);
         let circs = [1u32];

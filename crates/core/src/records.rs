@@ -9,32 +9,18 @@
 //! detected circuit reclaims its records in time proportional to its
 //! own divergence, not the network size.
 //!
-//! An alternative hash-map backend ([`StateListStore::Hash`]) exists
-//! solely for the `ablation_statelist` benchmark, which quantifies the
-//! paper's claim that sorted lists keep search time negligible.
+//! A flat `HashMap<(node, circuit), state>` store was measured against
+//! these lists and lost by 4x on a 64-bit RAM and 46x on 1000-gate
+//! random logic, so the sorted lists are the only store.
 
 use fmossim_netlist::{Logic, NodeId};
-use std::collections::HashMap;
-
-/// Storage back-end selection for [`StateLists`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StateListStore {
-    /// Per-node circuit-id-sorted vectors (the paper's design).
-    #[default]
-    SortedVec,
-    /// A flat `HashMap<(node, circuit), state>` (ablation baseline).
-    Hash,
-}
 
 /// Divergence records for all faulty circuits, overlaid on the good
 /// circuit's dense state.
 #[derive(Clone, Debug)]
 pub struct StateLists {
-    store: StateListStore,
-    /// SortedVec backend: per node, `(circuit, state)` sorted by circuit.
+    /// Per node, `(circuit, state)` sorted by circuit.
     per_node: Vec<Vec<(u32, Logic)>>,
-    /// Hash backend.
-    map: HashMap<(u32, u32), Logic>,
     /// Per circuit: nodes this circuit has (or once had) records on.
     /// May contain stale entries (validated on drop); amortises circuit
     /// teardown.
@@ -47,11 +33,9 @@ impl StateLists {
     /// Creates empty record storage for `num_nodes` nodes and
     /// `num_circuits` faulty circuits (circuit ids `1..=num_circuits`).
     #[must_use]
-    pub fn new(num_nodes: usize, num_circuits: usize, store: StateListStore) -> Self {
+    pub fn new(num_nodes: usize, num_circuits: usize) -> Self {
         StateLists {
-            store,
             per_node: vec![Vec::new(); num_nodes],
-            map: HashMap::new(),
             touched: vec![Vec::new(); num_circuits + 1],
             len: 0,
         }
@@ -62,13 +46,11 @@ impl StateLists {
     /// new shape can reuse — the arena-reuse path of
     /// [`SimArena`](crate::SimArena). Behaviour afterwards is
     /// indistinguishable from [`StateLists::new`].
-    pub fn recycle(&mut self, num_nodes: usize, num_circuits: usize, store: StateListStore) {
-        self.store = store;
+    pub fn recycle(&mut self, num_nodes: usize, num_circuits: usize) {
         for list in &mut self.per_node {
             list.clear();
         }
         self.per_node.resize(num_nodes, Vec::new());
-        self.map.clear();
         for nodes in &mut self.touched {
             nodes.clear();
         }
@@ -91,119 +73,55 @@ impl StateLists {
     /// The state of node `n` in circuit `circuit`, if it diverges.
     #[must_use]
     pub fn get(&self, n: NodeId, circuit: u32) -> Option<Logic> {
-        match self.store {
-            StateListStore::SortedVec => {
-                let list = &self.per_node[n.index()];
-                list.binary_search_by_key(&circuit, |&(c, _)| c)
-                    .ok()
-                    .map(|i| list[i].1)
-            }
-            StateListStore::Hash => self
-                .map
-                .get(&(u32::try_from(n.index()).expect("node fits u32"), circuit))
-                .copied(),
-        }
+        let list = &self.per_node[n.index()];
+        list.binary_search_by_key(&circuit, |&(c, _)| c)
+            .ok()
+            .map(|i| list[i].1)
     }
 
     /// Installs or updates the record for `(n, circuit)`.
     pub fn set(&mut self, n: NodeId, circuit: u32, v: Logic) {
-        match self.store {
-            StateListStore::SortedVec => {
-                let list = &mut self.per_node[n.index()];
-                match list.binary_search_by_key(&circuit, |&(c, _)| c) {
-                    Ok(i) => {
-                        list[i].1 = v;
-                        return; // already touched
-                    }
-                    Err(i) => list.insert(i, (circuit, v)),
-                }
-            }
-            StateListStore::Hash => {
-                let key = (u32::try_from(n.index()).expect("node fits u32"), circuit);
-                if self.map.insert(key, v).is_some() {
-                    return;
-                }
+        let list = &mut self.per_node[n.index()];
+        match list.binary_search_by_key(&circuit, |&(c, _)| c) {
+            Ok(i) => list[i].1 = v, // already touched
+            Err(i) => {
+                list.insert(i, (circuit, v));
+                self.len += 1;
+                self.touched[circuit as usize].push(n);
             }
         }
-        self.len += 1;
-        self.touched[circuit as usize].push(n);
     }
 
     /// Removes the record for `(n, circuit)` if present (the circuit's
     /// state converged back to the good circuit's).
     pub fn remove(&mut self, n: NodeId, circuit: u32) {
-        let removed = match self.store {
-            StateListStore::SortedVec => {
-                let list = &mut self.per_node[n.index()];
-                match list.binary_search_by_key(&circuit, |&(c, _)| c) {
-                    Ok(i) => {
-                        list.remove(i);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            }
-            StateListStore::Hash => self
-                .map
-                .remove(&(u32::try_from(n.index()).expect("node fits u32"), circuit))
-                .is_some(),
-        };
-        if removed {
+        let list = &mut self.per_node[n.index()];
+        if let Ok(i) = list.binary_search_by_key(&circuit, |&(c, _)| c) {
+            list.remove(i);
             self.len -= 1;
         }
     }
 
     /// The circuits diverging at node `n`, as `(circuit, state)` pairs
-    /// in ascending circuit order. (Hash backend: collected and sorted —
-    /// that cost is what the ablation measures.)
+    /// in ascending circuit order.
     pub fn circuits_at(&self, n: NodeId) -> Vec<(u32, Logic)> {
-        match self.store {
-            StateListStore::SortedVec => self.per_node[n.index()].clone(),
-            StateListStore::Hash => {
-                let node = u32::try_from(n.index()).expect("node fits u32");
-                let mut v: Vec<(u32, Logic)> = self
-                    .map
-                    .iter()
-                    .filter(|((nn, _), _)| *nn == node)
-                    .map(|(&(_, c), &s)| (c, s))
-                    .collect();
-                v.sort_unstable_by_key(|&(c, _)| c);
-                v
-            }
-        }
+        self.per_node[n.index()].clone()
     }
 
-    /// Visits the circuits diverging at `n` without allocating
-    /// (SortedVec backend only; used on the hot trigger path).
+    /// Visits the circuits diverging at `n` without allocating (the
+    /// hot trigger path), in ascending circuit order.
     pub fn for_circuits_at(&self, n: NodeId, mut f: impl FnMut(u32)) {
-        match self.store {
-            StateListStore::SortedVec => {
-                for &(c, _) in &self.per_node[n.index()] {
-                    f(c);
-                }
-            }
-            StateListStore::Hash => {
-                for (c, _) in self.circuits_at(n) {
-                    f(c);
-                }
-            }
+        for &(c, _) in &self.per_node[n.index()] {
+            f(c);
         }
     }
 
     /// Visits the records at `n` as `(circuit, state)` pairs without
-    /// allocating (SortedVec backend; used by the packed-lane gather).
+    /// allocating (the strobe and the packed-lane gather), in ascending
+    /// circuit order.
     pub fn for_records_at(&self, n: NodeId, mut f: impl FnMut(u32, Logic)) {
-        match self.store {
-            StateListStore::SortedVec => {
-                for &(c, v) in &self.per_node[n.index()] {
-                    f(c, v);
-                }
-            }
-            StateListStore::Hash => {
-                for (c, v) in self.circuits_at(n) {
-                    f(c, v);
-                }
-            }
+        for &(c, v) in &self.per_node[n.index()] {
+            f(c, v);
         }
     }
 
@@ -241,88 +159,76 @@ mod tests {
         NodeId::from_index(i)
     }
 
-    fn both() -> [StateLists; 2] {
-        [
-            StateLists::new(8, 4, StateListStore::SortedVec),
-            StateLists::new(8, 4, StateListStore::Hash),
-        ]
-    }
-
     #[test]
     fn set_get_remove_roundtrip() {
-        for mut s in both() {
-            assert!(s.is_empty());
-            s.set(n(3), 2, Logic::H);
-            s.set(n(3), 1, Logic::L);
-            s.set(n(5), 2, Logic::X);
-            assert_eq!(s.len(), 3);
-            assert_eq!(s.get(n(3), 2), Some(Logic::H));
-            assert_eq!(s.get(n(3), 1), Some(Logic::L));
-            assert_eq!(s.get(n(3), 3), None);
-            // Update in place does not grow.
-            s.set(n(3), 2, Logic::L);
-            assert_eq!(s.len(), 3);
-            assert_eq!(s.get(n(3), 2), Some(Logic::L));
-            s.remove(n(3), 2);
-            assert_eq!(s.get(n(3), 2), None);
-            assert_eq!(s.len(), 2);
-            // Removing twice is harmless.
-            s.remove(n(3), 2);
-            assert_eq!(s.len(), 2);
-        }
+        let mut s = StateLists::new(8, 4);
+        assert!(s.is_empty());
+        s.set(n(3), 2, Logic::H);
+        s.set(n(3), 1, Logic::L);
+        s.set(n(5), 2, Logic::X);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.get(n(3), 2), Some(Logic::H));
+        assert_eq!(s.get(n(3), 1), Some(Logic::L));
+        assert_eq!(s.get(n(3), 3), None);
+        // Update in place does not grow.
+        s.set(n(3), 2, Logic::L);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.get(n(3), 2), Some(Logic::L));
+        s.remove(n(3), 2);
+        assert_eq!(s.get(n(3), 2), None);
+        assert_eq!(s.len(), 2);
+        // Removing twice is harmless.
+        s.remove(n(3), 2);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn circuits_at_is_sorted() {
-        for mut s in both() {
-            s.set(n(0), 3, Logic::H);
-            s.set(n(0), 1, Logic::L);
-            s.set(n(0), 2, Logic::X);
-            let got = s.circuits_at(n(0));
-            assert_eq!(
-                got,
-                vec![(1, Logic::L), (2, Logic::X), (3, Logic::H)],
-                "sorted by circuit id"
-            );
-            let mut seen = Vec::new();
-            s.for_circuits_at(n(0), |c| seen.push(c));
-            assert_eq!(seen, vec![1, 2, 3]);
-        }
+        let mut s = StateLists::new(8, 4);
+        s.set(n(0), 3, Logic::H);
+        s.set(n(0), 1, Logic::L);
+        s.set(n(0), 2, Logic::X);
+        let got = s.circuits_at(n(0));
+        assert_eq!(
+            got,
+            vec![(1, Logic::L), (2, Logic::X), (3, Logic::H)],
+            "sorted by circuit id"
+        );
+        let mut seen = Vec::new();
+        s.for_circuits_at(n(0), |c| seen.push(c));
+        assert_eq!(seen, vec![1, 2, 3]);
     }
 
     #[test]
     fn drop_circuit_reclaims_only_its_records() {
-        for mut s in both() {
-            s.set(n(0), 1, Logic::H);
-            s.set(n(1), 1, Logic::H);
-            s.set(n(1), 2, Logic::L);
-            let reclaimed = s.drop_circuit(1);
-            assert_eq!(reclaimed, 2);
-            assert_eq!(s.len(), 1);
-            assert_eq!(s.get(n(1), 2), Some(Logic::L));
-            assert_eq!(s.get(n(0), 1), None);
-        }
+        let mut s = StateLists::new(8, 4);
+        s.set(n(0), 1, Logic::H);
+        s.set(n(1), 1, Logic::H);
+        s.set(n(1), 2, Logic::L);
+        let reclaimed = s.drop_circuit(1);
+        assert_eq!(reclaimed, 2);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(n(1), 2), Some(Logic::L));
+        assert_eq!(s.get(n(0), 1), None);
     }
 
     #[test]
     fn drop_circuit_tolerates_stale_touched_entries() {
-        for mut s in both() {
-            s.set(n(0), 1, Logic::H);
-            s.remove(n(0), 1); // converged: touched entry goes stale
-            s.set(n(2), 1, Logic::L);
-            assert_eq!(s.drop_circuit(1), 1);
-            assert!(s.is_empty());
-        }
+        let mut s = StateLists::new(8, 4);
+        s.set(n(0), 1, Logic::H);
+        s.remove(n(0), 1); // converged: touched entry goes stale
+        s.set(n(2), 1, Logic::L);
+        assert_eq!(s.drop_circuit(1), 1);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn nodes_of_reports_live_records() {
-        for mut s in both() {
-            s.set(n(4), 2, Logic::H);
-            s.set(n(1), 2, Logic::H);
-            s.set(n(1), 2, Logic::L); // update, not duplicate
-            s.remove(n(4), 2);
-            assert_eq!(s.nodes_of(2), vec![n(1)]);
-        }
+        let mut s = StateLists::new(8, 4);
+        s.set(n(4), 2, Logic::H);
+        s.set(n(1), 2, Logic::H);
+        s.set(n(1), 2, Logic::L); // update, not duplicate
+        s.remove(n(4), 2);
+        assert_eq!(s.nodes_of(2), vec![n(1)]);
     }
 }

@@ -1,10 +1,33 @@
-//! Property tests for the divergence-record store: the two backends
-//! (the paper's sorted lists and the ablation hash map) must be
-//! observationally identical under arbitrary operation sequences.
+//! Property tests for the divergence-record store: the paper's sorted
+//! state lists must be observationally identical to a plain
+//! `BTreeMap<(node, circuit), state>` model under arbitrary operation
+//! sequences.
 
-use fmossim_core::{StateListStore, StateLists};
+use fmossim_core::StateLists;
 use fmossim_netlist::{Logic, NodeId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The reference model: one entry per live record.
+#[derive(Default)]
+struct Model(BTreeMap<(usize, u32), Logic>);
+
+impl Model {
+    fn circuits_at(&self, n: usize) -> Vec<(u32, Logic)> {
+        self.0
+            .range((n, 0)..(n + 1, 0))
+            .map(|(&(_, c), &v)| (c, v))
+            .collect()
+    }
+
+    fn nodes_of(&self, c: u32) -> Vec<NodeId> {
+        self.0
+            .keys()
+            .filter(|&&(_, cc)| cc == c)
+            .map(|&(n, _)| NodeId::from_index(n))
+            .collect()
+    }
+}
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -34,31 +57,33 @@ proptest! {
 
     #[test]
     fn backends_agree(ops in prop::collection::vec(arb_op(), 0..120)) {
-        let mut a = StateLists::new(16, 8, StateListStore::SortedVec);
-        let mut b = StateLists::new(16, 8, StateListStore::Hash);
+        let mut a = StateLists::new(16, 8);
+        let mut b = Model::default();
         for op in &ops {
             match *op {
                 Op::Set(n, c, v) => {
                     a.set(NodeId::from_index(n as usize), u32::from(c), v);
-                    b.set(NodeId::from_index(n as usize), u32::from(c), v);
+                    b.0.insert((n as usize, u32::from(c)), v);
                 }
                 Op::Remove(n, c) => {
                     a.remove(NodeId::from_index(n as usize), u32::from(c));
-                    b.remove(NodeId::from_index(n as usize), u32::from(c));
+                    b.0.remove(&(n as usize, u32::from(c)));
                 }
                 Op::DropCircuit(c) => {
-                    a.drop_circuit(u32::from(c));
-                    b.drop_circuit(u32::from(c));
+                    let reclaimed = a.drop_circuit(u32::from(c));
+                    let before = b.0.len();
+                    b.0.retain(|&(_, cc), _| cc != u32::from(c));
+                    prop_assert_eq!(reclaimed, before - b.0.len());
                 }
             }
-            prop_assert_eq!(a.len(), b.len());
+            prop_assert_eq!(a.len(), b.0.len());
         }
         // Full observational equality at the end.
         for n in 0..16 {
             let node = NodeId::from_index(n);
-            prop_assert_eq!(a.circuits_at(node), b.circuits_at(node), "node {}", n);
+            prop_assert_eq!(a.circuits_at(node), b.circuits_at(n), "node {}", n);
             for c in 1..8u32 {
-                prop_assert_eq!(a.get(node, c), b.get(node, c));
+                prop_assert_eq!(a.get(node, c), b.0.get(&(n, c)).copied());
             }
         }
         for c in 1..8u32 {
@@ -69,7 +94,7 @@ proptest! {
     /// `len()` equals the number of live records observable via `get`.
     #[test]
     fn len_is_consistent(ops in prop::collection::vec(arb_op(), 0..80)) {
-        let mut s = StateLists::new(16, 8, StateListStore::SortedVec);
+        let mut s = StateLists::new(16, 8);
         for op in &ops {
             match *op {
                 Op::Set(n, c, v) => s.set(NodeId::from_index(n as usize), u32::from(c), v),

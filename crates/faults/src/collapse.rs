@@ -378,7 +378,7 @@ impl CollapseClasses {
             for &t in &gated {
                 let tr = net.transistor(t);
                 let a = tr.gate;
-                // Containment: a storage, unobserved, gating only t and
+                // Containment: a storage, unobserved, that gates only t and
                 // depletion devices; a's whole component contained.
                 if net.node(a).is_input()
                     || a == z

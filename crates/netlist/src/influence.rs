@@ -1,6 +1,6 @@
 //! Channel-graph influence analysis: reachability closures over the
-//! static transistor graph, shared by the fault-collapsing rules in
-//! `fmossim-faults` and the activity-gating cones in `fmossim-core`.
+//! static transistor graph, used by the fault-collapsing rules in
+//! `fmossim-faults`.
 //!
 //! All three helpers operate on the *static* graph — a transistor
 //! contributes its edges whether or not it conducts — so every closure
@@ -11,94 +11,19 @@
 use crate::ids::{NodeId, TransistorId};
 use crate::network::Network;
 
-/// The *interaction cone* of a seed set: every node whose state can
-/// influence, or be influenced by, activity originating at the seeds,
-/// closed under the three switch-level interaction edges:
-///
-/// * **channel adjacency** — charge and drive flow through a channel in
-///   either direction;
-/// * **gate → endpoint** — a node's state switches the transistors it
-///   gates, perturbing their channel endpoints;
-/// * **endpoint → gate** — a vicinity's solve consults (and its support
-///   includes) the gates of every incident transistor, so gate nodes
-///   interact with the endpoints they control.
-///
-/// Input nodes *enter* the cone (their changes are events the cone must
-/// see) but are never *expanded through*: an input's state is externally
-/// pinned, so nothing propagates across it — expanding through Vdd/Gnd
-/// would otherwise pull the whole chip into every cone. Seed nodes are
-/// expanded even when they are inputs (a fault's own terminals interact
-/// regardless of class).
-///
-/// Returns one flag per node (`true` = in the cone).
-///
-/// ```
-/// use fmossim_netlist::{influence::interaction_cone, Drive, Logic, Network, Size, TransistorType};
-///
-/// let mut net = Network::new();
-/// let vdd = net.add_input("Vdd", Logic::H);
-/// let a = net.add_input("A", Logic::L);
-/// let out = net.add_storage("OUT", Size::S1);
-/// let far = net.add_storage("FAR", Size::S1);
-/// net.add_transistor(TransistorType::D, Drive::D1, out, vdd, out);
-/// net.add_transistor(TransistorType::N, Drive::D2, a, out, vdd);
-/// net.add_transistor(TransistorType::N, Drive::D2, a, far, vdd);
-/// let cone = interaction_cone(&net, &[out]);
-/// assert!(cone[out.index()] && cone[a.index()] && cone[vdd.index()]);
-/// // FAR shares only the *input* A with OUT. Inputs join the cone (a
-/// // change of A is an event OUT's cone must see) but are pinned, so
-/// // no influence flows across them — FAR stays outside.
-/// assert!(!cone[far.index()]);
-/// ```
-#[must_use]
-pub fn interaction_cone(net: &Network, seeds: &[NodeId]) -> Vec<bool> {
-    let mut in_cone = vec![false; net.num_nodes()];
-    let mut expandable = vec![false; net.num_nodes()];
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in seeds {
-        if !in_cone[s.index()] {
-            in_cone[s.index()] = true;
-        }
-        if !expandable[s.index()] {
-            expandable[s.index()] = true;
-            stack.push(s);
-        }
-    }
-    let add = |n: NodeId,
-               in_cone: &mut Vec<bool>,
-               expandable: &mut Vec<bool>,
-               stack: &mut Vec<NodeId>| {
-        in_cone[n.index()] = true;
-        if !net.node(n).is_input() && !expandable[n.index()] {
-            expandable[n.index()] = true;
-            stack.push(n);
-        }
-    };
-    while let Some(v) = stack.pop() {
-        for &t in net.channel_transistors(v) {
-            let tr = net.transistor(t);
-            add(tr.other_end(v), &mut in_cone, &mut expandable, &mut stack);
-            add(tr.gate, &mut in_cone, &mut expandable, &mut stack);
-        }
-        for &t in net.gated_transistors(v) {
-            let tr = net.transistor(t);
-            add(tr.source, &mut in_cone, &mut expandable, &mut stack);
-            add(tr.drain, &mut in_cone, &mut expandable, &mut stack);
-        }
-    }
-    in_cone
-}
-
 /// The *observable region*: every node whose state can influence at
-/// least one of `outputs`, computed as the backward closure under the
-/// same interaction edges as [`interaction_cone`] — the predecessors of
-/// a node are its channel neighbours and the gates of its incident
-/// channel transistors. A fault all of whose effect terminals lie
-/// outside this region can never change an observed value and is
-/// therefore undetectable by any stimulus.
+/// least one of `outputs`: the backward cone of the outputs under the
+/// switch-level interaction edges — the predecessors of a node are its
+/// channel neighbours (charge and drive flow through a channel in
+/// either direction) and the gates of its incident channel transistors
+/// (a node's state switches the transistors it gates). A fault all of
+/// whose effect terminals lie outside this region can never change an
+/// observed value and is therefore undetectable by any stimulus.
 ///
-/// As in the forward closure, inputs enter the region but are not
-/// expanded through.
+/// Inputs enter the region but are not expanded through: an input's
+/// state is externally pinned, so nothing propagates across it —
+/// expanding through Vdd/Gnd would otherwise pull the whole chip into
+/// every region.
 #[must_use]
 pub fn observable_region(net: &Network, outputs: &[NodeId]) -> Vec<bool> {
     let mut marked = vec![false; net.num_nodes()];
@@ -195,27 +120,17 @@ mod tests {
     }
 
     #[test]
-    fn cone_does_not_cross_unrelated_inputs() {
-        let (net, [a, b, oa, ob]) = two_inverters();
-        let cone = interaction_cone(&net, &[oa]);
-        assert!(cone[oa.index()] && cone[a.index()]);
-        // The inverters share only Vdd/Gnd; inputs don't conduct
-        // influence, so OB and B stay out of OA's cone.
-        assert!(!cone[ob.index()] && !cone[b.index()]);
-    }
-
-    #[test]
     fn cone_follows_gate_fanout() {
-        // OA additionally gates a pulldown on OB: now OB is downstream.
-        let (mut net, [_, _, oa, ob]) = two_inverters();
+        // OA additionally gates a pulldown on OB: OA's state can now
+        // reach OB, so OB's backward cone includes OA (and its input),
+        // while OA's own cone still excludes OB.
+        let (mut net, [a, _, oa, ob]) = two_inverters();
         let gnd = net.find_node("Gnd").expect("exists");
         net.add_transistor(TransistorType::N, Drive::D2, oa, ob, gnd);
-        let cone = interaction_cone(&net, &[oa]);
-        assert!(cone[ob.index()], "gate→endpoint edge reaches OB");
-        // And backwards: OB's cone must include OA (endpoint→gate),
-        // because OA's changes re-trigger OB's vicinity solves.
-        let back = interaction_cone(&net, &[ob]);
-        assert!(back[oa.index()], "endpoint→gate edge reaches OA");
+        let region = observable_region(&net, &[ob]);
+        assert!(region[oa.index()], "gate of an incident transistor");
+        assert!(region[a.index()], "closure continues through OA");
+        assert!(!observable_region(&net, &[oa])[ob.index()], "backward only");
     }
 
     #[test]

@@ -164,8 +164,6 @@ impl CampaignBackend for ServedBackend {
         let spec = &self.spec;
         let config = ConcurrentConfig {
             drop_on_detect: control.drop_detected,
-            // Collapsed campaigns gate, like the offline backends.
-            gating: control.collapse,
             ..served_config()
         };
 

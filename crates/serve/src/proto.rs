@@ -28,7 +28,7 @@
 //! [`fmossim_campaign::universe_from_spec`]; `shards` (bounded by
 //! [`MAX_SHARDS`]) overrides the server's default shard count; `name`
 //! labels the job in listings; `collapse` (boolean, default `false`)
-//! asks the job to run with static fault collapsing + activity gating
+//! asks the job to run with static fault collapsing
 //! ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)) —
 //! the report is bit-identical either way, and echoes the choice in
 //! its `control` block; `stop_at_coverage` (number in `[0, 1]`,
@@ -73,8 +73,8 @@ pub struct JobSpec {
     pub outputs: Vec<NodeId>,
     /// Shard count for the pool plan.
     pub shards: usize,
-    /// Whether the job runs with static fault collapsing + activity
-    /// gating ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)).
+    /// Whether the job runs with static fault collapsing
+    /// ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)).
     pub collapse: bool,
     /// Stop once coverage over the full fault universe reaches this
     /// fraction

@@ -127,10 +127,9 @@ default is off.
 --collapse on runs static fault collapsing before the campaign:
 structurally equivalent faults (parallel twins, series stuck-opens
 with pinned outer nodes, dominated drivers, never-detectable faults)
-are grouped into classes, one representative per class is simulated
-— with dynamic activity gating enabled on the concurrent-family
-backends — and every detection is fanned back out to the full class
-at report time. The reported detections, coverage, and fault count
+are grouped into classes, one representative per class is simulated,
+and every detection is fanned back out to the full class at report
+time. The reported detections, coverage, and fault count
 are bit-identical to --collapse off; only the simulated work shrinks.
 The default is off. --collapse on combines with --stop-at-coverage:
 the target is evaluated over the full fault universe (each

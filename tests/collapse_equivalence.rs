@@ -1,7 +1,7 @@
 //! Differential conformance for campaign-level fault collapsing
 //! (`Campaign::collapse`): a collapsed campaign — static equivalence
-//! classes simulated one representative each, with dynamic activity
-//! gating enabled, detections fanned back out at report time — must be
+//! classes simulated one representative each, detections fanned back
+//! out at report time — must be
 //! **bit-identical** to the uncollapsed campaign it replaces. Same
 //! detection set, same live (undetected) set, same per-fault first
 //! detection `(pattern, phase)`, same per-pattern `detected` /
@@ -37,7 +37,7 @@ const PATTERN_CAP: usize = 24;
 
 /// The concurrent-family matrix: collapsing routes through the
 /// campaign's universe/fan-out seam identically for all of them, but
-/// gating, sharding and lane packing each interact with the collapsed
+/// sharding and lane packing each interact with the collapsed
 /// universe differently enough to earn a row.
 fn backend_for(label: &str) -> Backend {
     let sim = ConcurrentConfig {
