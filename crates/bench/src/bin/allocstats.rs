@@ -2,16 +2,17 @@
 //!
 //! Two measurements, one JSON document:
 //!
-//! 1. **Batch-rebuild A/B.** The adaptive backend rebuilds one
-//!    `ConcurrentSim` per shard at every batch boundary; each rebuild
-//!    used to allocate a fresh engine, record store, structural tables
-//!    and queues — all sized for the network. The
-//!    [`ArenaPool`](fmossim_par::ArenaPool) recycles those buffers
-//!    across batches instead. This binary runs the identical adaptive
-//!    campaign with [`AdaptiveConfig::reuse_arenas`] off and on,
-//!    counts every `alloc`/`realloc` call and requested byte through a
-//!    counting `#[global_allocator]` wrapper around [`System`], and
-//!    asserts the detection sets are bit-identical.
+//! 1. **Batch-rebuild A/B.** A batched parallel run rebuilds one
+//!    `ConcurrentSim` per shard at every batch boundary; without reuse
+//!    each rebuild allocates a fresh engine, record store, structural
+//!    tables and queues — all sized for the network. The
+//!    [`ArenaPool`] recycles those buffers across batches instead.
+//!    This binary runs one batch of shard work through
+//!    [`run_shards`] twice — with fresh arenas, then drawing on a pool
+//!    a warm-up call has filled — counts every `alloc`/`realloc` call
+//!    and requested byte through a counting `#[global_allocator]`
+//!    wrapper around [`System`], and asserts the detection sets are
+//!    bit-identical.
 //! 2. **Steady-state hot loop.** A single `ConcurrentSim` is warmed
 //!    with two passes of the pattern sequence (growing every scratch
 //!    buffer — the flat event queue, the strobe snapshot, the record
@@ -21,19 +22,23 @@
 //!
 //! Usage: `allocstats [--dim 8] [--batch 8] [--jobs 2] [--sample K]`
 //!
-//! Allocation *counts* are deterministic per mode on a given build
-//! (the campaign itself is deterministic; only wall-clock varies), so
-//! the printed delta is a stable measurement, not a noisy benchmark.
+//! Allocation *counts* are near-deterministic per mode on a given
+//! build (the shard work itself is deterministic; only wall-clock and
+//! which worker parks which arena vary), so the printed delta is a
+//! stable measurement, not a noisy benchmark.
 
 use fmossim_bench::arg_value;
-use fmossim_campaign::{AdaptiveConfig, Backend, Campaign, CampaignReport};
 use fmossim_circuits::Ram;
-use fmossim_core::{ConcurrentConfig, ConcurrentSim};
+use fmossim_core::{ConcurrentConfig, ConcurrentSim, Detection, GoodTape};
 use fmossim_faults::{FaultUniverse, DEFAULT_SEED};
-use fmossim_par::Jobs;
+use fmossim_par::{run_shards, ArenaPool, ScopedPool, ShardPlan, ShardStrategy, ShardWork};
+use fmossim_telemetry::Registry;
 use fmossim_testgen::TestSequence;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Counts calls into the system allocator. `Relaxed` is enough: the
 /// totals are read only between runs, after the worker threads have
@@ -64,33 +69,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// One mode's measurement: allocator traffic across the whole run.
+/// One mode's measurement: allocator traffic across one batch.
 struct Measurement {
     calls: u64,
     bytes: u64,
     wall_seconds: f64,
-    report: CampaignReport,
+    /// The batch's detections, in canonical order.
+    detections: Vec<Detection>,
 }
 
-fn measure(
-    ram: &Ram,
-    universe: &FaultUniverse,
-    patterns: &[fmossim_core::Pattern],
-    config: AdaptiveConfig,
-) -> Measurement {
+/// Runs every shard of `work` on `jobs` workers, counting allocator
+/// traffic from the first shard build to the last shard's result.
+fn measure(work: ShardWork<'_>, jobs: usize) -> Measurement {
     let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
     let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
-    let report = Campaign::new(ram.network())
-        .faults(universe.clone())
-        .patterns(patterns)
-        .outputs(ram.observed_outputs())
-        .backend(Backend::Adaptive(config))
-        .run();
+    let t0 = Instant::now();
+    let mut detections = Vec::new();
+    run_shards(
+        &ScopedPool::new(jobs),
+        Arc::new(work),
+        &Registry::null(),
+        |r| {
+            detections.extend(r.report.detections);
+            ControlFlow::Continue(())
+        },
+    );
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls0;
+    let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
+    detections.sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
     Measurement {
-        calls: ALLOC_CALLS.load(Ordering::Relaxed) - calls0,
-        bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes0,
-        wall_seconds: report.wall_seconds,
-        report,
+        calls,
+        bytes,
+        wall_seconds,
+        detections,
     }
 }
 
@@ -107,21 +119,39 @@ fn main() {
     if let Some(k) = sample {
         universe = universe.sample(k, DEFAULT_SEED);
     }
-    let config = |reuse_arenas| AdaptiveConfig {
-        jobs: Jobs::Fixed(jobs),
-        reuse_arenas,
-        ..AdaptiveConfig::paper(batch)
+
+    // One batch of shard work — the first `batch` patterns, replayed
+    // from a recorded good tape — as a batched run rebuilds it at every
+    // batch boundary.
+    let sim = ConcurrentConfig::paper();
+    let patterns = &seq.patterns()[..batch.min(seq.len())];
+    let tape = GoodTape::record(ram.network(), patterns, sim.engine);
+    let plan = ShardPlan::build(ram.network(), &universe, jobs, ShardStrategy::CostEstimated);
+    let work = ShardWork {
+        tape: Some(&tape),
+        ..ShardWork::new(
+            ram.network(),
+            &universe,
+            &plan,
+            patterns,
+            ram.observed_outputs(),
+            sim,
+        )
+    };
+    let pool = ArenaPool::new();
+    let pooled_work = ShardWork {
+        arenas: Some(&pool),
+        ..work
     };
 
-    // Warm-up run so one-time lazy initialisation (thread stacks,
-    // stdio buffers) is not attributed to the first measured mode.
-    let _ = measure(&ram, &universe, seq.patterns(), config(false));
-
-    let fresh = measure(&ram, &universe, seq.patterns(), config(false));
-    let pooled = measure(&ram, &universe, seq.patterns(), config(true));
+    // Warm-up call: one-time lazy initialisation (thread stacks, stdio
+    // buffers) is not attributed to the first measured mode, and the
+    // shards park their arenas in the pool for the pooled mode.
+    let _ = measure(pooled_work, jobs);
+    let fresh = measure(work, jobs);
+    let pooled = measure(pooled_work, jobs);
     assert_eq!(
-        fresh.report.detections(),
-        pooled.report.detections(),
+        fresh.detections, pooled.detections,
         "arena reuse changed the detection set"
     );
 
@@ -154,13 +184,11 @@ fn main() {
 
     let saved_calls = fresh.calls.saturating_sub(pooled.calls);
     let saved_bytes = fresh.bytes.saturating_sub(pooled.bytes);
-    let batches = fresh.report.batches.len();
     println!("{{");
     println!("  \"circuit\": \"RAM{} ({})\",", dim * dim, ram.stats());
     println!("  \"faults\": {},", universe.len());
     println!("  \"patterns\": {},", seq.len());
     println!("  \"batch\": {batch},");
-    println!("  \"batches\": {batches},");
     println!("  \"jobs\": {jobs},");
     println!(
         "  \"fresh\":  {{\"alloc_calls\": {}, \"alloc_bytes\": {}, \"wall_seconds\": {:.4}}},",

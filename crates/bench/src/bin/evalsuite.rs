@@ -1,6 +1,7 @@
 //! The paper-style evaluation suite over the benchmark circuit zoo:
-//! every zoo circuit × every backend (serial / concurrent / parallel /
-//! adaptive) × every worker count, one campaign each, one JSON
+//! every zoo circuit × every backend (serial / concurrent / parallel,
+//! the last one-shot and batched) × every worker count, one campaign
+//! each, one JSON
 //! artifact (`BENCH_suite.json`).
 //!
 //! The source paper argues FMOSSIM's worth by relating simulation cost
@@ -10,7 +11,7 @@
 //! good-machine fraction of solver work, mean concurrent fault-list
 //! activity (live faulty circuits per pattern), mean faulty vicinities
 //! per pattern — plus the re-planner's per-batch imbalance for the
-//! adaptive backend, and it **asserts cross-backend conformance**: the
+//! batched rows, and it **asserts cross-backend conformance**: the
 //! canonical detection set of every run of a circuit must be
 //! bit-identical (the suite aborts otherwise), with the shared
 //! fingerprint archived per circuit.
@@ -81,8 +82,8 @@
 
 use fmossim_bench::{arg_flag, arg_value, stats};
 use fmossim_campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs,
-    MetricsSnapshot, ParallelConfig, Registry, SerialConfig,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, MetricsSnapshot,
+    ParallelConfig, Registry, SerialConfig, ShardStrategy,
 };
 use fmossim_faults::FaultUniverse;
 use fmossim_testgen::zoo::{build_zoo, ZooWorkload, ZOO, ZOO_SEED};
@@ -103,7 +104,7 @@ struct Run {
     mean_live: Option<f64>,
     /// Mean faulty vicinities solved per pattern.
     mean_faulty_groups: Option<f64>,
-    /// Mean per-batch imbalance ratio (adaptive only).
+    /// Mean per-batch imbalance ratio (batched rows only).
     mean_batch_imbalance: Option<f64>,
     detected: usize,
     fingerprint: u64,
@@ -288,13 +289,15 @@ fn main() {
                 "parallel",
             ));
             runs.push(measure(
-                &campaign(Backend::Adaptive(AdaptiveConfig {
+                &campaign(Backend::Parallel(ParallelConfig {
                     jobs: Jobs::Fixed(jobs),
+                    strategy: ShardStrategy::CostEstimated,
+                    batch,
                     sim,
-                    ..AdaptiveConfig::paper(batch)
+                    ..ParallelConfig::default()
                 })),
                 Some(jobs),
-                "adaptive",
+                "batched",
             ));
         }
 

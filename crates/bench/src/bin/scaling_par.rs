@@ -15,8 +15,7 @@
 //!
 //! Usage:
 //! `scaling_par [--dim 8] [--jobs-list 1,2,4,8] [--strategy round-robin]
-//!              [--sample K] [--replay on|off|ab]
-//!              [--backend parallel|adaptive] [--batch 16]`
+//!              [--sample K] [--replay on|off|ab] [--batch N]`
 //!
 //! `--replay ab` (the default) measures both modes per point and
 //! asserts their detection sets are bit-identical. Wall-clock speedup
@@ -24,12 +23,12 @@
 //! `hardware_threads`); the good-machine fraction does not — it is a
 //! work ratio, not a wall-clock ratio.
 //!
-//! `--backend adaptive` switches to the batch-rebalancing A/B: per job
-//! count it runs the adaptive backend in both modes — re-planning
-//! shards from measured times between batches (`rebalanced`) vs. the
-//! same batched loop with the initial cost-LPT plan frozen (`static`)
-//! — and asserts both detection sets are bit-identical to the one-shot
-//! parallel backend. Batch 0 runs the identical plan in both modes
+//! `--batch N` (N > 0) switches to the batch-rebalancing A/B: per job
+//! count it runs the parallel backend in N-pattern batches in both
+//! modes — re-planning shards from measured times between batches
+//! (`rebalanced`) vs. the same batched loop with the initial cost-LPT
+//! plan frozen (`static`) — and asserts both detection sets are
+//! bit-identical to the one-shot run. Batch 0 runs the identical plan in both modes
 //! (nothing has been measured yet) and is excluded from both
 //! aggregates.
 //!
@@ -48,7 +47,7 @@
 //! K ≥ 2 the rebalanced ratio must undercut the static one.
 
 use fmossim_bench::{arg_value, paper_universe, ram_with_bridges, stats, SEED};
-use fmossim_campaign::{AdaptiveConfig, Backend, Campaign, CampaignReport};
+use fmossim_campaign::{Backend, Campaign, CampaignReport};
 use fmossim_core::{ConcurrentConfig, GoodTape};
 use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
 use fmossim_testgen::TestSequence;
@@ -106,31 +105,25 @@ fn main() {
         None => ShardStrategy::default(),
         Some(s) => ShardStrategy::parse(&s).expect("round-robin|contiguous|cost"),
     };
-    match arg_value("--backend").as_deref() {
-        None | Some("parallel") => {}
-        Some("adaptive") => {
-            let batch: usize = arg_value("--batch")
-                .map(|s| s.parse().expect("--batch takes a number"))
-                .unwrap_or(16);
-            assert!(
-                batch > 0,
-                "--backend adaptive needs --batch > 0: a single whole-sequence batch has no \
-                 rebalanced batches to compare"
-            );
-            assert!(
-                arg_value("--replay").is_none(),
-                "--replay does not apply to --backend adaptive (the batch loop is tape-based)"
-            );
-            // The A/B defaults to the strongest static baseline
-            // (cost-LPT); an explicit --strategy overrides it.
-            let initial = match arg_value("--strategy") {
-                None => ShardStrategy::CostEstimated,
-                Some(_) => strategy,
-            };
-            adaptive_ab(dim, &jobs_list, batch, initial);
-            return;
-        }
-        Some(other) => panic!("--backend takes parallel|adaptive, not `{other}`"),
+    if let Some(batch) = arg_value("--batch") {
+        let batch: usize = batch.parse().expect("--batch takes a number");
+        assert!(
+            batch > 0,
+            "--batch needs N > 0: a single whole-sequence batch has no rebalanced batches to \
+             compare"
+        );
+        assert!(
+            arg_value("--replay").is_none(),
+            "--replay does not apply to --batch (the batch loop is tape-based)"
+        );
+        // The A/B defaults to the strongest static baseline (cost-LPT);
+        // an explicit --strategy overrides it.
+        let initial = match arg_value("--strategy") {
+            None => ShardStrategy::CostEstimated,
+            Some(_) => strategy,
+        };
+        rebalance_ab(dim, &jobs_list, batch, initial);
+        return;
     }
     let replay_mode = arg_value("--replay").unwrap_or_else(|| "ab".into());
     let (run_on, run_off) = match replay_mode.as_str() {
@@ -313,8 +306,8 @@ fn main() {
     }
 }
 
-/// One adaptive mode's aggregate measurements at one job count.
-struct AdaptiveMode {
+/// One batched mode's aggregate measurements at one job count.
+struct BatchedMode {
     /// Mean over the rebalanced batches of each batch's imbalance
     /// ratio `max_shard_seconds / mean_shard_seconds` (1.0 = every
     /// plan perfectly balanced) — plan quality at each re-planning
@@ -329,11 +322,10 @@ struct AdaptiveMode {
     cpu_seconds: f64,
 }
 
-/// The batch-rebalancing A/B (`--backend adaptive`): measured-cost
-/// re-planning vs. the frozen initial plan (both planned with
-/// `strategy` for batch 0), both bit-identical to the one-shot
-/// parallel backend.
-fn adaptive_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStrategy) {
+/// The batch-rebalancing A/B (`--batch N`): measured-cost re-planning
+/// vs. the frozen initial plan (both planned with `strategy` for batch
+/// 0), both bit-identical to the one-shot parallel run.
+fn rebalance_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStrategy) {
     let (ram, bridges) = ram_with_bridges(dim, dim);
     let mut universe = paper_universe(&ram, bridges);
     if let Some(k) = arg_value("--sample") {
@@ -355,7 +347,7 @@ fn adaptive_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStr
         .map(|s| s.parse().expect("--reps takes a number"))
         .unwrap_or(5)
         .max(1);
-    let mode = |r: &CampaignReport| -> AdaptiveMode {
+    let mode = |r: &CampaignReport| -> BatchedMode {
         // Batch 0 runs the identical initial plan in both modes (no
         // measurement exists yet to re-plan from); the before/after
         // comparison is over the batches a rebalance could have
@@ -369,7 +361,7 @@ fn adaptive_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStr
         let rebalanced = &r.batches[1..];
         let max_sum: f64 = rebalanced.iter().map(|b| b.max_shard_seconds).sum();
         let mean_sum: f64 = rebalanced.iter().map(|b| b.mean_shard_seconds).sum();
-        AdaptiveMode {
+        BatchedMode {
             imbalance: stats::mean(rebalanced.iter().map(|b| b.imbalance)),
             weighted_imbalance: stats::imbalance(max_sum, mean_sum),
             batches: r.batches.len(),
@@ -377,27 +369,24 @@ fn adaptive_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStr
             cpu_seconds: r.run.patterns.iter().map(|p| p.seconds).sum(),
         }
     };
-    let median = |modes: Vec<AdaptiveMode>| stats::median_by(modes, |m| m.imbalance);
+    let median = |modes: Vec<BatchedMode>| stats::median_by(modes, |m| m.imbalance);
 
     let rows: Vec<String> = jobs_list
         .iter()
         .map(|&jobs| {
-            let config = AdaptiveConfig {
-                jobs: Jobs::Fixed(jobs),
-                initial_strategy: strategy,
-                ..AdaptiveConfig::paper(batch)
-            };
-            let reference = campaign(Backend::Parallel(ParallelConfig {
+            let one_shot = ParallelConfig {
                 jobs: Jobs::Fixed(jobs),
                 strategy,
                 sim: ConcurrentConfig::paper(),
                 ..ParallelConfig::default()
-            }));
-            let measure = |backend_config: AdaptiveConfig| -> AdaptiveMode {
+            };
+            let reference = campaign(Backend::Parallel(one_shot));
+            let config = ParallelConfig { batch, ..one_shot };
+            let measure = |backend_config: ParallelConfig| -> BatchedMode {
                 median(
                     (0..reps)
                         .map(|_| {
-                            let report = campaign(Backend::Adaptive(backend_config));
+                            let report = campaign(Backend::Parallel(backend_config));
                             assert_eq!(
                                 report.detections(),
                                 reference.detections(),
@@ -410,7 +399,7 @@ fn adaptive_ab(dim: usize, jobs_list: &[usize], batch: usize, strategy: ShardStr
                 )
             };
             let re = measure(config);
-            let st = measure(AdaptiveConfig {
+            let st = measure(ParallelConfig {
                 rebalance: false,
                 ..config
             });

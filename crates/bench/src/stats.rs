@@ -52,8 +52,8 @@ pub fn median_by<T>(mut items: Vec<T>, key: impl Fn(&T) -> f64) -> T {
 /// The load-imbalance ratio `max / mean` (`1.0` = perfectly balanced;
 /// `>= 1` whenever the inputs come from the same population). A
 /// non-positive mean — an empty or all-zero measurement — reports the
-/// balanced `1.0` rather than dividing by zero, matching the adaptive
-/// backend's per-batch telemetry convention.
+/// balanced `1.0` rather than dividing by zero, matching the per-batch
+/// telemetry convention of batched parallel runs.
 ///
 /// ```
 /// use fmossim_bench::stats::imbalance;

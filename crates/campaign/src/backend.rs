@@ -3,13 +3,12 @@
 //! adapter types, selected by the [`Backend`] enum.
 //!
 //! The adapters translate one campaign workload into each simulator's
-//! native execution order (pattern-major, fault-major, shard-major),
-//! honour the shared [`RunControl`] options, and stream
+//! native execution order (pattern-major, fault-major, shard-major —
+//! the last one-shot or in pattern batches), honour the shared
+//! [`RunControl`] options through one [`StopRule`], and stream
 //! [`SimEvent`]s — so callers swap strategies without touching their
-//! setup code, and future strategies (e.g. the ROADMAP's autotuned
-//! sharding) slot in behind the same trait.
+//! setup code, and custom strategies slot in behind the same trait.
 
-use crate::adaptive::{AdaptiveBackend, AdaptiveConfig, BatchTelemetry};
 use crate::event::SimEvent;
 use fmossim_core::{
     ConcurrentConfig, ConcurrentSim, Detection, DetectionPolicy, GoodTape, Pattern, PatternStats,
@@ -17,7 +16,7 @@ use fmossim_core::{
 };
 use fmossim_faults::{FaultId, FaultUniverse};
 use fmossim_netlist::{Network, NodeId};
-use fmossim_par::{ParallelConfig, ParallelSim};
+use fmossim_par::{BatchTelemetry, ParallelConfig, ParallelSim, RunStep};
 use fmossim_telemetry::Registry;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -119,7 +118,8 @@ impl Workload<'_> {
 pub struct RunControl {
     /// Stop once detected/total coverage reaches this fraction.
     /// Serial and parallel backends stop at their work-item granularity
-    /// (fault / shard); the concurrent backend at pattern granularity.
+    /// (fault / shard, and batch start for batched runs); the
+    /// concurrent backend at pattern granularity.
     pub stop_at_coverage: Option<f64>,
     /// Simulate at most this many patterns (applied by the campaign
     /// before the backend runs).
@@ -220,8 +220,8 @@ pub struct BackendRun {
     /// each replaying shard skipped (parallel backend with tape
     /// reuse).
     pub tape_groups: Option<usize>,
-    /// Per-batch telemetry (adaptive backend; empty otherwise). For
-    /// the adaptive backend the scalar `tape_*` fields above aggregate
+    /// Per-batch telemetry (batched parallel runs; empty otherwise).
+    /// For a batched run the scalar `tape_*` fields above aggregate
     /// these per-batch entries.
     pub batches: Vec<BatchTelemetry>,
     /// True iff the run was cut short by a cooperative cancel (see
@@ -306,9 +306,10 @@ pub trait CampaignBackend {
 
     /// Hands the backend a [`TapeSlot`] to deposit the run's good tape
     /// into after [`run`](CampaignBackend::run). Only the parallel
-    /// backend deposits (the adaptive backend records one short-lived
-    /// tape per batch — there is no single whole-run tape to cache);
-    /// the default implementation leaves the slot untouched.
+    /// backend deposits, and only for one-batch runs (a batched run
+    /// records one short-lived tape per batch — there is no single
+    /// whole-run tape to cache); the default implementation leaves the
+    /// slot untouched.
     fn export_good_tape(&mut self, _slot: &TapeSlot) {}
 
     /// Grades the workload, streaming [`SimEvent`]s through `emit` and
@@ -324,13 +325,12 @@ pub trait CampaignBackend {
 /// Selects one of the built-in execution strategies for a campaign.
 ///
 /// ```
-/// use fmossim_campaign::{AdaptiveConfig, Backend, DetectionPolicy, SerialConfig};
+/// use fmossim_campaign::{Backend, DetectionPolicy, SerialConfig};
 ///
 /// let backend = Backend::Serial(SerialConfig::paper());
 /// assert_eq!(backend.name(), "serial");
 /// assert_eq!(backend.policy(), DetectionPolicy::AnyDifference);
 /// assert_eq!(backend.into_impl().name(), "serial");
-/// assert_eq!(Backend::Adaptive(AdaptiveConfig::paper(8)).name(), "adaptive");
 /// ```
 ///
 /// All built-in strategies grade the same workload and (for race-free fault classes
@@ -347,15 +347,34 @@ pub enum Backend {
     Concurrent(ConcurrentConfig),
     /// Fault-parallel sharded execution ([`ParallelSim`]) — use
     /// [`Jobs::Auto`](fmossim_par::Jobs::Auto) in the config to size
-    /// the pool from the workload.
+    /// the pool from the workload. With
+    /// [`ParallelConfig::batch`] set the sequence runs in pattern
+    /// batches: detected faults leave the plan and the survivors are
+    /// re-planned between batches from *measured* shard times
+    /// ([`ParallelConfig::rebalance`]). Detection sets are
+    /// bit-identical at every batch size:
+    ///
+    /// ```
+    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig};
+    /// use fmossim_circuits::Ram;
+    /// use fmossim_faults::FaultUniverse;
+    /// use fmossim_testgen::TestSequence;
+    ///
+    /// let ram = Ram::new(4, 4);
+    /// let seq = TestSequence::full(&ram);
+    /// let run = |config: ParallelConfig| Campaign::new(ram.network())
+    ///     .faults(FaultUniverse::stuck_nodes(ram.network()))
+    ///     .patterns(seq.patterns())
+    ///     .outputs(ram.observed_outputs())
+    ///     .backend(Backend::Parallel(config))
+    ///     .run();
+    /// let batched = run(ParallelConfig { batch: 8, ..ParallelConfig::auto() });
+    /// let one_shot = run(ParallelConfig::auto());
+    /// // Batching and re-planning never change the verdicts.
+    /// assert_eq!(batched.detections(), one_shot.detections());
+    /// assert!(!batched.batches.is_empty() && one_shot.batches.is_empty());
+    /// ```
     Parallel(ParallelConfig),
-    /// Adaptive batch-rebalancing execution
-    /// ([`AdaptiveBackend`](crate::AdaptiveBackend)): the pattern
-    /// sequence runs in batches, detected faults leave the universe,
-    /// and shards are re-planned between batches from *measured*
-    /// shard times. Detection sets stay bit-identical to
-    /// [`Backend::Parallel`].
-    Adaptive(AdaptiveConfig),
 }
 
 impl Backend {
@@ -366,7 +385,6 @@ impl Backend {
             Backend::Serial(_) => "serial",
             Backend::Concurrent(_) => "concurrent",
             Backend::Parallel(_) => "parallel",
-            Backend::Adaptive(_) => "adaptive",
         }
     }
 
@@ -377,7 +395,6 @@ impl Backend {
             Backend::Serial(c) => c.policy,
             Backend::Concurrent(c) => c.policy,
             Backend::Parallel(c) => c.sim.policy,
-            Backend::Adaptive(c) => c.sim.policy,
         }
     }
 
@@ -391,7 +408,6 @@ impl Backend {
             Backend::Serial(_) => None,
             Backend::Concurrent(c) => Some(c.packing),
             Backend::Parallel(c) => Some(c.sim.packing),
-            Backend::Adaptive(c) => Some(c.sim.packing),
         }
     }
 
@@ -415,7 +431,6 @@ impl Backend {
                 inject_tape: None,
                 export_tape: None,
             }),
-            Backend::Adaptive(config) => Box::new(AdaptiveBackend::new(config)),
         }
     }
 }
@@ -427,7 +442,8 @@ pub(crate) fn no_cancel() -> Arc<AtomicBool> {
 }
 
 /// The one stop rule of the built-in backends, applied at each
-/// backend's own work-item boundary (pattern, fault, shard or batch).
+/// backend's own work-item boundary (pattern, fault, shard or batch
+/// start).
 ///
 /// It streams every work item's detections as [`SimEvent::Detected`]
 /// (plus [`SimEvent::FaultDropped`] under drop-on-detect), counts them
@@ -675,7 +691,7 @@ impl CampaignBackend for SerialAdapter {
     }
 }
 
-/// Adapter driving [`ParallelSim`] shard by shard.
+/// Adapter driving [`ParallelSim`] shard by shard, batch by batch.
 struct ParallelAdapter {
     config: ParallelConfig,
     telemetry: Registry,
@@ -720,15 +736,48 @@ impl CampaignBackend for ParallelAdapter {
             sim.inject_good_tape(tape);
         }
         let mut stop = StopRule::new(w, control, &[&self.cancel]);
-        let run = sim.run_streaming(w.patterns, w.outputs, |o, rep| {
-            stop.detected(&rep.detections, emit);
-            emit(SimEvent::ShardDone {
-                shard: o.shard,
-                faults: o.faults,
-                detected: o.detected,
-                seconds: o.seconds,
-            });
-            stop.check()
+        let mut batches: Vec<BatchTelemetry> = Vec::new();
+        let mut detected_so_far = 0;
+        let run = sim.run_observed(w.patterns, w.outputs, |step| match step {
+            RunStep::BatchStart => stop.check(),
+            RunStep::Shard { outcome: o, report } => {
+                stop.detected(&report.detections, emit);
+                emit(SimEvent::ShardDone {
+                    shard: o.shard,
+                    faults: o.faults,
+                    detected: o.detected,
+                    seconds: o.seconds,
+                });
+                stop.check()
+            }
+            RunStep::BatchDone {
+                telemetry: b,
+                replan_seconds,
+            } => {
+                if !batches.is_empty() {
+                    emit(SimEvent::Span {
+                        name: "campaign.replan",
+                        seconds: replan_seconds,
+                    });
+                }
+                detected_so_far += b.detected;
+                emit(SimEvent::BatchDone {
+                    batch: batches.len(),
+                    first_pattern: b.first_pattern,
+                    patterns: b.patterns,
+                    shards: b.shards,
+                    detected_so_far,
+                    imbalance: b.imbalance,
+                });
+                let t = &self.telemetry;
+                t.counter("campaign.batches").inc();
+                t.gauge("campaign.batch.imbalance").add(b.imbalance);
+                t.gauge("campaign.replan.seconds").add(replan_seconds);
+                t.counter("campaign.moved_faults")
+                    .add(b.moved_faults as u64);
+                batches.push(*b);
+                ControlFlow::Continue(())
+            }
         });
         if let (Some(slot), Some(tape)) = (&self.export_tape, &run.good_tape) {
             *slot.lock().expect("tape slot poisoned") = Some(Arc::clone(tape));
@@ -739,6 +788,7 @@ impl CampaignBackend for ParallelAdapter {
             max_shard_seconds: Some(run.shard_seconds.iter().copied().fold(0.0, f64::max)),
             tape_record_seconds: run.tape.map(|t| t.record_seconds),
             tape_groups: run.tape.map(|t| t.groups),
+            batches,
             ..stop.finish(run.report)
         }
     }

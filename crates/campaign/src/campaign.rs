@@ -123,8 +123,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// Stops the run once coverage (detected / total faults) reaches
     /// `target` (clamped to `[0, 1]`). Backends stop at their work-item
     /// granularity: the concurrent backend between patterns, the serial
-    /// backend between faults, the parallel backend between shards, the
-    /// adaptive backend between batches.
+    /// backend between faults, the parallel backend between shards (and,
+    /// for a batched run, at every batch start).
     ///
     /// ```
     /// use fmossim_campaign::{Campaign, StopReason};
@@ -169,8 +169,9 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// replays the shared [`fmossim_core::GoodTape`] in every shard
     /// (default `true`), instead of re-settling the good circuit per
     /// shard. Results are bit-identical either way; disable only for
-    /// A/B measurement of the good-machine fraction. (The adaptive
-    /// backend ignores `false`: its batch loop is built on the tape.)
+    /// A/B measurement of the good-machine fraction. (Batched parallel
+    /// runs ignore `false`: each batch's tape carries the good machine
+    /// across the boundary.)
     ///
     /// ```
     /// use fmossim_campaign::{Backend, Campaign, ParallelConfig};
@@ -246,8 +247,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// The campaign's cooperative cancel token. Setting it to `true`
     /// (from any thread) makes the backend stop at its next work-item
     /// boundary — the concurrent backend between patterns, the serial
-    /// backend between faults, the parallel backend between shards,
-    /// the adaptive backend between batches. A cancelled run still
+    /// backend between faults, the parallel backend between shards (and,
+    /// for a batched run, at every batch start). A cancelled run still
     /// returns a complete, parseable report covering the work done so
     /// far, with [`CampaignReport::cancelled`] set and
     /// [`StopReason::Cancelled`].

@@ -15,9 +15,11 @@
 //!   [`SimEvent::ShardDone`] per completed shard (in completion order,
 //!   which is scheduling-dependent across worker threads) with the
 //!   shard's `Detected` / `FaultDropped` events just before it.
-//! * [`Backend::Adaptive`](crate::Backend::Adaptive) additionally
-//!   closes every batch with a [`SimEvent::BatchDone`] and every
-//!   re-plan with a [`SimEvent::Span`].
+//!   A batched run ([`ParallelConfig::batch`](crate::ParallelConfig::batch)
+//!   `> 0`) additionally closes every batch with a
+//!   [`SimEvent::BatchDone`] after its shards' events, preceded by a
+//!   [`SimEvent::Span`] for the re-plan that opened it (every batch
+//!   after the first).
 //!
 //! Every backend's stream ends with one `Span { name: "campaign.run" }`
 //! carrying the whole run's wall-clock seconds.
@@ -85,8 +87,7 @@ pub enum SimEvent {
         fault: FaultId,
     },
     /// A shard completed (parallel backend, in scheduling-dependent
-    /// completion order; adaptive backend, in deterministic shard
-    /// order per batch).
+    /// completion order).
     ShardDone {
         /// Shard index in the plan.
         shard: usize,
@@ -97,8 +98,8 @@ pub enum SimEvent {
         /// The shard's own wall-clock seconds.
         seconds: f64,
     },
-    /// A pattern batch completed (adaptive backend), after its shards'
-    /// `Detected`/`FaultDropped`/`ShardDone` events.
+    /// A pattern batch completed (batched parallel runs), after its
+    /// shards' `Detected`/`FaultDropped`/`ShardDone` events.
     BatchDone {
         /// Zero-based batch index.
         batch: usize,
@@ -114,8 +115,8 @@ pub enum SimEvent {
         /// (`max_shard_seconds / mean_shard_seconds`).
         imbalance: f64,
     },
-    /// A named timed section finished — the span-tracing hook. The
-    /// adaptive backend emits one per between-batch re-plan
+    /// A named timed section finished — the span-tracing hook. A
+    /// batched parallel run emits one per between-batch re-plan
     /// (`"campaign.replan"`); every campaign run ends with one
     /// `"campaign.run"` span covering the whole backend run.
     Span {

@@ -51,7 +51,8 @@
 //!   [`drop_detected`](Campaign::drop_detected)), streaming observer
 //!   ([`on_event`](Campaign::on_event)), telemetry registry
 //!   ([`with_telemetry`](Campaign::with_telemetry)).
-//! * [`Backend`] — selects serial / concurrent / parallel / adaptive;
+//! * [`Backend`] — selects serial / concurrent / parallel (one-shot or
+//!   in pattern batches, [`ParallelConfig::batch`]);
 //!   [`CampaignBackend`] is the trait the adapters implement, open for
 //!   custom strategies via [`Campaign::backend_impl`].
 //! * [`SimEvent`] — the streaming observer vocabulary:
@@ -59,8 +60,8 @@
 //!   [`PatternDone`](SimEvent::PatternDone) (concurrent),
 //!   [`Detected`](SimEvent::Detected) /
 //!   [`FaultDropped`](SimEvent::FaultDropped) (every backend),
-//!   [`ShardDone`](SimEvent::ShardDone) (parallel/adaptive),
-//!   [`BatchDone`](SimEvent::BatchDone) (adaptive), and
+//!   [`ShardDone`](SimEvent::ShardDone) (parallel),
+//!   [`BatchDone`](SimEvent::BatchDone) (batched parallel), and
 //!   [`Span`](SimEvent::Span) (timed sections; every run ends with a
 //!   `"campaign.run"` span).
 //! * [`CampaignReport`] — one artifact for every backend, wrapping the
@@ -74,7 +75,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 mod backend;
 mod campaign;
 mod event;
@@ -82,7 +82,6 @@ pub mod json;
 mod report;
 mod spec;
 
-pub use adaptive::{AdaptiveBackend, AdaptiveConfig, BatchTelemetry, DEFAULT_BATCH_PATTERNS};
 pub use backend::{
     Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, StopRule, TapeSlot, Workload,
 };
@@ -94,7 +93,7 @@ pub use spec::{universe_from_spec, UNIVERSE_SPECS};
 // Re-export the per-backend configuration types so campaign call sites
 // need only this crate (plus circuits/testgen for the workload).
 pub use fmossim_core::{ConcurrentConfig, DetectionPolicy, SerialConfig};
-pub use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
+pub use fmossim_par::{BatchTelemetry, Jobs, ParallelConfig, ShardStrategy};
 // Re-export the telemetry vocabulary the campaign API speaks
 // ([`Campaign::with_telemetry`], [`CampaignReport::metrics`]).
 pub use fmossim_telemetry::{MetricsSnapshot, Registry};

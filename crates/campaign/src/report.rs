@@ -4,11 +4,11 @@
 //! [`to_json`](CampaignReport::to_json) /
 //! [`from_json`](CampaignReport::from_json) (no external deps).
 
-use crate::adaptive::BatchTelemetry;
 use crate::json::{obj, parse, Value};
 use fmossim_core::{Detection, DetectionPolicy, PatternStats, RunReport};
 use fmossim_faults::FaultId;
 use fmossim_netlist::Logic;
+use fmossim_par::BatchTelemetry;
 use fmossim_telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 /// Why a campaign stopped.
@@ -292,13 +292,13 @@ pub struct CampaignReport {
     /// when a tape was recorded and replayed).
     pub tape_record_seconds: Option<f64>,
     /// Good-machine vicinities on the tape — the per-shard solver work
-    /// replay skipped (parallel backend when a tape was used; for the
-    /// adaptive backend, summed over its per-batch tapes).
+    /// replay skipped (parallel backend when a tape was used; for a
+    /// batched run, summed over its per-batch tapes).
     pub tape_groups: Option<usize>,
-    /// Per-batch telemetry of an adaptive run (shard counts, rebalance
-    /// deltas, imbalance ratios, tape stats); empty for every other
-    /// backend and for documents written before the adaptive backend
-    /// existed.
+    /// Per-batch telemetry of a batched parallel run (shard counts,
+    /// rebalance deltas, imbalance ratios, tape stats); empty for
+    /// one-batch runs, every other backend, and documents written
+    /// before batch telemetry existed.
     pub batches: Vec<BatchTelemetry>,
     /// Fault-collapsing statistics, present iff the campaign ran with
     /// [`Campaign::collapse`](crate::Campaign::collapse). The JSON key
@@ -342,7 +342,7 @@ impl CampaignReport {
     /// Version 3 adds the `metrics` block (the telemetry snapshot) and
     /// — as a later lenient addition within the same version — the
     /// `cancelled` flag (absent parses as `false`).
-    /// Version 2 locked the adaptive generation's keys — `batches`
+    /// Version 2 locked the batching generation's keys — `batches`
     /// telemetry and the `tape_*` fields are part of the schema, not
     /// lenient extensions. [`CampaignReport::from_json`] still accepts
     /// version-1 and version-2 documents (where the newer keys may be
@@ -699,8 +699,8 @@ impl CampaignReport {
                 None | Some(Value::Null) => None,
                 Some(val) => Some(val.as_usize().ok_or("bad tape_groups")?),
             },
-            // Absent in version-1 documents written before the
-            // adaptive backend: default to "no batch telemetry".
+            // Absent in version-1 documents written before batch
+            // telemetry existed: default to "no batch telemetry".
             batches: match v.get("batches") {
                 None | Some(Value::Null) => Vec::new(),
                 Some(val) => {
@@ -900,7 +900,7 @@ mod tests {
         assert_eq!(back.tape_groups, None);
     }
 
-    /// Version-1 documents written before the adaptive backend carry
+    /// Version-1 documents written before batch telemetry existed carry
     /// no `batches` key; parsing must default to empty telemetry.
     #[test]
     fn parses_pre_adaptive_documents() {

@@ -11,6 +11,9 @@ use std::fmt;
 pub enum NetlistError {
     /// A node name was declared twice.
     DuplicateNode(String),
+    /// A node name is empty or contains whitespace or `;` — the text
+    /// formats could not write it back.
+    InvalidNodeName(String),
     /// A transistor line referenced a node name never declared.
     UnknownNode {
         /// The offending name.
@@ -37,6 +40,10 @@ impl fmt::Display for NetlistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetlistError::DuplicateNode(n) => write!(f, "duplicate node name `{n}`"),
+            NetlistError::InvalidNodeName(n) => write!(
+                f,
+                "invalid node name `{n}`: names are non-empty, without whitespace or `;`"
+            ),
             NetlistError::UnknownNode { name, line } => {
                 write!(f, "line {line}: unknown node `{name}`")
             }
@@ -62,6 +69,7 @@ mod tests {
     fn display_is_nonempty_and_lowercase_start() {
         let errs: Vec<NetlistError> = vec![
             NetlistError::DuplicateNode("a".into()),
+            NetlistError::InvalidNodeName("a;b".into()),
             NetlistError::UnknownNode {
                 name: "b".into(),
                 line: 3,

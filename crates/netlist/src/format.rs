@@ -9,7 +9,8 @@
 //! n|p|d <gate> <src> <drn> [strength <g>]   ; transistor (default γ2)
 //! ```
 //!
-//! Node names may be any whitespace-free token not starting with `;`.
+//! Node names may be any non-empty token without whitespace or `;`
+//! ([`Network::try_add_node`] enforces it).
 //! Transistor statements may reference nodes declared on any line
 //! (forward references are *not* allowed — declaration order is also
 //! simulation id order, which keeps dumps reproducible).
@@ -42,7 +43,8 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Returns a [`NetlistError`] with a 1-based line number on syntax
-/// errors, duplicate node names, or references to undeclared nodes.
+/// errors, duplicate or invalid node names, or references to
+/// undeclared nodes.
 pub fn parse_netlist(text: &str) -> Result<Network, NetlistError> {
     let mut net = Network::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -177,11 +179,12 @@ pub fn write_netlist(net: &Network) -> String {
     out
 }
 
-fn at_line(e: NetlistError, line: usize) -> NetlistError {
+/// Attaches a source line to a [`Network::try_add_node`] error.
+pub(crate) fn at_line(e: NetlistError, line: usize) -> NetlistError {
     match e {
-        NetlistError::DuplicateNode(n) => NetlistError::Syntax {
+        NetlistError::DuplicateNode(_) | NetlistError::InvalidNodeName(_) => NetlistError::Syntax {
             line,
-            message: format!("duplicate node name `{n}`"),
+            message: e.to_string(),
         },
         other => other,
     }

@@ -123,30 +123,37 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already taken (use [`Network::try_add_node`]
-    /// for a fallible version).
+    /// Panics if `name` is already taken or is not a valid node name
+    /// (use [`Network::try_add_node`] for a fallible version).
     pub fn add_input(&mut self, name: impl Into<String>, default: Logic) -> NodeId {
         self.try_add_node(name.into(), NodeClass::Input(default))
-            .expect("duplicate node name")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Adds a storage node of the given size.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already taken.
+    /// Panics if `name` is already taken or is not a valid node name.
     pub fn add_storage(&mut self, name: impl Into<String>, size: Size) -> NodeId {
         self.try_add_node(name.into(), NodeClass::Storage(size))
-            .expect("duplicate node name")
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Adds a node, failing on duplicate names.
+    /// Adds a node, failing on invalid or duplicate names. A valid name
+    /// is non-empty and contains no whitespace and no `;` (which starts
+    /// a comment in the text formats), so every network writes out as
+    /// a netlist that parses back.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::DuplicateNode`] if a node of this name
-    /// already exists.
+    /// Returns [`NetlistError::InvalidNodeName`] for an invalid name and
+    /// [`NetlistError::DuplicateNode`] if a node of this name already
+    /// exists.
     pub fn try_add_node(&mut self, name: String, class: NodeClass) -> Result<NodeId, NetlistError> {
+        if name.is_empty() || name.contains(|c: char| c.is_whitespace() || c == ';') {
+            return Err(NetlistError::InvalidNodeName(name));
+        }
         if self.names.contains_key(&name) {
             return Err(NetlistError::DuplicateNode(name));
         }

@@ -142,9 +142,9 @@ pub fn parse_sim(
     let mut report = SimImportReport::default();
     let mut ids: HashMap<String, NodeId> = HashMap::new();
 
-    let mut intern = |net: &mut Network, name: String| -> NodeId {
+    let mut intern = |net: &mut Network, name: String, line: usize| {
         if let Some(&id) = ids.get(&name) {
-            return id;
+            return Ok(id);
         }
         let canon = name.trim_end_matches('!').to_ascii_uppercase();
         let class = match canon.as_str() {
@@ -163,9 +163,9 @@ pub fn parse_sim(
         };
         let id = net
             .try_add_node(name.clone(), class)
-            .expect("interned names are unique");
+            .map_err(|e| crate::format::at_line(e, line))?;
         ids.insert(name, id);
-        id
+        Ok(id)
     };
 
     for (lineno, raw) in text.lines().enumerate() {
@@ -199,9 +199,9 @@ pub fn parse_sim(
         } else {
             options.strong
         };
-        let g = intern(&mut net, resolve(g));
-        let s = intern(&mut net, resolve(s));
-        let d = intern(&mut net, resolve(d));
+        let g = intern(&mut net, resolve(g), line)?;
+        let s = intern(&mut net, resolve(s), line)?;
+        let d = intern(&mut net, resolve(d), line)?;
         net.add_transistor(ttype, strength, g, s, d);
         report.transistors += 1;
     }

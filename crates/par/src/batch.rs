@@ -1,12 +1,12 @@
-//! Batch-level state for *adaptive* parallel runs: a measured
-//! per-fault cost model ([`CostModel`]), the boundary state a batch
-//! resumes from ([`ResumePoint`]) and recycled simulator arenas
-//! ([`ArenaPool`]). The batches themselves run through the shard
-//! executor ([`run_shards`](crate::run_shards)).
+//! Batch-level state of a batched parallel run
+//! ([`ParallelConfig::batch`](crate::ParallelConfig::batch) `> 0`): a
+//! measured per-fault cost model ([`CostModel`]), the boundary state a
+//! batch resumes from ([`ResumePoint`]), recycled simulator arenas
+//! ([`ArenaPool`]) and the per-batch measurements ([`BatchTelemetry`]).
 //!
-//! [`ParallelSim`](crate::ParallelSim) plans once and runs the whole
-//! sequence; the adaptive loop (implemented as a campaign backend on
-//! top of this module) instead iterates `record → replay-into-shards →
+//! A one-shot [`ParallelSim`](crate::ParallelSim) run plans once and
+//! runs the whole sequence as one batch. A batched run goes through the
+//! same driver loop batch after batch, `record → replay-into-shards →
 //! merge → re-plan`. Between batches the surviving faults are
 //! re-partitioned from *measured* shard times — which is only sound
 //! because a faulty circuit's whole mid-sequence state is portable: the
@@ -15,11 +15,13 @@
 //! to a [`FaultSnapshot`] ([`fmossim_core::ConcurrentSim::export_fault`]
 //! / [`resume_at`](fmossim_core::ConcurrentSim::resume_at)).
 
+use crate::driver::ParallelConfig;
 use crate::plan::{fault_cost, ShardPlan};
-use fmossim_core::{DenseState, FaultSnapshot, SimArena};
+use fmossim_core::{ConcurrentConfig, DenseState, FaultSnapshot, SimArena, TapeRecorder};
 use fmossim_faults::{FaultId, FaultUniverse};
 use fmossim_netlist::Network;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// A bag of recycled [`SimArena`]s shared by the shard workers of
 /// consecutive batches ([`ShardWork::arenas`](crate::ShardWork::arenas)).
@@ -28,7 +30,7 @@ use std::sync::Mutex;
 /// scratch, event queues, per-node round stamps), the divergence-record
 /// store, the flattened structural tables, the private-event queue and
 /// all per-circuit flags, all sized for the network and fault count. A
-/// batch driver rebuilds its shard simulators at every batch boundary,
+/// batched run rebuilds its shard simulators at every batch boundary,
 /// so without reuse that whole buffer set is reallocated `shards ×
 /// batches` times per run. Shards returning arenas here
 /// ([`ArenaPool::put`]) let later shards skip the allocations
@@ -72,7 +74,7 @@ impl ArenaPool {
     }
 }
 
-/// Default EWMA smoothing factor for [`CostModel::observe`]: half new
+/// EWMA smoothing factor of [`CostModel::observe`]: half new
 /// measurement, half history — reactive enough to follow the falling
 /// live-fault curve, damped enough to ride out timer noise on short
 /// batches.
@@ -80,14 +82,15 @@ pub const DEFAULT_COST_ALPHA: f64 = 0.5;
 
 /// Per-fault simulation-cost estimates, seeded from the static
 /// footprint proxy ([`fault_cost`]) and refined between batches from
-/// measured shard times — the feedback signal the adaptive backend
-/// re-plans with.
+/// measured shard times — the feedback signal a batched run re-plans
+/// with.
 ///
 /// A shard's measured seconds are apportioned over its faults in
 /// proportion to their current estimates, then folded into each
-/// estimate with an exponentially weighted moving average. After the
-/// first observation the estimates are in (approximate) seconds; only
-/// their *ratios* matter to [`ShardPlan::build_weighted`].
+/// estimate with an exponentially weighted moving average
+/// ([`DEFAULT_COST_ALPHA`]). After the first observation the estimates
+/// are in (approximate) seconds; only their *ratios* matter to
+/// [`ShardPlan::build_weighted`].
 ///
 /// ```
 /// use fmossim_faults::{Fault, FaultId, FaultUniverse};
@@ -110,33 +113,18 @@ pub const DEFAULT_COST_ALPHA: f64 = 0.5;
 pub struct CostModel {
     /// Estimate per parent-universe fault id.
     est: Vec<f64>,
-    alpha: f64,
 }
 
 impl CostModel {
     /// Seeds the model with the static footprint cost of every fault in
-    /// `universe`, with the default smoothing factor
-    /// ([`DEFAULT_COST_ALPHA`]).
+    /// `universe`.
     #[must_use]
     pub fn new(net: &Network, universe: &FaultUniverse) -> Self {
-        CostModel::with_alpha(net, universe, DEFAULT_COST_ALPHA)
-    }
-
-    /// [`CostModel::new`] with an explicit EWMA factor in `(0, 1]`
-    /// (1 = trust only the latest measurement; values are clamped into
-    /// that range).
-    #[must_use]
-    pub fn with_alpha(net: &Network, universe: &FaultUniverse, alpha: f64) -> Self {
         CostModel {
             est: universe
                 .iter()
                 .map(|(_, f)| fault_cost(net, &f) as f64)
                 .collect(),
-            alpha: if alpha.is_finite() {
-                alpha.clamp(f64::MIN_POSITIVE, 1.0)
-            } else {
-                DEFAULT_COST_ALPHA
-            },
         }
     }
 
@@ -179,7 +167,7 @@ impl CostModel {
             for &id in ids {
                 let measured = self.est[id.index()] * scale;
                 let e = &mut self.est[id.index()];
-                *e += self.alpha * (measured - *e);
+                *e += DEFAULT_COST_ALPHA * (measured - *e);
             }
         }
     }
@@ -202,6 +190,181 @@ pub struct ResumePoint<'n> {
     /// faults that were detected-and-dropped (they must not appear in
     /// the plan).
     pub snapshots: Vec<Option<FaultSnapshot>>,
+}
+
+/// Measurements of one batch of a batched parallel run, handed to the
+/// observer of [`ParallelSim::run_observed`](crate::ParallelSim::run_observed)
+/// as the batch closes (and archived by the campaign report).
+///
+/// ```
+/// let t = fmossim_par::BatchTelemetry {
+///     first_pattern: 16,
+///     patterns: 16,
+///     live_before: 40,
+///     detected: 12,
+///     workers: 2,
+///     shards: 2,
+///     moved_faults: 7,
+///     max_shard_seconds: 0.05,
+///     mean_shard_seconds: 0.04,
+///     imbalance: 1.25,
+///     tape_record_seconds: 0.002,
+///     tape_groups: 96,
+/// };
+/// assert!((t.imbalance - t.max_shard_seconds / t.mean_shard_seconds).abs() < 1e-12);
+/// ```
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct BatchTelemetry {
+    /// Global index of the batch's first pattern.
+    pub first_pattern: usize,
+    /// Patterns in the batch.
+    pub patterns: usize,
+    /// Faults live when the batch started.
+    pub live_before: usize,
+    /// Faults detected during the batch.
+    pub detected: usize,
+    /// Workers the batch ran on (after any pool feedback).
+    pub workers: usize,
+    /// Shards the batch ran (its plan's shards, unless a stop cut the
+    /// batch short).
+    pub shards: usize,
+    /// Rebalance delta: surviving faults whose shard assignment
+    /// changed relative to the previous batch's plan (`0` for the
+    /// first batch and for frozen plans).
+    pub moved_faults: usize,
+    /// The batch's longest single shard, in seconds (its critical
+    /// path).
+    pub max_shard_seconds: f64,
+    /// Mean shard seconds of the batch.
+    pub mean_shard_seconds: f64,
+    /// The load-imbalance ratio `max_shard_seconds /
+    /// mean_shard_seconds` (`1.0` = perfectly balanced; `>= 1`
+    /// always). This is the quantity re-planning exists to shrink.
+    pub imbalance: f64,
+    /// Seconds spent recording this batch's good tape.
+    pub tape_record_seconds: f64,
+    /// Good-machine vicinities on this batch's tape.
+    pub tape_groups: usize,
+}
+
+/// What a batched run carries from one batch to the next: the good
+/// machine's recorder, the surviving faults' snapshots, the measured
+/// cost model, the current plan and pool size, and the recycled arenas.
+pub(crate) struct Carry<'n> {
+    /// The plan of the next batch to run.
+    pub(crate) plan: ShardPlan,
+    /// Workers of the next batch to run.
+    pub(crate) workers: usize,
+    /// Surviving faults' churn that produced `plan`.
+    pub(crate) moved_faults: usize,
+    /// Faults live at the start of the next batch.
+    pub(crate) live: usize,
+    pub(crate) recorder: TapeRecorder<'n>,
+    pub(crate) resume: Option<ResumePoint<'n>>,
+    pub(crate) arenas: ArenaPool,
+    /// The last batch's survivors and per-shard seconds, consumed by
+    /// the next [`Carry::replan`].
+    survivors: Vec<(FaultId, FaultSnapshot)>,
+    shard_seconds: Vec<f64>,
+    cost: CostModel,
+    /// The cost model's static seed: pool feedback compares the
+    /// survivors' static cost with the whole universe's (the measured
+    /// model drifts toward seconds, and [`Jobs::refine`](crate::Jobs::refine)
+    /// needs one consistent unit).
+    seed: CostModel,
+    initial_cost: f64,
+    resolved: usize,
+}
+
+impl<'n> Carry<'n> {
+    /// The state before the first batch: `plan` on `workers` (both as
+    /// resolved for the whole universe), nothing recorded yet.
+    pub(crate) fn new(
+        net: &'n Network,
+        universe: &FaultUniverse,
+        plan: &ShardPlan,
+        workers: usize,
+        sim: ConcurrentConfig,
+    ) -> Self {
+        let cost = CostModel::new(net, universe);
+        Carry {
+            plan: plan.clone(),
+            workers,
+            moved_faults: 0,
+            live: universe.len(),
+            recorder: TapeRecorder::new(net, sim.engine),
+            resume: None,
+            arenas: ArenaPool::new(),
+            survivors: Vec::new(),
+            shard_seconds: Vec::new(),
+            initial_cost: cost.est.iter().sum(),
+            seed: cost.clone(),
+            cost,
+            resolved: workers,
+        }
+    }
+
+    /// Takes a closed batch's survivors and measured per-shard seconds
+    /// (indexed by shard of `plan`).
+    pub(crate) fn close(
+        &mut self,
+        survivors: Vec<(FaultId, FaultSnapshot)>,
+        shard_seconds: Vec<f64>,
+    ) {
+        self.live = survivors.len();
+        self.survivors = survivors;
+        self.shard_seconds = shard_seconds;
+    }
+
+    /// The batch boundary: feeds the last batch's measurements back,
+    /// carries the good machine and the survivors' state, re-sizes the
+    /// pool and re-plans (or, without [`ParallelConfig::rebalance`],
+    /// only drops the detected faults from the plan). Returns the
+    /// seconds it took.
+    pub(crate) fn replan(&mut self, config: &ParallelConfig, num_faults: usize) -> f64 {
+        let t0 = Instant::now();
+        self.cost.observe(&self.plan, &self.shard_seconds);
+        let mut snapshots = vec![None; num_faults];
+        let mut alive: Vec<FaultId> = Vec::with_capacity(self.survivors.len());
+        for (id, snap) in self.survivors.drain(..) {
+            snapshots[id.index()] = Some(snap);
+            alive.push(id);
+        }
+        alive.sort_unstable_by_key(|id| id.index());
+        self.workers =
+            config
+                .jobs
+                .refine(self.resolved, self.initial_cost, self.seed.total(&alive));
+        if config.rebalance {
+            let prev = assignment(&self.plan, num_faults);
+            let k = config.shards.unwrap_or(self.workers).max(1);
+            self.plan = ShardPlan::build_weighted(&alive, k, |id| self.cost.estimate(id));
+            let next = assignment(&self.plan, num_faults);
+            self.moved_faults = alive
+                .iter()
+                .filter(|id| prev[id.index()].is_some() && prev[id.index()] != next[id.index()])
+                .count();
+        } else {
+            self.plan = self.plan.retain(|id| snapshots[id.index()].is_some());
+            self.moved_faults = 0;
+        }
+        self.resume = Some(ResumePoint {
+            good: self.recorder.good_state().clone(),
+            snapshots,
+        });
+        t0.elapsed().as_secs_f64()
+    }
+}
+
+/// Shard index per fault id, for the rebalance-delta count.
+fn assignment(plan: &ShardPlan, num_faults: usize) -> Vec<Option<usize>> {
+    let mut map = vec![None; num_faults];
+    for (s, ids) in plan.shards().enumerate() {
+        for &id in ids {
+            map[id.index()] = Some(s);
+        }
+    }
+    map
 }
 
 #[cfg(test)]
@@ -323,17 +486,19 @@ mod tests {
         let (net, _, _) = two_inverters();
         let universe = FaultUniverse::stuck_nodes(&net);
         let all: Vec<FaultId> = universe.iter().map(|(id, _)| id).collect();
-        let mut model = CostModel::with_alpha(&net, &universe, 1.0);
+        let mut model = CostModel::new(&net, &universe);
         let before = model.total(&all);
         assert!(before > 0.0);
         let plan = ShardPlan::build_weighted(&all, all.len(), |_| 1.0);
-        // Shard k measured at (k+1) seconds: estimates become exactly
-        // the measurements under alpha = 1.
+        // Shard k measured at (k+1) seconds: each shard's estimate moves
+        // DEFAULT_COST_ALPHA of the way from its seed to the measurement.
         let secs: Vec<f64> = (0..plan.num_shards()).map(|k| (k + 1) as f64).collect();
+        let seeds: Vec<f64> = plan.shards().map(|ids| model.total(ids)).collect();
         model.observe(&plan, &secs);
         for (s, ids) in plan.shards().enumerate() {
-            let est: f64 = ids.iter().map(|&id| model.estimate(id)).sum();
-            assert!((est - secs[s]).abs() < 1e-9, "shard {s}: {est}");
+            let est = model.total(ids);
+            let want = seeds[s] + DEFAULT_COST_ALPHA * (secs[s] - seeds[s]);
+            assert!((est - want).abs() < 1e-9, "shard {s}: {est} vs {want}");
         }
         // Zero / missing measurements leave estimates untouched.
         let frozen = model.clone();

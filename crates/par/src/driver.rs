@@ -1,13 +1,17 @@
-//! The fault-parallel driver: plans the shards once, records the good
-//! tape once, and runs every shard's
+//! The fault-parallel driver: one loop for every offline sharded run.
+//! It plans the shards, records the good tape and runs every shard's
 //! [`ConcurrentSim`](fmossim_core::ConcurrentSim) through the shard
 //! executor ([`run_shards`](crate::run_shards)) on a
-//! [`ScopedPool`](crate::ScopedPool).
+//! [`ScopedPool`](crate::ScopedPool) — once for the whole sequence
+//! ([`ParallelConfig::batch`] `== 0`), or batch after batch, carrying
+//! the survivors and re-planning in between (see [`crate::batch`]'s
+//! module docs).
 
-use crate::exec::{run_shards, ScopedPool, ShardWork};
+use crate::batch::{BatchTelemetry, Carry};
+use crate::exec::{run_shards, ScopedPool, ShardResult, ShardWork};
 use crate::jobs::Jobs;
 use crate::plan::{ShardPlan, ShardStrategy};
-use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, RunReport};
+use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, PatternStats, RunReport};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
@@ -16,29 +20,59 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the parallel driver.
+///
+/// ```
+/// use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
+///
+/// // 8-pattern batches on an autotuned pool, planned by cost first.
+/// let config = ParallelConfig {
+///     batch: 8,
+///     strategy: ShardStrategy::CostEstimated,
+///     ..ParallelConfig::auto()
+/// };
+/// assert_eq!(config.jobs, Jobs::Auto);
+/// assert!(config.rebalance, "batches re-plan from measured times by default");
+/// assert_eq!(ParallelConfig::default().batch, 0, "one batch: the whole sequence");
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads: a fixed count, or [`Jobs::Auto`] to size the
-    /// pool from the universe's estimated fault cost. Workers beyond
-    /// the number of (non-empty) shards are not spawned.
+    /// pool from the universe's estimated fault cost (and, in a batched
+    /// run, to shrink it between batches as faults are detected —
+    /// [`Jobs::refine`]). Workers beyond the number of (non-empty)
+    /// shards are not spawned.
     pub jobs: Jobs,
-    /// How the universe is partitioned.
+    /// How the universe is partitioned (for the first batch; re-planned
+    /// batches use measured-cost LPT).
     pub strategy: ShardStrategy,
     /// Number of shards; `None` means one per worker. Oversharding
     /// (`shards > jobs`) turns the pool into a load balancer: workers
     /// pull the next shard when they finish, smoothing out uneven
     /// shard costs.
     pub shards: Option<usize>,
-    /// Record the good machine once per pattern batch and replay the
-    /// shared [`GoodTape`] in every shard, instead of re-settling the
-    /// good circuit per shard (default `true`). Replay is bit-identical
-    /// to recompute — this knob exists for A/B measurement
-    /// (`scaling_par --replay off`) and as an escape hatch. With a
-    /// single shard the tape is skipped either way: recording would
-    /// cost an extra good pass without saving one.
+    /// Patterns per batch; `0` (the default) runs the whole sequence
+    /// as one batch. Between batches the detected faults leave the
+    /// plan, the survivors' state is carried over as snapshots, and the
+    /// stop checks of [`ParallelSim::run_observed`] get a batch
+    /// boundary — so the batch size moves where a coverage stop lands,
+    /// never which faults a completed run detects.
+    pub batch: usize,
+    /// Re-plan the survivors from measured shard times between batches
+    /// (default `true`). With `false` the first plan is frozen:
+    /// detected faults still drop out, but nothing is re-balanced.
+    /// Ignored by one-batch runs.
+    pub rebalance: bool,
+    /// Record the good machine once and replay the shared [`GoodTape`]
+    /// in every shard, instead of re-settling the good circuit per
+    /// shard (default `true`). Replay is bit-identical to recompute —
+    /// this knob exists for A/B measurement (`scaling_par --replay
+    /// off`) and as an escape hatch. With a single shard the tape is
+    /// skipped either way: recording would cost an extra good pass
+    /// without saving one. Batched runs always record and replay one
+    /// tape per batch — it carries the good machine across boundaries.
     pub reuse_good_tape: bool,
     /// Configuration forwarded to every shard's [`ConcurrentSim`](fmossim_core::ConcurrentSim)
-    /// (detection policy, per-shard drop-on-detect, store backend).
+    /// (detection policy, per-shard drop-on-detect, packing).
     pub sim: ConcurrentConfig,
 }
 
@@ -48,6 +82,8 @@ impl Default for ParallelConfig {
             jobs: Jobs::default(),
             strategy: ShardStrategy::default(),
             shards: None,
+            batch: 0,
+            rebalance: true,
             reuse_good_tape: true,
             sim: ConcurrentConfig::default(),
         }
@@ -90,18 +126,47 @@ pub struct ShardOutcome {
     pub seconds: f64,
 }
 
+/// One step of a [`ParallelSim::run_observed`] run, handed to its
+/// observer on the calling thread. Every step may stop the run by
+/// returning [`ControlFlow::Break`].
+#[derive(Clone, Copy, Debug)]
+pub enum RunStep<'a> {
+    /// A batch is about to start. A `Break` here skips it and every
+    /// later batch. A one-batch run has exactly one.
+    BatchStart,
+    /// A shard finished; `report` is its (globally relabelled) report.
+    /// A `Break` here skips the batch's unstarted shards and every
+    /// later batch.
+    Shard {
+        /// The shard's summary.
+        outcome: &'a ShardOutcome,
+        /// The shard's report.
+        report: &'a RunReport,
+    },
+    /// A batch closed, after all of its shard steps (batched runs
+    /// only). A `Break` here skips every later batch.
+    BatchDone {
+        /// The batch's measurements.
+        telemetry: &'a BatchTelemetry,
+        /// Seconds spent re-planning the survivors for this batch
+        /// (`0.0` for the first batch).
+        replan_seconds: f64,
+    },
+}
+
 /// Measurements of the good-machine tape a parallel run recorded and
 /// replayed (absent when recompute mode was used — a single shard or
-/// [`ParallelConfig::reuse_good_tape`] off).
+/// [`ParallelConfig::reuse_good_tape`] off). A batched run sums its
+/// per-batch tapes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TapeStats {
-    /// Wall-clock seconds of the one-time record pass.
+    /// Wall-clock seconds of the record pass(es).
     pub record_seconds: f64,
     /// Good-machine vicinities recorded (work each shard skipped).
     pub groups: usize,
     /// Shards that replayed the tape.
     pub replayed_shards: usize,
-    /// Approximate tape heap footprint in bytes.
+    /// Approximate tape heap footprint in bytes (the largest batch's).
     pub heap_bytes: usize,
 }
 
@@ -113,14 +178,16 @@ pub struct ParallelRun {
     /// [`fmossim_core::RunReport::merge`]).
     pub report: RunReport,
     /// Each shard's own wall-clock seconds, indexed by shard (`0.0`
-    /// for shards skipped after an early stop).
+    /// for shards skipped after an early stop); a batched run lists
+    /// every batch's shards in turn.
     pub shard_seconds: Vec<f64>,
     /// Good-tape measurements, when the good machine was recorded once
     /// and replayed per shard.
     pub tape: Option<TapeStats>,
-    /// The good tape the run replayed (recorded here or injected via
-    /// [`ParallelSim::inject_good_tape`]) — the extraction seam a
-    /// caching layer deposits into. `None` in recompute mode.
+    /// The good tape a one-batch run replayed (recorded here or
+    /// injected via [`ParallelSim::inject_good_tape`]) — the extraction
+    /// seam a caching layer deposits into. `None` in recompute mode and
+    /// for batched runs, whose tapes each cover one batch.
     pub good_tape: Option<Arc<GoodTape>>,
 }
 
@@ -129,8 +196,8 @@ pub struct ParallelRun {
 /// [`ConcurrentSim`](fmossim_core::ConcurrentSim) (faulty circuits dropped on detection as usual),
 /// and the per-shard [`RunReport`]s are folded into one
 /// ([`RunReport::merge`]) whose detections and coverage are identical
-/// to a one-shard run — sharding changes wall-clock time, never
-/// results. By default the good machine is recorded once per run
+/// to a one-shard run — sharding and batching change wall-clock time,
+/// never results. By default the good machine is recorded once per run
 /// ([`GoodTape`]) and replayed in every shard, so only one shard-count-
 /// independent good pass is paid; see
 /// [`ParallelConfig::reuse_good_tape`].
@@ -207,7 +274,8 @@ impl<'n> ParallelSim<'n> {
     /// The tape must describe this network and stimulus
     /// ([`GoodTape::matches`]); a tape of the wrong shape is ignored
     /// and the run falls back to its normal record-or-recompute
-    /// behaviour.
+    /// behaviour. Batched runs ignore it too: each batch records its
+    /// own tape.
     pub fn inject_good_tape(&mut self, tape: Arc<GoodTape>) {
         self.injected_tape = Some(tape);
     }
@@ -221,7 +289,7 @@ impl<'n> ParallelSim<'n> {
         self.telemetry = registry.clone();
     }
 
-    /// The shard plan in use.
+    /// The (first batch's) shard plan.
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
@@ -265,130 +333,236 @@ impl<'n> ParallelSim<'n> {
         (run.report, run.shard_seconds)
     }
 
-    /// Runs the shards, invoking `on_shard` from the calling thread as
-    /// each shard completes — the streaming seam campaign drivers use
-    /// for progress events and early stopping (coverage targets).
-    ///
-    /// `on_shard` receives the shard's [`ShardOutcome`] and its
-    /// (globally relabelled) [`RunReport`]. Returning
-    /// [`ControlFlow::Break`] stops the queue: shards already running
-    /// finish and are included, shards never started are skipped — the
-    /// merged report then covers only the shards that ran, while
-    /// `num_faults` still counts the whole universe (skipped faults are
-    /// simply unsimulated, like undetected faults).
-    ///
-    /// With more than one worker, completion order — and therefore the
-    /// `on_shard` call order — is scheduling-dependent; the merged
-    /// report is canonically ordered regardless.
-    ///
-    /// When [`ParallelConfig::reuse_good_tape`] is on and the plan has
-    /// more than one shard, the good machine is recorded once (on the
-    /// calling thread, before the pool starts) and every shard replays
-    /// the shared [`GoodTape`] instead of re-settling the good
-    /// circuit; [`ParallelRun::tape`] carries the measurements.
-    ///
-    /// Returns the merged report, each shard's own wall-clock seconds
-    /// (indexed by shard; `0.0` for skipped shards), and the tape
-    /// stats.
-    ///
-    /// # Panics
-    ///
-    /// A shard that panics stops the queue like a `Break`; its panic is
-    /// re-raised here once the shards already running have finished.
+    /// [`ParallelSim::run_observed`] with an observer of the shard
+    /// steps only: `on_shard` receives each shard's [`ShardOutcome`]
+    /// and its (globally relabelled) [`RunReport`] as the shard
+    /// completes — the streaming seam for progress and early stopping.
     pub fn run_streaming(
         &self,
         patterns: &[Pattern],
         outputs: &[NodeId],
         mut on_shard: impl FnMut(&ShardOutcome, &RunReport) -> ControlFlow<()>,
     ) -> ParallelRun {
-        let t0 = Instant::now();
-        let n_shards = self.plan.num_shards();
+        self.run_observed(patterns, outputs, |step| match step {
+            RunStep::Shard { outcome, report } => on_shard(outcome, report),
+            RunStep::BatchStart | RunStep::BatchDone { .. } => ControlFlow::Continue(()),
+        })
+    }
 
-        // An injected tape (of the right shape) replays in every shard
-        // with no record pass here; otherwise record the good machine
-        // once and let shards replay the shared tape. With zero or one
-        // shard there is nothing to amortise by recording.
-        let injected: Option<Arc<GoodTape>> = self
+    /// Runs the shards batch by batch ([`ParallelConfig::batch`]),
+    /// invoking `on_step` from the calling thread at each
+    /// [`RunStep`]: the start of every batch, every shard completion,
+    /// and the close of every batch of a batched run.
+    ///
+    /// A [`ControlFlow::Break`] stops the run: shards already running
+    /// finish and are included, shards and batches never started are
+    /// skipped — the merged report then covers only what ran, while
+    /// `num_faults` still counts the whole universe (skipped faults are
+    /// simply unsimulated, like undetected faults). A batch cut short
+    /// by a shard's `Break` still closes with its
+    /// [`RunStep::BatchDone`].
+    ///
+    /// With more than one worker, completion order — and therefore the
+    /// order of a batch's shard steps — is scheduling-dependent; the
+    /// merged report is canonically ordered regardless.
+    ///
+    /// A one-batch run records the good machine once (on the calling
+    /// thread, before the pool starts) when
+    /// [`ParallelConfig::reuse_good_tape`] is on and the plan has more
+    /// than one shard, and every shard replays the shared
+    /// [`GoodTape`]. A batched run records one tape per batch, carries
+    /// the survivors' state across each boundary, and re-plans
+    /// ([`ParallelConfig::rebalance`]) from the measured shard times.
+    ///
+    /// # Panics
+    ///
+    /// A shard that panics stops the queue like a `Break`; its panic is
+    /// re-raised here once the shards already running have finished.
+    pub fn run_observed(
+        &self,
+        patterns: &[Pattern],
+        outputs: &[NodeId],
+        mut on_step: impl FnMut(RunStep<'_>) -> ControlFlow<()>,
+    ) -> ParallelRun {
+        let t0 = Instant::now();
+        let total = patterns.len();
+        let num_faults = self.universe.len();
+        let mut carry = (self.config.batch > 0).then(|| {
+            Carry::new(
+                self.net,
+                &self.universe,
+                &self.plan,
+                self.workers,
+                self.config.sim,
+            )
+        });
+        let mut run = ParallelRun::default();
+        let mut first = 0;
+        loop {
+            if on_step(RunStep::BatchStart).is_break() {
+                break;
+            }
+            let replan_seconds = match &mut carry {
+                Some(c) if c.live == 0 => {
+                    // Every fault detected and dropped: the rest would
+                    // be all-idle shards. Keep the report's per-pattern
+                    // shape and stop simulating.
+                    run.report.patterns.resize(total, PatternStats::default());
+                    break;
+                }
+                Some(c) if first > 0 => c.replan(&self.config, num_faults),
+                _ => 0.0,
+            };
+            let batch_t0 = Instant::now();
+            let end = match self.config.batch {
+                0 => total,
+                n => (first + n).min(total),
+            };
+            let batch = &patterns[first..end];
+            let (tape, injected) = match &mut carry {
+                None => self.whole_run_tape(patterns),
+                Some(c) => (Some(Arc::new(c.recorder.record(batch))), false),
+            };
+            let (plan, workers) = carry
+                .as_ref()
+                .map_or((&self.plan, self.workers), |c| (&c.plan, c.workers));
+            if let (Some(t), false) = (&tape, injected) {
+                self.telemetry
+                    .gauge("core.tape.record_seconds")
+                    .add(t.record_seconds());
+                self.telemetry
+                    .counter("core.tape.groups")
+                    .add(t.num_groups() as u64);
+            }
+
+            let work = ShardWork {
+                first_pattern: first,
+                tape: tape.as_deref(),
+                resume: carry.as_ref().and_then(|c| c.resume.as_ref()),
+                arenas: carry.as_ref().map(|c| &c.arenas),
+                export_survivors: carry.is_some() && end < total,
+                ..ShardWork::new(
+                    self.net,
+                    &self.universe,
+                    plan,
+                    batch,
+                    outputs,
+                    self.config.sim,
+                )
+            };
+            let mut stopped = false;
+            let mut results: Vec<ShardResult> = Vec::with_capacity(plan.num_shards());
+            run_shards(
+                &ScopedPool::new(workers),
+                Arc::new(work),
+                &self.telemetry,
+                |r| {
+                    self.telemetry
+                        .gauge("par.queue.wait_seconds")
+                        .add((r.started - batch_t0).as_secs_f64());
+                    let outcome = ShardOutcome {
+                        shard: r.shard,
+                        faults: r.faults,
+                        detected: r.report.detected(),
+                        seconds: r.report.total_seconds,
+                    };
+                    let flow = on_step(RunStep::Shard {
+                        outcome: &outcome,
+                        report: &r.report,
+                    });
+                    stopped |= flow.is_break();
+                    results.push(r);
+                    flow
+                },
+            );
+
+            // Merge in shard order for reproducible statistics;
+            // detection order is canonicalised by `merge` regardless.
+            let merge_t0 = Instant::now();
+            results.sort_unstable_by_key(|r| r.shard);
+            let mut shard_seconds = vec![0.0; plan.num_shards()];
+            for r in &results {
+                shard_seconds[r.shard] = r.report.total_seconds;
+            }
+            let shards_run = results.len();
+            let mut survivors = Vec::new();
+            let merged = RunReport::merge(results.into_iter().map(|r| {
+                survivors.extend(r.survivors);
+                r.report
+            }));
+            self.telemetry
+                .gauge("par.merge.seconds")
+                .add(merge_t0.elapsed().as_secs_f64());
+            if let Some(t) = &tape {
+                let stats = run.tape.get_or_insert_with(TapeStats::default);
+                if !injected {
+                    stats.record_seconds += t.record_seconds();
+                }
+                stats.groups += t.num_groups();
+                stats.replayed_shards += shards_run;
+                stats.heap_bytes = stats.heap_bytes.max(t.heap_bytes());
+            }
+            if let Some(c) = &mut carry {
+                let max = shard_seconds.iter().copied().fold(0.0f64, f64::max);
+                let mean = if shards_run == 0 {
+                    0.0
+                } else {
+                    shard_seconds.iter().sum::<f64>() / shards_run as f64
+                };
+                let telemetry = BatchTelemetry {
+                    first_pattern: first,
+                    patterns: batch.len(),
+                    live_before: c.live,
+                    detected: merged.detected(),
+                    workers,
+                    shards: shards_run,
+                    moved_faults: c.moved_faults,
+                    max_shard_seconds: max,
+                    mean_shard_seconds: mean,
+                    imbalance: if mean > 0.0 { max / mean } else { 1.0 },
+                    tape_record_seconds: tape.as_ref().map_or(0.0, |t| t.record_seconds()),
+                    tape_groups: tape.as_ref().map_or(0, |t| t.num_groups()),
+                };
+                c.close(survivors, shard_seconds.clone());
+                stopped |= on_step(RunStep::BatchDone {
+                    telemetry: &telemetry,
+                    replan_seconds,
+                })
+                .is_break();
+            } else {
+                run.good_tape = tape;
+            }
+            run.shard_seconds.extend(shard_seconds);
+            run.report.patterns.extend(merged.patterns);
+            // Batches cover ascending pattern ranges, so appending
+            // keeps the canonical (pattern, phase, fault) order.
+            run.report.detections.extend(merged.detections);
+            first = end;
+            if stopped || carry.is_none() || first >= total {
+                break;
+            }
+        }
+        run.report.num_faults = num_faults;
+        run.report.total_seconds = t0.elapsed().as_secs_f64();
+        run
+    }
+
+    /// A one-batch run's tape: the injected one if it matches `patterns`
+    /// (flagged `true`), else a fresh recording when tape reuse is on
+    /// and more than one shard can share it, else none.
+    fn whole_run_tape(&self, patterns: &[Pattern]) -> (Option<Arc<GoodTape>>, bool) {
+        let injected = self
             .injected_tape
             .as_ref()
             .filter(|t| t.matches(self.net.num_nodes(), patterns))
             .cloned();
-        let was_injected = injected.is_some();
-        let tape: Option<Arc<GoodTape>> = injected.or_else(|| {
-            (self.config.reuse_good_tape && n_shards > 1)
-                .then(|| Arc::new(GoodTape::record(self.net, patterns, self.config.sim.engine)))
-        });
-        if let (Some(t), false) = (&tape, was_injected) {
-            self.telemetry
-                .gauge("core.tape.record_seconds")
-                .add(t.record_seconds());
-            self.telemetry
-                .counter("core.tape.groups")
-                .add(t.num_groups() as u64);
+        if injected.is_some() {
+            return (injected, true);
         }
-
-        let work = ShardWork {
-            tape: tape.as_deref(),
-            ..ShardWork::new(
-                self.net,
-                &self.universe,
-                &self.plan,
-                patterns,
-                outputs,
-                self.config.sim,
-            )
-        };
-        let mut reports: Vec<(usize, RunReport)> = Vec::with_capacity(n_shards);
-        run_shards(
-            &ScopedPool::new(self.workers),
-            Arc::new(work),
-            &self.telemetry,
-            |r| {
-                self.telemetry
-                    .gauge("par.queue.wait_seconds")
-                    .add((r.started - t0).as_secs_f64());
-                let outcome = ShardOutcome {
-                    shard: r.shard,
-                    faults: r.faults,
-                    detected: r.report.detected(),
-                    seconds: r.report.total_seconds,
-                };
-                let flow = on_shard(&outcome, &r.report);
-                reports.push((r.shard, r.report));
-                flow
-            },
-        );
-
-        let replayed_shards = reports.len();
-        // Merge in shard order for reproducible statistics; detection
-        // order is canonicalised by `merge` regardless.
-        let merge_t0 = Instant::now();
-        reports.sort_by_key(|&(s, _)| s);
-        let mut shard_seconds = vec![0.0; n_shards];
-        for (s, r) in &reports {
-            shard_seconds[*s] = r.total_seconds;
-        }
-        let mut merged = RunReport::merge(reports.into_iter().map(|(_, r)| r));
-        merged.num_faults = self.universe.len();
-        merged.total_seconds = t0.elapsed().as_secs_f64();
-        self.telemetry
-            .gauge("par.merge.seconds")
-            .add(merge_t0.elapsed().as_secs_f64());
-        ParallelRun {
-            shard_seconds,
-            tape: tape.as_ref().map(|t| TapeStats {
-                record_seconds: if was_injected {
-                    0.0
-                } else {
-                    t.record_seconds()
-                },
-                groups: t.num_groups(),
-                replayed_shards,
-                heap_bytes: t.heap_bytes(),
-            }),
-            good_tape: tape,
-            report: merged,
-        }
+        let record = self.config.reuse_good_tape && self.plan.num_shards() > 1;
+        let tape =
+            record.then(|| Arc::new(GoodTape::record(self.net, patterns, self.config.sim.engine)));
+        (tape, false)
     }
 }
 

@@ -1,5 +1,8 @@
 //! The shard executor: the one way shards of a fault universe run on a
-//! pool.
+//! pool. It has two callers: the offline driver loop
+//! ([`ParallelSim::run_observed`](crate::ParallelSim::run_observed),
+//! once per batch) and the server's served backend (`fmossim-serve`,
+//! whose tasks are `'static` on its shared pool).
 //!
 //! [`run_shards`] owns both halves of fault-parallel execution. The
 //! *per-shard body* builds a [`ConcurrentSim`] over the shard's faults

@@ -16,10 +16,12 @@
 //!   ([`ParallelConfig::shards`]` > `[`ParallelConfig::jobs`]) load
 //!   balances uneven shards. Within each shard the usual per-shard
 //!   drop-on-detect applies: a detected fault stops consuming time.
-//! * [`ParallelSim`] plans the shards once and runs the whole sequence
-//!   through the executor; the adaptive campaign backend runs it once
-//!   per pattern batch, re-planning in between ([`CostModel`],
-//!   [`ResumePoint`], [`ArenaPool`]).
+//! * [`ParallelSim`] is the one driver loop: it plans the shards and
+//!   runs the whole sequence through the executor as one batch, or —
+//!   with [`ParallelConfig::batch`] set — batch after batch, carrying
+//!   the surviving faults across each boundary and re-planning them
+//!   from measured shard times ([`CostModel`], [`ResumePoint`],
+//!   [`ArenaPool`], [`BatchTelemetry`]).
 //! * The per-shard [`fmossim_core::RunReport`]s are folded by
 //!   [`fmossim_core::RunReport::merge`] into a single report whose
 //!   detection set and coverage are identical to a one-shard run —
@@ -44,8 +46,8 @@ mod exec;
 mod jobs;
 mod plan;
 
-pub use batch::{ArenaPool, CostModel, ResumePoint, DEFAULT_COST_ALPHA};
-pub use driver::{ParallelConfig, ParallelRun, ParallelSim, ShardOutcome, TapeStats};
+pub use batch::{ArenaPool, BatchTelemetry, CostModel, ResumePoint, DEFAULT_COST_ALPHA};
+pub use driver::{ParallelConfig, ParallelRun, ParallelSim, RunStep, ShardOutcome, TapeStats};
 pub use exec::{run_shards, ScopedPool, ShardJob, ShardPool, ShardResult, ShardTask, ShardWork};
 pub use jobs::{Jobs, AUTO_COST_PER_WORKER};
 pub use plan::{fault_cost, ShardPlan, ShardStrategy};

@@ -120,8 +120,8 @@ impl ShardPlan {
     }
 
     /// Plans `k` shards over the given fault ids by greedy LPT over an
-    /// arbitrary per-fault weight — the re-planning entry point of the
-    /// adaptive backend, where the weights are *measured* (EWMA-smoothed
+    /// arbitrary per-fault weight — the re-planning entry point of
+    /// batched runs, where the weights are *measured* (EWMA-smoothed
     /// seconds from [`crate::CostModel`]) rather than the static
     /// footprint estimate [`ShardStrategy::CostEstimated`] uses.
     ///
@@ -184,7 +184,7 @@ impl ShardPlan {
     /// every surviving fault's shard assignment (empty shards are
     /// dropped). This is the *frozen-plan* path of batched execution:
     /// detected faults leave, but nothing is re-balanced — the baseline
-    /// the adaptive backend's re-planning is measured against.
+    /// batched runs' re-planning is measured against.
     #[must_use]
     pub fn retain(&self, alive: impl Fn(FaultId) -> bool) -> Self {
         let mut shards: Vec<Vec<FaultId>> = self

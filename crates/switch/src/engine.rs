@@ -227,9 +227,8 @@ impl Engine {
     /// Resets the engine to the state [`Engine::with_config`] would
     /// produce for `net`, keeping every buffer allocation that already
     /// suffices — the cheap path for drivers that build many
-    /// short-lived simulators over the same network (the adaptive
-    /// backend rebuilds every shard simulator at every batch
-    /// boundary). For a same-sized network no allocation happens; a
+    /// short-lived simulators over the same network (a batched parallel
+    /// run rebuilds every shard simulator at every batch boundary). For a same-sized network no allocation happens; a
     /// differently-sized one re-fits the buffers. Metrics detach:
     /// re-attach after recycling if the new owner is instrumented.
     pub fn recycle(&mut self, net: &Network, config: EngineConfig) {

@@ -8,7 +8,7 @@
 //! fmossim sim      <netlist.snl> --stim <file> [--watch N1,N2,…]
 //! fmossim faultsim <netlist.snl> --stim <file> --outputs N1[,N2…]
 //! fmossim faultsim --circuit <zoo-name>
-//!                  [--backend serial|concurrent|parallel|adaptive] [--json]
+//!                  [--backend serial|concurrent|parallel] [--json]
 //!                  [--universe stuck-nodes|stuck-transistors|all]
 //!                  [--sample K] [--seed S] [--serial]
 //!                  [--stop-at-coverage F] [--pattern-limit N]
@@ -28,8 +28,8 @@
 //! ```
 
 use fmossim::campaign::{
-    universe_from_spec, AdaptiveConfig, Backend, Campaign, ConcurrentConfig, Jobs, ParallelConfig,
-    Registry, SerialConfig, ShardStrategy,
+    universe_from_spec, Backend, Campaign, ConcurrentConfig, Jobs, ParallelConfig, Registry,
+    SerialConfig, ShardStrategy,
 };
 use fmossim::circuits::{Ram, RegisterFile};
 use fmossim::concurrent::{Pattern, Phase};
@@ -75,7 +75,7 @@ usage:
   fmossim sim      <netlist.snl> --stim <file> [--watch A,B,...]
   fmossim faultsim <netlist.snl> --stim <file> --outputs A[,B...]
   fmossim faultsim --circuit <zoo-name>
-                   [--backend serial|concurrent|parallel|adaptive] [--json]
+                   [--backend serial|concurrent|parallel] [--json]
                    [--universe stuck-nodes|stuck-transistors|all]
                    [--sample K] [--seed S] [--serial]
                    [--stop-at-coverage F] [--pattern-limit N]
@@ -96,19 +96,21 @@ runs a campaign on a zoo member (circuit, stimulus and observed
 outputs all built in-process — no netlist or stimulus file needed).
 
 faultsim runs one campaign on the chosen backend: `concurrent` (the
-paper's algorithm, default), `serial` (the per-fault baseline),
-`parallel` (fault-parallel shards on a worker pool; implied by
---jobs), or `adaptive` (the parallel strategy run in pattern batches
-of --batch N, dropping detected faults and re-planning shards from
-measured shard times between batches). Results are identical for
-every backend, job count, and batch size.
+paper's algorithm, default), `serial` (the per-fault baseline), or
+`parallel` (fault-parallel shards on a worker pool; implied by --jobs
+and --batch). --batch N runs the parallel backend in pattern batches
+of N (0, the default, runs the whole sequence as one batch), dropping
+detected faults and re-planning shards from measured shard times
+between batches. Results are identical for every backend, job count,
+and batch size; the batch size only moves where a --stop-at-coverage
+stop lands.
 
 --jobs N picks the worker count, `auto` sizes the pool from the
-workload (and, on the adaptive backend, re-sizes it between batches).
+workload (and, with --batch, re-sizes it between batches).
 --replay on (the default) records the good machine once and replays
 the tape in every shard; --replay off re-settles the good circuit per
-shard (A/B measurement; not available on the adaptive backend, whose
-batching is built on the tape). The two options resolve in this
+shard (A/B measurement; not available with --batch, whose batches
+are built on the tape). The two options resolve in this
 order: --jobs is resolved first (auto -> a worker count sized from
 the workload), the shard count follows from the resolved workers, and
 --replay on then takes effect only when more than one shard exists —
@@ -118,7 +120,7 @@ would cost a good pass without saving one). The post-run `plan:` line
 echoes what actually resolved.
 
 --packing on enables the bit-parallel packed evaluation path on the
-concurrent-family backends (concurrent, parallel, adaptive): fault
+concurrent-family backends (concurrent, parallel): fault
 machines triggered by the same events settle together, up to 64 per
 bitwise pass over two-plane ternary words. Results are bit-identical
 to --packing off; only the work counters in the telemetry differ. The
@@ -159,10 +161,6 @@ exposition format by default (and for a `.prom` suffix), JSON for a
 `metrics` block. Telemetry never changes results; without --metrics
 the null registry records nothing.
 ";
-
-/// Default `--batch` for the adaptive backend, re-exported for the
-/// usage text.
-const DEFAULT_BATCH: usize = fmossim::campaign::DEFAULT_BATCH_PATTERNS;
 
 fn load(path: &str) -> Result<Network, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
@@ -470,41 +468,28 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
                 .map_err(|_| "--batch takes a number of patterns (0 = one batch)")
         })
         .transpose()?;
-    // --jobs implies the parallel backend, --batch the adaptive one,
-    // unless --backend overrides.
-    let backend_name = opt(args, "--backend").unwrap_or(if batch.is_some() {
-        "adaptive"
-    } else if jobs.is_some() {
+    // --jobs and --batch imply the parallel backend, unless --backend
+    // overrides.
+    let backend_name = opt(args, "--backend").unwrap_or(if jobs.is_some() || batch.is_some() {
         "parallel"
     } else {
         "concurrent"
     });
-    let sharded = matches!(backend_name, "parallel" | "adaptive");
-    if !sharded {
-        if jobs.is_some() {
-            return Err(format!(
-                "--jobs requires the parallel or adaptive backend, not `{backend_name}`"
-            ));
-        }
-        if opt(args, "--shard-strategy").is_some() {
-            return Err(format!(
-                "--shard-strategy requires the parallel or adaptive backend, not `{backend_name}`"
-            ));
+    if backend_name != "parallel" {
+        for flag in ["--jobs", "--shard-strategy", "--replay", "--batch"] {
+            if opt(args, flag).is_some() {
+                return Err(format!(
+                    "{flag} requires the parallel backend, not `{backend_name}`"
+                ));
+            }
         }
     }
-    if replay.is_some() && backend_name != "parallel" {
-        return Err(if backend_name == "adaptive" {
-            "--replay has no effect on the adaptive backend: its batching is built on the \
-             good tape, which is always recorded and replayed"
-                .to_string()
-        } else {
-            format!("--replay requires the parallel backend, not `{backend_name}`")
-        });
-    }
-    if batch.is_some() && backend_name != "adaptive" {
-        return Err(format!(
-            "--batch requires the adaptive backend, not `{backend_name}`"
-        ));
+    if replay.is_some() && batch.is_some() {
+        return Err(
+            "--replay has no effect with --batch: each batch's good tape is always \
+             recorded and replayed"
+                .into(),
+        );
     }
     if flag(args, "--json") && flag(args, "--serial") {
         return Err(
@@ -519,16 +504,12 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         "parallel" => Backend::Parallel(ParallelConfig {
             jobs: jobs.unwrap_or(Jobs::Auto),
             strategy,
+            batch: batch.unwrap_or(0),
             ..ParallelConfig::auto()
-        }),
-        "adaptive" => Backend::Adaptive(AdaptiveConfig {
-            jobs: jobs.unwrap_or(Jobs::Auto),
-            initial_strategy: strategy,
-            ..AdaptiveConfig::paper(batch.unwrap_or(DEFAULT_BATCH))
         }),
         other => {
             return Err(format!(
-                "unknown backend `{other}` (serial|concurrent|parallel|adaptive)"
+                "unknown backend `{other}` (serial|concurrent|parallel)"
             ))
         }
     };
@@ -542,21 +523,14 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             }
             Backend::Concurrent(c) => c.packing = p,
             Backend::Parallel(c) => c.sim.packing = p,
-            Backend::Adaptive(c) => c.sim.packing = p,
         }
     }
     let backend = backend;
     let pool = match backend {
-        Backend::Parallel(_) => format!(" [jobs {}, {}]", jobs.unwrap_or(Jobs::Auto), strategy),
-        Backend::Adaptive(c) => format!(
-            " [jobs {}, batch {}]",
-            jobs.unwrap_or(Jobs::Auto),
-            if c.batch == 0 {
-                "all".to_string()
-            } else {
-                c.batch.to_string()
-            }
-        ),
+        Backend::Parallel(c) if c.batch > 0 => {
+            format!(" [jobs {}, {strategy}, batch {}]", c.jobs, c.batch)
+        }
+        Backend::Parallel(c) => format!(" [jobs {}, {strategy}]", c.jobs),
         _ => String::new(),
     };
     eprintln!(
@@ -653,7 +627,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         let moved: usize = report.batches.iter().map(|b| b.moved_faults).sum();
         let last = report.batches.last().expect("non-empty");
         println!(
-            "adaptive: {} batch(es), {} fault moves, imbalance {:.2} (first) -> {:.2} (last), \
+            "batch plan: {} batch(es), {} fault moves, imbalance {:.2} (first) -> {:.2} (last), \
              final plan {} worker(s) x {} shard(s)",
             report.batches.len(),
             moved,

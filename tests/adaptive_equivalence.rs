@@ -1,18 +1,18 @@
-//! Adaptive-backend equivalence: a campaign that runs the pattern
-//! sequence in batches — dropping detected faults, migrating surviving
-//! fault state across re-partitioned shards, and re-planning from
-//! measured shard times between batches — must be **bit-identical** to
-//! the one-shot parallel backend: same canonical detection sequence,
-//! same fault count, same coverage, for every batch size and worker
-//! count, with re-planning on or frozen.
+//! Batched-parallel equivalence: a campaign that runs the pattern
+//! sequence in batches (`ParallelConfig::batch > 0`) — dropping
+//! detected faults, migrating surviving fault state across
+//! re-partitioned shards, and re-planning from measured shard times
+//! between batches — must be **bit-identical** to the one-shot parallel
+//! run: same canonical detection sequence, same fault count, same
+//! coverage, for every batch size and worker count, with re-planning on
+//! or frozen.
 //!
-//! This is the load-bearing invariant of `Backend::Adaptive`
+//! This is the load-bearing invariant of batched runs
 //! (`docs/ARCHITECTURE.md` § replay bit-identity): re-planning moves
 //! time around, never results.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig,
-    SimEvent,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig, SimEvent,
 };
 use fmossim::circuits::Ram;
 use fmossim::concurrent::Pattern;
@@ -24,8 +24,8 @@ use fmossim::testgen::TestSequence;
 const SEED: u64 = 850_715;
 
 /// Detection set in canonical order plus the strategy-independent
-/// totals. (Per-pattern solver counters are *not* compared: the
-/// adaptive backend re-records the good machine per batch, so
+/// totals. (Per-pattern solver counters are *not* compared: a
+/// batched run re-records the good machine per batch, so
 /// `good_groups` legitimately differs with the shard count per batch.)
 fn fingerprint(r: &CampaignReport) -> (Vec<String>, usize, usize) {
     let detections = r
@@ -55,7 +55,7 @@ fn parallel_reference(
         .run()
 }
 
-fn adaptive(
+fn run_batched(
     net: &Network,
     universe: &FaultUniverse,
     patterns: &[Pattern],
@@ -68,18 +68,31 @@ fn adaptive(
         .faults(universe.clone())
         .patterns(patterns)
         .outputs(outputs)
-        .backend(Backend::Adaptive(AdaptiveConfig {
-            jobs: Jobs::Fixed(jobs),
-            rebalance,
-            ..AdaptiveConfig::paper(batch)
-        }))
+        .backend(Backend::Parallel(batched(
+            batch,
+            ParallelConfig {
+                jobs: Jobs::Fixed(jobs),
+                rebalance,
+                ..ParallelConfig::auto()
+            },
+        )))
         .run()
+}
+
+/// `config` in `batch`-pattern batches, its first batch planned by
+/// estimated cost.
+fn batched(batch: usize, config: ParallelConfig) -> ParallelConfig {
+    ParallelConfig {
+        batch,
+        strategy: ShardStrategy::CostEstimated,
+        ..config
+    }
 }
 
 /// The issue's matrix: batch sizes {1, 4, all} × worker counts, with
 /// re-planning both on and frozen, against the one-shot parallel
 /// reference.
-fn assert_adaptive_equivalence(
+fn assert_batched_equivalence(
     net: &Network,
     universe: &FaultUniverse,
     patterns: &[Pattern],
@@ -88,17 +101,21 @@ fn assert_adaptive_equivalence(
     for jobs in [2usize, 4] {
         let reference = parallel_reference(net, universe, patterns, outputs, jobs);
         assert!(reference.detected() > 0, "workload must detect something");
-        for batch in [1usize, 4, 0 /* 0 = the whole sequence at once */] {
+        for batch in [
+            1usize,
+            4,
+            patterns.len(), /* the whole sequence at once */
+        ] {
             for rebalance in [true, false] {
-                let report = adaptive(net, universe, patterns, outputs, jobs, batch, rebalance);
+                let report = run_batched(net, universe, patterns, outputs, jobs, batch, rebalance);
                 assert_eq!(
                     fingerprint(&report),
                     fingerprint(&reference),
                     "jobs={jobs} batch={batch} rebalance={rebalance}: \
-                     adaptive diverged from one-shot parallel"
+                     batched run diverged from one-shot parallel"
                 );
-                assert_eq!(report.backend, "adaptive");
-                let expected_batches = if batch == 0 {
+                assert_eq!(report.backend, "parallel");
+                let expected_batches = if batch == patterns.len() {
                     1
                 } else {
                     patterns.len().div_ceil(batch).min(
@@ -125,7 +142,7 @@ fn ram4x4_adaptive_is_bit_identical() {
     let ram = Ram::new(4, 4);
     let universe = FaultUniverse::stuck_nodes(ram.network());
     let seq = TestSequence::full(&ram);
-    assert_adaptive_equivalence(
+    assert_batched_equivalence(
         ram.network(),
         &universe,
         seq.patterns(),
@@ -140,7 +157,7 @@ fn ram64_adaptive_is_bit_identical() {
     let ram = Ram::new(8, 8);
     let universe = FaultUniverse::stuck_nodes(ram.network()).sample(48, SEED);
     let seq = TestSequence::march_only(&ram);
-    assert_adaptive_equivalence(
+    assert_batched_equivalence(
         ram.network(),
         &universe,
         seq.patterns(),
@@ -170,10 +187,13 @@ fn adaptive_without_dropping_matches_parallel() {
         sim: ConcurrentConfig::paper(),
         ..ParallelConfig::default()
     }));
-    let report = run(Backend::Adaptive(AdaptiveConfig {
-        jobs: Jobs::Fixed(3),
-        ..AdaptiveConfig::paper(4)
-    }));
+    let report = run(Backend::Parallel(batched(
+        4,
+        ParallelConfig {
+            jobs: Jobs::Fixed(3),
+            ..ParallelConfig::auto()
+        },
+    )));
     assert_eq!(fingerprint(&report), fingerprint(&reference));
     // Nothing dropped: every batch still grades the full universe.
     assert!(report
@@ -197,10 +217,7 @@ fn auto_pool_does_not_shrink_without_detections() {
         .faults(universe.clone())
         .patterns(seq.patterns())
         .outputs(ram.observed_outputs())
-        .backend(Backend::Adaptive(AdaptiveConfig {
-            jobs: Jobs::Auto,
-            ..AdaptiveConfig::paper(4)
-        }))
+        .backend(Backend::Parallel(batched(4, ParallelConfig::auto())))
         .drop_detected(false)
         .run();
     let first = report.batches.first().expect("at least one batch");
@@ -211,9 +228,9 @@ fn auto_pool_does_not_shrink_without_detections() {
     );
 }
 
-/// Coverage targets stop the adaptive backend between batches, and the
-/// observer sees shard-order-deterministic events plus one `BatchDone`
-/// per batch.
+/// Coverage targets stop a batched run at a shard or batch boundary,
+/// and the observer sees every shard's events plus one `BatchDone` per
+/// batch.
 #[test]
 fn adaptive_run_control_and_events() {
     let ram = Ram::new(4, 4);
@@ -226,10 +243,13 @@ fn adaptive_run_control_and_events() {
         .faults(universe.clone())
         .patterns(seq.patterns())
         .outputs(ram.observed_outputs())
-        .backend(Backend::Adaptive(AdaptiveConfig {
-            jobs: Jobs::Fixed(2),
-            ..AdaptiveConfig::paper(4)
-        }))
+        .backend(Backend::Parallel(batched(
+            4,
+            ParallelConfig {
+                jobs: Jobs::Fixed(2),
+                ..ParallelConfig::auto()
+            },
+        )))
         .stop_at_coverage(0.5)
         .on_event(|e| match e {
             SimEvent::BatchDone {
@@ -257,5 +277,5 @@ fn adaptive_run_control_and_events() {
     // The initial strategy is echoed through telemetry: batch counts
     // and shard counts are concrete.
     assert!(report.batches.iter().all(|b| b.shards >= 1));
-    let _ = ShardStrategy::ALL; // re-exported alongside the adaptive API
+    let _ = ShardStrategy::ALL; // re-exported alongside the batching API
 }

@@ -5,8 +5,8 @@
 //! artifact round-trips the flag.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig,
-    SerialConfig, SimEvent, StopReason,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig, SerialConfig,
+    ShardStrategy, SimEvent, StopReason,
 };
 use fmossim::circuits::Ram;
 use fmossim::faults::FaultUniverse;
@@ -32,8 +32,18 @@ fn all_backends() -> [Backend; 4] {
         Backend::Serial(SerialConfig::paper()),
         Backend::Concurrent(ConcurrentConfig::paper()),
         Backend::Parallel(ParallelConfig::paper(2)),
-        Backend::Adaptive(AdaptiveConfig::paper(4)),
+        Backend::Parallel(batched(4)),
     ]
+}
+
+/// The parallel backend in `batch`-pattern batches on an autotuned
+/// pool, its first batch planned by estimated cost.
+fn batched(batch: usize) -> ParallelConfig {
+    ParallelConfig {
+        batch,
+        strategy: ShardStrategy::CostEstimated,
+        ..ParallelConfig::auto()
+    }
 }
 
 /// A token set before `run()` stops every backend at its *first*
@@ -134,15 +144,15 @@ fn parallel_cancels_between_shards() {
     assert_eq!(shards_done, 1, "queue stopped after the first shard");
 }
 
-/// Adaptive backend: cancelling on the first `BatchDone` stops between
-/// batches — one batch of patterns is simulated, no more.
+/// Batched parallel run: cancelling on the first `BatchDone` stops
+/// between batches — one batch of patterns is simulated, no more.
 #[test]
 fn adaptive_cancels_between_batches() {
     let (ram, seq) = workload();
     let batch = 4usize;
     let total = seq.patterns().len();
     assert!(total > batch);
-    let c = campaign(&ram, &seq, Backend::Adaptive(AdaptiveConfig::paper(batch)));
+    let c = campaign(&ram, &seq, Backend::Parallel(batched(batch)));
     let token = c.cancel_token();
     let report = c
         .on_event(move |e| {

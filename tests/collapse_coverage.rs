@@ -13,8 +13,8 @@
 //! because the campaign collapses before any backend sees it.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs,
-    ParallelConfig, StopReason,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
+    ShardStrategy, StopReason,
 };
 use fmossim::concurrent::Pattern;
 use fmossim::faults::{CollapseClasses, FaultUniverse};
@@ -101,17 +101,19 @@ fn concurrent_collapsed_run_stops_at_the_same_pattern() {
     }
 }
 
-/// Batch-granularity stop (adaptive backend): same batch size on both
+/// Batch-granularity stop (batched parallel run): same batch size on both
 /// sides, so an identical weighted count means an identical stopping
 /// batch — and therefore the same number of simulated patterns.
 #[test]
 fn adaptive_collapsed_run_stops_at_the_same_batch() {
     let w = build_zoo("ram4x4").expect("zoo member");
     let universe = FaultUniverse::stuck_nodes(&w.net);
-    let backend = Backend::Adaptive(AdaptiveConfig {
+    let backend = Backend::Parallel(ParallelConfig {
         jobs: Jobs::Fixed(2),
+        batch: 4,
+        strategy: ShardStrategy::CostEstimated,
         sim: sim(),
-        ..AdaptiveConfig::paper(4)
+        ..ParallelConfig::auto()
     });
     let plain = run(
         &w.net,
@@ -136,7 +138,7 @@ fn adaptive_collapsed_run_stops_at_the_same_batch() {
     assert_eq!(
         collapsed.run.patterns.len(),
         plain.run.patterns.len(),
-        "collapsed adaptive run stopped at a different batch"
+        "collapsed batched run stopped at a different batch"
     );
     assert!(collapsed.coverage() >= 0.5);
 }

@@ -20,8 +20,8 @@
 //! at exactly the pattern/phase set of its representative.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs,
-    ParallelConfig,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
+    ShardStrategy,
 };
 use fmossim::concurrent::Pattern;
 use fmossim::faults::{CollapseClasses, FaultId, FaultUniverse};
@@ -55,16 +55,18 @@ fn backend_for(label: &str) -> Backend {
             sim,
             ..ParallelConfig::default()
         }),
-        "adaptive-k2" => Backend::Adaptive(AdaptiveConfig {
+        "batched-k2" => Backend::Parallel(ParallelConfig {
             jobs: Jobs::Fixed(2),
+            batch: 8,
+            strategy: ShardStrategy::CostEstimated,
             sim,
-            ..AdaptiveConfig::paper(8)
+            ..ParallelConfig::default()
         }),
         other => panic!("unknown backend label {other}"),
     }
 }
 
-const BACKENDS: [&str; 4] = ["concurrent", "packed", "parallel-k2", "adaptive-k2"];
+const BACKENDS: [&str; 4] = ["concurrent", "packed", "parallel-k2", "batched-k2"];
 
 fn run_campaign(
     net: &Network,

@@ -1,7 +1,7 @@
 //! Golden-report snapshots: one real campaign per backend, archived
 //! as a checked-in JSON fixture under `tests/fixtures/`, locking the
 //! version-3 `CampaignReport` schema (including the `batches`
-//! telemetry the adaptive generation added and the v3 `metrics`
+//! telemetry of batched parallel runs and the v3 `metrics`
 //! block). The previous generation's `report_v2_*.json` fixtures stay
 //! checked in as lenient-parse coverage for archived artifacts.
 //!
@@ -21,15 +21,16 @@
 //! report_snapshots` after an *intentional* schema change.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig,
-    Registry, SerialConfig,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig, Registry,
+    SerialConfig, ShardStrategy,
 };
 use fmossim::circuits::Ram;
 use fmossim::faults::FaultUniverse;
 use fmossim::testgen::TestSequence;
 use std::path::PathBuf;
 
-/// The four built-in backends, in fixture order. The adaptive entry
+/// The built-in backends, in fixture order, with the parallel backend
+/// both one-shot and batched. The batched entry
 /// freezes its initial plan (`rebalance: false`) so the fixture is
 /// fully deterministic — measured-cost re-planning would make
 /// `moved_faults` timing-dependent; the schema it exercises is the
@@ -47,11 +48,13 @@ fn fixture_backends() -> [(&'static str, Backend); 4] {
             }),
         ),
         (
-            "adaptive",
-            Backend::Adaptive(AdaptiveConfig {
+            "batched",
+            Backend::Parallel(ParallelConfig {
                 jobs: Jobs::Fixed(2),
+                batch: 8,
                 rebalance: false,
-                ..AdaptiveConfig::paper(8)
+                strategy: ShardStrategy::CostEstimated,
+                ..ParallelConfig::auto()
             }),
         ),
     ]
@@ -142,7 +145,7 @@ fn fixtures_lock_the_v3_schema() {
         assert!(text.contains("\"batches\":"), "{name}: batches key missing");
         assert!(text.contains("\"control\":"));
         assert!(text.contains("\"metrics\":"), "{name}: metrics key missing");
-        assert_eq!(parsed.backend, name);
+        assert_eq!(parsed.backend, backend.name());
         match name {
             "serial" => {
                 assert!(parsed.good_seconds.is_some());
@@ -164,10 +167,10 @@ fn fixtures_lock_the_v3_schema() {
                 assert!(parsed.tape_record_seconds.is_some(), "tape echoed");
                 assert_eq!(parsed.metrics.counters["par.shards"], 2);
             }
-            "adaptive" => {
+            "batched" => {
                 assert!(
                     !parsed.batches.is_empty(),
-                    "adaptive fixture locks the batches telemetry"
+                    "batched fixture locks the batches telemetry"
                 );
                 assert!(text.contains("\"moved_faults\":"));
                 assert!(text.contains("\"imbalance\":"));
@@ -278,7 +281,10 @@ fn v2_fixtures_still_parse() {
     let ram = Ram::new(4, 4);
     let seq = TestSequence::full(&ram);
     for (name, backend) in fixture_backends() {
-        let path = fixture_path(2, name);
+        // The batched run was archived under the name of the backend
+        // that ran it then, `adaptive`.
+        let archive_name = if name == "batched" { "adaptive" } else { name };
+        let path = fixture_path(2, archive_name);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing archived v2 fixture {}: {e}", path.display()));
         let archived = CampaignReport::from_json(text.trim_end())
@@ -304,6 +310,8 @@ fn v2_fixtures_still_parse() {
         // `None`, while a fresh instrumented backend echoes its knob.
         assert_eq!(archived.control.packing, None);
         fresh.control.packing = None;
+        assert_eq!(archived.backend, archive_name);
+        fresh.backend.clone_from(&archived.backend);
         assert_eq!(
             fresh, archived,
             "{name}: fresh run diverged from the archived v2 report"

@@ -82,6 +82,7 @@ fn offline_reference(circuit: &str, shards: usize) -> CampaignReport {
             shards: Some(shards),
             strategy: ShardStrategy::RoundRobin,
             reuse_good_tape: true,
+            ..ParallelConfig::default()
         }))
         .run()
 }

@@ -4,7 +4,7 @@
 //! the campaign's config echo — must be invariant to it. These tests
 //! oversubscribe the pool (more shards than workers, several workers
 //! racing) so completion order genuinely scrambles, then pin the
-//! invariants the adaptive/parallel backends rely on.
+//! invariants the parallel backend (one-shot and batched) relies on.
 //!
 //! (The satellite issue asked for a targeted test and a fix for any
 //! ordering bug it flushed out; the invariants below all held —

@@ -7,8 +7,8 @@
 use std::collections::BTreeMap;
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs,
-    ParallelConfig, Registry, SerialConfig, SimEvent,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
+    Registry, SerialConfig, ShardStrategy, SimEvent,
 };
 use fmossim::faults::FaultUniverse;
 use fmossim::testgen::zoo::build_zoo;
@@ -177,11 +177,12 @@ fn parallel_events_cover_every_shard() {
 fn adaptive_events_close_batches_in_order() {
     let (report, events) = run_with_events(
         "regfile4x4",
-        Backend::Adaptive(AdaptiveConfig {
+        Backend::Parallel(ParallelConfig {
             batch: 4,
             jobs: Jobs::Fixed(2),
+            strategy: ShardStrategy::CostEstimated,
             sim: concurrent_config(),
-            ..AdaptiveConfig::default()
+            ..ParallelConfig::default()
         }),
     );
     assert_common_grammar(&report, &events);

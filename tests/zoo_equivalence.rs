@@ -1,6 +1,7 @@
 //! Differential conformance over the benchmark circuit zoo: **every**
 //! zoo workload (including the seeded random netlists) graded by
-//! **all four** backends at worker counts K ∈ {1, 2, 4} must produce
+//! **every** backend — the parallel one both one-shot and batched — at
+//! worker counts K ∈ {1, 2, 4} must produce
 //! bit-identical canonical detection sets under
 //! `DetectionPolicy::DefiniteOnly` — the policy under which detection
 //! is provably schedule-independent (definite 0-vs-1 divergences are
@@ -12,8 +13,8 @@
 //! must pass before `evalsuite` will measure it.
 
 use fmossim::campaign::{
-    AdaptiveConfig, Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs,
-    ParallelConfig, SerialConfig,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
+    SerialConfig, ShardStrategy,
 };
 use fmossim::faults::FaultUniverse;
 use fmossim::testgen::zoo::{build_zoo, ZOO, ZOO_SEED};
@@ -33,7 +34,7 @@ fn fingerprint(r: &CampaignReport) -> Vec<String> {
         .collect()
 }
 
-/// serial + concurrent ± packing + {parallel, adaptive} × K ∈ {1, 2, 4},
+/// serial + concurrent ± packing + {parallel, batched} × K ∈ {1, 2, 4},
 /// with the packed (bit-parallel) evaluation path joining the matrix on
 /// the concurrent and parallel-k2 rows — fingerprint conformance is
 /// exactly the invariant the packed lanes must uphold.
@@ -68,11 +69,13 @@ fn all_backends() -> Vec<(String, Backend)> {
             }),
         ));
         backends.push((
-            format!("adaptive-k{k}"),
-            Backend::Adaptive(AdaptiveConfig {
+            format!("batched-k{k}"),
+            Backend::Parallel(ParallelConfig {
                 jobs: Jobs::Fixed(k),
+                batch: 8,
+                strategy: ShardStrategy::CostEstimated,
                 sim,
-                ..AdaptiveConfig::paper(8)
+                ..ParallelConfig::default()
             }),
         ));
     }
