@@ -1,5 +1,5 @@
 //! Fault-parallel scaling sweep: wall-clock speedup vs. worker count,
-//! with a record/replay A/B over the good-machine tape.
+//! with the good-machine fraction of every point.
 //!
 //! Runs the paper's RAM workload (stuck nodes + bit-line bridges over
 //! the full marching sequence) through [`fmossim_par::ParallelSim`] at
@@ -7,21 +7,19 @@
 //! seconds, aggregate CPU seconds, speedup relative to one job, the
 //! (job-count-invariant) coverage — and, per point, the *good-machine
 //! fraction*: how much of the total work went into simulating the
-//! fault-free circuit. With the tape (`replay on`) that fraction is one
-//! record pass regardless of the shard count; without it (`replay
-//! off`) every shard re-settles the good circuit, so the fraction
-//! grows with K. The JSON is the artifact the ROADMAP scaling work
-//! tracks over time (`BENCH_replay.json`).
+//! fault-free circuit. With more than one shard the good machine is
+//! recorded once and the tape replayed in every shard, so that
+//! fraction is one record pass regardless of the shard count; a single
+//! shard settles the good circuit itself. The JSON is the artifact the
+//! ROADMAP scaling work tracks over time (`BENCH_replay.json`).
 //!
 //! Usage:
 //! `scaling_par [--dim 8] [--jobs-list 1,2,4,8] [--strategy round-robin]
-//!              [--sample K] [--replay on|off|ab] [--batch N]`
+//!              [--sample K] [--batch N]`
 //!
-//! `--replay ab` (the default) measures both modes per point and
-//! asserts their detection sets are bit-identical. Wall-clock speedup
-//! saturates at the machine's hardware parallelism (reported as
-//! `hardware_threads`); the good-machine fraction does not — it is a
-//! work ratio, not a wall-clock ratio.
+//! Wall-clock speedup saturates at the machine's hardware parallelism
+//! (reported as `hardware_threads`); the good-machine fraction does
+//! not — it is a work ratio, not a wall-clock ratio.
 //!
 //! `--batch N` (N > 0) switches to the batch-rebalancing A/B: per job
 //! count it runs the parallel backend in N-pattern batches in both
@@ -52,44 +50,22 @@ use fmossim_core::{ConcurrentConfig, GoodTape};
 use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
 use fmossim_testgen::TestSequence;
 
-/// One replay mode's measurements at one job count.
-struct ModePoint {
-    wall_seconds: f64,
-    cpu_seconds: f64,
-    /// Seconds of the one-time tape record pass (`None` when the tape
-    /// was not used: replay off, or a single shard).
-    tape_record_seconds: Option<f64>,
-    /// Good-machine seconds / total work seconds for this mode.
-    good_fraction: f64,
-    detected: usize,
-}
-
+/// The measurements at one job count.
 struct Point {
     jobs: usize,
     shards: usize,
     /// Critical path of the plan, measured uncontended (shards run
     /// back to back on one thread): the longest single shard.
     max_shard_seconds: f64,
-    replay_on: Option<ModePoint>,
-    replay_off: Option<ModePoint>,
+    wall_seconds: f64,
+    cpu_seconds: f64,
+    /// Seconds of the one-time tape record pass (`None` for a single
+    /// shard, which records no tape).
+    tape_record_seconds: Option<f64>,
+    /// Good-machine seconds / total work seconds.
+    good_fraction: f64,
+    detected: usize,
     coverage: f64,
-}
-
-fn fmt_mode(p: &Option<ModePoint>) -> String {
-    match p {
-        None => "null".into(),
-        Some(m) => format!(
-            "{{\"wall_seconds\": {:.4}, \"cpu_seconds\": {:.4}, \
-             \"tape_record_seconds\": {}, \"good_fraction\": {:.4}, \
-             \"detected\": {}}}",
-            m.wall_seconds,
-            m.cpu_seconds,
-            m.tape_record_seconds
-                .map_or("null".into(), |s| format!("{s:.4}")),
-            m.good_fraction,
-            m.detected,
-        ),
-    }
 }
 
 fn main() {
@@ -112,10 +88,6 @@ fn main() {
             "--batch needs N > 0: a single whole-sequence batch has no rebalanced batches to \
              compare"
         );
-        assert!(
-            arg_value("--replay").is_none(),
-            "--replay does not apply to --batch (the batch loop is tape-based)"
-        );
         // The A/B defaults to the strongest static baseline (cost-LPT);
         // an explicit --strategy overrides it.
         let initial = match arg_value("--strategy") {
@@ -125,13 +97,6 @@ fn main() {
         rebalance_ab(dim, &jobs_list, batch, initial);
         return;
     }
-    let replay_mode = arg_value("--replay").unwrap_or_else(|| "ab".into());
-    let (run_on, run_off) = match replay_mode.as_str() {
-        "on" => (true, false),
-        "off" => (false, true),
-        "ab" => (true, true),
-        other => panic!("--replay takes on|off|ab, not `{other}`"),
-    };
 
     let (ram, bridges) = ram_with_bridges(dim, dim);
     let mut universe = paper_universe(&ram, bridges);
@@ -142,8 +107,8 @@ fn main() {
     let seq = TestSequence::full(&ram);
     let outputs = ram.observed_outputs();
 
-    // One pure good-machine pass: the unit of the good-fraction
-    // estimate for recompute mode (each shard embeds one such pass).
+    // One pure good-machine pass: the good-fraction estimate of a
+    // single shard, whose CPU embeds one such pass.
     let good_pass_seconds = GoodTape::record(
         ram.network(),
         seq.patterns(),
@@ -157,27 +122,7 @@ fn main() {
             .patterns(seq.patterns())
             .outputs(outputs)
             .backend(Backend::Parallel(config))
-            .reuse_good_tape(config.reuse_good_tape)
             .run()
-    };
-    let cpu_of = |r: &CampaignReport| -> f64 { r.run.patterns.iter().map(|p| p.seconds).sum() };
-    let mode_point = |r: &CampaignReport| -> ModePoint {
-        let cpu = cpu_of(r);
-        let shards = r.shards.expect("parallel backend reports shards") as f64;
-        // Replay: the good machine ran once (the record pass), on top
-        // of the shards' faulty-only CPU. Recompute: every shard's CPU
-        // already embeds one good pass.
-        let (good_seconds, total_work) = match r.tape_record_seconds {
-            Some(record) => (record, cpu + record),
-            None => (shards * good_pass_seconds, cpu),
-        };
-        ModePoint {
-            wall_seconds: r.run.total_seconds,
-            cpu_seconds: cpu,
-            tape_record_seconds: r.tape_record_seconds,
-            good_fraction: stats::fraction(good_seconds, total_work),
-            detected: r.detected(),
-        }
     };
 
     let points: Vec<Point> = jobs_list
@@ -189,22 +134,16 @@ fn main() {
                 sim: ConcurrentConfig::paper(),
                 ..ParallelConfig::default()
             };
-            let on = run_on.then(|| campaign(config));
-            let off = run_off.then(|| {
-                campaign(ParallelConfig {
-                    reuse_good_tape: false,
-                    ..config
-                })
-            });
-            let primary = on.as_ref().or(off.as_ref()).expect("one mode runs");
-            let shards = primary.shards.expect("parallel backend reports shards");
-            if let (Some(a), Some(b)) = (&on, &off) {
-                assert_eq!(
-                    a.detections(),
-                    b.detections(),
-                    "jobs={jobs}: replay must be bit-identical to recompute"
-                );
-            }
+            let r = campaign(config);
+            let shards = r.shards.expect("parallel backend reports shards");
+            let cpu: f64 = r.run.patterns.iter().map(|p| p.seconds).sum();
+            // With a tape the good machine ran once (the record pass),
+            // on top of the shards' faulty-only CPU; a single shard's
+            // CPU already embeds its own good pass.
+            let (good_seconds, total_work) = match r.tape_record_seconds {
+                Some(record) => (record, cpu + record),
+                None => (good_pass_seconds, cpu),
+            };
             // Re-run the same plan on one thread: shard times free of
             // scheduling contention, for the machine-independent
             // critical-path metric.
@@ -213,46 +152,48 @@ fn main() {
                 shards: Some(shards),
                 ..config
             });
-            assert_eq!(sequential.detected(), primary.detected());
+            assert_eq!(sequential.detected(), r.detected());
             Point {
                 jobs,
                 shards,
                 max_shard_seconds: sequential
                     .max_shard_seconds
                     .expect("parallel backend reports the critical path"),
-                coverage: primary.coverage(),
-                replay_on: on.as_ref().map(&mode_point),
-                replay_off: off.as_ref().map(&mode_point),
+                wall_seconds: r.run.total_seconds,
+                cpu_seconds: cpu,
+                tape_record_seconds: r.tape_record_seconds,
+                good_fraction: stats::fraction(good_seconds, total_work),
+                detected: r.detected(),
+                coverage: r.coverage(),
             }
         })
         .collect();
 
-    let wall_of = |p: &Point| -> f64 {
-        p.replay_on
-            .as_ref()
-            .or(p.replay_off.as_ref())
-            .expect("one mode ran")
-            .wall_seconds
-    };
     let base = points
         .iter()
         .find(|p| p.jobs == 1)
-        .map_or_else(|| wall_of(&points[0]), wall_of);
+        .unwrap_or(&points[0])
+        .wall_seconds;
     let rows: Vec<String> = points
         .iter()
         .map(|p| {
             format!(
                 "    {{\"jobs\": {}, \"shards\": {}, \"speedup\": {:.3}, \
                  \"max_shard_seconds\": {:.4}, \"ideal_speedup\": {:.3}, \
-                 \"coverage\": {:.4}, \"replay_on\": {}, \"replay_off\": {}}}",
+                 \"coverage\": {:.4}, \"wall_seconds\": {:.4}, \"cpu_seconds\": {:.4}, \
+                 \"tape_record_seconds\": {}, \"good_fraction\": {:.4}, \"detected\": {}}}",
                 p.jobs,
                 p.shards,
-                base / wall_of(p),
+                base / p.wall_seconds,
                 p.max_shard_seconds,
                 base / p.max_shard_seconds,
                 p.coverage,
-                fmt_mode(&p.replay_on),
-                fmt_mode(&p.replay_off),
+                p.wall_seconds,
+                p.cpu_seconds,
+                p.tape_record_seconds
+                    .map_or("null".into(), |s| format!("{s:.4}")),
+                p.good_fraction,
+                p.detected,
             )
         })
         .collect();
@@ -261,7 +202,6 @@ fn main() {
     println!("  \"faults\": {},", universe.len());
     println!("  \"patterns\": {},", seq.len());
     println!("  \"strategy\": \"{strategy}\",");
-    println!("  \"replay\": \"{replay_mode}\",");
     println!("  \"good_pass_seconds\": {good_pass_seconds:.4},");
     println!(
         "  \"hardware_threads\": {},",
@@ -272,37 +212,13 @@ fn main() {
     println!("  ]");
     println!("}}");
 
-    // Sanity: neither sharding nor the tape may change the verdicts,
-    // and at K >= 2 the tape must shrink the good-machine fraction.
-    let baseline = points.first().expect("at least one job count");
-    let detected_of = |p: &Point| {
-        p.replay_on
-            .as_ref()
-            .or(p.replay_off.as_ref())
-            .expect("one mode ran")
-            .detected
-    };
+    // Sanity: sharding may not change the verdicts.
     for p in &points[1..] {
         assert_eq!(
-            detected_of(p),
-            detected_of(baseline),
+            p.detected, points[0].detected,
             "jobs={} changed the detection count",
             p.jobs
         );
-    }
-    for p in &points {
-        if let (Some(a), Some(b)) = (&p.replay_on, &p.replay_off) {
-            if p.shards >= 2 {
-                assert!(
-                    a.good_fraction < b.good_fraction,
-                    "jobs={}: replay-on good fraction {:.4} must undercut \
-                     replay-off {:.4}",
-                    p.jobs,
-                    a.good_fraction,
-                    b.good_fraction
-                );
-            }
-        }
     }
 }
 

@@ -11,8 +11,8 @@
 
 use crate::event::SimEvent;
 use fmossim_core::{
-    ConcurrentConfig, ConcurrentSim, Detection, DetectionPolicy, GoodTape, Pattern, PatternStats,
-    RunReport, SerialConfig, SerialSim,
+    ConcurrentConfig, ConcurrentSim, Detection, DetectionPolicy, Pattern, PatternStats, RunReport,
+    SerialConfig, SerialSim,
 };
 use fmossim_faults::{FaultId, FaultUniverse};
 use fmossim_netlist::{Network, NodeId};
@@ -20,15 +20,8 @@ use fmossim_par::{BatchTelemetry, ParallelConfig, ParallelSim, RunStep};
 use fmossim_telemetry::Registry;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// A shared slot a backend deposits the run's good tape into — the
-/// extraction half of the campaign tape seams (see
-/// [`Campaign::export_good_tape`](crate::Campaign::export_good_tape)).
-/// A plain `Arc<Mutex<..>>` so a caching layer can hold the slot across
-/// campaigns and threads.
-pub type TapeSlot = Arc<Mutex<Option<Arc<GoodTape>>>>;
 
 /// Parent-universe coverage bookkeeping for a collapsed workload.
 ///
@@ -109,7 +102,7 @@ impl Workload<'_> {
 ///
 /// ```
 /// let control = fmossim_campaign::RunControl::default();
-/// assert!(control.drop_detected && control.reuse_good_tape);
+/// assert!(control.drop_detected);
 /// assert_eq!(control.stop_at_coverage, None);
 /// assert_eq!(control.pattern_limit, None);
 /// assert!(!control.collapse);
@@ -128,13 +121,6 @@ pub struct RunControl {
     /// drop-on-detect rule (concurrent/parallel) and the serial
     /// baseline's stop-at-first-detection. Disable for full-trace runs.
     pub drop_detected: bool,
-    /// Record the good machine once and replay the shared
-    /// [`fmossim_core::GoodTape`] in every shard instead of
-    /// re-settling the good circuit per shard (default `true`).
-    /// Honoured by the parallel backend (and custom backends that
-    /// choose to); results are bit-identical either way — this is a
-    /// measurement/escape-hatch knob, not a semantics knob.
-    pub reuse_good_tape: bool,
     /// Collapse the fault universe into structural equivalence classes
     /// before the backend runs and fan detections back out at report
     /// time (see [`Campaign::collapse`](crate::Campaign::collapse)).
@@ -149,7 +135,6 @@ impl Default for RunControl {
             stop_at_coverage: None,
             pattern_limit: None,
             drop_detected: true,
-            reuse_good_tape: true,
             collapse: false,
         }
     }
@@ -214,11 +199,11 @@ pub struct BackendRun {
     /// backend).
     pub serial_estimate_seconds: Option<f64>,
     /// Wall-clock seconds of the one-time good-tape record pass
-    /// (parallel backend with tape reuse).
+    /// (parallel backend, when more than one shard ran).
     pub tape_record_seconds: Option<f64>,
     /// Good-machine vicinities recorded on the tape — the solver work
-    /// each replaying shard skipped (parallel backend with tape
-    /// reuse).
+    /// each replaying shard skipped (parallel backend, when more than
+    /// one shard ran).
     pub tape_groups: Option<usize>,
     /// Per-batch telemetry (batched parallel runs; empty otherwise).
     /// For a batched run the scalar `tape_*` fields above aggregate
@@ -295,22 +280,6 @@ pub trait CampaignBackend {
     /// mid-run need no change (their campaigns simply run to
     /// completion).
     fn attach_cancel(&mut self, _token: &Arc<AtomicBool>) {}
-
-    /// Offers the backend a pre-recorded good tape to replay instead
-    /// of paying its own record pass. Only the parallel backend
-    /// honours it (its shards all replay one tape); the default
-    /// implementation ignores the offer — a wrong-shape tape is also
-    /// ignored at the driver layer, so injection can never change
-    /// results.
-    fn inject_good_tape(&mut self, _tape: Arc<GoodTape>) {}
-
-    /// Hands the backend a [`TapeSlot`] to deposit the run's good tape
-    /// into after [`run`](CampaignBackend::run). Only the parallel
-    /// backend deposits, and only for one-batch runs (a batched run
-    /// records one short-lived tape per batch — there is no single
-    /// whole-run tape to cache); the default implementation leaves the
-    /// slot untouched.
-    fn export_good_tape(&mut self, _slot: &TapeSlot) {}
 
     /// Grades the workload, streaming [`SimEvent`]s through `emit` and
     /// honouring `control`.
@@ -428,8 +397,6 @@ impl Backend {
                 config,
                 telemetry: Registry::null(),
                 cancel: no_cancel(),
-                inject_tape: None,
-                export_tape: None,
             }),
         }
     }
@@ -696,8 +663,6 @@ struct ParallelAdapter {
     config: ParallelConfig,
     telemetry: Registry,
     cancel: Arc<AtomicBool>,
-    inject_tape: Option<Arc<GoodTape>>,
-    export_tape: Option<TapeSlot>,
 }
 
 impl CampaignBackend for ParallelAdapter {
@@ -713,14 +678,6 @@ impl CampaignBackend for ParallelAdapter {
         self.cancel = Arc::clone(token);
     }
 
-    fn inject_good_tape(&mut self, tape: Arc<GoodTape>) {
-        self.inject_tape = Some(tape);
-    }
-
-    fn export_good_tape(&mut self, slot: &TapeSlot) {
-        self.export_tape = Some(Arc::clone(slot));
-    }
-
     fn run(
         &mut self,
         w: &Workload<'_>,
@@ -729,12 +686,8 @@ impl CampaignBackend for ParallelAdapter {
     ) -> BackendRun {
         let mut config = self.config;
         config.sim.drop_on_detect = control.drop_detected;
-        config.reuse_good_tape = control.reuse_good_tape;
         let mut sim = ParallelSim::new(w.net, w.universe.clone(), config);
         sim.attach_metrics(&self.telemetry);
-        if let Some(tape) = self.inject_tape.take() {
-            sim.inject_good_tape(tape);
-        }
         let mut stop = StopRule::new(w, control, &[&self.cancel]);
         let mut batches: Vec<BatchTelemetry> = Vec::new();
         let mut detected_so_far = 0;
@@ -779,9 +732,6 @@ impl CampaignBackend for ParallelAdapter {
                 ControlFlow::Continue(())
             }
         });
-        if let (Some(slot), Some(tape)) = (&self.export_tape, &run.good_tape) {
-            *slot.lock().expect("tape slot poisoned") = Some(Arc::clone(tape));
-        }
         BackendRun {
             jobs: Some(sim.workers()),
             shards: Some(sim.plan().num_shards()),

@@ -2,12 +2,11 @@
 //! strategy.
 
 use crate::backend::{
-    no_cancel, Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, TapeSlot,
-    Workload,
+    no_cancel, Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, Workload,
 };
 use crate::event::SimEvent;
 use crate::report::{CampaignReport, CollapseStats, ControlEcho, StopReason};
-use fmossim_core::{ConcurrentConfig, Detection, GoodTape, Pattern};
+use fmossim_core::{ConcurrentConfig, Detection, Pattern};
 use fmossim_faults::{CollapseClasses, FaultId, FaultUniverse};
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
@@ -55,8 +54,6 @@ pub struct Campaign<'n, 'o> {
     observer: Option<Box<dyn FnMut(SimEvent) + 'o>>,
     telemetry: Registry,
     cancel: Arc<AtomicBool>,
-    inject_tape: Option<Arc<GoodTape>>,
-    export_tape: Option<TapeSlot>,
 }
 
 impl<'n, 'o> Campaign<'n, 'o> {
@@ -75,8 +72,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
             observer: None,
             telemetry: Registry::null(),
             cancel: no_cancel(),
-            inject_tape: None,
-            export_tape: None,
         }
     }
 
@@ -165,37 +160,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
         self
     }
 
-    /// Whether the parallel backend records the good machine once and
-    /// replays the shared [`fmossim_core::GoodTape`] in every shard
-    /// (default `true`), instead of re-settling the good circuit per
-    /// shard. Results are bit-identical either way; disable only for
-    /// A/B measurement of the good-machine fraction. (Batched parallel
-    /// runs ignore `false`: each batch's tape carries the good machine
-    /// across the boundary.)
-    ///
-    /// ```
-    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig};
-    /// use fmossim_circuits::Ram;
-    /// use fmossim_faults::FaultUniverse;
-    /// use fmossim_testgen::TestSequence;
-    ///
-    /// let ram = Ram::new(4, 4);
-    /// let seq = TestSequence::full(&ram);
-    /// let report = Campaign::new(ram.network())
-    ///     .faults(FaultUniverse::stuck_nodes(ram.network()))
-    ///     .patterns(seq.patterns())
-    ///     .outputs(ram.observed_outputs())
-    ///     .backend(Backend::Parallel(ParallelConfig::paper(2)))
-    ///     .reuse_good_tape(false) // recompute mode: no tape recorded
-    ///     .run();
-    /// assert_eq!(report.tape_record_seconds, None);
-    /// ```
-    #[must_use]
-    pub fn reuse_good_tape(mut self, reuse: bool) -> Self {
-        self.control.reuse_good_tape = reuse;
-        self
-    }
-
     /// Collapses the fault universe into structural equivalence
     /// classes before the backend runs (ERASER-style static fault
     /// collapsing, [`CollapseClasses::analyze`]). The backend grades
@@ -279,50 +243,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
     #[must_use]
     pub fn cancel_token(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.cancel)
-    }
-
-    /// Offers the backend a pre-recorded good tape (e.g. from a cache
-    /// keyed on [`fmossim_netlist::Network::content_hash`] and
-    /// [`fmossim_core::stimulus_content_hash`]) so the run skips its
-    /// own record pass; the report's `tape_record_seconds` is then
-    /// `0.0`. Only the parallel backend replays injected tapes; a
-    /// tape whose shape does not match the workload is ignored, so
-    /// injection can never change results.
-    #[must_use]
-    pub fn with_good_tape(mut self, tape: Arc<GoodTape>) -> Self {
-        self.inject_tape = Some(tape);
-        self
-    }
-
-    /// Asks the backend to deposit the run's good tape into `slot`
-    /// after the run — the extraction half of the tape seams, feeding
-    /// caches that serve future [`Campaign::with_good_tape`] calls.
-    /// Only the parallel backend deposits; other backends leave the
-    /// slot untouched.
-    ///
-    /// ```
-    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig, TapeSlot};
-    /// use fmossim_circuits::Ram;
-    /// use fmossim_faults::FaultUniverse;
-    /// use fmossim_testgen::TestSequence;
-    ///
-    /// let ram = Ram::new(4, 4);
-    /// let seq = TestSequence::full(&ram);
-    /// let slot = TapeSlot::default();
-    /// let report = Campaign::new(ram.network())
-    ///     .faults(FaultUniverse::stuck_nodes(ram.network()))
-    ///     .patterns(seq.patterns())
-    ///     .outputs(ram.observed_outputs())
-    ///     .backend(Backend::Parallel(ParallelConfig::paper(2)))
-    ///     .export_good_tape(&slot)
-    ///     .run();
-    /// let tape = slot.lock().unwrap().clone().expect("tape deposited");
-    /// assert_eq!(tape.num_patterns(), report.patterns_total);
-    /// ```
-    #[must_use]
-    pub fn export_good_tape(mut self, slot: &TapeSlot) -> Self {
-        self.export_tape = Some(Arc::clone(slot));
-        self
     }
 
     /// Registers a streaming observer receiving [`SimEvent`]s while
@@ -440,12 +360,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
         };
         backend.attach_telemetry(&self.telemetry);
         backend.attach_cancel(&self.cancel);
-        if let Some(tape) = self.inject_tape {
-            backend.inject_good_tape(tape);
-        }
-        if let Some(slot) = &self.export_tape {
-            backend.export_good_tape(slot);
-        }
         let mut observer = self.observer;
         // With collapsing on, the observer sees parent-universe
         // events: detections and drops fan out to every class member,
@@ -579,7 +493,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
                 stop_at_coverage: self.control.stop_at_coverage,
                 pattern_limit: self.control.pattern_limit,
                 drop_detected: self.control.drop_detected,
-                reuse_good_tape: self.control.reuse_good_tape,
                 policy,
                 packing,
                 collapse: self.control.collapse.then_some(true),

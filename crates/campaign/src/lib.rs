@@ -83,7 +83,7 @@ mod report;
 mod spec;
 
 pub use backend::{
-    Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, StopRule, TapeSlot, Workload,
+    Backend, BackendRun, CampaignBackend, CoverageWeights, RunControl, StopRule, Workload,
 };
 pub use campaign::Campaign;
 pub use event::SimEvent;

@@ -84,10 +84,6 @@ pub struct ControlEcho {
     pub pattern_limit: Option<usize>,
     /// Whether detected faults were dropped.
     pub drop_detected: bool,
-    /// Whether good-tape record/replay was requested (honoured by the
-    /// parallel backend; see the `tape_*` report fields for whether a
-    /// tape was actually recorded).
-    pub reuse_good_tape: bool,
     /// The detection policy in force — `None` for custom
     /// [`backend_impl`](crate::Campaign::backend_impl) strategies,
     /// whose policy the campaign cannot see.
@@ -413,7 +409,6 @@ impl CampaignReport {
             ("stop_at_coverage", opt_num(self.control.stop_at_coverage)),
             ("pattern_limit", opt_count(self.control.pattern_limit)),
             ("drop_detected", Value::Bool(self.control.drop_detected)),
-            ("reuse_good_tape", Value::Bool(self.control.reuse_good_tape)),
             (
                 "policy",
                 self.control
@@ -568,12 +563,6 @@ impl CampaignReport {
                 .get("drop_detected")
                 .and_then(Value::as_bool)
                 .ok_or("bad drop_detected")?,
-            // Absent in pre-tape version-1 documents: default to the
-            // knob's default rather than rejecting the archive.
-            reuse_good_tape: match control.get("reuse_good_tape") {
-                None | Some(Value::Null) => true,
-                Some(val) => val.as_bool().ok_or("bad reuse_good_tape")?,
-            },
             policy: match control.get("policy") {
                 None | Some(Value::Null) => None,
                 Some(val) => Some(val.as_str().and_then(policy_parse).ok_or("bad policy")?),
@@ -774,7 +763,6 @@ mod tests {
                 stop_at_coverage: Some(0.9),
                 pattern_limit: None,
                 drop_detected: true,
-                reuse_good_tape: true,
                 policy: Some(DetectionPolicy::AnyDifference),
                 packing: Some(false),
                 collapse: None,
@@ -891,11 +879,9 @@ mod tests {
         let text = report
             .to_json()
             .replace("\"version\":3", "\"version\":1")
-            .replace(",\"reuse_good_tape\":true", "")
             .replace(",\"tape_record_seconds\":0.0625", "")
             .replace(",\"tape_groups\":40", "");
         let back = CampaignReport::from_json(&text).expect("lenient parse");
-        assert!(back.control.reuse_good_tape, "defaults to the knob default");
         assert_eq!(back.tape_record_seconds, None);
         assert_eq!(back.tape_groups, None);
     }

@@ -304,65 +304,6 @@ impl<'n> SerialSim<'n> {
             good,
         }
     }
-
-    /// As [`SerialSim::run`] but spreading the independent per-fault
-    /// simulations over `threads` OS threads. Serial fault simulation
-    /// is embarrassingly parallel — each fault owns a private circuit
-    /// copy — which the concurrent algorithm is *not* (its whole point
-    /// is shared state); this is the modern counterweight the 1985
-    /// paper could not weigh. Outcomes are returned in fault order and
-    /// are bit-identical to the sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    #[must_use]
-    pub fn run_parallel(
-        &self,
-        faults: &[Fault],
-        patterns: &[Pattern],
-        outputs: &[NodeId],
-        threads: usize,
-    ) -> SerialReport {
-        assert!(threads > 0, "need at least one thread");
-        let good = self.observe_good(patterns, outputs);
-        let t0 = Instant::now();
-        let chunk = faults.len().div_ceil(threads.max(1)).max(1);
-        let mut outcomes: Vec<SerialOutcome> = Vec::with_capacity(faults.len());
-        std::thread::scope(|scope| {
-            let good = &good;
-            let handles: Vec<_> = faults
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, chunk_faults)| {
-                    scope.spawn(move || {
-                        chunk_faults
-                            .iter()
-                            .enumerate()
-                            .map(|(j, &f)| {
-                                let k = ci * chunk + j;
-                                self.run_fault(
-                                    FaultId(u32::try_from(k).expect("fault id fits")),
-                                    f,
-                                    patterns,
-                                    outputs,
-                                    good,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                outcomes.extend(h.join().expect("serial worker panicked"));
-            }
-        });
-        SerialReport {
-            outcomes,
-            total_seconds: t0.elapsed().as_secs_f64(),
-            good,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -446,24 +387,6 @@ mod tests {
         let want = (1.0 + 2.0) * avg;
         let got = report.paper_estimate_seconds(2);
         assert!((want - got).abs() < 1e-12, "want {want}, got {got}");
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (net, a, out) = inverter();
-        let universe =
-            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
-        let sim = SerialSim::new(&net, SerialConfig::paper());
-        let seq = sim.run(universe.faults(), &toggles(a), &[out]);
-        for threads in [1, 2, 3, 16] {
-            let par = sim.run_parallel(universe.faults(), &toggles(a), &[out], threads);
-            assert_eq!(par.outcomes.len(), seq.outcomes.len());
-            for (s, p) in seq.outcomes.iter().zip(par.outcomes.iter()) {
-                assert_eq!(s.fault, p.fault, "order preserved with {threads} threads");
-                assert_eq!(s.detection, p.detection);
-                assert_eq!(s.patterns_run, p.patterns_run);
-            }
-        }
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub struct ParallelConfig {
     /// detected faults still drop out, but nothing is re-balanced.
     /// Ignored by one-batch runs.
     pub rebalance: bool,
-    /// Record the good machine once and replay the shared [`GoodTape`]
-    /// in every shard, instead of re-settling the good circuit per
-    /// shard (default `true`). Replay is bit-identical to recompute —
-    /// this knob exists for A/B measurement (`scaling_par --replay
-    /// off`) and as an escape hatch. With a single shard the tape is
-    /// skipped either way: recording would cost an extra good pass
-    /// without saving one. Batched runs always record and replay one
-    /// tape per batch — it carries the good machine across boundaries.
-    pub reuse_good_tape: bool,
     /// Configuration forwarded to every shard's [`ConcurrentSim`](fmossim_core::ConcurrentSim)
     /// (detection policy, per-shard drop-on-detect, packing).
     pub sim: ConcurrentConfig,
@@ -84,7 +75,6 @@ impl Default for ParallelConfig {
             shards: None,
             batch: 0,
             rebalance: true,
-            reuse_good_tape: true,
             sim: ConcurrentConfig::default(),
         }
     }
@@ -155,9 +145,9 @@ pub enum RunStep<'a> {
 }
 
 /// Measurements of the good-machine tape a parallel run recorded and
-/// replayed (absent when recompute mode was used — a single shard or
-/// [`ParallelConfig::reuse_good_tape`] off). A batched run sums its
-/// per-batch tapes.
+/// replayed (absent for a one-batch run of a single shard, which
+/// settles the good circuit itself). A batched run sums its per-batch
+/// tapes.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TapeStats {
     /// Wall-clock seconds of the record pass(es).
@@ -184,11 +174,6 @@ pub struct ParallelRun {
     /// Good-tape measurements, when the good machine was recorded once
     /// and replayed per shard.
     pub tape: Option<TapeStats>,
-    /// The good tape a one-batch run replayed (recorded here or
-    /// injected via [`ParallelSim::inject_good_tape`]) — the extraction
-    /// seam a caching layer deposits into. `None` in recompute mode and
-    /// for batched runs, whose tapes each cover one batch.
-    pub good_tape: Option<Arc<GoodTape>>,
 }
 
 /// Fault-parallel concurrent simulation: the fault universe is split
@@ -197,10 +182,9 @@ pub struct ParallelRun {
 /// and the per-shard [`RunReport`]s are folded into one
 /// ([`RunReport::merge`]) whose detections and coverage are identical
 /// to a one-shard run — sharding and batching change wall-clock time,
-/// never results. By default the good machine is recorded once per run
-/// ([`GoodTape`]) and replayed in every shard, so only one shard-count-
-/// independent good pass is paid; see
-/// [`ParallelConfig::reuse_good_tape`].
+/// never results. Whenever more than one shard runs, the good machine
+/// is recorded once ([`GoodTape`]) and replayed in every shard, so only
+/// one shard-count-independent good pass is paid.
 ///
 /// # Example
 ///
@@ -239,9 +223,6 @@ pub struct ParallelSim<'n> {
     /// [`Registry::fork`], merged back on the calling thread as the
     /// shard completes.
     telemetry: Registry,
-    /// A pre-recorded good tape to replay instead of recording one —
-    /// see [`ParallelSim::inject_good_tape`].
-    injected_tape: Option<Arc<GoodTape>>,
 }
 
 impl<'n> ParallelSim<'n> {
@@ -260,24 +241,7 @@ impl<'n> ParallelSim<'n> {
             config,
             workers,
             telemetry: Registry::null(),
-            injected_tape: None,
         }
-    }
-
-    /// Injects a pre-recorded [`GoodTape`] (e.g. from a cross-run
-    /// cache): every shard replays it instead of this run recording
-    /// one, and the reported [`TapeStats::record_seconds`] is `0.0` —
-    /// the record pass was paid elsewhere. Unlike a freshly recorded
-    /// tape, an injected tape is replayed even by a single-shard plan
-    /// (replay is free; recording is what needs amortising).
-    ///
-    /// The tape must describe this network and stimulus
-    /// ([`GoodTape::matches`]); a tape of the wrong shape is ignored
-    /// and the run falls back to its normal record-or-recompute
-    /// behaviour. Batched runs ignore it too: each batch records its
-    /// own tape.
-    pub fn inject_good_tape(&mut self, tape: Arc<GoodTape>) {
-        self.injected_tape = Some(tape);
     }
 
     /// Publishes this driver's activity into `registry`: `par.*`
@@ -367,12 +331,13 @@ impl<'n> ParallelSim<'n> {
     /// merged report is canonically ordered regardless.
     ///
     /// A one-batch run records the good machine once (on the calling
-    /// thread, before the pool starts) when
-    /// [`ParallelConfig::reuse_good_tape`] is on and the plan has more
-    /// than one shard, and every shard replays the shared
-    /// [`GoodTape`]. A batched run records one tape per batch, carries
-    /// the survivors' state across each boundary, and re-plans
-    /// ([`ParallelConfig::rebalance`]) from the measured shard times.
+    /// thread, before the pool starts) when the plan has more than one
+    /// shard, and every shard replays the shared [`GoodTape`]; a single
+    /// shard settles the good circuit itself, since recording would
+    /// cost an extra good pass without saving one. A batched run
+    /// records one tape per batch, carries the survivors' state across
+    /// each boundary, and re-plans ([`ParallelConfig::rebalance`]) from
+    /// the measured shard times.
     ///
     /// # Panics
     ///
@@ -419,14 +384,14 @@ impl<'n> ParallelSim<'n> {
                 n => (first + n).min(total),
             };
             let batch = &patterns[first..end];
-            let (tape, injected) = match &mut carry {
+            let tape = match &mut carry {
                 None => self.whole_run_tape(patterns),
-                Some(c) => (Some(Arc::new(c.recorder.record(batch))), false),
+                Some(c) => Some(Arc::new(c.recorder.record(batch))),
             };
             let (plan, workers) = carry
                 .as_ref()
                 .map_or((&self.plan, self.workers), |c| (&c.plan, c.workers));
-            if let (Some(t), false) = (&tape, injected) {
+            if let Some(t) = &tape {
                 self.telemetry
                     .gauge("core.tape.record_seconds")
                     .add(t.record_seconds());
@@ -495,9 +460,7 @@ impl<'n> ParallelSim<'n> {
                 .add(merge_t0.elapsed().as_secs_f64());
             if let Some(t) = &tape {
                 let stats = run.tape.get_or_insert_with(TapeStats::default);
-                if !injected {
-                    stats.record_seconds += t.record_seconds();
-                }
+                stats.record_seconds += t.record_seconds();
                 stats.groups += t.num_groups();
                 stats.replayed_shards += shards_run;
                 stats.heap_bytes = stats.heap_bytes.max(t.heap_bytes());
@@ -529,8 +492,6 @@ impl<'n> ParallelSim<'n> {
                     replan_seconds,
                 })
                 .is_break();
-            } else {
-                run.good_tape = tape;
             }
             run.shard_seconds.extend(shard_seconds);
             run.report.patterns.extend(merged.patterns);
@@ -547,22 +508,11 @@ impl<'n> ParallelSim<'n> {
         run
     }
 
-    /// A one-batch run's tape: the injected one if it matches `patterns`
-    /// (flagged `true`), else a fresh recording when tape reuse is on
-    /// and more than one shard can share it, else none.
-    fn whole_run_tape(&self, patterns: &[Pattern]) -> (Option<Arc<GoodTape>>, bool) {
-        let injected = self
-            .injected_tape
-            .as_ref()
-            .filter(|t| t.matches(self.net.num_nodes(), patterns))
-            .cloned();
-        if injected.is_some() {
-            return (injected, true);
-        }
-        let record = self.config.reuse_good_tape && self.plan.num_shards() > 1;
-        let tape =
-            record.then(|| Arc::new(GoodTape::record(self.net, patterns, self.config.sim.engine)));
-        (tape, false)
+    /// A one-batch run's tape: recorded when more than one shard can
+    /// share it.
+    fn whole_run_tape(&self, patterns: &[Pattern]) -> Option<Arc<GoodTape>> {
+        (self.plan.num_shards() > 1)
+            .then(|| Arc::new(GoodTape::record(self.net, patterns, self.config.sim.engine)))
     }
 }
 
@@ -699,74 +649,56 @@ mod tests {
         assert_eq!(tape.replayed_shards, 1, "only one shard consumed it");
     }
 
-    /// The tape is a pure execution detail: replay and recompute runs
-    /// are bit-identical (detections, counters), and single-shard runs
-    /// skip the tape entirely.
+    /// The tape is a pure execution detail: a replayed run is
+    /// bit-identical (detections, counters) to the same plan run
+    /// through the executor without a tape, and single-shard runs skip
+    /// the tape entirely.
     #[test]
     fn replay_matches_recompute_and_single_shard_skips_tape() {
         let (net, outs, patterns) = two_inverters();
         let universe = FaultUniverse::stuck_nodes(&net);
-        let run_with = |reuse: bool, jobs: usize| {
-            let config = ParallelConfig {
-                reuse_good_tape: reuse,
-                ..ParallelConfig::paper(jobs)
-            };
-            ParallelSim::new(&net, universe.clone(), config).run_streaming(
-                &patterns,
-                &outs,
-                |_, _| ControlFlow::Continue(()),
-            )
+        let sim_with =
+            |jobs: usize| ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(jobs));
+        let run = |sim: &ParallelSim<'_>| {
+            sim.run_streaming(&patterns, &outs, |_, _| ControlFlow::Continue(()))
         };
-        let recompute = run_with(false, 3);
-        assert!(recompute.tape.is_none(), "recompute mode records no tape");
-        let replay = run_with(true, 3);
+        let sim = sim_with(3);
+        let replay = run(&sim);
         assert!(replay.tape.is_some());
-        assert_eq!(replay.report.detections, recompute.report.detections);
-        for (r, l) in replay
-            .report
-            .patterns
-            .iter()
-            .zip(&recompute.report.patterns)
-        {
+        let work = ShardWork::new(
+            &net,
+            &universe,
+            sim.plan(),
+            &patterns,
+            &outs,
+            ConcurrentConfig::paper(),
+        );
+        assert!(
+            work.tape.is_none(),
+            "recompute: every shard settles the good circuit"
+        );
+        let mut results = Vec::new();
+        run_shards(
+            &ScopedPool::new(3),
+            Arc::new(work),
+            &Registry::null(),
+            |r| {
+                results.push(r);
+                ControlFlow::Continue(())
+            },
+        );
+        results.sort_unstable_by_key(|r| r.shard);
+        let recompute = RunReport::merge(results.into_iter().map(|r| r.report));
+        assert_eq!(replay.report.detections, recompute.detections);
+        for (r, l) in replay.report.patterns.iter().zip(&recompute.patterns) {
             assert_eq!(
                 (r.detected, r.live_before, r.good_groups, r.faulty_groups),
                 (l.detected, l.live_before, l.good_groups, l.faulty_groups)
             );
         }
-        let single = run_with(true, 1);
+        let single = run(&sim_with(1));
         assert!(single.tape.is_none(), "one shard has nothing to amortise");
-        assert_eq!(single.report.detections, recompute.report.detections);
-    }
-
-    /// An injected tape is replayed (even by a single-shard plan),
-    /// reports a zero-cost record pass, and never changes results; a
-    /// wrong-shape tape is ignored.
-    #[test]
-    fn injected_tape_replays_without_recording() {
-        let (net, outs, patterns) = two_inverters();
-        let universe = FaultUniverse::stuck_nodes(&net);
-        let baseline = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(2))
-            .run(&patterns, &outs);
-        let tape = Arc::new(GoodTape::record(
-            &net,
-            &patterns,
-            ConcurrentConfig::paper().engine,
-        ));
-        let mut sim = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(1));
-        sim.inject_good_tape(Arc::clone(&tape));
-        let run = sim.run_streaming(&patterns, &outs, |_, _| ControlFlow::Continue(()));
-        let stats = run.tape.expect("injected tape replays even at one shard");
-        assert_eq!(stats.record_seconds, 0.0, "record pass was paid elsewhere");
-        assert!(run.good_tape.is_some(), "tape re-exported for caching");
-        assert_eq!(run.report.detections, baseline.detections);
-
-        // A tape of the wrong shape (here: empty) is ignored; the
-        // single-shard run falls back to recompute mode.
-        let mut sim = ParallelSim::new(&net, universe, ParallelConfig::paper(1));
-        sim.inject_good_tape(Arc::new(GoodTape::default()));
-        let run = sim.run_streaming(&patterns, &outs, |_, _| ControlFlow::Continue(()));
-        assert!(run.tape.is_none(), "mismatched tape not replayed");
-        assert_eq!(run.report.detections, baseline.detections);
+        assert_eq!(single.report.detections, recompute.detections);
     }
 
     fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

@@ -29,13 +29,12 @@
 //!
 //! The classical trade-off of fault-partitioned simulation — every
 //! shard re-simulating the *good* circuit — is retired by the
-//! record/replay tape: the good machine is recorded once per run
-//! ([`fmossim_core::GoodTape`], on by default via
-//! [`ParallelConfig::reuse_good_tape`]) and each shard *replays* the
-//! shared log, re-deriving triggering and private events without
-//! re-settling the good circuit. Replay is bit-identical to recompute,
-//! so the remaining serial fraction is one good pass regardless of the
-//! shard count.
+//! record/replay tape: whenever more than one shard runs, the good
+//! machine is recorded once ([`fmossim_core::GoodTape`]) and each shard
+//! *replays* the shared log, re-deriving triggering and private events
+//! without re-settling the good circuit. Replay is bit-identical to
+//! recompute, so the remaining serial fraction is one good pass
+//! regardless of the shard count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

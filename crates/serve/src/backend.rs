@@ -11,11 +11,11 @@
 //! worker count.
 //!
 //! Execution semantics match the parallel backend: the good machine is
-//! recorded once (or a cached tape is injected and the record pass is
-//! skipped — then `tape_record_seconds == 0`), every shard replays the
-//! tape over its fault subset, and the merged detection set is
-//! bit-identical to an offline single-machine run of the same
-//! workload. Coverage targets stop the run at shard granularity
+//! recorded once (or the job's [`TapeSlot`] hands in a cached tape and
+//! the record pass is skipped — then `tape_record_seconds == 0`), every
+//! shard replays the tape over its fault subset, and the merged
+//! detection set is bit-identical to an offline single-machine run of
+//! the same workload. Coverage targets stop the run at shard granularity
 //! ([`StopRule`]); a cancel also skips the job's still-queued shards at
 //! pick-up. A shard that panics fails the campaign: the executor
 //! re-raises the panic on the coordinator once the job's running
@@ -29,16 +29,20 @@
 
 use crate::pool::SharedPool;
 use crate::proto::JobSpec;
-use fmossim_campaign::{
-    BackendRun, CampaignBackend, RunControl, SimEvent, StopRule, TapeSlot, Workload,
-};
+use fmossim_campaign::{BackendRun, CampaignBackend, RunControl, SimEvent, StopRule, Workload};
 use fmossim_core::{ConcurrentConfig, DetectionPolicy, GoodTape, RunReport};
 use fmossim_faults::FaultUniverse;
 use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardStrategy, ShardWork};
 use fmossim_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// A served job's good tape, shared between the coordinator and its
+/// [`ServedBackend`]: it holds the cached tape (if any) when the run
+/// starts, and the tape the run replayed when it ends — the one the
+/// coordinator puts into the [`TapeCache`](crate::TapeCache).
+pub type TapeSlot = Arc<Mutex<Option<Arc<GoodTape>>>>;
 
 /// The one simulation configuration every served campaign runs under.
 ///
@@ -67,21 +71,23 @@ pub struct ServedBackend {
     /// handed over in [`CampaignBackend::attach_cancel`]. Either token
     /// cancels.
     campaign_cancel: Arc<AtomicBool>,
-    inject: Option<Arc<GoodTape>>,
-    export: Option<TapeSlot>,
+    tape: TapeSlot,
     telemetry: Registry,
 }
 
 impl ServedBackend {
     /// A backend running `spec` as pool job `job`, cancellable via
     /// `cancel` (the job-table token) in addition to the campaign's
-    /// own token.
+    /// own token. The run replays the tape in `tape` when its shape
+    /// matches the job, records one otherwise, and leaves the tape it
+    /// replayed in `tape`.
     #[must_use]
     pub fn new(
         spec: Arc<JobSpec>,
         pool: Arc<SharedPool>,
         job: u64,
         cancel: Arc<AtomicBool>,
+        tape: TapeSlot,
     ) -> ServedBackend {
         ServedBackend {
             spec,
@@ -89,8 +95,7 @@ impl ServedBackend {
             job,
             job_cancel: cancel,
             campaign_cancel: Arc::new(AtomicBool::new(false)),
-            inject: None,
-            export: None,
+            tape,
             telemetry: Registry::null(),
         }
     }
@@ -140,14 +145,6 @@ impl CampaignBackend for ServedBackend {
         self.campaign_cancel = Arc::clone(token);
     }
 
-    fn inject_good_tape(&mut self, tape: Arc<GoodTape>) {
-        self.inject = Some(tape);
-    }
-
-    fn export_good_tape(&mut self, slot: &TapeSlot) {
-        self.export = Some(Arc::clone(slot));
-    }
-
     fn run(
         &mut self,
         w: &Workload<'_>,
@@ -167,27 +164,25 @@ impl CampaignBackend for ServedBackend {
             ..served_config()
         };
 
-        // Tape: replay the injected (cached) tape when its shape
-        // matches, otherwise pay the record pass once here on the
-        // coordinator thread. `tape_record_seconds == 0` is the
-        // cache-hit signature in the report.
-        let injected = self
-            .inject
+        // Tape: replay the cached tape when its shape matches,
+        // otherwise pay the record pass once here on the coordinator
+        // thread. `tape_record_seconds == 0` is the cache-hit signature
+        // in the report.
+        let cached = self
+            .tape
+            .lock()
+            .expect("tape slot poisoned")
             .take()
             .filter(|t| t.matches(spec.net.num_nodes(), &spec.patterns));
-        let was_injected = injected.is_some();
-        let t0 = Instant::now();
-        let tape = injected.unwrap_or_else(|| {
-            Arc::new(GoodTape::record(&spec.net, &spec.patterns, config.engine))
-        });
-        let record_seconds = if was_injected {
-            0.0
-        } else {
-            t0.elapsed().as_secs_f64()
+        let (tape, record_seconds) = match cached {
+            Some(tape) => (tape, 0.0),
+            None => {
+                let t0 = Instant::now();
+                let tape = Arc::new(GoodTape::record(&spec.net, &spec.patterns, config.engine));
+                (tape, t0.elapsed().as_secs_f64())
+            }
         };
-        if let Some(slot) = &self.export {
-            *slot.lock().expect("tape slot poisoned") = Some(Arc::clone(&tape));
-        }
+        *self.tape.lock().expect("tape slot poisoned") = Some(Arc::clone(&tape));
 
         let shards = ServedShards {
             spec: Arc::clone(spec),
@@ -272,8 +267,7 @@ mod tests {
     fn run_served(
         spec: &Arc<JobSpec>,
         pool: &Arc<SharedPool>,
-        tape: Option<Arc<GoodTape>>,
-        slot: Option<&TapeSlot>,
+        slot: &TapeSlot,
     ) -> fmossim_campaign::CampaignReport {
         let cancel = Arc::new(AtomicBool::new(false));
         let backend = ServedBackend::new(
@@ -281,19 +275,19 @@ mod tests {
             Arc::clone(pool),
             spec.cache_key().0,
             cancel,
+            Arc::clone(slot),
         );
-        let mut campaign = Campaign::new(&spec.net)
+        Campaign::new(&spec.net)
             .faults(spec.universe.clone())
             .patterns(&spec.patterns)
             .outputs(&spec.outputs)
-            .backend_impl(Box::new(backend));
-        if let Some(tape) = tape {
-            campaign = campaign.with_good_tape(tape);
-        }
-        if let Some(slot) = slot {
-            campaign = campaign.export_good_tape(slot);
-        }
-        campaign.run()
+            .backend_impl(Box::new(backend))
+            .run()
+    }
+
+    /// A slot holding `tape` on entry.
+    fn slot_with(tape: Arc<GoodTape>) -> TapeSlot {
+        Arc::new(Mutex::new(Some(tape)))
     }
 
     #[test]
@@ -301,7 +295,7 @@ mod tests {
         let spec = Arc::new(spec(5));
         let pool = Arc::new(SharedPool::new(2, &Registry::null()));
         let slot: TapeSlot = TapeSlot::default();
-        let served = run_served(&spec, &pool, None, Some(&slot));
+        let served = run_served(&spec, &pool, &slot);
         assert_eq!(served.backend, "served");
         assert_eq!(served.shards, Some(5));
         assert_eq!(served.jobs, Some(2));
@@ -326,7 +320,7 @@ mod tests {
         let _ = stimulus_content_hash(&spec.patterns);
 
         // Warm run: inject the tape back — no record pass, same set.
-        let warm = run_served(&spec, &pool, Some(tape), None);
+        let warm = run_served(&spec, &pool, &slot_with(tape));
         assert_eq!(warm.tape_record_seconds, Some(0.0), "cache-hit signature");
         assert_eq!(warm.run.detections, offline.run.detections);
     }
@@ -335,9 +329,15 @@ mod tests {
     fn collapsed_jobs_match_uncollapsed_ones() {
         let spec = Arc::new(spec(4));
         let pool = Arc::new(SharedPool::new(2, &Registry::null()));
-        let plain = run_served(&spec, &pool, None, None);
+        let plain = run_served(&spec, &pool, &TapeSlot::default());
         let cancel = Arc::new(AtomicBool::new(false));
-        let backend = ServedBackend::new(Arc::clone(&spec), Arc::clone(&pool), 9, cancel);
+        let backend = ServedBackend::new(
+            Arc::clone(&spec),
+            Arc::clone(&pool),
+            9,
+            cancel,
+            TapeSlot::default(),
+        );
         let collapsed = Campaign::new(&spec.net)
             .faults(spec.universe.clone())
             .patterns(&spec.patterns)
@@ -364,7 +364,13 @@ mod tests {
         let pool = Arc::new(SharedPool::new(1, &Registry::null()));
         for collapse in [false, true] {
             let cancel = Arc::new(AtomicBool::new(false));
-            let backend = ServedBackend::new(Arc::clone(&spec), Arc::clone(&pool), 21, cancel);
+            let backend = ServedBackend::new(
+                Arc::clone(&spec),
+                Arc::clone(&pool),
+                21,
+                cancel,
+                TapeSlot::default(),
+            );
             let report = Campaign::new(&spec.net)
                 .faults(spec.universe.clone())
                 .patterns(&spec.patterns)
@@ -391,9 +397,9 @@ mod tests {
     fn wrong_shape_injected_tape_is_ignored() {
         let spec = Arc::new(spec(3));
         let pool = Arc::new(SharedPool::new(2, &Registry::null()));
-        let cold = run_served(&spec, &pool, None, None);
+        let cold = run_served(&spec, &pool, &TapeSlot::default());
         let stale = Arc::new(GoodTape::default());
-        let guarded = run_served(&spec, &pool, Some(stale), None);
+        let guarded = run_served(&spec, &pool, &slot_with(stale));
         assert!(
             guarded.tape_record_seconds.unwrap() > 0.0,
             "fell back to recording"
@@ -407,8 +413,13 @@ mod tests {
         // One worker: shards run strictly one at a time.
         let pool = Arc::new(SharedPool::new(1, &Registry::null()));
         let cancel = Arc::new(AtomicBool::new(false));
-        let backend =
-            ServedBackend::new(Arc::clone(&spec), Arc::clone(&pool), 1, Arc::clone(&cancel));
+        let backend = ServedBackend::new(
+            Arc::clone(&spec),
+            Arc::clone(&pool),
+            1,
+            Arc::clone(&cancel),
+            TapeSlot::default(),
+        );
         let report = Campaign::new(&spec.net)
             .faults(spec.universe.clone())
             .patterns(&spec.patterns)

@@ -11,7 +11,7 @@
 //! HTTP/1.0 and 1.1 with standard keep-alive defaults, fixed-length
 //! responses, and chunked responses for the SSE event stream.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Largest accepted request body. Netlist submissions are text; the
 /// paper's largest benchmark circuit (RAM256) serialises well under a
@@ -99,10 +99,14 @@ fn io_err(e: &io::Error) -> HttpError {
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, enforcing the
-/// running head budget. Returns `None` on clean EOF at a line start.
+/// running head budget: at most `budget + 1` bytes are consumed, so a
+/// line that never ends cannot grow without bound. Returns `None` on
+/// clean EOF at a line start.
 fn read_line(r: &mut dyn BufRead, budget: &mut usize) -> Result<Option<String>, HttpError> {
     let mut line = String::new();
-    let n = r.read_line(&mut line).map_err(|e| io_err(&e))?;
+    let n = Read::take(r, *budget as u64 + 1)
+        .read_line(&mut line)
+        .map_err(|e| io_err(&e))?;
     if n == 0 {
         return Ok(None);
     }
@@ -432,6 +436,17 @@ mod tests {
         head.extend(std::iter::repeat_n(&b"x-pad: aaaaaaaaaaaaaaaa\r\n"[..], 4000).flatten());
         head.extend(b"\r\n");
         assert_eq!(parse(&head).expect_err("too large").status(), 413);
+    }
+
+    /// A head line that never ends is cut off at the budget: the
+    /// parser consumes `MAX_HEAD + 1` bytes, not the whole stream.
+    #[test]
+    fn unterminated_head_line_stops_at_the_budget() {
+        let total = 4 * MAX_HEAD;
+        let mut r = io::BufReader::new(io::repeat(b'a').take(total as u64));
+        assert_eq!(parse_request(&mut r), Err(HttpError::TooLarge));
+        let unread = io::copy(&mut r, &mut io::sink()).unwrap();
+        assert_eq!(unread, (total - MAX_HEAD - 1) as u64);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! collect results — so total simulation CPU stays bounded no matter
 //! how many campaigns are in flight.
 
-use crate::backend::ServedBackend;
+use crate::backend::{ServedBackend, TapeSlot};
 use crate::cache::TapeCache;
 use crate::http::{
     finish_chunked, parse_request, write_chunk, write_event_stream_head, write_response, Request,
@@ -34,12 +34,12 @@ use crate::job::{format_job_id, parse_job_id, Job, JobTable};
 use crate::pool::SharedPool;
 use crate::proto::{parse_submission, JobSpec, DEFAULT_SHARDS};
 use fmossim_campaign::json::{obj, Value};
-use fmossim_campaign::{Campaign, TapeSlot};
+use fmossim_campaign::Campaign;
 use fmossim_telemetry::Registry;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Server construction knobs.
 #[derive(Clone, Debug)]
@@ -277,13 +277,14 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
         job.set_running(cached.is_some());
 
         let spec = Arc::new(spec);
-        let slot = TapeSlot::default();
+        let slot: TapeSlot = Arc::new(Mutex::new(cached));
         let job_registry = Registry::new();
         let backend = ServedBackend::new(
             Arc::clone(&spec),
             Arc::clone(&state.pool),
             job.id,
             Arc::clone(&job.cancel),
+            Arc::clone(&slot),
         );
         let observer_job = Arc::clone(job);
         let mut campaign = Campaign::new(&spec.net)
@@ -293,13 +294,9 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
             .backend_impl(Box::new(backend))
             .collapse(spec.collapse)
             .with_telemetry(&job_registry)
-            .export_good_tape(&slot)
             .on_event(move |e| observer_job.push_event(&e));
         if let Some(target) = spec.stop_at_coverage {
             campaign = campaign.stop_at_coverage(target);
-        }
-        if let Some(tape) = cached {
-            campaign = campaign.with_good_tape(tape);
         }
         let report = campaign.run();
 

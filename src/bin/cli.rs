@@ -13,7 +13,7 @@
 //!                  [--sample K] [--seed S] [--serial]
 //!                  [--stop-at-coverage F] [--pattern-limit N]
 //!                  [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-//!                  [--replay on|off] [--batch N] [--packing on|off]
+//!                  [--batch N] [--packing on|off]
 //!                  [--collapse on|off] [--metrics <path>[.prom|.json]]
 //! ```
 //!
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("stats") => cmd_stats(&args[1..]),
-        Some("zoo") => cmd_zoo(),
+        Some("zoo") => cmd_zoo(&args[1..]),
         Some("gen") => cmd_gen(&args[1..]),
         Some("stim") => cmd_stim(&args[1..]),
         Some("sim") => cmd_sim(&args[1..]),
@@ -80,7 +80,7 @@ usage:
                    [--sample K] [--seed S] [--serial]
                    [--stop-at-coverage F] [--pattern-limit N]
                    [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-                   [--replay on|off] [--batch N] [--packing on|off]
+                   [--batch N] [--packing on|off]
                    [--collapse on|off] [--metrics <path>[.prom|.json]]
   fmossim serve    [--addr HOST:PORT] [--workers N] [--cache-mb N]
                    [--default-shards N]
@@ -106,18 +106,13 @@ and batch size; the batch size only moves where a --stop-at-coverage
 stop lands.
 
 --jobs N picks the worker count, `auto` sizes the pool from the
-workload (and, with --batch, re-sizes it between batches).
---replay on (the default) records the good machine once and replays
-the tape in every shard; --replay off re-settles the good circuit per
-shard (A/B measurement; not available with --batch, whose batches
-are built on the tape). The two options resolve in this
-order: --jobs is resolved first (auto -> a worker count sized from
-the workload), the shard count follows from the resolved workers, and
---replay on then takes effect only when more than one shard exists —
-with --jobs auto on a small workload the pool resolves to one worker,
-one shard, and the tape is skipped even under --replay on (recording
-would cost a good pass without saving one). The post-run `plan:` line
-echoes what actually resolved.
+workload (and, with --batch, re-sizes it between batches). The shard
+count follows from the resolved workers. With more than one shard the
+good machine is recorded once and the tape replayed in every shard;
+a single shard settles the good circuit itself (recording would cost
+a good pass without saving one), so with --jobs auto on a small
+workload the tape is skipped. The post-run `plan:` line echoes what
+actually resolved.
 
 --packing on enables the bit-parallel packed evaluation path on the
 concurrent-family backends (concurrent, parallel): fault
@@ -180,6 +175,37 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// Rejects any `--` argument of subcommand `cmd` that its lines in
+/// [`USAGE`] do not list, so a misspelled flag fails instead of being
+/// silently ignored.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), String> {
+    let mut known = Vec::new();
+    let mut in_cmd = false;
+    for line in USAGE.lines() {
+        let text = line.trim_start();
+        if let Some(rest) = text.strip_prefix("fmossim ") {
+            in_cmd = rest.split_whitespace().next() == Some(cmd);
+        } else if text.len() == line.len() {
+            in_cmd = false; // prose, not a usage continuation line
+        }
+        if in_cmd {
+            known.extend(
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                    .filter(|w| w.starts_with("--")),
+            );
+        }
+    }
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(a) => Err(format!(
+            "unknown flag `{a}` for `{cmd}` (see `fmossim --help`)"
+        )),
+        None => Ok(()),
+    }
+}
+
 fn node_list(net: &Network, spec: &str) -> Result<Vec<NodeId>, String> {
     spec.split(',')
         .map(|name| {
@@ -225,6 +251,7 @@ fn parse_stim(net: &Network, text: &str) -> Result<Vec<Pattern>, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
+    check_flags("stats", args)?;
     let path = args.first().ok_or("stats needs a netlist path")?;
     let net = load(path)?;
     println!("{}", NetworkStats::of(&net));
@@ -242,7 +269,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 
 /// Lists the benchmark circuit zoo with per-circuit statistics — the
 /// registry `faultsim --circuit` and the `evalsuite` bench bin run on.
-fn cmd_zoo() -> Result<(), String> {
+fn cmd_zoo(args: &[String]) -> Result<(), String> {
+    check_flags("zoo", args)?;
     println!(
         "{:<12} {:>11} {:>7} {:>8} {:>8}  description",
         "name", "transistors", "nodes", "patterns", "outputs"
@@ -264,6 +292,7 @@ fn cmd_zoo() -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
+    check_flags("gen", args)?;
     match args {
         [kind, a, b] if kind == "ram" => {
             let rows: usize = a.parse().map_err(|_| "rows must be a number")?;
@@ -294,6 +323,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 /// fmossim faultsim ram64.snl --stim ram64.stim --outputs DOUT --jobs 4
 /// ```
 fn cmd_stim(args: &[String]) -> Result<(), String> {
+    check_flags("stim", args)?;
     let [kind, a, b, ..] = args else {
         return Err("stim needs: ram <rows> <cols> [--march-only]".into());
     };
@@ -335,6 +365,7 @@ fn cmd_stim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
+    check_flags("sim", args)?;
     let path = args.first().ok_or("sim needs a netlist path")?;
     let net = load(path)?;
     let stim_path = opt(args, "--stim").ok_or("sim needs --stim <file>")?;
@@ -370,6 +401,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_faultsim(args: &[String]) -> Result<(), String> {
+    check_flags("faultsim", args)?;
     let (net, patterns, outputs) = if let Some(name) = opt(args, "--circuit") {
         // Zoo mode: the registry supplies circuit, stimulus and
         // observed outputs; the file-based options would be ignored,
@@ -440,13 +472,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             format!("unknown shard strategy `{spec}` (round-robin|contiguous|cost)")
         })?,
     };
-    let replay = opt(args, "--replay")
-        .map(|s| match s {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(format!("--replay takes `on` or `off`, not `{other}`")),
-        })
-        .transpose()?;
     let packing = opt(args, "--packing")
         .map(|s| match s {
             "on" => Ok(true),
@@ -476,20 +501,13 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         "concurrent"
     });
     if backend_name != "parallel" {
-        for flag in ["--jobs", "--shard-strategy", "--replay", "--batch"] {
+        for flag in ["--jobs", "--shard-strategy", "--batch"] {
             if opt(args, flag).is_some() {
                 return Err(format!(
                     "{flag} requires the parallel backend, not `{backend_name}`"
                 ));
             }
         }
-    }
-    if replay.is_some() && batch.is_some() {
-        return Err(
-            "--replay has no effect with --batch: each batch's good tape is always \
-             recorded and replayed"
-                .into(),
-        );
     }
     if flag(args, "--json") && flag(args, "--serial") {
         return Err(
@@ -572,9 +590,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         let n: usize = n.parse().map_err(|_| "--pattern-limit takes a number")?;
         campaign = campaign.pattern_limit(n);
     }
-    if let Some(reuse) = replay {
-        campaign = campaign.reuse_good_tape(reuse);
-    }
     let report = campaign.run();
 
     if let Some(path) = metrics_path {
@@ -604,19 +619,16 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         report.wall_seconds,
         report.backend,
     );
-    // Echo what `--jobs auto` and the tape knob actually resolved to —
-    // the plan is otherwise invisible to the user. (Resolution order:
-    // jobs first, shard count from the resolved workers, tape only
-    // when more than one shard exists.)
+    // Echo what `--jobs auto` actually resolved to — the plan is
+    // otherwise invisible to the user. (Resolution order: jobs first,
+    // shard count from the resolved workers, tape only when more than
+    // one shard exists.)
     if let (Some(jobs), Some(shards)) = (report.jobs, report.shards) {
         let tape = match (report.tape_record_seconds, report.tape_groups) {
             (Some(secs), Some(groups)) => {
                 format!("good tape replayed ({groups} groups recorded in {secs:.3}s)")
             }
-            _ if report.control.reuse_good_tape && shards <= 1 => {
-                "good tape skipped (single shard)".to_string()
-            }
-            _ => "good machine recomputed per shard".to_string(),
+            _ => "good tape skipped (single shard)".to_string(),
         };
         println!(
             "{} plan: {jobs} worker(s) x {shards} shard(s), {tape}",
@@ -695,6 +707,7 @@ fn resolve_addr(args: &[String]) -> Result<std::net::SocketAddr, String> {
 /// address goes to stdout first so scripts can capture it even when
 /// `--addr` leaves the port at 0.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    check_flags("serve", args)?;
     use fmossim::serve::{Server, ServerConfig};
     let mut config = ServerConfig::default();
     if let Some(addr) = opt(args, "--addr") {
@@ -798,6 +811,7 @@ fn submission_body(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {
+    check_flags("submit", args)?;
     use fmossim::campaign::json;
     use fmossim::campaign::CampaignReport;
     use fmossim::serve::{request, sse_events};
@@ -890,6 +904,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_cancel(args: &[String]) -> Result<(), String> {
+    check_flags("cancel", args)?;
     use fmossim::serve::request;
     let addr = resolve_addr(args)?;
     let id = args

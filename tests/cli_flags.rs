@@ -1,0 +1,71 @@
+//! The CLI rejects `--` flags its usage does not list, naming the
+//! flag, instead of silently ignoring them.
+
+use std::process::{Command, Output};
+
+fn fmossim(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fmossim"))
+        .args(args)
+        .output()
+        .expect("run fmossim")
+}
+
+fn assert_unknown_flag(args: &[&str], flag: &str) {
+    let out = fmossim(args);
+    assert!(!out.status.success(), "{args:?} must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag `{flag}`")),
+        "{args:?}: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+}
+
+#[test]
+fn misspelled_flag_is_an_error() {
+    assert_unknown_flag(
+        &["faultsim", "--circuit", "ram4x4", "--pakcing", "on"],
+        "--pakcing",
+    );
+    assert_unknown_flag(&["serve", "--worker", "2"], "--worker");
+}
+
+#[test]
+fn removed_replay_flag_is_an_error() {
+    assert_unknown_flag(
+        &[
+            "faultsim",
+            "--circuit",
+            "ram4x4",
+            "--jobs",
+            "2",
+            "--replay",
+            "off",
+        ],
+        "--replay",
+    );
+}
+
+#[test]
+fn listed_flags_run() {
+    let out = fmossim(&[
+        "faultsim",
+        "--circuit",
+        "ram4x4",
+        "--packing",
+        "on",
+        "--jobs",
+        "2",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("detected "), "{stdout}");
+    assert!(
+        stdout.contains("parallel plan: 2 worker(s) x 2 shard(s), good tape replayed"),
+        "{stdout}"
+    );
+}

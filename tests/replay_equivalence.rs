@@ -1,35 +1,40 @@
 //! Record/replay equivalence: a parallel campaign that replays the
-//! recorded good-machine tape must be **bit-identical** to one that
-//! re-settles the good circuit in every shard — same detection
-//! sequence (canonical order), same per-pattern counters, same
-//! coverage — across shard counts, shard strategies, and the benchmark
-//! circuits. A property test over random small netlists (offline
-//! proptest shim) covers topologies the fixtures do not.
+//! recorded good-machine tape must be **bit-identical** to the same
+//! shard plan run through the shard executor without a tape, where
+//! every shard re-settles the good circuit — same detection sequence
+//! (canonical order), same per-pattern counters, same coverage —
+//! across shard counts, shard strategies, and the benchmark circuits.
+//! A property test over random small netlists (offline proptest shim)
+//! covers topologies the fixtures do not.
 
 use fmossim::campaign::{Backend, Campaign, CampaignReport};
 use fmossim::circuits::{Ram, RippleAdder};
-use fmossim::concurrent::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, Phase};
+use fmossim::concurrent::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, Phase, RunReport};
 use fmossim::faults::FaultUniverse;
 use fmossim::netlist::{Drive, Logic, Network, NodeId, Size, TransistorType};
-use fmossim::par::{Jobs, ParallelConfig, ParallelSim, ShardStrategy};
+use fmossim::par::{
+    run_shards, Jobs, ParallelConfig, ParallelSim, ScopedPool, ShardPlan, ShardStrategy, ShardWork,
+};
+use fmossim::telemetry::Registry;
 use fmossim::testgen::TestSequence;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 
 const SEED: u64 = 850_715;
 
 /// Everything of a report that must not depend on the execution
 /// strategy: detections in their canonical emitted order, the fault
 /// count, and the per-pattern counters (everything but wall time).
-fn fingerprint(r: &CampaignReport) -> (Vec<String>, usize, Vec<String>) {
+fn fingerprint(r: &RunReport) -> (Vec<String>, usize, Vec<String>) {
     let detections = r
-        .detections()
+        .detections
         .iter()
         .map(fmossim::concurrent::Detection::canonical_key)
         .collect();
     let patterns = r
-        .run
         .patterns
         .iter()
         .map(|p| {
@@ -44,7 +49,7 @@ fn fingerprint(r: &CampaignReport) -> (Vec<String>, usize, Vec<String>) {
             )
         })
         .collect();
-    (detections, r.run.num_faults, patterns)
+    (detections, r.num_faults, patterns)
 }
 
 fn run_campaign(
@@ -54,7 +59,6 @@ fn run_campaign(
     outputs: &[NodeId],
     jobs: usize,
     strategy: ShardStrategy,
-    replay: bool,
 ) -> CampaignReport {
     Campaign::new(net)
         .faults(universe.clone())
@@ -66,12 +70,41 @@ fn run_campaign(
             sim: ConcurrentConfig::paper(),
             ..ParallelConfig::default()
         }))
-        .reuse_good_tape(replay)
         .run()
 }
 
+/// `plan` run through the shard executor without a tape — every shard
+/// settles the good circuit itself — merged in shard order, as the
+/// parallel driver merges.
+fn recompute(
+    net: &Network,
+    universe: &FaultUniverse,
+    plan: &ShardPlan,
+    patterns: &[Pattern],
+    outputs: &[NodeId],
+    sim: ConcurrentConfig,
+) -> RunReport {
+    let work = ShardWork::new(net, universe, plan, patterns, outputs, sim);
+    assert!(work.tape.is_none());
+    let mut results = Vec::new();
+    run_shards(
+        &ScopedPool::new(plan.num_shards()),
+        Arc::new(work),
+        &Registry::null(),
+        |r| {
+            results.push(r);
+            ControlFlow::Continue(())
+        },
+    );
+    results.sort_unstable_by_key(|r| r.shard);
+    let mut report = RunReport::merge(results.into_iter().map(|r| r.report));
+    report.num_faults = universe.len();
+    report
+}
+
 /// The property: for K ∈ {1, 2, 4} × all three strategies, the
-/// replay-backed campaign equals the recompute campaign bit for bit.
+/// campaign equals the same plan recomputed without a tape, bit for
+/// bit, and records a tape iff it has more than one shard.
 fn assert_replay_equivalence(
     net: &Network,
     universe: &FaultUniverse,
@@ -80,18 +113,24 @@ fn assert_replay_equivalence(
 ) {
     for k in [1usize, 2, 4] {
         for strategy in ShardStrategy::ALL {
-            let recompute = run_campaign(net, universe, patterns, outputs, k, strategy, false);
-            let replay = run_campaign(net, universe, patterns, outputs, k, strategy, true);
+            let replay = run_campaign(net, universe, patterns, outputs, k, strategy);
+            let shards = replay.shards.expect("parallel backend reports shards");
+            // The plan `Jobs::Fixed(k)` gives the campaign: k shards.
+            let plan = ShardPlan::build(net, universe, k, strategy);
+            assert_eq!(plan.num_shards(), shards);
+            let reference = recompute(
+                net,
+                universe,
+                &plan,
+                patterns,
+                outputs,
+                ConcurrentConfig::paper(),
+            );
             assert_eq!(
-                fingerprint(&replay),
-                fingerprint(&recompute),
+                fingerprint(&replay.run),
+                fingerprint(&reference),
                 "K={k} strategy={strategy}: replay diverged from recompute"
             );
-            assert_eq!(
-                recompute.tape_record_seconds, None,
-                "recompute mode must not record a tape"
-            );
-            let shards = replay.shards.expect("parallel backend reports shards");
             assert_eq!(
                 replay.tape_record_seconds.is_some(),
                 shards > 1,
@@ -129,7 +168,6 @@ fn ram64_replay_is_bit_identical() {
         ram.observed_outputs(),
         2,
         ShardStrategy::default(),
-        true,
     );
     assert!(reference.detected() > 0, "workload must detect something");
     assert_replay_equivalence(
@@ -282,17 +320,16 @@ proptest! {
         }
 
         // Driver-level comparison at two shards.
-        let pconfig = |reuse| ParallelConfig {
+        let pconfig = ParallelConfig {
             jobs: Jobs::Fixed(2),
-            reuse_good_tape: reuse,
             sim: config,
             ..ParallelConfig::default()
         };
-        let recompute = ParallelSim::new(&case.net, universe.clone(), pconfig(false))
-            .run(&case.patterns, &case.outputs);
-        let replay = ParallelSim::new(&case.net, universe.clone(), pconfig(true))
-            .run(&case.patterns, &case.outputs);
-        prop_assert_eq!(&replay.detections, &recompute.detections,
+        let sim = ParallelSim::new(&case.net, universe.clone(), pconfig);
+        let replay = sim.run(&case.patterns, &case.outputs);
+        let reference =
+            recompute(&case.net, &universe, sim.plan(), &case.patterns, &case.outputs, config);
+        prop_assert_eq!(&replay.detections, &reference.detections,
             "seed={} sharded replay detections diverged", seed);
     }
 }

@@ -258,6 +258,7 @@ fn merged_counters_are_shard_count_invariant() {
         let w = build_zoo(circuit).expect("zoo member");
         let universe = FaultUniverse::stuck_nodes(&w.net);
         let mut baseline: Option<(usize, BTreeMap<String, u64>)> = None;
+        let mut good_groups = 0;
         for k in [1usize, 2, 4] {
             let registry = Registry::new();
             let report = Campaign::new(&w.net)
@@ -299,6 +300,23 @@ fn merged_counters_are_shard_count_invariant() {
                 invariant["core.circuit.settles"] > 0,
                 "{circuit} K={k}: workload does work"
             );
+            // The tape shrinks good-machine work: one shard settles the
+            // good circuit itself; K >= 2 shards record it once and all
+            // K replay the recording instead of settling it again.
+            let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
+            if k == 1 {
+                good_groups = counter("core.good.groups");
+                assert!(good_groups > 0, "{circuit}: the good machine does work");
+                assert_eq!(counter("core.tape.groups"), 0, "{circuit}: no tape at K=1");
+            } else {
+                assert_eq!(counter("core.good.groups"), 0, "{circuit} K={k}");
+                assert_eq!(counter("core.tape.groups"), good_groups, "{circuit} K={k}");
+                assert_eq!(
+                    counter("core.tape.replayed_groups"),
+                    k as u64 * good_groups,
+                    "{circuit} K={k}"
+                );
+            }
             match &baseline {
                 None => baseline = Some((k, invariant)),
                 Some((k0, expected)) => {
