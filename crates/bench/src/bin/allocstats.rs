@@ -27,7 +27,7 @@
 //! which worker parks which arena vary), so the printed delta is a
 //! stable measurement, not a noisy benchmark.
 
-use fmossim_bench::arg_value;
+use fmossim_bench::Flags;
 use fmossim_circuits::Ram;
 use fmossim_core::{ConcurrentConfig, ConcurrentSim, Detection, GoodTape};
 use fmossim_faults::{FaultUniverse, DEFAULT_SEED};
@@ -107,11 +107,11 @@ fn measure(work: ShardWork<'_>, jobs: usize) -> Measurement {
 }
 
 fn main() {
-    let parse = |name: &str| arg_value(name).and_then(|s| s.parse::<usize>().ok());
-    let dim = parse("--dim").unwrap_or(8);
-    let batch = parse("--batch").unwrap_or(8);
-    let jobs = parse("--jobs").unwrap_or(2);
-    let sample = parse("--sample");
+    let flags = Flags::from_env(&[], &["--dim", "--batch", "--jobs", "--sample"]);
+    let dim = flags.value("--dim").unwrap_or(8);
+    let batch = flags.value("--batch").unwrap_or(8);
+    let jobs = flags.value("--jobs").unwrap_or(2);
+    let sample: Option<usize> = flags.value("--sample");
 
     let ram = Ram::new(dim, dim);
     let seq = TestSequence::march_only(&ram);

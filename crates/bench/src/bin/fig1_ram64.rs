@@ -20,20 +20,19 @@
 //! rather than only the paper's estimator.
 
 use fmossim_bench::{
-    arg_flag, arg_value, compare_row, good_only_seconds, paper_universe, print_figure_csv,
-    ram_with_bridges, seconds_in, transistor_universe, SEED,
+    compare_row, good_only_seconds, paper_universe, print_figure_csv, ram_with_bridges, seconds_in,
+    transistor_universe, Flags, SEED,
 };
 use fmossim_campaign::{Backend, Campaign, SerialConfig};
 use fmossim_core::ConcurrentConfig;
 use fmossim_testgen::TestSequence;
 
 fn main() {
-    let n_faults: usize = arg_value("--faults")
-        .map(|v| v.parse().expect("--faults takes a number"))
-        .unwrap_or(428);
+    let flags = Flags::from_env(&["--csv", "--fault-mix", "--measure-serial"], &["--faults"]);
+    let n_faults = flags.value("--faults").unwrap_or(428);
     let (ram, bridges) = ram_with_bridges(8, 8);
     let mut universe = paper_universe(&ram, bridges);
-    if arg_flag("--fault-mix") {
+    if flags.has("--fault-mix") {
         universe = universe.union(transistor_universe(&ram));
     }
     let universe = universe.sample(n_faults, SEED);
@@ -54,7 +53,7 @@ fn main() {
         .run();
     let report = &campaign_report.run;
 
-    if arg_flag("--csv") {
+    if flags.has("--csv") {
         print_figure_csv(report);
     }
 
@@ -134,7 +133,7 @@ fn main() {
         )
     );
 
-    if arg_flag("--measure-serial") {
+    if flags.has("--measure-serial") {
         let sreport = Campaign::new(ram.network())
             .faults(universe)
             .patterns(seq.patterns())

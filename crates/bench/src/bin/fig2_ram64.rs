@@ -12,17 +12,15 @@
 //! Usage: `fig2_ram64 [--faults N] [--csv]`
 
 use fmossim_bench::{
-    arg_flag, arg_value, compare_row, good_only_seconds, paper_universe, print_figure_csv,
-    ram_with_bridges, SEED,
+    compare_row, good_only_seconds, paper_universe, print_figure_csv, ram_with_bridges, Flags, SEED,
 };
 use fmossim_campaign::{Backend, Campaign};
 use fmossim_core::ConcurrentConfig;
 use fmossim_testgen::TestSequence;
 
 fn main() {
-    let n_faults: usize = arg_value("--faults")
-        .map(|v| v.parse().expect("--faults takes a number"))
-        .unwrap_or(428);
+    let flags = Flags::from_env(&["--csv"], &["--faults"]);
+    let n_faults = flags.value("--faults").unwrap_or(428);
     let (ram, bridges) = ram_with_bridges(8, 8);
     let universe = paper_universe(&ram, bridges).sample(n_faults, SEED);
     let seq1 = TestSequence::full(&ram);
@@ -47,7 +45,7 @@ fn main() {
     // Sequence 2 run.
     let (good2, good2_avg) = good_only_seconds(&ram, seq2.patterns());
     let report2 = concurrent(seq2.patterns());
-    if arg_flag("--csv") {
+    if flags.has("--csv") {
         print_figure_csv(&report2);
     }
     let serial2: f64 = report2

@@ -14,16 +14,16 @@
 //! Serial times default to the paper's estimator; `--measure-serial`
 //! runs the true serial simulator as well (slow: O(faults × patterns)).
 
-use fmossim_bench::{arg_flag, arg_value, compare_row, paper_universe, ram_with_bridges, SEED};
+use fmossim_bench::{compare_row, paper_universe, ram_with_bridges, Flags, SEED};
 use fmossim_campaign::{Backend, Campaign, SerialConfig};
 use fmossim_core::{ConcurrentConfig, SerialSim};
 use fmossim_testgen::TestSequence;
 
 fn main() {
-    let steps: usize = arg_value("--steps")
-        .map(|v| v.parse().expect("--steps takes a number"))
-        .unwrap_or(6);
-    let (rows, cols) = if arg_flag("--small") {
+    let flags = Flags::from_env(&["--measure-serial", "--small"], &["--steps"]);
+    let steps: usize = flags.value("--steps").unwrap_or(6);
+    let measure_serial = flags.has("--measure-serial");
+    let (rows, cols) = if flags.has("--small") {
         (8, 8)
     } else {
         (16, 16)
@@ -65,7 +65,7 @@ fn main() {
             .map(|&p| p as f64 * good_avg)
             .sum();
         let serial_est_pp = serial_est / n_patterns;
-        let measured_pp = if arg_flag("--measure-serial") {
+        let measured_pp = if measure_serial {
             let sreport = Campaign::new(ram.network())
                 .faults(sample)
                 .patterns(seq.patterns())

@@ -15,7 +15,7 @@
 //! Usage: `scaling [--sizes 8,16,32]` — sweeping more sizes shows the
 //! quadratic (good, concurrent) vs. cubic (serial) growth directly.
 
-use fmossim_bench::{arg_value, compare_row, good_only_seconds, paper_universe, ram_with_bridges};
+use fmossim_bench::{compare_row, good_only_seconds, paper_universe, ram_with_bridges, Flags};
 use fmossim_campaign::{Backend, Campaign};
 use fmossim_core::ConcurrentConfig;
 use fmossim_testgen::TestSequence;
@@ -59,11 +59,8 @@ fn measure(dim: usize) -> Row {
 }
 
 fn main() {
-    let sizes: Vec<usize> = arg_value("--sizes")
-        .unwrap_or_else(|| "8,16".into())
-        .split(',')
-        .map(|s| s.trim().parse().expect("--sizes takes numbers"))
-        .collect();
+    let flags = Flags::from_env(&[], &["--sizes"]);
+    let sizes: Vec<usize> = flags.list("--sizes").unwrap_or_else(|| vec![8, 16]);
     let rows: Vec<Row> = sizes.iter().map(|&d| measure(d)).collect();
 
     println!("== Scaling: good vs. concurrent vs. serial ==");

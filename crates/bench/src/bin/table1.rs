@@ -1,9 +1,11 @@
 //! Regenerates **Table 1** of the paper: transistor state as a
 //! function of gate node state, for n-, p- and d-type devices.
 
+use fmossim_bench::Flags;
 use fmossim_netlist::{Logic, TransistorType};
 
 fn main() {
+    let _ = Flags::from_env(&[], &[]);
     println!("Table 1: Transistor State as Function of Gate Node State");
     println!();
     println!("gate state   n-type   p-type   d-type");

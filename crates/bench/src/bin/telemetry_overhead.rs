@@ -7,15 +7,14 @@
 //! registry attached. This binary measures it — each repetition runs
 //! the modes in ABBA order (null, active, active, null) so linear
 //! machine drift cancels out of the per-rep ratio, the budget is
-//! asserted on the median ratio — and prints the
-//! `BENCH_telemetry.json` artifact.
+//! asserted on the median ratio — and prints one JSON document.
 //!
 //! Usage: `telemetry_overhead [--circuit ram64] [--reps 5] [--sample N]`
 //!
 //! Both modes must also grade identically (telemetry never changes
 //! results); the binary asserts detection equality per repetition.
 
-use fmossim_bench::{arg_value, stats};
+use fmossim_bench::Flags;
 use fmossim_campaign::{Backend, Campaign, CampaignReport, ConcurrentConfig, Registry};
 use fmossim_faults::FaultUniverse;
 use fmossim_testgen::zoo::{build_zoo, ZOO_SEED};
@@ -24,15 +23,13 @@ use fmossim_testgen::zoo::{build_zoo, ZOO_SEED};
 const MAX_REGRESSION: f64 = 0.03;
 
 fn main() {
-    let circuit = arg_value("--circuit").unwrap_or_else(|| "ram64".into());
-    let reps: usize = arg_value("--reps")
-        .map(|s| s.parse().expect("--reps takes a number"))
-        .unwrap_or(5)
-        .max(1);
+    let flags = Flags::from_env(&[], &["--circuit", "--reps", "--sample"]);
+    let circuit: String = flags.value("--circuit").unwrap_or_else(|| "ram64".into());
+    let reps = flags.value("--reps").unwrap_or(5).max(1);
+    let sample: Option<usize> = flags.value("--sample");
     let w = build_zoo(&circuit).expect("zoo member (see `fmossim zoo`)");
     let mut universe = FaultUniverse::stuck_nodes(&w.net);
-    if let Some(k) = arg_value("--sample") {
-        let k: usize = k.parse().expect("--sample takes a number");
+    if let Some(k) = sample {
         universe = universe.sample(k, ZOO_SEED);
     }
 
@@ -87,10 +84,13 @@ fn main() {
         );
     }
 
-    // The rep with the median active/null ratio is the representative
-    // measurement; report its absolute rates alongside.
-    let (null_median, active_median) =
-        stats::median_by(rep_pps, |&(n, a)| a / n.max(f64::MIN_POSITIVE));
+    // The rep with the median active/null ratio (the upper one of an
+    // even count) is the representative measurement; report its
+    // absolute rates alongside.
+    rep_pps.sort_by(|(n1, a1), (n2, a2)| {
+        (a1 / n1.max(f64::MIN_POSITIVE)).total_cmp(&(a2 / n2.max(f64::MIN_POSITIVE)))
+    });
+    let (null_median, active_median) = rep_pps[reps / 2];
     let regression = 1.0 - active_median / null_median.max(f64::MIN_POSITIVE);
 
     println!("{{");

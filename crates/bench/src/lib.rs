@@ -11,14 +11,15 @@
 //! | Figure 3   | `fig3_ram256` | RAM256: average sec/pattern vs. number of sampled faults, concurrent and serial |
 //! | §5 scaling | `scaling` | RAM64 → RAM256 good/concurrent/serial scale factors |
 //!
-//! Criterion benches (`benches/`) cover the solver kernels, good-sim
-//! throughput, figure workloads, and the three design-choice ablations
-//! called out in DESIGN.md (locality, state-list backend, fault
-//! dropping).
+//! Two more binaries are gates rather than figures: `allocstats`
+//! asserts the steady-state concurrent loop makes zero heap
+//! allocations, and `telemetry_overhead` asserts an active registry
+//! costs under 3% patterns/second.
 //!
-//! Absolute times are host-dependent; the binaries therefore print the
-//! *shape* metrics next to the paper's published values so the
-//! comparison in EXPERIMENTS.md can be regenerated with one command.
+//! Absolute times are host-dependent; the figure binaries therefore
+//! print the *shape* metrics next to the paper's published values.
+//! The repository's benchmark with gated end-to-end metrics is
+//! `perfbench/`, not this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,8 +27,7 @@
 use fmossim_circuits::Ram;
 use fmossim_core::{Pattern, RunReport};
 use fmossim_faults::{Fault, FaultUniverse};
-
-pub mod stats;
+use std::str::FromStr;
 
 /// The random seed used everywhere (the paper's publication date).
 pub const SEED: u64 = 850_715;
@@ -85,22 +85,88 @@ pub fn compare_row(metric: &str, ours: String, paper: &str) -> String {
     format!("{metric:<44} ours: {ours:<14} paper: {paper}")
 }
 
-/// Parses a `--flag value`-style option from `std::env::args`.
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
+/// The command line of one bench binary, checked against the flags
+/// that binary accepts.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, Option<String>)>);
+
+impl Flags {
+    /// Reads `std::env::args`. `switches` take no value, `options` take
+    /// one. An unknown flag, or an option without its value, prints an
+    /// error naming it and exits with status 2. Call it first in
+    /// `main`, before any work.
+    #[must_use]
+    pub fn from_env(switches: &[&str], options: &[&str]) -> Self {
+        Self::parse(std::env::args().skip(1), switches, options).unwrap_or_else(|e| usage_error(&e))
     }
-    None
+
+    /// [`Flags::from_env`] over an explicit argument list (without the
+    /// program name), returning the error instead of exiting.
+    fn parse(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&str],
+        options: &[&str],
+    ) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if switches.contains(&arg.as_str()) {
+                given.push((arg, None));
+            } else if options.contains(&arg.as_str()) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| format!("`{arg}` needs a value"))?;
+                given.push((arg, Some(value)));
+            } else {
+                return Err(format!("unknown flag `{arg}`"));
+            }
+        }
+        Ok(Self(given))
+    }
+
+    /// True if switch `name` was given.
+    #[must_use]
+    pub fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value of option `name` (the last one if repeated), or `None`
+    /// if it was not given. A value that does not parse as `T` exits
+    /// like [`Flags::from_env`], naming the option.
+    #[must_use]
+    pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.raw(name).map(|v| parse_value(name, v))
+    }
+
+    /// Option `name` as a comma-separated list, each item parsed as `T`
+    /// (exiting like [`Flags::value`] on the first that does not).
+    #[must_use]
+    pub fn list<T: FromStr>(&self, name: &str) -> Option<Vec<T>> {
+        self.raw(name).map(|v| {
+            v.split(',')
+                .map(|item| parse_value(name, item.trim()))
+                .collect()
+        })
+    }
+
+    fn raw(&self, name: &str) -> Option<&str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(flag, _)| flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
 }
 
-/// True if `--flag` is present in `std::env::args`.
-#[must_use]
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+fn parse_value<T: FromStr>(name: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("invalid value `{value}` for `{name}`")))
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Convenience: run the good circuit alone over the patterns and
@@ -139,7 +205,20 @@ mod tests {
     #[test]
     fn helpers() {
         assert!(compare_row("x", "1".into(), "2").contains("paper: 2"));
-        assert!(!arg_flag("--definitely-not-present"));
-        assert_eq!(arg_value("--definitely-not-present"), None);
+        let parse = |args: &[&str]| {
+            Flags::parse(
+                args.iter().map(|a| (*a).to_string()),
+                &["--csv"],
+                &["--faults"],
+            )
+        };
+        let flags = parse(&["--faults", "7", "--csv", "--faults", "9"]).expect("known flags");
+        assert!(flags.has("--csv"));
+        assert_eq!(flags.value::<usize>("--faults"), Some(9), "last one wins");
+        assert_eq!(flags.list::<usize>("--faults"), Some(vec![9]));
+        assert_eq!(parse(&[]).expect("empty").value::<usize>("--faults"), None);
+        assert!(parse(&["--bogus"]).unwrap_err().contains("`--bogus`"));
+        assert!(parse(&["--faults"]).unwrap_err().contains("`--faults`"));
+        assert!(parse(&["7"]).is_err(), "no positional arguments");
     }
 }

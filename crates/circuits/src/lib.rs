@@ -27,9 +27,8 @@
 //!
 //! Beyond the paper's two RAMs, the **benchmark zoo** adds workloads
 //! with deliberately different structure and observability profiles,
-//! so the evaluation suite (`evalsuite` in `fmossim-bench`) measures
-//! the simulator across the spread of MOS circuit styles the paper's
-//! methodology calls for:
+//! so the conformance tests exercise the simulator across the spread
+//! of MOS circuit styles the paper's methodology calls for:
 //!
 //! * [`ShiftRegister`] — a two-phase dynamic master/slave pipeline:
 //!   pure sequential dataflow, every stage observable.

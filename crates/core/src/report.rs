@@ -46,7 +46,7 @@ impl Detection {
     /// definition of "the same detection" that the cross-backend
     /// conformance tests (`tests/zoo_equivalence.rs`,
     /// `tests/adaptive_equivalence.rs`, `tests/replay_equivalence.rs`)
-    /// and the `evalsuite` parity fingerprint all compare on.
+    /// all compare on.
     #[must_use]
     pub fn canonical_key(&self) -> String {
         format!(

@@ -278,23 +278,8 @@ impl<'n> ParallelSim<'n> {
     /// aggregate CPU seconds across shards.
     #[must_use]
     pub fn run(&self, patterns: &[Pattern], outputs: &[NodeId]) -> RunReport {
-        self.run_with_shard_times(patterns, outputs).0
-    }
-
-    /// Like [`ParallelSim::run`], additionally returning each shard's
-    /// own wall-clock seconds (indexed by shard). The maximum entry is
-    /// the run's critical path: `reference_seconds / max_shard_seconds`
-    /// is the speedup an unconstrained machine would reach with this
-    /// plan, independent of how many cores the measuring host has —
-    /// the quantity `scaling_par` reports as `ideal_speedup`.
-    #[must_use]
-    pub fn run_with_shard_times(
-        &self,
-        patterns: &[Pattern],
-        outputs: &[NodeId],
-    ) -> (RunReport, Vec<f64>) {
-        let run = self.run_streaming(patterns, outputs, |_, _| ControlFlow::Continue(()));
-        (run.report, run.shard_seconds)
+        self.run_streaming(patterns, outputs, |_, _| ControlFlow::Continue(()))
+            .report
     }
 
     /// [`ParallelSim::run_observed`] with an observer of the shard

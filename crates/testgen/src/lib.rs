@@ -32,8 +32,7 @@
 //! `fmossim-circuits` generator) and a **seeded random-netlist
 //! generator** ([`RandomNetlist`]: valid, always-settling acyclic
 //! logic of configurable size and fan-in) — the workload spread the
-//! `evalsuite` benchmark and the differential conformance tests run
-//! on.
+//! CLI and the differential conformance tests run on.
 
 mod netgen;
 mod ops;

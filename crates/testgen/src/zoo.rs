@@ -1,8 +1,7 @@
 //! The benchmark circuit zoo: one named registry of ready-to-run
 //! fault-grading workloads (circuit + stimulus + observed outputs),
-//! shared by the CLI (`faultsim --circuit`), the evaluation suite
-//! (`evalsuite` in `fmossim-bench`), and the differential conformance
-//! tests (`tests/zoo_equivalence.rs`).
+//! shared by the CLI (`faultsim --circuit`) and the differential
+//! conformance tests (`tests/zoo_equivalence.rs`).
 //!
 //! The paper argues FMOSSIM's worth by measuring it across a spread of
 //! MOS circuits; the zoo is that spread for this reproduction — the

@@ -268,7 +268,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// Lists the benchmark circuit zoo with per-circuit statistics — the
-/// registry `faultsim --circuit` and the `evalsuite` bench bin run on.
+/// registry `faultsim --circuit` runs on.
 fn cmd_zoo(args: &[String]) -> Result<(), String> {
     check_flags("zoo", args)?;
     println!(

@@ -86,6 +86,19 @@ fn run_campaign(
         .run()
 }
 
+/// Every input node the stimulus assigns, sorted and deduplicated —
+/// the set `CollapseClasses::analyze` treats as driven.
+fn assigned_inputs(patterns: &[Pattern]) -> Vec<NodeId> {
+    let mut assigned: Vec<NodeId> = patterns
+        .iter()
+        .flat_map(|p| &p.phases)
+        .flat_map(|ph| ph.inputs.iter().map(|&(n, _)| n))
+        .collect();
+    assigned.sort_unstable();
+    assigned.dedup();
+    assigned
+}
+
 /// Per-fault first detection site — the strongest per-fault
 /// observable a campaign report exposes.
 fn detection_table(r: &CampaignReport) -> BTreeMap<u32, (usize, usize)> {
@@ -192,6 +205,23 @@ fn every_zoo_member_collapses_bit_identically() {
         let w = build_zoo(name).expect(name);
         let universe = FaultUniverse::stuck_nodes(&w.net);
         assert_collapse_equivalence(name, &w.net, &universe, &w.patterns, &w.outputs);
+
+        // Analysis alone, no simulation: over the full stuck-node ∪
+        // stuck-transistor universe every member has faults to
+        // collapse.
+        let mixed = universe.union(FaultUniverse::stuck_transistors(&w.net));
+        let classes =
+            CollapseClasses::analyze(&w.net, &mixed, &w.outputs, &assigned_inputs(&w.patterns));
+        assert!(
+            classes.num_representatives() < classes.total_faults(),
+            "{name}: collapsing found no reduction ({} of {} faults simulated)",
+            classes.num_representatives(),
+            classes.total_faults()
+        );
+        assert!(
+            classes.num_collapsed_classes() > 0,
+            "{name}: no collapsed class"
+        );
     }
 }
 
@@ -232,14 +262,7 @@ proptest! {
         let patterns = rn.patterns(8, seed ^ 0xBEEF);
         let outputs = rn.observed_outputs();
 
-        let mut assigned: Vec<NodeId> = patterns
-            .iter()
-            .flat_map(|p| &p.phases)
-            .flat_map(|ph| ph.inputs.iter().map(|&(n, _)| n))
-            .collect();
-        assigned.sort_unstable();
-        assigned.dedup();
-        let classes = CollapseClasses::analyze(net, &universe, outputs, &assigned);
+        let classes = CollapseClasses::analyze(net, &universe, outputs, &assigned_inputs(&patterns));
         prop_assume!(classes.num_collapsed_classes() > 0);
 
         // One-fault campaigns have no cross-fault interaction by

@@ -79,8 +79,8 @@ fn assert_shard_invariance(
 #[test]
 fn ram_detections_invariant_under_sharding() {
     // 4×4 keeps the 36-run sweep fast while exercising the full RAM
-    // control/march sequence; the 8×8 acceptance run lives in
-    // `scaling_par` and the CLI test below.
+    // control/march sequence; the 8×8 acceptance run is CI's
+    // campaign smoke (`faultsim --jobs 1` against `--jobs 4`).
     let ram = Ram::new(4, 4);
     let universe = FaultUniverse::stuck_nodes(ram.network());
     let seq = TestSequence::full(&ram);

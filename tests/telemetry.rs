@@ -2,13 +2,14 @@
 //! stream obeys its backend's documented event grammar and ends with
 //! the `campaign.run` span, and the merged counters of a fault-parallel
 //! run are invariant under the shard count — sharding changes
-//! wall-clock time, never what was simulated.
+//! wall-clock time, never what was simulated — and export as
+//! lint-clean Prometheus text.
 
 use std::collections::BTreeMap;
 
 use fmossim::campaign::{
-    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
-    Registry, SerialConfig, ShardStrategy, SimEvent,
+    Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, MetricsSnapshot,
+    ParallelConfig, Registry, SerialConfig, ShardStrategy, SimEvent,
 };
 use fmossim::faults::FaultUniverse;
 use fmossim::testgen::zoo::build_zoo;
@@ -286,6 +287,19 @@ fn merged_counters_are_shard_count_invariant() {
                 snapshot.counters["par.shards"], k as u64,
                 "{circuit} K={k}: one par.shards tick per shard"
             );
+            // The Prometheus export — what `faultsim --metrics` writes —
+            // is lint-clean and carries samples from every layer.
+            let text = snapshot.to_prometheus();
+            MetricsSnapshot::lint_prometheus(&text).unwrap_or_else(|(line, why)| {
+                panic!("{circuit} K={k}: prometheus lint failed at line {line}: {why}")
+            });
+            for layer in ["switch", "core", "par", "campaign"] {
+                let prefix = format!("fmossim_{layer}_");
+                assert!(
+                    text.lines().any(|l| l.starts_with(&prefix)),
+                    "{circuit} K={k}: no {prefix}* sample"
+                );
+            }
             let invariant: BTreeMap<String, u64> = K_INVARIANT_COUNTERS
                 .iter()
                 .map(|&name| {

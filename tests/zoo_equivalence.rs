@@ -10,7 +10,7 @@
 //!
 //! This mirrors `tests/adaptive_equivalence.rs`, widened from one RAM
 //! to the whole zoo: the conformance bed every circuit added later
-//! must pass before `evalsuite` will measure it.
+//! must pass.
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
