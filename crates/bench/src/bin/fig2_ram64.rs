@@ -38,6 +38,8 @@ fn main() {
             .patterns(patterns)
             .outputs(ram.observed_outputs())
             .backend(Backend::Concurrent(ConcurrentConfig::paper()))
+            // The paper grades its whole universe: collapsing would shrink the work measured.
+            .collapse(false)
             .run()
             .run
     };

@@ -105,7 +105,7 @@ impl Workload<'_> {
 /// assert!(control.drop_detected);
 /// assert_eq!(control.stop_at_coverage, None);
 /// assert_eq!(control.pattern_limit, None);
-/// assert!(!control.collapse);
+/// assert!(control.collapse);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunControl {
@@ -123,9 +123,10 @@ pub struct RunControl {
     pub drop_detected: bool,
     /// Collapse the fault universe into structural equivalence classes
     /// before the backend runs and fan detections back out at report
-    /// time (see [`Campaign::collapse`](crate::Campaign::collapse)).
-    /// Applied by the campaign driver, not the backends: a backend
-    /// always sees the (already collapsed) workload universe.
+    /// time (default `true`; see
+    /// [`Campaign::collapse`](crate::Campaign::collapse)). Applied by
+    /// the campaign driver, not the backends: a backend always sees
+    /// the (already collapsed) workload universe.
     pub collapse: bool,
 }
 
@@ -135,7 +136,7 @@ impl Default for RunControl {
             stop_at_coverage: None,
             pattern_limit: None,
             drop_detected: true,
-            collapse: false,
+            collapse: true,
         }
     }
 }

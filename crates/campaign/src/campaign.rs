@@ -57,8 +57,8 @@ pub struct Campaign<'n, 'o> {
 }
 
 impl<'n, 'o> Campaign<'n, 'o> {
-    /// Starts a campaign on `net` with an empty workload and the
-    /// paper's concurrent backend.
+    /// Starts a campaign on `net` with an empty workload, the paper's
+    /// concurrent backend and static fault collapsing on.
     #[must_use]
     pub fn new(net: &'n Network) -> Self {
         Campaign {
@@ -160,15 +160,18 @@ impl<'n, 'o> Campaign<'n, 'o> {
         self
     }
 
-    /// Collapses the fault universe into structural equivalence
-    /// classes before the backend runs (ERASER-style static fault
-    /// collapsing, [`CollapseClasses::analyze`]). The backend grades
-    /// only one representative per class; at report time every
-    /// representative's detections fan back out to all class members,
-    /// so the report — detection set, per-pattern counts, live
-    /// counts, `num_faults` — is bit-identical to an uncollapsed run,
-    /// just cheaper to produce. [`CampaignReport::collapse`] records
-    /// the class statistics.
+    /// Whether to collapse the fault universe into structural
+    /// equivalence classes before the backend runs (ERASER-style
+    /// static fault collapsing, [`CollapseClasses::analyze`]; default
+    /// `true`). The backend grades only one representative per class;
+    /// at report time every representative's detections fan back out
+    /// to all class members, so the report — detection set,
+    /// per-pattern counts, live counts, `num_faults` — is
+    /// bit-identical to an uncollapsed run, just cheaper to produce.
+    /// [`CampaignReport::collapse`] records the class statistics.
+    /// `collapse(false)` grades every fault of the universe: the
+    /// paper's figure regenerators need that to report the paper's
+    /// work counts, and tests use it as the plain-path reference.
     ///
     /// Work-item telemetry stays in collapsed terms: `jobs` /
     /// `shards` / `batches` and the `metrics` snapshot describe the
@@ -277,7 +280,13 @@ impl<'n, 'o> Campaign<'n, 'o> {
     ///     .with_telemetry(&registry)
     ///     .run();
     /// let snap = registry.snapshot();
-    /// assert_eq!(snap.counters["core.detections"], report.detected() as u64);
+    /// // Work counters count what was graded, one representative per
+    /// // collapse class; the report speaks full-universe terms. This
+    /// // workload detects every fault, so the simulator detected every
+    /// // representative.
+    /// let stats = report.collapse.expect("collapsing is the default");
+    /// assert_eq!(report.detected(), stats.total_faults);
+    /// assert_eq!(snap.counters["core.detections"], stats.simulated_faults as u64);
     /// assert_eq!(report.metrics, snap);
     /// ```
     #[must_use]
@@ -306,8 +315,12 @@ impl<'n, 'o> Campaign<'n, 'o> {
                 .collect();
             assigned.sort_unstable();
             assigned.dedup();
+            let t = Instant::now();
             let classes =
                 CollapseClasses::analyze(self.net, &self.universe, &self.outputs, &assigned);
+            self.telemetry
+                .gauge("faults.collapse.seconds")
+                .add(t.elapsed().as_secs_f64());
             self.telemetry
                 .counter("faults.collapsed_classes")
                 .add(classes.num_collapsed_classes() as u64);
@@ -363,7 +376,9 @@ impl<'n, 'o> Campaign<'n, 'o> {
         let mut observer = self.observer;
         // With collapsing on, the observer sees parent-universe
         // events: detections and drops fan out to every class member,
-        // and live counts are re-expressed over the parent universe.
+        // and live and running detection counts are re-expressed over
+        // the parent universe. `ShardDone` stays a work item: it
+        // counts the representatives the shard graded.
         let total_faults = self.universe.len();
         let classes_ref = classes.as_ref();
         let mut dropped_members = 0usize;
@@ -410,6 +425,23 @@ impl<'n, 'o> Campaign<'n, 'o> {
                         pattern,
                         detected_so_far: fanned_detected,
                         seconds,
+                    });
+                }
+                SimEvent::BatchDone {
+                    batch,
+                    first_pattern,
+                    patterns,
+                    shards,
+                    imbalance,
+                    ..
+                } => {
+                    obs(SimEvent::BatchDone {
+                        batch,
+                        first_pattern,
+                        patterns,
+                        shards,
+                        detected_so_far: fanned_detected,
+                        imbalance,
                     });
                 }
                 other => obs(other),

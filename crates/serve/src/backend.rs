@@ -259,7 +259,6 @@ mod tests {
             patterns: seq.patterns().to_vec(),
             outputs: ram.observed_outputs().to_vec(),
             shards,
-            collapse: false,
             stop_at_coverage: None,
         }
     }
@@ -329,7 +328,7 @@ mod tests {
     fn collapsed_jobs_match_uncollapsed_ones() {
         let spec = Arc::new(spec(4));
         let pool = Arc::new(SharedPool::new(2, &Registry::null()));
-        let plain = run_served(&spec, &pool, &TapeSlot::default());
+        let collapsed = run_served(&spec, &pool, &TapeSlot::default());
         let cancel = Arc::new(AtomicBool::new(false));
         let backend = ServedBackend::new(
             Arc::clone(&spec),
@@ -338,16 +337,17 @@ mod tests {
             cancel,
             TapeSlot::default(),
         );
-        let collapsed = Campaign::new(&spec.net)
+        let plain = Campaign::new(&spec.net)
             .faults(spec.universe.clone())
             .patterns(&spec.patterns)
             .outputs(&spec.outputs)
             .backend_impl(Box::new(backend))
-            .collapse(true)
+            .collapse(false)
             .run();
         assert_eq!(collapsed.run.detections, plain.run.detections);
         assert_eq!(collapsed.run.num_faults, spec.universe.len());
-        let stats = collapsed.collapse.expect("collapse ran");
+        assert_eq!(plain.collapse, None);
+        let stats = collapsed.collapse.expect("collapsing is the default");
         assert_eq!(stats.total_faults, spec.universe.len());
         assert!(stats.simulated_faults <= stats.total_faults);
     }

@@ -27,14 +27,18 @@
 //! `universe` (default `"stuck-nodes"`) takes the CLI spellings of
 //! [`fmossim_campaign::universe_from_spec`]; `shards` (bounded by
 //! [`MAX_SHARDS`]) overrides the server's default shard count; `name`
-//! labels the job in listings; `collapse` (boolean, default `false`)
-//! asks the job to run with static fault collapsing
-//! ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)) —
-//! the report is bit-identical either way, and echoes the choice in
-//! its `control` block; `stop_at_coverage` (number in `[0, 1]`,
-//! default absent) stops the run once coverage reaches the target
+//! labels the job in listings; `stop_at_coverage` (number in
+//! `[0, 1]`, default absent) stops the run once coverage reaches the
+//! target
 //! ([`Campaign::stop_at_coverage`](fmossim_campaign::Campaign::stop_at_coverage)),
-//! evaluated over the full fault universe even under `collapse`.
+//! evaluated over the full fault universe.
+//!
+//! Every job runs with static fault collapsing, the
+//! [`Campaign`](fmossim_campaign::Campaign) default
+//! ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)): the
+//! report speaks full-universe terms and carries the class statistics
+//! in its `collapse` block. There is no switch for it; the parser
+//! ignores a legacy `"collapse"` key like any other unknown key.
 //! Phase inputs are `[node name, logic char]` pairs in application
 //! order, with logic spelled `"0"`, `"1"`, or `"X"`
 //! ([`fmossim_netlist::Logic`]).
@@ -73,9 +77,6 @@ pub struct JobSpec {
     pub outputs: Vec<NodeId>,
     /// Shard count for the pool plan.
     pub shards: usize,
-    /// Whether the job runs with static fault collapsing
-    /// ([`Campaign::collapse`](fmossim_campaign::Campaign::collapse)).
-    pub collapse: bool,
     /// Stop once coverage over the full fault universe reaches this
     /// fraction
     /// ([`Campaign::stop_at_coverage`](fmossim_campaign::Campaign::stop_at_coverage)).
@@ -178,13 +179,6 @@ pub fn parse_submission(body: &str, default_shards: usize) -> Result<JobSpec, St
             .ok_or_else(|| format!("\"shards\" must be an integer in 1..={MAX_SHARDS}"))?,
     };
 
-    let collapse = match v.get("collapse") {
-        None | Some(Value::Null) => false,
-        Some(c) => c
-            .as_bool()
-            .ok_or_else(|| "\"collapse\" must be a boolean".to_string())?,
-    };
-
     let stop_at_coverage = match v.get("stop_at_coverage") {
         None | Some(Value::Null) => None,
         Some(c) => Some(
@@ -201,7 +195,6 @@ pub fn parse_submission(body: &str, default_shards: usize) -> Result<JobSpec, St
         patterns,
         outputs,
         shards,
-        collapse,
         stop_at_coverage,
     })
 }
@@ -422,18 +415,21 @@ mod tests {
         let spec = parse_submission(r#"{"circuit": "ram4x4"}"#, DEFAULT_SHARDS).unwrap();
         assert_eq!(spec.name, "ram4x4");
         assert_eq!(spec.shards, DEFAULT_SHARDS);
-        assert!(!spec.collapse, "collapsing is opt-in");
-        let collapsed =
-            parse_submission(r#"{"circuit": "ram4x4", "collapse": true}"#, DEFAULT_SHARDS).unwrap();
-        assert!(collapsed.collapse);
         assert_eq!(spec.stop_at_coverage, None, "coverage stop is opt-in");
         let targeted = parse_submission(
-            r#"{"circuit": "ram4x4", "collapse": true, "stop_at_coverage": 0.9}"#,
+            r#"{"circuit": "ram4x4", "stop_at_coverage": 0.9}"#,
             DEFAULT_SHARDS,
         )
         .unwrap();
         assert_eq!(targeted.stop_at_coverage, Some(0.9));
-        assert!(targeted.collapse, "combination is accepted");
+        // Collapsing always runs; a legacy `"collapse"` key of any type
+        // is ignored like any other unknown key.
+        for legacy in ["false", "true", "3"] {
+            let body = format!(r#"{{"circuit": "ram4x4", "collapse": {legacy}}}"#);
+            let ignored = parse_submission(&body, DEFAULT_SHARDS).expect(&body);
+            assert_eq!(ignored.name, spec.name);
+            assert_eq!(ignored.universe.len(), spec.universe.len());
+        }
         assert!(!spec.patterns.is_empty());
         assert!(!spec.outputs.is_empty());
         let (net_hash, stim_hash) = spec.cache_key();
@@ -489,11 +485,6 @@ mod tests {
             ),
             (r#"{"circuit": "ram4x4", "shards": 0}"#, "shards"),
             (r#"{"circuit": "ram4x4", "shards": 1e9}"#, "shards"),
-            (r#"{"circuit": "ram4x4", "collapse": 3}"#, "collapse"),
-            (
-                r#"{"circuit": "ram4x4", "collapse": "yes"}"#,
-                "must be a boolean",
-            ),
             (
                 r#"{"circuit": "ram4x4", "stop_at_coverage": 1.5}"#,
                 "stop_at_coverage",

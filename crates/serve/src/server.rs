@@ -292,7 +292,6 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
             .patterns(&spec.patterns)
             .outputs(&spec.outputs)
             .backend_impl(Box::new(backend))
-            .collapse(spec.collapse)
             .with_telemetry(&job_registry)
             .on_event(move |e| observer_job.push_event(&e));
         if let Some(target) = spec.stop_at_coverage {
@@ -398,7 +397,6 @@ mod tests {
             patterns: TestSequence::full(&ram).patterns().to_vec(),
             outputs: ram.observed_outputs().to_vec(),
             shards: 4,
-            collapse: false,
             stop_at_coverage: None,
         }
     }

@@ -14,7 +14,7 @@
 //!                  [--stop-at-coverage F] [--pattern-limit N]
 //!                  [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
 //!                  [--batch N] [--packing on|off]
-//!                  [--collapse on|off] [--metrics <path>[.prom|.json]]
+//!                  [--metrics <path>[.prom|.json]]
 //! ```
 //!
 //! The stimulus file is line oriented: each non-comment line is one
@@ -81,13 +81,13 @@ usage:
                    [--stop-at-coverage F] [--pattern-limit N]
                    [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
                    [--batch N] [--packing on|off]
-                   [--collapse on|off] [--metrics <path>[.prom|.json]]
+                   [--metrics <path>[.prom|.json]]
   fmossim serve    [--addr HOST:PORT] [--workers N] [--cache-mb N]
                    [--default-shards N]
   fmossim submit   --addr HOST:PORT --circuit <zoo-name>
   fmossim submit   --addr HOST:PORT <netlist.snl> --stim <file> --outputs A[,B...]
                    [--universe stuck-nodes|stuck-transistors|all]
-                   [--shards N] [--collapse on|off] [--name LABEL]
+                   [--shards N] [--name LABEL]
                    [--stop-at-coverage F] [--no-wait] [--json]
   fmossim cancel   --addr HOST:PORT <job-id>
 
@@ -121,18 +121,17 @@ bitwise pass over two-plane ternary words. Results are bit-identical
 to --packing off; only the work counters in the telemetry differ. The
 default is off.
 
---collapse on runs static fault collapsing before the campaign:
-structurally equivalent faults (parallel twins, series stuck-opens
-with pinned outer nodes, dominated drivers, never-detectable faults)
-are grouped into classes, one representative per class is simulated,
-and every detection is fanned back out to the full class at report
-time. The reported detections, coverage, and fault count
-are bit-identical to --collapse off; only the simulated work shrinks.
-The default is off. --collapse on combines with --stop-at-coverage:
-the target is evaluated over the full fault universe (each
-representative's detection weighted by its class size), so the
-collapsed run stops at the same point as the uncollapsed campaign it
-mirrors.
+Every campaign (faultsim and submit alike) runs static fault
+collapsing first: structurally equivalent faults (parallel twins,
+series stuck-opens with pinned outer nodes, dominated drivers,
+never-detectable faults) are grouped into classes, one representative
+per class is simulated, and every detection is fanned back out to the
+full class at report time. The reported detections, coverage, and
+fault count are those of the full universe; only the simulated work
+shrinks, and work counters (--metrics, shard and batch telemetry)
+count representatives. --stop-at-coverage is evaluated over the full
+universe, so a run stops where grading every fault would have. The
+--json artifact's `collapse` block records the class statistics.
 
 --json emits the machine-readable campaign report instead of text;
 --stop-at-coverage / --pattern-limit cut the run short; --serial
@@ -479,14 +478,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             other => Err(format!("--packing takes `on` or `off`, not `{other}`")),
         })
         .transpose()?;
-    let collapse = opt(args, "--collapse")
-        .map(|s| match s {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(format!("--collapse takes `on` or `off`, not `{other}`")),
-        })
-        .transpose()?
-        .unwrap_or(false);
     let batch = opt(args, "--batch")
         .map(|s| {
             s.parse::<usize>()
@@ -573,7 +564,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         .patterns(&patterns)
         .outputs(&outputs)
         .backend(backend)
-        .collapse(collapse)
         .with_telemetry(&registry);
     if let Some(cov) = opt(args, "--stop-at-coverage") {
         let cov: f64 = cov
@@ -784,14 +774,6 @@ fn submission_body(args: &[String]) -> Result<String, String> {
             .parse()
             .map_err(|_| format!("--shards takes a number, not `{s}`"))?;
         fields.push(("shards", Value::Num(shards as f64)));
-    }
-    if let Some(c) = opt(args, "--collapse") {
-        let on = match c {
-            "on" => true,
-            "off" => false,
-            other => return Err(format!("--collapse takes `on` or `off`, not `{other}`")),
-        };
-        fields.push(("collapse", Value::Bool(on)));
     }
     if let Some(cov) = opt(args, "--stop-at-coverage") {
         let target: f64 = cov

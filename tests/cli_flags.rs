@@ -46,6 +46,28 @@ fn removed_replay_flag_is_an_error() {
     );
 }
 
+/// Static collapsing always runs; the switch for it is gone from both
+/// subcommands that had one.
+#[test]
+fn removed_collapse_flag_is_an_error() {
+    assert_unknown_flag(
+        &["faultsim", "--circuit", "ram4x4", "--collapse", "on"],
+        "--collapse",
+    );
+    assert_unknown_flag(
+        &[
+            "submit",
+            "--addr",
+            "127.0.0.1:1",
+            "--circuit",
+            "ram4x4",
+            "--collapse",
+            "on",
+        ],
+        "--collapse",
+    );
+}
+
 #[test]
 fn listed_flags_run() {
     let out = fmossim(&[

@@ -193,7 +193,6 @@ fn auto_jobs_resolve_over_the_collapsed_universe() {
         .patterns(&w.patterns)
         .outputs(&w.outputs)
         .backend(backend)
-        .collapse(true)
         .run();
 
     // Reproduce the collapse the campaign performs (same inputs).

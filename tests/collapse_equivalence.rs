@@ -76,14 +76,19 @@ fn run_campaign(
     label: &str,
     collapse: bool,
 ) -> CampaignReport {
-    Campaign::new(net)
+    let campaign = Campaign::new(net)
         .faults(universe.clone())
         .patterns(patterns)
         .outputs(outputs)
         .backend(backend_for(label))
-        .collapse(collapse)
-        .pattern_limit(PATTERN_CAP)
-        .run()
+        .pattern_limit(PATTERN_CAP);
+    // Collapsing is the default: the collapsed side runs the builder
+    // as is, and only the plain reference opts out.
+    if collapse {
+        campaign.run()
+    } else {
+        campaign.collapse(false).run()
+    }
 }
 
 /// Every input node the stimulus assigns, sorted and deduplicated —

@@ -80,7 +80,7 @@ fn assert_consistent(report: &CampaignReport, universe: &FaultUniverse) {
 }
 
 /// When the universe has nothing to collapse (every class a
-/// singleton), `collapse(true)` must be a pure pass-through: the same
+/// singleton), collapsing must be a pure pass-through: the same
 /// report as the plain run, plus collapse statistics that say so.
 #[test]
 fn identity_classes_are_a_pure_pass_through() {
@@ -107,8 +107,8 @@ fn identity_classes_are_a_pure_pass_through() {
         "chosen pair must analyse to the identity"
     );
 
-    let plain = campaign(&ram, &seq, &universe).run();
-    let collapsed = campaign(&ram, &seq, &universe).collapse(true).run();
+    let plain = campaign(&ram, &seq, &universe).collapse(false).run();
+    let collapsed = campaign(&ram, &seq, &universe).run();
     assert_eq!(collapsed.run.detections, plain.run.detections);
     assert_eq!(collapsed.run.num_faults, plain.run.num_faults);
     let stats = collapsed
@@ -134,7 +134,7 @@ fn dropped_representative_fans_detection_to_every_member() {
         classes.num_collapsed_classes() > 0,
         "workload must have a real class to exercise"
     );
-    let report = campaign(&ram, &seq, &universe).collapse(true).run();
+    let report = campaign(&ram, &seq, &universe).run();
     assert_consistent(&report, &universe);
 
     let site_of = |f: FaultId| -> Vec<(usize, usize)> {
@@ -176,7 +176,7 @@ fn dropped_representative_fans_detection_to_every_member() {
 fn cancellation_keeps_fanned_counts_consistent() {
     let (ram, seq, universe) = workload();
     let total = seq.patterns().len();
-    let c = campaign(&ram, &seq, &universe).collapse(true);
+    let c = campaign(&ram, &seq, &universe);
     let token = c.cancel_token();
     let report = c
         .on_event(move |e| {
@@ -197,7 +197,7 @@ fn cancellation_keeps_fanned_counts_consistent() {
     // The detections that did land before the cancel are fanned out
     // exactly like a full run's would be: a prefix of the uncancelled
     // collapsed report.
-    let full = campaign(&ram, &seq, &universe).collapse(true).run();
+    let full = campaign(&ram, &seq, &universe).run();
     let prefix: Vec<_> = full
         .detections()
         .iter()

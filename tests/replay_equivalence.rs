@@ -70,6 +70,10 @@ fn run_campaign(
             sim: ConcurrentConfig::paper(),
             ..ParallelConfig::default()
         }))
+        // The reference recomputes the plan over the full universe, and
+        // per-pattern `faulty_groups` count graded faults: grade them
+        // all here too.
+        .collapse(false)
         .run()
 }
 

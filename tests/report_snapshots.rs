@@ -62,7 +62,9 @@ fn fixture_backends() -> [(&'static str, Backend); 4] {
 
 /// The fixtures' common workload: the 4×4 RAM over the full paper
 /// sequence, every stuck-node fault, with an active telemetry
-/// registry attached so the fixtures lock the v3 `metrics` block.
+/// registry attached so the fixtures lock the v3 `metrics` block. The
+/// plain fixtures grade the whole universe (`collapse(false)`): their
+/// work counters and plan echo predate collapsing by default.
 fn run_fixture_campaign(backend: Backend) -> CampaignReport {
     let ram = Ram::new(4, 4);
     let seq = TestSequence::full(&ram);
@@ -71,6 +73,7 @@ fn run_fixture_campaign(backend: Backend) -> CampaignReport {
         .patterns(seq.patterns())
         .outputs(ram.observed_outputs())
         .backend(backend)
+        .collapse(false)
         .with_telemetry(&Registry::new())
         .run()
 }
@@ -198,10 +201,10 @@ fn fixtures_lock_the_v3_schema() {
 }
 
 /// The collapsed-campaign fixture: the same v3 schema with the two
-/// opt-in collapse keys present (`control.collapse` and the top-level
-/// `collapse` statistics block). Kept separate from the four plain
-/// fixtures, which must stay byte-identical — an uncollapsed report
-/// never emits either key.
+/// collapse keys present (`control.collapse` and the top-level
+/// `collapse` statistics block), as every default campaign writes
+/// them. Kept separate from the four plain fixtures, which must stay
+/// byte-identical — an uncollapsed report never emits either key.
 #[test]
 fn collapsed_fixture_locks_the_schema() {
     let run = || {
@@ -215,7 +218,6 @@ fn collapsed_fixture_locks_the_schema() {
             .patterns(seq.patterns())
             .outputs(ram.observed_outputs())
             .backend(Backend::Concurrent(ConcurrentConfig::paper()))
-            .collapse(true)
             .with_telemetry(&Registry::new())
             .run()
     };
@@ -297,11 +299,14 @@ fn v2_fixtures_still_parse() {
         );
         // No telemetry attached: the fresh report's metrics block is
         // empty too, so whole-struct equality holds after normalize.
+        // The archives predate collapsing, so the fresh run grades the
+        // whole universe.
         let mut fresh = Campaign::new(ram.network())
             .faults(FaultUniverse::stuck_nodes(ram.network()))
             .patterns(seq.patterns())
             .outputs(ram.observed_outputs())
             .backend(backend)
+            .collapse(false)
             .run();
         let mut archived = archived;
         normalize(&mut fresh);

@@ -212,50 +212,43 @@ fn delete_cancels_a_running_campaign() {
     assert_eq!(doc.get("cancelling").and_then(|v| v.as_bool()), Some(false));
 }
 
-/// Submissions carry `stop_at_coverage` — including together with
-/// `collapse`, where the target is evaluated over the parent fault
-/// universe. The stopped job finishes as `done` (not cancelled) with
-/// coverage at or above the target.
+/// Submissions carry `stop_at_coverage`. Every served job runs
+/// collapsed (the campaign default), so the target is evaluated over
+/// the parent fault universe. The stopped job finishes as `done` (not
+/// cancelled) with coverage at or above the target.
 #[test]
 fn submissions_take_coverage_targets_even_when_collapsed() {
     let addr = start_server(1);
-    for collapse in [false, true] {
-        let body = format!(
-            "{{\"circuit\":\"ram4x4\",\"shards\":8,\"collapse\":{collapse},\
-             \"stop_at_coverage\":0.25}}"
-        );
-        let resp = request(addr, "POST", "/campaigns", Some(&body)).expect("POST /campaigns");
-        assert_eq!(resp.status, 202, "{}", resp.body_str().unwrap_or("?"));
-        let doc = fmossim::campaign::json::parse(resp.body_str().expect("utf8")).expect("json");
-        let id = doc
-            .get("id")
-            .and_then(fmossim::campaign::json::Value::as_str)
-            .expect("id")
-            .to_string();
-        let doc = wait_terminal(addr, &id);
-        assert_eq!(
-            doc.get("status").and_then(|v| v.as_str()),
-            Some("done"),
-            "collapse={collapse}: a coverage stop is not a cancellation"
-        );
-        let report = report_of(&doc);
-        assert_eq!(
-            report.stop,
-            fmossim::campaign::StopReason::CoverageReached,
-            "collapse={collapse}"
-        );
-        assert!(!report.cancelled, "collapse={collapse}");
-        assert!(
-            report.coverage() >= 0.25,
-            "collapse={collapse}: coverage {} missed the target",
-            report.coverage()
-        );
-        assert_eq!(
-            report.control.stop_at_coverage,
-            Some(0.25),
-            "collapse={collapse}: the target is echoed in the control block"
-        );
-    }
+    let body = "{\"circuit\":\"ram4x4\",\"shards\":8,\"stop_at_coverage\":0.25}";
+    let resp = request(addr, "POST", "/campaigns", Some(body)).expect("POST /campaigns");
+    assert_eq!(resp.status, 202, "{}", resp.body_str().unwrap_or("?"));
+    let doc = fmossim::campaign::json::parse(resp.body_str().expect("utf8")).expect("json");
+    let id = doc
+        .get("id")
+        .and_then(fmossim::campaign::json::Value::as_str)
+        .expect("id")
+        .to_string();
+    let doc = wait_terminal(addr, &id);
+    assert_eq!(
+        doc.get("status").and_then(|v| v.as_str()),
+        Some("done"),
+        "a coverage stop is not a cancellation"
+    );
+    let report = report_of(&doc);
+    assert_eq!(report.control.collapse, Some(true), "served jobs collapse");
+    assert!(report.collapse.is_some(), "class statistics archived");
+    assert_eq!(report.stop, fmossim::campaign::StopReason::CoverageReached);
+    assert!(!report.cancelled);
+    assert!(
+        report.coverage() >= 0.25,
+        "coverage {} missed the target",
+        report.coverage()
+    );
+    assert_eq!(
+        report.control.stop_at_coverage,
+        Some(0.25),
+        "the target is echoed in the control block"
+    );
 }
 
 #[test]

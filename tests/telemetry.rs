@@ -11,8 +11,9 @@ use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, MetricsSnapshot,
     ParallelConfig, Registry, SerialConfig, ShardStrategy, SimEvent,
 };
-use fmossim::faults::FaultUniverse;
-use fmossim::testgen::zoo::build_zoo;
+use fmossim::faults::{CollapseClasses, FaultUniverse};
+use fmossim::netlist::NodeId;
+use fmossim::testgen::zoo::{build_zoo, ZooWorkload};
 
 /// Backend equivalence (and therefore cross-K counter equality) holds
 /// under definite-only detection; see `tests/campaign_api.rs`.
@@ -23,6 +24,33 @@ fn concurrent_config() -> ConcurrentConfig {
         policy: POLICY,
         ..ConcurrentConfig::paper()
     }
+}
+
+/// The detections the simulator itself made on a default (collapsed)
+/// run of `w`'s stuck-node universe: one per detected collapse-class
+/// representative, each its class's lowest-indexed member. Work-item
+/// telemetry (`ShardDone`, `core.*` counters) counts these.
+fn representative_detections(w: &ZooWorkload, report: &CampaignReport) -> usize {
+    let universe = FaultUniverse::stuck_nodes(&w.net);
+    let mut assigned: Vec<NodeId> = w
+        .patterns
+        .iter()
+        .flat_map(|p| &p.phases)
+        .flat_map(|ph| ph.inputs.iter().map(|&(n, _)| n))
+        .collect();
+    assigned.sort_unstable();
+    assigned.dedup();
+    let classes = CollapseClasses::analyze(&w.net, &universe, &w.outputs, &assigned);
+    assert_eq!(
+        report.collapse.map(|c| c.simulated_faults),
+        Some(classes.num_representatives()),
+        "the campaign graded these classes"
+    );
+    report
+        .detections()
+        .iter()
+        .filter(|d| classes.representative_of(d.fault) == d.fault)
+        .count()
 }
 
 fn run_with_events(circuit: &str, backend: Backend) -> (CampaignReport, Vec<SimEvent>) {
@@ -171,7 +199,9 @@ fn parallel_events_cover_every_shard() {
             _ => None,
         })
         .sum();
-    assert_eq!(shard_detected, report.detected());
+    // Shards grade collapse-class representatives.
+    let w = build_zoo("regfile4x4").expect("zoo member");
+    assert_eq!(shard_detected, representative_detections(&w, &report));
 }
 
 #[test]
@@ -280,7 +310,7 @@ fn merged_counters_are_shard_count_invariant() {
             );
             assert_eq!(
                 snapshot.counters["core.detections"],
-                report.detected() as u64,
+                representative_detections(&w, &report) as u64,
                 "{circuit} K={k}"
             );
             assert_eq!(

@@ -10,7 +10,10 @@
 //!
 //! This mirrors `tests/adaptive_equivalence.rs`, widened from one RAM
 //! to the whole zoo: the conformance bed every circuit added later
-//! must pass.
+//! must pass. It is also the collapse oracle: the reference row
+//! (`serial`) grades the whole universe with `collapse(false)`, and
+//! every other row runs the default collapsed path, so each backend's
+//! fanned-out result is checked against an uncollapsed `SerialSim`.
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
@@ -99,13 +102,16 @@ fn assert_conformance(
 ) {
     let mut reference: Option<(String, Vec<String>)> = None;
     for (label, backend) in all_backends() {
-        let report = Campaign::new(net)
+        let mut campaign = Campaign::new(net)
             .faults(universe.clone())
             .patterns(patterns)
             .outputs(outputs)
             .backend(backend)
-            .pattern_limit(PATTERN_CAP)
-            .run();
+            .pattern_limit(PATTERN_CAP);
+        if reference.is_none() {
+            campaign = campaign.collapse(false);
+        }
+        let report = campaign.run();
         assert_eq!(report.run.num_faults, universe.len(), "{name}/{label}");
         let fp = fingerprint(&report);
         match &reference {
