@@ -37,7 +37,11 @@ fn main() {
             .faults(universe.clone())
             .patterns(patterns)
             .outputs(ram.observed_outputs())
-            .backend(Backend::Concurrent(ConcurrentConfig::paper()))
+            // The paper settles one faulty circuit at a time: packed lanes would move its wall-time ratios.
+            .backend(Backend::Concurrent(ConcurrentConfig {
+                packing: false,
+                ..ConcurrentConfig::paper()
+            }))
             // The paper grades its whole universe: collapsing would shrink the work measured.
             .collapse(false)
             .run()

@@ -55,7 +55,11 @@ fn main() {
             .faults(sample.clone())
             .patterns(seq.patterns())
             .outputs(ram.observed_outputs())
-            .backend(Backend::Concurrent(ConcurrentConfig::paper()))
+            // The paper settles one faulty circuit at a time: packed lanes would move its wall-time ratios.
+            .backend(Backend::Concurrent(ConcurrentConfig {
+                packing: false,
+                ..ConcurrentConfig::paper()
+            }))
             // The paper grades its whole universe: collapsing would shrink the work measured.
             .collapse(false)
             .run()

@@ -29,6 +29,7 @@
 //! record→replay→re-plan rebuilds instead of reallocating per batch.
 
 use crate::overlay::Overrides;
+use crate::packed::PackedLanes;
 use crate::records::StateLists;
 use fmossim_faults::FaultId;
 use fmossim_netlist::{Logic, NodeId};
@@ -74,15 +75,32 @@ impl CircuitId {
 
 /// A compressed-sparse-row table: `row(i)` is a contiguous slice, all
 /// rows share one `data` allocation. Rebuildable in place, keeping the
-/// allocations, from `(row, value)` pairs sorted by row.
+/// allocations, from `(row, value)` pairs sorted by row — passed in, or
+/// collected in the table's own staging buffer.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Csr<T> {
     /// `n_rows + 1` offsets into `data` (empty until first rebuild).
     offsets: Vec<u32>,
     data: Vec<T>,
+    /// Staging `(row, value)` pairs for [`Csr::rebuild_staged`].
+    pairs: Vec<(u32, T)>,
 }
 
 impl<T: Copy> Csr<T> {
+    /// The staging buffer, emptied: push `(row, value)` pairs, sort
+    /// them by row, then call [`Csr::rebuild_staged`].
+    pub(crate) fn staging(&mut self) -> &mut Vec<(u32, T)> {
+        self.pairs.clear();
+        &mut self.pairs
+    }
+
+    /// [`Csr::rebuild`] from the staged pairs.
+    pub(crate) fn rebuild_staged(&mut self, n_rows: usize) {
+        let pairs = std::mem::take(&mut self.pairs);
+        self.rebuild(n_rows, &pairs);
+        self.pairs = pairs;
+    }
+
     /// Rebuilds the table for `n_rows` rows from pairs sorted by row
     /// index (ties keep their order), reusing both allocations.
     pub(crate) fn rebuild(&mut self, n_rows: usize, pairs: &[(u32, T)]) {
@@ -158,7 +176,8 @@ impl EventQueue {
 /// [`ConcurrentSim`](crate::ConcurrentSim), detached from the network
 /// lifetime so a batch driver can keep it across simulator rebuilds:
 /// the switch engine, the divergence-record store, the structural
-/// tables and all per-circuit flags and scratch. Constructing a
+/// tables, all per-circuit flags and scratch, and the packed-lane
+/// machinery. Constructing a
 /// simulator *in* an arena (`ConcurrentSim::new_in`) recycles each
 /// buffer in place; `ConcurrentSim::take_arena` gets the bundle back
 /// afterwards.
@@ -175,6 +194,9 @@ pub struct SimArena {
     pub(crate) queue: EventQueue,
     pub(crate) triggered: Vec<u32>,
     pub(crate) strobe_scratch: Vec<(u32, Logic)>,
+    /// The packed-lane machinery, once a packing simulator has built
+    /// it (a scalar simulator leaves it out).
+    pub(crate) packed: Option<Box<PackedLanes>>,
 }
 
 impl SimArena {
@@ -192,6 +214,7 @@ impl SimArena {
             queue: EventQueue::default(),
             triggered: Vec::new(),
             strobe_scratch: Vec::new(),
+            packed: None,
         }
     }
 }

@@ -16,9 +16,11 @@
 //!    into the triggered circuits' records (*old-value preservation*),
 //!    keeping each faulty circuit's view consistent with its own
 //!    history;
-//! 3. settles each triggered faulty circuit, in circuit-id order, over
-//!    an overlay view (records else good state). Writes maintain the
-//!    records; writing the good circuit's value removes the record
+//! 3. settles each triggered faulty circuit over an overlay view
+//!    (records else good state) — in circuit-id order on the scalar
+//!    path, up to 64 at a time grouped by shared seeds on the packed
+//!    default, with identical results. Writes maintain the records;
+//!    writing the good circuit's value removes the record
 //!    (convergence);
 //! 4. at strobe phases compares observed outputs: any divergence
 //!    detects the fault, which is dropped — its records are reclaimed
@@ -34,14 +36,14 @@
 
 use crate::arena::{CircuitId, Csr, EventQueue, SimArena};
 use crate::overlay::{FaultyView, Overrides};
-use crate::packed::{PackedBucketView, PackedViewScratch};
+use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
 use crate::records::StateLists;
 use crate::report::{Detection, DetectionPolicy, PatternStats, RunReport};
 use crate::tape::{GoodTape, PhaseTape};
 use fmossim_faults::{Fault, FaultEffect, FaultId};
 use fmossim_netlist::{Logic, Network, NodeId};
-use fmossim_switch::{DenseState, Engine, EngineConfig, LocalityMode, PackedEngine, SwitchState};
+use fmossim_switch::{DenseState, Engine, EngineConfig, LocalityMode, SwitchState};
 use fmossim_telemetry::{Counter, Gauge, Registry};
 use std::time::Instant;
 
@@ -195,27 +197,29 @@ pub struct ConcurrentConfig {
     /// circuit is simulated for the whole sequence.
     pub drop_on_detect: bool,
     /// Bit-parallel (PPSFP-style) faulty-circuit settling: the
-    /// triggered circuits of each phase are settled up to 64 at a time
-    /// through one pass of bitwise plane operations
-    /// ([`fmossim_switch::PackedEngine`]), each lane perturbed with its
-    /// own seed set and lanes evicted to a scalar-equivalent re-solve
-    /// whenever their vicinity structure diverges. Results are
-    /// bit-identical to the scalar path; only
-    /// the work counters (`faulty_groups`, `switch.*`) differ. Ignored
-    /// (scalar path used) under [`LocalityMode::Static`], which the
-    /// packed engine does not implement. Off by default and in
-    /// [`ConcurrentConfig::paper`]: the paper predates bit-parallel
-    /// fault packing.
+    /// triggered circuits of each phase are grouped by shared seeds and
+    /// settled up to 64 at a time through one pass of bitwise plane
+    /// operations ([`fmossim_switch::PackedEngine`]), each lane
+    /// perturbed with its own seed set and taking its seeds in its own
+    /// scalar order. States, detections and the per-circuit work
+    /// counters (`faulty_groups`, `circuit_settles`,
+    /// `core.events_scheduled`) are identical to the scalar path after
+    /// every phase; only the `switch.*` lane metrics see the shared
+    /// passes. Ignored (scalar path used) under [`LocalityMode::Static`],
+    /// which the packed engine does not implement. On in
+    /// [`ConcurrentConfig::paper`]; `false` gives the scalar path, which
+    /// the paper's figure regenerators use for its wall-time ratios.
     pub packing: bool,
 }
 
 impl ConcurrentConfig {
-    /// The paper's configuration: dynamic locality, drop on detect,
-    /// any-difference detection, no packing.
+    /// The paper's algorithm as run by default: dynamic locality, drop
+    /// on detect, any-difference detection, packed lanes.
     #[must_use]
     pub fn paper() -> Self {
         ConcurrentConfig {
             drop_on_detect: true,
+            packing: true,
             ..ConcurrentConfig::default()
         }
     }
@@ -313,44 +317,6 @@ pub struct ConcurrentSim<'n> {
     metrics: CoreMetrics,
 }
 
-/// One triggered circuit's drained seed run: a range into the sorted
-/// event buffer of the current settle step (the run's nodes are
-/// `events[start..end]`, sorted and unique).
-#[derive(Clone, Copy)]
-struct SeedRun {
-    circ: u32,
-    start: u32,
-    end: u32,
-}
-
-impl SeedRun {
-    #[inline]
-    fn range(self) -> std::ops::Range<usize> {
-        self.start as usize..self.end as usize
-    }
-}
-
-/// The packed settling machinery: one engine plus the reusable
-/// gather/scatter scratch behind [`PackedBucketView`]. Boxed so the
-/// scalar configuration pays one pointer.
-struct PackedLanes {
-    engine: PackedEngine,
-    scratch: PackedViewScratch,
-    /// Scratch: the triggered circuits of the current phase as seed
-    /// runs into the drained event buffer, chunked into lanes.
-    batch: Vec<SeedRun>,
-    /// Scratch: the seed-sharing circuits of the batch (packed lanes).
-    shared: Vec<SeedRun>,
-    /// Scratch: the circuits with fully private seed sets (scalar).
-    solo: Vec<SeedRun>,
-    /// Scratch: per-node triggered-circuit count, epoch-stamped.
-    seed_count: Vec<u32>,
-    seed_epoch: Vec<u32>,
-    seed_gen: u32,
-    /// Scratch: the current chunk's lane → circuit map.
-    lane_circs: Vec<u32>,
-}
-
 impl<'n> ConcurrentSim<'n> {
     /// Creates a simulator for single faults on `net`. Fault `k`
     /// becomes circuit `k + 1`; all circuits start at the reset state
@@ -414,24 +380,22 @@ impl<'n> ConcurrentSim<'n> {
             mut queue,
             mut triggered,
             mut strobe_scratch,
+            packed,
         } = arena;
         let good = DenseState::new(net);
         engine.recycle(net, config.engine);
         engine.perturb_all_storage(&good);
-        let packed =
-            (config.packing && config.engine.locality == LocalityMode::Dynamic).then(|| {
-                Box::new(PackedLanes {
-                    engine: PackedEngine::with_config(net, config.engine),
-                    scratch: PackedViewScratch::new(net.num_nodes()),
-                    batch: Vec::new(),
-                    shared: Vec::new(),
-                    solo: Vec::new(),
-                    seed_count: vec![0; net.num_nodes()],
-                    seed_epoch: vec![0; net.num_nodes()],
-                    seed_gen: 0,
-                    lane_circs: Vec::new(),
-                })
-            });
+        let packed = if config.packing && config.engine.locality == LocalityMode::Dynamic {
+            Some(match packed {
+                Some(mut lanes) => {
+                    lanes.recycle(net, config.engine);
+                    lanes
+                }
+                None => Box::new(PackedLanes::new(net, config.engine)),
+            })
+        } else {
+            None
+        };
         let n_sets = fault_sets.len();
         records.recycle(net.num_nodes(), n_sets);
         overrides.clear();
@@ -447,13 +411,11 @@ impl<'n> ConcurrentSim<'n> {
         // by node, then CSR-compacted. `attach` rows must be ascending
         // and unique; `forced_at` rows keep their per-circuit push
         // order (circuit-ascending by construction of the loop).
-        let mut attach_pairs: Vec<(u32, u32)> = Vec::new();
-        let mut forced_pairs: Vec<(u32, (u32, Logic))> = Vec::new();
-        let mut seeds = Vec::new();
+        let attach_pairs = attach.staging();
+        let forced_pairs = forced_at.staging();
         for (k, set) in fault_sets.iter().enumerate() {
             let circ = u32::try_from(k + 1).expect("too many faults");
             overrides[circ as usize] = Overrides::from_effects(set.iter().map(Fault::effect));
-            seeds.clear();
             for fault in set {
                 if let FaultEffect::ForceNode { node, value } = fault.effect() {
                     forced_pairs.push((
@@ -464,18 +426,17 @@ impl<'n> ConcurrentSim<'n> {
                 for n in fault.footprint(net) {
                     attach_pairs.push((u32::try_from(n.index()).expect("node fits u32"), circ));
                 }
-                seeds.extend(fault.initial_seeds(net));
-            }
-            for &s in &seeds {
-                queue.schedule(CircuitId(circ), s);
+                for s in fault.initial_seeds(net) {
+                    queue.schedule(CircuitId(circ), s);
+                }
             }
         }
         attach_pairs.sort_unstable();
         attach_pairs.dedup();
-        attach.rebuild(net.num_nodes(), &attach_pairs);
+        attach.rebuild_staged(net.num_nodes());
         // Stable by node: entries at one node stay in push order.
         forced_pairs.sort_by_key(|&(n, _)| n);
-        forced_at.rebuild(net.num_nodes(), &forced_pairs);
+        forced_at.rebuild_staged(net.num_nodes());
         ConcurrentSim {
             net,
             good,
@@ -558,6 +519,7 @@ impl<'n> ConcurrentSim<'n> {
             queue: self.queue,
             triggered: self.triggered,
             strobe_scratch: self.strobe_scratch,
+            packed: self.packed,
         }
     }
 
@@ -839,10 +801,10 @@ impl<'n> ConcurrentSim<'n> {
     /// sharing ones in chunks of up to 64 lanes through the packed
     /// engine, each lane perturbed with its own (sorted, deduplicated)
     /// seed set. Lanes are independent inside the engine — pending,
-    /// solved and damping masks are all per-lane — so a lane's
-    /// round-by-round schedule is exactly its scalar schedule no matter
-    /// what the other lanes do; lanes whose vicinity structure diverges
-    /// mid-solve are evicted to an immediate re-solve.
+    /// solved and damping masks and the queue order are all per-lane —
+    /// so a lane's seed-by-seed schedule is exactly its scalar schedule
+    /// no matter what the other lanes do; lanes whose vicinity
+    /// structure diverges mid-solve are re-solved in place.
     ///
     /// Bit-sharing happens wherever two lanes' propagation fronts meet
     /// at the same group in the same round, and the first round is the
@@ -852,8 +814,11 @@ impl<'n> ConcurrentSim<'n> {
     /// in its own region and would only pay the packed machinery's
     /// per-chunk overhead. The split routes the latter (and any phase
     /// that triggers a single circuit) through the scalar engine,
-    /// counted as `switch.scalar_fallbacks`. Both paths are
-    /// bit-identical, so the split is pure scheduling.
+    /// counted as `switch.scalar_fallbacks`. The sharing circuits are
+    /// chunked in order of their seed sets, not their ids, so circuits
+    /// woken at the same nodes share a chunk even when their fault ids
+    /// are far apart. Both paths are bit-identical, so the split and
+    /// the chunking are pure scheduling.
     fn settle_triggered_packed(&mut self, stats: &mut PatternStats) {
         // One sorted drain of the flat queue yields the batch directly:
         // ascending circuit runs (the lane→circuit map the packed view
@@ -911,8 +876,17 @@ impl<'n> ConcurrentSim<'n> {
                 }
             }
         }
-        for start in (0..shared.len()).step_by(64) {
-            let chunk = &shared[start..(start + 64).min(shared.len())];
+        // Seed-grouped chunks: order the sharing circuits by their seed
+        // sets, so circuits woken at the same nodes land in the same
+        // chunk whatever their ids, then restore ascending circuit ids
+        // inside each chunk (the lane order the packed view
+        // binary-searches).
+        shared.sort_unstable_by(|a, b| {
+            let seeds = |r: &SeedRun| events[r.range()].iter().map(|&(_, s)| s);
+            seeds(a).cmp(seeds(b)).then(a.circ.cmp(&b.circ))
+        });
+        for chunk in shared.chunks_mut(64) {
+            chunk.sort_unstable_by_key(|run| run.circ);
             if chunk.len() == 1 {
                 let run = chunk[0];
                 self.settle_circuit_scalar(run.circ, &events[run.range()], stats, true);
@@ -1028,10 +1002,8 @@ impl<'n> ConcurrentSim<'n> {
                 }
             }
         }
-        // `faulty_groups` counts packed solves here (each covering up
-        // to 64 circuits), so it is not comparable with the scalar
-        // path's per-circuit count; `circuit_settles` stays per
-        // circuit. Detections and states are bit-identical either way.
+        // `groups_solved` counts per lane, so both work counters stay
+        // per circuit, as on the scalar path.
         stats.faulty_groups += rep.groups_solved;
         stats.circuit_settles += chunk.len();
         stats.damped |= rep.oscillation_damped();
@@ -1802,6 +1774,7 @@ mod tests {
         for (p, s) in p_rep.patterns.iter().zip(&s_rep.patterns) {
             assert_eq!(p.detected, s.detected);
             assert_eq!(p.live_before, s.live_before);
+            assert_eq!(p.faulty_groups, s.faulty_groups);
             assert_eq!(p.circuit_settles, s.circuit_settles);
             assert_eq!(p.damped, s.damped);
         }
@@ -1833,7 +1806,6 @@ mod tests {
         let (net, a, out) = inverter();
         let universe = FaultUniverse::stuck_nodes(&net);
         let config = ConcurrentConfig {
-            packing: true,
             engine: EngineConfig {
                 locality: LocalityMode::Static,
                 ..EngineConfig::default()
@@ -1856,13 +1828,13 @@ mod tests {
             value: Logic::H,
         };
         let sets: Vec<Vec<Fault>> = (0..80).map(|_| vec![fault]).collect();
-        let config = ConcurrentConfig {
-            packing: true,
+        let mut sim = ConcurrentSim::new_multi(&net, sets.clone(), ConcurrentConfig::paper());
+        let report = sim.run(&toggle_patterns(a), &[out]);
+        let scalar_cfg = ConcurrentConfig {
+            packing: false,
             ..ConcurrentConfig::paper()
         };
-        let mut sim = ConcurrentSim::new_multi(&net, sets.clone(), config);
-        let report = sim.run(&toggle_patterns(a), &[out]);
-        let mut scalar = ConcurrentSim::new_multi(&net, sets, ConcurrentConfig::paper());
+        let mut scalar = ConcurrentSim::new_multi(&net, sets, scalar_cfg);
         let s_report = scalar.run(&toggle_patterns(a), &[out]);
         assert_eq!(report.detections, s_report.detections);
         assert_eq!(report.detected(), 80);

@@ -17,8 +17,80 @@
 use crate::overlay::Overrides;
 use crate::records::StateLists;
 use fmossim_netlist::{Conduction, Logic, Network, NodeId, TransistorId};
-use fmossim_switch::{PackedConduction, PackedLogic, PackedState};
+use fmossim_switch::{EngineConfig, PackedConduction, PackedEngine, PackedLogic, PackedState};
 use std::cell::RefCell;
+
+/// One triggered circuit's drained seed run: a range into the sorted
+/// event buffer of the current settle step (the run's nodes are
+/// `events[start..end]`, sorted and unique).
+#[derive(Clone, Copy)]
+pub(crate) struct SeedRun {
+    pub(crate) circ: u32,
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl SeedRun {
+    #[inline]
+    pub(crate) fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// The packed settling machinery: one engine plus the reusable
+/// gather/scatter scratch behind [`PackedBucketView`] and the lane
+/// scheduler's tables. Part of the simulator's
+/// [`SimArena`](crate::SimArena), so a rebuild re-fits it in place.
+pub(crate) struct PackedLanes {
+    pub(crate) engine: PackedEngine,
+    pub(crate) scratch: PackedViewScratch,
+    /// Scratch: the triggered circuits of the current phase as seed
+    /// runs into the drained event buffer, chunked into lanes.
+    pub(crate) batch: Vec<SeedRun>,
+    /// Scratch: the seed-sharing circuits of the batch (packed lanes).
+    pub(crate) shared: Vec<SeedRun>,
+    /// Scratch: the circuits with fully private seed sets (scalar).
+    pub(crate) solo: Vec<SeedRun>,
+    /// Scratch: per-node triggered-circuit count, epoch-stamped.
+    pub(crate) seed_count: Vec<u32>,
+    pub(crate) seed_epoch: Vec<u32>,
+    pub(crate) seed_gen: u32,
+    /// Scratch: the current chunk's lane → circuit map.
+    pub(crate) lane_circs: Vec<u32>,
+}
+
+impl PackedLanes {
+    pub(crate) fn new(net: &Network, config: EngineConfig) -> Self {
+        PackedLanes {
+            engine: PackedEngine::with_config(net, config),
+            scratch: PackedViewScratch::new(net.num_nodes()),
+            batch: Vec::new(),
+            shared: Vec::new(),
+            solo: Vec::new(),
+            seed_count: vec![0; net.num_nodes()],
+            seed_epoch: vec![0; net.num_nodes()],
+            seed_gen: 0,
+            lane_circs: Vec::new(),
+        }
+    }
+
+    /// Resets to the state [`PackedLanes::new`] would produce for
+    /// `net`, keeping every allocation that already suffices.
+    pub(crate) fn recycle(&mut self, net: &Network, config: EngineConfig) {
+        let nodes = net.num_nodes();
+        self.engine.recycle(net, config);
+        self.scratch.fit(nodes);
+        self.batch.clear();
+        self.shared.clear();
+        self.solo.clear();
+        for v in [&mut self.seed_count, &mut self.seed_epoch] {
+            v.clear();
+            v.resize(nodes, 0);
+        }
+        self.seed_gen = 0;
+        self.lane_circs.clear();
+    }
+}
 
 /// The lane mask for a chunk of `count` circuits (1..=64).
 pub(crate) fn lane_mask(count: usize) -> u64 {
@@ -71,6 +143,23 @@ impl PackedViewScratch {
             forced_nodes: Vec::new(),
             forced_trans: Vec::new(),
         }
+    }
+
+    /// Re-fits the scratch to `num_nodes`, keeping every allocation that
+    /// already suffices; afterwards it equals a fresh
+    /// [`PackedViewScratch::new`].
+    fn fit(&mut self, num_nodes: usize) {
+        let cache = self.cache.get_mut();
+        cache.values.clear();
+        cache.values.resize(num_nodes, PackedLogic::default());
+        cache.loaded.clear();
+        cache.loaded.resize(num_nodes, 0);
+        cache.epoch = 0;
+        self.dirty_mask.clear();
+        self.dirty_mask.resize(num_nodes, 0);
+        self.dirty.clear();
+        self.forced_nodes.clear();
+        self.forced_trans.clear();
     }
 
     /// Rebuilds the per-lane fault override tables for a new chunk and

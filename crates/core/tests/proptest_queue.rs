@@ -148,8 +148,9 @@ fn fingerprint(sim: &ConcurrentSim, net: &Network, num_faults: usize) -> Vec<Vec
 fn config() -> ConcurrentConfig {
     // Keep drop-on-detect active: dropping reclaims records mid-run,
     // which is exactly the kind of history the recycling property must
-    // show to be invisible.
-    ConcurrentConfig::default()
+    // show to be invisible. The default packed lanes are part of the
+    // arena, so recycling must not show through them either.
+    ConcurrentConfig::paper()
 }
 
 proptest! {

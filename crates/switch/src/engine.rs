@@ -444,7 +444,10 @@ impl Engine {
 pub struct PackedSettleReport {
     /// Number of unit-delay rounds executed.
     pub rounds: usize,
-    /// Number of packed vicinity solves (each covering 1–64 lanes).
+    /// Number of vicinities solved, counted per lane: a solve keeping
+    /// `k` lanes counts `k`, so this is the scalar engine's
+    /// `groups_solved` summed over the lanes' machines, whatever they
+    /// share. The shared passes are the `switch.*` lane metrics.
     pub groups_solved: usize,
     /// Number of per-lane node state changes applied.
     pub nodes_changed: usize,
@@ -504,15 +507,29 @@ impl PackedEngineMetrics {
 /// in unit-delay rounds, settling up to 64 fault machines per vicinity
 /// solve through [`PackedScratch`].
 ///
-/// The scheduling discipline matches the scalar engine round for round:
-/// a per-node pending mask plays the role of the scalar queued flag, a
+/// The scheduling discipline matches the scalar engine round for round
+/// *and seed for seed*. The scalar engine writes a solved group's values
+/// at once, so a later group of the same round sees them: the order in
+/// which a machine's seeds are taken matters, and every lane must take
+/// its seeds in its own scalar order. So the worklist is a sequence of
+/// `(node, lanes)` entries in which each lane's entries appear in the
+/// order its scalar engine would queue them:
+///
+/// * the first round takes the externally perturbed nodes in ascending
+///   node order (the scalar concurrent path perturbs each circuit's
+///   sorted seed set);
+/// * a gate-driven wake-up for some lanes joins the node's pending entry
+///   only for lanes that have queued nothing since that entry, and
+///   starts a new entry for the rest;
+/// * lanes evicted by a mid-extraction support divergence re-solve from
+///   the same seed before the next entry is taken.
+///
+/// A per-node pending mask plays the role of the scalar queued flag, a
 /// per-node `(round, lanes)` stamp plays the role of `solved_round`, and
-/// gate-driven wake-ups propagate per changed lane (any value change
-/// flips an N/P conduction class; depletion gates never wake). Lanes
-/// evicted by a mid-extraction support divergence re-enter the worklist
-/// from the same seed in the same round, so each lane settles exactly
-/// as its scalar schedule would — the bit-identity the equivalence
-/// tests assert.
+/// wake-ups propagate per changed lane (any value change flips an N/P
+/// conduction class; depletion gates never wake). Each lane therefore
+/// settles exactly as its scalar schedule would, phase by phase — the
+/// bit-identity the equivalence tests assert.
 #[derive(Clone, Debug)]
 pub struct PackedEngine {
     scratch: PackedScratch,
@@ -521,15 +538,19 @@ pub struct PackedEngine {
     /// so routing them through the scalar fixed point keeps the packed
     /// path competitive when occupancy is low.
     scalar: Scratch,
-    /// Nodes to process this round.
-    queue: Vec<NodeId>,
-    /// Nodes scheduled for the next round.
-    next_queue: Vec<NodeId>,
+    /// `(node, lanes)` entries to process this round, in order.
+    queue: Vec<(NodeId, u64)>,
+    /// `(node, lanes)` entries scheduled for the next round.
+    next_queue: Vec<(NodeId, u64)>,
     /// Per-node lanes scheduled for the next round; nonzero iff the
-    /// node is in `next_queue`.
+    /// node has an entry in `next_queue`.
     pending: Vec<u64>,
-    /// Per-node lanes awaiting processing in the current round.
-    todo: Vec<u64>,
+    /// Per-node index of the node's latest entry in `next_queue`
+    /// (meaningful while `pending` is nonzero).
+    last_entry: Vec<u32>,
+    /// Per lane: one past the index of the lane's latest entry in
+    /// `next_queue` (0: none yet this round).
+    lane_tail: [u32; 64],
     /// Per-node lanes already solved in the round stamped below.
     solved_mask: Vec<u64>,
     solved_round: Vec<u64>,
@@ -558,7 +579,8 @@ impl PackedEngine {
             queue: Vec::new(),
             next_queue: Vec::new(),
             pending: vec![0; net.num_nodes()],
-            todo: vec![0; net.num_nodes()],
+            last_entry: vec![0; net.num_nodes()],
+            lane_tail: [0; 64],
             solved_mask: vec![0; net.num_nodes()],
             solved_round: vec![0; net.num_nodes()],
             round_id: 0,
@@ -571,6 +593,31 @@ impl PackedEngine {
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// Resets the engine to the state [`PackedEngine::with_config`]
+    /// would produce for `net`, keeping every allocation that already
+    /// suffices (see [`Engine::recycle`]). Metrics detach.
+    pub fn recycle(&mut self, net: &Network, config: EngineConfig) {
+        let (nodes, transistors) = (net.num_nodes(), net.num_transistors());
+        self.scratch.fit(nodes, transistors);
+        self.scalar.fit(nodes, transistors);
+        self.queue.clear();
+        self.next_queue.clear();
+        for v in [
+            &mut self.pending,
+            &mut self.solved_mask,
+            &mut self.solved_round,
+        ] {
+            v.clear();
+            v.resize(nodes, 0);
+        }
+        self.last_entry.clear();
+        self.last_entry.resize(nodes, 0);
+        self.lane_tail = [0; 64];
+        self.round_id = 0;
+        self.config = config;
+        self.metrics = PackedEngineMetrics::default();
     }
 
     /// Publishes this engine's activity (`switch.packed_solves`,
@@ -593,25 +640,30 @@ impl PackedEngine {
 
     /// Discards every pending perturbation in every lane.
     pub fn clear_pending(&mut self) {
-        for &n in &self.next_queue {
+        for &(n, _) in &self.next_queue {
             self.pending[n.index()] = 0;
         }
         self.next_queue.clear();
     }
 
     /// Schedules node `n` for (re-)evaluation in the given lanes at the
-    /// next settle. Input-classified lanes are filtered out at
-    /// processing time, so perturbing them is harmless.
+    /// next settle. The perturbed nodes form a set: the settle's first
+    /// round takes them in ascending node order, whatever the order of
+    /// the calls. Input-classified lanes are filtered out at processing
+    /// time, so perturbing them is harmless.
     #[inline]
     pub fn perturb(&mut self, n: NodeId, lanes: u64) {
         if lanes == 0 {
             return;
         }
-        let e = &mut self.pending[n.index()];
-        if *e == 0 {
-            self.next_queue.push(n);
+        let i = n.index();
+        if self.pending[i] == 0 {
+            self.last_entry[i] = u32::try_from(self.next_queue.len()).expect("queue fits u32");
+            self.next_queue.push((n, lanes));
+        } else {
+            self.next_queue[self.last_entry[i] as usize].1 |= lanes;
         }
-        *e |= lanes;
+        self.pending[i] |= lanes;
     }
 
     /// Drains all pending perturbations across every lane, solving
@@ -619,94 +671,98 @@ impl PackedEngine {
     pub fn settle<P: PackedState>(&mut self, st: &mut P) -> PackedSettleReport {
         let mut report = PackedSettleReport::default();
         let all_lanes = st.lanes();
+        // First round: ascending node order, one entry per node.
+        self.next_queue.sort_unstable_by_key(|&(n, _)| n);
         while !self.next_queue.is_empty() {
             report.rounds += 1;
             let x_damp = report.rounds > self.config.max_rounds;
-            if x_damp {
-                for &n in &self.next_queue {
-                    report.damped_lanes |= self.pending[n.index()] & all_lanes;
+            self.round_id += 1;
+            for &(n, lanes) in &self.next_queue {
+                self.pending[n.index()] = 0;
+                if x_damp {
+                    report.damped_lanes |= lanes & all_lanes;
                 }
             }
-            self.round_id += 1;
-            for qi in 0..self.next_queue.len() {
-                let n = self.next_queue[qi];
-                self.todo[n.index()] = self.pending[n.index()];
-                self.pending[n.index()] = 0;
-            }
+            self.lane_tail = [0; 64];
             std::mem::swap(&mut self.queue, &mut self.next_queue);
-            let mut qi = 0;
-            while qi < self.queue.len() {
-                let seed = self.queue[qi];
-                qi += 1;
-                let mut m = self.todo[seed.index()];
-                self.todo[seed.index()] = 0;
-                m &= all_lanes & !st.is_input_lanes(seed);
+            for qi in 0..self.queue.len() {
+                let (seed, lanes) = self.queue[qi];
+                let mut m = lanes & all_lanes & !st.is_input_lanes(seed);
                 if self.solved_round[seed.index()] == self.round_id {
                     m &= !self.solved_mask[seed.index()];
                 }
-                if m == 0 {
-                    continue;
-                }
-                if m & (m - 1) == 0 {
-                    // One active lane: the packed fixed point would run
-                    // full-width plane operations for it; the scalar
-                    // solver computes the identical result cheaper.
-                    self.solve_lane_scalar(st, seed, m, x_damp, &mut report);
-                    continue;
-                }
-                let (kept, evicted) = self.scratch.solve(st, seed, m);
-                if evicted != 0 {
-                    // Diverged lanes re-extract from the same seed in the
-                    // same round, preserving each lane's scalar schedule.
-                    self.todo[seed.index()] |= evicted;
-                    self.queue.push(seed);
-                }
-                report.groups_solved += 1;
-                if self.metrics.active {
-                    let occ = u64::from(kept.count_ones());
-                    self.metrics.local_occupancy.observe(occ);
-                    if occ >= 2 {
-                        self.metrics.local_packed += 1;
-                    } else {
-                        self.metrics.local_fallbacks += 1;
+                while m != 0 {
+                    if m & (m - 1) == 0 {
+                        // One active lane: the packed fixed point would
+                        // run full-width plane operations for it; the
+                        // scalar solver computes the identical result
+                        // cheaper.
+                        self.solve_lane_scalar(st, seed, m, x_damp, &mut report);
+                        break;
                     }
-                }
-                for i in 0..self.scratch.members.len() {
-                    let member = self.scratch.members[i];
-                    if self.solved_round[member.index()] == self.round_id {
-                        self.solved_mask[member.index()] |= kept;
-                    } else {
-                        self.solved_round[member.index()] = self.round_id;
-                        self.solved_mask[member.index()] = kept;
-                    }
-                    let old = st.node_state(member).masked(kept);
-                    let mut new = self.scratch.out_values[i];
-                    if x_damp {
-                        new = old.lub(new);
-                    }
-                    let ch = old.diff_mask(new) & kept;
-                    if ch == 0 {
-                        continue;
-                    }
-                    st.set_node_state(member, ch, new);
-                    report.nodes_changed += ch.count_ones() as usize;
-                    // Gate-driven wake-ups for the next round: every
-                    // value change flips an N/P conduction class, and
-                    // depletion gates never change class.
-                    let net = st.network();
-                    for &t in net.gated_transistors(member) {
-                        let tr = net.transistor(t);
-                        if tr.ttype == TransistorType::D {
-                            continue;
-                        }
-                        self.perturb_next(tr.source, ch);
-                        self.perturb_next(tr.drain, ch);
-                    }
+                    let (kept, evicted) = self.scratch.solve(st, seed, m);
+                    self.apply_packed(st, kept, x_damp, &mut report);
+                    // Diverged lanes re-extract from the same seed before
+                    // the next entry, preserving each lane's scalar order.
+                    m = evicted;
                 }
             }
             self.queue.clear();
         }
         report
+    }
+
+    /// Writes one packed solve's kept lanes back: round bookkeeping,
+    /// damping, state changes and gate-driven wake-ups.
+    fn apply_packed<P: PackedState>(
+        &mut self,
+        st: &mut P,
+        kept: u64,
+        x_damp: bool,
+        report: &mut PackedSettleReport,
+    ) {
+        report.groups_solved += kept.count_ones() as usize;
+        if self.metrics.active {
+            let occ = u64::from(kept.count_ones());
+            self.metrics.local_occupancy.observe(occ);
+            if occ >= 2 {
+                self.metrics.local_packed += 1;
+            } else {
+                self.metrics.local_fallbacks += 1;
+            }
+        }
+        for i in 0..self.scratch.members.len() {
+            let member = self.scratch.members[i];
+            if self.solved_round[member.index()] == self.round_id {
+                self.solved_mask[member.index()] |= kept;
+            } else {
+                self.solved_round[member.index()] = self.round_id;
+                self.solved_mask[member.index()] = kept;
+            }
+            let old = st.node_state(member).masked(kept);
+            let mut new = self.scratch.out_values[i];
+            if x_damp {
+                new = old.lub(new);
+            }
+            let ch = old.diff_mask(new) & kept;
+            if ch == 0 {
+                continue;
+            }
+            st.set_node_state(member, ch, new);
+            report.nodes_changed += ch.count_ones() as usize;
+            // Gate-driven wake-ups for the next round: every value
+            // change flips an N/P conduction class, and depletion gates
+            // never change class.
+            let net = st.network();
+            for &t in net.gated_transistors(member) {
+                let tr = net.transistor(t);
+                if tr.ttype == TransistorType::D {
+                    continue;
+                }
+                self.perturb_next(tr.source, ch);
+                self.perturb_next(tr.drain, ch);
+            }
+        }
     }
 
     /// Solves `seed`'s vicinity for exactly one lane through the scalar
@@ -769,13 +825,45 @@ impl PackedEngine {
         }
     }
 
+    /// Queues a wake-up of `n` in `lanes` for the next round, keeping
+    /// each lane's entries in its scalar push order: lanes already
+    /// pending at `n` are skipped (the scalar queued flag); a new lane
+    /// joins `n`'s latest entry only if it has queued nothing after it,
+    /// else it starts a new entry at the end.
     #[inline]
     fn perturb_next(&mut self, n: NodeId, lanes: u64) {
-        let e = &mut self.pending[n.index()];
-        if *e == 0 {
-            self.next_queue.push(n);
+        let i = n.index();
+        let mut rest = lanes & !self.pending[i];
+        if rest == 0 {
+            return;
         }
-        *e |= lanes;
+        self.pending[i] |= rest;
+        if self.pending[i] != rest {
+            let j = self.last_entry[i];
+            let mut join = 0;
+            let mut m = rest;
+            while m != 0 {
+                let lane = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if self.lane_tail[lane] <= j {
+                    join |= 1 << lane;
+                    self.lane_tail[lane] = j + 1;
+                }
+            }
+            self.next_queue[j as usize].1 |= join;
+            rest &= !join;
+            if rest == 0 {
+                return;
+            }
+        }
+        let k = u32::try_from(self.next_queue.len()).expect("queue fits u32");
+        self.next_queue.push((n, rest));
+        self.last_entry[i] = k;
+        let mut m = rest;
+        while m != 0 {
+            self.lane_tail[m.trailing_zeros() as usize] = k + 1;
+            m &= m - 1;
+        }
     }
 }
 
@@ -1010,7 +1098,7 @@ mod tests {
 
     /// Settles a packed broadcast of `lane_forces.len()` lanes and the
     /// corresponding per-lane scalar engines, asserting bit-identical
-    /// final states and per-lane damping flags.
+    /// final states, per-lane damping flags and per-lane solve counts.
     fn packed_vs_scalar_settle(
         net: &Network,
         lane_forces: &[Vec<(NodeId, Logic)>],
@@ -1033,6 +1121,7 @@ mod tests {
             peng.perturb(n, packed.lanes() & !packed.is_input_lanes(n));
         }
         let prep = peng.settle(&mut packed);
+        let mut scalar_groups = 0;
         for (lane, forces) in lane_forces.iter().enumerate() {
             let lane = u32::try_from(lane).unwrap();
             let mut st = DenseState::new(net);
@@ -1042,6 +1131,7 @@ mod tests {
             let mut eng = Engine::with_config(net, cfg);
             eng.perturb_all_storage(&st);
             let rep = eng.settle(&mut st);
+            scalar_groups += rep.groups_solved;
             for n in net.node_ids() {
                 if st.is_input(n) {
                     continue;
@@ -1059,6 +1149,7 @@ mod tests {
                 "lane {lane} damping"
             );
         }
+        assert_eq!(prep.groups_solved, scalar_groups, "per-lane solves");
     }
 
     #[test]

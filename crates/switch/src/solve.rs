@@ -614,6 +614,18 @@ impl PackedScratch {
         }
     }
 
+    /// Re-fits the buffers to a network's counts, keeping every
+    /// allocation that already suffices (see [`Scratch::fit`]).
+    pub fn fit(&mut self, num_nodes: usize, num_transistors: usize) {
+        self.node_epoch.clear();
+        self.node_epoch.resize(num_nodes, 0);
+        self.node_local.clear();
+        self.node_local.resize(num_nodes, 0);
+        self.t_epoch.clear();
+        self.t_epoch.resize(num_transistors, 0);
+        self.current_epoch = 0;
+    }
+
     /// True iff `n` belongs to the group extracted in the current epoch.
     #[inline]
     pub(crate) fn in_group(&self, n: NodeId) -> bool {

@@ -13,7 +13,7 @@
 //!                  [--sample K] [--seed S] [--serial]
 //!                  [--stop-at-coverage F] [--pattern-limit N]
 //!                  [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-//!                  [--batch N] [--packing on|off]
+//!                  [--batch N]
 //!                  [--metrics <path>[.prom|.json]]
 //! ```
 //!
@@ -80,7 +80,7 @@ usage:
                    [--sample K] [--seed S] [--serial]
                    [--stop-at-coverage F] [--pattern-limit N]
                    [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-                   [--batch N] [--packing on|off]
+                   [--batch N]
                    [--metrics <path>[.prom|.json]]
   fmossim serve    [--addr HOST:PORT] [--workers N] [--cache-mb N]
                    [--default-shards N]
@@ -114,12 +114,11 @@ a good pass without saving one), so with --jobs auto on a small
 workload the tape is skipped. The post-run `plan:` line echoes what
 actually resolved.
 
---packing on enables the bit-parallel packed evaluation path on the
-concurrent-family backends (concurrent, parallel): fault
-machines triggered by the same events settle together, up to 64 per
-bitwise pass over two-plane ternary words. Results are bit-identical
-to --packing off; only the work counters in the telemetry differ. The
-default is off.
+The concurrent and parallel backends settle the fault machines woken
+at the same nodes together, up to 64 per bitwise pass over two-plane
+ternary words (packed lanes). Results and work counters are those of
+one-machine-at-a-time settling; the --metrics `switch.packed_solves`
+and `switch.lane.occupancy` rows count the shared passes.
 
 Every campaign (faultsim and submit alike) runs static fault
 collapsing first: structurally equivalent faults (parallel twins,
@@ -471,13 +470,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             format!("unknown shard strategy `{spec}` (round-robin|contiguous|cost)")
         })?,
     };
-    let packing = opt(args, "--packing")
-        .map(|s| match s {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(format!("--packing takes `on` or `off`, not `{other}`")),
-        })
-        .transpose()?;
     let batch = opt(args, "--batch")
         .map(|s| {
             s.parse::<usize>()
@@ -522,19 +514,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             ))
         }
     };
-    let mut backend = backend;
-    if let Some(p) = packing {
-        match &mut backend {
-            Backend::Serial(_) => {
-                return Err(format!(
-                    "--packing requires a concurrent-family backend, not `{backend_name}`"
-                ))
-            }
-            Backend::Concurrent(c) => c.packing = p,
-            Backend::Parallel(c) => c.sim.packing = p,
-        }
-    }
-    let backend = backend;
     let pool = match backend {
         Backend::Parallel(c) if c.batch > 0 => {
             format!(" [jobs {}, {strategy}, batch {}]", c.jobs, c.batch)

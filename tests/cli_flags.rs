@@ -68,17 +68,21 @@ fn removed_collapse_flag_is_an_error() {
     );
 }
 
+/// Packed lanes are the concurrent-family default; the switch for them
+/// is gone.
+#[test]
+fn removed_packing_flag_is_an_error() {
+    for value in ["on", "off"] {
+        assert_unknown_flag(
+            &["faultsim", "--circuit", "ram4x4", "--packing", value],
+            "--packing",
+        );
+    }
+}
+
 #[test]
 fn listed_flags_run() {
-    let out = fmossim(&[
-        "faultsim",
-        "--circuit",
-        "ram4x4",
-        "--packing",
-        "on",
-        "--jobs",
-        "2",
-    ]);
+    let out = fmossim(&["faultsim", "--circuit", "ram4x4", "--jobs", "2"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),

@@ -38,7 +38,8 @@ const PATTERN_CAP: usize = 24;
 /// The concurrent-family matrix: collapsing routes through the
 /// campaign's universe/fan-out seam identically for all of them, but
 /// sharding and lane packing each interact with the collapsed
-/// universe differently enough to earn a row.
+/// universe differently enough to earn a row. Every row packs lanes
+/// (the default) except `concurrent-scalar`.
 fn backend_for(label: &str) -> Backend {
     let sim = ConcurrentConfig {
         policy: DetectionPolicy::DefiniteOnly,
@@ -46,8 +47,8 @@ fn backend_for(label: &str) -> Backend {
     };
     match label {
         "concurrent" => Backend::Concurrent(sim),
-        "packed" => Backend::Concurrent(ConcurrentConfig {
-            packing: true,
+        "concurrent-scalar" => Backend::Concurrent(ConcurrentConfig {
+            packing: false,
             ..sim
         }),
         "parallel-k2" => Backend::Parallel(ParallelConfig {
@@ -66,7 +67,12 @@ fn backend_for(label: &str) -> Backend {
     }
 }
 
-const BACKENDS: [&str; 4] = ["concurrent", "packed", "parallel-k2", "batched-k2"];
+const BACKENDS: [&str; 4] = [
+    "concurrent",
+    "concurrent-scalar",
+    "parallel-k2",
+    "batched-k2",
+];
 
 fn run_campaign(
     net: &Network,

@@ -1,46 +1,125 @@
-//! Lane equivalence: the bit-parallel packed evaluation path
-//! (`ConcurrentConfig::packing`) must be **bit-identical** to the
-//! scalar concurrent path — same detection sequence, same live set,
-//! same divergence-record population, same per-fault node states after
-//! every run. The packed engine promises each lane settles exactly as
-//! its scalar schedule would (per-lane pending/solved/damping masks,
-//! structure-divergence eviction), so the comparison is exact even on
-//! pathological circuits — no race or oscillation filtering needed,
-//! both sides run the *same* per-lane algorithm.
+//! Lane equivalence: the bit-parallel packed evaluation path (the
+//! `ConcurrentConfig::paper` default) must be **bit-identical** to the
+//! scalar concurrent path (`packing: false`) after **every phase** —
+//! same per-fault node states, record population, live set and
+//! detections, and the same per-circuit work (`faulty_groups`,
+//! `circuit_settles`, `core.events_scheduled`). The packed engine
+//! promises each lane takes its seeds in its own scalar order
+//! (per-lane pending/solved/damping masks, per-lane queue order,
+//! structure-divergence eviction re-solved in place), so the comparison
+//! is exact even on pathological circuits — no race or oscillation
+//! filtering needed, both sides run the *same* per-lane algorithm.
+//! An end-of-run comparison alone is not enough: a lane can diverge
+//! mid-run and heal before the last pattern (the `ram64` regression).
 //!
 //! A property test over random small netlists (offline proptest shim)
 //! covers charge-sharing, ratioed-fight and oscillating topologies the
 //! zoo fixtures do not; `tests/zoo_equivalence.rs` carries the packed
-//! backends through the cross-backend campaign matrix.
+//! default and a scalar row through the cross-backend campaign matrix.
 
-use fmossim::concurrent::{ConcurrentConfig, ConcurrentSim, Pattern, Phase, RunReport};
-use fmossim::faults::{FaultId, FaultUniverse};
+use fmossim::concurrent::{
+    ConcurrentConfig, ConcurrentSim, Pattern, PatternStats, Phase, RunReport,
+};
+use fmossim::faults::{Fault, FaultId, FaultUniverse};
 use fmossim::netlist::{Drive, Logic, Network, NodeId, Size, TransistorType};
+use fmossim::telemetry::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Runs the same workload scalar and packed and asserts every
-/// observable of the simulation — detections, drops, live counts,
-/// record lists, and the full per-fault state overlay — is identical.
-/// Work counters (`faulty_groups`, `circuit_settles`) are excluded:
-/// the packed path legitimately counts solves differently.
+/// The per-circuit work counters of one phase: what [`PatternStats`]
+/// reports plus the registry's `core.*` work counters.
+fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 7] {
+    let snap = reg.snapshot();
+    let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    [
+        stats.detected as u64,
+        stats.good_groups as u64,
+        stats.faulty_groups as u64,
+        stats.circuit_settles as u64,
+        c("core.events_scheduled"),
+        c("core.circuit.settles"),
+        c("core.faulty.groups"),
+    ]
+}
+
+/// Runs the same workload scalar (`packing: false`) and packed (the
+/// default) and asserts they are identical **after every phase**: each
+/// fault's state at every node, the record population, the live set,
+/// the detections and the per-circuit work counters (`faulty_groups`
+/// and `circuit_settles` from the phase stats; `core.events_scheduled`,
+/// `core.circuit.settles` and `core.faulty.groups` from the registry).
+/// Then it runs both end to end and compares the reports. Returns the
+/// scalar report and the number of multi-lane packed solves.
 fn assert_lane_equivalence(
     net: &Network,
     universe: &FaultUniverse,
     patterns: &[Pattern],
     outputs: &[NodeId],
-) -> (RunReport, RunReport) {
-    let scalar_cfg = ConcurrentConfig::paper();
-    let packed_cfg = ConcurrentConfig {
-        packing: true,
-        ..scalar_cfg
+) -> (RunReport, u64) {
+    let packed_cfg = ConcurrentConfig::paper();
+    assert!(packed_cfg.packing, "the paper config packs by default");
+    let scalar_cfg = ConcurrentConfig {
+        packing: false,
+        ..packed_cfg
     };
+    let mut scalar = ConcurrentSim::new(net, universe.faults(), scalar_cfg);
+    let mut packed = ConcurrentSim::new(net, universe.faults(), packed_cfg);
+    let mut packed_solves = 0;
+    for (pi, pattern) in patterns.iter().enumerate() {
+        for (phi, phase) in pattern.phases.iter().enumerate() {
+            let (s_reg, p_reg) = (Registry::new(), Registry::new());
+            scalar.attach_metrics(&s_reg);
+            packed.attach_metrics(&p_reg);
+            let (mut s_stats, mut p_stats) = (PatternStats::default(), PatternStats::default());
+            scalar.step_phase(phase, outputs, pi, phi, &mut s_stats);
+            packed.step_phase(phase, outputs, pi, phi, &mut p_stats);
+            scalar.flush_metrics();
+            packed.flush_metrics();
+            let at = format!("pattern {pi} phase {phi}");
+            for k in 0..u32::try_from(universe.len()).expect("universe fits") {
+                let f = FaultId(k);
+                for n in net.node_ids() {
+                    assert_eq!(
+                        packed.fault_state(f, n),
+                        scalar.fault_state(f, n),
+                        "{at}: fault {k} diverged at node {} ({n:?})",
+                        net.node(n).name,
+                    );
+                }
+            }
+            assert_eq!(
+                packed.record_count(),
+                scalar.record_count(),
+                "{at}: record population diverged"
+            );
+            assert_eq!(packed.live(), scalar.live(), "{at}: live sets diverged");
+            assert_eq!(
+                packed.detections(),
+                scalar.detections(),
+                "{at}: detections diverged"
+            );
+            assert_eq!(
+                phase_work(&p_stats, &p_reg),
+                phase_work(&s_stats, &s_reg),
+                "{at}: work counters diverged \
+                 [detected, good, faulty groups, settles, events, settles, groups]"
+            );
+            assert_eq!(p_stats.damped, s_stats.damped, "{at}: damping diverged");
+            packed_solves += p_reg
+                .snapshot()
+                .counters
+                .get("switch.packed_solves")
+                .copied()
+                .unwrap_or(0);
+        }
+    }
+
+    // End of run, through `run`: the same reports, counter for counter.
     let mut scalar = ConcurrentSim::new(net, universe.faults(), scalar_cfg);
     let s_rep = scalar.run(patterns, outputs);
     let mut packed = ConcurrentSim::new(net, universe.faults(), packed_cfg);
     let p_rep = packed.run(patterns, outputs);
-
     assert_eq!(p_rep.detections, s_rep.detections, "detections diverged");
     assert_eq!(packed.live(), scalar.live(), "live sets diverged");
     assert_eq!(
@@ -48,24 +127,28 @@ fn assert_lane_equivalence(
         scalar.record_count(),
         "record population diverged"
     );
-    for k in 0..u32::try_from(universe.len()).expect("universe fits") {
-        let f = FaultId(k);
-        for n in net.node_ids() {
-            assert_eq!(
-                packed.fault_state(f, n),
-                scalar.fault_state(f, n),
-                "fault {k} diverged at node {n:?}"
-            );
-        }
-    }
     for (p, s) in p_rep.patterns.iter().zip(&s_rep.patterns) {
         assert_eq!(
-            (p.detected, p.live_before, p.good_groups, p.damped),
-            (s.detected, s.live_before, s.good_groups, s.damped),
+            (
+                p.detected,
+                p.live_before,
+                p.good_groups,
+                p.faulty_groups,
+                p.circuit_settles,
+                p.damped
+            ),
+            (
+                s.detected,
+                s.live_before,
+                s.good_groups,
+                s.faulty_groups,
+                s.circuit_settles,
+                s.damped
+            ),
             "pattern counters diverged"
         );
     }
-    (s_rep, p_rep)
+    (s_rep, packed_solves)
 }
 
 // ---------------------------------------------------------------------
@@ -79,7 +162,7 @@ fn ram_lanes_match_scalar_bit_for_bit() {
     let ram = Ram::new(4, 4);
     let universe = FaultUniverse::stuck_nodes(ram.network());
     let seq = TestSequence::march_only(&ram);
-    let (s_rep, _) = assert_lane_equivalence(
+    let (s_rep, packed_solves) = assert_lane_equivalence(
         ram.network(),
         &universe,
         seq.patterns(),
@@ -89,6 +172,7 @@ fn ram_lanes_match_scalar_bit_for_bit() {
         s_rep.detections.len() > universe.len() / 2,
         "workload must exercise the fault machinery"
     );
+    assert!(packed_solves > 0, "workload must share lanes");
 }
 
 #[test]
@@ -112,6 +196,43 @@ fn transistor_fault_lanes_match_scalar() {
         &patterns,
         &adder.observed_outputs(),
     );
+}
+
+/// Regression: on `ram64`, with `AT3` and `AT4` stuck-at-0 packed into
+/// one chunk, the `AT4` lane used to read `WBL0 = H` after pattern 5
+/// phase 0 where its scalar settle (and a one-fault simulator) reads
+/// `L`; the wrong state spread to `S7_0` and `M7_0` and healed only
+/// later, so an end-of-run comparison missed it.
+#[test]
+fn ram64_address_pair_lanes_match_scalar_every_phase() {
+    use fmossim::testgen::zoo::build_zoo;
+    let w = build_zoo("ram64").expect("zoo member");
+    let stuck0 = |name: &str| Fault::NodeStuck {
+        node: w.net.find_node(name).expect("address line exists"),
+        value: Logic::L,
+    };
+    let universe = FaultUniverse::from_faults(vec![stuck0("AT3"), stuck0("AT4")]);
+    let (_, packed_solves) = assert_lane_equivalence(&w.net, &universe, &w.patterns, &w.outputs);
+    assert!(packed_solves > 0, "the pair must share lanes");
+}
+
+/// Every zoo member, on a seeded sample of its stuck-node and
+/// stuck-transistor universe and the head of its stimulus: the packed
+/// default and the scalar path agree phase by phase, work counters
+/// included.
+#[test]
+fn every_zoo_member_packs_bit_identically_per_phase() {
+    use fmossim::testgen::zoo::{build_zoo, ZOO, ZOO_SEED};
+    let mut packed_solves = 0;
+    for (name, _) in ZOO {
+        let w = build_zoo(name).expect(name);
+        let universe = FaultUniverse::stuck_nodes(&w.net)
+            .union(FaultUniverse::stuck_transistors(&w.net))
+            .sample(48, ZOO_SEED);
+        let patterns = &w.patterns[..w.patterns.len().min(32)];
+        packed_solves += assert_lane_equivalence(&w.net, &universe, patterns, &w.outputs).1;
+    }
+    assert!(packed_solves > 0, "the zoo must share lanes");
 }
 
 // ---------------------------------------------------------------------

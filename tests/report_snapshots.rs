@@ -29,6 +29,16 @@ use fmossim::faults::FaultUniverse;
 use fmossim::testgen::TestSequence;
 use std::path::PathBuf;
 
+/// The simulator configuration the fixtures were recorded with: the
+/// scalar path (`"packing": false` in their `control` block, no
+/// packed-lane `switch.*` rows in their metrics).
+fn scalar() -> ConcurrentConfig {
+    ConcurrentConfig {
+        packing: false,
+        ..ConcurrentConfig::paper()
+    }
+}
+
 /// The built-in backends, in fixture order, with the parallel backend
 /// both one-shot and batched. The batched entry
 /// freezes its initial plan (`rebalance: false`) so the fixture is
@@ -38,12 +48,12 @@ use std::path::PathBuf;
 fn fixture_backends() -> [(&'static str, Backend); 4] {
     [
         ("serial", Backend::Serial(SerialConfig::paper())),
-        ("concurrent", Backend::Concurrent(ConcurrentConfig::paper())),
+        ("concurrent", Backend::Concurrent(scalar())),
         (
             "parallel",
             Backend::Parallel(ParallelConfig {
                 jobs: Jobs::Fixed(2),
-                sim: ConcurrentConfig::paper(),
+                sim: scalar(),
                 ..ParallelConfig::default()
             }),
         ),
@@ -54,6 +64,7 @@ fn fixture_backends() -> [(&'static str, Backend); 4] {
                 batch: 8,
                 rebalance: false,
                 strategy: ShardStrategy::CostEstimated,
+                sim: scalar(),
                 ..ParallelConfig::auto()
             }),
         ),
@@ -217,7 +228,7 @@ fn collapsed_fixture_locks_the_schema() {
             )
             .patterns(seq.patterns())
             .outputs(ram.observed_outputs())
-            .backend(Backend::Concurrent(ConcurrentConfig::paper()))
+            .backend(Backend::Concurrent(scalar()))
             .with_telemetry(&Registry::new())
             .run()
     };

@@ -37,18 +37,19 @@ fn fingerprint(r: &CampaignReport) -> Vec<String> {
         .collect()
 }
 
-/// serial + concurrent ± packing + {parallel, batched} × K ∈ {1, 2, 4},
-/// with the packed (bit-parallel) evaluation path joining the matrix on
-/// the concurrent and parallel-k2 rows — fingerprint conformance is
-/// exactly the invariant the packed lanes must uphold.
+/// serial + concurrent + {parallel, batched} × K ∈ {1, 2, 4}, every
+/// concurrent-family row on the default packed lanes, plus the scalar
+/// path (`packing: false`) on the concurrent and parallel-k2 rows —
+/// fingerprint conformance is exactly the invariant the packed lanes
+/// must uphold.
 fn all_backends() -> Vec<(String, Backend)> {
     let policy = DetectionPolicy::DefiniteOnly;
     let sim = ConcurrentConfig {
         policy,
         ..ConcurrentConfig::paper()
     };
-    let packed = ConcurrentConfig {
-        packing: true,
+    let scalar = ConcurrentConfig {
+        packing: false,
         ..sim
     };
     let mut backends: Vec<(String, Backend)> = vec![
@@ -60,7 +61,7 @@ fn all_backends() -> Vec<(String, Backend)> {
             }),
         ),
         ("concurrent".into(), Backend::Concurrent(sim)),
-        ("concurrent-packed".into(), Backend::Concurrent(packed)),
+        ("concurrent-scalar".into(), Backend::Concurrent(scalar)),
     ];
     for k in [1usize, 2, 4] {
         backends.push((
@@ -83,10 +84,10 @@ fn all_backends() -> Vec<(String, Backend)> {
         ));
     }
     backends.push((
-        "parallel-k2-packed".into(),
+        "parallel-k2-scalar".into(),
         Backend::Parallel(ParallelConfig {
             jobs: Jobs::Fixed(2),
-            sim: packed,
+            sim: scalar,
             ..ParallelConfig::default()
         }),
     ));
