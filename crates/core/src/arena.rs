@@ -172,6 +172,60 @@ impl EventQueue {
     }
 }
 
+/// The circuits triggered by one good-machine event, deduplicated as
+/// they are found: an epoch-stamped per-circuit mark admits each
+/// circuit once per event, so triggering is linear in the scan with no
+/// sort. Circuits come out in discovery order; nothing downstream
+/// depends on it (the event queue is sorted at drain, and old-value
+/// preservation writes each circuit's own records).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TriggerSet {
+    circuits: Vec<u32>,
+    /// Per circuit id: the epoch of the event that last admitted it.
+    mark: Vec<u32>,
+    epoch: u32,
+}
+
+impl TriggerSet {
+    /// Re-fits the marks to circuit ids `0..n_circuits`, keeping the
+    /// allocations (the arena recycle path).
+    pub(crate) fn fit(&mut self, n_circuits: usize) {
+        self.circuits.clear();
+        self.mark.clear();
+        self.mark.resize(n_circuits, 0);
+        self.epoch = 0;
+    }
+
+    /// Empties the set for the next event.
+    #[inline]
+    pub(crate) fn begin(&mut self) {
+        self.circuits.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wraparound: clear the stamps and restart at 1.
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Adds circuit `c` unless this event already has it.
+    #[inline]
+    pub(crate) fn insert(&mut self, c: u32) {
+        let m = &mut self.mark[c as usize];
+        if *m != self.epoch {
+            *m = self.epoch;
+            self.circuits.push(c);
+        }
+    }
+
+    /// The circuits admitted since [`TriggerSet::begin`], in discovery
+    /// order.
+    #[inline]
+    pub(crate) fn circuits(&self) -> &[u32] {
+        &self.circuits
+    }
+}
+
 /// Every owned hot-path buffer of a
 /// [`ConcurrentSim`](crate::ConcurrentSim), detached from the network
 /// lifetime so a batch driver can keep it across simulator rebuilds:
@@ -192,7 +246,7 @@ pub struct SimArena {
     pub(crate) dropped: Vec<bool>,
     pub(crate) detected_once: Vec<bool>,
     pub(crate) queue: EventQueue,
-    pub(crate) triggered: Vec<u32>,
+    pub(crate) triggered: TriggerSet,
     pub(crate) strobe_scratch: Vec<(u32, Logic)>,
     /// The packed-lane machinery, once a packing simulator has built
     /// it (a scalar simulator leaves it out).
@@ -212,7 +266,7 @@ impl SimArena {
             dropped: Vec::new(),
             detected_once: Vec::new(),
             queue: EventQueue::default(),
-            triggered: Vec::new(),
+            triggered: TriggerSet::default(),
             strobe_scratch: Vec::new(),
             packed: None,
         }
@@ -269,6 +323,32 @@ mod tests {
             b.schedule(c, node); // and duplicated
         }
         assert_eq!(a.take_sorted(), b.take_sorted());
+    }
+
+    #[test]
+    fn trigger_set_admits_each_circuit_once_per_event() {
+        let mut set = TriggerSet::default();
+        set.fit(6);
+        set.begin();
+        for c in [4, 1, 4, 2, 1] {
+            set.insert(c);
+        }
+        assert_eq!(set.circuits(), &[4, 1, 2], "deduplicated, discovery order");
+        set.begin();
+        assert!(set.circuits().is_empty(), "a new event starts empty");
+        set.insert(1);
+        assert_eq!(set.circuits(), &[1], "marks of the last event expire");
+        // Epoch wraparound clears the stamps instead of aliasing.
+        set.epoch = u32::MAX;
+        set.mark[3] = 1;
+        set.begin();
+        set.insert(3);
+        assert_eq!(set.circuits(), &[3]);
+        // Re-fitting forgets everything.
+        set.fit(2);
+        set.begin();
+        set.insert(1);
+        assert_eq!(set.circuits(), &[1]);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! input and triggers circuits diverging at their gates or attached at
 //! their ends.
 
-use crate::arena::{CircuitId, Csr, EventQueue, SimArena};
+use crate::arena::{CircuitId, Csr, EventQueue, SimArena, TriggerSet};
 use crate::overlay::{FaultyView, Overrides};
 use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
@@ -83,13 +83,44 @@ struct CoreMetrics {
     /// circuit. Same metric name as the packed engine's in-settle
     /// fallback counter: both mean "work packing could not share".
     scalar_fallbacks: Counter,
+    /// `core.phase.*_seconds` — wall time of each [`Step`] of the
+    /// phase loop, indexed by the step.
+    step_seconds: [Gauge; 4],
     local_events_scheduled: u64,
     local_circuit_settles: u64,
     local_faulty_groups: u64,
     local_good_groups: u64,
     local_replayed_groups: u64,
     local_scalar_fallbacks: u64,
+    local_step_seconds: [f64; 4],
+    /// Start of the running step-timer lap (`None` outside a phase).
+    lap_start: Option<Instant>,
 }
+
+/// The four timed steps of a simulated phase. Each is timed once per
+/// phase (never per vicinity) and published as a
+/// `core.phase.*_seconds` gauge.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Input application and the live good settle or tape apply,
+    /// triggering included.
+    Good,
+    /// The private-event queue drain plus lane scheduling.
+    Drain,
+    /// Every faulty settle, with the packed scatter and the
+    /// convergence sweep.
+    Faulty,
+    /// Strobe comparison, detection and drop.
+    Strobe,
+}
+
+/// The gauge of each [`Step`], in declaration order.
+const STEP_GAUGES: [&str; 4] = [
+    "core.phase.good_seconds",
+    "core.phase.drain_seconds",
+    "core.phase.faulty_seconds",
+    "core.phase.strobe_seconds",
+];
 
 impl CoreMetrics {
     fn attach(registry: &Registry) -> Self {
@@ -103,7 +134,22 @@ impl CoreMetrics {
             faults_dropped: registry.counter("core.faults_dropped"),
             faults_live: registry.gauge("core.faults_live"),
             scalar_fallbacks: registry.counter("switch.scalar_fallbacks"),
+            step_seconds: STEP_GAUGES.map(|name| registry.gauge(name)),
             ..CoreMetrics::default()
+        }
+    }
+
+    /// Starts a phase's step-timer laps.
+    fn start_lap(&mut self) {
+        self.lap_start = Some(Instant::now());
+    }
+
+    /// Charges the time since the previous lap to `step` and starts
+    /// the next lap.
+    fn lap(&mut self, step: Step) {
+        let now = Instant::now();
+        if let Some(start) = self.lap_start.replace(now) {
+            self.local_step_seconds[step as usize] += now.duration_since(start).as_secs_f64();
         }
     }
 
@@ -114,6 +160,9 @@ impl CoreMetrics {
         self.good_groups.add(self.local_good_groups);
         self.replayed_groups.add(self.local_replayed_groups);
         self.scalar_fallbacks.add(self.local_scalar_fallbacks);
+        for (gauge, secs) in self.step_seconds.iter().zip(&mut self.local_step_seconds) {
+            gauge.add(std::mem::take(secs));
+        }
         self.local_events_scheduled = 0;
         self.local_circuit_settles = 0;
         self.local_faulty_groups = 0;
@@ -141,30 +190,25 @@ fn trigger_group(
     queue: &mut EventQueue,
     dropped: &[bool],
     overrides: &[Overrides],
-    triggered: &mut Vec<u32>,
+    triggered: &mut TriggerSet,
     members: &[NodeId],
     support_rest: impl Iterator<Item = NodeId>,
     changed: &[(NodeId, Logic, Logic)],
 ) {
-    triggered.clear();
+    triggered.begin();
     for s in members.iter().copied().chain(support_rest) {
         records.for_circuits_at(s, |c| {
             if !dropped[c as usize] {
-                triggered.push(c);
+                triggered.insert(c);
             }
         });
         for &c in attach.row(s.index()) {
             if !dropped[c as usize] {
-                triggered.push(c);
+                triggered.insert(c);
             }
         }
     }
-    if triggered.is_empty() {
-        return;
-    }
-    triggered.sort_unstable();
-    triggered.dedup();
-    for &c in triggered.iter() {
+    for &c in triggered.circuits() {
         // Old-value preservation: the triggered circuit must still see
         // the pre-change state until it re-settles. A circuit's forced
         // nodes are exempt — their values are fixed by the fault and
@@ -307,7 +351,7 @@ pub struct ConcurrentSim<'n> {
     detections: Vec<Detection>,
     config: ConcurrentConfig,
     /// Scratch: circuits triggered by the current group.
-    triggered: Vec<u32>,
+    triggered: TriggerSet,
     /// Scratch: the `(circuit, value)` entries strobed at one output —
     /// a snapshot so detections can drop circuits mid-iteration.
     strobe_scratch: Vec<(u32, Logic)>,
@@ -405,7 +449,7 @@ impl<'n> ConcurrentSim<'n> {
         detected_once.clear();
         detected_once.resize(n_sets + 1, false);
         queue.clear();
-        triggered.clear();
+        triggered.fit(n_sets + 1);
         strobe_scratch.clear();
         // The structural tables, flattened: (node, entry) pairs sorted
         // by node, then CSR-compacted. `attach` rows must be ascending
@@ -718,6 +762,7 @@ impl<'n> ConcurrentSim<'n> {
         stats: &mut PatternStats,
     ) {
         // 1. Input changes (with the open-channel trigger special case).
+        self.metrics.start_lap();
         self.apply_phase_inputs(phase, true);
 
         // 2. Good-circuit settle with support-based triggering.
@@ -752,6 +797,7 @@ impl<'n> ConcurrentSim<'n> {
             stats.damped |= rep.oscillation_damped;
             self.metrics.local_good_groups += rep.groups_solved as u64;
         }
+        self.metrics.lap(Step::Good);
 
         // 3. Faulty circuits, in circuit-id order.
         self.settle_triggered(stats);
@@ -759,6 +805,7 @@ impl<'n> ConcurrentSim<'n> {
         // 4. Strobe: compare observed outputs, detect and drop.
         if phase.strobe {
             self.observe(outputs, pattern_idx, phase_idx, stats);
+            self.metrics.lap(Step::Strobe);
         }
     }
 
@@ -781,6 +828,7 @@ impl<'n> ConcurrentSim<'n> {
         // Dropped circuits are skipped here (dropping removes records,
         // not queue entries).
         let events = self.queue.take_sorted();
+        self.metrics.lap(Step::Drain);
         let mut i = 0;
         while i < events.len() {
             let circ = events[i].0;
@@ -794,6 +842,7 @@ impl<'n> ConcurrentSim<'n> {
             i = j;
         }
         self.queue.restore(events);
+        self.metrics.lap(Step::Faulty);
     }
 
     /// The packed lane scheduler: drains the pending private events,
@@ -885,6 +934,7 @@ impl<'n> ConcurrentSim<'n> {
             let seeds = |r: &SeedRun| events[r.range()].iter().map(|&(_, s)| s);
             seeds(a).cmp(seeds(b)).then(a.circ.cmp(&b.circ))
         });
+        self.metrics.lap(Step::Drain);
         for chunk in shared.chunks_mut(64) {
             chunk.sort_unstable_by_key(|run| run.circ);
             if chunk.len() == 1 {
@@ -902,6 +952,7 @@ impl<'n> ConcurrentSim<'n> {
         lanes.shared = shared;
         lanes.solo = solo;
         self.queue.restore(events);
+        self.metrics.lap(Step::Faulty);
     }
 
     /// Settles one faulty circuit through the scalar engine (the
@@ -1147,6 +1198,7 @@ impl<'n> ConcurrentSim<'n> {
     ) {
         // 1. Input changes (with the open-channel trigger special
         // case), via the same helper as the live path.
+        self.metrics.start_lap();
         self.apply_phase_inputs(phase, false);
 
         // 2. Replay the recorded good settle: per group, apply the
@@ -1180,6 +1232,7 @@ impl<'n> ConcurrentSim<'n> {
         stats.good_groups += settle.num_groups();
         stats.damped |= settle.damped();
         self.metrics.local_replayed_groups += settle.num_groups() as u64;
+        self.metrics.lap(Step::Good);
 
         // 3. Faulty circuits, in circuit-id order.
         self.settle_triggered(stats);
@@ -1187,6 +1240,7 @@ impl<'n> ConcurrentSim<'n> {
         // 4. Strobe: compare observed outputs, detect and drop.
         if phase.strobe {
             self.observe(outputs, pattern_idx, phase_idx, stats);
+            self.metrics.lap(Step::Strobe);
         }
     }
 
@@ -1226,30 +1280,29 @@ impl<'n> ConcurrentSim<'n> {
             }
             let tr = net.transistor(t);
             let other = tr.other_end(n);
-            self.triggered.clear();
             let ConcurrentSim {
                 records,
                 attach,
                 dropped,
                 triggered,
+                queue,
                 ..
             } = self;
+            triggered.begin();
             records.for_circuits_at(tr.gate, |c| {
                 if !dropped[c as usize] {
-                    triggered.push(c);
+                    triggered.insert(c);
                 }
             });
             for s in [tr.gate, other, n] {
                 for &c in attach.row(s.index()) {
                     if !dropped[c as usize] {
-                        triggered.push(c);
+                        triggered.insert(c);
                     }
                 }
             }
-            triggered.sort_unstable();
-            triggered.dedup();
-            for &c in self.triggered.iter() {
-                self.queue.schedule(CircuitId(c), other);
+            for &c in triggered.circuits() {
+                queue.schedule(CircuitId(c), other);
             }
         }
     }

@@ -465,9 +465,20 @@ impl PackedSettleReport {
 
 /// Telemetry of one [`PackedEngine`], following the same
 /// local-accumulate / flush-per-pattern discipline as [`EngineMetrics`].
+///
+/// Besides its own lane metrics, the packed engine feeds the scalar
+/// engine's per-vicinity metrics once per kept lane, so
+/// `switch.vicinity.solves`, `switch.nodes_changed` and
+/// `switch.solve_group.size` read the same on the packed and scalar
+/// paths. `switch.settles` and `switch.settle.rounds` count engine
+/// calls: one packed settle of a whole chunk counts once.
 #[derive(Clone, Debug, Default)]
 struct PackedEngineMetrics {
     active: bool,
+    /// `switch.settles` — settle calls that did work (≥ 1 round).
+    settles: Counter,
+    /// `switch.settle.rounds` — unit-delay rounds executed.
+    rounds: Counter,
     /// `switch.packed_solves` — packed solves covering ≥ 2 lanes.
     packed_solves: Counter,
     /// `switch.scalar_fallbacks` — solves degraded to a single lane
@@ -475,31 +486,74 @@ struct PackedEngineMetrics {
     scalar_fallbacks: Counter,
     /// `switch.lane.occupancy` — lanes per packed solve.
     occupancy: Histogram,
+    /// `switch.vicinity.solves` — one per kept lane.
+    vicinity_solves: Counter,
+    /// `switch.nodes_changed` — per-lane node state changes.
+    nodes_changed: Counter,
+    /// `switch.solve_group.size` — one observation per kept lane.
+    group_size: Histogram,
+    local_settles: u64,
+    local_rounds: u64,
     local_packed: u64,
     local_fallbacks: u64,
     local_occupancy: LocalHistogram,
+    local_vicinity_solves: u64,
+    local_nodes_changed: u64,
+    local_group_size: LocalHistogram,
 }
 
 impl PackedEngineMetrics {
     fn attach(registry: &Registry) -> Self {
         PackedEngineMetrics {
             active: registry.is_active(),
+            settles: registry.counter("switch.settles"),
+            rounds: registry.counter("switch.settle.rounds"),
             packed_solves: registry.counter("switch.packed_solves"),
             scalar_fallbacks: registry.counter("switch.scalar_fallbacks"),
             occupancy: registry.histogram("switch.lane.occupancy"),
+            vicinity_solves: registry.counter("switch.vicinity.solves"),
+            nodes_changed: registry.counter("switch.nodes_changed"),
+            group_size: registry.histogram("switch.solve_group.size"),
             ..PackedEngineMetrics::default()
         }
+    }
+
+    /// Accounts one solve that kept `lanes` lanes of a `size`-node
+    /// vicinity and changed `changed` per-lane node states.
+    #[inline]
+    fn solved(&mut self, lanes: u64, size: usize, changed: usize) {
+        if !self.active {
+            return;
+        }
+        self.local_occupancy.observe(lanes);
+        if lanes >= 2 {
+            self.local_packed += 1;
+        } else {
+            self.local_fallbacks += 1;
+        }
+        self.local_vicinity_solves += lanes;
+        self.local_nodes_changed += changed as u64;
+        self.local_group_size.observe_n(size as u64, lanes);
     }
 
     fn flush(&mut self) {
         if !self.active {
             return;
         }
+        self.settles.add(self.local_settles);
+        self.rounds.add(self.local_rounds);
         self.packed_solves.add(self.local_packed);
         self.scalar_fallbacks.add(self.local_fallbacks);
+        self.vicinity_solves.add(self.local_vicinity_solves);
+        self.nodes_changed.add(self.local_nodes_changed);
+        self.local_settles = 0;
+        self.local_rounds = 0;
         self.local_packed = 0;
         self.local_fallbacks = 0;
+        self.local_vicinity_solves = 0;
+        self.local_nodes_changed = 0;
         self.occupancy.merge_local(&mut self.local_occupancy);
+        self.group_size.merge_local(&mut self.local_group_size);
     }
 }
 
@@ -621,7 +675,9 @@ impl PackedEngine {
     }
 
     /// Publishes this engine's activity (`switch.packed_solves`,
-    /// `switch.scalar_fallbacks`, `switch.lane.occupancy`) into
+    /// `switch.scalar_fallbacks`, `switch.lane.occupancy`, its settle
+    /// calls and rounds, and per kept lane `switch.vicinity.solves`,
+    /// `switch.nodes_changed` and `switch.solve_group.size`) into
     /// `registry`; see [`Engine::attach_metrics`] for the discipline.
     pub fn attach_metrics(&mut self, registry: &Registry) {
         self.metrics = PackedEngineMetrics::attach(registry);
@@ -709,6 +765,10 @@ impl PackedEngine {
             }
             self.queue.clear();
         }
+        if report.rounds > 0 {
+            self.metrics.local_settles += 1;
+            self.metrics.local_rounds += report.rounds as u64;
+        }
         report
     }
 
@@ -722,15 +782,7 @@ impl PackedEngine {
         report: &mut PackedSettleReport,
     ) {
         report.groups_solved += kept.count_ones() as usize;
-        if self.metrics.active {
-            let occ = u64::from(kept.count_ones());
-            self.metrics.local_occupancy.observe(occ);
-            if occ >= 2 {
-                self.metrics.local_packed += 1;
-            } else {
-                self.metrics.local_fallbacks += 1;
-            }
-        }
+        let changed_before = report.nodes_changed;
         for i in 0..self.scratch.members.len() {
             let member = self.scratch.members[i];
             if self.solved_round[member.index()] == self.round_id {
@@ -763,6 +815,11 @@ impl PackedEngine {
                 self.perturb_next(tr.drain, ch);
             }
         }
+        self.metrics.solved(
+            u64::from(kept.count_ones()),
+            self.scratch.members.len(),
+            report.nodes_changed - changed_before,
+        );
     }
 
     /// Solves `seed`'s vicinity for exactly one lane through the scalar
@@ -786,10 +843,7 @@ impl PackedEngine {
             self.scalar.steady_state(&view);
         }
         report.groups_solved += 1;
-        if self.metrics.active {
-            self.metrics.local_occupancy.observe(1);
-            self.metrics.local_fallbacks += 1;
-        }
+        let changed_before = report.nodes_changed;
         for i in 0..self.scalar.members.len() {
             let member = self.scalar.members[i];
             if self.solved_round[member.index()] == self.round_id {
@@ -823,6 +877,11 @@ impl PackedEngine {
                 self.perturb_next(tr.drain, bit);
             }
         }
+        self.metrics.solved(
+            1,
+            self.scalar.members.len(),
+            report.nodes_changed - changed_before,
+        );
     }
 
     /// Queues a wake-up of `n` in `lanes` for the next round, keeping
@@ -1265,6 +1324,16 @@ mod tests {
             .expect("occupancy histogram");
         assert_eq!(occ.count, 1);
         assert_eq!(occ.sum, 4, "one solve covering all four lanes");
+        // The per-vicinity metrics count per lane, as four scalar
+        // settles would: four one-node solves, each changing OUT.
+        assert_eq!(snap.counters.get("switch.settles").copied(), Some(1));
+        assert_eq!(
+            snap.counters.get("switch.vicinity.solves").copied(),
+            Some(4)
+        );
+        assert_eq!(snap.counters.get("switch.nodes_changed").copied(), Some(4));
+        let sizes = &snap.histograms["switch.solve_group.size"];
+        assert_eq!((sizes.count, sizes.sum), (4, 4));
     }
 
     #[test]

@@ -53,6 +53,33 @@
 //! are present the rule is a sound (never wrongly definite),
 //! slightly conservative approximation of the ternary extension.
 //!
+//! ## One-node vicinities
+//!
+//! Most vicinities are a single storage node whose conducting channel
+//! neighbours are all inputs (over 96% of the faulty-circuit solves on
+//! random logic). Such a group has no edges inside it, so every
+//! relaxation above is a no-op and the steady state has a closed form:
+//! with `c` the node's own charge (its size strength, carrying its old
+//! value) and one source per conducting transistor to an input (the
+//! input strength attenuated by the transistor, carrying the input's
+//! value),
+//!
+//! * `pos1` / `pos0` is the strongest of `c` and the sources whose value
+//!   is in {1,X} / {0,X};
+//! * `def1` / `def0` is the strongest of `c` (if the old value is 1 / 0)
+//!   and the *definitely* conducting sources of value 1 / 0;
+//!
+//! and the resolution rule applies unchanged. `defS` only gates
+//! propagation along edges, so it is not computed. Extraction saves the
+//! seed's conducting input edges as it scans them; when the scan marks
+//! no storage neighbour, both solvers skip the per-member edge lists and
+//! fold those sources straight-line — the packed solver into one set of
+//! thermometer planes for all kept lanes, with the same eviction as the
+//! general path. The incident transistors and boundary inputs that
+//! triggering and the good tape read are reported exactly as before.
+//! Differential tests hold both closed forms bit-identical to the
+//! general fixed points.
+//!
 //! # Example
 //!
 //! ```
@@ -81,6 +108,8 @@
 #![cfg_attr(feature = "simd", feature(portable_simd))]
 
 mod engine;
+#[cfg(test)]
+mod kernel_tests;
 mod sim;
 mod solve;
 mod state;

@@ -32,6 +32,9 @@ pub struct Scratch {
     edges: Vec<Vec<Edge>>,
     /// Input-boundary source contributions per member.
     sources: Vec<Vec<SourceSig>>,
+    /// The seed's conducting edges to inputs, saved by the seed scan:
+    /// all a one-node vicinity's closed form needs.
+    seed_sources: Vec<SeedSource>,
     /// Strength arrays for the five fixed-point passes.
     def_s: Vec<Strength>,
     pos: [Vec<Strength>; 2],
@@ -67,6 +70,20 @@ struct SourceSig {
     definite: bool,
 }
 
+/// A conducting channel edge from the seed to an input node, saved
+/// while the seed's transistors are scanned. Shared by both solvers;
+/// the input's value is read when the vicinity is resolved.
+#[derive(Clone, Copy, Debug)]
+struct SeedSource {
+    /// Strength after attenuation by the boundary transistor.
+    strength: Strength,
+    /// The input node.
+    node: NodeId,
+    /// Whether the boundary transistor definitely conducts (in every
+    /// kept lane, on the packed path).
+    definite: bool,
+}
+
 /// The result of solving one vicinity with
 /// [`Scratch::solve_group`]: members and their steady-state values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -89,6 +106,7 @@ impl Scratch {
             members: Vec::new(),
             edges: Vec::new(),
             sources: Vec::new(),
+            seed_sources: Vec::new(),
             def_s: Vec::new(),
             pos: [Vec::new(), Vec::new()],
             defv: [Vec::new(), Vec::new()],
@@ -158,8 +176,37 @@ impl Scratch {
         (&self.members, &self.out_values)
     }
 
-    /// Breadth-first vicinity extraction from `seed`.
+    /// Test-only entry to the general path: extracts the vicinity of
+    /// `seed` and resolves it through the edge lists and the five fixed
+    /// points even when it is a single node, for the differential test
+    /// of the closed form.
+    #[cfg(test)]
+    pub(crate) fn solve_general<S: SwitchState>(
+        &mut self,
+        st: &S,
+        seed: NodeId,
+        static_locality: bool,
+    ) -> (&[NodeId], &[Logic]) {
+        self.scan(st, seed, static_locality);
+        self.build_edges(st);
+        self.fixed_point(st);
+        (&self.members, &self.out_values)
+    }
+
+    /// Extracts the vicinity of `seed`: members, incident transistors
+    /// and boundary inputs, plus the per-member edge lists unless the
+    /// vicinity is the seed alone (whose closed form needs only the
+    /// seed's saved sources).
     pub(crate) fn extract<S: SwitchState>(&mut self, st: &S, seed: NodeId, static_locality: bool) {
+        self.scan(st, seed, static_locality);
+        if self.members.len() > 1 {
+            self.build_edges(st);
+        }
+    }
+
+    /// Breadth-first vicinity scan from `seed`, saving the seed's
+    /// conducting input edges as it goes.
+    fn scan<S: SwitchState>(&mut self, st: &S, seed: NodeId, static_locality: bool) {
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
             // Extremely rare wraparound: clear stamps and restart at 1.
@@ -170,12 +217,14 @@ impl Scratch {
         self.members.clear();
         self.incident.clear();
         self.boundary_inputs.clear();
+        self.seed_sources.clear();
         debug_assert!(!st.is_input(seed), "vicinity seeds must be storage nodes");
         self.mark(seed);
         let net = st.network();
         let mut head = 0;
         while head < self.members.len() {
             let m = self.members[head];
+            let at_seed = head == 0;
             head += 1;
             for &t in net.channel_transistors(m) {
                 if self.t_epoch[t.index()] == self.current_epoch {
@@ -193,6 +242,13 @@ impl Scratch {
                     continue; // self-loop carries no signal
                 }
                 if st.is_input(other) {
+                    if at_seed && cond.may_conduct() {
+                        self.seed_sources.push(SeedSource {
+                            strength: Strength::INPUT.through(tr.strength),
+                            node: other,
+                            definite: cond.is_closed(),
+                        });
+                    }
                     // Input nodes are never members, so reusing the node
                     // mark for dedup of the boundary list is safe.
                     if self.node_epoch[other.index()] != self.current_epoch {
@@ -209,8 +265,12 @@ impl Scratch {
         for &b in &self.boundary_inputs {
             self.node_epoch[b.index()] = self.current_epoch.wrapping_sub(1);
         }
-        // Second pass: build in-edges and boundary sources per member
-        // (after extraction so local indices are final).
+    }
+
+    /// Second pass of extraction: builds in-edges and boundary sources
+    /// per member (after the scan, so local indices are final).
+    fn build_edges<S: SwitchState>(&mut self, st: &S) {
+        let net = st.network();
         let n = self.members.len();
         for v in &mut self.edges {
             v.clear();
@@ -265,10 +325,66 @@ impl Scratch {
         self.members.push(n);
     }
 
-    /// Solves the five fixed points and resolves member values into
-    /// `out_values`.
-    #[allow(clippy::needless_range_loop)] // `li` indexes several parallel arrays
+    /// Resolves the extracted vicinity's steady state into
+    /// `out_values`: in closed form for a single node, else through the
+    /// five fixed points.
     pub(crate) fn steady_state<S: SwitchState>(&mut self, st: &S) {
+        if self.members.len() == 1 {
+            self.single_node(st);
+        } else {
+            self.fixed_point(st);
+        }
+    }
+
+    /// The closed-form steady state of a one-node vicinity. A single
+    /// node has no edges inside the group, so every relaxation is a
+    /// no-op: each of pos1/pos0/def1/def0 is the fold of the node's own
+    /// charge and its boundary sources, and defS, which only gates
+    /// propagation along edges, is not needed at all.
+    fn single_node<S: SwitchState>(&mut self, st: &S) {
+        let node = self.members[0];
+        // Index 0 collects signals of value 1 (pos1, def1), index 1
+        // signals of value 0 (pos0, def0).
+        let mut pos = [Strength::NONE; 2];
+        let mut def = [Strength::NONE; 2];
+        let mut fold = |strength: Strength, value: Logic, definite: bool| match value {
+            Logic::H => {
+                pos[0] = pos[0].max(strength);
+                if definite {
+                    def[0] = def[0].max(strength);
+                }
+            }
+            Logic::L => {
+                pos[1] = pos[1].max(strength);
+                if definite {
+                    def[1] = def[1].max(strength);
+                }
+            }
+            Logic::X => {
+                pos[0] = pos[0].max(strength);
+                pos[1] = pos[1].max(strength);
+            }
+        };
+        // The node's own charge is definitely present.
+        let charge = Strength::from_size(st.network().node(node).size());
+        fold(charge, st.node_state(node), true);
+        for s in &self.seed_sources {
+            fold(s.strength, st.node_state(s.node), s.definite);
+        }
+        self.out_values.clear();
+        self.out_values.push(if def[0] > pos[1] {
+            Logic::H
+        } else if def[1] > pos[0] {
+            Logic::L
+        } else {
+            Logic::X
+        });
+    }
+
+    /// Solves the five fixed points and resolves member values into
+    /// `out_values` (the general path).
+    #[allow(clippy::needless_range_loop)] // `li` indexes several parallel arrays
+    fn fixed_point<S: SwitchState>(&mut self, st: &S) {
         let n = self.members.len();
         let net = st.network();
         let resize = |v: &mut Vec<Strength>| {
@@ -580,6 +696,9 @@ pub struct PackedScratch {
     pub(crate) members: Vec<NodeId>,
     edges: Vec<Vec<Edge>>,
     sources: Vec<Vec<PackedSource>>,
+    /// The seed's conducting input edges, saved by the seed scan (see
+    /// [`Scratch`]).
+    seed_sources: Vec<SeedSource>,
     /// Definite-presence strengths (lane-uniform, hence scalar).
     def_s: Vec<Strength>,
     pos: [Vec<Ranks>; 2],
@@ -605,6 +724,7 @@ impl PackedScratch {
             members: Vec::new(),
             edges: Vec::new(),
             sources: Vec::new(),
+            seed_sources: Vec::new(),
             def_s: Vec::new(),
             pos: [Vec::new(), Vec::new()],
             defv: [Vec::new(), Vec::new()],
@@ -676,13 +796,36 @@ impl PackedScratch {
             0,
             "vicinity seeds must be storage nodes in every active lane"
         );
-        self.extract(st, seed, active);
-        self.steady_state(st);
+        self.scan(st, seed, active);
+        if self.members.len() == 1 {
+            self.single_node(st);
+        } else {
+            self.build_edges(st);
+            self.fixed_point(st);
+        }
         (self.cur, self.evicted)
     }
 
-    /// Breadth-first vicinity extraction from `seed`, evicting lanes
-    /// whose structure diverges from the majority class.
+    /// Test-only entry to the general packed path: the same scan, then
+    /// the edge lists and the five fixed points even for a single node,
+    /// for the differential test of the closed form. Returns
+    /// `(kept, evicted)`.
+    #[cfg(test)]
+    pub(crate) fn solve_general<P: PackedState>(
+        &mut self,
+        st: &P,
+        seed: NodeId,
+        active: u64,
+    ) -> (u64, u64) {
+        self.scan(st, seed, active);
+        self.build_edges(st);
+        self.fixed_point(st);
+        (self.cur, self.evicted)
+    }
+
+    /// Breadth-first vicinity scan from `seed`, evicting lanes whose
+    /// structure diverges from the majority class and saving the
+    /// seed's conducting input edges.
     ///
     /// Uniformity rule: whenever the active lanes disagree on a
     /// transistor's conduction class (open / closed / maybe) or on a
@@ -690,7 +833,7 @@ impl PackedScratch {
     /// active lane is kept and the others are evicted. Shrinking the
     /// lane set mid-walk is sound because every classification already
     /// made is uniform over a superset of the surviving lanes.
-    fn extract<P: PackedState>(&mut self, st: &P, seed: NodeId, active: u64) {
+    fn scan<P: PackedState>(&mut self, st: &P, seed: NodeId, active: u64) {
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
             self.node_epoch.fill(0);
@@ -698,6 +841,7 @@ impl PackedScratch {
             self.current_epoch = 1;
         }
         self.members.clear();
+        self.seed_sources.clear();
         let mut cur = active;
         self.evicted = 0;
         self.mark(seed);
@@ -705,6 +849,7 @@ impl PackedScratch {
         let mut head = 0;
         while head < self.members.len() {
             let m = self.members[head];
+            let at_seed = head == 0;
             head += 1;
             for &t in net.channel_transistors(m) {
                 if self.t_epoch[t.index()] == self.current_epoch {
@@ -746,16 +891,31 @@ impl PackedScratch {
                     cur = keep;
                     inp &= cur;
                 }
-                if inp == 0 && self.node_epoch[other.index()] != self.current_epoch {
+                if inp != 0 {
+                    // Later evictions only shrink `cur`, so the class
+                    // read here stays uniform over the final lanes.
+                    if at_seed {
+                        self.seed_sources.push(SeedSource {
+                            strength: Strength::INPUT.through(tr.strength),
+                            node: other,
+                            definite: pc.closed & cur != 0,
+                        });
+                    }
+                } else if self.node_epoch[other.index()] != self.current_epoch {
                     self.mark(other);
                 }
             }
         }
         self.cur = cur;
-        // Second pass: build in-edges and boundary sources per member.
-        // Eviction guarantees every incident transistor and neighbour is
-        // lane-uniform over `cur`, so edges carry scalar structure and
-        // only source *values* stay per-lane.
+    }
+
+    /// Second pass of extraction: builds in-edges and boundary sources
+    /// per member. Eviction guarantees every incident transistor and
+    /// neighbour is lane-uniform over `cur`, so edges carry scalar
+    /// structure and only source *values* stay per-lane.
+    fn build_edges<P: PackedState>(&mut self, st: &P) {
+        let net = st.network();
+        let cur = self.cur;
         let n = self.members.len();
         for v in &mut self.edges {
             v.clear();
@@ -814,6 +974,40 @@ impl PackedScratch {
         self.members.push(n);
     }
 
+    /// The closed-form steady state of a one-node vicinity for every
+    /// kept lane: the packed twin of [`Scratch`]'s single-node solve.
+    /// pos1/pos0/def1/def0 are folds of the node's own charge and its
+    /// boundary sources into thermometer planes; no relaxation runs.
+    fn single_node<P: PackedState>(&mut self, st: &P) {
+        let lanes = self.cur;
+        let node = self.members[0];
+        // pos1, pos0, def1, def0.
+        let mut acc = [Ranks::EMPTY; 4];
+        let mut fold = |rank: usize, v: PackedLogic, definite: bool| {
+            acc[0].raise(v.h & lanes, rank);
+            acc[1].raise(v.l & lanes, rank);
+            if definite {
+                acc[2].raise(v.exactly_h() & lanes, rank);
+                acc[3].raise(v.exactly_l() & lanes, rank);
+            }
+        };
+        // The node's own charge is definitely present.
+        let charge = Strength::from_size(st.network().node(node).size()).rank();
+        fold(charge, st.node_state(node), true);
+        for s in &self.seed_sources {
+            fold(s.strength.rank(), st.node_state(s.node), s.definite);
+        }
+        let [pos1, pos0, def1, def0] = acc;
+        let one = def1.gt(&pos0) & lanes;
+        let zero = def0.gt(&pos1) & lanes;
+        debug_assert_eq!(one & zero, 0, "resolution rule cannot pick both values");
+        self.out_values.clear();
+        self.out_values.push(PackedLogic {
+            h: lanes & !zero,
+            l: lanes & !one,
+        });
+    }
+
     /// Solves the five fixed points for every surviving lane at once and
     /// resolves per-lane member values into `out_values`.
     ///
@@ -822,7 +1016,7 @@ impl PackedScratch {
     /// [`Strength`] values. Passes 2 and 3 depend on per-lane node
     /// values and run on thermometer [`Ranks`] planes.
     #[allow(clippy::needless_range_loop)] // `li` indexes several parallel arrays
-    fn steady_state<P: PackedState>(&mut self, st: &P) {
+    fn fixed_point<P: PackedState>(&mut self, st: &P) {
         let n = self.members.len();
         let net = st.network();
         let lanes = self.cur;

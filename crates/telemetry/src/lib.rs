@@ -225,6 +225,15 @@ impl LocalHistogram {
         self.sum += v;
     }
 
+    /// Records `n` observations of `v` at the cost of one.
+    #[inline]
+    pub fn observe_n(&mut self, v: u64, n: u64) {
+        let slot = BUCKET_BOUNDS.partition_point(|&le| le < v);
+        self.buckets[slot] += n;
+        self.count += n;
+        self.sum += v * n;
+    }
+
     /// The number of observations accumulated since the last merge.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -713,6 +722,19 @@ mod tests {
         local.observe(9);
         null.merge_local(&mut local);
         assert_eq!(local, LocalHistogram::default());
+    }
+
+    #[test]
+    fn observe_n_is_n_observations() {
+        let mut one_by_one = LocalHistogram::default();
+        let mut at_once = LocalHistogram::default();
+        for (v, n) in [(1, 3), (5, 1), (40_000, 2), (7, 0)] {
+            for _ in 0..n {
+                one_by_one.observe(v);
+            }
+            at_once.observe_n(v, n);
+        }
+        assert_eq!(one_by_one, at_once);
     }
 
     #[test]

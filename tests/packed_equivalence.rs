@@ -3,7 +3,9 @@
 //! scalar concurrent path (`packing: false`) after **every phase** —
 //! same per-fault node states, record population, live set and
 //! detections, and the same per-circuit work (`faulty_groups`,
-//! `circuit_settles`, `core.events_scheduled`). The packed engine
+//! `circuit_settles`, `core.events_scheduled`) and the same
+//! per-vicinity `switch.*` metrics (`switch.vicinity.solves`,
+//! `switch.nodes_changed`, `switch.solve_group.size`). The packed engine
 //! promises each lane takes its seeds in its own scalar order
 //! (per-lane pending/solved/damping masks, per-lane queue order,
 //! structure-divergence eviction re-solved in place), so the comparison
@@ -40,6 +42,22 @@ fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 7] {
         c("core.events_scheduled"),
         c("core.circuit.settles"),
         c("core.faulty.groups"),
+    ]
+}
+
+/// The per-vicinity `switch.*` metrics of one phase: vicinity solves,
+/// node changes, and the solve-group size histogram's count and sum.
+/// The packed engine feeds them once per kept lane, so they read the
+/// same as the scalar engine's.
+fn switch_work(reg: &Registry) -> [u64; 4] {
+    let snap = reg.snapshot();
+    let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    let sizes = snap.histograms.get("switch.solve_group.size");
+    [
+        c("switch.vicinity.solves"),
+        c("switch.nodes_changed"),
+        sizes.map_or(0, |h| h.count),
+        sizes.map_or(0, |h| h.sum),
     ]
 }
 
@@ -105,6 +123,12 @@ fn assert_lane_equivalence(
                 "{at}: work counters diverged \
                  [detected, good, faulty groups, settles, events, settles, groups]"
             );
+            assert_eq!(
+                switch_work(&p_reg),
+                switch_work(&s_reg),
+                "{at}: switch metrics diverged \
+                 [vicinity solves, nodes changed, group-size count, group-size sum]"
+            );
             assert_eq!(p_stats.damped, s_stats.damped, "{at}: damping diverged");
             packed_solves += p_reg
                 .snapshot()
@@ -115,11 +139,21 @@ fn assert_lane_equivalence(
         }
     }
 
-    // End of run, through `run`: the same reports, counter for counter.
+    // End of run, through `run` with registries attached: the same
+    // reports, counter for counter, and the same `switch.*` work.
+    let (s_reg, p_reg) = (Registry::new(), Registry::new());
     let mut scalar = ConcurrentSim::new(net, universe.faults(), scalar_cfg);
+    scalar.attach_metrics(&s_reg);
     let s_rep = scalar.run(patterns, outputs);
     let mut packed = ConcurrentSim::new(net, universe.faults(), packed_cfg);
+    packed.attach_metrics(&p_reg);
     let p_rep = packed.run(patterns, outputs);
+    assert_eq!(
+        switch_work(&p_reg),
+        switch_work(&s_reg),
+        "whole run: switch metrics diverged"
+    );
+    assert!(switch_work(&s_reg)[0] > 0, "the run solves vicinities");
     assert_eq!(p_rep.detections, s_rep.detections, "detections diverged");
     assert_eq!(packed.live(), scalar.live(), "live sets diverged");
     assert_eq!(

@@ -373,3 +373,62 @@ fn merged_counters_are_shard_count_invariant() {
         }
     }
 }
+
+/// The `core.phase.*` split: each of the four steps of the phase loop
+/// is published on concurrent and parallel runs, non-negative, and
+/// together they fit inside the time the simulators ran — the
+/// campaign's wall time on the concurrent backend, the summed shard
+/// seconds (`par.shard.seconds`) on the parallel one, whose shards run
+/// side by side.
+#[test]
+fn phase_split_gauges_cover_the_run() {
+    const PHASES: [&str; 4] = [
+        "core.phase.good_seconds",
+        "core.phase.drain_seconds",
+        "core.phase.faulty_seconds",
+        "core.phase.strobe_seconds",
+    ];
+    let w = build_zoo("regfile4x4").expect("zoo member");
+    let parallel = Backend::Parallel(ParallelConfig {
+        jobs: Jobs::Fixed(2),
+        sim: concurrent_config(),
+        ..ParallelConfig::default()
+    });
+    for backend in [Backend::Concurrent(concurrent_config()), parallel] {
+        let registry = Registry::new();
+        let report = Campaign::new(&w.net)
+            .faults(FaultUniverse::stuck_nodes(&w.net))
+            .patterns(&w.patterns)
+            .outputs(&w.outputs)
+            .backend(backend)
+            .with_telemetry(&registry)
+            .run();
+        let snap = registry.snapshot();
+        let mut sum = 0.0;
+        for name in PHASES {
+            let secs = *snap
+                .gauges
+                .get(name)
+                .unwrap_or_else(|| panic!("{}: gauge {name} missing", report.backend));
+            assert!(secs >= 0.0, "{}: {name} = {secs}", report.backend);
+            sum += secs;
+        }
+        assert!(sum > 0.0, "{}: the phases took time", report.backend);
+        let ran = snap
+            .gauges
+            .get("par.shard.seconds")
+            .copied()
+            .unwrap_or(report.wall_seconds);
+        assert!(
+            sum <= ran,
+            "{}: phase split {sum} s exceeds the {ran} s the simulators ran",
+            report.backend
+        );
+        let text = snap.to_prometheus();
+        assert!(
+            text.lines().any(|l| l.starts_with("fmossim_core_phase_")),
+            "{}: phase gauges export",
+            report.backend
+        );
+    }
+}
