@@ -1,23 +1,27 @@
 //! Shared benchmark harness for reproducing the paper's evaluation.
 //!
-//! Every table and figure of Bryant & Schuster (DAC 1985, §5) has a
-//! regenerating binary in `src/bin/`:
+//! One binary regenerates the paper's evaluation (Bryant & Schuster,
+//! DAC 1985, §5) from the ladder in [`figures`]:
 //!
-//! | Paper item | Binary | What it prints |
-//! |------------|--------|----------------|
-//! | Table 1    | `table1` | transistor state vs. gate state |
-//! | Figure 1   | `fig1_ram64` | RAM64, sequence 1: cumulative detections and sec/pattern, head/tail split, concurrent vs. serial totals |
-//! | Figure 2   | `fig2_ram64` | RAM64, sequence 2: the same series without the row/column marches |
-//! | Figure 3   | `fig3_ram256` | RAM256: average sec/pattern vs. number of sampled faults, concurrent and serial |
-//! | §5 scaling | `scaling` | RAM64 → RAM256 good/concurrent/serial scale factors |
+//! | Paper item | Ladder rung | What `paper_figures` prints |
+//! |------------|-------------|-----------------------------|
+//! | Table 1    | — | transistor state vs. gate state |
+//! | Figure 1   | `ram64-seq1` | RAM64, sequence 1: work counts, concurrent:good, serial-estimate:concurrent, head share, tail:good |
+//! | Figure 2   | `ram64-seq2` | RAM64, sequence 2: the same, plus detections after the first 7 patterns |
+//! | §5 validation | `ram64-mix` | sequence 1 over stuck nodes, bridges and stuck transistors |
+//! | Figure 3   | `ram256` | RAM256: the full universe plus a 6-step fault-count sweep, slope ratio and linearity |
+//! | §5 scaling | `ram1024` | RAM1024: the full universe |
+//!
+//! Every ratio is printed in solved vicinities (exact, pinned by
+//! `tests/paper_counts.rs`) next to the paper's value and the
+//! wall-clock ratio (host-dependent, not gated). `--csv` adds the
+//! per-pattern curves of Figures 1 and 2.
 //!
 //! Two more binaries are gates rather than figures: `allocstats`
 //! asserts the steady-state concurrent loop makes zero heap
 //! allocations, and `telemetry_overhead` asserts an active registry
 //! costs under 3% patterns/second.
 //!
-//! Absolute times are host-dependent; the figure binaries therefore
-//! print the *shape* metrics next to the paper's published values.
 //! The repository's benchmark with gated end-to-end metrics is
 //! `perfbench/`, not this crate.
 
@@ -25,9 +29,10 @@
 #![warn(missing_docs)]
 
 use fmossim_circuits::Ram;
-use fmossim_core::{Pattern, RunReport};
 use fmossim_faults::{Fault, FaultUniverse};
 use std::str::FromStr;
+
+pub mod figures;
 
 /// The random seed used everywhere (the paper's publication date).
 pub const SEED: u64 = 850_715;
@@ -61,28 +66,6 @@ pub fn paper_universe(ram: &Ram, bridges: Vec<Fault>) -> FaultUniverse {
 #[must_use]
 pub fn transistor_universe(ram: &Ram) -> FaultUniverse {
     FaultUniverse::stuck_transistors(ram.network())
-}
-
-/// Prints the two curves of Figures 1/2 as CSV:
-/// `pattern,seconds,cumulative_detected,live_before`.
-pub fn print_figure_csv(report: &RunReport) {
-    println!("pattern,seconds,cumulative_detected,live_before");
-    let cum = report.cumulative_detections();
-    for (i, p) in report.patterns.iter().enumerate() {
-        println!("{},{:.6},{},{}", i + 1, p.seconds, cum[i], p.live_before);
-    }
-}
-
-/// Sums the seconds of a pattern range.
-#[must_use]
-pub fn seconds_in(report: &RunReport, range: std::ops::Range<usize>) -> f64 {
-    report.patterns[range].iter().map(|p| p.seconds).sum()
-}
-
-/// Formats a `measured vs. paper` comparison row.
-#[must_use]
-pub fn compare_row(metric: &str, ours: String, paper: &str) -> String {
-    format!("{metric:<44} ours: {ours:<14} paper: {paper}")
 }
 
 /// The command line of one bench binary, checked against the flags
@@ -135,26 +118,12 @@ impl Flags {
     /// like [`Flags::from_env`], naming the option.
     #[must_use]
     pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
-        self.raw(name).map(|v| parse_value(name, v))
-    }
-
-    /// Option `name` as a comma-separated list, each item parsed as `T`
-    /// (exiting like [`Flags::value`] on the first that does not).
-    #[must_use]
-    pub fn list<T: FromStr>(&self, name: &str) -> Option<Vec<T>> {
-        self.raw(name).map(|v| {
-            v.split(',')
-                .map(|item| parse_value(name, item.trim()))
-                .collect()
-        })
-    }
-
-    fn raw(&self, name: &str) -> Option<&str> {
         self.0
             .iter()
             .rev()
             .find(|(flag, _)| flag == name)
             .and_then(|(_, value)| value.as_deref())
+            .map(|v| parse_value(name, v))
     }
 }
 
@@ -167,15 +136,6 @@ fn parse_value<T: FromStr>(name: &str, value: &str) -> T {
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2)
-}
-
-/// Convenience: run the good circuit alone over the patterns and
-/// return `(total_seconds, avg_seconds_per_pattern)`.
-#[must_use]
-pub fn good_only_seconds(ram: &Ram, patterns: &[Pattern]) -> (f64, f64) {
-    let sim = fmossim_core::SerialSim::new(ram.network(), fmossim_core::SerialConfig::paper());
-    let trace = sim.observe_good(patterns, ram.observed_outputs());
-    (trace.total_seconds, trace.avg_pattern_seconds())
 }
 
 #[cfg(test)]
@@ -204,7 +164,6 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert!(compare_row("x", "1".into(), "2").contains("paper: 2"));
         let parse = |args: &[&str]| {
             Flags::parse(
                 args.iter().map(|a| (*a).to_string()),
@@ -215,7 +174,6 @@ mod tests {
         let flags = parse(&["--faults", "7", "--csv", "--faults", "9"]).expect("known flags");
         assert!(flags.has("--csv"));
         assert_eq!(flags.value::<usize>("--faults"), Some(9), "last one wins");
-        assert_eq!(flags.list::<usize>("--faults"), Some(vec![9]));
         assert_eq!(parse(&[]).expect("empty").value::<usize>("--faults"), None);
         assert!(parse(&["--bogus"]).unwrap_err().contains("`--bogus`"));
         assert!(parse(&["--faults"]).unwrap_err().contains("`--faults`"));

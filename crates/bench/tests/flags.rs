@@ -23,8 +23,17 @@ fn assert_rejected(bin: &str, args: &[&str], flag: &str) {
 }
 
 #[test]
-fn table1_rejects_an_unknown_flag() {
-    assert_rejected(env!("CARGO_BIN_EXE_table1"), &["--bogus"], "--bogus");
+fn paper_figures_rejects_an_unknown_flag() {
+    assert_rejected(env!("CARGO_BIN_EXE_paper_figures"), &["--bogus"], "--bogus");
+}
+
+#[test]
+fn paper_figures_rejects_a_deleted_figure_flag() {
+    assert_rejected(
+        env!("CARGO_BIN_EXE_paper_figures"),
+        &["--faults", "7"],
+        "--faults",
+    );
 }
 
 #[test]

@@ -1,0 +1,106 @@
+//! The paper's figures in exact work counts.
+//!
+//! Each test measures one rung of `fmossim_bench::figures::LADDER`
+//! through the same `measure` call `paper_figures` makes and asserts
+//! every count. Vicinity solves do not depend on the host or on packing,
+//! so a change to these numbers is a change to the algorithm's work and
+//! belongs in the diff that causes it. The RAM1024 rung (1,508,000 good
+//! and 4,758,198 faulty groups, 4,871 of 4,871 detected) takes tens of
+//! seconds unoptimized and is only printed by the binary.
+
+use fmossim_bench::figures::{measure, Counts, LADDER};
+
+fn counts(name: &str) -> Counts {
+    let rung = LADDER
+        .iter()
+        .find(|r| r.name == name)
+        .expect("rung on the ladder");
+    measure(rung).counts
+}
+
+#[test]
+fn the_ladder_is_the_papers() {
+    let names: Vec<&str> = LADDER.iter().map(|r| r.name).collect();
+    assert_eq!(
+        names,
+        ["ram64-seq1", "ram64-seq2", "ram64-mix", "ram256", "ram1024"]
+    );
+}
+
+#[test]
+fn figure_1_ram64_sequence_1() {
+    let c = counts("ram64-seq1");
+    assert_eq!(
+        c,
+        Counts {
+            faults: 428,
+            patterns: 407,
+            good_groups: 36_612,
+            faulty_groups: 93_731,
+            serial_est_groups: 5_131_925,
+            head_patterns: 87,
+            head_groups: 94_104,
+            head_detected: 259,
+            detected: 428,
+        }
+    );
+    let r = c.ratios();
+    assert_eq!(format!("{:.2}", r.concurrent_over_good), "3.56");
+    assert_eq!(format!("{:.1}", r.serial_over_concurrent), "39.4");
+    assert_eq!(format!("{:.3}", r.head_share), "0.722");
+    assert_eq!(format!("{:.2}", r.tail_over_good), "1.26");
+}
+
+#[test]
+fn figure_2_ram64_sequence_2() {
+    assert_eq!(
+        counts("ram64-seq2"),
+        Counts {
+            faults: 428,
+            patterns: 327,
+            good_groups: 29_574,
+            faulty_groups: 168_371,
+            serial_est_groups: 5_162_196,
+            head_patterns: 7,
+            head_groups: 21_620,
+            head_detected: 73,
+            detected: 428,
+        }
+    );
+}
+
+#[test]
+fn ram64_sequence_1_with_transistor_faults() {
+    assert_eq!(
+        counts("ram64-mix"),
+        Counts {
+            faults: 428,
+            patterns: 407,
+            good_groups: 36_612,
+            faulty_groups: 277_379,
+            serial_est_groups: 5_559_549,
+            head_patterns: 87,
+            head_groups: 162_900,
+            head_detected: 261,
+            detected: 381,
+        }
+    );
+}
+
+#[test]
+fn figure_3_ram256_full_universe() {
+    assert_eq!(
+        counts("ram256"),
+        Counts {
+            faults: 1_439,
+            patterns: 1_447,
+            good_groups: 220_198,
+            faulty_groups: 673_165,
+            serial_est_groups: 135_995_052,
+            head_patterns: 167,
+            head_groups: 616_913,
+            head_detected: 541,
+            detected: 1_439,
+        }
+    );
+}

@@ -170,8 +170,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// bit-identical to an uncollapsed run, just cheaper to produce.
     /// [`CampaignReport::collapse`] records the class statistics.
     /// `collapse(false)` grades every fault of the universe: the
-    /// paper's figure regenerators need that to report the paper's
-    /// work counts, and tests use it as the plain-path reference.
+    /// `paper_figures` ladder needs that to report the paper's work
+    /// counts, and tests use it as the plain-path reference.
     ///
     /// Work-item telemetry stays in collapsed terms: `jobs` /
     /// `shards` / `batches` and the `metrics` snapshot describe the

@@ -252,7 +252,7 @@ pub struct ConcurrentConfig {
     /// passes. Ignored (scalar path used) under [`LocalityMode::Static`],
     /// which the packed engine does not implement. On in
     /// [`ConcurrentConfig::paper`]; `false` gives the scalar path, which
-    /// the paper's figure regenerators use for its wall-time ratios.
+    /// the `paper_figures` ladder uses for its wall-time ratios.
     pub packing: bool,
 }
 

@@ -23,9 +23,7 @@
 //!   path: up to 64 fault machines encoded across two `u64` planes per
 //!   node ([`PackedLogic`]) settle together in one pass of bitwise
 //!   plane operations, with lanes evicted to a re-solve whenever their
-//!   vicinity structure diverges. Behind the `simd` cargo feature
-//!   (nightly only) the strength-plane operations are specialized with
-//!   `std::simd`.
+//!   vicinity structure diverges.
 //!
 //! # The steady-state solver
 //!
@@ -105,7 +103,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 mod engine;
 #[cfg(test)]

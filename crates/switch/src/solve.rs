@@ -541,24 +541,6 @@ struct Ranks {
     ge: [u64; PLANES],
 }
 
-/// Plane selectors for attenuation: `RANK_SELECTORS[d][r]` is all-ones
-/// iff `1 <= r <= d`, so ANDing a source's planes with row `d` computes
-/// `min(strength, rank d)` for every lane at once.
-#[cfg(feature = "simd")]
-const RANK_SELECTORS: [[u64; PLANES]; PLANES] = {
-    let mut t = [[0u64; PLANES]; PLANES];
-    let mut d = 0;
-    while d < PLANES {
-        let mut r = 1;
-        while r <= d {
-            t[d][r] = u64::MAX;
-            r += 1;
-        }
-        d += 1;
-    }
-    t
-};
-
 impl Ranks {
     const EMPTY: Ranks = Ranks { ge: [0; PLANES] };
 
@@ -581,7 +563,6 @@ impl Ranks {
 
     /// Mask of lanes where `self`'s strength is strictly greater than
     /// `other`'s: some plane is set in `self` but not in `other`.
-    #[cfg(not(feature = "simd"))]
     #[inline]
     fn gt(&self, other: &Ranks) -> u64 {
         let mut acc = 0u64;
@@ -591,25 +572,9 @@ impl Ranks {
         acc
     }
 
-    /// Mask of lanes where `self`'s strength is strictly greater than
-    /// `other`'s: some plane is set in `self` but not in `other`.
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn gt(&self, other: &Ranks) -> u64 {
-        use std::simd::prelude::*;
-        let mut acc = u64x8::splat(0);
-        let mut o = 0;
-        while o < PLANES {
-            acc |= u64x8::from_slice(&self.ge[o..o + 8]) & !u64x8::from_slice(&other.ge[o..o + 8]);
-            o += 8;
-        }
-        acc.reduce_or()
-    }
-
     /// Merges `min(src, rank max_rank)` into `self` for the lanes in
     /// `mask` (attenuation through a drive followed by `max`). Returns
     /// whether any plane changed.
-    #[cfg(not(feature = "simd"))]
     #[inline]
     fn merge_through(&mut self, src: &Ranks, max_rank: usize, mask: u64) -> bool {
         let mut changed = 0u64;
@@ -619,28 +584,6 @@ impl Ranks {
             changed |= add;
         }
         changed != 0
-    }
-
-    /// Merges `min(src, rank max_rank)` into `self` for the lanes in
-    /// `mask` (attenuation through a drive followed by `max`). Returns
-    /// whether any plane changed.
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn merge_through(&mut self, src: &Ranks, max_rank: usize, mask: u64) -> bool {
-        use std::simd::prelude::*;
-        let sel = &RANK_SELECTORS[max_rank];
-        let m = u64x8::splat(mask);
-        let mut changed = u64x8::splat(0);
-        let mut o = 0;
-        while o < PLANES {
-            let cur = u64x8::from_slice(&self.ge[o..o + 8]);
-            let add =
-                u64x8::from_slice(&src.ge[o..o + 8]) & u64x8::from_slice(&sel[o..o + 8]) & m & !cur;
-            changed |= add;
-            (cur | add).copy_to_slice(&mut self.ge[o..o + 8]);
-            o += 8;
-        }
-        changed.reduce_or() != 0
     }
 }
 
