@@ -33,7 +33,7 @@ use crate::packed::PackedLanes;
 use crate::records::StateLists;
 use fmossim_faults::FaultId;
 use fmossim_netlist::{Logic, NodeId};
-use fmossim_switch::Engine;
+use fmossim_switch::{Engine, SettleTape};
 
 /// The typed index of a simulated circuit: 0 is the good machine,
 /// `k + 1` the faulty circuit carrying fault set `k` (so
@@ -226,6 +226,82 @@ impl TriggerSet {
     }
 }
 
+/// Phase-scoped marks, epoch-stamped like [`TriggerSet`] so starting
+/// a phase is O(1):
+///
+/// * per node, whether the good circuit changes it this phase — an
+///   input assignment or a recorded group change, stamped before any
+///   triggering, which is what lets the dormancy test of a stuck
+///   transistor ask whether its gate stays quiet for the whole phase;
+/// * per circuit, whether it had no divergence record when the phase
+///   began, noted the first time the phase's triggering writes its
+///   records (old-value preservation) — the "before" half of
+///   `core.settles.redundant`.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PhaseMarks {
+    epoch: u32,
+    /// Per node: the epoch of the last phase that changed it.
+    changed: Vec<u32>,
+    /// Per circuit: the epoch of the phase that noted it, and whether
+    /// it was record-free then.
+    start: Vec<(u32, bool)>,
+}
+
+impl PhaseMarks {
+    /// Re-fits the marks to `n_nodes` nodes and circuit ids
+    /// `0..n_circuits`, keeping the allocations.
+    pub(crate) fn fit(&mut self, n_nodes: usize, n_circuits: usize) {
+        self.changed.clear();
+        self.changed.resize(n_nodes, 0);
+        self.start.clear();
+        self.start.resize(n_circuits, (0, false));
+        self.epoch = 0;
+    }
+
+    /// Starts a new phase: every mark of the previous one expires.
+    pub(crate) fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.changed.fill(0);
+            self.start.fill((0, false));
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks node `n` as changed by the good circuit this phase.
+    #[inline]
+    pub(crate) fn stamp(&mut self, n: NodeId) {
+        self.changed[n.index()] = self.epoch;
+    }
+
+    /// True iff node `n` was stamped this phase.
+    #[inline]
+    pub(crate) fn changed(&self, n: NodeId) -> bool {
+        self.changed[n.index()] == self.epoch
+    }
+
+    /// Notes whether circuit `c` is record-free, unless this phase
+    /// already noted it.
+    #[inline]
+    pub(crate) fn note_start(&mut self, c: u32, clean: bool) {
+        let slot = &mut self.start[c as usize];
+        if slot.0 != self.epoch {
+            *slot = (self.epoch, clean);
+        }
+    }
+
+    /// Whether circuit `c` began the phase record-free: its noted
+    /// flag, or `clean_now` when the phase has not written its records
+    /// (then its current record count is the phase-start count).
+    #[inline]
+    pub(crate) fn started_clean(&self, c: u32, clean_now: bool) -> bool {
+        match self.start[c as usize] {
+            (epoch, clean) if epoch == self.epoch => clean,
+            _ => clean_now,
+        }
+    }
+}
+
 /// Every owned hot-path buffer of a
 /// [`ConcurrentSim`](crate::ConcurrentSim), detached from the network
 /// lifetime so a batch driver can keep it across simulator rebuilds:
@@ -241,12 +317,18 @@ pub struct SimArena {
     pub(crate) engine: Engine,
     pub(crate) records: StateLists,
     pub(crate) overrides: Vec<Overrides>,
-    pub(crate) attach: Csr<u32>,
+    pub(crate) attach_nodes: Csr<u32>,
+    pub(crate) attach_transistors: Csr<u32>,
     pub(crate) forced_at: Csr<(u32, Logic)>,
     pub(crate) dropped: Vec<bool>,
     pub(crate) detected_once: Vec<bool>,
     pub(crate) queue: EventQueue,
     pub(crate) triggered: TriggerSet,
+    pub(crate) marks: PhaseMarks,
+    /// The live path's record of the current phase's good settle.
+    pub(crate) phase_tape: SettleTape,
+    /// The live path's phase-start values of the inputs it changed.
+    pub(crate) input_undo: Vec<(NodeId, Logic)>,
     pub(crate) strobe_scratch: Vec<(u32, Logic)>,
     /// The packed-lane machinery, once a packing simulator has built
     /// it (a scalar simulator leaves it out).
@@ -261,12 +343,16 @@ impl SimArena {
             engine,
             records: StateLists::new(0, 0),
             overrides: Vec::new(),
-            attach: Csr::default(),
+            attach_nodes: Csr::default(),
+            attach_transistors: Csr::default(),
             forced_at: Csr::default(),
             dropped: Vec::new(),
             detected_once: Vec::new(),
             queue: EventQueue::default(),
             triggered: TriggerSet::default(),
+            marks: PhaseMarks::default(),
+            phase_tape: SettleTape::default(),
+            input_undo: Vec::new(),
             strobe_scratch: Vec::new(),
             packed: None,
         }
@@ -349,6 +435,30 @@ mod tests {
         set.begin();
         set.insert(1);
         assert_eq!(set.circuits(), &[1]);
+    }
+
+    #[test]
+    fn phase_marks_expire_with_the_phase() {
+        let mut marks = PhaseMarks::default();
+        marks.fit(4, 3);
+        marks.begin();
+        marks.stamp(n(2));
+        marks.note_start(1, true);
+        marks.note_start(1, false); // the first note of a phase wins
+        assert!(marks.changed(n(2)) && !marks.changed(n(1)));
+        assert!(
+            marks.started_clean(1, false),
+            "noted flag, not the current one"
+        );
+        assert!(!marks.started_clean(2, false), "unnoted: the current flag");
+        marks.begin();
+        assert!(!marks.changed(n(2)), "stamps expire");
+        assert!(!marks.started_clean(1, false), "notes expire");
+        // Epoch wraparound clears the stamps instead of aliasing.
+        marks.epoch = u32::MAX;
+        marks.changed[3] = 1;
+        marks.begin();
+        assert!(!marks.changed(n(3)));
     }
 
     #[test]

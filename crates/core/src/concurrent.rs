@@ -10,12 +10,12 @@
 //! 2. settles the good circuit, and for every vicinity solved computes
 //!    its *support* — members, gates of incident transistors, boundary
 //!    inputs. Circuits with a record or fault attachment in the support
-//!    are *triggered*: the good-circuit event may play out differently
-//!    for them, so they receive private events. Before the good values
-//!    are lost, the pre-change values of any changed node are copied
-//!    into the triggered circuits' records (*old-value preservation*),
-//!    keeping each faulty circuit's view consistent with its own
-//!    history;
+//!    are *triggered* (with the two exceptions below): the good-circuit
+//!    event may play out differently for them, so they receive private
+//!    events. Before the good values are lost, the pre-change values of
+//!    any changed node are copied into the triggered circuits' records
+//!    (*old-value preservation*), keeping each faulty circuit's view
+//!    consistent with its own history;
 //! 3. settles each triggered faulty circuit over an overlay view
 //!    (records else good state) — in circuit-id order on the scalar
 //!    path, up to 64 at a time grouped by shared seeds on the packed
@@ -33,8 +33,42 @@
 //! therefore also scans the open channel transistors of each changed
 //! input and triggers circuits diverging at their gates or attached at
 //! their ends.
+//!
+//! # Where triggering departs from the paper
+//!
+//! The paper triggers a faulty circuit whenever its fault site lies
+//! anywhere in a vicinity's support. Two exact rules trigger less; each
+//! skips only circuits whose vicinity would re-derive the good result:
+//!
+//! * **Member-only attachment for stuck transistors.** A stuck
+//!   transistor's circuit is triggered through its attachment only
+//!   when a channel end of the transistor is a member of the solved
+//!   vicinity, not when that end merely gates an incident transistor.
+//!   Then the transistor touches no member, so the vicinity's network
+//!   and values in that circuit are the good circuit's. A stuck node
+//!   is attached anywhere in the support (a forced node matters as a
+//!   member and as a gate); the two kinds live in separate tables, so
+//!   only stuck-transistor attachments pay the dormancy test.
+//! * **Phase-wide dormancy.** A circuit with no divergence record whose
+//!   faults are all stuck transistors, each forced to the conduction
+//!   the good circuit gives it and gated by a node the good circuit does
+//!   not change this phase, has the good circuit's network and state
+//!   for the whole phase. It is not triggered by its attachment at all.
+//!   The test needs every good change of the phase up front, so the
+//!   live path records its good settle into a [`SettleTape`], rewinds
+//!   the good state to the phase start and runs the same phase body as
+//!   tape replay: there is one trigger path.
+//!
+//! A skipped circuit keeps the good circuit's values there, as
+//! [`SerialSim`](crate::SerialSim) would give it. The paper's rule
+//! re-solved it from its preserved old values instead, where a charge
+//! race could leave a record the serial oracle does not see; so the
+//! records a run leaves can differ from the paper rule's, while the
+//! detections of every pinned workload are unchanged. The work
+//! counters fall: `core.settles.redundant` counts the settles still
+//! spent on circuits that begin and end the phase without a record.
 
-use crate::arena::{CircuitId, Csr, EventQueue, SimArena, TriggerSet};
+use crate::arena::{CircuitId, Csr, EventQueue, PhaseMarks, SimArena, TriggerSet};
 use crate::overlay::{FaultyView, Overrides};
 use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
@@ -43,7 +77,9 @@ use crate::report::{Detection, DetectionPolicy, PatternStats, RunReport};
 use crate::tape::{GoodTape, PhaseTape};
 use fmossim_faults::{Fault, FaultEffect, FaultId};
 use fmossim_netlist::{Logic, Network, NodeId};
-use fmossim_switch::{DenseState, Engine, EngineConfig, LocalityMode, SwitchState};
+use fmossim_switch::{
+    DenseState, Engine, EngineConfig, LocalityMode, SettleTape, SwitchState, TapeGroup,
+};
 use fmossim_telemetry::{Counter, Gauge, Registry};
 use std::time::Instant;
 
@@ -63,6 +99,10 @@ struct CoreMetrics {
     circuit_settles: Counter,
     /// `core.faulty.groups` — vicinities solved inside faulty circuits.
     faulty_groups: Counter,
+    /// `core.settles.redundant` — faulty-circuit settles of circuits
+    /// with no record at the start of the phase and none after the
+    /// settle: they re-derived the good circuit.
+    settles_redundant: Counter,
     /// `core.good.groups` — vicinities solved in the live good machine
     /// (zero under tape replay; see `core.tape.replayed_groups`).
     good_groups: Counter,
@@ -89,6 +129,7 @@ struct CoreMetrics {
     local_events_scheduled: u64,
     local_circuit_settles: u64,
     local_faulty_groups: u64,
+    local_settles_redundant: u64,
     local_good_groups: u64,
     local_replayed_groups: u64,
     local_scalar_fallbacks: u64,
@@ -128,6 +169,7 @@ impl CoreMetrics {
             events_scheduled: registry.counter("core.events_scheduled"),
             circuit_settles: registry.counter("core.circuit.settles"),
             faulty_groups: registry.counter("core.faulty.groups"),
+            settles_redundant: registry.counter("core.settles.redundant"),
             good_groups: registry.counter("core.good.groups"),
             replayed_groups: registry.counter("core.tape.replayed_groups"),
             detections: registry.counter("core.detections"),
@@ -157,6 +199,7 @@ impl CoreMetrics {
         self.events_scheduled.add(self.local_events_scheduled);
         self.circuit_settles.add(self.local_circuit_settles);
         self.faulty_groups.add(self.local_faulty_groups);
+        self.settles_redundant.add(self.local_settles_redundant);
         self.good_groups.add(self.local_good_groups);
         self.replayed_groups.add(self.local_replayed_groups);
         self.scalar_fallbacks.add(self.local_scalar_fallbacks);
@@ -166,67 +209,33 @@ impl CoreMetrics {
         self.local_events_scheduled = 0;
         self.local_circuit_settles = 0;
         self.local_faulty_groups = 0;
+        self.local_settles_redundant = 0;
         self.local_good_groups = 0;
         self.local_replayed_groups = 0;
         self.local_scalar_fallbacks = 0;
     }
 }
 
-/// Computes the circuits triggered by one good-machine event (live or
-/// replayed from a [`GoodTape`]) and queues their private events:
-/// circuits with a divergence record or fault attachment anywhere in
-/// the event's support are triggered, their records receive the
-/// pre-change values of every changed node (old-value preservation),
-/// and the group's members become pending private-event seeds.
-///
-/// Free function over the simulator's fields so both call sites can
-/// borrow: the live path calls it from inside the engine's observer
-/// closure (which already holds `engine` and `good` mutably), the
-/// replay path from a plain method.
-#[allow(clippy::too_many_arguments)]
-fn trigger_group(
-    records: &mut StateLists,
-    attach: &Csr<u32>,
-    queue: &mut EventQueue,
-    dropped: &[bool],
-    overrides: &[Overrides],
-    triggered: &mut TriggerSet,
-    members: &[NodeId],
-    support_rest: impl Iterator<Item = NodeId>,
-    changed: &[(NodeId, Logic, Logic)],
-) {
-    triggered.begin();
-    for s in members.iter().copied().chain(support_rest) {
-        records.for_circuits_at(s, |c| {
-            if !dropped[c as usize] {
-                triggered.insert(c);
-            }
-        });
-        for &c in attach.row(s.index()) {
-            if !dropped[c as usize] {
-                triggered.insert(c);
-            }
-        }
-    }
-    for &c in triggered.circuits() {
-        // Old-value preservation: the triggered circuit must still see
-        // the pre-change state until it re-settles. A circuit's forced
-        // nodes are exempt — their values are fixed by the fault and
-        // the records could never be cleaned up (the engine never
-        // solves forced nodes).
-        let forced = &overrides[c as usize];
-        for &(node, old, _new) in changed {
-            if forced.forced_value(node).is_some() {
-                continue;
-            }
-            if records.get(node, c).is_none() {
-                records.set(node, c, old);
-            }
-        }
-        for &m in members {
-            queue.schedule(CircuitId(c), m);
-        }
-    }
+/// Phase-wide dormancy: true iff circuit `c` has no divergence record
+/// and only stuck transistors, each forced to the conduction the good
+/// circuit gives it and gated by a node the good circuit leaves alone
+/// this phase (`marks` holds the phase's changes). Such a circuit has
+/// the good circuit's network and state for the whole phase, so no
+/// event can play out differently in it.
+fn is_dormant(
+    net: &Network,
+    good: &DenseState<'_>,
+    records: &StateLists,
+    marks: &PhaseMarks,
+    ov: &Overrides,
+    c: u32,
+) -> bool {
+    records.live_count(c) == 0
+        && ov.forced_nodes.is_empty()
+        && ov
+            .forced_transistors
+            .iter()
+            .all(|&(t, cond)| !marks.changed(net.transistor(t).gate) && good.conduction(t) == cond)
 }
 
 /// Configuration of the concurrent simulator.
@@ -332,9 +341,15 @@ pub struct ConcurrentSim<'n> {
     fault_sets: Vec<Vec<Fault>>,
     /// Per circuit id (0 unused): structural overrides.
     overrides: Vec<Overrides>,
-    /// Per node (CSR row): circuits statically attached (fault
-    /// footprint), ascending and unique within each row.
-    attach: Csr<u32>,
+    /// Per node (CSR row): circuits whose stuck node is this node,
+    /// triggered wherever it lies in a support; ascending and unique
+    /// within each row.
+    attach_nodes: Csr<u32>,
+    /// Per node (CSR row): circuits with a stuck transistor whose
+    /// storage channel end is this node, triggered only where it is a
+    /// vicinity member, and not while dormant; ascending and unique
+    /// within each row.
+    attach_transistors: Csr<u32>,
     /// Per node (CSR row): circuits forcing this node, with the forced
     /// value (needed for strobe comparison — forced nodes carry no
     /// records).
@@ -352,6 +367,14 @@ pub struct ConcurrentSim<'n> {
     config: ConcurrentConfig,
     /// Scratch: circuits triggered by the current group.
     triggered: TriggerSet,
+    /// The current phase's changed nodes and phase-start cleanliness.
+    marks: PhaseMarks,
+    /// The live path's record of the current phase's good settle,
+    /// reused every phase.
+    phase_tape: SettleTape,
+    /// Scratch: the phase-start values of the inputs the live path
+    /// changed, for the rewind.
+    input_undo: Vec<(NodeId, Logic)>,
     /// Scratch: the `(circuit, value)` entries strobed at one output —
     /// a snapshot so detections can drop circuits mid-iteration.
     strobe_scratch: Vec<(u32, Logic)>,
@@ -417,12 +440,16 @@ impl<'n> ConcurrentSim<'n> {
             mut engine,
             mut records,
             mut overrides,
-            mut attach,
+            mut attach_nodes,
+            mut attach_transistors,
             mut forced_at,
             mut dropped,
             mut detected_once,
             mut queue,
             mut triggered,
+            mut marks,
+            mut phase_tape,
+            mut input_undo,
             mut strobe_scratch,
             packed,
         } = arena;
@@ -450,12 +477,16 @@ impl<'n> ConcurrentSim<'n> {
         detected_once.resize(n_sets + 1, false);
         queue.clear();
         triggered.fit(n_sets + 1);
+        marks.fit(net.num_nodes(), n_sets + 1);
+        phase_tape.clear();
+        input_undo.clear();
         strobe_scratch.clear();
         // The structural tables, flattened: (node, entry) pairs sorted
-        // by node, then CSR-compacted. `attach` rows must be ascending
+        // by node, then CSR-compacted. `attach_*` rows must be ascending
         // and unique; `forced_at` rows keep their per-circuit push
         // order (circuit-ascending by construction of the loop).
-        let attach_pairs = attach.staging();
+        let node_pairs = attach_nodes.staging();
+        let transistor_pairs = attach_transistors.staging();
         let forced_pairs = forced_at.staging();
         for (k, set) in fault_sets.iter().enumerate() {
             let circ = u32::try_from(k + 1).expect("too many faults");
@@ -467,17 +498,24 @@ impl<'n> ConcurrentSim<'n> {
                         (circ, value),
                     ));
                 }
+                let pairs = match fault.effect() {
+                    FaultEffect::ForceNode { .. } => &mut *node_pairs,
+                    FaultEffect::ForceTransistor { .. } => &mut *transistor_pairs,
+                };
                 for n in fault.footprint(net) {
-                    attach_pairs.push((u32::try_from(n.index()).expect("node fits u32"), circ));
+                    pairs.push((u32::try_from(n.index()).expect("node fits u32"), circ));
                 }
                 for s in fault.initial_seeds(net) {
                     queue.schedule(CircuitId(circ), s);
                 }
             }
         }
-        attach_pairs.sort_unstable();
-        attach_pairs.dedup();
-        attach.rebuild_staged(net.num_nodes());
+        for pairs in [node_pairs, transistor_pairs] {
+            pairs.sort_unstable();
+            pairs.dedup();
+        }
+        attach_nodes.rebuild_staged(net.num_nodes());
+        attach_transistors.rebuild_staged(net.num_nodes());
         // Stable by node: entries at one node stay in push order.
         forced_pairs.sort_by_key(|&(n, _)| n);
         forced_at.rebuild_staged(net.num_nodes());
@@ -488,7 +526,8 @@ impl<'n> ConcurrentSim<'n> {
             records,
             fault_sets,
             overrides,
-            attach,
+            attach_nodes,
+            attach_transistors,
             forced_at,
             dropped,
             detected_once,
@@ -497,6 +536,9 @@ impl<'n> ConcurrentSim<'n> {
             detections: Vec::new(),
             config,
             triggered,
+            marks,
+            phase_tape,
+            input_undo,
             strobe_scratch,
             packed,
             metrics: CoreMetrics::default(),
@@ -556,12 +598,16 @@ impl<'n> ConcurrentSim<'n> {
             engine: self.engine,
             records: self.records,
             overrides: self.overrides,
-            attach: self.attach,
+            attach_nodes: self.attach_nodes,
+            attach_transistors: self.attach_transistors,
             forced_at: self.forced_at,
             dropped: self.dropped,
             detected_once: self.detected_once,
             queue: self.queue,
             triggered: self.triggered,
+            marks: self.marks,
+            phase_tape: self.phase_tape,
+            input_undo: self.input_undo,
             strobe_scratch: self.strobe_scratch,
             packed: self.packed,
         }
@@ -761,51 +807,164 @@ impl<'n> ConcurrentSim<'n> {
         phase_idx: usize,
         stats: &mut PatternStats,
     ) {
-        // 1. Input changes (with the open-channel trigger special case).
         self.metrics.start_lap();
-        self.apply_phase_inputs(phase, true);
+        let mut tape = std::mem::take(&mut self.phase_tape);
+        self.record_good_phase(phase, &mut tape);
+        self.metrics.local_good_groups += tape.num_groups() as u64;
+        self.phase_body(phase, &tape, outputs, pattern_idx, phase_idx, stats);
+        self.phase_tape = tape;
+    }
 
-        // 2. Good-circuit settle with support-based triggering.
-        {
-            let net = self.net;
-            let ConcurrentSim {
-                good,
-                engine,
-                records,
-                attach,
-                queue,
-                dropped,
-                triggered,
-                overrides,
-                ..
-            } = self;
-            let rep = engine.settle_observed(good, |g| {
-                trigger_group(
-                    records,
-                    attach,
-                    queue,
-                    dropped,
-                    overrides,
-                    triggered,
-                    g.members,
-                    g.incident_gates(net)
-                        .chain(g.boundary_inputs.iter().copied()),
-                    g.changed,
-                );
-            });
-            stats.good_groups += rep.groups_solved;
-            stats.damped |= rep.oscillation_damped;
-            self.metrics.local_good_groups += rep.groups_solved as u64;
+    /// The live path's good settle: applies the phase's inputs, settles
+    /// the good circuit into `tape`, then rewinds the good state to the
+    /// phase start, so that [`ConcurrentSim::phase_body`] replays the
+    /// phase exactly as it replays a recorded [`GoodTape`]. The input
+    /// change/skip test here (`old != v`, the one
+    /// [`Engine::apply_input`] makes) is the body's test on the same
+    /// values, so both see the same changes.
+    fn record_good_phase(&mut self, phase: &Phase, tape: &mut SettleTape) {
+        tape.clear();
+        self.input_undo.clear();
+        for &(n, v) in &phase.inputs {
+            let old = self.good.node_state(n);
+            if old != v {
+                self.input_undo.push((n, old));
+                self.engine.apply_input(&mut self.good, n, v);
+            }
         }
+        let net = self.net;
+        let rep = self
+            .engine
+            .settle_observed(&mut self.good, |g| tape.push_group(net, g));
+        tape.finish(&rep);
+        for &(n, old, _new) in tape.changes().iter().rev() {
+            self.good.force(n, old);
+        }
+        for &(n, old) in self.input_undo.iter().rev() {
+            self.good.force(n, old);
+        }
+    }
+
+    /// One phase from its phase-start good state and its good settle
+    /// `settle` — the body shared by the live path and tape replay:
+    /// stamps the phase's good changes, applies the inputs (with the
+    /// open-channel trigger special case), applies the recorded groups
+    /// and triggers from each, settles the triggered faulty circuits
+    /// and strobes.
+    fn phase_body(
+        &mut self,
+        phase: &Phase,
+        settle: &SettleTape,
+        outputs: &[NodeId],
+        pattern_idx: usize,
+        phase_idx: usize,
+        stats: &mut PatternStats,
+    ) {
+        // Every good change of the phase is stamped before any
+        // triggering: the dormancy test asks about the whole phase.
+        self.marks.begin();
+        for &(n, v) in &phase.inputs {
+            if self.good.node_state(n) != v {
+                self.marks.stamp(n);
+            }
+        }
+        for &(n, _old, _new) in settle.changes() {
+            self.marks.stamp(n);
+        }
+
+        // 1. Input changes (with the open-channel trigger special case).
+        for &(n, v) in &phase.inputs {
+            if self.good.node_state(n) == v {
+                continue;
+            }
+            self.trigger_input_change(n);
+            self.good.force(n, v);
+        }
+
+        // 2. The good settle: per group, apply its changes and trigger
+        // from its support.
+        for g in settle.groups() {
+            for &(node, _old, new) in g.changed {
+                self.good.force(node, new);
+            }
+            self.trigger_group(g);
+        }
+        stats.good_groups += settle.num_groups();
+        stats.damped |= settle.damped();
         self.metrics.lap(Step::Good);
 
-        // 3. Faulty circuits, in circuit-id order.
+        // 3. Faulty circuits.
         self.settle_triggered(stats);
 
         // 4. Strobe: compare observed outputs, detect and drop.
         if phase.strobe {
             self.observe(outputs, pattern_idx, phase_idx, stats);
             self.metrics.lap(Step::Strobe);
+        }
+    }
+
+    /// Triggers the faulty circuits one good group can affect and queues
+    /// their private events: circuits with a divergence record or a
+    /// stuck node anywhere in the group's support, and circuits with a
+    /// stuck transistor at a member that are not dormant
+    /// ([`is_dormant`]). Their records receive the pre-change values of
+    /// every changed node (old-value preservation), and the group's
+    /// members become their pending private-event seeds.
+    fn trigger_group(&mut self, g: TapeGroup<'_>) {
+        let net = self.net;
+        let ConcurrentSim {
+            good,
+            records,
+            overrides,
+            attach_nodes,
+            attach_transistors,
+            marks,
+            queue,
+            dropped,
+            triggered,
+            ..
+        } = self;
+        triggered.begin();
+        for &s in g.members.iter().chain(g.support_rest) {
+            records.for_circuits_at(s, |c| {
+                if !dropped[c as usize] {
+                    triggered.insert(c);
+                }
+            });
+            for &c in attach_nodes.row(s.index()) {
+                if !dropped[c as usize] {
+                    triggered.insert(c);
+                }
+            }
+        }
+        for &m in g.members {
+            for &c in attach_transistors.row(m.index()) {
+                if !dropped[c as usize]
+                    && !is_dormant(net, good, records, marks, &overrides[c as usize], c)
+                {
+                    triggered.insert(c);
+                }
+            }
+        }
+        for &c in triggered.circuits() {
+            marks.note_start(c, records.live_count(c) == 0);
+            // Old-value preservation: the triggered circuit must still
+            // see the pre-change state until it re-settles. A circuit's
+            // forced nodes are exempt — their values are fixed by the
+            // fault and the records could never be cleaned up (the
+            // engine never solves forced nodes).
+            let forced = &overrides[c as usize];
+            for &(node, old, _new) in g.changed {
+                if forced.forced_value(node).is_some() {
+                    continue;
+                }
+                if records.get(node, c).is_none() {
+                    records.set(node, c, old);
+                }
+            }
+            for &m in g.members {
+                queue.schedule(CircuitId(c), m);
+            }
         }
     }
 
@@ -971,10 +1130,12 @@ impl<'n> ConcurrentSim<'n> {
             engine,
             records,
             overrides,
+            marks,
             metrics,
             ..
         } = self;
         metrics.local_events_scheduled += seeds.len() as u64;
+        let started_clean = marks.started_clean(circ, records.live_count(circ) == 0);
         let rep = {
             let mut view =
                 FaultyView::new(net, good.states(), records, circ, &overrides[circ as usize]);
@@ -999,6 +1160,8 @@ impl<'n> ConcurrentSim<'n> {
         stats.damped |= rep.oscillation_damped;
         metrics.local_faulty_groups += rep.groups_solved as u64;
         metrics.local_circuit_settles += 1;
+        metrics.local_settles_redundant +=
+            u64::from(started_clean && records.live_count(circ) == 0);
         if fallback {
             metrics.local_scalar_fallbacks += rep.groups_solved as u64;
         }
@@ -1020,6 +1183,7 @@ impl<'n> ConcurrentSim<'n> {
             records,
             overrides,
             packed,
+            marks,
             metrics,
             ..
         } = self;
@@ -1031,6 +1195,14 @@ impl<'n> ConcurrentSim<'n> {
         } = &mut **packed.as_mut().expect("packed path active");
         lane_circs.clear();
         lane_circs.extend(chunk.iter().map(|run| run.circ));
+        // Lanes whose circuit began the phase record-free, read before
+        // the scatter writes their records.
+        let mut started_clean = 0u64;
+        for (lane, run) in chunk.iter().enumerate() {
+            if marks.started_clean(run.circ, records.live_count(run.circ) == 0) {
+                started_clean |= 1u64 << lane;
+            }
+        }
         let rep = {
             let mut view =
                 PackedBucketView::new(net, good.states(), records, lane_circs, overrides, scratch);
@@ -1046,11 +1218,14 @@ impl<'n> ConcurrentSim<'n> {
         };
         scratch.scatter(good.states(), records, lane_circs);
         // Per-lane convergence sweep, as in the scalar path.
-        for run in chunk {
+        for (lane, run) in chunk.iter().enumerate() {
             for &(_, s) in &events[run.range()] {
                 if records.get(s, run.circ) == Some(good.node_state(s)) {
                     records.remove(s, run.circ);
                 }
+            }
+            if started_clean & (1u64 << lane) != 0 && records.live_count(run.circ) == 0 {
+                metrics.local_settles_redundant += 1;
             }
         }
         // `groups_solved` counts per lane, so both work counters stay
@@ -1183,10 +1358,9 @@ impl<'n> ConcurrentSim<'n> {
         stats
     }
 
-    /// One phase of the replay path: inputs are forced directly (the
-    /// tape knows their settle consequences), the recorded groups
-    /// replace the good settle, then faulty settles and strobes run
-    /// exactly as in [`ConcurrentSim::step_phase`].
+    /// One phase of the replay path: the recorded settle replaces the
+    /// good settle; everything else is [`ConcurrentSim::phase_body`],
+    /// as on the live path.
     fn step_phase_replayed(
         &mut self,
         phase: &Phase,
@@ -1196,98 +1370,37 @@ impl<'n> ConcurrentSim<'n> {
         phase_idx: usize,
         stats: &mut PatternStats,
     ) {
-        // 1. Input changes (with the open-channel trigger special
-        // case), via the same helper as the live path.
         self.metrics.start_lap();
-        self.apply_phase_inputs(phase, false);
-
-        // 2. Replay the recorded good settle: per group, apply the
-        // recorded state changes and trigger from the recorded support.
-        let settle = &ptape.settle;
-        for g in settle.groups() {
-            for &(node, _old, new) in g.changed {
-                self.good.force(node, new);
-            }
-            let ConcurrentSim {
-                records,
-                attach,
-                queue,
-                dropped,
-                overrides,
-                triggered,
-                ..
-            } = self;
-            trigger_group(
-                records,
-                attach,
-                queue,
-                dropped,
-                overrides,
-                triggered,
-                g.members,
-                g.support_rest.iter().copied(),
-                g.changed,
-            );
-        }
-        stats.good_groups += settle.num_groups();
-        stats.damped |= settle.damped();
-        self.metrics.local_replayed_groups += settle.num_groups() as u64;
-        self.metrics.lap(Step::Good);
-
-        // 3. Faulty circuits, in circuit-id order.
-        self.settle_triggered(stats);
-
-        // 4. Strobe: compare observed outputs, detect and drop.
-        if phase.strobe {
-            self.observe(outputs, pattern_idx, phase_idx, stats);
-            self.metrics.lap(Step::Strobe);
-        }
-    }
-
-    /// Step 1 of a phase, shared by the live and replay paths: applies
-    /// every input assignment that actually changes the good circuit,
-    /// with the open-channel trigger special case. The change/skip
-    /// decision lives only here and — for the record pass — inside
-    /// [`Engine::apply_input`], which skips unchanged inputs by the
-    /// same `old == v` test; record and replay must agree on it for
-    /// bit-identity, which is why neither decision is duplicated at a
-    /// call site.
-    fn apply_phase_inputs(&mut self, phase: &Phase, live: bool) {
-        for &(n, v) in &phase.inputs {
-            if self.good.node_state(n) == v {
-                continue;
-            }
-            self.trigger_input_change(n);
-            if live {
-                // Schedule consequences; the good settle consumes them.
-                self.engine.apply_input(&mut self.good, n, v);
-            } else {
-                // The tape already knows the consequences.
-                self.good.force(n, v);
-            }
-        }
+        self.metrics.local_replayed_groups += ptape.settle.num_groups() as u64;
+        self.phase_body(phase, &ptape.settle, outputs, pattern_idx, phase_idx, stats);
     }
 
     /// The special-case triggering for an input about to change: faulty
     /// circuits in which an open channel transistor of the input may
     /// conduct need a private event even though the good circuit shows
-    /// no activity there.
+    /// no activity there — those diverging at its gate, those with a
+    /// stuck node at the gate or either channel end, and those with a
+    /// stuck transistor at the far end that are not dormant.
     fn trigger_input_change(&mut self, n: NodeId) {
         let net = self.net;
+        let ConcurrentSim {
+            good,
+            records,
+            overrides,
+            attach_nodes,
+            attach_transistors,
+            marks,
+            dropped,
+            triggered,
+            queue,
+            ..
+        } = self;
         for &t in net.channel_transistors(n) {
-            if self.good.conduction(t).may_conduct() {
+            if good.conduction(t).may_conduct() {
                 continue; // good settle will solve and trigger normally
             }
             let tr = net.transistor(t);
             let other = tr.other_end(n);
-            let ConcurrentSim {
-                records,
-                attach,
-                dropped,
-                triggered,
-                queue,
-                ..
-            } = self;
             triggered.begin();
             records.for_circuits_at(tr.gate, |c| {
                 if !dropped[c as usize] {
@@ -1295,10 +1408,19 @@ impl<'n> ConcurrentSim<'n> {
                 }
             });
             for s in [tr.gate, other, n] {
-                for &c in attach.row(s.index()) {
+                for &c in attach_nodes.row(s.index()) {
                     if !dropped[c as usize] {
                         triggered.insert(c);
                     }
+                }
+            }
+            // A stuck transistor's footprint holds no input, so `n`
+            // has none.
+            for &c in attach_transistors.row(other.index()) {
+                if !dropped[c as usize]
+                    && !is_dormant(net, good, records, marks, &overrides[c as usize], c)
+                {
+                    triggered.insert(c);
                 }
             }
             for &c in triggered.circuits() {
@@ -1792,6 +1914,148 @@ mod tests {
         let report = sim.run(&toggle_patterns(a), &[out]);
         assert_eq!(report.detected(), 2);
         assert_eq!(sim.record_count(), 0, "all records reclaimed");
+    }
+
+    /// Two inverters, `A → X → OUT`, with a spare pull-up on `X` gated
+    /// by `G` (held high, so open) and a second pull-down on `OUT` gated
+    /// by `B`. Toggling `B` while `A` is low re-solves `OUT`'s vicinity:
+    /// `X` gates two of its incident transistors without changing, and
+    /// `OUT` stays low. Returns the network, the inputs `A`, `B`, the
+    /// nodes `X`, `OUT`, and the transistors (spare pull-up on `X`,
+    /// `OUT`'s pull-up, `OUT`'s pull-down gated by `X`).
+    fn gated_pair() -> (Network, [NodeId; 4], [fmossim_netlist::TransistorId; 3]) {
+        let mut net = Network::new();
+        let vdd = net.add_input("Vdd", Logic::H);
+        let gnd = net.add_input("Gnd", Logic::L);
+        let a = net.add_input("A", Logic::L);
+        let b = net.add_input("B", Logic::L);
+        let g = net.add_input("G", Logic::H);
+        let x = net.add_storage("X", Size::S1);
+        let out = net.add_storage("OUT", Size::S1);
+        net.add_transistor(TransistorType::P, Drive::D2, a, vdd, x);
+        net.add_transistor(TransistorType::N, Drive::D2, a, x, gnd);
+        let spare = net.add_transistor(TransistorType::P, Drive::D2, g, vdd, x);
+        let pull_up = net.add_transistor(TransistorType::P, Drive::D2, x, vdd, out);
+        let pull_down = net.add_transistor(TransistorType::N, Drive::D2, x, out, gnd);
+        net.add_transistor(TransistorType::N, Drive::D2, b, out, gnd);
+        (net, [a, b, x, out], [spare, pull_up, pull_down])
+    }
+
+    /// Reset with `A` low, then `B` high, `B` low, and finally `A`
+    /// high (which moves `X` and with it `OUT`).
+    fn gated_pair_patterns(a: NodeId, b: NodeId) -> Vec<Pattern> {
+        [
+            (Logic::L, Logic::L),
+            (Logic::L, Logic::H),
+            (Logic::L, Logic::L),
+            (Logic::H, Logic::L),
+        ]
+        .into_iter()
+        .map(|(va, vb)| Pattern::new(vec![Phase::strobe(vec![(a, va), (b, vb)])]))
+        .collect()
+    }
+
+    /// Steps every fault through `patterns` (no dropping) on the scalar
+    /// and the packed path and holds each fault's strobed values to
+    /// `SerialSim`'s after every pattern. Returns the scalar path's
+    /// per-pattern circuit settles (the packed path's are asserted
+    /// equal) and its detections.
+    fn settles_checked_against_serial(
+        net: &Network,
+        faults: &[Fault],
+        patterns: &[Pattern],
+        observed: &[NodeId],
+    ) -> (Vec<usize>, Vec<Detection>) {
+        let serial = crate::SerialSim::new(
+            net,
+            crate::SerialConfig {
+                stop_at_detection: false,
+                ..crate::SerialConfig::paper()
+            },
+        )
+        .run(faults, patterns, observed);
+        let mut runs = Vec::new();
+        for packing in [false, true] {
+            let config = ConcurrentConfig {
+                drop_on_detect: false,
+                packing,
+                ..ConcurrentConfig::paper()
+            };
+            let mut sim = ConcurrentSim::new(net, faults, config);
+            let mut settles = Vec::new();
+            for (pi, pattern) in patterns.iter().enumerate() {
+                settles.push(sim.step_pattern(pattern, observed, pi).circuit_settles);
+                for (k, outcome) in serial.outcomes.iter().enumerate() {
+                    let f = FaultId(u32::try_from(k).unwrap());
+                    let concurrent: Vec<Logic> =
+                        observed.iter().map(|&o| sim.fault_state(f, o)).collect();
+                    assert_eq!(
+                        concurrent, outcome.strobes[pi][0],
+                        "fault {k} pattern {pi} packing {packing}"
+                    );
+                }
+            }
+            for d in sim.detections() {
+                let serial_d = serial.outcomes[d.fault.index()].detection;
+                assert_eq!(serial_d.map(|s| s.pattern), Some(d.pattern), "{d:?}");
+            }
+            runs.push((settles, sim.detections().to_vec()));
+        }
+        assert_eq!(runs[0], runs[1], "packed and scalar paths agree");
+        runs.swap_remove(0)
+    }
+
+    #[test]
+    fn stuck_transistor_gating_the_vicinity_is_not_settled() {
+        let (net, [a, b, x, out], [spare, ..]) = gated_pair();
+        let patterns = gated_pair_patterns(a, b);
+        // The spare pull-up stuck closed joins the real pull-up: X is
+        // high in both circuits, so the fault is never dormant (closed
+        // against the good circuit's open) but X carries no record.
+        // Toggling B solves OUT, whose support holds X only as a gate.
+        let closed = [Fault::TransistorStuckClosed(spare)];
+        let (settles, _) = settles_checked_against_serial(&net, &closed, &patterns, &[x, out]);
+        assert_eq!(&settles[1..3], &[0, 0], "B toggles: {settles:?}");
+        // A stuck node at X is attached at gates too, so it is settled.
+        let node = [Fault::NodeStuck {
+            node: x,
+            value: Logic::H,
+        }];
+        let (settles, _) = settles_checked_against_serial(&net, &node, &patterns, &[x, out]);
+        assert_eq!(&settles[1..3], &[1, 1], "B toggles: {settles:?}");
+    }
+
+    #[test]
+    fn dormant_stuck_transistors_cost_no_settle_while_their_gate_is_quiet() {
+        let (net, [a, b, x, out], [_, pull_up, pull_down]) = gated_pair();
+        // With X high, OUT's pull-up is open and its pull-down closed in
+        // the good circuit: stuck open and stuck closed agree with it.
+        // Toggling B solves OUT, a channel end of both.
+        let faults = [
+            Fault::TransistorStuckOpen(pull_up),
+            Fault::TransistorStuckClosed(pull_down),
+        ];
+        let patterns = gated_pair_patterns(a, b);
+        let (settles, _) = settles_checked_against_serial(&net, &faults, &patterns, &[x, out]);
+        assert_eq!(&settles[1..3], &[0, 0], "B toggles: {settles:?}");
+    }
+
+    #[test]
+    fn dormant_stuck_transistors_wake_when_their_gate_moves() {
+        let (net, [a, b, x, out], [_, pull_up, pull_down]) = gated_pair();
+        let faults = [
+            Fault::TransistorStuckOpen(pull_up),
+            Fault::TransistorStuckClosed(pull_down),
+        ];
+        let patterns = gated_pair_patterns(a, b);
+        let (settles, detections) =
+            settles_checked_against_serial(&net, &faults, &patterns, &[x, out]);
+        // A rises, X falls: OUT's pull-up should now conduct. Stuck
+        // open, OUT keeps its low charge; stuck closed, the pull-down
+        // fights the pull-up to X. Both are settled and detected there.
+        assert_eq!(settles[3], 2, "{settles:?}");
+        let at: Vec<(FaultId, usize)> = detections.iter().map(|d| (d.fault, d.pattern)).collect();
+        assert_eq!(at, vec![(FaultId(0), 3), (FaultId(1), 3)]);
     }
 
     /// Runs the same workload scalar and packed and asserts detections,

@@ -7,7 +7,10 @@
 //! sorted lists with shadow pointers — and additionally index, per
 //! circuit, the set of nodes it has records on, so that dropping a
 //! detected circuit reclaims its records in time proportional to its
-//! own divergence, not the network size.
+//! own divergence, not the network size. That index may hold stale
+//! entries (records that converged since); a circuit's index is
+//! compacted in place once it holds more than twice the circuit's live
+//! records, so it stays proportional to the divergence too.
 //!
 //! A flat `HashMap<(node, circuit), state>` store was measured against
 //! these lists and lost by 4x on a 64-bit RAM and 46x on 1000-gate
@@ -23,8 +26,11 @@ pub struct StateLists {
     per_node: Vec<Vec<(u32, Logic)>>,
     /// Per circuit: nodes this circuit has (or once had) records on.
     /// May contain stale entries (validated on drop); amortises circuit
-    /// teardown.
+    /// teardown. Compacted once it exceeds twice the circuit's live
+    /// count.
     touched: Vec<Vec<NodeId>>,
+    /// Per circuit: number of live records.
+    live: Vec<u32>,
     /// Number of live records.
     len: usize,
 }
@@ -37,6 +43,7 @@ impl StateLists {
         StateLists {
             per_node: vec![Vec::new(); num_nodes],
             touched: vec![Vec::new(); num_circuits + 1],
+            live: vec![0; num_circuits + 1],
             len: 0,
         }
     }
@@ -55,6 +62,8 @@ impl StateLists {
             nodes.clear();
         }
         self.touched.resize(num_circuits + 1, Vec::new());
+        self.live.clear();
+        self.live.resize(num_circuits + 1, 0);
         self.len = 0;
     }
 
@@ -62,6 +71,24 @@ impl StateLists {
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Number of live records of `circuit` (the nodes where it
+    /// currently diverges from the good circuit).
+    #[inline]
+    #[must_use]
+    pub fn live_count(&self, circuit: u32) -> usize {
+        self.live[circuit as usize] as usize
+    }
+
+    /// Length of `circuit`'s node index, stale entries included — at
+    /// most twice its live count right after a [`StateLists::set`] that
+    /// installs a record, so at most twice its peak live count ever
+    /// (diagnostic; the bound is what keeps the index from growing with
+    /// every record a long run ever made).
+    #[must_use]
+    pub fn index_len(&self, circuit: u32) -> usize {
+        self.touched[circuit as usize].len()
     }
 
     /// True iff no circuit diverges anywhere.
@@ -87,9 +114,31 @@ impl StateLists {
             Err(i) => {
                 list.insert(i, (circuit, v));
                 self.len += 1;
-                self.touched[circuit as usize].push(n);
+                let c = circuit as usize;
+                self.live[c] += 1;
+                self.touched[c].push(n);
+                if self.touched[c].len() > 2 * self.live[c] as usize {
+                    self.compact(circuit);
+                }
             }
         }
+    }
+
+    /// Rewrites `circuit`'s node index in place to exactly its live
+    /// record nodes: sorted, deduplicated, stale entries gone. No
+    /// allocation. Runs when at least half the index is stale, so its
+    /// cost is amortised over the pushes that made it stale.
+    fn compact(&mut self, circuit: u32) {
+        let per_node = &self.per_node;
+        let nodes = &mut self.touched[circuit as usize];
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes.retain(|&n| {
+            per_node[n.index()]
+                .binary_search_by_key(&circuit, |&(c, _)| c)
+                .is_ok()
+        });
+        debug_assert_eq!(nodes.len(), self.live[circuit as usize] as usize);
     }
 
     /// Removes the record for `(n, circuit)` if present (the circuit's
@@ -99,6 +148,7 @@ impl StateLists {
         if let Ok(i) = list.binary_search_by_key(&circuit, |&(c, _)| c) {
             list.remove(i);
             self.len -= 1;
+            self.live[circuit as usize] -= 1;
         }
     }
 
@@ -133,6 +183,7 @@ impl StateLists {
         for n in nodes {
             self.remove(n, circuit);
         }
+        debug_assert_eq!(self.live[circuit as usize], 0);
         before - self.len
     }
 
@@ -220,6 +271,26 @@ mod tests {
         s.set(n(2), 1, Logic::L);
         assert_eq!(s.drop_circuit(1), 1);
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn live_counts_follow_set_remove_and_drop() {
+        let mut s = StateLists::new(8, 4);
+        s.set(n(0), 1, Logic::H);
+        s.set(n(0), 1, Logic::L); // update: no new record
+        s.set(n(3), 1, Logic::X);
+        s.set(n(3), 2, Logic::H);
+        assert_eq!(
+            (s.live_count(1), s.live_count(2), s.live_count(3)),
+            (2, 1, 0)
+        );
+        s.remove(n(0), 1);
+        s.remove(n(0), 1); // absent: no change
+        assert_eq!(s.live_count(1), 1);
+        s.drop_circuit(2);
+        assert_eq!(s.live_count(2), 0);
+        s.recycle(8, 4);
+        assert_eq!(s.live_count(1), 0, "recycling forgets every count");
     }
 
     #[test]

@@ -52,8 +52,57 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Heavy set/remove churn on a few nodes and circuits, with a rare
+/// circuit drop: the pattern that grows a per-circuit node index
+/// without bound unless it is compacted.
+fn arb_churn_op() -> impl Strategy<Value = Op> {
+    (0u8..4, 1u8..3, 0u8..9).prop_map(|(n, c, sel)| match sel {
+        0..=3 => Op::Set(n, c, if sel % 2 == 0 { Logic::L } else { Logic::H }),
+        4..=7 => Op::Remove(n, c),
+        _ => Op::DropCircuit(c),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A circuit's node index holds at most twice its live records
+    /// right after every `set` that installs a record, and at most twice its peak live count
+    /// at any time, however many records churn through it; live counts
+    /// always equal the records observable via `get`.
+    #[test]
+    fn index_stays_bounded_under_churn(ops in prop::collection::vec(arb_churn_op(), 0..400)) {
+        let mut s = StateLists::new(4, 2);
+        let mut peak = [0usize; 3];
+        for op in &ops {
+            match *op {
+                Op::Set(n, c, v) => {
+                    let (node, c) = (NodeId::from_index(n as usize), u32::from(c));
+                    let installs = s.get(node, c).is_none();
+                    s.set(node, c, v);
+                    if installs {
+                        prop_assert!(
+                            s.index_len(c) <= 2 * s.live_count(c),
+                            "index {} for {} live", s.index_len(c), s.live_count(c)
+                        );
+                    }
+                }
+                Op::Remove(n, c) => s.remove(NodeId::from_index(n as usize), u32::from(c)),
+                Op::DropCircuit(c) => {
+                    s.drop_circuit(u32::from(c));
+                    peak[c as usize] = 0;
+                }
+            }
+            for c in 1..3u32 {
+                let live = (0..4)
+                    .filter(|&n| s.get(NodeId::from_index(n), c).is_some())
+                    .count();
+                prop_assert_eq!(s.live_count(c), live);
+                peak[c as usize] = peak[c as usize].max(live);
+                prop_assert!(s.index_len(c) <= 2 * peak[c as usize]);
+            }
+        }
+    }
 
     #[test]
     fn backends_agree(ops in prop::collection::vec(arb_op(), 0..120)) {

@@ -100,6 +100,17 @@ impl SettleTape {
         });
     }
 
+    /// Empties the tape for the next settle, keeping every allocation
+    /// (a simulator records each live phase into one reused tape).
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.support_rest.clear();
+        self.changed.clear();
+        self.spans.clear();
+        self.damped = false;
+        self.rounds = 0;
+    }
+
     /// Stamps the settle-level outcome (damping, round count) once the
     /// settle completes.
     pub fn finish(&mut self, report: &SettleReport) {
@@ -149,6 +160,13 @@ impl SettleTape {
             support_rest: &self.support_rest[start.support_end as usize..end.support_end as usize],
             changed: &self.changed[start.changed_end as usize..end.changed_end as usize],
         }
+    }
+
+    /// Every state change of the settle, `(node, old, new)`, in the
+    /// order the groups applied them.
+    #[must_use]
+    pub fn changes(&self) -> &[(NodeId, Logic, Logic)] {
+        &self.changed
     }
 
     /// Iterates over the recorded groups in solve order.
@@ -218,6 +236,25 @@ mod tests {
         // inputs: an inverter's output group sees its driving gate.
         assert!(tape.groups().all(|g| !g.support_rest.is_empty()));
         assert!(tape.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn cleared_tape_records_afresh() {
+        let (net, outs) = inverter_chain();
+        let mut st = DenseState::new(&net);
+        let mut eng = Engine::new(&net);
+        eng.perturb_all_storage(&st);
+        let mut tape = SettleTape::default();
+        let rep = eng.settle_observed(&mut st, |g| tape.push_group(&net, g));
+        tape.finish(&rep);
+        let flat: Vec<(NodeId, Logic, Logic)> =
+            tape.groups().flat_map(|g| g.changed.to_vec()).collect();
+        assert_eq!(tape.changes(), flat.as_slice());
+        assert_eq!(tape.changes().len(), outs.len(), "each stage settles once");
+        tape.clear();
+        assert!(tape.is_empty());
+        assert!(tape.changes().is_empty());
+        assert_eq!((tape.rounds(), tape.damped()), (0, false));
     }
 
     #[test]

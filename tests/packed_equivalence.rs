@@ -3,7 +3,8 @@
 //! scalar concurrent path (`packing: false`) after **every phase** —
 //! same per-fault node states, record population, live set and
 //! detections, and the same per-circuit work (`faulty_groups`,
-//! `circuit_settles`, `core.events_scheduled`) and the same
+//! `circuit_settles`, `core.events_scheduled`,
+//! `core.settles.redundant`) and the same
 //! per-vicinity `switch.*` metrics (`switch.vicinity.solves`,
 //! `switch.nodes_changed`, `switch.solve_group.size`). The packed engine
 //! promises each lane takes its seeds in its own scalar order
@@ -31,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 /// The per-circuit work counters of one phase: what [`PatternStats`]
 /// reports plus the registry's `core.*` work counters.
-fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 7] {
+fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 8] {
     let snap = reg.snapshot();
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     [
@@ -42,6 +43,7 @@ fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 7] {
         c("core.events_scheduled"),
         c("core.circuit.settles"),
         c("core.faulty.groups"),
+        c("core.settles.redundant"),
     ]
 }
 
@@ -66,7 +68,8 @@ fn switch_work(reg: &Registry) -> [u64; 4] {
 /// fault's state at every node, the record population, the live set,
 /// the detections and the per-circuit work counters (`faulty_groups`
 /// and `circuit_settles` from the phase stats; `core.events_scheduled`,
-/// `core.circuit.settles` and `core.faulty.groups` from the registry).
+/// `core.circuit.settles`, `core.faulty.groups` and
+/// `core.settles.redundant` from the registry).
 /// Then it runs both end to end and compares the reports. Returns the
 /// scalar report and the number of multi-lane packed solves.
 fn assert_lane_equivalence(

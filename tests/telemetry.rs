@@ -275,12 +275,13 @@ fn adaptive_events_close_batches_in_order() {
 /// `switch.*` (counts good-machine solver work, which moves into the
 /// tape recorder when sharded) and `par.*` (counts the shards
 /// themselves).
-const K_INVARIANT_COUNTERS: [&str; 5] = [
+const K_INVARIANT_COUNTERS: [&str; 6] = [
     "core.circuit.settles",
     "core.detections",
     "core.events_scheduled",
     "core.faulty.groups",
     "core.faults_dropped",
+    "core.settles.redundant",
 ];
 
 #[test]
