@@ -226,33 +226,24 @@ impl TriggerSet {
     }
 }
 
-/// Phase-scoped marks, epoch-stamped like [`TriggerSet`] so starting
-/// a phase is O(1):
-///
-/// * per node, whether the good circuit changes it this phase — an
-///   input assignment or a recorded group change, stamped before any
-///   triggering, which is what lets the dormancy test of a stuck
-///   transistor ask whether its gate stays quiet for the whole phase;
-/// * per circuit, whether it had no divergence record when the phase
-///   began, noted the first time the phase's triggering writes its
-///   records (old-value preservation) — the "before" half of
-///   `core.settles.redundant`.
+/// Phase-scoped per-circuit marks, epoch-stamped like [`TriggerSet`]
+/// so starting a phase is O(1). A circuit is noted the first time the
+/// phase triggers it, with whether it had no divergence record then:
+/// the note is what keeps a circuit with pending seeds from being
+/// skipped later in the phase (trigger-time dormancy), and its flag is
+/// the "before" half of `core.settles.redundant`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PhaseMarks {
     epoch: u32,
-    /// Per node: the epoch of the last phase that changed it.
-    changed: Vec<u32>,
     /// Per circuit: the epoch of the phase that noted it, and whether
     /// it was record-free then.
     start: Vec<(u32, bool)>,
 }
 
 impl PhaseMarks {
-    /// Re-fits the marks to `n_nodes` nodes and circuit ids
-    /// `0..n_circuits`, keeping the allocations.
-    pub(crate) fn fit(&mut self, n_nodes: usize, n_circuits: usize) {
-        self.changed.clear();
-        self.changed.resize(n_nodes, 0);
+    /// Re-fits the marks to circuit ids `0..n_circuits`, keeping the
+    /// allocation.
+    pub(crate) fn fit(&mut self, n_circuits: usize) {
         self.start.clear();
         self.start.resize(n_circuits, (0, false));
         self.epoch = 0;
@@ -262,22 +253,9 @@ impl PhaseMarks {
     pub(crate) fn begin(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.changed.fill(0);
             self.start.fill((0, false));
             self.epoch = 1;
         }
-    }
-
-    /// Marks node `n` as changed by the good circuit this phase.
-    #[inline]
-    pub(crate) fn stamp(&mut self, n: NodeId) {
-        self.changed[n.index()] = self.epoch;
-    }
-
-    /// True iff node `n` was stamped this phase.
-    #[inline]
-    pub(crate) fn changed(&self, n: NodeId) -> bool {
-        self.changed[n.index()] == self.epoch
     }
 
     /// Notes whether circuit `c` is record-free, unless this phase
@@ -288,6 +266,12 @@ impl PhaseMarks {
         if slot.0 != self.epoch {
             *slot = (self.epoch, clean);
         }
+    }
+
+    /// True iff this phase has noted (triggered) circuit `c`.
+    #[inline]
+    pub(crate) fn noted(&self, c: u32) -> bool {
+        self.start[c as usize].0 == self.epoch
     }
 
     /// Whether circuit `c` began the phase record-free: its noted
@@ -440,25 +424,25 @@ mod tests {
     #[test]
     fn phase_marks_expire_with_the_phase() {
         let mut marks = PhaseMarks::default();
-        marks.fit(4, 3);
+        marks.fit(3);
         marks.begin();
-        marks.stamp(n(2));
+        assert!(!marks.noted(1));
         marks.note_start(1, true);
         marks.note_start(1, false); // the first note of a phase wins
-        assert!(marks.changed(n(2)) && !marks.changed(n(1)));
+        assert!(marks.noted(1) && !marks.noted(2));
         assert!(
             marks.started_clean(1, false),
             "noted flag, not the current one"
         );
         assert!(!marks.started_clean(2, false), "unnoted: the current flag");
         marks.begin();
-        assert!(!marks.changed(n(2)), "stamps expire");
-        assert!(!marks.started_clean(1, false), "notes expire");
-        // Epoch wraparound clears the stamps instead of aliasing.
+        assert!(!marks.noted(1), "notes expire");
+        assert!(!marks.started_clean(1, false), "noted flags expire");
+        // Epoch wraparound clears the notes instead of aliasing.
         marks.epoch = u32::MAX;
-        marks.changed[3] = 1;
+        marks.start[2] = (1, true);
         marks.begin();
-        assert!(!marks.changed(n(3)));
+        assert!(!marks.noted(2));
     }
 
     #[test]

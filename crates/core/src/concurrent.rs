@@ -10,7 +10,7 @@
 //! 2. settles the good circuit, and for every vicinity solved computes
 //!    its *support* — members, gates of incident transistors, boundary
 //!    inputs. Circuits with a record or fault attachment in the support
-//!    are *triggered* (with the two exceptions below): the good-circuit
+//!    are *triggered* (with the exceptions below): the good-circuit
 //!    event may play out differently for them, so they receive private
 //!    events. Before the good values are lost, the pre-change values of
 //!    any changed node are copied into the triggered circuits' records
@@ -37,27 +37,32 @@
 //! # Where triggering departs from the paper
 //!
 //! The paper triggers a faulty circuit whenever its fault site lies
-//! anywhere in a vicinity's support. Two exact rules trigger less; each
-//! skips only circuits whose vicinity would re-derive the good result:
+//! anywhere in a vicinity's support. This simulator attaches a stuck
+//! transistor only at the vicinity's *members* (its storage channel
+//! ends; a transistor whose end merely gates an incident transistor
+//! touches no member, so the vicinity is the good circuit's), a stuck
+//! node anywhere in the support, and tests one predicate when a fault
+//! site is hit: the hit is skipped iff
 //!
-//! * **Member-only attachment for stuck transistors.** A stuck
-//!   transistor's circuit is triggered through its attachment only
-//!   when a channel end of the transistor is a member of the solved
-//!   vicinity, not when that end merely gates an incident transistor.
-//!   Then the transistor touches no member, so the vicinity's network
-//!   and values in that circuit are the good circuit's. A stuck node
-//!   is attached anywhere in the support (a forced node matters as a
-//!   member and as a gate); the two kinds live in separate tables, so
-//!   only stuck-transistor attachments pay the dormancy test.
-//! * **Phase-wide dormancy.** A circuit with no divergence record whose
-//!   faults are all stuck transistors, each forced to the conduction
-//!   the good circuit gives it and gated by a node the good circuit does
-//!   not change this phase, has the good circuit's network and state
-//!   for the whole phase. It is not triggered by its attachment at all.
-//!   The test needs every good change of the phase up front, so the
-//!   live path records its good settle into a [`SettleTape`], rewinds
-//!   the good state to the phase start and runs the same phase body as
-//!   tape replay: there is one trigger path.
+//! * the circuit has no divergence record,
+//! * the phase has not triggered it yet, and
+//! * the site agrees with the good circuit at that group: every stuck
+//!   transistor of the circuit is forced to the conduction the good
+//!   circuit gives it, or the stuck node, found outside the members (a
+//!   gate or boundary input), is forced to the good value. A stuck node
+//!   that is a member always triggers.
+//!
+//! The phase body triggers from each recorded group before applying its
+//! changes, in the engine's solve order, so the test reads the good
+//! state the group was solved from. A record-free circuit whose site
+//! agrees has the good circuit's network and values there and would
+//! re-derive the good result; when the site stops agreeing, the good
+//! circuit solves the site's neighbours again and the circuit is
+//! triggered there. The second clause keeps old-value preservation
+//! complete for a circuit that already has pending seeds. The live
+//! path records its good settle into a [`SettleTape`], rewinds the good
+//! state to the phase start and runs the same phase body as tape
+//! replay, so there is one trigger path.
 //!
 //! A skipped circuit keeps the good circuit's values there, as
 //! [`SerialSim`](crate::SerialSim) would give it. The paper's rule
@@ -66,7 +71,9 @@
 //! records a run leaves can differ from the paper rule's, while the
 //! detections of every pinned workload are unchanged. The work
 //! counters fall: `core.settles.redundant` counts the settles still
-//! spent on circuits that begin and end the phase without a record.
+//! spent on circuits that begin and end the phase without a record, and
+//! `core.settles.redundant.stuck_node` those of them whose circuit has
+//! a stuck node.
 
 use crate::arena::{CircuitId, Csr, EventQueue, PhaseMarks, SimArena, TriggerSet};
 use crate::overlay::{FaultyView, Overrides};
@@ -103,6 +110,9 @@ struct CoreMetrics {
     /// with no record at the start of the phase and none after the
     /// settle: they re-derived the good circuit.
     settles_redundant: Counter,
+    /// `core.settles.redundant.stuck_node` — the redundant settles
+    /// whose circuit has a stuck node.
+    settles_redundant_stuck_node: Counter,
     /// `core.good.groups` — vicinities solved in the live good machine
     /// (zero under tape replay; see `core.tape.replayed_groups`).
     good_groups: Counter,
@@ -130,6 +140,7 @@ struct CoreMetrics {
     local_circuit_settles: u64,
     local_faulty_groups: u64,
     local_settles_redundant: u64,
+    local_settles_redundant_stuck_node: u64,
     local_good_groups: u64,
     local_replayed_groups: u64,
     local_scalar_fallbacks: u64,
@@ -170,6 +181,7 @@ impl CoreMetrics {
             circuit_settles: registry.counter("core.circuit.settles"),
             faulty_groups: registry.counter("core.faulty.groups"),
             settles_redundant: registry.counter("core.settles.redundant"),
+            settles_redundant_stuck_node: registry.counter("core.settles.redundant.stuck_node"),
             good_groups: registry.counter("core.good.groups"),
             replayed_groups: registry.counter("core.tape.replayed_groups"),
             detections: registry.counter("core.detections"),
@@ -195,11 +207,22 @@ impl CoreMetrics {
         }
     }
 
+    /// Counts one settle of a circuit (`ov`) that began the phase
+    /// record-free (`started_clean`) and has `live` records after it.
+    fn note_settle_outcome(&mut self, started_clean: bool, live: usize, ov: &Overrides) {
+        if started_clean && live == 0 {
+            self.local_settles_redundant += 1;
+            self.local_settles_redundant_stuck_node += u64::from(!ov.forced_nodes.is_empty());
+        }
+    }
+
     fn flush(&mut self) {
         self.events_scheduled.add(self.local_events_scheduled);
         self.circuit_settles.add(self.local_circuit_settles);
         self.faulty_groups.add(self.local_faulty_groups);
         self.settles_redundant.add(self.local_settles_redundant);
+        self.settles_redundant_stuck_node
+            .add(self.local_settles_redundant_stuck_node);
         self.good_groups.add(self.local_good_groups);
         self.replayed_groups.add(self.local_replayed_groups);
         self.scalar_fallbacks.add(self.local_scalar_fallbacks);
@@ -210,32 +233,34 @@ impl CoreMetrics {
         self.local_circuit_settles = 0;
         self.local_faulty_groups = 0;
         self.local_settles_redundant = 0;
+        self.local_settles_redundant_stuck_node = 0;
         self.local_good_groups = 0;
         self.local_replayed_groups = 0;
         self.local_scalar_fallbacks = 0;
     }
 }
 
-/// Phase-wide dormancy: true iff circuit `c` has no divergence record
-/// and only stuck transistors, each forced to the conduction the good
-/// circuit gives it and gated by a node the good circuit leaves alone
-/// this phase (`marks` holds the phase's changes). Such a circuit has
-/// the good circuit's network and state for the whole phase, so no
-/// event can play out differently in it.
+/// Trigger-time dormancy: true iff a hit of circuit `c` at a fault site
+/// may be skipped — the circuit has no divergence record, this phase
+/// has not triggered it yet, and the site agrees with the good circuit
+/// (`site_agrees`, asked last). Such a circuit holds the good circuit's
+/// values at every node it does not force, and has no pending seeds
+/// whose settle needs the pre-change values preserved.
 fn is_dormant(
-    net: &Network,
-    good: &DenseState<'_>,
     records: &StateLists,
     marks: &PhaseMarks,
-    ov: &Overrides,
     c: u32,
+    site_agrees: impl FnOnce() -> bool,
 ) -> bool {
-    records.live_count(c) == 0
-        && ov.forced_nodes.is_empty()
-        && ov
-            .forced_transistors
-            .iter()
-            .all(|&(t, cond)| !marks.changed(net.transistor(t).gate) && good.conduction(t) == cond)
+    records.live_count(c) == 0 && !marks.noted(c) && site_agrees()
+}
+
+/// True iff every stuck transistor of a circuit (`ov`) is forced to the
+/// conduction the good circuit gives it in `good`.
+fn transistors_agree(good: &DenseState<'_>, ov: &Overrides) -> bool {
+    ov.forced_transistors
+        .iter()
+        .all(|&(t, cond)| good.conduction(t) == cond)
 }
 
 /// Configuration of the concurrent simulator.
@@ -342,13 +367,15 @@ pub struct ConcurrentSim<'n> {
     /// Per circuit id (0 unused): structural overrides.
     overrides: Vec<Overrides>,
     /// Per node (CSR row): circuits whose stuck node is this node,
-    /// triggered wherever it lies in a support; ascending and unique
+    /// triggered wherever it lies in a support (outside the members,
+    /// not while dormant at the good value); ascending and unique
     /// within each row.
     attach_nodes: Csr<u32>,
     /// Per node (CSR row): circuits with a stuck transistor whose
     /// storage channel end is this node, triggered only where it is a
-    /// vicinity member, and not while dormant; ascending and unique
-    /// within each row.
+    /// vicinity member, and not while dormant with every stuck
+    /// transistor at the good conduction; ascending and unique within
+    /// each row.
     attach_transistors: Csr<u32>,
     /// Per node (CSR row): circuits forcing this node, with the forced
     /// value (needed for strobe comparison — forced nodes carry no
@@ -367,7 +394,8 @@ pub struct ConcurrentSim<'n> {
     config: ConcurrentConfig,
     /// Scratch: circuits triggered by the current group.
     triggered: TriggerSet,
-    /// The current phase's changed nodes and phase-start cleanliness.
+    /// The circuits the current phase has triggered, with their
+    /// phase-start cleanliness.
     marks: PhaseMarks,
     /// The live path's record of the current phase's good settle,
     /// reused every phase.
@@ -477,7 +505,7 @@ impl<'n> ConcurrentSim<'n> {
         detected_once.resize(n_sets + 1, false);
         queue.clear();
         triggered.fit(n_sets + 1);
-        marks.fit(net.num_nodes(), n_sets + 1);
+        marks.fit(n_sets + 1);
         phase_tape.clear();
         input_undo.clear();
         strobe_scratch.clear();
@@ -818,10 +846,11 @@ impl<'n> ConcurrentSim<'n> {
     /// The live path's good settle: applies the phase's inputs, settles
     /// the good circuit into `tape`, then rewinds the good state to the
     /// phase start, so that [`ConcurrentSim::phase_body`] replays the
-    /// phase exactly as it replays a recorded [`GoodTape`]. The input
-    /// change/skip test here (`old != v`, the one
-    /// [`Engine::apply_input`] makes) is the body's test on the same
-    /// values, so both see the same changes.
+    /// phase exactly as it replays a recorded [`GoodTape`]. Triggering
+    /// needs no look-ahead; the rewind keeps one trigger path for live
+    /// and replayed runs. The input change/skip test here (`old != v`,
+    /// the one [`Engine::apply_input`] makes) is the body's test on the
+    /// same values, so both see the same changes.
     fn record_good_phase(&mut self, phase: &Phase, tape: &mut SettleTape) {
         tape.clear();
         self.input_undo.clear();
@@ -847,10 +876,9 @@ impl<'n> ConcurrentSim<'n> {
 
     /// One phase from its phase-start good state and its good settle
     /// `settle` — the body shared by the live path and tape replay:
-    /// stamps the phase's good changes, applies the inputs (with the
-    /// open-channel trigger special case), applies the recorded groups
-    /// and triggers from each, settles the triggered faulty circuits
-    /// and strobes.
+    /// applies the inputs (with the open-channel trigger special case),
+    /// triggers from each recorded group and applies its changes,
+    /// settles the triggered faulty circuits and strobes.
     fn phase_body(
         &mut self,
         phase: &Phase,
@@ -860,17 +888,7 @@ impl<'n> ConcurrentSim<'n> {
         phase_idx: usize,
         stats: &mut PatternStats,
     ) {
-        // Every good change of the phase is stamped before any
-        // triggering: the dormancy test asks about the whole phase.
         self.marks.begin();
-        for &(n, v) in &phase.inputs {
-            if self.good.node_state(n) != v {
-                self.marks.stamp(n);
-            }
-        }
-        for &(n, _old, _new) in settle.changes() {
-            self.marks.stamp(n);
-        }
 
         // 1. Input changes (with the open-channel trigger special case).
         for &(n, v) in &phase.inputs {
@@ -881,13 +899,14 @@ impl<'n> ConcurrentSim<'n> {
             self.good.force(n, v);
         }
 
-        // 2. The good settle: per group, apply its changes and trigger
-        // from its support.
+        // 2. The good settle, in the engine's solve order: per group,
+        // trigger from its support while the good state is the one the
+        // group was solved from, then apply its changes.
         for g in settle.groups() {
+            self.trigger_group(g);
             for &(node, _old, new) in g.changed {
                 self.good.force(node, new);
             }
-            self.trigger_group(g);
         }
         stats.good_groups += settle.num_groups();
         stats.damped |= settle.damped();
@@ -904,14 +923,17 @@ impl<'n> ConcurrentSim<'n> {
     }
 
     /// Triggers the faulty circuits one good group can affect and queues
-    /// their private events: circuits with a divergence record or a
-    /// stuck node anywhere in the group's support, and circuits with a
-    /// stuck transistor at a member that are not dormant
-    /// ([`is_dormant`]). Their records receive the pre-change values of
-    /// every changed node (old-value preservation), and the group's
-    /// members become their pending private-event seeds.
+    /// their private events: circuits with a divergence record anywhere
+    /// in the group's support or a stuck node at a member, and circuits
+    /// with a stuck transistor at a member or a stuck node in the rest
+    /// of the support unless the hit is dormant ([`is_dormant`]: the
+    /// stuck transistors at the good conduction, the stuck node at the
+    /// good value). Must run before the group's changes are applied to
+    /// the good state. The triggered circuits' records receive the
+    /// pre-change values of every changed node (old-value
+    /// preservation), and the group's members become their pending
+    /// private-event seeds.
     fn trigger_group(&mut self, g: TapeGroup<'_>) {
-        let net = self.net;
         let ConcurrentSim {
             good,
             records,
@@ -931,16 +953,29 @@ impl<'n> ConcurrentSim<'n> {
                     triggered.insert(c);
                 }
             });
-            for &c in attach_nodes.row(s.index()) {
+        }
+        for &m in g.members {
+            for &c in attach_nodes.row(m.index()) {
                 if !dropped[c as usize] {
                     triggered.insert(c);
                 }
             }
-        }
-        for &m in g.members {
             for &c in attach_transistors.row(m.index()) {
                 if !dropped[c as usize]
-                    && !is_dormant(net, good, records, marks, &overrides[c as usize], c)
+                    && !is_dormant(records, marks, c, || {
+                        transistors_agree(good, &overrides[c as usize])
+                    })
+                {
+                    triggered.insert(c);
+                }
+            }
+        }
+        for &s in g.support_rest {
+            for &c in attach_nodes.row(s.index()) {
+                if !dropped[c as usize]
+                    && !is_dormant(records, marks, c, || {
+                        overrides[c as usize].forced_value(s) == Some(good.node_state(s))
+                    })
                 {
                     triggered.insert(c);
                 }
@@ -1160,8 +1195,11 @@ impl<'n> ConcurrentSim<'n> {
         stats.damped |= rep.oscillation_damped;
         metrics.local_faulty_groups += rep.groups_solved as u64;
         metrics.local_circuit_settles += 1;
-        metrics.local_settles_redundant +=
-            u64::from(started_clean && records.live_count(circ) == 0);
+        metrics.note_settle_outcome(
+            started_clean,
+            records.live_count(circ),
+            &overrides[circ as usize],
+        );
         if fallback {
             metrics.local_scalar_fallbacks += rep.groups_solved as u64;
         }
@@ -1224,9 +1262,11 @@ impl<'n> ConcurrentSim<'n> {
                     records.remove(s, run.circ);
                 }
             }
-            if started_clean & (1u64 << lane) != 0 && records.live_count(run.circ) == 0 {
-                metrics.local_settles_redundant += 1;
-            }
+            metrics.note_settle_outcome(
+                started_clean & (1u64 << lane) != 0,
+                records.live_count(run.circ),
+                &overrides[run.circ as usize],
+            );
         }
         // `groups_solved` counts per lane, so both work counters stay
         // per circuit, as on the scalar path.
@@ -1380,7 +1420,10 @@ impl<'n> ConcurrentSim<'n> {
     /// conduct need a private event even though the good circuit shows
     /// no activity there — those diverging at its gate, those with a
     /// stuck node at the gate or either channel end, and those with a
-    /// stuck transistor at the far end that are not dormant.
+    /// stuck transistor at the far end unless they are dormant with
+    /// every stuck transistor at the good conduction. The triggered
+    /// circuits are noted, so that the phase's groups do not skip a
+    /// circuit with a pending seed.
     fn trigger_input_change(&mut self, n: NodeId) {
         let net = self.net;
         let ConcurrentSim {
@@ -1418,12 +1461,15 @@ impl<'n> ConcurrentSim<'n> {
             // has none.
             for &c in attach_transistors.row(other.index()) {
                 if !dropped[c as usize]
-                    && !is_dormant(net, good, records, marks, &overrides[c as usize], c)
+                    && !is_dormant(records, marks, c, || {
+                        transistors_agree(good, &overrides[c as usize])
+                    })
                 {
                     triggered.insert(c);
                 }
             }
             for &c in triggered.circuits() {
+                marks.note_start(c, records.live_count(c) == 0);
                 queue.schedule(CircuitId(c), other);
             }
         }
@@ -1514,7 +1560,7 @@ impl<'n> ConcurrentSim<'n> {
 mod tests {
     use super::*;
     use fmossim_faults::FaultUniverse;
-    use fmossim_netlist::{Drive, Size, TransistorType};
+    use fmossim_netlist::{Drive, Size, TransistorId, TransistorType};
 
     /// CMOS inverter with observable output; two node faults.
     fn inverter() -> (Network, NodeId, NodeId) {
@@ -1923,7 +1969,7 @@ mod tests {
     /// `OUT` stays low. Returns the network, the inputs `A`, `B`, the
     /// nodes `X`, `OUT`, and the transistors (spare pull-up on `X`,
     /// `OUT`'s pull-up, `OUT`'s pull-down gated by `X`).
-    fn gated_pair() -> (Network, [NodeId; 4], [fmossim_netlist::TransistorId; 3]) {
+    fn gated_pair() -> (Network, [NodeId; 4], [TransistorId; 3]) {
         let mut net = Network::new();
         let vdd = net.add_input("Vdd", Logic::H);
         let gnd = net.add_input("Gnd", Logic::L);
@@ -1958,14 +2004,14 @@ mod tests {
     /// Steps every fault through `patterns` (no dropping) on the scalar
     /// and the packed path and holds each fault's strobed values to
     /// `SerialSim`'s after every pattern. Returns the scalar path's
-    /// per-pattern circuit settles (the packed path's are asserted
-    /// equal) and its detections.
+    /// per-pattern `[circuit_settles, faulty_groups]` (the packed
+    /// path's are asserted equal) and its detections.
     fn settles_checked_against_serial(
         net: &Network,
         faults: &[Fault],
         patterns: &[Pattern],
         observed: &[NodeId],
-    ) -> (Vec<usize>, Vec<Detection>) {
+    ) -> (Vec<[usize; 2]>, Vec<Detection>) {
         let serial = crate::SerialSim::new(
             net,
             crate::SerialConfig {
@@ -1982,9 +2028,10 @@ mod tests {
                 ..ConcurrentConfig::paper()
             };
             let mut sim = ConcurrentSim::new(net, faults, config);
-            let mut settles = Vec::new();
+            let mut work = Vec::new();
             for (pi, pattern) in patterns.iter().enumerate() {
-                settles.push(sim.step_pattern(pattern, observed, pi).circuit_settles);
+                let stats = sim.step_pattern(pattern, observed, pi);
+                work.push([stats.circuit_settles, stats.faulty_groups]);
                 for (k, outcome) in serial.outcomes.iter().enumerate() {
                     let f = FaultId(u32::try_from(k).unwrap());
                     let concurrent: Vec<Logic> =
@@ -1999,10 +2046,15 @@ mod tests {
                 let serial_d = serial.outcomes[d.fault.index()].detection;
                 assert_eq!(serial_d.map(|s| s.pattern), Some(d.pattern), "{d:?}");
             }
-            runs.push((settles, sim.detections().to_vec()));
+            runs.push((work, sim.detections().to_vec()));
         }
         assert_eq!(runs[0], runs[1], "packed and scalar paths agree");
         runs.swap_remove(0)
+    }
+
+    /// The circuit settles per pattern of `work`.
+    fn settles(work: &[[usize; 2]]) -> Vec<usize> {
+        work.iter().map(|w| w[0]).collect()
     }
 
     #[test]
@@ -2010,19 +2062,24 @@ mod tests {
         let (net, [a, b, x, out], [spare, ..]) = gated_pair();
         let patterns = gated_pair_patterns(a, b);
         // The spare pull-up stuck closed joins the real pull-up: X is
-        // high in both circuits, so the fault is never dormant (closed
-        // against the good circuit's open) but X carries no record.
+        // high in both circuits, so the fault never agrees with the good
+        // circuit (closed against its open) but X carries no record.
         // Toggling B solves OUT, whose support holds X only as a gate.
         let closed = [Fault::TransistorStuckClosed(spare)];
-        let (settles, _) = settles_checked_against_serial(&net, &closed, &patterns, &[x, out]);
-        assert_eq!(&settles[1..3], &[0, 0], "B toggles: {settles:?}");
-        // A stuck node at X is attached at gates too, so it is settled.
-        let node = [Fault::NodeStuck {
-            node: x,
-            value: Logic::H,
-        }];
-        let (settles, _) = settles_checked_against_serial(&net, &node, &patterns, &[x, out]);
-        assert_eq!(&settles[1..3], &[1, 1], "B toggles: {settles:?}");
+        let (work, _) = settles_checked_against_serial(&net, &closed, &patterns, &[x, out]);
+        assert_eq!(&settles(&work)[1..3], &[0, 0], "B toggles: {work:?}");
+        // A stuck node at X only gates OUT's vicinity: forced high, as
+        // the good circuit has it, it is not settled either; forced low
+        // it disagrees and is.
+        for (value, expected) in [(Logic::H, [0, 0]), (Logic::L, [1, 1])] {
+            let node = [Fault::NodeStuck { node: x, value }];
+            let (work, _) = settles_checked_against_serial(&net, &node, &patterns, &[x, out]);
+            assert_eq!(
+                &settles(&work)[1..3],
+                &expected,
+                "X stuck at {value}: {work:?}"
+            );
+        }
     }
 
     #[test]
@@ -2036,8 +2093,8 @@ mod tests {
             Fault::TransistorStuckClosed(pull_down),
         ];
         let patterns = gated_pair_patterns(a, b);
-        let (settles, _) = settles_checked_against_serial(&net, &faults, &patterns, &[x, out]);
-        assert_eq!(&settles[1..3], &[0, 0], "B toggles: {settles:?}");
+        let (work, _) = settles_checked_against_serial(&net, &faults, &patterns, &[x, out]);
+        assert_eq!(&settles(&work)[1..3], &[0, 0], "B toggles: {work:?}");
     }
 
     #[test]
@@ -2048,14 +2105,126 @@ mod tests {
             Fault::TransistorStuckClosed(pull_down),
         ];
         let patterns = gated_pair_patterns(a, b);
-        let (settles, detections) =
+        let (work, detections) =
             settles_checked_against_serial(&net, &faults, &patterns, &[x, out]);
         // A rises, X falls: OUT's pull-up should now conduct. Stuck
         // open, OUT keeps its low charge; stuck closed, the pull-down
         // fights the pull-up to X. Both are settled and detected there.
-        assert_eq!(settles[3], 2, "{settles:?}");
+        assert_eq!(settles(&work)[3], 2, "{work:?}");
         let at: Vec<(FaultId, usize)> = detections.iter().map(|d| (d.fault, d.pattern)).collect();
         assert_eq!(at, vec![(FaultId(0), 3), (FaultId(1), 3)]);
+    }
+
+    /// A falling `A` reaches `Y` twice in one phase: at once through
+    /// the pull-down `R` it gates, and one inverter later through the
+    /// pull-down `T`, gated by `N1 = !A`. `Y` (a depletion load) drives
+    /// `Z = !Y`, which glitches low while `Y` is briefly high, and `Z`
+    /// gates the pull-down `T2` of `Q` (another depletion load).
+    /// Returns the network, the input `A`, the nodes `Y`, `Z`, `Q`, and
+    /// the transistors `T`, `T2`.
+    fn late_gate() -> (Network, NodeId, [NodeId; 3], [TransistorId; 2]) {
+        let mut net = Network::new();
+        let vdd = net.add_input("Vdd", Logic::H);
+        let gnd = net.add_input("Gnd", Logic::L);
+        let a = net.add_input("A", Logic::H);
+        let y = net.add_storage("Y", Size::S1);
+        let n1 = net.add_storage("N1", Size::S1);
+        let z = net.add_storage("Z", Size::S1);
+        let q = net.add_storage("Q", Size::S1);
+        // R before the inverter: the first round solves `Y` while `N1`
+        // still holds its old value.
+        net.add_transistor(TransistorType::N, Drive::D2, a, y, gnd);
+        net.add_transistor(TransistorType::P, Drive::D2, a, vdd, n1);
+        net.add_transistor(TransistorType::N, Drive::D2, a, n1, gnd);
+        net.add_transistor(TransistorType::D, Drive::D1, y, vdd, y);
+        let t = net.add_transistor(TransistorType::N, Drive::D2, n1, y, gnd);
+        net.add_transistor(TransistorType::P, Drive::D2, y, vdd, z);
+        net.add_transistor(TransistorType::N, Drive::D2, y, z, gnd);
+        net.add_transistor(TransistorType::D, Drive::D1, q, vdd, q);
+        let t2 = net.add_transistor(TransistorType::N, Drive::D2, z, q, gnd);
+        (net, a, [y, z, q], [t, t2])
+    }
+
+    /// `A` high, low, high, low, one strobed phase each.
+    fn late_gate_patterns(a: NodeId) -> Vec<Pattern> {
+        [Logic::H, Logic::L, Logic::H, Logic::L]
+            .into_iter()
+            .map(|v| Pattern::new(vec![Phase::strobe(vec![(a, v)])]))
+            .collect()
+    }
+
+    #[test]
+    fn stuck_transistor_is_skipped_until_its_gate_moves_late_in_the_phase() {
+        let (net, a, [y, z, q], [t, _]) = late_gate();
+        // `T` stuck open agrees with the good circuit (open) when `A`
+        // falls and the first round solves `Y` (`N1` is still low), and
+        // disagrees when `N1` rises and `Y` is solved again.
+        let faults = [Fault::TransistorStuckOpen(t)];
+        let patterns = late_gate_patterns(a);
+        let (work, detections) =
+            settles_checked_against_serial(&net, &faults, &patterns, &[y, z, q]);
+        // Triggered first by the late solve of `Y`, which changes `Y`
+        // back to low, then through its record at `Y` by `Z` and `Q`:
+        // the circuit keeps `Y` high, `Z` low and `Q` high, so its settle
+        // solves the three without a change. A trigger at the first
+        // solve of `Y` would have preserved `Y`'s low value, and the
+        // settle would have re-derived the glitch.
+        assert_eq!(work[1], [1, 3], "{work:?}");
+        let at: Vec<(FaultId, usize)> = detections.iter().map(|d| (d.fault, d.pattern)).collect();
+        assert_eq!(at, vec![(FaultId(0), 1)]);
+    }
+
+    #[test]
+    fn gate_that_moves_and_moves_back_in_one_phase_still_triggers() {
+        let (net, a, [y, z, q], [_, t2]) = late_gate();
+        // `T2` stuck closed agrees with the good circuit whenever `Z`
+        // is high, which it is at every phase boundary; it disagrees
+        // during `Z`'s glitch, when the good circuit solves `Q` with
+        // `T2` open.
+        let faults = [Fault::TransistorStuckClosed(t2)];
+        let patterns = late_gate_patterns(a);
+        let (work, detections) =
+            settles_checked_against_serial(&net, &faults, &patterns, &[y, z, q]);
+        // Pattern 0 is the reset settle of every fault.
+        assert_eq!(settles(&work), [1, 1, 0, 1], "{work:?}");
+        assert!(detections.is_empty(), "the glitch never reaches a strobe");
+    }
+
+    #[test]
+    fn stuck_transistor_gated_by_an_input_changing_with_its_channel_input() {
+        // `S` is charged from the input `N` through `T`, gated by the
+        // input `G`, and cleared through a pull-down gated by `C`. The
+        // last pattern changes `N` and `G` in one phase, `N` first.
+        let mut net = Network::new();
+        let gnd = net.add_input("Gnd", Logic::L);
+        let n = net.add_input("N", Logic::L);
+        let g = net.add_input("G", Logic::L);
+        let c = net.add_input("C", Logic::H);
+        let s = net.add_storage("S", Size::S1);
+        let t = net.add_transistor(TransistorType::N, Drive::D2, g, n, s);
+        net.add_transistor(TransistorType::N, Drive::D2, c, s, gnd);
+        let phase = |vn, vg, vc| Pattern::new(vec![Phase::strobe(vec![(n, vn), (g, vg), (c, vc)])]);
+        let patterns = [
+            phase(Logic::L, Logic::L, Logic::H),
+            phase(Logic::L, Logic::L, Logic::L),
+            phase(Logic::H, Logic::H, Logic::L),
+        ];
+        // When `N` rises, `T` is open in the good circuit as its stuck
+        // open fault has it, so the open-channel special case skips the
+        // circuit; `G` then rises, the good circuit solves `S` through
+        // the closed `T`, and the circuit is triggered there: `S` keeps
+        // its low charge.
+        let open = [Fault::TransistorStuckOpen(t)];
+        let (work, detections) = settles_checked_against_serial(&net, &open, &patterns, &[s]);
+        assert_eq!(settles(&work), [1, 0, 1], "{work:?}");
+        let at: Vec<(FaultId, usize)> = detections.iter().map(|d| (d.fault, d.pattern)).collect();
+        assert_eq!(at, vec![(FaultId(0), 2)]);
+        // Stuck closed disagrees at `N` already and is triggered there;
+        // `G` closing `T` in the good circuit too ends the divergence.
+        let closed = [Fault::TransistorStuckClosed(t)];
+        let (work, detections) = settles_checked_against_serial(&net, &closed, &patterns, &[s]);
+        assert_eq!(settles(&work)[2], 1, "{work:?}");
+        assert!(detections.is_empty());
     }
 
     /// Runs the same workload scalar and packed and asserts detections,

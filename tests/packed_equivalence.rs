@@ -4,8 +4,8 @@
 //! same per-fault node states, record population, live set and
 //! detections, and the same per-circuit work (`faulty_groups`,
 //! `circuit_settles`, `core.events_scheduled`,
-//! `core.settles.redundant`) and the same
-//! per-vicinity `switch.*` metrics (`switch.vicinity.solves`,
+//! `core.settles.redundant`, `core.settles.redundant.stuck_node`) and
+//! the same per-vicinity `switch.*` metrics (`switch.vicinity.solves`,
 //! `switch.nodes_changed`, `switch.solve_group.size`). The packed engine
 //! promises each lane takes its seeds in its own scalar order
 //! (per-lane pending/solved/damping masks, per-lane queue order,
@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 /// The per-circuit work counters of one phase: what [`PatternStats`]
 /// reports plus the registry's `core.*` work counters.
-fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 8] {
+fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 9] {
     let snap = reg.snapshot();
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     [
@@ -44,6 +44,7 @@ fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 8] {
         c("core.circuit.settles"),
         c("core.faulty.groups"),
         c("core.settles.redundant"),
+        c("core.settles.redundant.stuck_node"),
     ]
 }
 
@@ -68,8 +69,9 @@ fn switch_work(reg: &Registry) -> [u64; 4] {
 /// fault's state at every node, the record population, the live set,
 /// the detections and the per-circuit work counters (`faulty_groups`
 /// and `circuit_settles` from the phase stats; `core.events_scheduled`,
-/// `core.circuit.settles`, `core.faulty.groups` and
-/// `core.settles.redundant` from the registry).
+/// `core.circuit.settles`, `core.faulty.groups`,
+/// `core.settles.redundant` and `core.settles.redundant.stuck_node`
+/// from the registry).
 /// Then it runs both end to end and compares the reports. Returns the
 /// scalar report and the number of multi-lane packed solves.
 fn assert_lane_equivalence(

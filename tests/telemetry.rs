@@ -275,13 +275,14 @@ fn adaptive_events_close_batches_in_order() {
 /// `switch.*` (counts good-machine solver work, which moves into the
 /// tape recorder when sharded) and `par.*` (counts the shards
 /// themselves).
-const K_INVARIANT_COUNTERS: [&str; 6] = [
+const K_INVARIANT_COUNTERS: [&str; 7] = [
     "core.circuit.settles",
     "core.detections",
     "core.events_scheduled",
     "core.faulty.groups",
     "core.faults_dropped",
     "core.settles.redundant",
+    "core.settles.redundant.stuck_node",
 ];
 
 #[test]
