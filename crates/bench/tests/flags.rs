@@ -51,6 +51,15 @@ fn allocstats_rejects_a_value_that_does_not_parse() {
 }
 
 #[test]
+fn allocstats_rejects_a_deleted_flag() {
+    assert_rejected(
+        env!("CARGO_BIN_EXE_allocstats"),
+        &["--batch", "8"],
+        "--batch",
+    );
+}
+
+#[test]
 fn an_option_without_its_value_is_rejected() {
-    assert_rejected(env!("CARGO_BIN_EXE_allocstats"), &["--jobs"], "--jobs");
+    assert_rejected(env!("CARGO_BIN_EXE_allocstats"), &["--sample"], "--sample");
 }

@@ -3,8 +3,8 @@
 //! adapter types, selected by the [`Backend`] enum.
 //!
 //! The adapters translate one campaign workload into each simulator's
-//! native execution order (pattern-major, fault-major, shard-major —
-//! the last one-shot or in pattern batches), honour the shared
+//! native execution order (pattern-major, fault-major, shard-major),
+//! honour the shared
 //! [`RunControl`] options through one [`StopRule`], and stream
 //! [`SimEvent`]s — so callers swap strategies without touching their
 //! setup code, and custom strategies slot in behind the same trait.
@@ -16,7 +16,7 @@ use fmossim_core::{
 };
 use fmossim_faults::{FaultId, FaultUniverse};
 use fmossim_netlist::{Network, NodeId};
-use fmossim_par::{BatchTelemetry, ParallelConfig, ParallelSim, RunStep};
+use fmossim_par::{ParallelConfig, ParallelRun, ParallelSim};
 use fmossim_telemetry::Registry;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,9 +110,10 @@ impl Workload<'_> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RunControl {
     /// Stop once detected/total coverage reaches this fraction.
-    /// Serial and parallel backends stop at their work-item granularity
-    /// (fault / shard, and batch start for batched runs); the
-    /// concurrent backend at pattern granularity.
+    /// Each backend stops at its work-item granularity: the serial
+    /// backend per fault, the concurrent backend per pattern, the
+    /// parallel backend once before any shard runs and then at each
+    /// shard completion.
     pub stop_at_coverage: Option<f64>,
     /// Simulate at most this many patterns (applied by the campaign
     /// before the backend runs).
@@ -176,7 +177,7 @@ impl RunControl {
 ///     ..BackendRun::default()
 /// };
 /// assert_eq!(run.run.detected(), 0);
-/// assert!(!run.stopped_early && run.batches.is_empty());
+/// assert!(!run.stopped_early && !run.cancelled);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BackendRun {
@@ -206,10 +207,6 @@ pub struct BackendRun {
     /// each replaying shard skipped (parallel backend, when more than
     /// one shard ran).
     pub tape_groups: Option<usize>,
-    /// Per-batch telemetry (batched parallel runs; empty otherwise).
-    /// For a batched run the scalar `tape_*` fields above aggregate
-    /// these per-batch entries.
-    pub batches: Vec<BatchTelemetry>,
     /// True iff the run was cut short by a cooperative cancel (see
     /// [`Campaign::cancel_token`](crate::Campaign::cancel_token)).
     pub cancelled: bool,
@@ -275,7 +272,7 @@ pub trait CampaignBackend {
 
     /// Hands the backend the campaign's cancel token before
     /// [`run`](CampaignBackend::run). Built-in backends poll it at
-    /// their work-item boundary (pattern / fault / shard / batch) and
+    /// their work-item boundary (pattern / fault / shard) and
     /// return early with [`BackendRun::cancelled`] set; the default
     /// implementation ignores it, so custom backends that cannot stop
     /// mid-run need no change (their campaigns simply run to
@@ -317,15 +314,11 @@ pub enum Backend {
     Concurrent(ConcurrentConfig),
     /// Fault-parallel sharded execution ([`ParallelSim`]) — use
     /// [`Jobs::Auto`](fmossim_par::Jobs::Auto) in the config to size
-    /// the pool from the workload. With
-    /// [`ParallelConfig::batch`] set the sequence runs in pattern
-    /// batches: detected faults leave the plan and the survivors are
-    /// re-planned between batches from *measured* shard times
-    /// ([`ParallelConfig::rebalance`]). Detection sets are
-    /// bit-identical at every batch size:
+    /// the pool from the workload. The shard plan changes wall-clock
+    /// time, never the verdicts:
     ///
     /// ```
-    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig};
+    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig, ShardStrategy};
     /// use fmossim_circuits::Ram;
     /// use fmossim_faults::FaultUniverse;
     /// use fmossim_testgen::TestSequence;
@@ -338,11 +331,14 @@ pub enum Backend {
     ///     .outputs(ram.observed_outputs())
     ///     .backend(Backend::Parallel(config))
     ///     .run();
-    /// let batched = run(ParallelConfig { batch: 8, ..ParallelConfig::auto() });
-    /// let one_shot = run(ParallelConfig::auto());
-    /// // Batching and re-planning never change the verdicts.
-    /// assert_eq!(batched.detections(), one_shot.detections());
-    /// assert!(!batched.batches.is_empty() && one_shot.batches.is_empty());
+    /// let by_cost = run(ParallelConfig {
+    ///     strategy: ShardStrategy::CostEstimated,
+    ///     shards: Some(4),
+    ///     ..ParallelConfig::paper(2)
+    /// });
+    /// let one_shard = run(ParallelConfig::paper(1));
+    /// assert_eq!(by_cost.detections(), one_shard.detections());
+    /// assert_eq!((by_cost.shards, one_shard.shards), (Some(4), Some(1)));
     /// ```
     Parallel(ParallelConfig),
 }
@@ -410,8 +406,8 @@ pub(crate) fn no_cancel() -> Arc<AtomicBool> {
 }
 
 /// The one stop rule of the built-in backends, applied at each
-/// backend's own work-item boundary (pattern, fault, shard or batch
-/// start).
+/// backend's own work-item boundary: pattern, fault, or shard (the
+/// parallel backend also checks once before its first shard).
 ///
 /// It streams every work item's detections as [`SimEvent::Detected`]
 /// (plus [`SimEvent::FaultDropped`] under drop-on-detect), counts them
@@ -659,7 +655,7 @@ impl CampaignBackend for SerialAdapter {
     }
 }
 
-/// Adapter driving [`ParallelSim`] shard by shard, batch by batch.
+/// Adapter driving [`ParallelSim`] shard by shard.
 struct ParallelAdapter {
     config: ParallelConfig,
     telemetry: Registry,
@@ -690,11 +686,19 @@ impl CampaignBackend for ParallelAdapter {
         let mut sim = ParallelSim::new(w.net, w.universe.clone(), config);
         sim.attach_metrics(&self.telemetry);
         let mut stop = StopRule::new(w, control, &[&self.cancel]);
-        let mut batches: Vec<BatchTelemetry> = Vec::new();
-        let mut detected_so_far = 0;
-        let run = sim.run_observed(w.patterns, w.outputs, |step| match step {
-            RunStep::BatchStart => stop.check(),
-            RunStep::Shard { outcome: o, report } => {
+        // A pre-set cancel or an already reached target simulates
+        // nothing; after that the rule is checked at each shard
+        // completion.
+        let run = if stop.check().is_break() {
+            ParallelRun {
+                report: RunReport {
+                    num_faults: w.universe.len(),
+                    ..RunReport::default()
+                },
+                ..ParallelRun::default()
+            }
+        } else {
+            sim.run_streaming(w.patterns, w.outputs, |o, report| {
                 stop.detected(&report.detections, emit);
                 emit(SimEvent::ShardDone {
                     shard: o.shard,
@@ -703,43 +707,14 @@ impl CampaignBackend for ParallelAdapter {
                     seconds: o.seconds,
                 });
                 stop.check()
-            }
-            RunStep::BatchDone {
-                telemetry: b,
-                replan_seconds,
-            } => {
-                if !batches.is_empty() {
-                    emit(SimEvent::Span {
-                        name: "campaign.replan",
-                        seconds: replan_seconds,
-                    });
-                }
-                detected_so_far += b.detected;
-                emit(SimEvent::BatchDone {
-                    batch: batches.len(),
-                    first_pattern: b.first_pattern,
-                    patterns: b.patterns,
-                    shards: b.shards,
-                    detected_so_far,
-                    imbalance: b.imbalance,
-                });
-                let t = &self.telemetry;
-                t.counter("campaign.batches").inc();
-                t.gauge("campaign.batch.imbalance").add(b.imbalance);
-                t.gauge("campaign.replan.seconds").add(replan_seconds);
-                t.counter("campaign.moved_faults")
-                    .add(b.moved_faults as u64);
-                batches.push(*b);
-                ControlFlow::Continue(())
-            }
-        });
+            })
+        };
         BackendRun {
             jobs: Some(sim.workers()),
             shards: Some(sim.plan().num_shards()),
             max_shard_seconds: Some(run.shard_seconds.iter().copied().fold(0.0, f64::max)),
             tape_record_seconds: run.tape.map(|t| t.record_seconds),
             tape_groups: run.tape.map(|t| t.groups),
-            batches,
             ..stop.finish(run.report)
         }
     }

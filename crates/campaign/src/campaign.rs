@@ -118,8 +118,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// Stops the run once coverage (detected / total faults) reaches
     /// `target` (clamped to `[0, 1]`). Backends stop at their work-item
     /// granularity: the concurrent backend between patterns, the serial
-    /// backend between faults, the parallel backend between shards (and,
-    /// for a batched run, at every batch start).
+    /// backend between faults, the parallel backend once before any
+    /// shard runs and then at each shard completion.
     ///
     /// ```
     /// use fmossim_campaign::{Campaign, StopReason};
@@ -174,7 +174,7 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// counts, and tests use it as the plain-path reference.
     ///
     /// Work-item telemetry stays in collapsed terms: `jobs` /
-    /// `shards` / `batches` and the `metrics` snapshot describe the
+    /// `shards` and the `metrics` snapshot describe the
     /// work actually done, on representatives. Combining with
     /// [`Campaign::stop_at_coverage`] is fine: backends evaluate the
     /// target in parent-universe terms (each representative's
@@ -214,8 +214,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
     /// The campaign's cooperative cancel token. Setting it to `true`
     /// (from any thread) makes the backend stop at its next work-item
     /// boundary — the concurrent backend between patterns, the serial
-    /// backend between faults, the parallel backend between shards (and,
-    /// for a batched run, at every batch start). A cancelled run still
+    /// backend between faults, the parallel backend before its first
+    /// shard and then at each shard completion. A cancelled run still
     /// returns a complete, parseable report covering the work done so
     /// far, with [`CampaignReport::cancelled`] set and
     /// [`StopReason::Cancelled`].
@@ -427,23 +427,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
                         seconds,
                     });
                 }
-                SimEvent::BatchDone {
-                    batch,
-                    first_pattern,
-                    patterns,
-                    shards,
-                    imbalance,
-                    ..
-                } => {
-                    obs(SimEvent::BatchDone {
-                        batch,
-                        first_pattern,
-                        patterns,
-                        shards,
-                        detected_so_far: fanned_detected,
-                        imbalance,
-                    });
-                }
                 other => obs(other),
             }
         };
@@ -457,7 +440,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
             serial_estimate_seconds,
             tape_record_seconds,
             tape_groups,
-            batches,
             cancelled,
         } = backend.run(&workload, &self.control, &mut emit);
         let run_seconds = t0.elapsed().as_secs_f64();
@@ -541,7 +523,6 @@ impl<'n, 'o> Campaign<'n, 'o> {
             serial_estimate_seconds,
             tape_record_seconds,
             tape_groups,
-            batches,
             metrics: self.telemetry.snapshot(),
             run,
         }

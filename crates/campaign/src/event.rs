@@ -15,11 +15,6 @@
 //!   [`SimEvent::ShardDone`] per completed shard (in completion order,
 //!   which is scheduling-dependent across worker threads) with the
 //!   shard's `Detected` / `FaultDropped` events just before it.
-//!   A batched run ([`ParallelConfig::batch`](crate::ParallelConfig::batch)
-//!   `> 0`) additionally closes every batch with a
-//!   [`SimEvent::BatchDone`] after its shards' events, preceded by a
-//!   [`SimEvent::Span`] for the re-plan that opened it (every batch
-//!   after the first).
 //!
 //! Every backend's stream ends with one `Span { name: "campaign.run" }`
 //! carrying the whole run's wall-clock seconds.
@@ -98,30 +93,12 @@ pub enum SimEvent {
         /// The shard's own wall-clock seconds.
         seconds: f64,
     },
-    /// A pattern batch completed (batched parallel runs), after its
-    /// shards' `Detected`/`FaultDropped`/`ShardDone` events.
-    BatchDone {
-        /// Zero-based batch index.
-        batch: usize,
-        /// Global index of the batch's first pattern.
-        first_pattern: usize,
-        /// Patterns in the batch.
-        patterns: usize,
-        /// Shards the batch ran.
-        shards: usize,
-        /// Total detections so far in this run.
-        detected_so_far: usize,
-        /// The batch's measured load-imbalance ratio
-        /// (`max_shard_seconds / mean_shard_seconds`).
-        imbalance: f64,
-    },
-    /// A named timed section finished — the span-tracing hook. A
-    /// batched parallel run emits one per between-batch re-plan
-    /// (`"campaign.replan"`); every campaign run ends with one
-    /// `"campaign.run"` span covering the whole backend run.
+    /// A named timed section finished — the span-tracing hook. Every
+    /// campaign run ends with one `"campaign.run"` span covering the
+    /// whole backend run.
     Span {
         /// Dotted span name, matching the telemetry metric catalogue
-        /// (e.g. `"campaign.run"`, `"campaign.replan"`).
+        /// (e.g. `"campaign.run"`).
         name: &'static str,
         /// The span's wall-clock duration in seconds.
         seconds: f64,

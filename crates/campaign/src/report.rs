@@ -8,7 +8,6 @@ use crate::json::{obj, parse, Value};
 use fmossim_core::{Detection, DetectionPolicy, PatternStats, RunReport};
 use fmossim_faults::FaultId;
 use fmossim_netlist::Logic;
-use fmossim_par::BatchTelemetry;
 use fmossim_telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 /// Why a campaign stopped.
@@ -288,14 +287,8 @@ pub struct CampaignReport {
     /// when a tape was recorded and replayed).
     pub tape_record_seconds: Option<f64>,
     /// Good-machine vicinities on the tape — the per-shard solver work
-    /// replay skipped (parallel backend when a tape was used; for a
-    /// batched run, summed over its per-batch tapes).
+    /// replay skipped (parallel backend when a tape was used).
     pub tape_groups: Option<usize>,
-    /// Per-batch telemetry of a batched parallel run (shard counts,
-    /// rebalance deltas, imbalance ratios, tape stats); empty for
-    /// one-batch runs, every other backend, and documents written
-    /// before batch telemetry existed.
-    pub batches: Vec<BatchTelemetry>,
     /// Fault-collapsing statistics, present iff the campaign ran with
     /// [`Campaign::collapse`](crate::Campaign::collapse). The JSON key
     /// is omitted entirely when `None` (a lenient version-3 addition),
@@ -338,11 +331,12 @@ impl CampaignReport {
     /// Version 3 adds the `metrics` block (the telemetry snapshot) and
     /// — as a later lenient addition within the same version — the
     /// `cancelled` flag (absent parses as `false`).
-    /// Version 2 locked the batching generation's keys — `batches`
-    /// telemetry and the `tape_*` fields are part of the schema, not
-    /// lenient extensions. [`CampaignReport::from_json`] still accepts
-    /// version-1 and version-2 documents (where the newer keys may be
-    /// absent). The golden fixtures under `tests/fixtures/` pin the
+    /// Version 2 locked the `tape_*` fields into the schema.
+    /// [`CampaignReport::from_json`] still accepts version-1 and
+    /// version-2 documents (where the newer keys may be absent), and
+    /// ignores keys it does not know — among them the `batches` array
+    /// that documents of the since-deleted batched parallel runs
+    /// carry. The golden fixtures under `tests/fixtures/` pin the
     /// byte-exact format per backend.
     pub const JSON_VERSION: usize = 3;
 
@@ -442,30 +436,6 @@ impl CampaignReport {
             ),
             ("tape_record_seconds", opt_num(self.tape_record_seconds)),
             ("tape_groups", opt_count(self.tape_groups)),
-            (
-                "batches",
-                Value::Arr(
-                    self.batches
-                        .iter()
-                        .map(|b| {
-                            obj([
-                                ("first_pattern", Value::Num(b.first_pattern as f64)),
-                                ("patterns", Value::Num(b.patterns as f64)),
-                                ("live_before", Value::Num(b.live_before as f64)),
-                                ("detected", Value::Num(b.detected as f64)),
-                                ("workers", Value::Num(b.workers as f64)),
-                                ("shards", Value::Num(b.shards as f64)),
-                                ("moved_faults", Value::Num(b.moved_faults as f64)),
-                                ("max_shard_seconds", Value::Num(b.max_shard_seconds)),
-                                ("mean_shard_seconds", Value::Num(b.mean_shard_seconds)),
-                                ("imbalance", Value::Num(b.imbalance)),
-                                ("tape_record_seconds", Value::Num(b.tape_record_seconds)),
-                                ("tape_groups", Value::Num(b.tape_groups as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("metrics", metrics_to_value(&self.metrics)),
             (
                 "run",
@@ -508,8 +478,9 @@ impl CampaignReport {
             return Err("not a fmossim-campaign-report document".into());
         }
         // Older documents parse leniently: version 1 may lack the
-        // tape/batches keys, versions 1–2 lack the `metrics` block
-        // version 3 added.
+        // tape keys, versions 1–2 lack the `metrics` block version 3
+        // added. Unknown keys (an archived `batches` array) are
+        // ignored.
         match v.get("version").and_then(Value::as_usize) {
             Some(1..=3) => {}
             Some(other) => return Err(format!("unsupported report version {other}")),
@@ -688,41 +659,6 @@ impl CampaignReport {
                 None | Some(Value::Null) => None,
                 Some(val) => Some(val.as_usize().ok_or("bad tape_groups")?),
             },
-            // Absent in version-1 documents written before batch
-            // telemetry existed: default to "no batch telemetry".
-            batches: match v.get("batches") {
-                None | Some(Value::Null) => Vec::new(),
-                Some(val) => {
-                    let mut batches = Vec::new();
-                    for b in val.as_arr().ok_or("bad batches")? {
-                        let bcount = |name: &str| {
-                            b.get(name)
-                                .and_then(Value::as_usize)
-                                .ok_or(format!("bad batch {name}"))
-                        };
-                        let bnum = |name: &str| {
-                            b.get(name)
-                                .and_then(Value::as_f64)
-                                .ok_or(format!("bad batch {name}"))
-                        };
-                        batches.push(BatchTelemetry {
-                            first_pattern: bcount("first_pattern")?,
-                            patterns: bcount("patterns")?,
-                            live_before: bcount("live_before")?,
-                            detected: bcount("detected")?,
-                            workers: bcount("workers")?,
-                            shards: bcount("shards")?,
-                            moved_faults: bcount("moved_faults")?,
-                            max_shard_seconds: bnum("max_shard_seconds")?,
-                            mean_shard_seconds: bnum("mean_shard_seconds")?,
-                            imbalance: bnum("imbalance")?,
-                            tape_record_seconds: bnum("tape_record_seconds")?,
-                            tape_groups: bcount("tape_groups")?,
-                        });
-                    }
-                    batches
-                }
-            },
             // Absent in pre-collapse documents and in every
             // uncollapsed run (the key is omitted, never null).
             collapse: match v.get("collapse") {
@@ -775,20 +711,6 @@ mod tests {
             serial_estimate_seconds: None,
             tape_record_seconds: Some(0.0625),
             tape_groups: Some(40),
-            batches: vec![BatchTelemetry {
-                first_pattern: 0,
-                patterns: 2,
-                live_before: 10,
-                detected: 2,
-                workers: 4,
-                shards: 8,
-                moved_faults: 3,
-                max_shard_seconds: 0.5,
-                mean_shard_seconds: 0.25,
-                imbalance: 2.0,
-                tape_record_seconds: 0.0625,
-                tape_groups: 40,
-            }],
             metrics: {
                 let mut m = MetricsSnapshot::default();
                 m.counters.insert("core.detections".into(), 2);
@@ -870,11 +792,7 @@ mod tests {
     /// archive.
     #[test]
     fn parses_pre_tape_documents() {
-        // Pre-tape documents predate batch telemetry too; an empty
-        // `batches` also keeps the textual surgery below from touching
-        // the per-batch tape keys.
         let mut report = sample_report();
-        report.batches.clear();
         report.metrics = MetricsSnapshot::default();
         let text = report
             .to_json()
@@ -886,19 +804,30 @@ mod tests {
         assert_eq!(back.tape_groups, None);
     }
 
-    /// Version-1 documents written before batch telemetry existed carry
-    /// no `batches` key; parsing must default to empty telemetry.
+    /// Documents from both sides of batched parallel runs parse:
+    /// version-1 documents written before batch telemetry existed carry
+    /// no `batches` key, and documents written while it existed carry
+    /// one. The writer no longer emits the key, and the reader ignores
+    /// it like any unknown key.
     #[test]
     fn parses_pre_adaptive_documents() {
-        let mut report = sample_report();
-        report.batches.clear();
-        let text = report
-            .to_json()
-            .replace("\"version\":3", "\"version\":1")
-            .replace(",\"batches\":[]", "");
-        assert!(!text.contains("batches"), "key really removed: {text}");
-        let back = CampaignReport::from_json(&text).expect("lenient parse");
-        assert!(back.batches.is_empty());
+        let report = sample_report();
+        let text = report.to_json();
+        assert!(!text.contains("batches"), "key no longer written: {text}");
+        let v1 = text.replace("\"version\":3", "\"version\":1");
+        assert_eq!(
+            CampaignReport::from_json(&v1).expect("lenient parse"),
+            report
+        );
+        let archived = text.replace(
+            ",\"metrics\":",
+            ",\"batches\":[{\"first_pattern\":0,\"imbalance\":2}],\"metrics\":",
+        );
+        assert!(archived.contains("batches"), "key really added: {archived}");
+        assert_eq!(
+            CampaignReport::from_json(&archived).expect("archived key ignored"),
+            report
+        );
     }
 
     /// Documents written before cooperative cancellation carry no

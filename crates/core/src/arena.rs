@@ -10,9 +10,8 @@
 //!   integers.
 //! * [`Csr`] — a compressed-sparse-row table replacing `Vec<Vec<T>>`
 //!   for the per-node attachment and forced-value tables: one `offsets`
-//!   array plus one contiguous `data` array, so a whole simulator
-//!   rebuild costs two allocations (amortised to zero under
-//!   [`SimArena`] reuse) instead of one per node.
+//!   array plus one contiguous `data` array, so a table costs two
+//!   allocations instead of one per node.
 //! * [`EventQueue`] — the flat private-event queue. Triggering appends
 //!   `(circuit, node)` pairs in arbitrary order; the drain sorts the
 //!   buffer once (`sort_unstable` on the pair, i.e. a stable
@@ -22,18 +21,9 @@
 //!   no per-circuit allocation, and the drain order is a pure function
 //!   of the scheduled set — `crates/core/tests/proptest_queue.rs`
 //!   locks this invariant over random netlists.
-//!
-//! [`SimArena`] bundles every owned hot-path buffer of a
-//! [`ConcurrentSim`](crate::ConcurrentSim) so batch drivers
-//! (`fmossim-par`'s `ArenaPool`) can recycle them across
-//! record→replay→re-plan rebuilds instead of reallocating per batch.
 
-use crate::overlay::Overrides;
-use crate::packed::PackedLanes;
-use crate::records::StateLists;
 use fmossim_faults::FaultId;
-use fmossim_netlist::{Logic, NodeId};
-use fmossim_switch::{Engine, SettleTape};
+use fmossim_netlist::NodeId;
 
 /// The typed index of a simulated circuit: 0 is the good machine,
 /// `k + 1` the faulty circuit carrying fault set `k` (so
@@ -74,53 +64,32 @@ impl CircuitId {
 }
 
 /// A compressed-sparse-row table: `row(i)` is a contiguous slice, all
-/// rows share one `data` allocation. Rebuildable in place, keeping the
-/// allocations, from `(row, value)` pairs sorted by row — passed in, or
-/// collected in the table's own staging buffer.
-#[derive(Clone, Debug, Default)]
+/// rows share one `data` allocation.
+#[derive(Clone, Debug)]
 pub(crate) struct Csr<T> {
-    /// `n_rows + 1` offsets into `data` (empty until first rebuild).
+    /// `n_rows + 1` offsets into `data`.
     offsets: Vec<u32>,
     data: Vec<T>,
-    /// Staging `(row, value)` pairs for [`Csr::rebuild_staged`].
-    pairs: Vec<(u32, T)>,
 }
 
 impl<T: Copy> Csr<T> {
-    /// The staging buffer, emptied: push `(row, value)` pairs, sort
-    /// them by row, then call [`Csr::rebuild_staged`].
-    pub(crate) fn staging(&mut self) -> &mut Vec<(u32, T)> {
-        self.pairs.clear();
-        &mut self.pairs
-    }
-
-    /// [`Csr::rebuild`] from the staged pairs.
-    pub(crate) fn rebuild_staged(&mut self, n_rows: usize) {
-        let pairs = std::mem::take(&mut self.pairs);
-        self.rebuild(n_rows, &pairs);
-        self.pairs = pairs;
-    }
-
-    /// Rebuilds the table for `n_rows` rows from pairs sorted by row
-    /// index (ties keep their order), reusing both allocations.
-    pub(crate) fn rebuild(&mut self, n_rows: usize, pairs: &[(u32, T)]) {
+    /// Builds the table for `n_rows` rows from `(row, value)` pairs
+    /// sorted by row index (ties keep their order).
+    pub(crate) fn new(n_rows: usize, pairs: &[(u32, T)]) -> Self {
         debug_assert!(pairs.windows(2).all(|w| w[0].0 <= w[1].0), "pairs sorted");
-        self.offsets.clear();
-        self.data.clear();
-        self.offsets.reserve(n_rows + 1);
-        self.data.reserve(pairs.len());
+        let mut offsets = Vec::with_capacity(n_rows + 1);
+        let mut data = Vec::with_capacity(pairs.len());
         let mut next = 0usize;
         for row in 0..n_rows as u32 {
-            self.offsets
-                .push(u32::try_from(self.data.len()).expect("csr fits u32"));
+            offsets.push(u32::try_from(data.len()).expect("csr fits u32"));
             while next < pairs.len() && pairs[next].0 == row {
-                self.data.push(pairs[next].1);
+                data.push(pairs[next].1);
                 next += 1;
             }
         }
-        self.offsets
-            .push(u32::try_from(self.data.len()).expect("csr fits u32"));
+        offsets.push(u32::try_from(data.len()).expect("csr fits u32"));
         debug_assert_eq!(next, pairs.len(), "row indices within n_rows");
+        Csr { offsets, data }
     }
 
     /// The entries of row `i`.
@@ -144,13 +113,6 @@ impl EventQueue {
     #[inline]
     pub(crate) fn schedule(&mut self, circ: CircuitId, node: NodeId) {
         self.events.push((circ, node));
-    }
-
-    /// Discards everything scheduled (used by the resume path, whose
-    /// snapshots are taken at pattern boundaries where the queue is
-    /// empty by construction).
-    pub(crate) fn clear(&mut self) {
-        self.events.clear();
     }
 
     /// Takes the scheduled events out as one buffer, sorted by
@@ -178,7 +140,7 @@ impl EventQueue {
 /// sort. Circuits come out in discovery order; nothing downstream
 /// depends on it (the event queue is sorted at drain, and old-value
 /// preservation writes each circuit's own records).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct TriggerSet {
     circuits: Vec<u32>,
     /// Per circuit id: the epoch of the event that last admitted it.
@@ -187,13 +149,13 @@ pub(crate) struct TriggerSet {
 }
 
 impl TriggerSet {
-    /// Re-fits the marks to circuit ids `0..n_circuits`, keeping the
-    /// allocations (the arena recycle path).
-    pub(crate) fn fit(&mut self, n_circuits: usize) {
-        self.circuits.clear();
-        self.mark.clear();
-        self.mark.resize(n_circuits, 0);
-        self.epoch = 0;
+    /// An empty set over circuit ids `0..n_circuits`.
+    pub(crate) fn new(n_circuits: usize) -> Self {
+        TriggerSet {
+            circuits: Vec::new(),
+            mark: vec![0; n_circuits],
+            epoch: 0,
+        }
     }
 
     /// Empties the set for the next event.
@@ -232,7 +194,7 @@ impl TriggerSet {
 /// the note is what keeps a circuit with pending seeds from being
 /// skipped later in the phase (trigger-time dormancy), and its flag is
 /// the "before" half of `core.settles.redundant`.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct PhaseMarks {
     epoch: u32,
     /// Per circuit: the epoch of the phase that noted it, and whether
@@ -241,12 +203,12 @@ pub(crate) struct PhaseMarks {
 }
 
 impl PhaseMarks {
-    /// Re-fits the marks to circuit ids `0..n_circuits`, keeping the
-    /// allocation.
-    pub(crate) fn fit(&mut self, n_circuits: usize) {
-        self.start.clear();
-        self.start.resize(n_circuits, (0, false));
-        self.epoch = 0;
+    /// Marks over circuit ids `0..n_circuits`, none noted.
+    pub(crate) fn new(n_circuits: usize) -> Self {
+        PhaseMarks {
+            epoch: 0,
+            start: vec![(0, false); n_circuits],
+        }
     }
 
     /// Starts a new phase: every mark of the previous one expires.
@@ -282,63 +244,6 @@ impl PhaseMarks {
         match self.start[c as usize] {
             (epoch, clean) if epoch == self.epoch => clean,
             _ => clean_now,
-        }
-    }
-}
-
-/// Every owned hot-path buffer of a
-/// [`ConcurrentSim`](crate::ConcurrentSim), detached from the network
-/// lifetime so a batch driver can keep it across simulator rebuilds:
-/// the switch engine, the divergence-record store, the structural
-/// tables, all per-circuit flags and scratch, and the packed-lane
-/// machinery. Constructing a
-/// simulator *in* an arena (`ConcurrentSim::new_in`) recycles each
-/// buffer in place; `ConcurrentSim::take_arena` gets the bundle back
-/// afterwards.
-/// `fmossim-par`'s `ArenaPool` parks arenas between
-/// record→replay→re-plan batches.
-pub struct SimArena {
-    pub(crate) engine: Engine,
-    pub(crate) records: StateLists,
-    pub(crate) overrides: Vec<Overrides>,
-    pub(crate) attach_nodes: Csr<u32>,
-    pub(crate) attach_transistors: Csr<u32>,
-    pub(crate) forced_at: Csr<(u32, Logic)>,
-    pub(crate) dropped: Vec<bool>,
-    pub(crate) detected_once: Vec<bool>,
-    pub(crate) queue: EventQueue,
-    pub(crate) triggered: TriggerSet,
-    pub(crate) marks: PhaseMarks,
-    /// The live path's record of the current phase's good settle.
-    pub(crate) phase_tape: SettleTape,
-    /// The live path's phase-start values of the inputs it changed.
-    pub(crate) input_undo: Vec<(NodeId, Logic)>,
-    pub(crate) strobe_scratch: Vec<(u32, Logic)>,
-    /// The packed-lane machinery, once a packing simulator has built
-    /// it (a scalar simulator leaves it out).
-    pub(crate) packed: Option<Box<PackedLanes>>,
-}
-
-impl SimArena {
-    /// Wraps a fresh engine into an arena whose other buffers start
-    /// empty; the simulator constructors size them.
-    pub(crate) fn with_engine(engine: Engine) -> SimArena {
-        SimArena {
-            engine,
-            records: StateLists::new(0, 0),
-            overrides: Vec::new(),
-            attach_nodes: Csr::default(),
-            attach_transistors: Csr::default(),
-            forced_at: Csr::default(),
-            dropped: Vec::new(),
-            detected_once: Vec::new(),
-            queue: EventQueue::default(),
-            triggered: TriggerSet::default(),
-            marks: PhaseMarks::default(),
-            phase_tape: SettleTape::default(),
-            input_undo: Vec::new(),
-            strobe_scratch: Vec::new(),
-            packed: None,
         }
     }
 }
@@ -397,8 +302,7 @@ mod tests {
 
     #[test]
     fn trigger_set_admits_each_circuit_once_per_event() {
-        let mut set = TriggerSet::default();
-        set.fit(6);
+        let mut set = TriggerSet::new(6);
         set.begin();
         for c in [4, 1, 4, 2, 1] {
             set.insert(c);
@@ -414,17 +318,11 @@ mod tests {
         set.begin();
         set.insert(3);
         assert_eq!(set.circuits(), &[3]);
-        // Re-fitting forgets everything.
-        set.fit(2);
-        set.begin();
-        set.insert(1);
-        assert_eq!(set.circuits(), &[1]);
     }
 
     #[test]
     fn phase_marks_expire_with_the_phase() {
-        let mut marks = PhaseMarks::default();
-        marks.fit(3);
+        let mut marks = PhaseMarks::new(3);
         marks.begin();
         assert!(!marks.noted(1));
         marks.note_start(1, true);
@@ -447,14 +345,12 @@ mod tests {
 
     #[test]
     fn csr_rows_match_pairs() {
-        let mut csr = Csr::default();
-        csr.rebuild(4, &[(0, 7u32), (0, 8), (2, 1)]);
+        let csr = Csr::new(4, &[(0, 7u32), (0, 8), (2, 1)]);
         assert_eq!(csr.row(0), &[7, 8]);
         assert_eq!(csr.row(1), &[] as &[u32]);
         assert_eq!(csr.row(2), &[1]);
         assert_eq!(csr.row(3), &[] as &[u32]);
-        // Rebuilding reuses the table for a different shape.
-        csr.rebuild(2, &[(1, 9)]);
+        let csr = Csr::new(2, &[(1, 9)]);
         assert_eq!(csr.row(0), &[] as &[u32]);
         assert_eq!(csr.row(1), &[9]);
     }

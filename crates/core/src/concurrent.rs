@@ -75,7 +75,7 @@
 //! `core.settles.redundant.stuck_node` those of them whose circuit has
 //! a stuck node.
 
-use crate::arena::{CircuitId, Csr, EventQueue, PhaseMarks, SimArena, TriggerSet};
+use crate::arena::{CircuitId, Csr, EventQueue, PhaseMarks, TriggerSet};
 use crate::overlay::{FaultyView, Overrides};
 use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
@@ -271,8 +271,9 @@ pub struct ConcurrentConfig {
     /// What counts as a detection.
     pub policy: DetectionPolicy,
     /// Drop faulty circuits once detected (the paper's behaviour).
-    /// Disabling this is the `ablation_dropping` benchmark: every
-    /// circuit is simulated for the whole sequence.
+    /// With this off every circuit is simulated for the whole sequence,
+    /// which is what a campaign's `RunControl::drop_detected = false`
+    /// sets.
     pub drop_on_detect: bool,
     /// Bit-parallel (PPSFP-style) faulty-circuit settling: the
     /// triggered circuits of each phase are grouped by shared seeds and
@@ -301,32 +302,6 @@ impl ConcurrentConfig {
             ..ConcurrentConfig::default()
         }
     }
-}
-
-/// A faulty circuit's complete carried state at a pattern boundary,
-/// exported by [`ConcurrentSim::export_fault`] and re-imported by
-/// [`ConcurrentSim::resume_at`].
-///
-/// Because the good machine is shared (and, under record/replay,
-/// carried by the [`GoodTape`] / [`TapeRecorder`](crate::TapeRecorder)
-/// pair), a faulty circuit's entire mid-sequence state reduces to its
-/// divergence records plus a detected-once flag: private event queues
-/// are empty between patterns (every settle drains them), and the
-/// structural overrides are re-derivable from the fault itself. This
-/// is what lets a batch-level driver re-partition surviving faults
-/// into *different* shards between pattern batches without changing
-/// any result bit.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    /// The circuit's divergence records, `(node, state)` in ascending
-    /// node order — exactly the nodes where the faulty circuit differs
-    /// from the good one.
-    pub records: Vec<(NodeId, Logic)>,
-    /// True iff the fault has already been counted as detected
-    /// (meaningful when simulating past detection with
-    /// [`ConcurrentConfig::drop_on_detect`] off; a resumed circuit
-    /// with this flag set is never counted again).
-    pub detected: bool,
 }
 
 /// The concurrent switch-level fault simulator.
@@ -432,90 +407,21 @@ impl<'n> ConcurrentSim<'n> {
         fault_sets: Vec<Vec<Fault>>,
         config: ConcurrentConfig,
     ) -> Self {
-        let arena = SimArena::with_engine(Engine::with_config(net, config.engine));
-        ConcurrentSim::build(net, fault_sets, config, arena)
-    }
-
-    /// [`ConcurrentSim::new`] constructing *in* a recycled [`SimArena`]
-    /// — the allocation-reuse path: the engine, record store,
-    /// structural tables, event queue and every scratch buffer are
-    /// recycled in place. Reclaim the bundle afterwards with
-    /// [`ConcurrentSim::take_arena`]. A recycled arena behaves exactly
-    /// like a fresh one, so arena reuse cannot change any result bit.
-    #[must_use]
-    pub fn new_in(
-        net: &'n Network,
-        faults: &[Fault],
-        config: ConcurrentConfig,
-        arena: SimArena,
-    ) -> Self {
-        ConcurrentSim::build(
-            net,
-            faults.iter().map(|&f| vec![f]).collect(),
-            config,
-            arena,
-        )
-    }
-
-    /// Every constructor funnels here.
-    fn build(
-        net: &'n Network,
-        fault_sets: Vec<Vec<Fault>>,
-        config: ConcurrentConfig,
-        arena: SimArena,
-    ) -> Self {
-        let SimArena {
-            mut engine,
-            mut records,
-            mut overrides,
-            mut attach_nodes,
-            mut attach_transistors,
-            mut forced_at,
-            mut dropped,
-            mut detected_once,
-            mut queue,
-            mut triggered,
-            mut marks,
-            mut phase_tape,
-            mut input_undo,
-            mut strobe_scratch,
-            packed,
-        } = arena;
         let good = DenseState::new(net);
-        engine.recycle(net, config.engine);
+        let mut engine = Engine::with_config(net, config.engine);
         engine.perturb_all_storage(&good);
-        let packed = if config.packing && config.engine.locality == LocalityMode::Dynamic {
-            Some(match packed {
-                Some(mut lanes) => {
-                    lanes.recycle(net, config.engine);
-                    lanes
-                }
-                None => Box::new(PackedLanes::new(net, config.engine)),
-            })
-        } else {
-            None
-        };
+        let packed = (config.packing && config.engine.locality == LocalityMode::Dynamic)
+            .then(|| Box::new(PackedLanes::new(net, config.engine)));
         let n_sets = fault_sets.len();
-        records.recycle(net.num_nodes(), n_sets);
-        overrides.clear();
-        overrides.resize(n_sets + 1, Overrides::default());
-        dropped.clear();
-        dropped.resize(n_sets + 1, false);
-        detected_once.clear();
-        detected_once.resize(n_sets + 1, false);
-        queue.clear();
-        triggered.fit(n_sets + 1);
-        marks.fit(n_sets + 1);
-        phase_tape.clear();
-        input_undo.clear();
-        strobe_scratch.clear();
+        let mut overrides = vec![Overrides::default(); n_sets + 1];
+        let mut queue = EventQueue::default();
         // The structural tables, flattened: (node, entry) pairs sorted
         // by node, then CSR-compacted. `attach_*` rows must be ascending
         // and unique; `forced_at` rows keep their per-circuit push
         // order (circuit-ascending by construction of the loop).
-        let node_pairs = attach_nodes.staging();
-        let transistor_pairs = attach_transistors.staging();
-        let forced_pairs = forced_at.staging();
+        let mut node_pairs = Vec::new();
+        let mut transistor_pairs = Vec::new();
+        let mut forced_pairs = Vec::new();
         for (k, set) in fault_sets.iter().enumerate() {
             let circ = u32::try_from(k + 1).expect("too many faults");
             overrides[circ as usize] = Overrides::from_effects(set.iter().map(Fault::effect));
@@ -527,8 +433,8 @@ impl<'n> ConcurrentSim<'n> {
                     ));
                 }
                 let pairs = match fault.effect() {
-                    FaultEffect::ForceNode { .. } => &mut *node_pairs,
-                    FaultEffect::ForceTransistor { .. } => &mut *transistor_pairs,
+                    FaultEffect::ForceNode { .. } => &mut node_pairs,
+                    FaultEffect::ForceTransistor { .. } => &mut transistor_pairs,
                 };
                 for n in fault.footprint(net) {
                     pairs.push((u32::try_from(n.index()).expect("node fits u32"), circ));
@@ -538,130 +444,36 @@ impl<'n> ConcurrentSim<'n> {
                 }
             }
         }
-        for pairs in [node_pairs, transistor_pairs] {
+        for pairs in [&mut node_pairs, &mut transistor_pairs] {
             pairs.sort_unstable();
             pairs.dedup();
         }
-        attach_nodes.rebuild_staged(net.num_nodes());
-        attach_transistors.rebuild_staged(net.num_nodes());
         // Stable by node: entries at one node stay in push order.
         forced_pairs.sort_by_key(|&(n, _)| n);
-        forced_at.rebuild_staged(net.num_nodes());
         ConcurrentSim {
             net,
             good,
             engine,
-            records,
+            records: StateLists::new(net.num_nodes(), n_sets),
             fault_sets,
             overrides,
-            attach_nodes,
-            attach_transistors,
-            forced_at,
-            dropped,
-            detected_once,
+            attach_nodes: Csr::new(net.num_nodes(), &node_pairs),
+            attach_transistors: Csr::new(net.num_nodes(), &transistor_pairs),
+            forced_at: Csr::new(net.num_nodes(), &forced_pairs),
+            dropped: vec![false; n_sets + 1],
+            detected_once: vec![false; n_sets + 1],
             live: n_sets,
             queue,
             detections: Vec::new(),
             config,
-            triggered,
-            marks,
-            phase_tape,
-            input_undo,
-            strobe_scratch,
+            triggered: TriggerSet::new(n_sets + 1),
+            marks: PhaseMarks::new(n_sets + 1),
+            phase_tape: SettleTape::default(),
+            input_undo: Vec::new(),
+            strobe_scratch: Vec::new(),
             packed,
             metrics: CoreMetrics::default(),
         }
-    }
-
-    /// Moves a freshly built simulator to a mid-sequence boundary: the
-    /// good machine at `good` and every circuit at its exported
-    /// [`FaultSnapshot`] — the batch-continuable replay entry point
-    /// that shard re-planners use between pattern batches.
-    ///
-    /// `good` must be the good machine's state at the batch boundary
-    /// (for replay: the [`TapeRecorder`](crate::TapeRecorder)'s state
-    /// *before* recording the next batch), and `snapshots[k]` the state
-    /// [`ConcurrentSim::export_fault`] returned for this simulator's
-    /// fault `k` at that same boundary. The constructor's initial fault
-    /// seeds and reset perturbation are discarded: the circuits were
-    /// already seeded when their original simulator started, and
-    /// re-seeding here would replay start-of-sequence transients into
-    /// the middle of it.
-    ///
-    /// Continuing such a simulator with
-    /// [`ConcurrentSim::run_replayed_from`] over the next batch's tape
-    /// is bit-identical to having simulated the whole sequence in one
-    /// simulator — regardless of how faults are re-partitioned across
-    /// simulators at each boundary (`tests/adaptive_equivalence.rs`
-    /// asserts this workspace-wide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots` does not hold one entry per fault.
-    pub fn resume_at(&mut self, good: &DenseState<'n>, snapshots: &[FaultSnapshot]) {
-        assert_eq!(
-            self.fault_sets.len(),
-            snapshots.len(),
-            "one snapshot per resumed fault"
-        );
-        self.good = good.clone();
-        self.engine.clear_pending();
-        self.queue.clear();
-        for (k, snap) in snapshots.iter().enumerate() {
-            let circ = u32::try_from(k + 1).expect("fault id fits");
-            for &(node, v) in &snap.records {
-                self.records.set(node, circ, v);
-            }
-            self.detected_once[circ as usize] = snap.detected;
-        }
-    }
-
-    /// Consumes the simulator and returns its whole [`SimArena`] for
-    /// reuse via [`ConcurrentSim::new_in`], so a batch driver's rebuild
-    /// loop stops paying per-rebuild allocator traffic for the engine,
-    /// record store, structural tables, event queue and scratch.
-    #[must_use]
-    pub fn take_arena(self) -> SimArena {
-        SimArena {
-            engine: self.engine,
-            records: self.records,
-            overrides: self.overrides,
-            attach_nodes: self.attach_nodes,
-            attach_transistors: self.attach_transistors,
-            forced_at: self.forced_at,
-            dropped: self.dropped,
-            detected_once: self.detected_once,
-            queue: self.queue,
-            triggered: self.triggered,
-            marks: self.marks,
-            phase_tape: self.phase_tape,
-            input_undo: self.input_undo,
-            strobe_scratch: self.strobe_scratch,
-            packed: self.packed,
-        }
-    }
-
-    /// Exports the carried state of fault `f` at a pattern boundary —
-    /// the other half of [`ConcurrentSim::resume_at`]. Returns `None` for
-    /// a dropped circuit (nothing survives to carry) or an
-    /// out-of-range id.
-    #[must_use]
-    pub fn export_fault(&self, f: FaultId) -> Option<FaultSnapshot> {
-        let circ = f.index() + 1;
-        if circ > self.fault_sets.len() || self.dropped[circ] {
-            return None;
-        }
-        let circ = u32::try_from(circ).expect("fault id fits");
-        let records = self
-            .records
-            .nodes_of(circ)
-            .into_iter()
-            .map(|n| (n, self.records.get(n, circ).expect("node has a record")))
-            .collect();
-        Some(FaultSnapshot {
-            records,
-            detected: self.detected_once[circ as usize],
-        })
     }
 
     /// Publishes this simulator's activity into `registry`: the
@@ -1287,11 +1099,9 @@ impl<'n> ConcurrentSim<'n> {
     /// saved.
     ///
     /// The tape must have been recorded over the same network and the
-    /// same patterns, starting from the state this simulator's good
-    /// machine is currently in: for a fresh simulator, a tape recorded
-    /// from reset ([`GoodTape::record`]); when simulating a long
-    /// sequence in batches, the `k`-th call must replay the `k`-th
-    /// batch of a single [`TapeRecorder`](crate::TapeRecorder).
+    /// same patterns from reset ([`GoodTape::record`]), and this
+    /// simulator's good machine must still be at reset (a fresh
+    /// simulator).
     ///
     /// # Panics
     ///
@@ -1302,35 +1112,6 @@ impl<'n> ConcurrentSim<'n> {
         patterns: &[Pattern],
         outputs: &[NodeId],
         tape: &GoodTape,
-    ) -> RunReport {
-        self.run_replayed_from(patterns, outputs, tape, 0)
-    }
-
-    /// [`ConcurrentSim::run_replayed`] for one *batch* of a longer
-    /// sequence: `patterns` is the batch, `tape` its recorded
-    /// good-machine activity, and `first_pattern` the batch's offset in
-    /// the full sequence — detections carry global pattern indices, so
-    /// batch reports merge into whole-sequence reports without
-    /// relabelling. The returned per-pattern statistics remain local to
-    /// the batch (index 0 is the batch's first pattern); batch drivers
-    /// concatenate them in batch order.
-    ///
-    /// The simulator must be at the batch's starting state: a fresh
-    /// simulator for the first batch, or one rebuilt at the boundary
-    /// via [`ConcurrentSim::resume_at`] (equivalently, the same simulator
-    /// continued across batches), with the tape recorded by a single
-    /// [`TapeRecorder`](crate::TapeRecorder) batch by batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape's shape (network node count, pattern and
-    /// phase counts) does not match `patterns`.
-    pub fn run_replayed_from(
-        &mut self,
-        patterns: &[Pattern],
-        outputs: &[NodeId],
-        tape: &GoodTape,
-        first_pattern: usize,
     ) -> RunReport {
         assert!(
             tape.matches(self.net.num_nodes(), patterns),
@@ -1352,7 +1133,7 @@ impl<'n> ConcurrentSim<'n> {
                 pattern,
                 tape.pattern(pi),
                 outputs,
-                first_pattern + pi,
+                pi,
             ));
         }
         report.detections = self.detections[detections_before..].to_vec();
@@ -1875,69 +1656,6 @@ mod tests {
         }
         assert_eq!(replay.detections(), live.detections());
         assert_eq!(replay.record_count(), live.record_count());
-    }
-
-    /// Export at a pattern boundary, re-partition the surviving faults
-    /// into *different* simulators, resume, replay the rest of the
-    /// sequence batch by batch: detections (with global pattern
-    /// indices) must equal the unbroken run's.
-    #[test]
-    fn export_resume_repartition_is_bit_identical() {
-        let (net, a, out) = inverter();
-        let universe =
-            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
-        let mut patterns = toggle_patterns(a);
-        patterns.extend(toggle_patterns(a));
-        let config = ConcurrentConfig {
-            drop_on_detect: false, // keep every circuit alive across the cut
-            ..ConcurrentConfig::default()
-        };
-
-        let mut whole = ConcurrentSim::new(&net, universe.faults(), config);
-        let whole_report = whole.run(&patterns, &[out]);
-
-        let cut = 1;
-        let mut recorder = crate::tape::TapeRecorder::new(&net, config.engine);
-        let tape0 = recorder.record(&patterns[..cut]);
-        let mut first = ConcurrentSim::new(&net, universe.faults(), config);
-        let rep0 = first.run_replayed_from(&patterns[..cut], &[out], &tape0, 0);
-
-        // Boundary: snapshot the good machine and every fault, then
-        // deal the faults to two new simulators in reversed order.
-        let boundary_good = recorder.good_state().clone();
-        let n = universe.len();
-        let snaps: Vec<FaultSnapshot> = (0..n)
-            .map(|k| {
-                first
-                    .export_fault(FaultId(u32::try_from(k).unwrap()))
-                    .expect("nothing dropped")
-            })
-            .collect();
-        let tape1 = recorder.record(&patterns[cut..]);
-        let (half_a, half_b) = universe.faults().split_at(n / 2);
-        let (snap_a, snap_b) = snaps.split_at(n / 2);
-        let mut detections = rep0.detections.clone();
-        for (faults, snaps, id_base) in [(half_b, snap_b, n / 2), (half_a, snap_a, 0)] {
-            let mut sim = ConcurrentSim::new(&net, faults, config);
-            sim.resume_at(&boundary_good, snaps);
-            let mut rep = sim.run_replayed_from(&patterns[cut..], &[out], &tape1, cut);
-            rep.relabel_faults(|local| FaultId(u32::try_from(id_base + local.index()).unwrap()));
-            detections.extend(rep.detections);
-        }
-        detections.sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
-        let mut expected = whole_report.detections.clone();
-        expected.sort_by_key(|d| (d.pattern, d.phase, d.fault.index()));
-        assert_eq!(detections, expected);
-    }
-
-    #[test]
-    fn export_fault_reports_dropped_and_out_of_range() {
-        let (net, a, out) = inverter();
-        let universe = FaultUniverse::stuck_nodes(&net);
-        let mut sim = ConcurrentSim::new(&net, universe.faults(), ConcurrentConfig::paper());
-        let _ = sim.run(&toggle_patterns(a), &[out]);
-        assert_eq!(sim.export_fault(FaultId(0)), None, "dropped on detection");
-        assert_eq!(sim.export_fault(FaultId(99)), None, "out of range");
     }
 
     #[test]

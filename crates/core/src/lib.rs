@@ -39,16 +39,12 @@ mod report;
 mod serial;
 mod tape;
 
-pub use arena::{CircuitId, SimArena};
-pub use concurrent::{ConcurrentConfig, ConcurrentSim, FaultSnapshot};
+pub use arena::CircuitId;
+pub use concurrent::{ConcurrentConfig, ConcurrentSim};
 pub use dictionary::{FaultDictionary, Syndrome};
-// `DenseState` is re-exported so batch drivers can snapshot the good
-// machine (`TapeRecorder::good_state`) and hand it to
-// `ConcurrentSim::resume_at` without depending on `fmossim-switch`.
-pub use fmossim_switch::DenseState;
 pub use overlay::{FaultyView, Overrides, SerialState};
 pub use pattern::{stimulus_content_hash, Pattern, Phase};
 pub use records::StateLists;
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};
 pub use serial::{GoodObservations, SerialConfig, SerialOutcome, SerialReport, SerialSim};
-pub use tape::{GoodTape, PhaseTape, TapeRecorder};
+pub use tape::{GoodTape, PhaseTape};

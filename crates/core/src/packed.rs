@@ -39,8 +39,7 @@ impl SeedRun {
 
 /// The packed settling machinery: one engine plus the reusable
 /// gather/scatter scratch behind [`PackedBucketView`] and the lane
-/// scheduler's tables. Part of the simulator's
-/// [`SimArena`](crate::SimArena), so a rebuild re-fits it in place.
+/// scheduler's tables.
 pub(crate) struct PackedLanes {
     pub(crate) engine: PackedEngine,
     pub(crate) scratch: PackedViewScratch,
@@ -72,23 +71,6 @@ impl PackedLanes {
             seed_gen: 0,
             lane_circs: Vec::new(),
         }
-    }
-
-    /// Resets to the state [`PackedLanes::new`] would produce for
-    /// `net`, keeping every allocation that already suffices.
-    pub(crate) fn recycle(&mut self, net: &Network, config: EngineConfig) {
-        let nodes = net.num_nodes();
-        self.engine.recycle(net, config);
-        self.scratch.fit(nodes);
-        self.batch.clear();
-        self.shared.clear();
-        self.solo.clear();
-        for v in [&mut self.seed_count, &mut self.seed_epoch] {
-            v.clear();
-            v.resize(nodes, 0);
-        }
-        self.seed_gen = 0;
-        self.lane_circs.clear();
     }
 }
 
@@ -143,23 +125,6 @@ impl PackedViewScratch {
             forced_nodes: Vec::new(),
             forced_trans: Vec::new(),
         }
-    }
-
-    /// Re-fits the scratch to `num_nodes`, keeping every allocation that
-    /// already suffices; afterwards it equals a fresh
-    /// [`PackedViewScratch::new`].
-    fn fit(&mut self, num_nodes: usize) {
-        let cache = self.cache.get_mut();
-        cache.values.clear();
-        cache.values.resize(num_nodes, PackedLogic::default());
-        cache.loaded.clear();
-        cache.loaded.resize(num_nodes, 0);
-        cache.epoch = 0;
-        self.dirty_mask.clear();
-        self.dirty_mask.resize(num_nodes, 0);
-        self.dirty.clear();
-        self.forced_nodes.clear();
-        self.forced_trans.clear();
     }
 
     /// Rebuilds the per-lane fault override tables for a new chunk and

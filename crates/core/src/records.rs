@@ -48,25 +48,6 @@ impl StateLists {
         }
     }
 
-    /// Re-initialises the storage for a new simulator over `num_nodes`
-    /// nodes and `num_circuits` circuits, keeping every allocation the
-    /// new shape can reuse — the arena-reuse path of
-    /// [`SimArena`](crate::SimArena). Behaviour afterwards is
-    /// indistinguishable from [`StateLists::new`].
-    pub fn recycle(&mut self, num_nodes: usize, num_circuits: usize) {
-        for list in &mut self.per_node {
-            list.clear();
-        }
-        self.per_node.resize(num_nodes, Vec::new());
-        for nodes in &mut self.touched {
-            nodes.clear();
-        }
-        self.touched.resize(num_circuits + 1, Vec::new());
-        self.live.clear();
-        self.live.resize(num_circuits + 1, 0);
-        self.len = 0;
-    }
-
     /// Number of live records across all circuits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -289,8 +270,6 @@ mod tests {
         assert_eq!(s.live_count(1), 1);
         s.drop_circuit(2);
         assert_eq!(s.live_count(2), 0);
-        s.recycle(8, 4);
-        assert_eq!(s.live_count(1), 0, "recycling forgets every count");
     }
 
     #[test]

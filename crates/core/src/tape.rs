@@ -15,7 +15,7 @@
 //! ```text
 //!            record (once)                   replay (per shard)
 //!   ┌──────────────────────────┐    ┌────────────────────────────────┐
-//!   │ TapeRecorder             │    │ ConcurrentSim::run_replayed    │
+//!   │ GoodTape::record         │    │ ConcurrentSim::run_replayed    │
 //!   │   good settle            │    │   read tape groups             │
 //!   │   └─ solved groups ──────┼──▶ │   ├─ trigger shard's faults    │
 //!   │      (support, changes)  │    │   ├─ preserve old values       │
@@ -47,14 +47,12 @@ pub struct PhaseTape {
 }
 
 /// The good machine's recorded activity for a pattern sequence,
-/// produced by [`TapeRecorder::record`] (or the
-/// [`GoodTape::record`] convenience) and consumed by
+/// produced by [`GoodTape::record`] and consumed by
 /// [`ConcurrentSim::run_replayed`](crate::ConcurrentSim::run_replayed).
 ///
 /// A tape is positional: it must be replayed against the *same*
-/// network, the same pattern sequence, and a simulator whose good
-/// machine is in the same state the recorder was in when recording
-/// started (for a single batch: the reset state).
+/// network and the same pattern sequence, by a simulator whose good
+/// machine is at reset, where recording started.
 #[derive(Clone, Debug, Default)]
 pub struct GoodTape {
     /// Node count of the network the tape was recorded on (shape
@@ -67,11 +65,39 @@ pub struct GoodTape {
 }
 
 impl GoodTape {
-    /// Records the good machine from reset through `patterns` in one
-    /// batch. Equivalent to `TapeRecorder::new(net, config).record(..)`.
+    /// Records the good machine from reset (inputs at declared
+    /// defaults, storage at `X`, the initial all-storage perturbation
+    /// pending — exactly how a fresh simulator starts) through
+    /// `patterns`.
     #[must_use]
     pub fn record(net: &Network, patterns: &[Pattern], config: EngineConfig) -> Self {
-        TapeRecorder::new(net, config).record(patterns)
+        let t0 = Instant::now();
+        let mut good = DenseState::new(net);
+        let mut engine = Engine::with_config(net, config);
+        engine.perturb_all_storage(&good);
+        let mut phases = Vec::with_capacity(patterns.len());
+        for pattern in patterns {
+            let mut phase_tapes = Vec::with_capacity(pattern.phases.len());
+            for phase in &pattern.phases {
+                // `apply_input` skips unchanged inputs by the same
+                // `old == v` test the replaying simulator makes, so
+                // record and replay agree on the change decisions
+                // without a second copy of them here.
+                for &(n, v) in &phase.inputs {
+                    engine.apply_input(&mut good, n, v);
+                }
+                let mut settle = SettleTape::default();
+                let rep = engine.settle_observed(&mut good, |g| settle.push_group(net, g));
+                settle.finish(&rep);
+                phase_tapes.push(PhaseTape { settle });
+            }
+            phases.push(phase_tapes);
+        }
+        GoodTape {
+            num_nodes: net.num_nodes(),
+            phases,
+            record_seconds: t0.elapsed().as_secs_f64(),
+        }
     }
 
     /// Node count of the network the tape was recorded on.
@@ -136,78 +162,11 @@ impl GoodTape {
     }
 }
 
-/// Records [`GoodTape`]s by simulating the fault-free circuit. Owns the
-/// good machine's state between batches, so successive
-/// [`TapeRecorder::record`] calls produce tapes that replay a long
-/// sequence in pattern batches (the per-batch seam shard autotuners
-/// re-plan at).
-#[derive(Clone, Debug)]
-pub struct TapeRecorder<'n> {
-    net: &'n Network,
-    good: DenseState<'n>,
-    engine: Engine,
-}
-
-impl<'n> TapeRecorder<'n> {
-    /// Creates a recorder at the reset state (inputs at declared
-    /// defaults, storage at `X`), with the initial all-storage
-    /// perturbation pending — exactly how a fresh simulator starts.
-    #[must_use]
-    pub fn new(net: &'n Network, config: EngineConfig) -> Self {
-        let good = DenseState::new(net);
-        let mut engine = Engine::with_config(net, config);
-        engine.perturb_all_storage(&good);
-        TapeRecorder { net, good, engine }
-    }
-
-    /// The good machine's current state (advances as batches are
-    /// recorded).
-    #[must_use]
-    pub fn good_state(&self) -> &DenseState<'n> {
-        &self.good
-    }
-
-    /// Simulates the good machine through `patterns`, continuing from
-    /// the current state, and returns the recorded tape.
-    #[must_use]
-    pub fn record(&mut self, patterns: &[Pattern]) -> GoodTape {
-        let t0 = Instant::now();
-        let mut tape = GoodTape {
-            num_nodes: self.net.num_nodes(),
-            phases: Vec::with_capacity(patterns.len()),
-            record_seconds: 0.0,
-        };
-        for pattern in patterns {
-            let mut phase_tapes = Vec::with_capacity(pattern.phases.len());
-            for phase in &pattern.phases {
-                // `apply_input` skips unchanged inputs by the same
-                // `old == v` test the replaying simulator makes, so
-                // record and replay agree on the change decisions
-                // without a second copy of them here.
-                for &(n, v) in &phase.inputs {
-                    self.engine.apply_input(&mut self.good, n, v);
-                }
-                let mut settle = SettleTape::default();
-                let net = self.net;
-                let rep = self
-                    .engine
-                    .settle_observed(&mut self.good, |g| settle.push_group(net, g));
-                settle.finish(&rep);
-                phase_tapes.push(PhaseTape { settle });
-            }
-            tape.phases.push(phase_tapes);
-        }
-        tape.record_seconds = t0.elapsed().as_secs_f64();
-        tape
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::Phase;
     use fmossim_netlist::{Drive, Logic, NodeId, Size, TransistorType};
-    use fmossim_switch::SwitchState;
 
     fn inverter() -> (Network, NodeId, NodeId) {
         let mut net = Network::new();
@@ -250,8 +209,7 @@ mod tests {
             Pattern::new(vec![Phase::strobe(vec![(a, Logic::L)])]),
             Pattern::new(vec![Phase::strobe(vec![(a, Logic::H)])]),
         ];
-        let mut rec = TapeRecorder::new(&net, EngineConfig::default());
-        let tape = rec.record(&patterns);
+        let tape = GoodTape::record(&net, &patterns, EngineConfig::default());
         // Pattern 0: OUT settles X -> H. Pattern 1: OUT flips H -> L.
         let all: Vec<(NodeId, Logic, Logic)> = (0..tape.num_patterns())
             .flat_map(|p| tape.pattern(p))
@@ -266,27 +224,5 @@ mod tests {
             all,
             vec![(out, Logic::X, Logic::H), (out, Logic::H, Logic::L)]
         );
-        // The recorder's good machine ends in the final state.
-        assert_eq!(rec.good_state().node_state(out), Logic::L);
-    }
-
-    #[test]
-    fn batched_recording_continues_state() {
-        let (net, a, out) = inverter();
-        let p0 = vec![Pattern::new(vec![Phase::strobe(vec![(a, Logic::L)])])];
-        let p1 = vec![Pattern::new(vec![Phase::strobe(vec![(a, Logic::H)])])];
-        let mut rec = TapeRecorder::new(&net, EngineConfig::default());
-        let t0 = rec.record(&p0);
-        let t1 = rec.record(&p1);
-        assert_eq!(t0.num_patterns(), 1);
-        assert_eq!(t1.num_patterns(), 1);
-        // The second batch's settle starts from the first batch's final
-        // state: exactly one change, H -> L.
-        let changes: Vec<(NodeId, Logic, Logic)> = t1.pattern(0)[0]
-            .settle
-            .groups()
-            .flat_map(|g| g.changed.to_vec())
-            .collect();
-        assert_eq!(changes, vec![(out, Logic::H, Logic::L)]);
     }
 }

@@ -2,7 +2,7 @@
 //! (see `crates/core/src/arena.rs`): the deterministic schedule —
 //! ascending circuit runs, each with sorted, deduplicated seed nodes —
 //! is a pure function of the *scheduled set*, never of insertion
-//! order, construction history, or recycled-buffer garbage.
+//! order or construction history.
 //!
 //! The queue itself is crate-private, so the properties are asserted
 //! through the public simulator API over random netlists:
@@ -13,16 +13,10 @@
 //!    record counts. One side steps patterns by hand, the other uses
 //!    [`ConcurrentSim::run`], so the convenience wrapper is locked to
 //!    the stepping loop at the same time.
-//! 2. **Arena-recycling transparency** — a simulator rebuilt *in* a
-//!    dirty arena (taken from a finished run, capacities grown and
-//!    buffers full of stale garbage) is indistinguishable from a
-//!    freshly allocated one. This is what makes `fmossim-par`'s
-//!    `ArenaPool` safe: reuse may never leak one batch's schedule into
-//!    the next.
 //!
 //! Oscillating (X-damped) cases are *not* skipped: damping is only
 //! schedule-dependent across *different* schedulers, and both sides of
-//! each property run the same one — determinism must hold regardless.
+//! the property run the same one — determinism must hold regardless.
 
 use fmossim_core::{ConcurrentConfig, ConcurrentSim, Pattern, Phase};
 use fmossim_faults::{FaultId, FaultUniverse};
@@ -193,53 +187,6 @@ proptest! {
             fingerprint(&stepped, &case.net, faults.len()),
             fingerprint(&driven, &case.net, faults.len()),
             "full circuit state diverged"
-        );
-    }
-
-    /// Arena recycling is invisible: rebuilding in a dirty arena (from
-    /// a finished run over the same random workload) yields the same
-    /// schedule, detections, and final state as a fresh allocation.
-    #[test]
-    fn arena_recycling_never_changes_results(spec in arb_case()) {
-        let case = build(&spec);
-        let universe = FaultUniverse::stuck_nodes(&case.net);
-        let faults = universe.faults();
-        prop_assume!(!faults.is_empty());
-
-        // Dirty the arena with a full run's history: grown capacities,
-        // dropped circuits, stale records and queue scratch.
-        let mut warm = ConcurrentSim::new(&case.net, faults, config());
-        let _ = warm.run(&case.patterns, &case.outputs);
-        let arena = warm.take_arena();
-
-        let mut recycled = ConcurrentSim::new_in(&case.net, faults, config(), arena);
-        let mut fresh = ConcurrentSim::new(&case.net, faults, config());
-
-        let recycled_report = recycled.run(&case.patterns, &case.outputs);
-        let fresh_report = fresh.run(&case.patterns, &case.outputs);
-
-        prop_assert_eq!(
-            &recycled_report.detections,
-            &fresh_report.detections,
-            "recycled arena changed the detection set"
-        );
-        let zeroed = |r: &fmossim_core::RunReport| -> Vec<fmossim_core::PatternStats> {
-            r.patterns
-                .iter()
-                .map(|s| {
-                    let mut s = *s;
-                    s.seconds = 0.0;
-                    s
-                })
-                .collect()
-        };
-        prop_assert_eq!(zeroed(&recycled_report), zeroed(&fresh_report));
-        prop_assert_eq!(recycled.live(), fresh.live());
-        prop_assert_eq!(recycled.record_count(), fresh.record_count());
-        prop_assert_eq!(
-            fingerprint(&recycled, &case.net, faults.len()),
-            fingerprint(&fresh, &case.net, faults.len()),
-            "full circuit state diverged after arena reuse"
         );
     }
 }

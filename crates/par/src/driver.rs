@@ -1,17 +1,14 @@
-//! The fault-parallel driver: one loop for every offline sharded run.
-//! It plans the shards, records the good tape and runs every shard's
+//! The fault-parallel driver: one one-shot run for every offline
+//! sharded grade. It plans the shards, records the good tape when more
+//! than one shard shares it, runs every shard's
 //! [`ConcurrentSim`](fmossim_core::ConcurrentSim) through the shard
 //! executor ([`run_shards`](crate::run_shards)) on a
-//! [`ScopedPool`](crate::ScopedPool) — once for the whole sequence
-//! ([`ParallelConfig::batch`] `== 0`), or batch after batch, carrying
-//! the survivors and re-planning in between (see [`crate::batch`]'s
-//! module docs).
+//! [`ScopedPool`](crate::ScopedPool), and merges the shard reports.
 
-use crate::batch::{BatchTelemetry, Carry};
 use crate::exec::{run_shards, ScopedPool, ShardResult, ShardWork};
 use crate::jobs::Jobs;
 use crate::plan::{ShardPlan, ShardStrategy};
-use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, PatternStats, RunReport};
+use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, RunReport};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
@@ -24,60 +21,30 @@ use std::time::Instant;
 /// ```
 /// use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
 ///
-/// // 8-pattern batches on an autotuned pool, planned by cost first.
+/// // An autotuned pool, planned by estimated fault cost.
 /// let config = ParallelConfig {
-///     batch: 8,
 ///     strategy: ShardStrategy::CostEstimated,
 ///     ..ParallelConfig::auto()
 /// };
 /// assert_eq!(config.jobs, Jobs::Auto);
-/// assert!(config.rebalance, "batches re-plan from measured times by default");
-/// assert_eq!(ParallelConfig::default().batch, 0, "one batch: the whole sequence");
+/// assert_eq!(config.shards, None, "one shard per worker");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads: a fixed count, or [`Jobs::Auto`] to size the
-    /// pool from the universe's estimated fault cost (and, in a batched
-    /// run, to shrink it between batches as faults are detected —
-    /// [`Jobs::refine`]). Workers beyond the number of (non-empty)
-    /// shards are not spawned.
+    /// pool from the universe's estimated fault cost. Workers beyond
+    /// the number of (non-empty) shards are not spawned.
     pub jobs: Jobs,
-    /// How the universe is partitioned (for the first batch; re-planned
-    /// batches use measured-cost LPT).
+    /// How the universe is partitioned.
     pub strategy: ShardStrategy,
     /// Number of shards; `None` means one per worker. Oversharding
     /// (`shards > jobs`) turns the pool into a load balancer: workers
     /// pull the next shard when they finish, smoothing out uneven
     /// shard costs.
     pub shards: Option<usize>,
-    /// Patterns per batch; `0` (the default) runs the whole sequence
-    /// as one batch. Between batches the detected faults leave the
-    /// plan, the survivors' state is carried over as snapshots, and the
-    /// stop checks of [`ParallelSim::run_observed`] get a batch
-    /// boundary — so the batch size moves where a coverage stop lands,
-    /// never which faults a completed run detects.
-    pub batch: usize,
-    /// Re-plan the survivors from measured shard times between batches
-    /// (default `true`). With `false` the first plan is frozen:
-    /// detected faults still drop out, but nothing is re-balanced.
-    /// Ignored by one-batch runs.
-    pub rebalance: bool,
     /// Configuration forwarded to every shard's [`ConcurrentSim`](fmossim_core::ConcurrentSim)
     /// (detection policy, per-shard drop-on-detect, packing).
     pub sim: ConcurrentConfig,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            jobs: Jobs::default(),
-            strategy: ShardStrategy::default(),
-            shards: None,
-            batch: 0,
-            rebalance: true,
-            sim: ConcurrentConfig::default(),
-        }
-    }
 }
 
 impl ParallelConfig {
@@ -116,47 +83,18 @@ pub struct ShardOutcome {
     pub seconds: f64,
 }
 
-/// One step of a [`ParallelSim::run_observed`] run, handed to its
-/// observer on the calling thread. Every step may stop the run by
-/// returning [`ControlFlow::Break`].
-#[derive(Clone, Copy, Debug)]
-pub enum RunStep<'a> {
-    /// A batch is about to start. A `Break` here skips it and every
-    /// later batch. A one-batch run has exactly one.
-    BatchStart,
-    /// A shard finished; `report` is its (globally relabelled) report.
-    /// A `Break` here skips the batch's unstarted shards and every
-    /// later batch.
-    Shard {
-        /// The shard's summary.
-        outcome: &'a ShardOutcome,
-        /// The shard's report.
-        report: &'a RunReport,
-    },
-    /// A batch closed, after all of its shard steps (batched runs
-    /// only). A `Break` here skips every later batch.
-    BatchDone {
-        /// The batch's measurements.
-        telemetry: &'a BatchTelemetry,
-        /// Seconds spent re-planning the survivors for this batch
-        /// (`0.0` for the first batch).
-        replan_seconds: f64,
-    },
-}
-
 /// Measurements of the good-machine tape a parallel run recorded and
-/// replayed (absent for a one-batch run of a single shard, which
-/// settles the good circuit itself). A batched run sums its per-batch
-/// tapes.
+/// replayed (absent for a run of a single shard, which settles the
+/// good circuit itself).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TapeStats {
-    /// Wall-clock seconds of the record pass(es).
+    /// Wall-clock seconds of the record pass.
     pub record_seconds: f64,
     /// Good-machine vicinities recorded (work each shard skipped).
     pub groups: usize,
     /// Shards that replayed the tape.
     pub replayed_shards: usize,
-    /// Approximate tape heap footprint in bytes (the largest batch's).
+    /// Approximate tape heap footprint in bytes.
     pub heap_bytes: usize,
 }
 
@@ -168,8 +106,7 @@ pub struct ParallelRun {
     /// [`fmossim_core::RunReport::merge`]).
     pub report: RunReport,
     /// Each shard's own wall-clock seconds, indexed by shard (`0.0`
-    /// for shards skipped after an early stop); a batched run lists
-    /// every batch's shards in turn.
+    /// for shards skipped after an early stop).
     pub shard_seconds: Vec<f64>,
     /// Good-tape measurements, when the good machine was recorded once
     /// and replayed per shard.
@@ -181,9 +118,9 @@ pub struct ParallelRun {
 /// [`ConcurrentSim`](fmossim_core::ConcurrentSim) (faulty circuits dropped on detection as usual),
 /// and the per-shard [`RunReport`]s are folded into one
 /// ([`RunReport::merge`]) whose detections and coverage are identical
-/// to a one-shard run — sharding and batching change wall-clock time,
-/// never results. Whenever more than one shard runs, the good machine
-/// is recorded once ([`GoodTape`]) and replayed in every shard, so only
+/// to a one-shard run — sharding changes wall-clock time, never
+/// results. Whenever more than one shard runs, the good machine is
+/// recorded once ([`GoodTape`]) and replayed in every shard, so only
 /// one shard-count-independent good pass is paid.
 ///
 /// # Example
@@ -253,7 +190,7 @@ impl<'n> ParallelSim<'n> {
         self.telemetry = registry.clone();
     }
 
-    /// The (first batch's) shard plan.
+    /// The shard plan.
     #[must_use]
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
@@ -282,222 +219,106 @@ impl<'n> ParallelSim<'n> {
             .report
     }
 
-    /// [`ParallelSim::run_observed`] with an observer of the shard
-    /// steps only: `on_shard` receives each shard's [`ShardOutcome`]
-    /// and its (globally relabelled) [`RunReport`] as the shard
-    /// completes — the streaming seam for progress and early stopping.
+    /// Runs every shard over the whole sequence, invoking `on_shard`
+    /// from the calling thread as each shard completes, with its
+    /// [`ShardOutcome`] and its (globally relabelled) [`RunReport`] —
+    /// the streaming seam for progress and early stopping.
+    ///
+    /// A [`ControlFlow::Break`] stops the run: shards already running
+    /// finish and are included, shards never started are skipped — the
+    /// merged report then covers only what ran, while `num_faults`
+    /// still counts the whole universe (skipped faults are simply
+    /// unsimulated, like undetected faults).
+    ///
+    /// With more than one worker, completion order — and therefore the
+    /// order of the `on_shard` calls — is scheduling-dependent; the
+    /// merged report is canonically ordered regardless.
+    ///
+    /// When the plan has more than one shard, the good machine is
+    /// recorded once (on the calling thread, before the pool starts)
+    /// and every shard replays the shared [`GoodTape`]; a single shard
+    /// settles the good circuit itself, since recording would cost an
+    /// extra good pass without saving one.
+    ///
+    /// # Panics
+    ///
+    /// A shard that panics stops the queue like a `Break`; its panic is
+    /// re-raised here once the shards already running have finished.
     pub fn run_streaming(
         &self,
         patterns: &[Pattern],
         outputs: &[NodeId],
         mut on_shard: impl FnMut(&ShardOutcome, &RunReport) -> ControlFlow<()>,
     ) -> ParallelRun {
-        self.run_observed(patterns, outputs, |step| match step {
-            RunStep::Shard { outcome, report } => on_shard(outcome, report),
-            RunStep::BatchStart | RunStep::BatchDone { .. } => ControlFlow::Continue(()),
-        })
-    }
-
-    /// Runs the shards batch by batch ([`ParallelConfig::batch`]),
-    /// invoking `on_step` from the calling thread at each
-    /// [`RunStep`]: the start of every batch, every shard completion,
-    /// and the close of every batch of a batched run.
-    ///
-    /// A [`ControlFlow::Break`] stops the run: shards already running
-    /// finish and are included, shards and batches never started are
-    /// skipped — the merged report then covers only what ran, while
-    /// `num_faults` still counts the whole universe (skipped faults are
-    /// simply unsimulated, like undetected faults). A batch cut short
-    /// by a shard's `Break` still closes with its
-    /// [`RunStep::BatchDone`].
-    ///
-    /// With more than one worker, completion order — and therefore the
-    /// order of a batch's shard steps — is scheduling-dependent; the
-    /// merged report is canonically ordered regardless.
-    ///
-    /// A one-batch run records the good machine once (on the calling
-    /// thread, before the pool starts) when the plan has more than one
-    /// shard, and every shard replays the shared [`GoodTape`]; a single
-    /// shard settles the good circuit itself, since recording would
-    /// cost an extra good pass without saving one. A batched run
-    /// records one tape per batch, carries the survivors' state across
-    /// each boundary, and re-plans ([`ParallelConfig::rebalance`]) from
-    /// the measured shard times.
-    ///
-    /// # Panics
-    ///
-    /// A shard that panics stops the queue like a `Break`; its panic is
-    /// re-raised here once the shards already running have finished.
-    pub fn run_observed(
-        &self,
-        patterns: &[Pattern],
-        outputs: &[NodeId],
-        mut on_step: impl FnMut(RunStep<'_>) -> ControlFlow<()>,
-    ) -> ParallelRun {
         let t0 = Instant::now();
-        let total = patterns.len();
-        let num_faults = self.universe.len();
-        let mut carry = (self.config.batch > 0).then(|| {
-            Carry::new(
+        let tape = (self.plan.num_shards() > 1)
+            .then(|| GoodTape::record(self.net, patterns, self.config.sim.engine));
+        if let Some(t) = &tape {
+            self.telemetry
+                .gauge("core.tape.record_seconds")
+                .add(t.record_seconds());
+            self.telemetry
+                .counter("core.tape.groups")
+                .add(t.num_groups() as u64);
+        }
+
+        let work = ShardWork {
+            tape: tape.as_ref(),
+            ..ShardWork::new(
                 self.net,
                 &self.universe,
                 &self.plan,
-                self.workers,
+                patterns,
+                outputs,
                 self.config.sim,
             )
-        });
-        let mut run = ParallelRun::default();
-        let mut first = 0;
-        loop {
-            if on_step(RunStep::BatchStart).is_break() {
-                break;
-            }
-            let replan_seconds = match &mut carry {
-                Some(c) if c.live == 0 => {
-                    // Every fault detected and dropped: the rest would
-                    // be all-idle shards. Keep the report's per-pattern
-                    // shape and stop simulating.
-                    run.report.patterns.resize(total, PatternStats::default());
-                    break;
-                }
-                Some(c) if first > 0 => c.replan(&self.config, num_faults),
-                _ => 0.0,
-            };
-            let batch_t0 = Instant::now();
-            let end = match self.config.batch {
-                0 => total,
-                n => (first + n).min(total),
-            };
-            let batch = &patterns[first..end];
-            let tape = match &mut carry {
-                None => self.whole_run_tape(patterns),
-                Some(c) => Some(Arc::new(c.recorder.record(batch))),
-            };
-            let (plan, workers) = carry
-                .as_ref()
-                .map_or((&self.plan, self.workers), |c| (&c.plan, c.workers));
-            if let Some(t) = &tape {
+        };
+        let mut results: Vec<ShardResult> = Vec::with_capacity(self.plan.num_shards());
+        run_shards(
+            &ScopedPool::new(self.workers),
+            Arc::new(work),
+            &self.telemetry,
+            |r| {
                 self.telemetry
-                    .gauge("core.tape.record_seconds")
-                    .add(t.record_seconds());
-                self.telemetry
-                    .counter("core.tape.groups")
-                    .add(t.num_groups() as u64);
-            }
-
-            let work = ShardWork {
-                first_pattern: first,
-                tape: tape.as_deref(),
-                resume: carry.as_ref().and_then(|c| c.resume.as_ref()),
-                arenas: carry.as_ref().map(|c| &c.arenas),
-                export_survivors: carry.is_some() && end < total,
-                ..ShardWork::new(
-                    self.net,
-                    &self.universe,
-                    plan,
-                    batch,
-                    outputs,
-                    self.config.sim,
-                )
-            };
-            let mut stopped = false;
-            let mut results: Vec<ShardResult> = Vec::with_capacity(plan.num_shards());
-            run_shards(
-                &ScopedPool::new(workers),
-                Arc::new(work),
-                &self.telemetry,
-                |r| {
-                    self.telemetry
-                        .gauge("par.queue.wait_seconds")
-                        .add((r.started - batch_t0).as_secs_f64());
-                    let outcome = ShardOutcome {
-                        shard: r.shard,
-                        faults: r.faults,
-                        detected: r.report.detected(),
-                        seconds: r.report.total_seconds,
-                    };
-                    let flow = on_step(RunStep::Shard {
-                        outcome: &outcome,
-                        report: &r.report,
-                    });
-                    stopped |= flow.is_break();
-                    results.push(r);
-                    flow
-                },
-            );
-
-            // Merge in shard order for reproducible statistics;
-            // detection order is canonicalised by `merge` regardless.
-            let merge_t0 = Instant::now();
-            results.sort_unstable_by_key(|r| r.shard);
-            let mut shard_seconds = vec![0.0; plan.num_shards()];
-            for r in &results {
-                shard_seconds[r.shard] = r.report.total_seconds;
-            }
-            let shards_run = results.len();
-            let mut survivors = Vec::new();
-            let merged = RunReport::merge(results.into_iter().map(|r| {
-                survivors.extend(r.survivors);
-                r.report
-            }));
-            self.telemetry
-                .gauge("par.merge.seconds")
-                .add(merge_t0.elapsed().as_secs_f64());
-            if let Some(t) = &tape {
-                let stats = run.tape.get_or_insert_with(TapeStats::default);
-                stats.record_seconds += t.record_seconds();
-                stats.groups += t.num_groups();
-                stats.replayed_shards += shards_run;
-                stats.heap_bytes = stats.heap_bytes.max(t.heap_bytes());
-            }
-            if let Some(c) = &mut carry {
-                let max = shard_seconds.iter().copied().fold(0.0f64, f64::max);
-                let mean = if shards_run == 0 {
-                    0.0
-                } else {
-                    shard_seconds.iter().sum::<f64>() / shards_run as f64
+                    .gauge("par.queue.wait_seconds")
+                    .add((r.started - t0).as_secs_f64());
+                let outcome = ShardOutcome {
+                    shard: r.shard,
+                    faults: r.faults,
+                    detected: r.report.detected(),
+                    seconds: r.report.total_seconds,
                 };
-                let telemetry = BatchTelemetry {
-                    first_pattern: first,
-                    patterns: batch.len(),
-                    live_before: c.live,
-                    detected: merged.detected(),
-                    workers,
-                    shards: shards_run,
-                    moved_faults: c.moved_faults,
-                    max_shard_seconds: max,
-                    mean_shard_seconds: mean,
-                    imbalance: if mean > 0.0 { max / mean } else { 1.0 },
-                    tape_record_seconds: tape.as_ref().map_or(0.0, |t| t.record_seconds()),
-                    tape_groups: tape.as_ref().map_or(0, |t| t.num_groups()),
-                };
-                c.close(survivors, shard_seconds.clone());
-                stopped |= on_step(RunStep::BatchDone {
-                    telemetry: &telemetry,
-                    replan_seconds,
-                })
-                .is_break();
-            }
-            run.shard_seconds.extend(shard_seconds);
-            run.report.patterns.extend(merged.patterns);
-            // Batches cover ascending pattern ranges, so appending
-            // keeps the canonical (pattern, phase, fault) order.
-            run.report.detections.extend(merged.detections);
-            first = end;
-            if stopped || carry.is_none() || first >= total {
-                break;
-            }
+                let flow = on_shard(&outcome, &r.report);
+                results.push(r);
+                flow
+            },
+        );
+
+        // Merge in shard order for reproducible statistics;
+        // detection order is canonicalised by `merge` regardless.
+        let merge_t0 = Instant::now();
+        results.sort_unstable_by_key(|r| r.shard);
+        let mut shard_seconds = vec![0.0; self.plan.num_shards()];
+        for r in &results {
+            shard_seconds[r.shard] = r.report.total_seconds;
         }
-        run.report.num_faults = num_faults;
-        run.report.total_seconds = t0.elapsed().as_secs_f64();
-        run
-    }
-
-    /// A one-batch run's tape: recorded when more than one shard can
-    /// share it.
-    fn whole_run_tape(&self, patterns: &[Pattern]) -> Option<Arc<GoodTape>> {
-        (self.plan.num_shards() > 1)
-            .then(|| Arc::new(GoodTape::record(self.net, patterns, self.config.sim.engine)))
+        let tape = tape.map(|t| TapeStats {
+            record_seconds: t.record_seconds(),
+            groups: t.num_groups(),
+            replayed_shards: results.len(),
+            heap_bytes: t.heap_bytes(),
+        });
+        let mut report = RunReport::merge(results.into_iter().map(|r| r.report));
+        self.telemetry
+            .gauge("par.merge.seconds")
+            .add(merge_t0.elapsed().as_secs_f64());
+        report.num_faults = self.universe.len();
+        report.total_seconds = t0.elapsed().as_secs_f64();
+        ParallelRun {
+            report,
+            shard_seconds,
+            tape,
+        }
     }
 }
 

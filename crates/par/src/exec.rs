@@ -1,18 +1,15 @@
 //! The shard executor: the one way shards of a fault universe run on a
-//! pool. It has two callers: the offline driver loop
-//! ([`ParallelSim::run_observed`](crate::ParallelSim::run_observed),
-//! once per batch) and the server's served backend (`fmossim-serve`,
-//! whose tasks are `'static` on its shared pool).
+//! pool. It has two callers: the offline driver
+//! ([`ParallelSim::run_streaming`](crate::ParallelSim::run_streaming))
+//! and the server's served backend (`fmossim-serve`, whose tasks are
+//! `'static` on its shared pool).
 //!
 //! [`run_shards`] owns both halves of fault-parallel execution. The
-//! *per-shard body* builds a [`ConcurrentSim`] over the shard's faults
-//! (in a recycled [`SimArena`](fmossim_core::SimArena) when the work
-//! carries an [`ArenaPool`]), moves it to a batch boundary when the work
-//! resumes one, replays the good tape from
-//! [`ShardWork::first_pattern`], relabels detections to parent-universe
-//! fault ids, exports survivors when another batch follows, and
-//! publishes `par.*` metrics into a per-shard [`Registry::fork`]. The
-//! *completion loop* runs on the calling thread: it merges each fork and
+//! *per-shard body* builds a [`ConcurrentSim`] over the shard's faults,
+//! runs it over the whole sequence (replaying the good tape when the
+//! work carries one), relabels detections to parent-universe fault ids,
+//! and publishes `par.*` metrics into a per-shard [`Registry::fork`].
+//! The *completion loop* runs on the calling thread: it merges each fork and
 //! hands each [`ShardResult`] to a callback whose
 //! [`ControlFlow::Break`] stops the queue — shards not yet picked up are
 //! skipped, shards already running finish. A shard that panics stops
@@ -25,10 +22,9 @@
 //! task lifetime, so each pool accepts exactly the borrows it can keep
 //! alive.
 
-use crate::batch::{ArenaPool, ResumePoint};
 use crate::plan::ShardPlan;
-use fmossim_core::{ConcurrentConfig, ConcurrentSim, FaultSnapshot, GoodTape, Pattern, RunReport};
-use fmossim_faults::{FaultId, FaultUniverse};
+use fmossim_core::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, RunReport};
+use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
 use std::any::Any;
@@ -103,7 +99,7 @@ impl<'t> ShardPool<'t> for ScopedPool {
     }
 }
 
-/// One batch of shard work, borrowed from wherever the caller keeps it.
+/// One run of shard work, borrowed from wherever the caller keeps it.
 #[derive(Clone, Copy)]
 pub struct ShardWork<'a> {
     /// The circuit under test.
@@ -112,32 +108,20 @@ pub struct ShardWork<'a> {
     pub universe: &'a FaultUniverse,
     /// The shards to run.
     pub plan: &'a ShardPlan,
-    /// The patterns of this batch.
+    /// The pattern sequence.
     pub patterns: &'a [Pattern],
     /// The observed outputs.
     pub outputs: &'a [NodeId],
-    /// Global index of `patterns[0]`; detections carry global indices.
-    /// Must be `0` without a tape.
-    pub first_pattern: usize,
-    /// The batch's recorded good machine, replayed by every shard;
-    /// `None` re-settles the good circuit per shard.
+    /// The recorded good machine, replayed by every shard; `None`
+    /// re-settles the good circuit per shard.
     pub tape: Option<&'a GoodTape>,
     /// Every shard simulator's configuration.
     pub sim: ConcurrentConfig,
-    /// The batch boundary to resume every shard at; `None` starts from
-    /// the reset state.
-    pub resume: Option<&'a ResumePoint<'a>>,
-    /// Recycled simulator arenas to build shards in (and park back).
-    pub arenas: Option<&'a ArenaPool>,
-    /// Export surviving faults' state into [`ShardResult::survivors`]
-    /// (set when another batch follows).
-    pub export_survivors: bool,
 }
 
 impl<'a> ShardWork<'a> {
-    /// A whole-sequence run of `plan` from the reset state, without a
-    /// tape, arenas or survivor export; set the other fields with
-    /// struct-update syntax.
+    /// A run of `plan` without a tape; set one with struct-update
+    /// syntax.
     #[must_use]
     pub fn new(
         net: &'a Network,
@@ -153,12 +137,8 @@ impl<'a> ShardWork<'a> {
             plan,
             patterns,
             outputs,
-            first_pattern: 0,
             tape: None,
             sim,
-            resume: None,
-            arenas: None,
-            export_survivors: false,
         }
     }
 }
@@ -194,10 +174,6 @@ pub struct ShardResult {
     pub started: Instant,
     /// The shard's report, detections relabelled to parent-universe ids.
     pub report: RunReport,
-    /// `(parent id, snapshot)` of every fault still carried at the end
-    /// of the batch, ascending by id; empty unless
-    /// [`ShardWork::export_survivors`].
-    pub survivors: Vec<(FaultId, FaultSnapshot)>,
 }
 
 type Outcome = Result<Option<(ShardResult, Registry)>, Box<dyn Any + Send>>;
@@ -260,44 +236,13 @@ fn run_shard(w: &ShardWork<'_>, s: usize, metrics: &Registry) -> ShardResult {
     let started = Instant::now();
     let ids = w.plan.shard(s);
     let universe = w.universe.subset(ids);
-    let mut sim = match w.arenas.and_then(ArenaPool::take) {
-        Some(arena) => ConcurrentSim::new_in(w.net, universe.faults(), w.sim, arena),
-        None => ConcurrentSim::new(w.net, universe.faults(), w.sim),
-    };
-    if let Some(point) = w.resume {
-        let snapshots: Vec<FaultSnapshot> = ids
-            .iter()
-            .map(|id| {
-                point.snapshots[id.index()]
-                    .clone()
-                    .expect("planned fault has a carried snapshot")
-            })
-            .collect();
-        sim.resume_at(&point.good, &snapshots);
-    }
+    let mut sim = ConcurrentSim::new(w.net, universe.faults(), w.sim);
     sim.attach_metrics(metrics);
     let mut report = match w.tape {
-        Some(tape) => sim.run_replayed_from(w.patterns, w.outputs, tape, w.first_pattern),
-        None => {
-            debug_assert_eq!(w.first_pattern, 0, "a batch replays its tape");
-            sim.run(w.patterns, w.outputs)
-        }
+        Some(tape) => sim.run_replayed(w.patterns, w.outputs, tape),
+        None => sim.run(w.patterns, w.outputs),
     };
     report.relabel_faults(|local| ids[local.index()]);
-    let survivors = if w.export_survivors {
-        ids.iter()
-            .enumerate()
-            .filter_map(|(k, &id)| {
-                sim.export_fault(FaultId(u32::try_from(k).expect("shard fits u32")))
-                    .map(|snap| (id, snap))
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    if let Some(pool) = w.arenas {
-        pool.put(sim.take_arena());
-    }
     metrics.counter("par.shards").inc();
     metrics.gauge("par.shard.seconds").add(report.total_seconds);
     ShardResult {
@@ -305,6 +250,5 @@ fn run_shard(w: &ShardWork<'_>, s: usize, metrics: &Registry) -> ShardResult {
         faults: ids.len(),
         started,
         report,
-        survivors,
     }
 }

@@ -119,86 +119,6 @@ impl ShardPlan {
         self.shards.iter().map(Vec::as_slice)
     }
 
-    /// Plans `k` shards over the given fault ids by greedy LPT over an
-    /// arbitrary per-fault weight — the re-planning entry point of
-    /// batched runs, where the weights are *measured* (EWMA-smoothed
-    /// seconds from [`crate::CostModel`]) rather than the static
-    /// footprint estimate [`ShardStrategy::CostEstimated`] uses.
-    ///
-    /// `ids` may be any subset of a parent universe (e.g. the faults
-    /// surviving after a batch); shard members keep those global ids.
-    /// Deterministic: faults are placed heaviest first (ties broken by
-    /// ascending id) onto the currently lightest shard (ties broken by
-    /// lowest shard index); non-finite or negative weights are treated
-    /// as zero. The resulting plan reports
-    /// [`ShardStrategy::CostEstimated`] as its strategy.
-    ///
-    /// ```
-    /// use fmossim_faults::FaultId;
-    /// use fmossim_par::ShardPlan;
-    ///
-    /// let ids: Vec<FaultId> = (0..5).map(FaultId).collect();
-    /// // One heavy fault, four light ones: LPT isolates the heavy one.
-    /// let plan = ShardPlan::build_weighted(&ids, 2, |id| {
-    ///     if id.index() == 3 { 10.0 } else { 1.0 }
-    /// });
-    /// assert_eq!(plan.num_shards(), 2);
-    /// assert_eq!(plan.shard(0), &[FaultId(3)]);
-    /// assert_eq!(plan.shard(1).len(), 4);
-    /// ```
-    #[must_use]
-    pub fn build_weighted(ids: &[FaultId], k: usize, weight: impl Fn(FaultId) -> f64) -> Self {
-        let k = k.max(1);
-        let sane = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-        let mut order: Vec<(FaultId, f64)> = ids.iter().map(|&id| (id, sane(weight(id)))).collect();
-        order.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("weights sanitised to finite")
-                .then(a.0.index().cmp(&b.0.index()))
-        });
-        let mut shards = vec![Vec::new(); k];
-        let mut loads = vec![0.0f64; k];
-        for (id, w) in order {
-            let s = (0..k)
-                .min_by(|&a, &b| {
-                    loads[a]
-                        .partial_cmp(&loads[b])
-                        .expect("loads are finite")
-                        .then(a.cmp(&b))
-                })
-                .expect("k >= 1");
-            shards[s].push(id);
-            loads[s] += w;
-        }
-        for shard in &mut shards {
-            shard.sort_unstable_by_key(|id| id.index());
-        }
-        shards.retain(|s| !s.is_empty());
-        ShardPlan {
-            shards,
-            strategy: ShardStrategy::CostEstimated,
-        }
-    }
-
-    /// The plan restricted to the fault ids `alive` accepts, preserving
-    /// every surviving fault's shard assignment (empty shards are
-    /// dropped). This is the *frozen-plan* path of batched execution:
-    /// detected faults leave, but nothing is re-balanced — the baseline
-    /// batched runs' re-planning is measured against.
-    #[must_use]
-    pub fn retain(&self, alive: impl Fn(FaultId) -> bool) -> Self {
-        let mut shards: Vec<Vec<FaultId>> = self
-            .shards
-            .iter()
-            .map(|s| s.iter().copied().filter(|&id| alive(id)).collect())
-            .collect();
-        shards.retain(|s: &Vec<FaultId>| !s.is_empty());
-        ShardPlan {
-            shards,
-            strategy: self.strategy,
-        }
-    }
-
     /// Estimated cost of every shard (sum of [`fault_cost`] over its
     /// faults) — the quantity [`ShardStrategy::CostEstimated`]
     /// balances. Useful for inspecting plan quality.

@@ -316,8 +316,8 @@ pub fn patterns_to_json(net: &Network, patterns: &[Pattern]) -> Value {
 /// Renders a [`SimEvent`] as its SSE `(event name, JSON data)` pair.
 ///
 /// Event names are the snake-case variant names (`pattern_start`,
-/// `pattern_done`, `detected`, `fault_dropped`, `shard_done`,
-/// `batch_done`, `span`); payload keys mirror the variant fields.
+/// `pattern_done`, `detected`, `fault_dropped`, `shard_done`, `span`);
+/// payload keys mirror the variant fields.
 ///
 /// ```
 /// use fmossim_campaign::SimEvent;
@@ -374,24 +374,6 @@ pub fn sse_event(e: &SimEvent) -> (&'static str, String) {
                 ("faults", num(faults)),
                 ("seconds", Value::Num(seconds)),
                 ("shard", num(shard)),
-            ]),
-        ),
-        SimEvent::BatchDone {
-            batch,
-            first_pattern,
-            patterns,
-            shards,
-            detected_so_far,
-            imbalance,
-        } => (
-            "batch_done",
-            obj([
-                ("batch", num(batch)),
-                ("detected_so_far", num(detected_so_far)),
-                ("first_pattern", num(first_pattern)),
-                ("imbalance", Value::Num(imbalance)),
-                ("patterns", num(patterns)),
-                ("shards", num(shards)),
             ]),
         ),
         SimEvent::Span { name, seconds } => (

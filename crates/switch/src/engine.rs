@@ -30,7 +30,9 @@ pub enum LocalityMode {
     Dynamic,
     /// Bound vicinities only by DC-connected components, as earlier
     /// switch-level simulators did. Functionally identical results,
-    /// larger groups; used by the locality ablation benchmark.
+    /// larger groups; kept as the reference that the solver proptest
+    /// (`static_locality_matches_dynamic`) and the kernel tests hold
+    /// dynamic vicinity bounding to.
     Static,
 }
 
@@ -222,27 +224,6 @@ impl Engine {
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Resets the engine to the state [`Engine::with_config`] would
-    /// produce for `net`, keeping every buffer allocation that already
-    /// suffices — the cheap path for drivers that build many
-    /// short-lived simulators over the same network (a batched parallel
-    /// run rebuilds every shard simulator at every batch boundary). For a same-sized network no allocation happens; a
-    /// differently-sized one re-fits the buffers. Metrics detach:
-    /// re-attach after recycling if the new owner is instrumented.
-    pub fn recycle(&mut self, net: &Network, config: EngineConfig) {
-        self.scratch.fit(net.num_nodes(), net.num_transistors());
-        self.queue.clear();
-        self.next_queue.clear();
-        self.queued.clear();
-        self.queued.resize(net.num_nodes(), false);
-        self.solved_round.clear();
-        self.solved_round.resize(net.num_nodes(), 0);
-        self.round_id = 0;
-        self.changed_buf.clear();
-        self.config = config;
-        self.metrics = EngineMetrics::default();
     }
 
     /// Publishes this engine's activity (`switch.*` metrics) into
@@ -647,31 +628,6 @@ impl PackedEngine {
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Resets the engine to the state [`PackedEngine::with_config`]
-    /// would produce for `net`, keeping every allocation that already
-    /// suffices (see [`Engine::recycle`]). Metrics detach.
-    pub fn recycle(&mut self, net: &Network, config: EngineConfig) {
-        let (nodes, transistors) = (net.num_nodes(), net.num_transistors());
-        self.scratch.fit(nodes, transistors);
-        self.scalar.fit(nodes, transistors);
-        self.queue.clear();
-        self.next_queue.clear();
-        for v in [
-            &mut self.pending,
-            &mut self.solved_mask,
-            &mut self.solved_round,
-        ] {
-            v.clear();
-            v.resize(nodes, 0);
-        }
-        self.last_entry.clear();
-        self.last_entry.resize(nodes, 0);
-        self.lane_tail = [0; 64];
-        self.round_id = 0;
-        self.config = config;
-        self.metrics = PackedEngineMetrics::default();
     }
 
     /// Publishes this engine's activity (`switch.packed_solves`,

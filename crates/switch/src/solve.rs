@@ -116,20 +116,6 @@ impl Scratch {
         }
     }
 
-    /// Re-fits the buffers to a network's counts, keeping every
-    /// allocation that already suffices. Afterwards the scratch is
-    /// indistinguishable from a fresh [`Scratch::new`] — the recycle
-    /// path for drivers that rebuild simulators over the same network.
-    pub fn fit(&mut self, num_nodes: usize, num_transistors: usize) {
-        self.node_epoch.clear();
-        self.node_epoch.resize(num_nodes, 0);
-        self.node_local.clear();
-        self.node_local.resize(num_nodes, 0);
-        self.t_epoch.clear();
-        self.t_epoch.resize(num_transistors, 0);
-        self.current_epoch = 0;
-    }
-
     /// True iff `n` belongs to the group extracted in the current epoch.
     #[inline]
     pub(crate) fn in_group(&self, n: NodeId) -> bool {
@@ -143,7 +129,8 @@ impl Scratch {
     /// and benchmarking.
     ///
     /// `static_locality` selects the pre-MOSSIM-II partitioning (whole
-    /// DC-connected component) used by the locality ablation bench.
+    /// DC-connected component), the reference the solver proptest
+    /// holds dynamic bounding to.
     ///
     /// # Panics
     ///
@@ -675,18 +662,6 @@ impl PackedScratch {
             cur: 0,
             evicted: 0,
         }
-    }
-
-    /// Re-fits the buffers to a network's counts, keeping every
-    /// allocation that already suffices (see [`Scratch::fit`]).
-    pub fn fit(&mut self, num_nodes: usize, num_transistors: usize) {
-        self.node_epoch.clear();
-        self.node_epoch.resize(num_nodes, 0);
-        self.node_local.clear();
-        self.node_local.resize(num_nodes, 0);
-        self.t_epoch.clear();
-        self.t_epoch.resize(num_transistors, 0);
-        self.current_epoch = 0;
     }
 
     /// True iff `n` belongs to the group extracted in the current epoch.
@@ -1334,7 +1309,7 @@ mod tests {
 
     #[test]
     fn static_locality_same_values_as_dynamic() {
-        // The ablation mode must not change results, only group sizes.
+        // The static reference must not change results, only group sizes.
         let mut net = Network::new();
         let vdd = net.add_input("Vdd", Logic::H);
         let gnd = net.add_input("Gnd", Logic::L);

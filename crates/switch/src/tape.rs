@@ -174,8 +174,7 @@ impl SettleTape {
         (0..self.num_groups()).map(|i| self.group(i))
     }
 
-    /// Approximate heap footprint in bytes (capacity planning for
-    /// batched recording).
+    /// Approximate heap footprint in bytes.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.members.len() * std::mem::size_of::<NodeId>()

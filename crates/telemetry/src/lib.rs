@@ -9,7 +9,7 @@
 //! `switch.*` (settles, vicinity solves, solve-group sizes),
 //! `core.*` (events scheduled, detections, live faults, tape replay),
 //! `par.*` (per-shard seconds, queue wait, merge time) and
-//! `campaign.*` (batches, re-plan time, moved faults). Metric names are
+//! `campaign.*` (run time). Metric names are
 //! dot-hierarchical; the Prometheus exporter mangles them to
 //! `fmossim_switch_settles`-style identifiers.
 //!
@@ -745,7 +745,7 @@ mod tests {
         a.add(2);
         b.inc();
         assert_eq!(a.get(), 3);
-        let g = registry.gauge("campaign.replan.seconds");
+        let g = registry.gauge("campaign.run.seconds");
         g.add(0.25);
         g.add(0.25);
         assert_eq!(g.get(), 0.5);

@@ -13,7 +13,6 @@
 //!                  [--sample K] [--seed S] [--serial]
 //!                  [--stop-at-coverage F] [--pattern-limit N]
 //!                  [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-//!                  [--batch N]
 //!                  [--metrics <path>[.prom|.json]]
 //! ```
 //!
@@ -80,7 +79,6 @@ usage:
                    [--sample K] [--seed S] [--serial]
                    [--stop-at-coverage F] [--pattern-limit N]
                    [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
-                   [--batch N]
                    [--metrics <path>[.prom|.json]]
   fmossim serve    [--addr HOST:PORT] [--workers N] [--cache-mb N]
                    [--default-shards N]
@@ -97,16 +95,11 @@ outputs all built in-process — no netlist or stimulus file needed).
 
 faultsim runs one campaign on the chosen backend: `concurrent` (the
 paper's algorithm, default), `serial` (the per-fault baseline), or
-`parallel` (fault-parallel shards on a worker pool; implied by --jobs
-and --batch). --batch N runs the parallel backend in pattern batches
-of N (0, the default, runs the whole sequence as one batch), dropping
-detected faults and re-planning shards from measured shard times
-between batches. Results are identical for every backend, job count,
-and batch size; the batch size only moves where a --stop-at-coverage
-stop lands.
+`parallel` (fault-parallel shards on a worker pool; implied by
+--jobs). Results are identical for every backend and job count.
 
 --jobs N picks the worker count, `auto` sizes the pool from the
-workload (and, with --batch, re-sizes it between batches). The shard
+workload. The shard
 count follows from the resolved workers. With more than one shard the
 good machine is recorded once and the tape replayed in every shard;
 a single shard settles the good circuit itself (recording would cost
@@ -127,8 +120,8 @@ never-detectable faults) are grouped into classes, one representative
 per class is simulated, and every detection is fanned back out to the
 full class at report time. The reported detections, coverage, and
 fault count are those of the full universe; only the simulated work
-shrinks, and work counters (--metrics, shard and batch telemetry)
-count representatives. --stop-at-coverage is evaluated over the full
+shrinks, and work counters (--metrics, shard telemetry) count
+representatives. --stop-at-coverage is evaluated over the full
 universe, so a run stops where grading every fault would have. The
 --json artifact's `collapse` block records the class statistics.
 
@@ -470,21 +463,14 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             format!("unknown shard strategy `{spec}` (round-robin|contiguous|cost)")
         })?,
     };
-    let batch = opt(args, "--batch")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| "--batch takes a number of patterns (0 = one batch)")
-        })
-        .transpose()?;
-    // --jobs and --batch imply the parallel backend, unless --backend
-    // overrides.
-    let backend_name = opt(args, "--backend").unwrap_or(if jobs.is_some() || batch.is_some() {
+    // --jobs implies the parallel backend, unless --backend overrides.
+    let backend_name = opt(args, "--backend").unwrap_or(if jobs.is_some() {
         "parallel"
     } else {
         "concurrent"
     });
     if backend_name != "parallel" {
-        for flag in ["--jobs", "--shard-strategy", "--batch"] {
+        for flag in ["--jobs", "--shard-strategy"] {
             if opt(args, flag).is_some() {
                 return Err(format!(
                     "{flag} requires the parallel backend, not `{backend_name}`"
@@ -505,7 +491,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         "parallel" => Backend::Parallel(ParallelConfig {
             jobs: jobs.unwrap_or(Jobs::Auto),
             strategy,
-            batch: batch.unwrap_or(0),
             ..ParallelConfig::auto()
         }),
         other => {
@@ -515,9 +500,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         }
     };
     let pool = match backend {
-        Backend::Parallel(c) if c.batch > 0 => {
-            format!(" [jobs {}, {strategy}, batch {}]", c.jobs, c.batch)
-        }
         Backend::Parallel(c) => format!(" [jobs {}, {strategy}]", c.jobs),
         _ => String::new(),
     };
@@ -602,20 +584,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         println!(
             "{} plan: {jobs} worker(s) x {shards} shard(s), {tape}",
             report.backend
-        );
-    }
-    if !report.batches.is_empty() {
-        let moved: usize = report.batches.iter().map(|b| b.moved_faults).sum();
-        let last = report.batches.last().expect("non-empty");
-        println!(
-            "batch plan: {} batch(es), {} fault moves, imbalance {:.2} (first) -> {:.2} (last), \
-             final plan {} worker(s) x {} shard(s)",
-            report.batches.len(),
-            moved,
-            report.batches[0].imbalance,
-            last.imbalance,
-            last.workers,
-            last.shards,
         );
     }
     for d in report.detections() {

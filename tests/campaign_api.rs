@@ -150,11 +150,10 @@ fn observer_streams_consistent_events() {
             SimEvent::PatternStart { .. } => pattern_starts += 1,
             SimEvent::PatternDone { .. } => pattern_dones += 1,
             SimEvent::Span { name, .. } => {
-                assert_eq!(name, "campaign.run", "concurrent backend has no re-plans");
+                assert_eq!(name, "campaign.run", "the only span is the run's");
                 spans += 1;
             }
             SimEvent::ShardDone { .. } => panic!("concurrent backend has no shards"),
-            SimEvent::BatchDone { .. } => panic!("concurrent backend has no batches"),
         })
         .run();
     assert_eq!(detected_events, report.detected());
@@ -228,6 +227,78 @@ fn stop_at_coverage_cuts_the_run_short() {
     );
 }
 
+/// The parallel backend's stop granularity: one check before any
+/// shard runs, then one at each shard completion. With one worker and
+/// one shard per fault the shards run in plan order, so a target of
+/// `k` faults stops the run right after the first shard whose
+/// detections bring the total to `k` — exactly that many `ShardDone`
+/// events — and a zero target simulates nothing.
+#[test]
+fn parallel_stops_at_the_first_shard_reaching_the_target() {
+    let ram = Ram::new(4, 4);
+    let universe = FaultUniverse::stuck_nodes(ram.network());
+    let seq = TestSequence::full(&ram);
+    let n = universe.len();
+    let config = ParallelConfig {
+        jobs: Jobs::Fixed(1),
+        shards: Some(n),
+        ..ParallelConfig::paper(1)
+    };
+    // Cut the sequence so that some shards detect nothing.
+    let run = |target: Option<f64>| {
+        let mut shard_detected = Vec::new();
+        let mut campaign = Campaign::new(ram.network())
+            .faults(universe.clone())
+            .patterns(seq.patterns())
+            .outputs(ram.observed_outputs())
+            .collapse(false)
+            .pattern_limit(6)
+            .backend(Backend::Parallel(config));
+        if let Some(t) = target {
+            campaign = campaign.stop_at_coverage(t);
+        }
+        let report = campaign
+            .on_event(|e| {
+                if let SimEvent::ShardDone {
+                    shard, detected, ..
+                } = e
+                {
+                    assert_eq!(shard, shard_detected.len(), "plan order on one worker");
+                    shard_detected.push(detected);
+                }
+            })
+            .run();
+        (report, shard_detected)
+    };
+    let (full, per_shard) = run(None);
+    assert_eq!(per_shard.len(), n, "one shard per fault");
+    assert!(
+        per_shard.contains(&0) && full.detected() > 4,
+        "some shards detect nothing, enough detect something: {per_shard:?}"
+    );
+
+    let k = 4;
+    // `ceil((k - 0.5) / n * n) == k`, free of float round-up.
+    let (early, seen) = run(Some((k as f64 - 0.5) / n as f64));
+    let mut total = 0;
+    let stop_after = 1 + per_shard
+        .iter()
+        .position(|&d| {
+            total += d;
+            total >= k
+        })
+        .expect("the full run reaches k");
+    assert_eq!(early.stop, StopReason::CoverageReached);
+    assert_eq!(seen.len(), stop_after, "exactly that many ShardDone events");
+    assert_eq!(seen, per_shard[..stop_after]);
+    assert_eq!(early.detected(), k);
+
+    let (none, seen) = run(Some(0.0));
+    assert_eq!(none.stop, StopReason::CoverageReached);
+    assert!(seen.is_empty(), "a zero target runs no shard");
+    assert_eq!(none.detected(), 0);
+}
+
 #[test]
 fn pattern_limit_truncates_the_sequence() {
     let ram = Ram::new(4, 4);
@@ -245,26 +316,43 @@ fn pattern_limit_truncates_the_sequence() {
     assert!(report.detections().iter().all(|d| d.pattern < 7));
 }
 
+/// With dropping off, the concurrent and parallel backends grade every
+/// fault over the whole sequence and agree on the detections.
 #[test]
 fn drop_detected_off_grades_the_whole_sequence() {
     let ram = Ram::new(4, 4);
     let universe = FaultUniverse::stuck_nodes(ram.network());
     let seq = TestSequence::full(&ram);
-    let mut dropped = 0usize;
-    let report = Campaign::new(ram.network())
-        .faults(universe.clone())
-        .patterns(seq.patterns())
-        .outputs(ram.observed_outputs())
-        .drop_detected(false)
-        .on_event(|e| {
-            if matches!(e, SimEvent::FaultDropped { .. }) {
-                dropped += 1;
-            }
-        })
-        .run();
-    assert_eq!(dropped, 0, "no drop events when dropping is off");
-    assert_eq!(report.detected(), universe.len(), "coverage unchanged");
-    assert!(!report.control.drop_detected);
+    let run = |backend: Backend| {
+        let mut dropped = 0usize;
+        let report = Campaign::new(ram.network())
+            .faults(universe.clone())
+            .patterns(seq.patterns())
+            .outputs(ram.observed_outputs())
+            .backend(backend)
+            .drop_detected(false)
+            .on_event(|e| {
+                if matches!(e, SimEvent::FaultDropped { .. }) {
+                    dropped += 1;
+                }
+            })
+            .run();
+        assert_eq!(dropped, 0, "no drop events when dropping is off");
+        assert_eq!(report.detected(), universe.len(), "coverage unchanged");
+        assert!(!report.control.drop_detected);
+        assert!(
+            report
+                .run
+                .patterns
+                .iter()
+                .all(|p| p.live_before == universe.len()),
+            "nothing dropped: every pattern grades the whole universe"
+        );
+        report
+    };
+    let concurrent = run(Backend::Concurrent(ConcurrentConfig::paper()));
+    let parallel = run(Backend::Parallel(ParallelConfig::paper(3)));
+    assert_eq!(parallel.detections(), concurrent.detections());
 }
 
 #[test]

@@ -46,6 +46,23 @@ fn removed_replay_flag_is_an_error() {
     );
 }
 
+/// Parallel runs are one-shot; the batched re-planning flag is gone.
+#[test]
+fn removed_batch_flag_is_an_error() {
+    assert_unknown_flag(
+        &[
+            "faultsim",
+            "--circuit",
+            "ram4x4",
+            "--jobs",
+            "2",
+            "--batch",
+            "8",
+        ],
+        "--batch",
+    );
+}
+
 /// Static collapsing always runs; the switch for it is gone from both
 /// subcommands that had one.
 #[test]

@@ -14,7 +14,7 @@
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
-    ShardStrategy, StopReason,
+    StopReason,
 };
 use fmossim::concurrent::Pattern;
 use fmossim::faults::{CollapseClasses, FaultUniverse};
@@ -99,48 +99,6 @@ fn concurrent_collapsed_run_stops_at_the_same_pattern() {
             "target {target}"
         );
     }
-}
-
-/// Batch-granularity stop (batched parallel run): same batch size on both
-/// sides, so an identical weighted count means an identical stopping
-/// batch — and therefore the same number of simulated patterns.
-#[test]
-fn adaptive_collapsed_run_stops_at_the_same_batch() {
-    let w = build_zoo("ram4x4").expect("zoo member");
-    let universe = FaultUniverse::stuck_nodes(&w.net);
-    let backend = Backend::Parallel(ParallelConfig {
-        jobs: Jobs::Fixed(2),
-        batch: 4,
-        strategy: ShardStrategy::CostEstimated,
-        sim: sim(),
-        ..ParallelConfig::auto()
-    });
-    let plain = run(
-        &w.net,
-        &universe,
-        &w.patterns,
-        &w.outputs,
-        backend,
-        false,
-        0.5,
-    );
-    let collapsed = run(
-        &w.net,
-        &universe,
-        &w.patterns,
-        &w.outputs,
-        backend,
-        true,
-        0.5,
-    );
-    assert_eq!(plain.stop, StopReason::CoverageReached);
-    assert_eq!(collapsed.stop, StopReason::CoverageReached);
-    assert_eq!(
-        collapsed.run.patterns.len(),
-        plain.run.patterns.len(),
-        "collapsed batched run stopped at a different batch"
-    );
-    assert!(collapsed.coverage() >= 0.5);
 }
 
 /// The parallel backend stops at shard granularity; shard shapes

@@ -56,9 +56,8 @@ fn backend_for(label: &str) -> Backend {
             sim,
             ..ParallelConfig::default()
         }),
-        "batched-k2" => Backend::Parallel(ParallelConfig {
+        "cost-k2" => Backend::Parallel(ParallelConfig {
             jobs: Jobs::Fixed(2),
-            batch: 8,
             strategy: ShardStrategy::CostEstimated,
             sim,
             ..ParallelConfig::default()
@@ -67,12 +66,7 @@ fn backend_for(label: &str) -> Backend {
     }
 }
 
-const BACKENDS: [&str; 4] = [
-    "concurrent",
-    "concurrent-scalar",
-    "parallel-k2",
-    "batched-k2",
-];
+const BACKENDS: [&str; 4] = ["concurrent", "concurrent-scalar", "parallel-k2", "cost-k2"];
 
 fn run_campaign(
     net: &Network,

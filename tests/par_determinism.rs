@@ -158,7 +158,6 @@ fn oversharded_pool_detections_invariant() {
         shards: Some(11),
         strategy: ShardStrategy::CostEstimated,
         sim: ConcurrentConfig::paper(),
-        ..ParallelConfig::default()
     };
     let sim = ParallelSim::new(ram.network(), universe, config);
     assert_eq!(sim.plan().num_shards(), 11);

@@ -1,7 +1,6 @@
 //! Golden-report snapshots: one real campaign per backend, archived
 //! as a checked-in JSON fixture under `tests/fixtures/`, locking the
-//! version-3 `CampaignReport` schema (including the `batches`
-//! telemetry of batched parallel runs and the v3 `metrics`
+//! version-3 `CampaignReport` schema (including the v3 `metrics`
 //! block). The previous generation's `report_v2_*.json` fixtures stay
 //! checked in as lenient-parse coverage for archived artifacts.
 //!
@@ -14,15 +13,15 @@
 //!    keys are literally present in the document.
 //! 3. **Reproduction** — a fresh run of the identical workload equals
 //!    the fixture after timing fields are zeroed; everything
-//!    deterministic (detections, counters, plan echo, batch
-//!    telemetry) must match bit for bit.
+//!    deterministic (detections, counters, plan echo) must match bit
+//!    for bit.
 //!
 //! Regenerate with `UPDATE_FIXTURES=1 cargo test --test
 //! report_snapshots` after an *intentional* schema change.
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig, Registry,
-    SerialConfig, ShardStrategy,
+    SerialConfig,
 };
 use fmossim::circuits::Ram;
 use fmossim::faults::FaultUniverse;
@@ -39,13 +38,8 @@ fn scalar() -> ConcurrentConfig {
     }
 }
 
-/// The built-in backends, in fixture order, with the parallel backend
-/// both one-shot and batched. The batched entry
-/// freezes its initial plan (`rebalance: false`) so the fixture is
-/// fully deterministic — measured-cost re-planning would make
-/// `moved_faults` timing-dependent; the schema it exercises is the
-/// same either way.
-fn fixture_backends() -> [(&'static str, Backend); 4] {
+/// The built-in backends, in fixture order.
+fn fixture_backends() -> [(&'static str, Backend); 3] {
     [
         ("serial", Backend::Serial(SerialConfig::paper())),
         ("concurrent", Backend::Concurrent(scalar())),
@@ -55,17 +49,6 @@ fn fixture_backends() -> [(&'static str, Backend); 4] {
                 jobs: Jobs::Fixed(2),
                 sim: scalar(),
                 ..ParallelConfig::default()
-            }),
-        ),
-        (
-            "batched",
-            Backend::Parallel(ParallelConfig {
-                jobs: Jobs::Fixed(2),
-                batch: 8,
-                rebalance: false,
-                strategy: ShardStrategy::CostEstimated,
-                sim: scalar(),
-                ..ParallelConfig::auto()
             }),
         ),
     ]
@@ -97,7 +80,7 @@ fn fixture_path(version: usize, name: &str) -> PathBuf {
 
 /// Zeroes every measured-time field, leaving only deterministic
 /// content. Counters and histograms (groups, settles, detections,
-/// batch shapes, the metrics block) are *not* normalised — they must
+/// the metrics block) are *not* normalised — they must
 /// reproduce exactly. Metrics *gauges* are all zeroed: every exported
 /// gauge is timing-shaped (seconds, imbalance ratios) or tracks the
 /// timing-independent-but-path-dependent live count.
@@ -110,12 +93,6 @@ fn normalize(r: &mut CampaignReport) {
     r.run.total_seconds = 0.0;
     for p in &mut r.run.patterns {
         p.seconds = 0.0;
-    }
-    for b in &mut r.batches {
-        b.max_shard_seconds = 0.0;
-        b.mean_shard_seconds = 0.0;
-        b.imbalance = 0.0;
-        b.tape_record_seconds = 0.0;
     }
     for g in r.metrics.gauges.values_mut() {
         *g = 0.0;
@@ -156,7 +133,10 @@ fn fixtures_lock_the_v3_schema() {
         // 2. Schema shape: the literal keys the v3 format promises.
         assert!(text.contains("\"version\":3"), "{name}: not a v3 document");
         assert!(text.contains("\"format\":\"fmossim-campaign-report\""));
-        assert!(text.contains("\"batches\":"), "{name}: batches key missing");
+        assert!(
+            !text.contains("\"batches\""),
+            "{name}: the batches key is no longer written"
+        );
         assert!(text.contains("\"control\":"));
         assert!(text.contains("\"metrics\":"), "{name}: metrics key missing");
         assert_eq!(parsed.backend, backend.name());
@@ -181,18 +161,6 @@ fn fixtures_lock_the_v3_schema() {
                 assert!(parsed.tape_record_seconds.is_some(), "tape echoed");
                 assert_eq!(parsed.metrics.counters["par.shards"], 2);
             }
-            "batched" => {
-                assert!(
-                    !parsed.batches.is_empty(),
-                    "batched fixture locks the batches telemetry"
-                );
-                assert!(text.contains("\"moved_faults\":"));
-                assert!(text.contains("\"imbalance\":"));
-                assert_eq!(
-                    parsed.metrics.counters["campaign.batches"],
-                    parsed.batches.len() as u64
-                );
-            }
             _ => {}
         }
 
@@ -214,7 +182,7 @@ fn fixtures_lock_the_v3_schema() {
 /// The collapsed-campaign fixture: the same v3 schema with the two
 /// collapse keys present (`control.collapse` and the top-level
 /// `collapse` statistics block), as every default campaign writes
-/// them. Kept separate from the four plain fixtures, which must stay
+/// them. Kept separate from the three plain fixtures, which must stay
 /// byte-identical — an uncollapsed report never emits either key.
 #[test]
 fn collapsed_fixture_locks_the_schema() {
@@ -294,10 +262,7 @@ fn v2_fixtures_still_parse() {
     let ram = Ram::new(4, 4);
     let seq = TestSequence::full(&ram);
     for (name, backend) in fixture_backends() {
-        // The batched run was archived under the name of the backend
-        // that ran it then, `adaptive`.
-        let archive_name = if name == "batched" { "adaptive" } else { name };
-        let path = fixture_path(2, archive_name);
+        let path = fixture_path(2, name);
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing archived v2 fixture {}: {e}", path.display()));
         let archived = CampaignReport::from_json(text.trim_end())
@@ -326,8 +291,7 @@ fn v2_fixtures_still_parse() {
         // `None`, while a fresh instrumented backend echoes its knob.
         assert_eq!(archived.control.packing, None);
         fresh.control.packing = None;
-        assert_eq!(archived.backend, archive_name);
-        fresh.backend.clone_from(&archived.backend);
+        assert_eq!(archived.backend, name);
         assert_eq!(
             fresh, archived,
             "{name}: fresh run diverged from the archived v2 report"
@@ -350,18 +314,14 @@ fn real_runs_roundtrip_value_exactly() {
     }
 }
 
-/// Version-1 documents (no tape keys, no batches) still parse — the
-/// v3 reader keeps the lenient v1 path alive for archived artifacts.
+/// Version-1 documents still parse — the v3 reader keeps the lenient
+/// v1 path alive for archived artifacts.
 #[test]
 fn v1_documents_still_parse() {
     let report = run_fixture_campaign(Backend::Concurrent(ConcurrentConfig::paper()));
-    let v1 = report
-        .to_json()
-        .replace("\"version\":3", "\"version\":1")
-        .replace(",\"batches\":[]", "");
+    let v1 = report.to_json().replace("\"version\":3", "\"version\":1");
     let back = CampaignReport::from_json(&v1).expect("v1 document parses");
     assert_eq!(back.run.detections, report.run.detections);
-    assert!(back.batches.is_empty());
     assert_eq!(
         back.metrics, report.metrics,
         "the metrics block parses even in an old-version document"

@@ -81,7 +81,6 @@ fn offline_reference(circuit: &str, shards: usize) -> CampaignReport {
             jobs: Jobs::Fixed(2),
             shards: Some(shards),
             strategy: ShardStrategy::RoundRobin,
-            ..ParallelConfig::default()
         }))
         .run()
 }

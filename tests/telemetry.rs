@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, MetricsSnapshot,
-    ParallelConfig, Registry, SerialConfig, ShardStrategy, SimEvent,
+    ParallelConfig, Registry, SerialConfig, SimEvent,
 };
 use fmossim::faults::{CollapseClasses, FaultUniverse};
 use fmossim::netlist::NodeId;
@@ -134,10 +134,10 @@ fn concurrent_events_are_pattern_bracketed() {
                 assert!(open.is_some(), "drops happen inside a pattern bracket");
             }
             SimEvent::Span { name, .. } => {
-                assert_eq!(name, "campaign.run", "concurrent backend has no re-plans");
+                assert_eq!(name, "campaign.run", "the only span is the run's");
             }
-            SimEvent::ShardDone { .. } | SimEvent::BatchDone { .. } => {
-                panic!("concurrent backend emits no shard/batch events")
+            SimEvent::ShardDone { .. } => {
+                panic!("concurrent backend emits no shard events")
             }
         }
     }
@@ -158,7 +158,7 @@ fn serial_events_are_fault_major() {
         }),
     );
     assert_common_grammar(&report, &events);
-    // Fault-major: per-pattern and shard/batch events would be
+    // Fault-major: per-pattern and shard events would be
     // meaningless, so the vocabulary is Detected/FaultDropped + span.
     for e in &events {
         assert!(
@@ -202,69 +202,6 @@ fn parallel_events_cover_every_shard() {
     // Shards grade collapse-class representatives.
     let w = build_zoo("regfile4x4").expect("zoo member");
     assert_eq!(shard_detected, representative_detections(&w, &report));
-}
-
-#[test]
-fn adaptive_events_close_batches_in_order() {
-    let (report, events) = run_with_events(
-        "regfile4x4",
-        Backend::Parallel(ParallelConfig {
-            batch: 4,
-            jobs: Jobs::Fixed(2),
-            strategy: ShardStrategy::CostEstimated,
-            sim: concurrent_config(),
-            ..ParallelConfig::default()
-        }),
-    );
-    assert_common_grammar(&report, &events);
-    // Batches close in order; every detection since the previous
-    // BatchDone falls inside the closing batch's pattern range, so
-    // Detected < BatchDone holds batch by batch.
-    let mut next_batch = 0usize;
-    let mut last_detected_so_far = 0usize;
-    let mut pending_detections: Vec<usize> = Vec::new();
-    for e in &events {
-        match *e {
-            SimEvent::Detected { pattern, .. } => pending_detections.push(pattern),
-            SimEvent::BatchDone {
-                batch,
-                first_pattern,
-                patterns,
-                detected_so_far,
-                ..
-            } => {
-                assert_eq!(batch, next_batch, "batches close in order");
-                next_batch += 1;
-                assert!(
-                    detected_so_far >= last_detected_so_far,
-                    "detected_so_far is monotone"
-                );
-                last_detected_so_far = detected_so_far;
-                for &p in &pending_detections {
-                    assert!(
-                        (first_pattern..first_pattern + patterns).contains(&p),
-                        "detection at pattern {p} precedes its batch \
-                         [{first_pattern}, {})",
-                        first_pattern + patterns
-                    );
-                }
-                pending_detections.clear();
-            }
-            SimEvent::Span { name, .. } => {
-                assert!(
-                    name == "campaign.run" || name == "campaign.replan",
-                    "unexpected span {name:?}"
-                );
-            }
-            _ => {}
-        }
-    }
-    assert!(
-        pending_detections.is_empty(),
-        "no detection outside a batch"
-    );
-    assert_eq!(next_batch, report.batches.len(), "every batch streamed");
-    assert_eq!(last_detected_so_far, report.detected());
 }
 
 /// The counters that count *simulation decisions* — how many circuit

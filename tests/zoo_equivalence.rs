@@ -1,16 +1,14 @@
 //! Differential conformance over the benchmark circuit zoo: **every**
 //! zoo workload (including the seeded random netlists) graded by
-//! **every** backend — the parallel one both one-shot and batched — at
-//! worker counts K ∈ {1, 2, 4} must produce
+//! **every** backend — the parallel one under both the default and the
+//! cost-estimated shard plan — at worker counts K ∈ {1, 2, 4} must produce
 //! bit-identical canonical detection sets under
 //! `DetectionPolicy::DefiniteOnly` — the policy under which detection
 //! is provably schedule-independent (definite 0-vs-1 divergences are
 //! forced by the logic; see `tests/campaign_api.rs` for the X-timing
 //! caveat this sidesteps).
 //!
-//! This mirrors `tests/adaptive_equivalence.rs`, widened from one RAM
-//! to the whole zoo: the conformance bed every circuit added later
-//! must pass. It is also the collapse oracle: the reference row
+//! This is the conformance bed every circuit added later must pass. It is also the collapse oracle: the reference row
 //! (`serial`) grades the whole universe with `collapse(false)`, and
 //! every other row runs the default collapsed path, so each backend's
 //! fanned-out result is checked against an uncollapsed `SerialSim`.
@@ -37,7 +35,7 @@ fn fingerprint(r: &CampaignReport) -> Vec<String> {
         .collect()
 }
 
-/// serial + concurrent + {parallel, batched} × K ∈ {1, 2, 4}, every
+/// serial + concurrent + {parallel, cost} × K ∈ {1, 2, 4}, every
 /// concurrent-family row on the default packed lanes, plus the scalar
 /// path (`packing: false`) on the concurrent and parallel-k2 rows —
 /// fingerprint conformance is exactly the invariant the packed lanes
@@ -73,10 +71,9 @@ fn all_backends() -> Vec<(String, Backend)> {
             }),
         ));
         backends.push((
-            format!("batched-k{k}"),
+            format!("cost-k{k}"),
             Backend::Parallel(ParallelConfig {
                 jobs: Jobs::Fixed(k),
-                batch: 8,
                 strategy: ShardStrategy::CostEstimated,
                 sim,
                 ..ParallelConfig::default()
