@@ -5,7 +5,7 @@
 //! every count. Vicinity solves do not depend on the host or on packing,
 //! so a change to these numbers is a change to the algorithm's work and
 //! belongs in the diff that causes it. The RAM1024 rung (1,508,000 good
-//! and 4,265,894 faulty groups, 4,871 of 4,871 detected) takes tens of
+//! and 4,003,395 faulty groups, 4,871 of 4,871 detected) takes tens of
 //! seconds unoptimized and is only printed by the binary.
 
 use fmossim_bench::figures::{measure, Counts, LADDER};
@@ -36,18 +36,18 @@ fn figure_1_ram64_sequence_1() {
             faults: 428,
             patterns: 407,
             good_groups: 36_612,
-            faulty_groups: 85_422,
+            faulty_groups: 79_177,
             serial_est_groups: 5_131_925,
             head_patterns: 87,
-            head_groups: 86_172,
+            head_groups: 79_898,
             head_detected: 259,
             detected: 428,
         }
     );
     let r = c.ratios();
-    assert_eq!(format!("{:.2}", r.concurrent_over_good), "3.33");
-    assert_eq!(format!("{:.1}", r.serial_over_concurrent), "42.1");
-    assert_eq!(format!("{:.3}", r.head_share), "0.706");
+    assert_eq!(format!("{:.2}", r.concurrent_over_good), "3.16");
+    assert_eq!(format!("{:.1}", r.serial_over_concurrent), "44.3");
+    assert_eq!(format!("{:.3}", r.head_share), "0.690");
     assert_eq!(format!("{:.2}", r.tail_over_good), "1.25");
 }
 
@@ -59,10 +59,10 @@ fn figure_2_ram64_sequence_2() {
             faults: 428,
             patterns: 327,
             good_groups: 29_574,
-            faulty_groups: 143_732,
+            faulty_groups: 140_347,
             serial_est_groups: 5_162_196,
             head_patterns: 7,
-            head_groups: 19_145,
+            head_groups: 16_346,
             head_detected: 73,
             detected: 428,
         }
@@ -70,8 +70,9 @@ fn figure_2_ram64_sequence_2() {
 }
 
 /// The only rung with stuck transistors, so the only one the
-/// member-only attachment and the stuck-transistor dormancy test move
-/// (the gate-only stuck-node test moves every rung): under the paper's
+/// member-only attachment and the stuck-transistor dormancy tests move
+/// (the stuck-node tests and their trigger-time solves move every
+/// rung): under the paper's
 /// rule (trigger on any fault site in the support) it solved 277,379
 /// faulty groups, 162,900 of them in the head, with the same
 /// detections.
@@ -83,10 +84,10 @@ fn ram64_sequence_1_with_transistor_faults() {
             faults: 428,
             patterns: 407,
             good_groups: 36_612,
-            faulty_groups: 86_630,
+            faulty_groups: 85_642,
             serial_est_groups: 5_559_549,
             head_patterns: 87,
-            head_groups: 77_354,
+            head_groups: 74_087,
             head_detected: 261,
             detected: 381,
         }
@@ -101,10 +102,10 @@ fn figure_3_ram256_full_universe() {
             faults: 1_439,
             patterns: 1_447,
             good_groups: 220_198,
-            faulty_groups: 609_427,
+            faulty_groups: 567_950,
             serial_est_groups: 135_995_052,
             head_patterns: 167,
-            head_groups: 557_227,
+            head_groups: 515_609,
             head_detected: 541,
             detected: 1_439,
         }

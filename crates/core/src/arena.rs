@@ -139,12 +139,17 @@ impl EventQueue {
 /// circuit once per event, so triggering is linear in the scan with no
 /// sort. Circuits come out in discovery order; nothing downstream
 /// depends on it (the event queue is sorted at drain, and old-value
-/// preservation writes each circuit's own records).
+/// preservation writes each circuit's own records). A second stamp
+/// remembers the circuits whose trigger-time solve cleared them at
+/// this event, so a circuit hit at several fault sites of one event is
+/// solved once.
 #[derive(Clone, Debug)]
 pub(crate) struct TriggerSet {
     circuits: Vec<u32>,
     /// Per circuit id: the epoch of the event that last admitted it.
     mark: Vec<u32>,
+    /// Per circuit id: the epoch of the event that last cleared it.
+    cleared: Vec<u32>,
     epoch: u32,
 }
 
@@ -154,6 +159,7 @@ impl TriggerSet {
         TriggerSet {
             circuits: Vec::new(),
             mark: vec![0; n_circuits],
+            cleared: vec![0; n_circuits],
             epoch: 0,
         }
     }
@@ -166,8 +172,22 @@ impl TriggerSet {
         if self.epoch == 0 {
             // Wraparound: clear the stamps and restart at 1.
             self.mark.fill(0);
+            self.cleared.fill(0);
             self.epoch = 1;
         }
+    }
+
+    /// Notes that this event's trigger-time solve cleared circuit `c`.
+    #[inline]
+    pub(crate) fn clear_hit(&mut self, c: u32) {
+        self.cleared[c as usize] = self.epoch;
+    }
+
+    /// True iff this event has admitted circuit `c` or cleared it: no
+    /// further fault-site hit of `c` needs a decision.
+    #[inline]
+    pub(crate) fn decided(&self, c: u32) -> bool {
+        self.mark[c as usize] == self.epoch || self.cleared[c as usize] == self.epoch
     }
 
     /// Adds circuit `c` unless this event already has it.
@@ -191,9 +211,7 @@ impl TriggerSet {
 /// Phase-scoped per-circuit marks, epoch-stamped like [`TriggerSet`]
 /// so starting a phase is O(1). A circuit is noted the first time the
 /// phase triggers it, with whether it had no divergence record then:
-/// the note is what keeps a circuit with pending seeds from being
-/// skipped later in the phase (trigger-time dormancy), and its flag is
-/// the "before" half of `core.settles.redundant`.
+/// the flag is the "before" half of `core.settles.redundant`.
 #[derive(Clone, Debug)]
 pub(crate) struct PhaseMarks {
     epoch: u32,
@@ -228,12 +246,6 @@ impl PhaseMarks {
         if slot.0 != self.epoch {
             *slot = (self.epoch, clean);
         }
-    }
-
-    /// True iff this phase has noted (triggered) circuit `c`.
-    #[inline]
-    pub(crate) fn noted(&self, c: u32) -> bool {
-        self.start[c as usize].0 == self.epoch
     }
 
     /// Whether circuit `c` began the phase record-free: its noted
@@ -321,26 +333,41 @@ mod tests {
     }
 
     #[test]
+    fn trigger_set_remembers_cleared_circuits_for_one_event() {
+        let mut set = TriggerSet::new(4);
+        set.begin();
+        set.insert(1);
+        set.clear_hit(2);
+        assert!(set.decided(1) && set.decided(2) && !set.decided(3));
+        assert_eq!(set.circuits(), &[1], "a cleared circuit is not admitted");
+        set.begin();
+        assert!(!set.decided(1) && !set.decided(2), "both stamps expire");
+        // Epoch wraparound clears both stamps instead of aliasing.
+        set.epoch = u32::MAX;
+        set.cleared[3] = 1;
+        set.begin();
+        assert!(!set.decided(3));
+    }
+
+    #[test]
     fn phase_marks_expire_with_the_phase() {
         let mut marks = PhaseMarks::new(3);
         marks.begin();
-        assert!(!marks.noted(1));
         marks.note_start(1, true);
         marks.note_start(1, false); // the first note of a phase wins
-        assert!(marks.noted(1) && !marks.noted(2));
         assert!(
             marks.started_clean(1, false),
             "noted flag, not the current one"
         );
         assert!(!marks.started_clean(2, false), "unnoted: the current flag");
+        assert!(marks.started_clean(2, true), "unnoted: the current flag");
         marks.begin();
-        assert!(!marks.noted(1), "notes expire");
         assert!(!marks.started_clean(1, false), "noted flags expire");
         // Epoch wraparound clears the notes instead of aliasing.
         marks.epoch = u32::MAX;
         marks.start[2] = (1, true);
         marks.begin();
-        assert!(!marks.noted(2));
+        assert!(!marks.started_clean(2, false));
     }
 
     #[test]

@@ -40,29 +40,38 @@
 //! anywhere in a vicinity's support. This simulator attaches a stuck
 //! transistor only at the vicinity's *members* (its storage channel
 //! ends; a transistor whose end merely gates an incident transistor
-//! touches no member, so the vicinity is the good circuit's), a stuck
-//! node anywhere in the support, and tests one predicate when a fault
-//! site is hit: the hit is skipped iff
+//! touches no member, so the vicinity is the good circuit's) and a
+//! stuck node anywhere in the support, and decides each hit when it
+//! happens:
 //!
-//! * the circuit has no divergence record,
-//! * the phase has not triggered it yet, and
-//! * the site agrees with the good circuit at that group: every stuck
-//!   transistor of the circuit is forced to the conduction the good
-//!   circuit gives it, or the stuck node, found outside the members (a
-//!   gate or boundary input), is forced to the good value. A stuck node
-//!   that is a member always triggers.
+//! * A stuck node that is a member triggers its circuit, unless it is
+//!   the vicinity's only member: that trigger would do nothing, since
+//!   preservation exempts forced nodes and the engine skips a seed
+//!   that is an input of the faulty view.
+//! * Any other hit is skipped iff the circuit has no divergence record
+//!   and either its site agrees with the good circuit at that group
+//!   (every stuck transistor forced to the conduction the good circuit
+//!   gives it, or the stuck node forced to the good value), or the
+//!   *trigger-time solve* re-derives the good group: one solve from the
+//!   first member, in the circuit's own view of the good state, returns
+//!   exactly the group's members, each at the value the good circuit
+//!   gives it after the group. The solve is skipped in a phase whose
+//!   recorded settle was damped.
 //!
 //! The phase body triggers from each recorded group before applying its
-//! changes, in the engine's solve order, so the test reads the good
-//! state the group was solved from. A record-free circuit whose site
-//! agrees has the good circuit's network and values there and would
-//! re-derive the good result; when the site stops agreeing, the good
-//! circuit solves the site's neighbours again and the circuit is
-//! triggered there. The second clause keeps old-value preservation
-//! complete for a circuit that already has pending seeds. The live
-//! path records its good settle into a [`SettleTape`], rewinds the good
-//! state to the phase start and runs the same phase body as tape
-//! replay, so there is one trigger path.
+//! changes, in the engine's solve order, so both tests read the good
+//! state the group was solved from. A record-free circuit that passes
+//! either one would re-derive the good result, which puts it in the
+//! same position as a circuit whose fault lies outside the support,
+//! whatever seeds it already has pending; when the site's effect
+//! changes, the good circuit solves the site's neighbours again and the
+//! circuit is decided there afresh. The solve's member test matters: a
+//! fault that splits or merges the vicinity has its circuit's own
+//! schedule solve the pieces at other points of the round, where a
+//! floating node can race. The live path records its good settle into
+//! a [`SettleTape`], rewinds the good state to the phase start and
+//! runs the same phase body as tape replay, so there is one trigger
+//! path.
 //!
 //! A skipped circuit keeps the good circuit's values there, as
 //! [`SerialSim`](crate::SerialSim) would give it. The paper's rule
@@ -70,13 +79,15 @@
 //! race could leave a record the serial oracle does not see; so the
 //! records a run leaves can differ from the paper rule's, while the
 //! detections of every pinned workload are unchanged. The work
-//! counters fall: `core.settles.redundant` counts the settles still
-//! spent on circuits that begin and end the phase without a record, and
+//! counters fall: each trigger-time solve counts as a faulty group and
+//! in `core.trigger.solves` (`core.trigger.cleared` counts the hits it
+//! cleared), `core.settles.redundant` counts the settles still spent on
+//! circuits that begin and end the phase without a record, and
 //! `core.settles.redundant.stuck_node` those of them whose circuit has
 //! a stuck node.
 
 use crate::arena::{CircuitId, Csr, EventQueue, PhaseMarks, TriggerSet};
-use crate::overlay::{FaultyView, Overrides};
+use crate::overlay::{FaultyView, Overrides, RecordFreeView};
 use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
 use crate::records::StateLists;
@@ -113,6 +124,14 @@ struct CoreMetrics {
     /// `core.settles.redundant.stuck_node` — the redundant settles
     /// whose circuit has a stuck node.
     settles_redundant_stuck_node: Counter,
+    /// `core.trigger.solves` — vicinities solved at trigger time for a
+    /// record-free circuit whose fault site disagrees with the good
+    /// circuit (each also counts in `core.faulty.groups`).
+    trigger_solves: Counter,
+    /// `core.trigger.cleared` — the fault-site hits those solves
+    /// cleared: the circuit re-derived the good result and was not
+    /// triggered.
+    trigger_cleared: Counter,
     /// `core.good.groups` — vicinities solved in the live good machine
     /// (zero under tape replay; see `core.tape.replayed_groups`).
     good_groups: Counter,
@@ -141,6 +160,8 @@ struct CoreMetrics {
     local_faulty_groups: u64,
     local_settles_redundant: u64,
     local_settles_redundant_stuck_node: u64,
+    local_trigger_solves: u64,
+    local_trigger_cleared: u64,
     local_good_groups: u64,
     local_replayed_groups: u64,
     local_scalar_fallbacks: u64,
@@ -182,6 +203,8 @@ impl CoreMetrics {
             faulty_groups: registry.counter("core.faulty.groups"),
             settles_redundant: registry.counter("core.settles.redundant"),
             settles_redundant_stuck_node: registry.counter("core.settles.redundant.stuck_node"),
+            trigger_solves: registry.counter("core.trigger.solves"),
+            trigger_cleared: registry.counter("core.trigger.cleared"),
             good_groups: registry.counter("core.good.groups"),
             replayed_groups: registry.counter("core.tape.replayed_groups"),
             detections: registry.counter("core.detections"),
@@ -223,6 +246,8 @@ impl CoreMetrics {
         self.settles_redundant.add(self.local_settles_redundant);
         self.settles_redundant_stuck_node
             .add(self.local_settles_redundant_stuck_node);
+        self.trigger_solves.add(self.local_trigger_solves);
+        self.trigger_cleared.add(self.local_trigger_cleared);
         self.good_groups.add(self.local_good_groups);
         self.replayed_groups.add(self.local_replayed_groups);
         self.scalar_fallbacks.add(self.local_scalar_fallbacks);
@@ -234,6 +259,8 @@ impl CoreMetrics {
         self.local_faulty_groups = 0;
         self.local_settles_redundant = 0;
         self.local_settles_redundant_stuck_node = 0;
+        self.local_trigger_solves = 0;
+        self.local_trigger_cleared = 0;
         self.local_good_groups = 0;
         self.local_replayed_groups = 0;
         self.local_scalar_fallbacks = 0;
@@ -241,18 +268,50 @@ impl CoreMetrics {
 }
 
 /// Trigger-time dormancy: true iff a hit of circuit `c` at a fault site
-/// may be skipped — the circuit has no divergence record, this phase
-/// has not triggered it yet, and the site agrees with the good circuit
-/// (`site_agrees`, asked last). Such a circuit holds the good circuit's
-/// values at every node it does not force, and has no pending seeds
-/// whose settle needs the pre-change values preserved.
-fn is_dormant(
-    records: &StateLists,
-    marks: &PhaseMarks,
-    c: u32,
-    site_agrees: impl FnOnce() -> bool,
+/// may be skipped — the circuit has no divergence record, and it would
+/// re-derive the good result there (`re_derives`, asked last: its site
+/// agrees with the good circuit, or its own solve of the vicinity
+/// re-derives the good group). Such a circuit holds the good circuit's
+/// values at every node it does not force.
+fn is_dormant(records: &StateLists, c: u32, re_derives: impl FnOnce() -> bool) -> bool {
+    records.live_count(c) == 0 && re_derives()
+}
+
+/// The trigger-time solve: true iff a record-free circuit with
+/// overrides `ov`, solving group `g` in its own view of `good` (the
+/// state the group was solved from), re-derives the good result. One
+/// solve from the first member must return exactly the group's members
+/// (the fault neither splits nor merges the vicinity), each at the
+/// value the good circuit gives it after the group: its `changed`
+/// entry, else its current value. The circuit must not force the
+/// first member.
+fn re_derives_group(
+    engine: &mut Engine,
+    net: &Network,
+    good: &[Logic],
+    ov: &Overrides,
+    g: TapeGroup<'_>,
 ) -> bool {
-    records.live_count(c) == 0 && !marks.noted(c) && site_agrees()
+    let view = RecordFreeView::new(net, good, ov);
+    let solved = engine.solve_vicinity(&view, g.members[0]);
+    if solved.members().len() != g.members.len() {
+        return false;
+    }
+    // With the sizes equal, every good member being solved makes the
+    // two sets equal. The changed members must come out at their new
+    // values (each differs from its current one), and no other member
+    // may move.
+    let mut moved = 0;
+    for &m in g.members {
+        match solved.value_of(m) {
+            Some(v) => moved += usize::from(v != good[m.index()]),
+            None => return false,
+        }
+    }
+    moved == g.changed.len()
+        && g.changed
+            .iter()
+            .all(|&(n, _, new)| solved.value_of(n) == Some(new))
 }
 
 /// True iff every stuck transistor of a circuit (`ov`) is forced to the
@@ -342,15 +401,14 @@ pub struct ConcurrentSim<'n> {
     /// Per circuit id (0 unused): structural overrides.
     overrides: Vec<Overrides>,
     /// Per node (CSR row): circuits whose stuck node is this node,
-    /// triggered wherever it lies in a support (outside the members,
-    /// not while dormant at the good value); ascending and unique
-    /// within each row.
+    /// triggered wherever it lies in a support (at a member, unless it
+    /// is the only one; outside the members, not while dormant);
+    /// ascending and unique within each row.
     attach_nodes: Csr<u32>,
     /// Per node (CSR row): circuits with a stuck transistor whose
     /// storage channel end is this node, triggered only where it is a
-    /// vicinity member, and not while dormant with every stuck
-    /// transistor at the good conduction; ascending and unique within
-    /// each row.
+    /// vicinity member, and not while dormant; ascending and unique
+    /// within each row.
     attach_transistors: Csr<u32>,
     /// Per node (CSR row): circuits forcing this node, with the forced
     /// value (needed for strobe comparison — forced nodes carry no
@@ -714,8 +772,11 @@ impl<'n> ConcurrentSim<'n> {
         // 2. The good settle, in the engine's solve order: per group,
         // trigger from its support while the good state is the one the
         // group was solved from, then apply its changes.
+        // A damped settle's changes are not its solves' values, so no
+        // trigger-time solve can match them.
+        let solvable = !settle.damped();
         for g in settle.groups() {
-            self.trigger_group(g);
+            self.trigger_group(g, solvable, stats);
             for &(node, _old, new) in g.changed {
                 self.good.force(node, new);
             }
@@ -736,18 +797,21 @@ impl<'n> ConcurrentSim<'n> {
 
     /// Triggers the faulty circuits one good group can affect and queues
     /// their private events: circuits with a divergence record anywhere
-    /// in the group's support or a stuck node at a member, and circuits
-    /// with a stuck transistor at a member or a stuck node in the rest
-    /// of the support unless the hit is dormant ([`is_dormant`]: the
-    /// stuck transistors at the good conduction, the stuck node at the
-    /// good value). Must run before the group's changes are applied to
-    /// the good state. The triggered circuits' records receive the
-    /// pre-change values of every changed node (old-value
-    /// preservation), and the group's members become their pending
-    /// private-event seeds.
-    fn trigger_group(&mut self, g: TapeGroup<'_>) {
+    /// in the group's support or a stuck node at a member (unless that
+    /// node is the whole vicinity), and circuits with a stuck transistor
+    /// at a member or a stuck node in the rest of the support unless the
+    /// hit is dormant ([`is_dormant`]: the stuck transistors at the good
+    /// conduction, the stuck node at the good value, or, when `solvable`,
+    /// a trigger-time solve that re-derives the good result). Must run
+    /// before the group's changes are applied to the good state. The
+    /// triggered circuits' records receive the pre-change values of every
+    /// changed node (old-value preservation), and the group's members
+    /// become their pending private-event seeds.
+    fn trigger_group(&mut self, g: TapeGroup<'_>, solvable: bool, stats: &mut PatternStats) {
+        let net = self.net;
         let ConcurrentSim {
             good,
+            engine,
             records,
             overrides,
             attach_nodes,
@@ -756,6 +820,7 @@ impl<'n> ConcurrentSim<'n> {
             queue,
             dropped,
             triggered,
+            metrics,
             ..
         } = self;
         triggered.begin();
@@ -766,27 +831,62 @@ impl<'n> ConcurrentSim<'n> {
                 }
             });
         }
-        for &m in g.members {
-            for &c in attach_nodes.row(m.index()) {
-                if !dropped[c as usize] {
-                    triggered.insert(c);
+        // A stuck node that is the whole vicinity is an input of its
+        // circuit: preservation exempts it and its seed is skipped, so
+        // the trigger would do nothing, at a member or, gating one of
+        // the vicinity's own transistors, in the rest of the support.
+        let lone = match g.members {
+            [m] => Some(*m),
+            _ => None,
+        };
+        if lone.is_none() {
+            for &m in g.members {
+                for &c in attach_nodes.row(m.index()) {
+                    if !dropped[c as usize] {
+                        triggered.insert(c);
+                    }
                 }
             }
+        }
+        // Each trigger-time solve is a vicinity solved for a faulty
+        // circuit, so it counts as a faulty group. A circuit forcing the
+        // first member has an input there: its partition differs, and
+        // there is nothing to solve.
+        let mut solve_clears = |c: u32, triggered: &mut TriggerSet| {
+            let ov = &overrides[c as usize];
+            if !solvable || ov.forced_value(g.members[0]).is_some() {
+                return false;
+            }
+            stats.faulty_groups += 1;
+            metrics.local_faulty_groups += 1;
+            metrics.local_trigger_solves += 1;
+            let cleared = re_derives_group(engine, net, good.states(), ov, g);
+            if cleared {
+                metrics.local_trigger_cleared += 1;
+                triggered.clear_hit(c);
+            }
+            cleared
+        };
+        for &m in g.members {
             for &c in attach_transistors.row(m.index()) {
                 if !dropped[c as usize]
-                    && !is_dormant(records, marks, c, || {
+                    && !triggered.decided(c)
+                    && !is_dormant(records, c, || {
                         transistors_agree(good, &overrides[c as usize])
+                            || solve_clears(c, triggered)
                     })
                 {
                     triggered.insert(c);
                 }
             }
         }
-        for &s in g.support_rest {
+        for &s in g.support_rest.iter().filter(|&&s| Some(s) != lone) {
             for &c in attach_nodes.row(s.index()) {
                 if !dropped[c as usize]
-                    && !is_dormant(records, marks, c, || {
+                    && !triggered.decided(c)
+                    && !is_dormant(records, c, || {
                         overrides[c as usize].forced_value(s) == Some(good.node_state(s))
+                            || solve_clears(c, triggered)
                     })
                 {
                     triggered.insert(c);
@@ -1202,9 +1302,8 @@ impl<'n> ConcurrentSim<'n> {
     /// no activity there — those diverging at its gate, those with a
     /// stuck node at the gate or either channel end, and those with a
     /// stuck transistor at the far end unless they are dormant with
-    /// every stuck transistor at the good conduction. The triggered
-    /// circuits are noted, so that the phase's groups do not skip a
-    /// circuit with a pending seed.
+    /// every stuck transistor at the good conduction. No vicinity is
+    /// solved here, so there is no trigger-time solve.
     fn trigger_input_change(&mut self, n: NodeId) {
         let net = self.net;
         let ConcurrentSim {
@@ -1242,7 +1341,7 @@ impl<'n> ConcurrentSim<'n> {
             // has none.
             for &c in attach_transistors.row(other.index()) {
                 if !dropped[c as usize]
-                    && !is_dormant(records, marks, c, || {
+                    && !is_dormant(records, c, || {
                         transistors_agree(good, &overrides[c as usize])
                     })
                 {
@@ -1882,12 +1981,14 @@ mod tests {
         let (work, detections) =
             settles_checked_against_serial(&net, &faults, &patterns, &[y, z, q]);
         // Triggered first by the late solve of `Y`, which changes `Y`
-        // back to low, then through its record at `Y` by `Z` and `Q`:
-        // the circuit keeps `Y` high, `Z` low and `Q` high, so its settle
-        // solves the three without a change. A trigger at the first
-        // solve of `Y` would have preserved `Y`'s low value, and the
-        // settle would have re-derived the glitch.
-        assert_eq!(work[1], [1, 3], "{work:?}");
+        // back to low: the trigger-time solve (one faulty group) shows
+        // the circuit keeping `Y` high. It is then triggered through its
+        // record at `Y` by `Z` and `Q`: the circuit keeps `Y` high, `Z`
+        // low and `Q` high, so its settle solves the three without a
+        // change. A trigger at the first solve of `Y` would have
+        // preserved `Y`'s low value, and the settle would have
+        // re-derived the glitch.
+        assert_eq!(work[1], [1, 4], "{work:?}");
         let at: Vec<(FaultId, usize)> = detections.iter().map(|d| (d.fault, d.pattern)).collect();
         assert_eq!(at, vec![(FaultId(0), 1)]);
     }
@@ -1943,6 +2044,154 @@ mod tests {
         let (work, detections) = settles_checked_against_serial(&net, &closed, &patterns, &[s]);
         assert_eq!(settles(&work)[2], 1, "{work:?}");
         assert!(detections.is_empty());
+    }
+
+    #[test]
+    fn stuck_open_pull_up_beside_a_conducting_one_costs_no_settle() {
+        // `OUT` is pulled up by two `p` transistors in parallel, both
+        // gated by `A`, and pulled down by an `n` one.
+        let mut net = Network::new();
+        let vdd = net.add_input("Vdd", Logic::H);
+        let gnd = net.add_input("Gnd", Logic::L);
+        let a = net.add_input("A", Logic::H);
+        let out = net.add_storage("OUT", Size::S1);
+        let p1 = net.add_transistor(TransistorType::P, Drive::D2, a, vdd, out);
+        net.add_transistor(TransistorType::P, Drive::D2, a, vdd, out);
+        net.add_transistor(TransistorType::N, Drive::D2, a, out, gnd);
+        let patterns: Vec<Pattern> = [Logic::H, Logic::L, Logic::H, Logic::L]
+            .into_iter()
+            .map(|v| Pattern::new(vec![Phase::strobe(vec![(a, v)])]))
+            .collect();
+        // When `A` falls, the good circuit solves `OUT` with `P1`
+        // closed, so `P1` stuck open disagrees with it; the circuit's
+        // own solve pulls `OUT` high through the other pull-up, as the
+        // good circuit does, and clears the hit. When `A` rises, `P1`
+        // is open in both circuits.
+        let faults = [Fault::TransistorStuckOpen(p1)];
+        let (work, detections) = settles_checked_against_serial(&net, &faults, &patterns, &[out]);
+        // Pattern 0 is the reset settle; each fall costs one
+        // trigger-time solve and no settle.
+        assert_eq!(work[1..], [[0, 1], [0, 0], [0, 1]], "{work:?}");
+        assert!(detections.is_empty());
+    }
+
+    #[test]
+    fn record_free_circuit_triggered_earlier_in_the_phase_skips_an_agreeing_hit() {
+        // `S` is charged from the input `N` through `T`, gated by the
+        // input `G`, and cleared through a pull-down gated by `C`; `S`
+        // drives the inverter `Y` (a depletion load).
+        let mut net = Network::new();
+        let vdd = net.add_input("Vdd", Logic::H);
+        let gnd = net.add_input("Gnd", Logic::L);
+        let n = net.add_input("N", Logic::L);
+        let g = net.add_input("G", Logic::L);
+        let c = net.add_input("C", Logic::H);
+        let s = net.add_storage("S", Size::S1);
+        let y = net.add_storage("Y", Size::S1);
+        let t = net.add_transistor(TransistorType::N, Drive::D2, g, n, s);
+        net.add_transistor(TransistorType::N, Drive::D2, c, s, gnd);
+        net.add_transistor(TransistorType::D, Drive::D1, y, vdd, y);
+        net.add_transistor(TransistorType::N, Drive::D2, s, y, gnd);
+        let phase = |vn, vg, vc| Pattern::new(vec![Phase::strobe(vec![(n, vn), (g, vg), (c, vc)])]);
+        let patterns = [
+            phase(Logic::L, Logic::L, Logic::H),
+            phase(Logic::L, Logic::L, Logic::L),
+            phase(Logic::H, Logic::H, Logic::L),
+        ];
+        // `T` stuck closed: when `N` rises, `T` is open in the good
+        // circuit, so the open-channel special case triggers the
+        // record-free circuit with a seed at `S` and no record. `G` then
+        // rises and the good circuit solves `S` through the closed `T`,
+        // high: the site agrees there and the hit is skipped, so `S`
+        // keeps no preserved low value. The settle solves `S` once,
+        // without a change, and does not re-trace `Y`'s fall.
+        let closed = [Fault::TransistorStuckClosed(t)];
+        let (work, detections) = settles_checked_against_serial(&net, &closed, &patterns, &[s, y]);
+        assert_eq!(work[2], [1, 1], "{work:?}");
+        assert!(detections.is_empty());
+    }
+
+    #[test]
+    fn stuck_node_that_is_the_whole_vicinity_costs_no_settle() {
+        // The CMOS inverter, and an nMOS one whose depletion load is
+        // gated by `OUT` itself, so that `OUT` is also in the rest of
+        // its own vicinity's support.
+        let (cmos, a, out) = inverter();
+        let mut nmos = Network::new();
+        let vdd = nmos.add_input("Vdd", Logic::H);
+        let gnd = nmos.add_input("Gnd", Logic::L);
+        assert_eq!(nmos.add_input("A", Logic::L), a);
+        assert_eq!(nmos.add_storage("OUT", Size::S1), out);
+        nmos.add_transistor(TransistorType::D, Drive::D1, out, vdd, out);
+        nmos.add_transistor(TransistorType::N, Drive::D2, a, out, gnd);
+        let patterns: Vec<Pattern> = [Logic::L, Logic::H, Logic::L]
+            .into_iter()
+            .map(|v| Pattern::new(vec![Phase::strobe(vec![(a, v)])]))
+            .collect();
+        // Each toggle of `A` solves `OUT` alone. In the faulty circuit
+        // `OUT` is an input: nothing to preserve and nothing to solve.
+        for net in [&cmos, &nmos] {
+            for value in [Logic::L, Logic::H] {
+                let faults = [Fault::NodeStuck { node: out, value }];
+                let (work, _) = settles_checked_against_serial(net, &faults, &patterns, &[out]);
+                assert_eq!(settles(&work), [1, 0, 0], "OUT stuck at {value}: {work:?}");
+            }
+        }
+    }
+
+    /// A random netlist of the fuzz suite (`seed=254` there) whose
+    /// transistor `t5`, gated by `Vdd`, joins `S1` and `S3` into one
+    /// vicinity. Stuck open, it splits that vicinity in its circuit.
+    const SPLIT_VICINITY_NETLIST: &str = "\
+input Vdd 1
+input Gnd 0
+input I0 0
+input I1 0
+node S0
+node S1
+node S2
+node S3
+node S4
+node S5
+node S6
+d Gnd Vdd S2 strength 1
+d S3 S0 S5 strength 1
+n Vdd I1 S6
+p Gnd S5 S6
+n S4 S3 S5
+n Vdd S1 S3
+n S4 I1 S1
+n S5 S6 S4
+";
+
+    #[test]
+    fn a_fault_that_splits_the_vicinity_is_triggered() {
+        let net = fmossim_netlist::parse_netlist(SPLIT_VICINITY_NETLIST).expect("netlist parses");
+        let node = |name: &str| net.find_node(name).expect("node exists");
+        let (i0, i1, s1) = (node("I0"), node("I1"), node("S1"));
+        let patterns: Vec<Pattern> = [
+            (Logic::L, Logic::X),
+            (Logic::X, Logic::H),
+            (Logic::L, Logic::H),
+            (Logic::L, Logic::L),
+            (Logic::L, Logic::H),
+            (Logic::L, Logic::L),
+        ]
+        .into_iter()
+        .map(|(v0, v1)| Pattern::new(vec![Phase::strobe(vec![(i0, v0), (i1, v1)])]))
+        .collect();
+        let t5 = net
+            .transistors()
+            .nth(5)
+            .map(|(id, _)| id)
+            .expect("t5 exists");
+        // The good circuit solves `S1` and `S3` as one group; the
+        // circuit's own solve from `S1` leaves `S3` out. Were the hit
+        // cleared on values alone, the circuit would miss the solve of
+        // `S1` its own schedule makes, and strobe `S1` at 0 where
+        // `SerialSim` reads 1.
+        let faults = [Fault::TransistorStuckOpen(t5)];
+        settles_checked_against_serial(&net, &faults, &patterns, &[s1]);
     }
 
     /// Runs the same workload scalar and packed and asserts detections,

@@ -150,6 +150,49 @@ impl SwitchState for FaultyView<'_, '_> {
     }
 }
 
+/// A record-free faulty circuit's state, read only: the good circuit's
+/// dense state under one circuit's overrides. The trigger-time solve
+/// reads a good group's vicinity through it, so that no record is
+/// written for a circuit the solve shows to re-derive the good result.
+pub(crate) struct RecordFreeView<'a, 'n> {
+    net: &'n Network,
+    good: &'a [Logic],
+    ov: &'a Overrides,
+}
+
+impl<'a, 'n> RecordFreeView<'a, 'n> {
+    /// Creates the view of a circuit with overrides `ov` and no record.
+    pub(crate) fn new(net: &'n Network, good: &'a [Logic], ov: &'a Overrides) -> Self {
+        RecordFreeView { net, good, ov }
+    }
+}
+
+impl SwitchState for RecordFreeView<'_, '_> {
+    fn network(&self) -> &Network {
+        self.net
+    }
+
+    fn node_state(&self, n: NodeId) -> Logic {
+        self.ov.forced_value(n).unwrap_or(self.good[n.index()])
+    }
+
+    fn set_node_state(&mut self, _n: NodeId, _v: Logic) {
+        unreachable!("RecordFreeView is the trigger-time solve's read-only view");
+    }
+
+    fn is_input(&self, n: NodeId) -> bool {
+        self.ov.forced_value(n).is_some() || self.net.node(n).is_input()
+    }
+
+    fn conduction(&self, t: TransistorId) -> Conduction {
+        if let Some(cond) = self.ov.forced_conduction(t) {
+            return cond;
+        }
+        let tr = self.net.transistor(t);
+        tr.ttype.conduction(self.node_state(tr.gate))
+    }
+}
+
 /// A faulty circuit's state in the *serial* simulator: a private dense
 /// state plus the fault's overrides. Used by the serial baseline and by
 /// the concurrent-vs-serial equivalence tests.
@@ -275,6 +318,30 @@ mod tests {
         let ov = Overrides::default();
         let view = FaultyView::new(&net, &good, &mut recs, 1, &ov);
         assert_eq!(view.conduction(t), Conduction::Open);
+    }
+
+    #[test]
+    fn record_free_view_is_good_state_under_overrides() {
+        let (net, a, s, t) = tiny();
+        let good = vec![Logic::L, Logic::H, Logic::H];
+        let ov = Overrides::from_effects([
+            FaultEffect::ForceNode {
+                node: a,
+                value: Logic::L,
+            },
+            FaultEffect::ForceTransistor {
+                t,
+                cond: Conduction::Closed,
+            },
+        ]);
+        let view = RecordFreeView::new(&net, &good, &ov);
+        assert_eq!(view.node_state(s), Logic::H, "good state elsewhere");
+        assert_eq!(view.node_state(a), Logic::L, "forced value wins");
+        assert!(view.is_input(a) && !view.is_input(s));
+        assert_eq!(view.conduction(t), Conduction::Closed, "forced conduction");
+        let plain = Overrides::default();
+        let view = RecordFreeView::new(&net, &good, &plain);
+        assert_eq!(view.conduction(t), Conduction::Closed, "gate A is high");
     }
 
     #[test]

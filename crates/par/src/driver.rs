@@ -274,6 +274,9 @@ impl<'n> ParallelSim<'n> {
             )
         };
         let mut results: Vec<ShardResult> = Vec::with_capacity(self.plan.num_shards());
+        // Queue wait runs from the pool's start: the tape record pass
+        // has its own gauge.
+        let pool_t0 = Instant::now();
         run_shards(
             &ScopedPool::new(self.workers),
             Arc::new(work),
@@ -281,7 +284,7 @@ impl<'n> ParallelSim<'n> {
             |r| {
                 self.telemetry
                     .gauge("par.queue.wait_seconds")
-                    .add((r.started - t0).as_secs_f64());
+                    .add((r.started - pool_t0).as_secs_f64());
                 let outcome = ShardOutcome {
                     shard: r.shard,
                     faults: r.faults,

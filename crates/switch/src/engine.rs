@@ -116,6 +116,29 @@ impl GroupView<'_> {
     }
 }
 
+/// A vicinity solved on its own by [`Engine::solve_vicinity`]: its
+/// members and their steady-state values, read from the engine's
+/// solver scratch.
+#[derive(Clone, Copy, Debug)]
+pub struct SolvedVicinity<'a> {
+    scratch: &'a Scratch,
+}
+
+impl SolvedVicinity<'_> {
+    /// The storage nodes of the vicinity, in discovery order (the seed
+    /// first).
+    #[must_use]
+    pub fn members(&self) -> &[NodeId] {
+        &self.scratch.members
+    }
+
+    /// The steady-state value of `n`, or `None` if `n` is not a member.
+    #[must_use]
+    pub fn value_of(&self, n: NodeId) -> Option<Logic> {
+        self.scratch.member_value(n)
+    }
+}
+
 /// Telemetry of one [`Engine`]. Settles accumulate into the plain
 /// `local_*` fields (no atomics on the per-group hot path) and
 /// [`EngineMetrics::flush`] folds them into the shared registry handles;
@@ -260,6 +283,25 @@ impl Engine {
             self.queued[n.index()] = false;
         }
         self.next_queue.clear();
+    }
+
+    /// Extracts and solves the vicinity of `seed` in `st` under this
+    /// engine's locality mode, and applies nothing: the
+    /// zero-allocation solve a settle makes per group, on its own. The
+    /// result borrows the engine's solver scratch until the next solve.
+    /// Pending perturbations are left alone, and no `switch.*` metric
+    /// counts the solve: its caller counts it as its own work.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `seed` is input-classified under
+    /// `st`; vicinity seeds must be storage nodes.
+    pub fn solve_vicinity<S: SwitchState>(&mut self, st: &S, seed: NodeId) -> SolvedVicinity<'_> {
+        let static_locality = self.config.locality == LocalityMode::Static;
+        self.scratch.solve(st, seed, static_locality);
+        SolvedVicinity {
+            scratch: &self.scratch,
+        }
     }
 
     /// Schedules node `n` for (re-)evaluation at the next settle.
@@ -648,14 +690,6 @@ impl PackedEngine {
     #[must_use]
     pub fn has_pending(&self) -> bool {
         !self.next_queue.is_empty()
-    }
-
-    /// Discards every pending perturbation in every lane.
-    pub fn clear_pending(&mut self) {
-        for &(n, _) in &self.next_queue {
-            self.pending[n.index()] = 0;
-        }
-        self.next_queue.clear();
     }
 
     /// Schedules node `n` for (re-)evaluation in the given lanes at the
@@ -1058,6 +1092,30 @@ mod tests {
         eng.settle(&mut st);
         assert_eq!(st.node_state(store), Logic::L);
         assert_eq!(st.node_state(q), Logic::H);
+    }
+
+    #[test]
+    fn solve_vicinity_applies_nothing_and_leaves_pending_work() {
+        // `X1` drives `S` through a pass transistor gated by `G`.
+        let mut net = Network::new();
+        let (vdd, gnd) = rails(&mut net);
+        let a = net.add_input("A", Logic::L);
+        let g = net.add_input("G", Logic::H);
+        let x1 = cmos_inverter(&mut net, "X1", a, vdd, gnd);
+        let s = net.add_storage("S", Size::S1);
+        net.add_transistor(TransistorType::N, Drive::D2, g, x1, s);
+        let st = DenseState::new(&net);
+        let mut eng = Engine::new(&net);
+        eng.perturb(s);
+        let solved = eng.solve_vicinity(&st, s);
+        assert_eq!(solved.members(), &[s, x1], "the seed first");
+        assert_eq!(solved.value_of(x1), Some(Logic::H));
+        assert_eq!(solved.value_of(s), Some(Logic::H));
+        assert_eq!(solved.value_of(a), None, "inputs are not members");
+        assert_eq!(st.node_state(s), Logic::X, "nothing applied");
+        assert!(eng.has_pending(), "pending work left alone");
+        let rep = eng.settle(&mut DenseState::new(&net));
+        assert_eq!(rep.groups_solved, 1);
     }
 
     #[test]

@@ -115,6 +115,7 @@ mod trace;
 
 pub use engine::{
     Engine, EngineConfig, GroupView, LocalityMode, PackedEngine, PackedSettleReport, SettleReport,
+    SolvedVicinity,
 };
 pub use sim::LogicSim;
 pub use solve::{GroupOutcome, PackedOutcome, PackedScratch, Scratch};

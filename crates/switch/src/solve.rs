@@ -122,6 +122,14 @@ impl Scratch {
         self.node_epoch[n.index()] == self.current_epoch
     }
 
+    /// The solved value of `n` if it is a member of the group extracted
+    /// last.
+    #[inline]
+    pub(crate) fn member_value(&self, n: NodeId) -> Option<Logic> {
+        self.in_group(n)
+            .then(|| self.out_values[self.node_local[n.index()] as usize])
+    }
+
     /// Extracts and solves the vicinity containing `seed`, returning an
     /// owned outcome. This is the allocating convenience wrapper around
     /// the zero-allocation internals used by the

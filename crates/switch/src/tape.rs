@@ -53,8 +53,9 @@ pub struct TapeGroup<'a> {
     /// Storage nodes of the vicinity.
     pub members: &'a [NodeId],
     /// The rest of the support: gates of incident transistors and
-    /// boundary inputs (members excluded; may contain duplicates —
-    /// consumers dedup, exactly as with a live [`GroupView`]).
+    /// boundary inputs (a gate may be a member too; may contain
+    /// duplicates — consumers dedup, exactly as with a live
+    /// [`GroupView`]).
     pub support_rest: &'a [NodeId],
     /// State changes this solve applied: `(node, old, new)`.
     pub changed: &'a [(NodeId, Logic, Logic)],

@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 
 /// The per-circuit work counters of one phase: what [`PatternStats`]
 /// reports plus the registry's `core.*` work counters.
-fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 9] {
+fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 11] {
     let snap = reg.snapshot();
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     [
@@ -45,6 +45,8 @@ fn phase_work(stats: &PatternStats, reg: &Registry) -> [u64; 9] {
         c("core.faulty.groups"),
         c("core.settles.redundant"),
         c("core.settles.redundant.stuck_node"),
+        c("core.trigger.solves"),
+        c("core.trigger.cleared"),
     ]
 }
 
@@ -70,8 +72,8 @@ fn switch_work(reg: &Registry) -> [u64; 4] {
 /// the detections and the per-circuit work counters (`faulty_groups`
 /// and `circuit_settles` from the phase stats; `core.events_scheduled`,
 /// `core.circuit.settles`, `core.faulty.groups`,
-/// `core.settles.redundant` and `core.settles.redundant.stuck_node`
-/// from the registry).
+/// `core.settles.redundant`, `core.settles.redundant.stuck_node`,
+/// `core.trigger.solves` and `core.trigger.cleared` from the registry).
 /// Then it runs both end to end and compares the reports. Returns the
 /// scalar report and the number of multi-lane packed solves.
 fn assert_lane_equivalence(
@@ -126,7 +128,8 @@ fn assert_lane_equivalence(
                 phase_work(&p_stats, &p_reg),
                 phase_work(&s_stats, &s_reg),
                 "{at}: work counters diverged \
-                 [detected, good, faulty groups, settles, events, settles, groups]"
+                 [detected, good, faulty groups, settles, events, settles, groups, \
+                 redundant, redundant stuck-node, trigger solves, trigger cleared]"
             );
             assert_eq!(
                 switch_work(&p_reg),

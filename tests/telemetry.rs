@@ -212,7 +212,7 @@ fn parallel_events_cover_every_shard() {
 /// `switch.*` (counts good-machine solver work, which moves into the
 /// tape recorder when sharded) and `par.*` (counts the shards
 /// themselves).
-const K_INVARIANT_COUNTERS: [&str; 7] = [
+const K_INVARIANT_COUNTERS: [&str; 9] = [
     "core.circuit.settles",
     "core.detections",
     "core.events_scheduled",
@@ -220,6 +220,8 @@ const K_INVARIANT_COUNTERS: [&str; 7] = [
     "core.faults_dropped",
     "core.settles.redundant",
     "core.settles.redundant.stuck_node",
+    "core.trigger.cleared",
+    "core.trigger.solves",
 ];
 
 #[test]
