@@ -200,13 +200,19 @@ pub struct BackendRun {
     /// patterns-to-detect × average good-circuit pattern time (serial
     /// backend).
     pub serial_estimate_seconds: Option<f64>,
-    /// Wall-clock seconds of the one-time good-tape record pass
-    /// (parallel backend, when more than one shard ran).
+    /// Wall-clock seconds of a good-tape record pass run before the
+    /// shards start (when more than one shard ran): 0 on the parallel
+    /// backend, whose leader shard settles the good circuit itself.
     pub tape_record_seconds: Option<f64>,
-    /// Good-machine vicinities recorded on the tape — the solver work
-    /// each replaying shard skipped (parallel backend, when more than
-    /// one shard ran).
+    /// Good-machine vicinities on the tape — the solver work each
+    /// replaying shard skipped (when more than one shard ran).
     pub tape_groups: Option<usize>,
+    /// The most tape bytes held at once (when more than one shard
+    /// ran).
+    pub tape_peak_bytes: Option<usize>,
+    /// Seconds replaying shards spent waiting for the tape, summed
+    /// (when more than one shard ran).
+    pub tape_wait_seconds: Option<f64>,
     /// True iff the run was cut short by a cooperative cancel (see
     /// [`Campaign::cancel_token`](crate::Campaign::cancel_token)).
     pub cancelled: bool,
@@ -715,6 +721,8 @@ impl CampaignBackend for ParallelAdapter {
             max_shard_seconds: Some(run.shard_seconds.iter().copied().fold(0.0, f64::max)),
             tape_record_seconds: run.tape.map(|t| t.record_seconds),
             tape_groups: run.tape.map(|t| t.groups),
+            tape_peak_bytes: run.tape.map(|t| t.heap_bytes),
+            tape_wait_seconds: run.tape.map(|t| t.wait_seconds),
             ..stop.finish(run.report)
         }
     }

@@ -440,6 +440,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
             serial_estimate_seconds,
             tape_record_seconds,
             tape_groups,
+            tape_peak_bytes,
+            tape_wait_seconds,
             cancelled,
         } = backend.run(&workload, &self.control, &mut emit);
         let run_seconds = t0.elapsed().as_secs_f64();
@@ -523,6 +525,8 @@ impl<'n, 'o> Campaign<'n, 'o> {
             serial_estimate_seconds,
             tape_record_seconds,
             tape_groups,
+            tape_peak_bytes,
+            tape_wait_seconds,
             metrics: self.telemetry.snapshot(),
             run,
         }

@@ -283,12 +283,22 @@ pub struct CampaignReport {
     pub good_seconds: Option<f64>,
     /// The paper's serial-time estimate (serial backend only).
     pub serial_estimate_seconds: Option<f64>,
-    /// Seconds of the one-time good-tape record pass (parallel backend
-    /// when a tape was recorded and replayed).
+    /// Seconds of a good-tape record pass run before the shards start,
+    /// when a tape was used: 0 on the parallel backend, whose leader
+    /// shard streams the tape; on the served backend the record pass
+    /// of a cache miss, 0 on a hit.
     pub tape_record_seconds: Option<f64>,
     /// Good-machine vicinities on the tape — the per-shard solver work
-    /// replay skipped (parallel backend when a tape was used).
+    /// replay skipped (when a tape was used).
     pub tape_groups: Option<usize>,
+    /// The most tape bytes held at once: the stream's peak on the
+    /// parallel backend, the whole tape on the served one. The key is
+    /// omitted when `None` (a lenient version-3 addition).
+    pub tape_peak_bytes: Option<usize>,
+    /// Seconds replaying shards spent waiting for the tape, summed
+    /// over shards. The key is omitted when `None` (a lenient
+    /// version-3 addition).
+    pub tape_wait_seconds: Option<f64>,
     /// Fault-collapsing statistics, present iff the campaign ran with
     /// [`Campaign::collapse`](crate::Campaign::collapse). The JSON key
     /// is omitted entirely when `None` (a lenient version-3 addition),
@@ -447,6 +457,12 @@ impl CampaignReport {
                 ]),
             ),
         ];
+        if let Some(bytes) = self.tape_peak_bytes {
+            pairs.push(("tape_peak_bytes", Value::Num(bytes as f64)));
+        }
+        if let Some(secs) = self.tape_wait_seconds {
+            pairs.push(("tape_wait_seconds", Value::Num(secs)));
+        }
         if let Some(c) = &self.collapse {
             pairs.push((
                 "collapse",
@@ -659,6 +675,16 @@ impl CampaignReport {
                 None | Some(Value::Null) => None,
                 Some(val) => Some(val.as_usize().ok_or("bad tape_groups")?),
             },
+            // Omitted when absent, and in documents written before the
+            // tape was streamed.
+            tape_peak_bytes: match v.get("tape_peak_bytes") {
+                None | Some(Value::Null) => None,
+                Some(val) => Some(val.as_usize().ok_or("bad tape_peak_bytes")?),
+            },
+            tape_wait_seconds: match v.get("tape_wait_seconds") {
+                None | Some(Value::Null) => None,
+                Some(val) => Some(val.as_f64().ok_or("bad tape_wait_seconds")?),
+            },
             // Absent in pre-collapse documents and in every
             // uncollapsed run (the key is omitted, never null).
             collapse: match v.get("collapse") {
@@ -711,6 +737,8 @@ mod tests {
             serial_estimate_seconds: None,
             tape_record_seconds: Some(0.0625),
             tape_groups: Some(40),
+            tape_peak_bytes: Some(4096),
+            tape_wait_seconds: Some(0.125),
             metrics: {
                 let mut m = MetricsSnapshot::default();
                 m.counters.insert("core.detections".into(), 2);

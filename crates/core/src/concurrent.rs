@@ -92,7 +92,7 @@ use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
 use crate::records::StateLists;
 use crate::report::{Detection, DetectionPolicy, PatternStats, RunReport};
-use crate::tape::{GoodTape, PhaseTape};
+use crate::tape::{GoodTape, PhaseSource, PhaseTape, TapeLeader};
 use fmossim_faults::{Fault, FaultEffect, FaultId};
 use fmossim_netlist::{Logic, Network, NodeId};
 use fmossim_switch::{
@@ -657,6 +657,39 @@ impl<'n> ConcurrentSim<'n> {
     /// during this run. May be called repeatedly to continue a
     /// simulation with further sequences.
     pub fn run(&mut self, patterns: &[Pattern], outputs: &[NodeId]) -> RunReport {
+        self.run_patterns(patterns, |sim, pi, pattern| {
+            Some(sim.live_pattern(pattern, outputs, pi, None))
+        })
+        .expect("a live run reads no tape")
+    }
+
+    /// Runs a pattern sequence live, as [`ConcurrentSim::run`] does,
+    /// and leads a [`TapeStream`](crate::TapeStream): each phase's good
+    /// settle is published to the stream's followers before this
+    /// simulator's own phase body runs on it. The run ends the stream
+    /// when it returns or unwinds (`leader` is dropped).
+    ///
+    /// Followers replay from reset, so this simulator's good machine
+    /// must still be at reset (a fresh simulator).
+    pub fn run_leading(
+        &mut self,
+        patterns: &[Pattern],
+        outputs: &[NodeId],
+        leader: TapeLeader,
+    ) -> RunReport {
+        self.run_patterns(patterns, |sim, pi, pattern| {
+            Some(sim.live_pattern(pattern, outputs, pi, Some(&leader)))
+        })
+        .expect("a live run reads no tape")
+    }
+
+    /// Steps every pattern through `step` and gathers the run's report;
+    /// `None` as soon as a step returns `None`.
+    fn run_patterns(
+        &mut self,
+        patterns: &[Pattern],
+        mut step: impl FnMut(&mut Self, usize, &Pattern) -> Option<PatternStats>,
+    ) -> Option<RunReport> {
         let t0 = Instant::now();
         let detections_before = self.detections.len();
         let mut report = RunReport {
@@ -664,13 +697,11 @@ impl<'n> ConcurrentSim<'n> {
             ..RunReport::default()
         };
         for (pi, pattern) in patterns.iter().enumerate() {
-            report
-                .patterns
-                .push(self.step_pattern(pattern, outputs, pi));
+            report.patterns.push(step(self, pi, pattern)?);
         }
         report.detections = self.detections[detections_before..].to_vec();
         report.total_seconds = t0.elapsed().as_secs_f64();
-        report
+        Some(report)
     }
 
     /// Simulates one pattern (all its phases) and returns its stats.
@@ -680,13 +711,25 @@ impl<'n> ConcurrentSim<'n> {
         outputs: &[NodeId],
         pattern_idx: usize,
     ) -> PatternStats {
+        self.live_pattern(pattern, outputs, pattern_idx, None)
+    }
+
+    /// [`ConcurrentSim::step_pattern`], publishing each phase's good
+    /// settle to `leader` when there is one.
+    fn live_pattern(
+        &mut self,
+        pattern: &Pattern,
+        outputs: &[NodeId],
+        pattern_idx: usize,
+        leader: Option<&TapeLeader>,
+    ) -> PatternStats {
         let t0 = Instant::now();
         let mut stats = PatternStats {
             live_before: self.live,
             ..PatternStats::default()
         };
         for (phi, phase) in pattern.phases.iter().enumerate() {
-            self.step_phase(phase, outputs, pattern_idx, phi, &mut stats);
+            self.live_phase(phase, outputs, pattern_idx, phi, &mut stats, leader);
         }
         self.flush_metrics();
         stats.seconds = t0.elapsed().as_secs_f64();
@@ -705,9 +748,26 @@ impl<'n> ConcurrentSim<'n> {
         phase_idx: usize,
         stats: &mut PatternStats,
     ) {
+        self.live_phase(phase, outputs, pattern_idx, phase_idx, stats, None);
+    }
+
+    /// [`ConcurrentSim::step_phase`], publishing the good settle to
+    /// `leader` (when there is one) before the phase body runs.
+    fn live_phase(
+        &mut self,
+        phase: &Phase,
+        outputs: &[NodeId],
+        pattern_idx: usize,
+        phase_idx: usize,
+        stats: &mut PatternStats,
+        leader: Option<&TapeLeader>,
+    ) {
         self.metrics.start_lap();
         let mut tape = std::mem::take(&mut self.phase_tape);
         self.record_good_phase(phase, &mut tape);
+        if let Some(leader) = leader {
+            leader.publish(&tape);
+        }
         self.metrics.local_good_groups += tape.num_groups() as u64;
         self.phase_body(phase, &tape, outputs, pattern_idx, phase_idx, stats);
         self.phase_tape = tape;
@@ -1222,23 +1282,26 @@ impl<'n> ConcurrentSim<'n> {
             self.net.num_nodes(),
             patterns.len(),
         );
-        let t0 = Instant::now();
-        let detections_before = self.detections.len();
-        let mut report = RunReport {
-            num_faults: self.fault_sets.len(),
-            ..RunReport::default()
-        };
-        for (pi, pattern) in patterns.iter().enumerate() {
-            report.patterns.push(self.step_pattern_replayed(
-                pattern,
-                tape.pattern(pi),
-                outputs,
-                pi,
-            ));
-        }
-        report.detections = self.detections[detections_before..].to_vec();
-        report.total_seconds = t0.elapsed().as_secs_f64();
-        report
+        self.run_replayed_from(patterns, outputs, &mut tape.reader())
+            .expect("a matching tape holds every phase")
+    }
+
+    /// Runs a pattern sequence replaying the good machine's phases from
+    /// `source`, as [`ConcurrentSim::run_replayed`] replays a whole
+    /// tape: one phase per pattern phase, in sequence order, recorded
+    /// over the same network and patterns from reset. Returns `None`
+    /// if the source ends early (a [`TapeStream`](crate::TapeStream)
+    /// whose leader stopped); the simulator is then mid-sequence and of
+    /// no further use.
+    pub fn run_replayed_from(
+        &mut self,
+        patterns: &[Pattern],
+        outputs: &[NodeId],
+        source: &mut impl PhaseSource,
+    ) -> Option<RunReport> {
+        self.run_patterns(patterns, |sim, pi, pattern| {
+            sim.replay_pattern(pattern, source, outputs, pi)
+        })
     }
 
     /// Simulates one pattern against its recorded phase tapes
@@ -1260,6 +1323,19 @@ impl<'n> ConcurrentSim<'n> {
             phase_tapes.len(),
             "phase tape count mismatch"
         );
+        self.replay_pattern(pattern, &mut phase_tapes.iter(), outputs, pattern_idx)
+            .expect("one tape per phase")
+    }
+
+    /// One pattern of the replay path, its phases read from `source`;
+    /// `None` if the source ends first.
+    fn replay_pattern(
+        &mut self,
+        pattern: &Pattern,
+        source: &mut impl PhaseSource,
+        outputs: &[NodeId],
+        pattern_idx: usize,
+    ) -> Option<PatternStats> {
         // Pending good-machine perturbations (the constructor's
         // all-storage seeding, on a fresh simulator) are covered by the
         // tape: discard them so they cannot leak into the first faulty
@@ -1271,29 +1347,17 @@ impl<'n> ConcurrentSim<'n> {
             live_before: self.live,
             ..PatternStats::default()
         };
-        for (phi, (phase, ptape)) in pattern.phases.iter().zip(phase_tapes).enumerate() {
-            self.step_phase_replayed(phase, ptape, outputs, pattern_idx, phi, &mut stats);
+        for (phi, phase) in pattern.phases.iter().enumerate() {
+            let settle = source.next_phase()?;
+            // The recorded settle replaces the good settle; everything
+            // else is the live path's phase body.
+            self.metrics.start_lap();
+            self.metrics.local_replayed_groups += settle.num_groups() as u64;
+            self.phase_body(phase, settle, outputs, pattern_idx, phi, &mut stats);
         }
         self.flush_metrics();
         stats.seconds = t0.elapsed().as_secs_f64();
-        stats
-    }
-
-    /// One phase of the replay path: the recorded settle replaces the
-    /// good settle; everything else is [`ConcurrentSim::phase_body`],
-    /// as on the live path.
-    fn step_phase_replayed(
-        &mut self,
-        phase: &Phase,
-        ptape: &PhaseTape,
-        outputs: &[NodeId],
-        pattern_idx: usize,
-        phase_idx: usize,
-        stats: &mut PatternStats,
-    ) {
-        self.metrics.start_lap();
-        self.metrics.local_replayed_groups += ptape.settle.num_groups() as u64;
-        self.phase_body(phase, &ptape.settle, outputs, pattern_idx, phase_idx, stats);
+        Some(stats)
     }
 
     /// The special-case triggering for an input about to change: faulty

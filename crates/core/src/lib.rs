@@ -47,4 +47,4 @@ pub use pattern::{stimulus_content_hash, Pattern, Phase};
 pub use records::StateLists;
 pub use report::{Detection, DetectionPolicy, PatternStats, RunReport};
 pub use serial::{GoodObservations, SerialConfig, SerialOutcome, SerialReport, SerialSim};
-pub use tape::{GoodTape, PhaseTape};
+pub use tape::{GoodTape, PhaseSource, PhaseTape, StreamStats, TapeLeader, TapeReader, TapeStream};

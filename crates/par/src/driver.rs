@@ -1,14 +1,15 @@
 //! The fault-parallel driver: one one-shot run for every offline
-//! sharded grade. It plans the shards, records the good tape when more
-//! than one shard shares it, runs every shard's
+//! sharded grade. It plans the shards, streams the good tape from shard
+//! 0 to the others when more than one shard shares it, runs every
+//! shard's
 //! [`ConcurrentSim`](fmossim_core::ConcurrentSim) through the shard
 //! executor ([`run_shards`](crate::run_shards)) on a
 //! [`ScopedPool`](crate::ScopedPool), and merges the shard reports.
 
-use crate::exec::{run_shards, ScopedPool, ShardResult, ShardWork};
+use crate::exec::{run_shards, ScopedPool, ShardResult, ShardTape, ShardWork};
 use crate::jobs::Jobs;
 use crate::plan::{ShardPlan, ShardStrategy};
-use fmossim_core::{ConcurrentConfig, GoodTape, Pattern, RunReport};
+use fmossim_core::{ConcurrentConfig, Pattern, RunReport, TapeStream};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
@@ -83,19 +84,25 @@ pub struct ShardOutcome {
     pub seconds: f64,
 }
 
-/// Measurements of the good-machine tape a parallel run recorded and
-/// replayed (absent for a run of a single shard, which settles the
-/// good circuit itself).
+/// Measurements of the good-machine tape a parallel run streamed from
+/// its leader shard to the followers (absent for a run of a single
+/// shard, which settles the good circuit itself).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TapeStats {
-    /// Wall-clock seconds of the record pass.
+    /// Wall-clock seconds of a serial record pass before the shards
+    /// start: always 0, since the leader settles the good circuit
+    /// inside its own shard. Only `perfbench`'s `par.serial_frac`
+    /// still reads it (ROADMAP item 8 deletes it).
     pub record_seconds: f64,
-    /// Good-machine vicinities recorded (work each shard skipped).
+    /// Good-machine vicinities the leader published (work each
+    /// follower skipped).
     pub groups: usize,
-    /// Shards that replayed the tape.
+    /// Followers that replayed the whole stream.
     pub replayed_shards: usize,
-    /// Approximate tape heap footprint in bytes.
+    /// The most tape bytes the stream held at once.
     pub heap_bytes: usize,
+    /// Seconds followers spent blocked waiting for the leader, summed.
+    pub wait_seconds: f64,
 }
 
 /// Everything a parallel run produces: the merged report, per-shard
@@ -108,8 +115,8 @@ pub struct ParallelRun {
     /// Each shard's own wall-clock seconds, indexed by shard (`0.0`
     /// for shards skipped after an early stop).
     pub shard_seconds: Vec<f64>,
-    /// Good-tape measurements, when the good machine was recorded once
-    /// and replayed per shard.
+    /// Good-tape measurements, when shard 0 streamed the good machine
+    /// to the other shards.
     pub tape: Option<TapeStats>,
 }
 
@@ -119,9 +126,10 @@ pub struct ParallelRun {
 /// and the per-shard [`RunReport`]s are folded into one
 /// ([`RunReport::merge`]) whose detections and coverage are identical
 /// to a one-shard run — sharding changes wall-clock time, never
-/// results. Whenever more than one shard runs, the good machine is
-/// recorded once ([`GoodTape`]) and replayed in every shard, so only
-/// one shard-count-independent good pass is paid.
+/// results. Whenever more than one shard runs, shard 0 settles the
+/// good machine live and streams each phase ([`TapeStream`]) to the
+/// other shards, which replay it, so only one
+/// shard-count-independent good pass is paid.
 ///
 /// # Example
 ///
@@ -182,8 +190,8 @@ impl<'n> ParallelSim<'n> {
     }
 
     /// Publishes this driver's activity into `registry`: `par.*`
-    /// metrics (shard seconds, queue wait, merge time), the tape's
-    /// `core.tape.*` record measurements, and — via a per-shard
+    /// metrics (shard seconds, queue wait, merge time), the tape
+    /// stream's `core.tape.*` measurements, and — via a per-shard
     /// [`Registry::fork`] merged at completion — every shard
     /// simulator's `core.*` / `switch.*` metrics.
     pub fn attach_metrics(&mut self, registry: &Registry) {
@@ -234,16 +242,20 @@ impl<'n> ParallelSim<'n> {
     /// order of the `on_shard` calls — is scheduling-dependent; the
     /// merged report is canonically ordered regardless.
     ///
-    /// When the plan has more than one shard, the good machine is
-    /// recorded once (on the calling thread, before the pool starts)
-    /// and every shard replays the shared [`GoodTape`]; a single shard
-    /// settles the good circuit itself, since recording would cost an
-    /// extra good pass without saving one.
+    /// When the plan has more than one shard, shard 0 leads: it is
+    /// started first, settles the good machine live and publishes each
+    /// phase into a [`TapeStream`] before running its own faults on it.
+    /// Every other shard follows, replaying the published phases and
+    /// waiting when it catches up with the leader; a phase is freed
+    /// once every follower has read it. A single shard settles the good
+    /// circuit itself with no stream.
     ///
     /// # Panics
     ///
     /// A shard that panics stops the queue like a `Break`; its panic is
     /// re-raised here once the shards already running have finished.
+    /// Followers of a leader that panicked stop when they reach the
+    /// last phase it published and count as skipped.
     pub fn run_streaming(
         &self,
         patterns: &[Pattern],
@@ -251,19 +263,10 @@ impl<'n> ParallelSim<'n> {
         mut on_shard: impl FnMut(&ShardOutcome, &RunReport) -> ControlFlow<()>,
     ) -> ParallelRun {
         let t0 = Instant::now();
-        let tape = (self.plan.num_shards() > 1)
-            .then(|| GoodTape::record(self.net, patterns, self.config.sim.engine));
-        if let Some(t) = &tape {
-            self.telemetry
-                .gauge("core.tape.record_seconds")
-                .add(t.record_seconds());
-            self.telemetry
-                .counter("core.tape.groups")
-                .add(t.num_groups() as u64);
-        }
-
+        let shards = self.plan.num_shards();
+        let stream = (shards > 1).then(|| TapeStream::new(shards - 1));
         let work = ShardWork {
-            tape: tape.as_ref(),
+            tape: stream.as_ref().map(ShardTape::Stream),
             ..ShardWork::new(
                 self.net,
                 &self.universe,
@@ -273,9 +276,7 @@ impl<'n> ParallelSim<'n> {
                 self.config.sim,
             )
         };
-        let mut results: Vec<ShardResult> = Vec::with_capacity(self.plan.num_shards());
-        // Queue wait runs from the pool's start: the tape record pass
-        // has its own gauge.
+        let mut results: Vec<ShardResult> = Vec::with_capacity(shards);
         let pool_t0 = Instant::now();
         run_shards(
             &ScopedPool::new(self.workers),
@@ -301,15 +302,31 @@ impl<'n> ParallelSim<'n> {
         // detection order is canonicalised by `merge` regardless.
         let merge_t0 = Instant::now();
         results.sort_unstable_by_key(|r| r.shard);
-        let mut shard_seconds = vec![0.0; self.plan.num_shards()];
+        let mut shard_seconds = vec![0.0; shards];
         for r in &results {
             shard_seconds[r.shard] = r.report.total_seconds;
         }
-        let tape = tape.map(|t| TapeStats {
-            record_seconds: t.record_seconds(),
-            groups: t.num_groups(),
-            replayed_shards: results.len(),
-            heap_bytes: t.heap_bytes(),
+        let tape = stream.map(|stream| {
+            let s = stream.stats();
+            let tape = TapeStats {
+                record_seconds: 0.0,
+                groups: s.groups,
+                replayed_shards: results.iter().filter(|r| r.shard != 0).count(),
+                heap_bytes: s.peak_bytes,
+                wait_seconds: s.wait_seconds,
+            };
+            let gauges = [
+                ("core.tape.record_seconds", tape.record_seconds),
+                ("core.tape.wait_seconds", tape.wait_seconds),
+                ("core.tape.peak_bytes", tape.heap_bytes as f64),
+            ];
+            for (name, value) in gauges {
+                self.telemetry.gauge(name).add(value);
+            }
+            self.telemetry
+                .counter("core.tape.groups")
+                .add(tape.groups as u64);
+            tape
         });
         let mut report = RunReport::merge(results.into_iter().map(|r| r.report));
         self.telemetry
@@ -382,19 +399,31 @@ mod tests {
         }
     }
 
+    /// Oversharding pulls shards from the queue; on a led run the
+    /// followers that start after the leader has moved on read the
+    /// phases the stream retained for them.
     #[test]
     fn oversharding_pulls_from_the_queue() {
         let (net, outs, patterns) = two_inverters();
         let universe = FaultUniverse::stuck_nodes(&net);
+        let single = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(1))
+            .run(&patterns, &outs);
         let config = ParallelConfig {
             shards: Some(4),
             ..ParallelConfig::paper(2)
         };
         let sim = ParallelSim::new(&net, universe, config);
         assert_eq!(sim.plan().num_shards(), 4);
-        let report = sim.run(&patterns, &outs);
-        assert_eq!(report.detected(), 4);
-        assert_eq!(report.coverage(), 1.0);
+        let run = sim.run_streaming(&patterns, &outs, |_, _| ControlFlow::Continue(()));
+        assert_eq!(run.report.detected(), 4);
+        assert_eq!(run.report.coverage(), 1.0);
+        assert_eq!(detection_key(&run.report), detection_key(&single));
+        let tape = run.tape.expect("a led run");
+        assert_eq!(tape.replayed_shards, 3);
+        let whole =
+            fmossim_core::GoodTape::record(&net, &patterns, ConcurrentConfig::paper().engine);
+        assert_eq!(tape.groups, whole.num_groups());
+        assert!(0 < tape.heap_bytes && tape.heap_bytes <= whole.heap_bytes());
     }
 
     #[test]
@@ -427,8 +456,8 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2], "each shard observed exactly once");
         assert_eq!(run.shard_seconds.len(), 3);
         assert_eq!(run.report.detected(), 4);
-        let tape = run.tape.expect("multi-shard run records a tape");
-        assert_eq!(tape.replayed_shards, 3);
+        let tape = run.tape.expect("multi-shard run streams a tape");
+        assert_eq!(tape.replayed_shards, 2, "every follower replayed it");
         assert!(tape.groups > 0);
         assert!(tape.heap_bytes > 0);
     }
@@ -454,8 +483,44 @@ mod tests {
         assert_eq!(run.report.detected(), 1, "only the first shard's fault");
         assert_eq!(run.report.num_faults, n, "universe size unchanged");
         assert_eq!(run.shard_seconds.iter().filter(|&&t| t > 0.0).count(), 1);
-        let tape = run.tape.expect("tape recorded before the early stop");
-        assert_eq!(tape.replayed_shards, 1, "only one shard consumed it");
+        let tape = run.tape.expect("the leader streamed the tape");
+        assert_eq!(tape.replayed_shards, 0, "the run stopped after the leader");
+        let single = ParallelSim::new(&net, sim.universe().clone(), ParallelConfig::paper(1))
+            .run(&patterns, &outs);
+        let first: Vec<_> = detection_key(&single)
+            .into_iter()
+            .filter(|&(_, _, f)| sim.plan().shard(0).iter().any(|id| id.index() == f))
+            .collect();
+        assert_eq!(detection_key(&run.report), first, "the leader's faults");
+    }
+
+    /// One worker runs the shards in line: the leader runs to the end
+    /// first, the stream keeps every phase until the followers read it,
+    /// and no follower ever waits.
+    #[test]
+    fn in_line_leader_runs_first_and_the_stream_keeps_every_phase() {
+        let (net, outs, patterns) = two_inverters();
+        let universe = FaultUniverse::stuck_nodes(&net);
+        let single = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(1))
+            .run(&patterns, &outs);
+        let config = ParallelConfig {
+            shards: Some(3),
+            ..ParallelConfig::paper(1)
+        };
+        let mut order = Vec::new();
+        let run =
+            ParallelSim::new(&net, universe, config).run_streaming(&patterns, &outs, |o, _| {
+                order.push(o.shard);
+                ControlFlow::Continue(())
+            });
+        assert_eq!(order, vec![0, 1, 2], "the leader completes first");
+        assert_eq!(detection_key(&run.report), detection_key(&single));
+        let tape = run.tape.expect("a led run");
+        let whole =
+            fmossim_core::GoodTape::record(&net, &patterns, ConcurrentConfig::paper().engine);
+        assert_eq!(tape.replayed_shards, 2);
+        assert_eq!(tape.heap_bytes, whole.heap_bytes(), "every phase held");
+        assert_eq!(tape.wait_seconds, 0.0, "the followers never waited");
     }
 
     /// The tape is a pure execution detail: a replayed run is
@@ -562,6 +627,52 @@ mod tests {
 
         let clean = ParallelSim::new(&net, FaultUniverse::stuck_nodes(&net), config);
         assert_eq!(clean.run(&patterns, &outs).detected(), 4);
+    }
+
+    /// A panic in the leader (shard 0) ends its stream: the leader's
+    /// own panic re-raises, the followers waiting on it return as
+    /// skipped instead of hanging or panicking a second time, and a
+    /// clean run afterwards matches a single shard.
+    #[test]
+    fn leader_panic_reraises_and_its_followers_skip() {
+        let (net, outs, patterns) = two_inverters();
+        let bad = Fault::NodeStuck {
+            node: NodeId::from_index(1 << 30),
+            value: Logic::H,
+        };
+        let alone = catch_unwind(AssertUnwindSafe(|| {
+            ConcurrentSim::new(&net, &[bad], ConcurrentConfig::paper()).run(&patterns, &outs)
+        }));
+        let expected = panic_message(alone.expect_err("an out-of-range node panics"));
+
+        let mut faults = vec![bad];
+        faults.extend_from_slice(FaultUniverse::stuck_nodes(&net).faults());
+        let config = ParallelConfig {
+            shards: Some(4),
+            strategy: ShardStrategy::RoundRobin,
+            ..ParallelConfig::paper(2)
+        };
+        let registry = Registry::new();
+        let mut sim = ParallelSim::new(&net, FaultUniverse::from_faults(faults), config);
+        sim.attach_metrics(&registry);
+        assert!(sim.plan().shard(0).contains(&FaultId(0)), "the leader's");
+        let mut seen = 0u64;
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_streaming(&patterns, &outs, |_, _| {
+                seen += 1;
+                ControlFlow::Continue(())
+            })
+        }));
+        let payload = run.expect_err("the leader's panic propagates");
+        assert_eq!(panic_message(payload), expected);
+        assert_eq!(seen, 0, "no follower completed without its leader");
+        assert_eq!(registry.snapshot().counters.get("par.shards"), None);
+
+        let universe = FaultUniverse::stuck_nodes(&net);
+        let single = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(1))
+            .run(&patterns, &outs);
+        let clean = ParallelSim::new(&net, universe, config).run(&patterns, &outs);
+        assert_eq!(detection_key(&clean), detection_key(&single));
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //!
 //! [`run_shards`] owns both halves of fault-parallel execution. The
 //! *per-shard body* builds a [`ConcurrentSim`] over the shard's faults,
-//! runs it over the whole sequence (replaying the good tape when the
-//! work carries one), relabels detections to parent-universe fault ids,
-//! and publishes `par.*` metrics into a per-shard [`Registry::fork`].
+//! runs it over the whole sequence, relabels detections to
+//! parent-universe fault ids, and publishes `par.*` metrics into a
+//! per-shard [`Registry::fork`]. How a shard gets the good machine is
+//! the work's [`ShardTape`]: without one every shard settles it live;
+//! with a whole [`GoodTape`] every shard replays it; with a
+//! [`TapeStream`] shard 0 leads (settles live and publishes each
+//! phase) and every other shard follows (replays the stream behind
+//! it). A follower whose leader stopped early returns as skipped.
 //! The *completion loop* runs on the calling thread: it merges each fork and
 //! hands each [`ShardResult`] to a callback whose
 //! [`ControlFlow::Break`] stops the queue — shards not yet picked up are
@@ -23,7 +28,7 @@
 //! alive.
 
 use crate::plan::ShardPlan;
-use fmossim_core::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, RunReport};
+use fmossim_core::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, RunReport, TapeStream};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
 use fmossim_telemetry::Registry;
@@ -99,6 +104,18 @@ impl<'t> ShardPool<'t> for ScopedPool {
     }
 }
 
+/// Where the shards of a run get the good machine from.
+#[derive(Clone, Copy, Debug)]
+pub enum ShardTape<'a> {
+    /// A whole recorded tape, replayed by every shard.
+    Whole(&'a GoodTape),
+    /// A stream that shard 0 leads and every other shard follows. The
+    /// pool must start shard 0 no later than any follower (a
+    /// [`ScopedPool`] starts shards in plan order), since followers
+    /// wait for it.
+    Stream(&'a TapeStream),
+}
+
 /// One run of shard work, borrowed from wherever the caller keeps it.
 #[derive(Clone, Copy)]
 pub struct ShardWork<'a> {
@@ -112,9 +129,9 @@ pub struct ShardWork<'a> {
     pub patterns: &'a [Pattern],
     /// The observed outputs.
     pub outputs: &'a [NodeId],
-    /// The recorded good machine, replayed by every shard; `None`
-    /// re-settles the good circuit per shard.
-    pub tape: Option<&'a GoodTape>,
+    /// Where the shards get the good machine; `None` re-settles the
+    /// good circuit per shard.
+    pub tape: Option<ShardTape<'a>>,
     /// Every shard simulator's configuration.
     pub sim: ConcurrentConfig,
 }
@@ -201,10 +218,11 @@ pub fn run_shards<'t, J, P>(
             let (job, stop, fork) = (Arc::clone(&job), Arc::clone(&stop), telemetry.fork());
             Box::new(move || -> Outcome {
                 if stop.load(Ordering::Relaxed) || job.cancelled() {
+                    skip_shard(&job.work(), s);
                     return Ok(None);
                 }
                 match catch_unwind(AssertUnwindSafe(|| run_shard(&job.work(), s, &fork))) {
-                    Ok(result) => Ok(Some((result, fork))),
+                    Ok(result) => Ok(result.map(|r| (r, fork))),
                     Err(payload) => {
                         stop.store(true, Ordering::Relaxed);
                         Err(payload)
@@ -231,24 +249,51 @@ pub fn run_shards<'t, J, P>(
     }
 }
 
-/// The per-shard body (see the module docs).
-fn run_shard(w: &ShardWork<'_>, s: usize, metrics: &Registry) -> ShardResult {
+/// The per-shard body (see the module docs); `None` when the shard
+/// follows a stream whose leader stopped before the end.
+fn run_shard(w: &ShardWork<'_>, s: usize, metrics: &Registry) -> Option<ShardResult> {
     let started = Instant::now();
     let ids = w.plan.shard(s);
     let universe = w.universe.subset(ids);
-    let mut sim = ConcurrentSim::new(w.net, universe.faults(), w.sim);
-    sim.attach_metrics(metrics);
+    // A stream role is taken before the simulator is built, so that a
+    // panic there still ends the leader's stream or releases the
+    // follower's share of it.
+    let sim = || {
+        let mut sim = ConcurrentSim::new(w.net, universe.faults(), w.sim);
+        sim.attach_metrics(metrics);
+        sim
+    };
     let mut report = match w.tape {
-        Some(tape) => sim.run_replayed(w.patterns, w.outputs, tape),
-        None => sim.run(w.patterns, w.outputs),
+        None => sim().run(w.patterns, w.outputs),
+        Some(ShardTape::Whole(tape)) => sim().run_replayed(w.patterns, w.outputs, tape),
+        Some(ShardTape::Stream(stream)) if s == 0 => {
+            let leader = stream.lead();
+            sim().run_leading(w.patterns, w.outputs, leader)
+        }
+        Some(ShardTape::Stream(stream)) => {
+            let mut reader = stream.reader();
+            sim().run_replayed_from(w.patterns, w.outputs, &mut reader)?
+        }
     };
     report.relabel_faults(|local| ids[local.index()]);
     metrics.counter("par.shards").inc();
     metrics.gauge("par.shard.seconds").add(report.total_seconds);
-    ShardResult {
+    Some(ShardResult {
         shard: s,
         faults: ids.len(),
         started,
         report,
+    })
+}
+
+/// A shard skipped at pick-up gives up its stream role: a leader ends
+/// the stream, a follower releases its share of every phase.
+fn skip_shard(w: &ShardWork<'_>, s: usize) {
+    if let Some(ShardTape::Stream(stream)) = w.tape {
+        if s == 0 {
+            drop(stream.lead());
+        } else {
+            drop(stream.reader());
+        }
     }
 }

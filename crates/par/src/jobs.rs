@@ -8,8 +8,9 @@ use fmossim_netlist::Network;
 /// Estimated shard cost (sum of [`fault_cost`] over the shard's faults)
 /// that justifies dedicating one worker to it. Below this threshold the
 /// per-shard overhead — a thread, a simulator build and a walk of the
-/// good tape, plus the record pass any run of more than one shard
-/// pays — outweighs the fault-grading work, so [`Jobs::Auto`]
+/// good tape, plus the copy of every phase the leader of any run of
+/// more than one shard publishes — outweighs the fault-grading work,
+/// so [`Jobs::Auto`]
 /// allocates fewer workers than the hardware offers.
 pub const AUTO_COST_PER_WORKER: usize = 64;
 

@@ -17,9 +17,9 @@
 //!   balances uneven shards. Within each shard the usual per-shard
 //!   drop-on-detect applies: a detected fault stops consuming time.
 //! * [`ParallelSim`] is the one-shot driver: it plans the shards,
-//!   records the good tape when more than one shard shares it, runs
-//!   every shard over the whole sequence through the executor, and
-//!   merges.
+//!   streams the good tape from shard 0 to the others when more than
+//!   one shard shares it, runs every shard over the whole sequence
+//!   through the executor, and merges.
 //! * The per-shard [`fmossim_core::RunReport`]s are folded by
 //!   [`fmossim_core::RunReport::merge`] into a single report whose
 //!   detection set and coverage are identical to a one-shard run —
@@ -27,12 +27,14 @@
 //!
 //! The classical trade-off of fault-partitioned simulation — every
 //! shard re-simulating the *good* circuit — is retired by the
-//! record/replay tape: whenever more than one shard runs, the good
-//! machine is recorded once ([`fmossim_core::GoodTape`]) and each shard
-//! *replays* the shared log, re-deriving triggering and private events
-//! without re-settling the good circuit. Replay is bit-identical to
-//! recompute, so the remaining serial fraction is one good pass
-//! regardless of the shard count.
+//! record/replay tape: whenever more than one shard runs, shard 0 leads
+//! — it settles the good machine live and publishes each phase into a
+//! [`fmossim_core::TapeStream`] — and every other shard *replays* the
+//! published phases behind it, re-deriving triggering and private
+//! events without re-settling the good circuit. Replay is
+//! bit-identical to recompute, so one good pass is paid regardless of
+//! the shard count, inside the leader rather than before the pool
+//! starts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,6 +45,8 @@ mod jobs;
 mod plan;
 
 pub use driver::{ParallelConfig, ParallelRun, ParallelSim, ShardOutcome, TapeStats};
-pub use exec::{run_shards, ScopedPool, ShardJob, ShardPool, ShardResult, ShardTask, ShardWork};
+pub use exec::{
+    run_shards, ScopedPool, ShardJob, ShardPool, ShardResult, ShardTape, ShardTask, ShardWork,
+};
 pub use jobs::{Jobs, AUTO_COST_PER_WORKER};
 pub use plan::{fault_cost, ShardPlan, ShardStrategy};

@@ -10,12 +10,14 @@
 //! round-robin queues interleave all in-flight campaigns over a fixed
 //! worker count.
 //!
-//! Execution semantics match the parallel backend: the good machine is
-//! recorded once (or the job's [`TapeSlot`] hands in a cached tape and
-//! the record pass is skipped — then `tape_record_seconds == 0`), every
-//! shard replays the tape over its fault subset, and the merged
-//! detection set is bit-identical to an offline single-machine run of
-//! the same workload. Coverage targets stop the run at shard granularity
+//! Results match the parallel backend, but the tape is kept whole: the
+//! tape cache needs every phase, so the good machine is recorded once
+//! on the coordinator thread (or the job's [`TapeSlot`] hands in a
+//! cached tape and the record pass is skipped — then
+//! `tape_record_seconds == 0`), and every shard follows the whole tape
+//! ([`ShardTape::Whole`]) over its fault subset instead of a leader
+//! shard's stream. The merged detection set is bit-identical to an
+//! offline single-machine run of the same workload. Coverage targets stop the run at shard granularity
 //! ([`StopRule`]); a cancel also skips the job's still-queued shards at
 //! pick-up. A shard that panics fails the campaign: the executor
 //! re-raises the panic on the coordinator once the job's running
@@ -32,7 +34,7 @@ use crate::proto::JobSpec;
 use fmossim_campaign::{BackendRun, CampaignBackend, RunControl, SimEvent, StopRule, Workload};
 use fmossim_core::{ConcurrentConfig, DetectionPolicy, GoodTape, RunReport};
 use fmossim_faults::FaultUniverse;
-use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardStrategy, ShardWork};
+use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardStrategy, ShardTape, ShardWork};
 use fmossim_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -115,7 +117,7 @@ struct ServedShards {
 impl ShardJob for ServedShards {
     fn work(&self) -> ShardWork<'_> {
         ShardWork {
-            tape: Some(&self.tape),
+            tape: Some(ShardTape::Whole(&self.tape)),
             ..ShardWork::new(
                 &self.spec.net,
                 &self.universe,
@@ -235,6 +237,9 @@ impl CampaignBackend for ServedBackend {
             max_shard_seconds: Some(max_shard_seconds),
             tape_record_seconds: Some(record_seconds),
             tape_groups: Some(tape.num_groups()),
+            // The whole tape is held, and no shard waits for it.
+            tape_peak_bytes: Some(tape.heap_bytes()),
+            tape_wait_seconds: Some(0.0),
             ..stop.finish(run)
         }
     }

@@ -71,6 +71,8 @@ pub enum HttpError {
     /// A well-formed request using a feature this server does not
     /// implement (e.g. chunked request bodies) → `501`.
     Unsupported(String),
+    /// The client sent no byte for the socket's read timeout → `408`.
+    Timeout,
 }
 
 impl HttpError {
@@ -81,6 +83,7 @@ impl HttpError {
             HttpError::BadRequest(_) => 400,
             HttpError::TooLarge => 413,
             HttpError::Unsupported(_) => 501,
+            HttpError::Timeout => 408,
         }
     }
 
@@ -90,12 +93,26 @@ impl HttpError {
         match self {
             HttpError::BadRequest(d) | HttpError::Unsupported(d) => d,
             HttpError::TooLarge => "request too large",
+            HttpError::Timeout => "request timed out",
         }
     }
 }
 
+/// True for a socket read timeout, which reads as either kind, by
+/// platform.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 fn io_err(e: &io::Error) -> HttpError {
-    HttpError::BadRequest(format!("i/o error mid-request: {e}"))
+    if timed_out(e) {
+        HttpError::Timeout
+    } else {
+        HttpError::BadRequest(format!("i/o error mid-request: {e}"))
+    }
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, enforcing the
@@ -120,8 +137,10 @@ fn read_line(r: &mut dyn BufRead, budget: &mut usize) -> Result<Option<String>, 
 /// Parses one request from the stream.
 ///
 /// Returns `Ok(None)` on clean EOF before a request line — the normal
-/// end of a keep-alive connection. EOF anywhere *inside* a request is
-/// an error.
+/// end of a keep-alive connection — and when the read times out before
+/// the first byte of one: an idle connection closes quietly, since an
+/// unsolicited `408` could be read as the answer to a request a pooled
+/// client sends just then. EOF anywhere *inside* a request is an error.
 ///
 /// ```
 /// use fmossim_serve::http::parse_request;
@@ -137,9 +156,13 @@ fn read_line(r: &mut dyn BufRead, budget: &mut usize) -> Result<Option<String>, 
 /// # Errors
 ///
 /// [`HttpError::BadRequest`] on malformed syntax or mid-request EOF,
+/// [`HttpError::Timeout`] when the read times out inside a request,
 /// [`HttpError::TooLarge`] when head or declared body exceed their
 /// budgets, [`HttpError::Unsupported`] on chunked request bodies.
 pub fn parse_request(r: &mut dyn BufRead) -> Result<Option<Request>, HttpError> {
+    if r.fill_buf().is_err_and(|e| timed_out(&e)) {
+        return Ok(None);
+    }
     let mut budget = MAX_HEAD;
     let Some(line) = read_line(r, &mut budget)? else {
         return Ok(None);
@@ -271,6 +294,7 @@ pub fn status_text(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Content Too Large",
         500 => "Internal Server Error",
@@ -447,6 +471,31 @@ mod tests {
         assert_eq!(parse_request(&mut r), Err(HttpError::TooLarge));
         let unread = io::copy(&mut r, &mut io::sink()).unwrap();
         assert_eq!(unread, (total - MAX_HEAD - 1) as u64);
+    }
+
+    /// A reader whose every read times out.
+    struct Stalls;
+
+    impl Read for Stalls {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    /// An idle connection whose read times out before a request starts
+    /// ends quietly, as at a clean EOF.
+    #[test]
+    fn a_timeout_before_a_request_is_a_quiet_end() {
+        let mut r = io::BufReader::new(Stalls);
+        assert_eq!(parse_request(&mut r), Ok(None));
+    }
+
+    /// A socket read timeout mid-head is a `408`, not a `400`.
+    #[test]
+    fn a_read_timeout_is_a_408() {
+        let mut r = io::BufReader::new((&b"GET /heal"[..]).chain(Stalls));
+        let err = parse_request(&mut r).expect_err("timed out");
+        assert_eq!((err.status(), err), (408, HttpError::Timeout));
     }
 
     #[test]

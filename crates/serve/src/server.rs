@@ -40,6 +40,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Server construction knobs.
 #[derive(Clone, Debug)]
@@ -53,16 +54,23 @@ pub struct ServerConfig {
     pub cache_bytes: usize,
     /// Shard count for submissions that do not set `shards`.
     pub default_shards: usize,
+    /// Read and write timeout of every accepted socket: a client that
+    /// stalls mid-request for this long gets a `408` and its
+    /// connection closes; an idle keep-alive connection closes
+    /// quietly. It bounds each stall, not a request's total time.
+    pub io_timeout: Duration,
 }
 
 impl Default for ServerConfig {
-    /// Loopback on a free port, two workers, a 64 MiB tape cache.
+    /// Loopback on a free port, two workers, a 64 MiB tape cache,
+    /// 30 s socket timeouts.
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             cache_bytes: 64 << 20,
             default_shards: DEFAULT_SHARDS,
+            io_timeout: Duration::from_secs(30),
         }
     }
 }
@@ -89,6 +97,7 @@ pub(crate) struct ServerState {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServerState>,
+    io_timeout: Duration,
 }
 
 impl Server {
@@ -97,8 +106,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind error.
+    /// Propagates the bind error; rejects a zero `io_timeout`.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
+        if config.io_timeout.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "io_timeout must be positive",
+            ));
+        }
         let registry = Registry::new();
         let state = Arc::new(ServerState {
             pool: Arc::new(SharedPool::new(config.workers, &registry)),
@@ -110,6 +125,7 @@ impl Server {
         Ok(Server {
             listener: TcpListener::bind(&config.addr)?,
             state,
+            io_timeout: config.io_timeout,
         })
     }
 
@@ -135,6 +151,13 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // Both halves of a connection share the socket, and so its
+            // timeouts. A socket that refuses them is not served.
+            if stream.set_read_timeout(Some(self.io_timeout)).is_err()
+                || stream.set_write_timeout(Some(self.io_timeout)).is_err()
+            {
+                continue;
+            }
             let state = Arc::clone(&self.state);
             let _ = std::thread::Builder::new()
                 .name("serve-conn".into())

@@ -73,8 +73,8 @@ struct GroupSpan {
 /// A replayable log of one settle: every solved vicinity in solve
 /// order, with its support and applied state changes, stored in flat
 /// arrays (three `Vec`s plus one span per group — no per-group
-/// allocation).
-#[derive(Clone, Debug, Default)]
+/// allocation). Equality compares every recorded field.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SettleTape {
     members: Vec<NodeId>,
     support_rest: Vec<NodeId>,

@@ -100,11 +100,11 @@ paper's algorithm, default), `serial` (the per-fault baseline), or
 
 --jobs N picks the worker count, `auto` sizes the pool from the
 workload. The shard
-count follows from the resolved workers. With more than one shard the
-good machine is recorded once and the tape replayed in every shard;
-a single shard settles the good circuit itself (recording would cost
-a good pass without saving one), so with --jobs auto on a small
-workload the tape is skipped. The post-run `plan:` line echoes what
+count follows from the resolved workers. With more than one shard,
+shard 0 settles the good machine and streams each phase to the other
+shards, which replay it behind it; a single shard settles the good
+circuit itself, so with --jobs auto on a small workload the tape is
+skipped. The post-run `plan:` line echoes what
 actually resolved.
 
 The concurrent and parallel backends settle the fault machines woken
@@ -575,10 +575,12 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     // shard count from the resolved workers, tape only when more than
     // one shard exists.)
     if let (Some(jobs), Some(shards)) = (report.jobs, report.shards) {
-        let tape = match (report.tape_record_seconds, report.tape_groups) {
-            (Some(secs), Some(groups)) => {
-                format!("good tape replayed ({groups} groups recorded in {secs:.3}s)")
-            }
+        let tape = match (report.tape_groups, report.tape_peak_bytes) {
+            (Some(groups), Some(peak)) => format!(
+                "good tape replayed ({groups} groups streamed, peak {:.1} KiB held, followers waited {:.3}s)",
+                peak as f64 / 1024.0,
+                report.tape_wait_seconds.unwrap_or(0.0),
+            ),
             _ => "good tape skipped (single shard)".to_string(),
         };
         println!(

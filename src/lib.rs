@@ -28,8 +28,9 @@
 //!   `std::thread` worker pool ([`par::ParallelSim`]), with merged
 //!   reports identical to single-threaded runs; worker counts can be
 //!   autotuned from the workload ([`par::Jobs::Auto`]), and the good
-//!   machine is recorded once per run ([`concurrent::GoodTape`]) and
-//!   replayed in every shard instead of re-simulated.
+//!   machine is settled once per run, by shard 0, which streams it
+//!   ([`concurrent::TapeStream`]) to the other shards to replay
+//!   instead of re-simulate.
 //! * [`telemetry`] — hierarchical counters/gauges/histograms
 //!   ([`telemetry::Registry`]) recorded by every layer above, merged
 //!   across shards, snapshotted into

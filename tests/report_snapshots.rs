@@ -90,6 +90,10 @@ fn normalize(r: &mut CampaignReport) {
     r.good_seconds = r.good_seconds.map(|_| 0.0);
     r.serial_estimate_seconds = r.serial_estimate_seconds.map(|_| 0.0);
     r.tape_record_seconds = r.tape_record_seconds.map(|_| 0.0);
+    // How much of the streamed tape is held at once, and how long the
+    // followers wait, depend on how far the leader runs ahead.
+    r.tape_peak_bytes = r.tape_peak_bytes.map(|_| 0);
+    r.tape_wait_seconds = r.tape_wait_seconds.map(|_| 0.0);
     r.run.total_seconds = 0.0;
     for p in &mut r.run.patterns {
         p.seconds = 0.0;
@@ -158,7 +162,8 @@ fn fixtures_lock_the_v3_schema() {
             "parallel" => {
                 assert_eq!(parsed.jobs, Some(2));
                 assert_eq!(parsed.shards, Some(2));
-                assert!(parsed.tape_record_seconds.is_some(), "tape echoed");
+                assert_eq!(parsed.tape_record_seconds, Some(0.0), "no record pass");
+                assert!(parsed.tape_peak_bytes.is_some(), "tape peak echoed");
                 assert_eq!(parsed.metrics.counters["par.shards"], 2);
             }
             _ => {}
@@ -291,6 +296,13 @@ fn v2_fixtures_still_parse() {
         // `None`, while a fresh instrumented backend echoes its knob.
         assert_eq!(archived.control.packing, None);
         fresh.control.packing = None;
+        // So do the streamed tape's peak and wait.
+        assert_eq!(
+            (archived.tape_peak_bytes, archived.tape_wait_seconds),
+            (None, None)
+        );
+        fresh.tape_peak_bytes = None;
+        fresh.tape_wait_seconds = None;
         assert_eq!(archived.backend, name);
         assert_eq!(
             fresh, archived,

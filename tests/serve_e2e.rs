@@ -284,3 +284,44 @@ fn served_config_is_paper_with_definite_only() {
         fmossim::concurrent::DetectionPolicy::DefiniteOnly
     );
 }
+
+/// A client that sends half a request line and stalls is answered
+/// `408` and disconnected once the socket's read timeout passes, so
+/// its connection thread exits; the server keeps serving the next
+/// client, with every route (and so every shared lock) still working.
+#[test]
+fn a_stalled_client_times_out_and_the_next_is_served() {
+    use std::io::{Read, Write};
+    let server = Server::bind(&ServerConfig {
+        workers: 1,
+        io_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr");
+    std::thread::spawn(move || server.run());
+
+    let mut stalled = std::net::TcpStream::connect(addr).expect("connect");
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("client timeout");
+    stalled
+        .write_all(b"GET /heal")
+        .expect("half a request line");
+    let t0 = Instant::now();
+    let mut answer = String::new();
+    stalled
+        .read_to_string(&mut answer)
+        .expect("the server closes the connection");
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer}");
+    assert!(
+        t0.elapsed() >= Duration::from_millis(150),
+        "{:?}",
+        t0.elapsed()
+    );
+
+    for path in ["/healthz", "/campaigns", "/metrics"] {
+        let resp = request(addr, "GET", path, None).expect(path);
+        assert_eq!(resp.status, 200, "{path}");
+    }
+}

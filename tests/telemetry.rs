@@ -207,10 +207,10 @@ fn parallel_events_cover_every_shard() {
 /// The counters that count *simulation decisions* — how many circuit
 /// settles, private events, faulty-circuit groups, detections — must
 /// not depend on how the fault list is sharded. Excluded by design:
-/// gauges (timing-shaped), `core.good.groups` / `core.tape.*` (one
-/// shard recomputes the good machine, many shards replay a tape),
-/// `switch.*` (counts good-machine solver work, which moves into the
-/// tape recorder when sharded) and `par.*` (counts the shards
+/// gauges (timing-shaped), `core.tape.*` (zero on one shard; many
+/// shards stream a tape, with the identities asserted below beside
+/// `core.good.groups`), `switch.*` (packed-lane counts depend on which
+/// circuits share a shard) and `par.*` (counts the shards
 /// themselves).
 const K_INVARIANT_COUNTERS: [&str; 9] = [
     "core.circuit.settles",
@@ -286,19 +286,20 @@ fn merged_counters_are_shard_count_invariant() {
                 "{circuit} K={k}: workload does work"
             );
             // The tape shrinks good-machine work: one shard settles the
-            // good circuit itself; K >= 2 shards record it once and all
-            // K replay the recording instead of settling it again.
+            // good circuit itself; with K >= 2 shards the leader settles
+            // it and streams it, and the K - 1 followers replay the
+            // stream instead of settling it again.
             let counter = |name: &str| snapshot.counters.get(name).copied().unwrap_or(0);
             if k == 1 {
                 good_groups = counter("core.good.groups");
                 assert!(good_groups > 0, "{circuit}: the good machine does work");
                 assert_eq!(counter("core.tape.groups"), 0, "{circuit}: no tape at K=1");
             } else {
-                assert_eq!(counter("core.good.groups"), 0, "{circuit} K={k}");
+                assert_eq!(counter("core.good.groups"), good_groups, "{circuit} K={k}");
                 assert_eq!(counter("core.tape.groups"), good_groups, "{circuit} K={k}");
                 assert_eq!(
                     counter("core.tape.replayed_groups"),
-                    k as u64 * good_groups,
+                    (k as u64 - 1) * good_groups,
                     "{circuit} K={k}"
                 );
             }
