@@ -468,9 +468,9 @@ impl<'n> ConcurrentSim<'n> {
         let good = DenseState::new(net);
         let mut engine = Engine::with_config(net, config.engine);
         engine.perturb_all_storage(&good);
-        let packed = (config.packing && config.engine.locality == LocalityMode::Dynamic)
-            .then(|| Box::new(PackedLanes::new(net, config.engine)));
         let n_sets = fault_sets.len();
+        let packed = (config.packing && config.engine.locality == LocalityMode::Dynamic)
+            .then(|| Box::new(PackedLanes::new(net, config.engine, n_sets + 1)));
         let mut overrides = vec![Overrides::default(); n_sets + 1];
         let mut queue = EventQueue::default();
         // The structural tables, flattened: (node, entry) pairs sorted
@@ -1036,8 +1036,7 @@ impl<'n> ConcurrentSim<'n> {
     /// the chunking are pure scheduling.
     fn settle_triggered_packed(&mut self, stats: &mut PatternStats) {
         // One sorted drain of the flat queue yields the batch directly:
-        // ascending circuit runs (the lane→circuit map the packed view
-        // binary-searches) whose seed slices are already sorted and
+        // one run per circuit, whose seed slices are already sorted and
         // deduplicated in the event buffer — no per-circuit Vec.
         let events = self.queue.take_sorted();
         let lanes = self.packed.as_mut().expect("packed path active");
@@ -1093,16 +1092,13 @@ impl<'n> ConcurrentSim<'n> {
         }
         // Seed-grouped chunks: order the sharing circuits by their seed
         // sets, so circuits woken at the same nodes land in the same
-        // chunk whatever their ids, then restore ascending circuit ids
-        // inside each chunk (the lane order the packed view
-        // binary-searches).
+        // chunk whatever their ids.
         shared.sort_unstable_by(|a, b| {
             let seeds = |r: &SeedRun| events[r.range()].iter().map(|&(_, s)| s);
             seeds(a).cmp(seeds(b)).then(a.circ.cmp(&b.circ))
         });
         self.metrics.lap(Step::Drain);
-        for chunk in shared.chunks_mut(64) {
-            chunk.sort_unstable_by_key(|run| run.circ);
+        for chunk in shared.chunks(64) {
             if chunk.len() == 1 {
                 let run = chunk[0];
                 self.settle_circuit_scalar(run.circ, &events[run.range()], stats, true);

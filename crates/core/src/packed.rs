@@ -6,13 +6,18 @@
 //! the fault's forced value if any, else its divergence record, else
 //! the good circuit's state — exactly the scalar overlay order. Reads
 //! gather lazily into a dense two-plane cache (one gather per node per
-//! chunk, however often the solver revisits it); writes land in the
-//! cache and mark the node dirty, and [`PackedViewScratch::scatter`]
-//! folds the dirty lanes back into the record lists after the settle —
-//! writing the good circuit's value removes the record (convergence),
-//! anything else installs or updates it. Records are never mutated
-//! while a settle is in flight, which is what lets the view hold them
-//! by shared reference.
+//! chunk, however often the solver revisits it); a gather maps each
+//! record's circuit to its lane through a per-circuit table stamped
+//! with the chunk's epoch, so it costs one lookup per record. A
+//! one-lane read (the engine's one-lane solves) gathers nothing: it
+//! reads the cache if the node is loaded, else that lane's forced
+//! value, record or good value. Writes land in the cache and mark the
+//! node dirty, and [`PackedViewScratch::scatter`] folds the dirty lanes
+//! back into the record lists after the settle — writing the good
+//! circuit's value removes the record (convergence), anything else
+//! installs or updates it. Records are never mutated while a settle is
+//! in flight, which is what lets the view hold them by shared
+//! reference.
 
 use crate::overlay::Overrides;
 use crate::records::StateLists;
@@ -59,10 +64,11 @@ pub(crate) struct PackedLanes {
 }
 
 impl PackedLanes {
-    pub(crate) fn new(net: &Network, config: EngineConfig) -> Self {
+    /// Lane machinery for `net` and circuit ids below `num_circuits`.
+    pub(crate) fn new(net: &Network, config: EngineConfig, num_circuits: usize) -> Self {
         PackedLanes {
             engine: PackedEngine::with_config(net, config),
-            scratch: PackedViewScratch::new(net.num_nodes()),
+            scratch: PackedViewScratch::new(net.num_nodes(), num_circuits),
             batch: Vec::new(),
             shared: Vec::new(),
             solo: Vec::new(),
@@ -94,11 +100,22 @@ struct GatherCache {
     epoch: u32,
 }
 
+/// Where a circuit sits in the current chunk: its lane, valid iff
+/// `epoch` is the gather cache's.
+#[derive(Clone, Copy, Debug, Default)]
+struct LaneSlot {
+    epoch: u32,
+    lane: u32,
+}
+
 /// Reusable storage behind [`PackedBucketView`], owned by the simulator
 /// so that per-chunk setup allocates nothing in the steady state.
 #[derive(Debug)]
 pub(crate) struct PackedViewScratch {
     cache: RefCell<GatherCache>,
+    /// Per circuit id: its lane in the current chunk, stamped with the
+    /// cache's epoch (sized once, for every circuit).
+    lane_of: Vec<LaneSlot>,
     /// Per node: lanes written during the current settle.
     dirty_mask: Vec<u64>,
     /// Nodes with a nonzero dirty mask, in first-write order.
@@ -113,13 +130,14 @@ pub(crate) struct PackedViewScratch {
 }
 
 impl PackedViewScratch {
-    pub(crate) fn new(num_nodes: usize) -> Self {
+    pub(crate) fn new(num_nodes: usize, num_circuits: usize) -> Self {
         PackedViewScratch {
             cache: RefCell::new(GatherCache {
                 values: vec![PackedLogic::default(); num_nodes],
                 loaded: vec![0; num_nodes],
                 epoch: 0,
             }),
+            lane_of: vec![LaneSlot::default(); num_circuits],
             dirty_mask: vec![0; num_nodes],
             dirty: Vec::new(),
             forced_nodes: Vec::new(),
@@ -127,8 +145,9 @@ impl PackedViewScratch {
         }
     }
 
-    /// Rebuilds the per-lane fault override tables for a new chunk and
-    /// invalidates the gather cache.
+    /// Rebuilds the circuit → lane table and the per-lane fault
+    /// override tables for a new chunk, and invalidates the gather
+    /// cache.
     fn begin_chunk(&mut self, circs: &[u32], overrides: &[Overrides]) {
         debug_assert!(self.dirty.is_empty(), "previous chunk not scattered");
         let cache = self.cache.get_mut();
@@ -136,16 +155,22 @@ impl PackedViewScratch {
         if cache.epoch == 0 {
             // Epoch wrapped: stale stamps could collide, so clear them.
             cache.loaded.fill(0);
+            self.lane_of.fill(LaneSlot::default());
             cache.epoch = 1;
         }
         self.forced_nodes.clear();
         self.forced_trans.clear();
         for (lane, &circ) in circs.iter().enumerate() {
+            let lane = u32::try_from(lane).expect("lane fits");
+            self.lane_of[circ as usize] = LaneSlot {
+                epoch: cache.epoch,
+                lane,
+            };
             let bit = 1u64 << lane;
             let ov = &overrides[circ as usize];
             for &(n, v) in &ov.forced_nodes {
                 let mut pv = PackedLogic::default();
-                pv.set(u32::try_from(lane).expect("lane fits"), v);
+                pv.set(lane, v);
                 self.forced_nodes.push((n, bit, pv));
             }
             for &(t, c) in &ov.forced_transistors {
@@ -205,9 +230,11 @@ pub(crate) struct PackedBucketView<'a, 'n> {
     net: &'n Network,
     good: &'a [Logic],
     records: &'a StateLists,
-    /// Lane `i` is circuit `circs[i]`; ascending, so a record's circuit
-    /// id maps to its lane by binary search.
+    /// Lane `i` is circuit `circs[i]`.
     circs: &'a [u32],
+    /// Every circuit's overrides, indexed by circuit id: a one-lane
+    /// read takes its lane's own.
+    overrides: &'a [Overrides],
     lanes: u64,
     scratch: &'a mut PackedViewScratch,
 }
@@ -218,16 +245,16 @@ impl<'a, 'n> PackedBucketView<'a, 'n> {
         good: &'a [Logic],
         records: &'a StateLists,
         circs: &'a [u32],
-        overrides: &[Overrides],
+        overrides: &'a [Overrides],
         scratch: &'a mut PackedViewScratch,
     ) -> Self {
-        debug_assert!(circs.windows(2).all(|w| w[0] < w[1]), "lanes ascend");
         scratch.begin_chunk(circs, overrides);
         PackedBucketView {
             net,
             good,
             records,
             circs,
+            overrides,
             lanes: lane_mask(circs.len()),
             scratch,
         }
@@ -265,9 +292,11 @@ impl PackedState for PackedBucketView<'_, '_> {
             // Overlay order bottom-up: good, then records, then forced —
             // the scalar FaultyView's forced → record → good priority.
             let mut v = PackedLogic::splat(self.good[i], self.lanes);
+            let lane_of = &self.scratch.lane_of;
             self.records.for_records_at(n, |c, rv| {
-                if let Ok(lane) = self.circs.binary_search(&c) {
-                    v.set(u32::try_from(lane).expect("lane fits"), rv);
+                let slot = lane_of[c as usize];
+                if slot.epoch == *epoch {
+                    v.set(slot.lane, rv);
                 }
             });
             if let Ok(fi) = self
@@ -324,13 +353,39 @@ impl PackedState for PackedBucketView<'_, '_> {
         }
         pc
     }
+
+    fn lane_state(&self, n: NodeId, lane: u32) -> Logic {
+        let i = n.index();
+        {
+            let cache = self.scratch.cache.borrow();
+            if cache.loaded[i] == cache.epoch {
+                return cache.values[i].get(lane).expect("chunk lane holds a value");
+            }
+        }
+        let circ = self.circs[lane as usize];
+        if let Some(v) = self.overrides[circ as usize].forced_value(n) {
+            return v;
+        }
+        self.records.get(n, circ).unwrap_or(self.good[i])
+    }
+
+    fn lane_conduction(&self, t: TransistorId, lane: u32) -> Conduction {
+        let circ = self.circs[lane as usize];
+        if let Some(c) = self.overrides[circ as usize].forced_conduction(t) {
+            return c;
+        }
+        let tr = self.net.transistor(t);
+        tr.ttype.conduction(self.lane_state(tr.gate, lane))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlay::FaultyView;
     use fmossim_faults::FaultEffect;
     use fmossim_netlist::{Drive, Size, TransistorType};
+    use fmossim_switch::SwitchState;
 
     fn tiny() -> (Network, NodeId, NodeId, TransistorId) {
         let mut net = Network::new();
@@ -360,7 +415,7 @@ mod tests {
             }),
         ];
         let circs = [2u32, 3, 4];
-        let mut scratch = PackedViewScratch::new(3);
+        let mut scratch = PackedViewScratch::new(3, 8);
         let view = PackedBucketView::new(&net, &good, &recs, &circs, &overrides, &mut scratch);
         let vs = view.node_state(s);
         assert_eq!(vs.get(0), Some(Logic::X), "circuit 2: good value");
@@ -378,7 +433,7 @@ mod tests {
         recs.set(s, 1, Logic::L);
         let overrides = vec![Overrides::default(); 4];
         let circs = [1u32, 2];
-        let mut scratch = PackedViewScratch::new(3);
+        let mut scratch = PackedViewScratch::new(3, 8);
         {
             let mut view =
                 PackedBucketView::new(&net, &good, &recs, &circs, &overrides, &mut scratch);
@@ -414,7 +469,7 @@ mod tests {
             }),
         ];
         let circs = [1u32, 2, 3];
-        let mut scratch = PackedViewScratch::new(3);
+        let mut scratch = PackedViewScratch::new(3, 8);
         let view = PackedBucketView::new(&net, &good, &recs, &circs, &overrides, &mut scratch);
         let pc = view.conduction(t);
         // Gate A is H: the N device conducts except where forced.
@@ -428,7 +483,7 @@ mod tests {
         let good = vec![Logic::L, Logic::H, Logic::X];
         let mut recs = StateLists::new(3, 4);
         let overrides = vec![Overrides::default(); 4];
-        let mut scratch = PackedViewScratch::new(3);
+        let mut scratch = PackedViewScratch::new(3, 8);
         let circs = [1u32];
         {
             let view = PackedBucketView::new(&net, &good, &recs, &circs, &overrides, &mut scratch);
@@ -442,5 +497,164 @@ mod tests {
             Some(Logic::H),
             "new chunk re-gathers from the updated records"
         );
+    }
+
+    /// A small network with records, stuck nodes and stuck transistors
+    /// over circuits 1..=9: `A` is an input; `S1` gates a P pull-up to
+    /// `S2`, `S2` an N pass device to `S3`.
+    fn mixed() -> (Network, Vec<Logic>, StateLists, Vec<Overrides>) {
+        let mut net = Network::new();
+        let vdd = net.add_input("Vdd", Logic::H);
+        let gnd = net.add_input("Gnd", Logic::L);
+        let a = net.add_input("A", Logic::H);
+        let s1 = net.add_storage("S1", Size::S1);
+        let s2 = net.add_storage("S2", Size::S1);
+        let s3 = net.add_storage("S3", Size::S2);
+        net.add_transistor(TransistorType::N, Drive::D2, a, s1, gnd);
+        let t1 = net.add_transistor(TransistorType::P, Drive::D2, s1, vdd, s2);
+        let t2 = net.add_transistor(TransistorType::N, Drive::D2, s2, s2, s3);
+        net.add_transistor(TransistorType::D, Drive::D1, s3, vdd, s3);
+        let good = vec![Logic::H, Logic::L, Logic::H, Logic::L, Logic::H, Logic::X];
+        let mut recs = StateLists::new(6, 9);
+        for (n, circ, v) in [
+            (s1, 1, Logic::H),
+            (s1, 3, Logic::X),
+            (s1, 5, Logic::H),
+            (s1, 9, Logic::X),
+            (s2, 2, Logic::L),
+            (s2, 4, Logic::X),
+            (s2, 6, Logic::H),
+            (s2, 8, Logic::L),
+            (s3, 1, Logic::L),
+            (s3, 7, Logic::H),
+            (s3, 8, Logic::H),
+            (s3, 9, Logic::L),
+        ] {
+            recs.set(n, circ, v);
+        }
+        let mut overrides = vec![Overrides::default(); 10];
+        overrides[2] = Overrides::from_effect(FaultEffect::ForceNode {
+            node: s1,
+            value: Logic::H,
+        });
+        overrides[4] = Overrides::from_effect(FaultEffect::ForceTransistor {
+            t: t1,
+            cond: Conduction::Open,
+        });
+        overrides[5] = Overrides::from_effect(FaultEffect::ForceTransistor {
+            t: t2,
+            cond: Conduction::Maybe,
+        });
+        overrides[6] = Overrides::from_effect(FaultEffect::ForceNode {
+            node: s2,
+            value: Logic::L,
+        });
+        overrides[8] = Overrides::from_effect(FaultEffect::ForceNode {
+            node: s3,
+            value: Logic::X,
+        });
+        (net, good, recs, overrides)
+    }
+
+    /// Gathers every node of a chunk and checks each lane against the
+    /// scalar overlay of its circuit.
+    fn assert_gather_matches_scalar(
+        net: &Network,
+        good: &[Logic],
+        recs: &StateLists,
+        overrides: &[Overrides],
+        circs: &[u32],
+        scratch: &mut PackedViewScratch,
+    ) {
+        let mut scalar_recs = recs.clone();
+        let view = PackedBucketView::new(net, good, recs, circs, overrides, scratch);
+        for n in net.node_ids() {
+            let packed = view.node_state(n);
+            for (lane, &circ) in circs.iter().enumerate() {
+                let fv =
+                    FaultyView::new(net, good, &mut scalar_recs, circ, &overrides[circ as usize]);
+                let lane = u32::try_from(lane).unwrap();
+                assert_eq!(
+                    packed.get(lane),
+                    Some(fv.node_state(n)),
+                    "circuit {circ} (lane {lane}) at {n:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gather_maps_interleaved_records_to_lanes() {
+        let (net, good, mut recs, overrides) = mixed();
+        let mut scratch = PackedViewScratch::new(net.num_nodes(), overrides.len());
+        // Records of circuits below (1), between (4, 6, 8) and above (9)
+        // the chunk's ids sit at the same nodes as the chunk's own.
+        for circs in [[2u32, 3, 5, 7], [1, 4, 6, 8]] {
+            assert_gather_matches_scalar(&net, &good, &recs, &overrides, &circs, &mut scratch);
+            scratch.scatter(&good, &mut recs, &circs);
+        }
+        // Across an epoch wrap: the wrapped epoch restarts at the first
+        // chunk's stamp, so stale lane slots must have been cleared.
+        scratch.cache.get_mut().epoch = u32::MAX;
+        let circs = [1u32, 3, 9];
+        assert_gather_matches_scalar(&net, &good, &recs, &overrides, &circs, &mut scratch);
+        assert_eq!(scratch.cache.get_mut().epoch, 1, "the epoch wrapped");
+    }
+
+    #[test]
+    fn one_lane_reads_equal_that_lane_of_the_packed_reads() {
+        let (net, good, recs, overrides) = mixed();
+        let circs = [1u32, 2, 4, 5, 6, 8, 9];
+        let mut scratch = PackedViewScratch::new(net.num_nodes(), overrides.len());
+        let mut view = PackedBucketView::new(&net, &good, &recs, &circs, &overrides, &mut scratch);
+        let lanes = u32::try_from(circs.len()).unwrap();
+        // Each lane's one-lane reads, packed back into words.
+        let one_lane = |view: &PackedBucketView<'_, '_>| {
+            let states: Vec<PackedLogic> = net
+                .node_ids()
+                .map(|n| {
+                    let mut v = PackedLogic::default();
+                    for l in 0..lanes {
+                        v.set(l, view.lane_state(n, l));
+                    }
+                    v
+                })
+                .collect();
+            let conds: Vec<PackedConduction> = net
+                .transistor_ids()
+                .map(|t| {
+                    let mut pc = PackedConduction::default();
+                    for l in 0..lanes {
+                        match view.lane_conduction(t, l) {
+                            Conduction::Closed => pc.closed |= 1 << l,
+                            Conduction::Maybe => pc.maybe |= 1 << l,
+                            Conduction::Open => {}
+                        }
+                    }
+                    pc
+                })
+                .collect();
+            (states, conds)
+        };
+        let packed = |view: &PackedBucketView<'_, '_>| {
+            let states: Vec<PackedLogic> = net.node_ids().map(|n| view.node_state(n)).collect();
+            let conds: Vec<PackedConduction> =
+                net.transistor_ids().map(|t| view.conduction(t)).collect();
+            (states, conds)
+        };
+        // Unloaded: read one lane first, then the packed words.
+        let unloaded = one_lane(&view);
+        assert_eq!(unloaded, packed(&view), "unloaded nodes");
+        assert_eq!(one_lane(&view), packed(&view), "loaded nodes");
+        // Written: every storage node, in lanes that are not forced there.
+        for n in net.node_ids().filter(|&n| !net.node(n).is_input()) {
+            let writable = view.lanes() & !view.is_input_lanes(n);
+            let old = view.node_state(n);
+            let flipped = PackedLogic { h: old.l, l: old.h };
+            view.set_node_state(n, writable & 0b1010101, flipped);
+        }
+        let written = one_lane(&view);
+        assert_eq!(written, packed(&view), "written nodes");
+        assert_ne!(written.0, unloaded.0, "the writes changed some lanes");
     }
 }

@@ -16,8 +16,8 @@
 //! at `X` — the MOSSIM II treatment of unstable networks.
 
 use crate::solve::{PackedScratch, Scratch};
-use crate::state::{PackedLogic, PackedState, SwitchState};
-use fmossim_netlist::{Conduction, Logic, Network, NodeId, TransistorId, TransistorType};
+use crate::state::{LaneView, PackedLogic, PackedState, SwitchState};
+use fmossim_netlist::{Logic, Network, NodeId, TransistorId, TransistorType};
 use fmossim_telemetry::{Counter, Histogram, LocalHistogram, Registry};
 
 /// Vicinity partitioning discipline; see the DAC-85 paper's §4
@@ -509,6 +509,8 @@ struct PackedEngineMetrics {
     scalar_fallbacks: Counter,
     /// `switch.lane.occupancy` — lanes per packed solve.
     occupancy: Histogram,
+    /// `switch.lane.evictions` — lanes a packed scan evicted.
+    evictions: Counter,
     /// `switch.vicinity.solves` — one per kept lane.
     vicinity_solves: Counter,
     /// `switch.nodes_changed` — per-lane node state changes.
@@ -520,6 +522,7 @@ struct PackedEngineMetrics {
     local_packed: u64,
     local_fallbacks: u64,
     local_occupancy: LocalHistogram,
+    local_evictions: u64,
     local_vicinity_solves: u64,
     local_nodes_changed: u64,
     local_group_size: LocalHistogram,
@@ -534,6 +537,7 @@ impl PackedEngineMetrics {
             packed_solves: registry.counter("switch.packed_solves"),
             scalar_fallbacks: registry.counter("switch.scalar_fallbacks"),
             occupancy: registry.histogram("switch.lane.occupancy"),
+            evictions: registry.counter("switch.lane.evictions"),
             vicinity_solves: registry.counter("switch.vicinity.solves"),
             nodes_changed: registry.counter("switch.nodes_changed"),
             group_size: registry.histogram("switch.solve_group.size"),
@@ -567,12 +571,14 @@ impl PackedEngineMetrics {
         self.rounds.add(self.local_rounds);
         self.packed_solves.add(self.local_packed);
         self.scalar_fallbacks.add(self.local_fallbacks);
+        self.evictions.add(self.local_evictions);
         self.vicinity_solves.add(self.local_vicinity_solves);
         self.nodes_changed.add(self.local_nodes_changed);
         self.local_settles = 0;
         self.local_rounds = 0;
         self.local_packed = 0;
         self.local_fallbacks = 0;
+        self.local_evictions = 0;
         self.local_vicinity_solves = 0;
         self.local_nodes_changed = 0;
         self.occupancy.merge_local(&mut self.local_occupancy);
@@ -598,8 +604,10 @@ impl PackedEngineMetrics {
 /// * a gate-driven wake-up for some lanes joins the node's pending entry
 ///   only for lanes that have queued nothing since that entry, and
 ///   starts a new entry for the rest;
-/// * lanes evicted by a mid-extraction support divergence re-solve from
-///   the same seed before the next entry is taken.
+/// * lanes evicted because their vicinity's members diverge (or, in a
+///   vicinity of more than one node, a boundary transistor's conduction)
+///   re-solve from the same seed before the next entry is taken; lanes
+///   that differ only at a one-node vicinity's boundary share its solve.
 ///
 /// A per-node pending mask plays the role of the scalar queued flag, a
 /// per-node `(round, lanes)` stamp plays the role of `solved_round`, and
@@ -673,7 +681,8 @@ impl PackedEngine {
     }
 
     /// Publishes this engine's activity (`switch.packed_solves`,
-    /// `switch.scalar_fallbacks`, `switch.lane.occupancy`, its settle
+    /// `switch.scalar_fallbacks`, `switch.lane.occupancy`,
+    /// `switch.lane.evictions`, its settle
     /// calls and rounds, and per kept lane `switch.vicinity.solves`,
     /// `switch.nodes_changed` and `switch.solve_group.size`) into
     /// `registry`; see [`Engine::attach_metrics`] for the discipline.
@@ -747,6 +756,7 @@ impl PackedEngine {
                         break;
                     }
                     let (kept, evicted) = self.scratch.solve(st, seed, m);
+                    self.metrics.local_evictions += u64::from(evicted.count_ones());
                     self.apply_packed(st, kept, x_damp, &mut report);
                     // Diverged lanes re-extract from the same seed before
                     // the next entry, preserving each lane's scalar order.
@@ -814,10 +824,12 @@ impl PackedEngine {
 
     /// Solves `seed`'s vicinity for exactly one lane through the scalar
     /// solver, with the same round bookkeeping, damping and wake-ups as
-    /// the packed branch. Bit-identical to a one-lane packed solve (the
-    /// equivalence tests pin the two solvers to each other), so the
-    /// dispatch is invisible in the results — only
-    /// `switch.scalar_fallbacks` sees it.
+    /// the packed branch. It reads only its own lane
+    /// ([`PackedState::lane_state`] and its siblings), not whole packed
+    /// words. Bit-identical to a one-lane packed solve (the equivalence
+    /// tests pin the two solvers to each other), so the dispatch is
+    /// invisible in the results — only `switch.scalar_fallbacks` sees
+    /// it.
     fn solve_lane_scalar<P: PackedState>(
         &mut self,
         st: &mut P,
@@ -842,10 +854,7 @@ impl PackedEngine {
                 self.solved_round[member.index()] = self.round_id;
                 self.solved_mask[member.index()] = bit;
             }
-            let old = st
-                .node_state(member)
-                .get(lane)
-                .expect("chunk lane holds a value");
+            let old = st.lane_state(member, lane);
             let mut new = self.scalar.out_values[i];
             if x_damp {
                 new = old.lub(new);
@@ -912,48 +921,6 @@ impl PackedEngine {
         while m != 0 {
             self.lane_tail[m.trailing_zeros() as usize] = k + 1;
             m &= m - 1;
-        }
-    }
-}
-
-/// A single lane of a [`PackedState`] exposed as a read-only scalar
-/// [`SwitchState`] — the adapter behind the packed engine's
-/// degenerate-solve fast path. The solver only reads; writes go through
-/// the packed state directly with a one-bit lane mask.
-struct LaneView<'a, P> {
-    st: &'a P,
-    lane: u32,
-}
-
-impl<P: PackedState> SwitchState for LaneView<'_, P> {
-    fn network(&self) -> &Network {
-        self.st.network()
-    }
-
-    fn node_state(&self, n: NodeId) -> Logic {
-        self.st
-            .node_state(n)
-            .get(self.lane)
-            .expect("chunk lane holds a value")
-    }
-
-    fn set_node_state(&mut self, _n: NodeId, _v: Logic) {
-        unreachable!("LaneView is the solver's read-only view");
-    }
-
-    fn is_input(&self, n: NodeId) -> bool {
-        self.st.is_input_lanes(n) & (1 << self.lane) != 0
-    }
-
-    fn conduction(&self, t: TransistorId) -> Conduction {
-        let pc = self.st.conduction(t);
-        let bit = 1 << self.lane;
-        if pc.closed & bit != 0 {
-            Conduction::Closed
-        } else if pc.maybe & bit != 0 {
-            Conduction::Maybe
-        } else {
-            Conduction::Open
         }
     }
 }

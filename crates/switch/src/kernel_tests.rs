@@ -6,13 +6,16 @@
 //! other storage nodes, gated by inputs or storage nodes of any value
 //! (X gates included). Most seeds are one-node vicinities, which the
 //! solvers resolve in closed form; the general path is reached through
-//! the test-only `solve_general` entry points and must agree bit for
-//! bit: values, incident transistors and boundary inputs on the scalar
-//! side (under both locality modes), kept and evicted lanes and values
-//! on the packed side.
+//! the test-only `solve_general` entry points. On the scalar side the
+//! two must agree bit for bit: values, incident transistors and
+//! boundary inputs, under both locality modes. On the packed side every
+//! kept lane of either path must equal a scalar solve of that lane's
+//! own view, members and value; the closed form keeps lanes that differ
+//! only at a boundary transistor, which the general path evicts, so the
+//! two agree pass for pass only on vicinities of more than one node.
 
 use crate::solve::{PackedScratch, Scratch};
-use crate::state::{DenseState, PackedDenseState, PackedState, SwitchState};
+use crate::state::{DenseState, LaneView, PackedDenseState, PackedState, SwitchState};
 use fmossim_netlist::{Conduction, Drive, Logic, Network, NodeId, Size, TransistorType};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -178,27 +181,92 @@ fn packed<'n>(h: &'n Hood, l: &LaneRecipe) -> PackedDenseState<'n> {
     st
 }
 
+/// Asserts that every lane of `kept` equals a scalar solve of that
+/// lane's own view from `seed`: the same members in the same order,
+/// and the same value at each. Returns whether every lane of `lanes`
+/// has the seed alone as its vicinity.
+fn lanes_match_scalar(
+    st: &PackedDenseState<'_>,
+    seed: NodeId,
+    packed: &PackedScratch,
+    kept: u64,
+    lanes: u64,
+) -> Result<bool, TestCaseError> {
+    let net = st.network();
+    let mut scalar = Scratch::new(net.num_nodes(), net.num_transistors());
+    let mut all_single = true;
+    let mut m = lanes;
+    while m != 0 {
+        let lane = m.trailing_zeros();
+        m &= m - 1;
+        let view = LaneView { st, lane };
+        scalar.extract(&view, seed, false);
+        scalar.steady_state(&view);
+        all_single &= scalar.members.len() == 1;
+        if kept & (1 << lane) == 0 {
+            continue;
+        }
+        prop_assert_eq!(&packed.members, &scalar.members, "lane {} members", lane);
+        for (i, &v) in scalar.out_values.iter().enumerate() {
+            prop_assert_eq!(
+                packed.out_values[i].get(lane),
+                Some(v),
+                "lane {} value",
+                lane
+            );
+        }
+    }
+    Ok(all_single)
+}
+
 /// Solves the packed neighbourhood pass by pass (evicted lanes
-/// re-solve from the seed, as the engine does) with the closed form
-/// and with the general path, asserting every pass agrees. Returns
-/// whether some pass was a one-node vicinity.
-fn packed_kernel_matches(st: &PackedDenseState<'_>, seed: NodeId) -> Result<bool, TestCaseError> {
+/// re-solve from the seed, as the engine does) with the closed form,
+/// and from each pass's lanes with the general path. Every kept lane of
+/// either equals its scalar solve; a pass whose every lane has a
+/// one-node vicinity evicts nothing; a pass over a larger vicinity
+/// agrees with the general path exactly (kept and evicted lanes,
+/// members, values). Returns whether some pass was a one-node vicinity,
+/// and whether one of those kept lanes the general path evicts.
+fn packed_kernel_matches(
+    st: &PackedDenseState<'_>,
+    seed: NodeId,
+) -> Result<(bool, bool), TestCaseError> {
     let net = st.network();
     let mut kernel = PackedScratch::new(net.num_nodes(), net.num_transistors());
     let mut general = PackedScratch::new(net.num_nodes(), net.num_transistors());
     let mut pending = st.lanes();
-    let mut single = false;
+    let (mut single, mut shared) = (false, false);
     while pending != 0 {
         let k = kernel.solve(st, seed, pending);
         let g = general.solve_general(st, seed, pending);
-        prop_assert_eq!(k, g, "kept/evicted lanes");
-        prop_assert_eq!(&kernel.members, &general.members);
-        prop_assert_eq!(&kernel.out_values, &general.out_values);
-        single |= kernel.members.len() == 1;
+        prop_assert_eq!(k.0 & k.1, 0, "kept and evicted are disjoint");
+        prop_assert_eq!(k.0 | k.1, pending, "every pending lane kept or evicted");
         prop_assert!(k.1 != pending, "eviction makes progress");
+        let all_single = lanes_match_scalar(st, seed, &kernel, k.0, pending)?;
+        lanes_match_scalar(st, seed, &general, g.0, g.0)?;
+        if kernel.members.len() == 1 {
+            single = true;
+            shared |= g.0 != k.0;
+            prop_assert_eq!(
+                g.0 & !k.0,
+                0,
+                "the closed form keeps what the general path keeps"
+            );
+        } else {
+            prop_assert_eq!(k, g, "kept/evicted lanes");
+            prop_assert_eq!(&kernel.members, &general.members);
+            prop_assert_eq!(&kernel.out_values, &general.out_values);
+        }
+        if all_single {
+            prop_assert_eq!(
+                k.1,
+                0,
+                "lanes differing only at the boundary share the pass"
+            );
+        }
         pending = k.1;
     }
-    Ok(single)
+    Ok((single, shared))
 }
 
 proptest! {
@@ -226,10 +294,11 @@ proptest! {
         }
     }
 
-    /// The packed closed form against the general packed path, with
+    /// The packed closed form and the general packed path, with
     /// per-lane input values, stuck-node lanes and forced-conduction
-    /// lanes: identical kept and evicted masks, members and values on
-    /// every eviction pass.
+    /// lanes: every kept lane equals its scalar solve, and on a
+    /// vicinity of more than one node the two paths agree pass for
+    /// pass.
     #[test]
     fn packed_kernel_matches_general_path(r in arb_recipe(), l in arb_lanes()) {
         let h = build(&r);
@@ -240,7 +309,8 @@ proptest! {
 
 /// The generator reaches what the differential tests claim to cover:
 /// one-node vicinities on both solvers, with every transistor type,
-/// drive, seed size and seed value, and X gates.
+/// drive, seed size and seed value, and X gates, and packed one-node
+/// passes that keep lanes differing at a boundary transistor.
 #[test]
 fn generator_covers_single_node_shapes() {
     let mut rng = TestRng::deterministic("generator_covers_single_node_shapes");
@@ -248,7 +318,7 @@ fn generator_covers_single_node_shapes() {
     const CASES: usize = 2000;
     let mut type_drive = [[false; 7]; 3];
     let mut size_value = [[false; 3]; 7];
-    let (mut single, mut x_gate, mut packed_single) = (0, 0, 0);
+    let (mut single, mut x_gate, mut packed_single, mut shared) = (0, 0, 0, 0);
     for _ in 0..CASES {
         let r = recipes.new_value(&mut rng);
         let h = build(&r);
@@ -269,12 +339,17 @@ fn generator_covers_single_node_shapes() {
             }
         }
         let l = lanes.new_value(&mut rng);
-        if packed_kernel_matches(&packed(&h, &l), h.seed).expect("packed kernel agrees") {
-            packed_single += 1;
-        }
+        let (one_node, boundary_shared) =
+            packed_kernel_matches(&packed(&h, &l), h.seed).expect("packed kernel agrees");
+        packed_single += usize::from(one_node);
+        shared += usize::from(boundary_shared);
     }
     assert!(single * 2 > CASES, "{single} of {CASES} single-node");
     assert!(packed_single * 2 > CASES, "{packed_single} of {CASES}");
+    assert!(
+        shared * 4 > CASES,
+        "{shared} of {CASES} share lanes across a boundary"
+    );
     assert!(x_gate > 0, "X gates reach one-node vicinities");
     assert!(
         type_drive.iter().flatten().all(|&b| b),
@@ -284,4 +359,69 @@ fn generator_covers_single_node_shapes() {
         size_value.iter().flatten().all(|&b| b),
         "every size x value"
     );
+}
+
+/// A CMOS inverter with the lanes {fault-free, pull-up stuck open,
+/// pull-down stuck closed, X gate}: the lanes disagree only on the
+/// conduction of the two boundary transistors, so one pass keeps all
+/// four, and each equals its scalar solve.
+#[test]
+fn cmos_inverter_fault_lanes_share_one_pass() {
+    let mut net = Network::new();
+    let vdd = net.add_input("Vdd", Logic::H);
+    let gnd = net.add_input("Gnd", Logic::L);
+    let input = net.add_input("IN", Logic::L);
+    let out = net.add_storage("OUT", Size::S1);
+    let up = net.add_transistor(TransistorType::P, Drive::D2, input, vdd, out);
+    let down = net.add_transistor(TransistorType::N, Drive::D2, input, out, gnd);
+    let mut base = DenseState::new(&net);
+    base.force(out, Logic::L);
+    let mut st = PackedDenseState::broadcast(&base, 4);
+    st.force_conduction_lane(up, 1, Conduction::Open);
+    st.force_conduction_lane(down, 2, Conduction::Closed);
+    st.force_lane(input, 3, Logic::X);
+    let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
+    assert_eq!(
+        packed.solve(&st, out, 0b1111),
+        (0b1111, 0),
+        "one pass, no eviction"
+    );
+    assert!(lanes_match_scalar(&st, out, &packed, 0b1111, 0b1111).expect("lanes match"));
+    let values: Vec<_> = (0..4).map(|l| packed.out_values[0].get(l)).collect();
+    assert_eq!(
+        values,
+        [
+            Some(Logic::H),
+            Some(Logic::L),
+            Some(Logic::X),
+            Some(Logic::X)
+        ],
+        "pulled up; charge kept; fight; X gate"
+    );
+}
+
+/// At a NAND2 output the lanes disagree on the series transistor to the
+/// internal node: it decides whether that node is a member, so the
+/// disagreement still evicts, and every lane still equals its scalar
+/// solve.
+#[test]
+fn nand2_series_transistor_disagreement_evicts() {
+    let mut net = Network::new();
+    let vdd = net.add_input("Vdd", Logic::H);
+    let gnd = net.add_input("Gnd", Logic::L);
+    let a = net.add_input("A", Logic::H);
+    let b = net.add_input("B", Logic::H);
+    let out = net.add_storage("OUT", Size::S1);
+    let mid = net.add_storage("MID", Size::S1);
+    net.add_transistor(TransistorType::P, Drive::D2, a, vdd, out);
+    net.add_transistor(TransistorType::P, Drive::D2, b, vdd, out);
+    net.add_transistor(TransistorType::N, Drive::D2, a, out, mid);
+    net.add_transistor(TransistorType::N, Drive::D2, b, mid, gnd);
+    let mut st = PackedDenseState::broadcast(&DenseState::new(&net), 2);
+    st.force_lane(a, 1, Logic::L);
+    let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
+    let (kept, evicted) = packed.solve(&st, out, 0b11);
+    assert_eq!((kept, evicted), (0b01, 0b10), "lane 1 has no MID: evicted");
+    assert_eq!(packed.members, [out, mid]);
+    packed_kernel_matches(&st, out).expect("every lane matches its scalar solve");
 }

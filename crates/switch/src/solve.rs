@@ -71,16 +71,16 @@ struct SourceSig {
 }
 
 /// A conducting channel edge from the seed to an input node, saved
-/// while the seed's transistors are scanned. Shared by both solvers;
-/// the input's value is read when the vicinity is resolved.
+/// while the seed's transistors are scanned; the input's value is read
+/// when the vicinity is resolved. The packed solver's per-lane form is
+/// [`PackedSeedSource`].
 #[derive(Clone, Copy, Debug)]
 struct SeedSource {
     /// Strength after attenuation by the boundary transistor.
     strength: Strength,
     /// The input node.
     node: NodeId,
-    /// Whether the boundary transistor definitely conducts (in every
-    /// kept lane, on the packed path).
+    /// Whether the boundary transistor definitely conducts.
     definite: bool,
 }
 
@@ -582,6 +582,41 @@ impl Ranks {
     }
 }
 
+/// A channel edge from the seed to an input, saved by the packed seed
+/// scan: the far end is an input in every lane where the transistor may
+/// conduct. The lanes may disagree on the transistor's conduction: the
+/// one-node closed form folds the source under the two per-lane masks,
+/// and a larger vicinity evicts until they are uniform
+/// ([`PackedScratch::uniform_seed_sources`]).
+#[derive(Clone, Copy, Debug)]
+struct PackedSeedSource {
+    /// Strength after attenuation by the boundary transistor.
+    strength: Strength,
+    /// The input node.
+    node: NodeId,
+    /// Lanes in which the boundary transistor may conduct.
+    may: u64,
+    /// Lanes in which it definitely conducts (a subset of `may`).
+    definite: u64,
+}
+
+/// The uniformity rule: of the conduction classes over `cur` — closed
+/// (the lanes of `closed`), maybe (the lanes of `maybe` outside
+/// `closed`) and open (the rest) — keep the one containing the lowest
+/// lane of `cur`.
+#[inline]
+fn lowest_lane_class(cur: u64, closed: u64, maybe: u64) -> u64 {
+    let (closed, maybe) = (closed & cur, maybe & cur & !closed);
+    let lowest = cur & cur.wrapping_neg();
+    if closed & lowest != 0 {
+        closed
+    } else if maybe & lowest != 0 {
+        maybe
+    } else {
+        cur & !closed & !maybe
+    }
+}
+
 /// A boundary signal entering a packed group from an input node, with a
 /// per-lane value (input *values* may differ across fault machines even
 /// though strength and definiteness are lane-uniform after eviction).
@@ -607,9 +642,10 @@ pub struct PackedOutcome {
     /// The lanes actually solved by this pass.
     pub lanes: u64,
     /// Lanes evicted because their vicinity diverged (different
-    /// conduction or input classification); re-solve these from the
-    /// same seed — typically through the scalar path or another packed
-    /// pass.
+    /// members, or in a vicinity of more than one node a different
+    /// conduction class or input classification at the boundary);
+    /// re-solve these from the same seed — typically through the scalar
+    /// path or another packed pass.
     pub evicted: u64,
 }
 
@@ -617,13 +653,16 @@ pub struct PackedOutcome {
 /// solver: the packed sibling of [`Scratch`].
 ///
 /// One packed solve settles a vicinity for every lane (fault machine)
-/// whose support coincides. Where the machines disagree about the
-/// *structure* of the group — a transistor conducts in one lane but not
-/// another, or a node is input-classified in only some lanes — the
-/// minority lanes are evicted mid-extraction and reported back for a
-/// scalar (or later packed) re-solve; the surviving lanes share one
-/// lane-uniform vicinity and settle together in bitwise plane
-/// operations.
+/// whose members coincide. Where the machines disagree about which
+/// nodes the group holds — a transistor to a storage node conducts in
+/// one lane but not another, or a neighbour is input-classified in only
+/// some lanes — the minority lanes are evicted mid-extraction and
+/// reported back for a scalar (or later packed) re-solve. Lanes that
+/// differ only at a boundary transistor of the seed (one that leads to
+/// an input in every lane where it may conduct) stay: a one-node
+/// vicinity folds each boundary source under per-lane conduction masks,
+/// and only a larger vicinity evicts them at the end of the scan, so
+/// its fixed point runs on lane-uniform structure.
 #[derive(Clone, Debug)]
 pub struct PackedScratch {
     node_epoch: Vec<u32>,
@@ -634,9 +673,9 @@ pub struct PackedScratch {
     pub(crate) members: Vec<NodeId>,
     edges: Vec<Vec<Edge>>,
     sources: Vec<Vec<PackedSource>>,
-    /// The seed's conducting input edges, saved by the seed scan (see
-    /// [`Scratch`]).
-    seed_sources: Vec<SeedSource>,
+    /// The seed's edges to inputs that may conduct in some lane, saved
+    /// by the seed scan with their per-lane conduction masks.
+    seed_sources: Vec<PackedSeedSource>,
     /// Definite-presence strengths (lane-uniform, hence scalar).
     def_s: Vec<Strength>,
     pos: [Vec<Ranks>; 2],
@@ -726,6 +765,7 @@ impl PackedScratch {
         if self.members.len() == 1 {
             self.single_node(st);
         } else {
+            self.uniform_seed_sources();
             self.build_edges(st);
             self.fixed_point(st);
         }
@@ -733,9 +773,9 @@ impl PackedScratch {
     }
 
     /// Test-only entry to the general packed path: the same scan, then
-    /// the edge lists and the five fixed points even for a single node,
-    /// for the differential test of the closed form. Returns
-    /// `(kept, evicted)`.
+    /// boundary eviction, the edge lists and the five fixed points even
+    /// for a single node, for the differential test of the closed form.
+    /// Returns `(kept, evicted)`.
     #[cfg(test)]
     pub(crate) fn solve_general<P: PackedState>(
         &mut self,
@@ -744,21 +784,30 @@ impl PackedScratch {
         active: u64,
     ) -> (u64, u64) {
         self.scan(st, seed, active);
+        self.uniform_seed_sources();
         self.build_edges(st);
         self.fixed_point(st);
         (self.cur, self.evicted)
     }
 
     /// Breadth-first vicinity scan from `seed`, evicting lanes whose
-    /// structure diverges from the majority class and saving the
-    /// seed's conducting input edges.
+    /// members diverge from the majority class and saving the seed's
+    /// input edges with their per-lane conduction.
     ///
     /// Uniformity rule: whenever the active lanes disagree on a
     /// transistor's conduction class (open / closed / maybe) or on a
     /// node's input classification, the class containing the lowest
     /// active lane is kept and the others are evicted. Shrinking the
     /// lane set mid-walk is sound because every classification already
-    /// made is uniform over a superset of the surviving lanes.
+    /// made is uniform over a superset of the surviving lanes. Two kinds
+    /// of transistor are exempt, since their conduction adds a member in
+    /// no lane: a self-loop, and a seed transistor that leads to an input
+    /// in every lane where it may conduct (a boundary transistor). The
+    /// latter is saved as a seed source under per-lane masks; a one-node
+    /// vicinity folds it as it is, and a larger one applies the rule to
+    /// it after the scan ([`PackedScratch::uniform_seed_sources`]). So a
+    /// pass evicts nothing when every lane's own vicinity is the seed
+    /// alone.
     fn scan<P: PackedState>(&mut self, st: &P, seed: NodeId, active: u64) {
         self.current_epoch = self.current_epoch.wrapping_add(1);
         if self.current_epoch == 0 {
@@ -783,23 +832,9 @@ impl PackedScratch {
                 }
                 self.t_epoch[t.index()] = self.current_epoch;
                 let pc = st.conduction(t);
-                let closed = pc.closed & cur;
-                let maybe = pc.maybe & cur;
-                let open = cur & !closed & !maybe;
-                let lowest = cur & cur.wrapping_neg();
-                let keep = if closed & lowest != 0 {
-                    closed
-                } else if maybe & lowest != 0 {
-                    maybe
-                } else {
-                    open
-                };
-                if keep != cur {
-                    self.evicted |= cur & !keep;
-                    cur = keep;
-                }
-                if open & cur != 0 {
-                    continue; // surviving class is open: no signal path
+                let may = pc.may_conduct() & cur;
+                if may == 0 {
+                    continue; // open in every lane: no signal path
                 }
                 let tr = net.transistor(t);
                 let other = tr.other_end(m);
@@ -807,6 +842,26 @@ impl PackedScratch {
                     continue; // self-loop carries no signal
                 }
                 let mut inp = st.is_input_lanes(other) & cur;
+                if at_seed && may & !inp == 0 {
+                    // Where it may conduct it leads to an input: a
+                    // boundary source in those lanes, a member in none.
+                    self.seed_sources.push(PackedSeedSource {
+                        strength: Strength::INPUT.through(tr.strength),
+                        node: other,
+                        may,
+                        definite: pc.closed & cur,
+                    });
+                    continue;
+                }
+                let keep = lowest_lane_class(cur, pc.closed, pc.maybe);
+                if keep != cur {
+                    self.evicted |= cur & !keep;
+                    cur = keep;
+                }
+                if pc.may_conduct() & cur == 0 {
+                    continue; // surviving class is open
+                }
+                inp &= cur;
                 if inp != 0 && inp != cur {
                     let keep = if inp & (cur & cur.wrapping_neg()) != 0 {
                         inp
@@ -821,16 +876,33 @@ impl PackedScratch {
                     // Later evictions only shrink `cur`, so the class
                     // read here stays uniform over the final lanes.
                     if at_seed {
-                        self.seed_sources.push(SeedSource {
+                        self.seed_sources.push(PackedSeedSource {
                             strength: Strength::INPUT.through(tr.strength),
                             node: other,
-                            definite: pc.closed & cur != 0,
+                            may: pc.may_conduct() & cur,
+                            definite: pc.closed & cur,
                         });
                     }
                 } else if self.node_epoch[other.index()] != self.current_epoch {
                     self.mark(other);
                 }
             }
+        }
+        self.cur = cur;
+    }
+
+    /// Applies the uniformity rule to the seed sources the scan kept
+    /// lane-varying, for a vicinity solved by the fixed point: after
+    /// this, every kept lane agrees on each boundary transistor's
+    /// conduction class (and so, where it conducts, on its far end being
+    /// an input). One pass suffices, since each eviction only shrinks
+    /// the lanes over which the earlier sources are uniform.
+    fn uniform_seed_sources(&mut self) {
+        let mut cur = self.cur;
+        for s in &self.seed_sources {
+            let keep = lowest_lane_class(cur, s.definite, s.may);
+            self.evicted |= cur & !keep;
+            cur = keep;
         }
         self.cur = cur;
     }
@@ -863,13 +935,13 @@ impl PackedScratch {
                 if may == 0 {
                     continue;
                 }
-                debug_assert_eq!(may, cur, "conduction must be lane-uniform after eviction");
-                let definite = pc.closed & cur == cur;
                 let tr = net.transistor(t);
                 let other = tr.other_end(m);
                 if other == m {
                     continue;
                 }
+                debug_assert_eq!(may, cur, "conduction must be lane-uniform after eviction");
+                let definite = pc.closed & cur == cur;
                 let inp = st.is_input_lanes(other) & cur;
                 if inp == cur {
                     self.sources[li].push(PackedSource {
@@ -902,30 +974,53 @@ impl PackedScratch {
 
     /// The closed-form steady state of a one-node vicinity for every
     /// kept lane: the packed twin of [`Scratch`]'s single-node solve.
-    /// pos1/pos0/def1/def0 are folds of the node's own charge and its
-    /// boundary sources into thermometer planes; no relaxation runs.
+    /// The signals are the node's own charge and its boundary sources,
+    /// each source under its per-lane may-conduct and definite masks. A
+    /// lane resolves to 1 iff its strongest definite 1 is stronger than
+    /// every possible 0 there (and to 0 symmetrically), so one walk over
+    /// the signals from the strongest down decides every lane; no
+    /// relaxation runs.
     fn single_node<P: PackedState>(&mut self, st: &P) {
         let lanes = self.cur;
         let node = self.members[0];
-        // pos1, pos0, def1, def0.
-        let mut acc = [Ranks::EMPTY; 4];
-        let mut fold = |rank: usize, v: PackedLogic, definite: bool| {
-            acc[0].raise(v.h & lanes, rank);
-            acc[1].raise(v.l & lanes, rank);
-            if definite {
-                acc[2].raise(v.exactly_h() & lanes, rank);
-                acc[3].raise(v.exactly_l() & lanes, rank);
+        // The node's own charge is definitely present in every lane.
+        let charge = Strength::from_size(st.network().node(node).size());
+        let mut charge_left = true;
+        self.seed_sources
+            .sort_unstable_by_key(|s| std::cmp::Reverse(s.strength));
+        // Lanes with a possible 1 / 0 at a strength above the current one.
+        let (mut above1, mut above0) = (0u64, 0u64);
+        let (mut one, mut zero) = (0u64, 0u64);
+        let mut i = 0;
+        while charge_left || i < self.seed_sources.len() {
+            let level = match self.seed_sources.get(i) {
+                Some(s) if !charge_left || s.strength >= charge => s.strength,
+                _ => charge,
+            };
+            // Possible and definite 1s and 0s at this strength.
+            let (mut pos1, mut pos0, mut def1, mut def0) = (0u64, 0u64, 0u64, 0u64);
+            while let Some(s) = self.seed_sources.get(i).filter(|s| s.strength == level) {
+                let v = st.node_state(s.node);
+                pos1 |= v.h & s.may;
+                pos0 |= v.l & s.may;
+                def1 |= v.exactly_h() & s.definite;
+                def0 |= v.exactly_l() & s.definite;
+                i += 1;
             }
-        };
-        // The node's own charge is definitely present.
-        let charge = Strength::from_size(st.network().node(node).size()).rank();
-        fold(charge, st.node_state(node), true);
-        for s in &self.seed_sources {
-            fold(s.strength.rank(), st.node_state(s.node), s.definite);
+            if charge_left && level == charge {
+                let v = st.node_state(node);
+                pos1 |= v.h;
+                pos0 |= v.l;
+                def1 |= v.exactly_h();
+                def0 |= v.exactly_l();
+                charge_left = false;
+            }
+            one |= def1 & !(above0 | pos0);
+            zero |= def0 & !(above1 | pos1);
+            above1 |= pos1;
+            above0 |= pos0;
         }
-        let [pos1, pos0, def1, def0] = acc;
-        let one = def1.gt(&pos0) & lanes;
-        let zero = def0.gt(&pos1) & lanes;
+        let (one, zero) = (one & lanes, zero & lanes);
         debug_assert_eq!(one & zero, 0, "resolution rule cannot pick both values");
         self.out_values.clear();
         self.out_values.push(PackedLogic {
@@ -1468,9 +1563,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_inverter_per_lane_gate_values_evict_and_match_scalar() {
+    fn packed_inverter_per_lane_gate_values_share_one_pass() {
         // The pulldown gate differs per lane (H / L / X), so conduction
-        // classes diverge: lanes settle in three eviction passes, each
+        // classes diverge, but only at a boundary transistor of a
+        // one-node vicinity: all lanes settle in one pass, each
         // bit-identical to the scalar solve.
         let (net, a, out) = inverter();
         diff_check(
@@ -1482,13 +1578,14 @@ mod tests {
                 vec![(a, Logic::X)],
             ],
         );
-        // Count the passes explicitly: three conduction classes.
+        // Count the passes explicitly: three conduction classes, one
+        // pass.
         let base = DenseState::new(&net);
         let mut packed = PackedDenseState::broadcast(&base, 3);
         packed.force_lane(a, 1, Logic::L);
         packed.force_lane(a, 2, Logic::X);
         let (_, passes) = packed_solve_all(&net, &packed, out, packed.lanes());
-        assert_eq!(passes, 3);
+        assert_eq!(passes, 1);
     }
 
     #[test]
@@ -1563,9 +1660,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_forced_conduction_lane_evicts_and_solves() {
+    fn packed_forced_conduction_lane_shares_the_pass() {
         // Vdd -t1- mid -t2- Gnd with both gates high: X in the fault-free
         // lane. Lane 1 forces t2 stuck-open, leaving only the pullup: H.
+        // t2 leads to an input, so the lanes share one pass.
         let mut net = Network::new();
         let vdd = net.add_input("Vdd", Logic::H);
         let gnd = net.add_input("Gnd", Logic::L);
@@ -1577,7 +1675,7 @@ mod tests {
         let mut packed = PackedDenseState::broadcast(&base, 2);
         packed.force_conduction_lane(t2, 1, fmossim_netlist::Conduction::Open);
         let (got, passes) = packed_solve_all(&net, &packed, mid, packed.lanes());
-        assert_eq!(passes, 2);
+        assert_eq!(passes, 1);
         assert_eq!(got.get(&(mid, 0)).copied(), Some(Logic::X));
         assert_eq!(got.get(&(mid, 1)).copied(), Some(Logic::H));
     }

@@ -330,6 +330,63 @@ pub trait PackedState {
         let tr = self.network().transistor(t);
         PackedConduction::from_gate(tr.ttype, self.node_state(tr.gate), self.lanes())
     }
+
+    /// Value of node `n` in the one active lane `lane`: the engine's
+    /// one-lane solves read through this. Defaults to that lane of
+    /// [`PackedState::node_state`]; a view that gathers lanes can read
+    /// one lane without gathering the rest.
+    #[inline]
+    fn lane_state(&self, n: NodeId, lane: u32) -> Logic {
+        self.node_state(n)
+            .get(lane)
+            .expect("active lane holds a value")
+    }
+
+    /// Conduction of transistor `t` in lane `lane`; that lane of
+    /// [`PackedState::conduction`].
+    #[inline]
+    fn lane_conduction(&self, t: TransistorId, lane: u32) -> Conduction {
+        let pc = self.conduction(t);
+        let bit = 1 << lane;
+        if pc.closed & bit != 0 {
+            Conduction::Closed
+        } else if pc.maybe & bit != 0 {
+            Conduction::Maybe
+        } else {
+            Conduction::Open
+        }
+    }
+}
+
+/// One lane of a [`PackedState`] as a read-only scalar [`SwitchState`]:
+/// the view behind the packed engine's one-lane solves, and the
+/// per-lane oracle of the packed solver's tests. The solver only
+/// reads; writes go through the packed state with a one-bit lane mask.
+pub(crate) struct LaneView<'a, P> {
+    pub(crate) st: &'a P,
+    pub(crate) lane: u32,
+}
+
+impl<P: PackedState> SwitchState for LaneView<'_, P> {
+    fn network(&self) -> &Network {
+        self.st.network()
+    }
+
+    fn node_state(&self, n: NodeId) -> Logic {
+        self.st.lane_state(n, self.lane)
+    }
+
+    fn set_node_state(&mut self, _n: NodeId, _v: Logic) {
+        unreachable!("LaneView is the solver's read-only view");
+    }
+
+    fn is_input(&self, n: NodeId) -> bool {
+        self.st.is_input_lanes(n) & (1 << self.lane) != 0
+    }
+
+    fn conduction(&self, t: TransistorId) -> Conduction {
+        self.st.lane_conduction(t, self.lane)
+    }
 }
 
 /// Dense packed storage: a full two-plane value vector per node, with
