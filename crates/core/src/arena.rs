@@ -64,11 +64,14 @@ impl CircuitId {
 }
 
 /// A compressed-sparse-row table: `row(i)` is a contiguous slice, all
-/// rows share one `data` allocation.
+/// rows share one `data` allocation. Entries can be removed in place
+/// ([`Csr::remove`]); a row keeps its start and shrinks from the end.
 #[derive(Clone, Debug)]
 pub(crate) struct Csr<T> {
-    /// `n_rows + 1` offsets into `data`.
+    /// `n_rows + 1` offsets into `data`: where each row was built.
     offsets: Vec<u32>,
+    /// Per row, one past its last live entry in `data`.
+    ends: Vec<u32>,
     data: Vec<T>,
 }
 
@@ -89,13 +92,31 @@ impl<T: Copy> Csr<T> {
         }
         offsets.push(u32::try_from(data.len()).expect("csr fits u32"));
         debug_assert_eq!(next, pairs.len(), "row indices within n_rows");
-        Csr { offsets, data }
+        let ends = offsets[1..].to_vec();
+        Csr {
+            offsets,
+            ends,
+            data,
+        }
     }
 
     /// The entries of row `i`.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[T] {
-        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        &self.data[self.offsets[i] as usize..self.ends[i] as usize]
+    }
+
+    /// Removes the first entry of row `i` equal to `value`, if any,
+    /// keeping the rest of the row in order.
+    pub(crate) fn remove(&mut self, i: usize, value: T)
+    where
+        T: PartialEq,
+    {
+        let (start, end) = (self.offsets[i] as usize, self.ends[i] as usize);
+        if let Some(k) = self.data[start..end].iter().position(|&v| v == value) {
+            self.data.copy_within(start + k + 1..end, start + k);
+            self.ends[i] -= 1;
+        }
     }
 }
 
@@ -380,6 +401,22 @@ mod tests {
         let csr = Csr::new(2, &[(1, 9)]);
         assert_eq!(csr.row(0), &[] as &[u32]);
         assert_eq!(csr.row(1), &[9]);
+    }
+
+    #[test]
+    fn csr_remove_keeps_rows_in_order() {
+        let mut csr = Csr::new(3, &[(0, 1u32), (0, 2), (0, 3), (1, 2), (2, 5)]);
+        csr.remove(0, 2);
+        assert_eq!(csr.row(0), &[1, 3]);
+        assert_eq!(csr.row(1), &[2], "other rows untouched");
+        csr.remove(0, 9);
+        assert_eq!(csr.row(0), &[1, 3], "absent value: no-op");
+        csr.remove(0, 3);
+        csr.remove(0, 1);
+        csr.remove(2, 5);
+        assert_eq!(csr.row(0), &[] as &[u32]);
+        assert_eq!(csr.row(1), &[2]);
+        assert_eq!(csr.row(2), &[] as &[u32]);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!    writing the good circuit's value removes the record
 //!    (convergence);
 //! 4. at strobe phases compares observed outputs: any divergence
-//!    detects the fault, which is dropped — its records are reclaimed
-//!    and it is never simulated again.
+//!    detects the fault, which is dropped — its records are reclaimed,
+//!    it leaves the attachment rows of its fault sites, and it is never
+//!    simulated again.
 //!
 //! Triggering has one special case: an input change can matter to a
 //! faulty circuit even when the good circuit shows no activity at all —
@@ -400,12 +401,12 @@ pub struct ConcurrentSim<'n> {
     fault_sets: Vec<Vec<Fault>>,
     /// Per circuit id (0 unused): structural overrides.
     overrides: Vec<Overrides>,
-    /// Per node (CSR row): circuits whose stuck node is this node,
+    /// Per node (CSR row): live circuits whose stuck node is this node,
     /// triggered wherever it lies in a support (at a member, unless it
     /// is the only one; outside the members, not while dormant);
     /// ascending and unique within each row.
     attach_nodes: Csr<u32>,
-    /// Per node (CSR row): circuits with a stuck transistor whose
+    /// Per node (CSR row): live circuits with a stuck transistor whose
     /// storage channel end is this node, triggered only where it is a
     /// vicinity member, and not while dormant; ascending and unique
     /// within each row.
@@ -902,9 +903,7 @@ impl<'n> ConcurrentSim<'n> {
         if lone.is_none() {
             for &m in g.members {
                 for &c in attach_nodes.row(m.index()) {
-                    if !dropped[c as usize] {
-                        triggered.insert(c);
-                    }
+                    triggered.insert(c);
                 }
             }
         }
@@ -929,8 +928,7 @@ impl<'n> ConcurrentSim<'n> {
         };
         for &m in g.members {
             for &c in attach_transistors.row(m.index()) {
-                if !dropped[c as usize]
-                    && !triggered.decided(c)
+                if !triggered.decided(c)
                     && !is_dormant(records, c, || {
                         transistors_agree(good, &overrides[c as usize])
                             || solve_clears(c, triggered)
@@ -942,8 +940,7 @@ impl<'n> ConcurrentSim<'n> {
         }
         for &s in g.support_rest.iter().filter(|&&s| Some(s) != lone) {
             for &c in attach_nodes.row(s.index()) {
-                if !dropped[c as usize]
-                    && !triggered.decided(c)
+                if !triggered.decided(c)
                     && !is_dormant(records, c, || {
                         overrides[c as usize].forced_value(s) == Some(good.node_state(s))
                             || solve_clears(c, triggered)
@@ -1392,19 +1389,15 @@ impl<'n> ConcurrentSim<'n> {
             });
             for s in [tr.gate, other, n] {
                 for &c in attach_nodes.row(s.index()) {
-                    if !dropped[c as usize] {
-                        triggered.insert(c);
-                    }
+                    triggered.insert(c);
                 }
             }
             // A stuck transistor's footprint holds no input, so `n`
             // has none.
             for &c in attach_transistors.row(other.index()) {
-                if !dropped[c as usize]
-                    && !is_dormant(records, c, || {
-                        transistors_agree(good, &overrides[c as usize])
-                    })
-                {
+                if !is_dormant(records, c, || {
+                    transistors_agree(good, &overrides[c as usize])
+                }) {
                     triggered.insert(c);
                 }
             }
@@ -1489,6 +1482,20 @@ impl<'n> ConcurrentSim<'n> {
         self.dropped[circ as usize] = true;
         self.live -= 1;
         self.records.drop_circuit(circ);
+        // Prune the circuit from the attachment rows of its footprint,
+        // so no later trigger visits it there.
+        let net = self.net;
+        for f in &self.fault_sets[circ as usize - 1] {
+            match f.effect() {
+                FaultEffect::ForceNode { node, .. } => self.attach_nodes.remove(node.index(), circ),
+                FaultEffect::ForceTransistor { t, .. } => {
+                    let tr = net.transistor(t);
+                    for n in [tr.source, tr.drain] {
+                        self.attach_transistors.remove(n.index(), circ);
+                    }
+                }
+            }
+        }
         // Queued events for the circuit (if any) are skipped at drain:
         // the flat queue needs no removal here.
         self.metrics.faults_dropped.inc();
@@ -1837,6 +1844,61 @@ mod tests {
         let report = sim.run(&toggle_patterns(a), &[out]);
         assert_eq!(report.detected(), 2);
         assert_eq!(sim.record_count(), 0, "all records reclaimed");
+    }
+
+    /// Every attachment row of `sim` as owned vectors, nodes in order:
+    /// `(stuck-node rows, stuck-transistor rows)`.
+    fn attach_rows(sim: &ConcurrentSim<'_>) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let rows = |csr: &Csr<u32>| {
+            (0..sim.net.num_nodes())
+                .map(|i| csr.row(i).to_vec())
+                .collect::<Vec<_>>()
+        };
+        (rows(&sim.attach_nodes), rows(&sim.attach_transistors))
+    }
+
+    /// Dropping a circuit prunes it from the attachment rows of its
+    /// footprint, and the rest of each row keeps its order: triggering
+    /// (`trigger_group` and `trigger_input_change` read circuits at a
+    /// node only from these rows and from the records, which the drop
+    /// reclaims) never visits a dropped circuit again.
+    #[test]
+    fn dropped_circuits_leave_the_attachment_rows() {
+        let (net, [a, b, _, out], _) = gated_pair();
+        let universe =
+            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
+        let mut sim = ConcurrentSim::new(&net, universe.faults(), ConcurrentConfig::paper());
+        let (nodes0, transistors0) = attach_rows(&sim);
+        assert!(nodes0.iter().chain(&transistors0).any(|r| r.len() > 1));
+        let pruned = |rows: &[Vec<u32>], dropped: &[bool]| -> Vec<Vec<u32>> {
+            rows.iter()
+                .map(|r| {
+                    r.iter()
+                        .copied()
+                        .filter(|&c| !dropped[c as usize])
+                        .collect()
+                })
+                .collect()
+        };
+        // An external drop, then the run's own drops on detection.
+        assert!(sim.drop_fault(FaultId(1)));
+        assert_eq!(
+            attach_rows(&sim),
+            (
+                pruned(&nodes0, &sim.dropped),
+                pruned(&transistors0, &sim.dropped)
+            )
+        );
+        let report = sim.run(&gated_pair_patterns(a, b), &[out]);
+        assert!(report.detected() > 1, "the run drops circuits too");
+        let (nodes, transistors) = attach_rows(&sim);
+        assert_eq!(nodes, pruned(&nodes0, &sim.dropped));
+        assert_eq!(transistors, pruned(&transistors0, &sim.dropped));
+        assert!(nodes
+            .iter()
+            .chain(&transistors)
+            .flatten()
+            .all(|&c| !sim.dropped[c as usize]));
     }
 
     /// Two inverters, `A → X → OUT`, with a spare pull-up on `X` gated

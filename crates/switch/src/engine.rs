@@ -509,7 +509,8 @@ struct PackedEngineMetrics {
     scalar_fallbacks: Counter,
     /// `switch.lane.occupancy` — lanes per packed solve.
     occupancy: Histogram,
-    /// `switch.lane.evictions` — lanes a packed scan evicted.
+    /// `switch.lane.evictions` — lanes a packed scan evicted by the
+    /// order rule.
     evictions: Counter,
     /// `switch.vicinity.solves` — one per kept lane.
     vicinity_solves: Counter,
@@ -545,10 +546,10 @@ impl PackedEngineMetrics {
         }
     }
 
-    /// Accounts one solve that kept `lanes` lanes of a `size`-node
-    /// vicinity and changed `changed` per-lane node states.
+    /// Accounts one solve that kept `lanes` lanes and changed
+    /// `changed` per-lane node states.
     #[inline]
-    fn solved(&mut self, lanes: u64, size: usize, changed: usize) {
+    fn solved(&mut self, lanes: u64, changed: usize) {
         if !self.active {
             return;
         }
@@ -560,7 +561,26 @@ impl PackedEngineMetrics {
         }
         self.local_vicinity_solves += lanes;
         self.local_nodes_changed += changed as u64;
-        self.local_group_size.observe_n(size as u64, lanes);
+    }
+
+    /// Observes each kept lane's own vicinity size: the members of the
+    /// solved union whose lane mask holds that lane.
+    fn group_sizes(&mut self, kept: u64, member_lanes: &[u64]) {
+        if !self.active {
+            return;
+        }
+        if member_lanes.iter().all(|&l| l & kept == kept) {
+            self.local_group_size
+                .observe_n(member_lanes.len() as u64, u64::from(kept.count_ones()));
+            return;
+        }
+        let mut m = kept;
+        while m != 0 {
+            let bit = m & m.wrapping_neg();
+            m &= m - 1;
+            let size = member_lanes.iter().filter(|&&l| l & bit != 0).count();
+            self.local_group_size.observe(size as u64);
+        }
     }
 
     fn flush(&mut self) {
@@ -604,10 +624,13 @@ impl PackedEngineMetrics {
 /// * a gate-driven wake-up for some lanes joins the node's pending entry
 ///   only for lanes that have queued nothing since that entry, and
 ///   starts a new entry for the rest;
-/// * lanes evicted because their vicinity's members diverge (or, in a
-///   vicinity of more than one node, a boundary transistor's conduction)
-///   re-solve from the same seed before the next entry is taken; lanes
-///   that differ only at a one-node vicinity's boundary share its solve.
+/// * every active lane of an entry is solved in one pass over the union
+///   of the lanes' vicinities ([`PackedScratch`]), and writes, solved
+///   marks and wake-ups use only the lanes each member belongs to, in
+///   the union's discovery order, which is each kept lane's scalar
+///   order;
+/// * lanes the union scan found out of their own order (the order rule)
+///   re-solve from the same seed before the next entry is taken.
 ///
 /// A per-node pending mask plays the role of the scalar queued flag, a
 /// per-node `(round, lanes)` stamp plays the role of `solved_round`, and
@@ -642,6 +665,10 @@ pub struct PackedEngine {
     round_id: u64,
     config: EngineConfig,
     metrics: PackedEngineMetrics,
+    /// Every solve's seed and kept lanes, in order, for the tests that
+    /// hold each lane to its scalar solve order.
+    #[cfg(test)]
+    solves: Vec<(NodeId, u64)>,
 }
 
 impl PackedEngine {
@@ -659,7 +686,7 @@ impl PackedEngine {
     #[must_use]
     pub fn with_config(net: &Network, config: EngineConfig) -> Self {
         PackedEngine {
-            scratch: PackedScratch::new(net.num_nodes(), net.num_transistors()),
+            scratch: PackedScratch::new(net.num_nodes()),
             scalar: Scratch::new(net.num_nodes(), net.num_transistors()),
             queue: Vec::new(),
             next_queue: Vec::new(),
@@ -671,6 +698,8 @@ impl PackedEngine {
             round_id: 0,
             config,
             metrics: PackedEngineMetrics::default(),
+            #[cfg(test)]
+            solves: Vec::new(),
         }
     }
 
@@ -752,14 +781,19 @@ impl PackedEngine {
                         // run full-width plane operations for it; the
                         // scalar solver computes the identical result
                         // cheaper.
+                        #[cfg(test)]
+                        self.solves.push((seed, m));
                         self.solve_lane_scalar(st, seed, m, x_damp, &mut report);
                         break;
                     }
                     let (kept, evicted) = self.scratch.solve(st, seed, m);
+                    #[cfg(test)]
+                    self.solves.push((seed, kept));
                     self.metrics.local_evictions += u64::from(evicted.count_ones());
                     self.apply_packed(st, kept, x_damp, &mut report);
-                    // Diverged lanes re-extract from the same seed before
-                    // the next entry, preserving each lane's scalar order.
+                    // Lanes evicted by the order rule re-solve from the
+                    // same seed before the next entry, preserving each
+                    // lane's scalar order.
                     m = evicted;
                 }
             }
@@ -784,19 +818,24 @@ impl PackedEngine {
         report.groups_solved += kept.count_ones() as usize;
         let changed_before = report.nodes_changed;
         for i in 0..self.scratch.members.len() {
+            // Only the kept lanes whose vicinity holds this member.
+            let own = self.scratch.member_lanes[i] & kept;
+            if own == 0 {
+                continue;
+            }
             let member = self.scratch.members[i];
             if self.solved_round[member.index()] == self.round_id {
-                self.solved_mask[member.index()] |= kept;
+                self.solved_mask[member.index()] |= own;
             } else {
                 self.solved_round[member.index()] = self.round_id;
-                self.solved_mask[member.index()] = kept;
+                self.solved_mask[member.index()] = own;
             }
-            let old = st.node_state(member).masked(kept);
+            let old = st.node_state(member).masked(own);
             let mut new = self.scratch.out_values[i];
             if x_damp {
                 new = old.lub(new);
             }
-            let ch = old.diff_mask(new) & kept;
+            let ch = old.diff_mask(new) & own;
             if ch == 0 {
                 continue;
             }
@@ -817,9 +856,9 @@ impl PackedEngine {
         }
         self.metrics.solved(
             u64::from(kept.count_ones()),
-            self.scratch.members.len(),
             report.nodes_changed - changed_before,
         );
+        self.metrics.group_sizes(kept, &self.scratch.member_lanes);
     }
 
     /// Solves `seed`'s vicinity for exactly one lane through the scalar
@@ -876,11 +915,12 @@ impl PackedEngine {
                 self.perturb_next(tr.drain, bit);
             }
         }
-        self.metrics.solved(
-            1,
-            self.scalar.members.len(),
-            report.nodes_changed - changed_before,
-        );
+        self.metrics
+            .solved(1, report.nodes_changed - changed_before);
+        if self.metrics.active {
+            let size = self.scalar.members.len() as u64;
+            self.metrics.local_group_size.observe(size);
+        }
     }
 
     /// Queues a wake-up of `n` in `lanes` for the next round, keeping
@@ -1138,12 +1178,14 @@ mod tests {
 
     /// Settles a packed broadcast of `lane_forces.len()` lanes and the
     /// corresponding per-lane scalar engines, asserting bit-identical
-    /// final states, per-lane damping flags and per-lane solve counts.
+    /// final states, per-lane damping flags and solve counts, and that
+    /// each lane solves the same seeds in the same order as its scalar
+    /// engine (so its wake-ups came in scalar order).
     fn packed_vs_scalar_settle(
         net: &Network,
         lane_forces: &[Vec<(NodeId, Logic)>],
         max_rounds: usize,
-    ) {
+    ) -> PackedSettleReport {
         let cfg = EngineConfig {
             max_rounds,
             ..EngineConfig::default()
@@ -1170,8 +1212,16 @@ mod tests {
             }
             let mut eng = Engine::with_config(net, cfg);
             eng.perturb_all_storage(&st);
-            let rep = eng.settle(&mut st);
+            let mut seeds = Vec::new();
+            let rep = eng.settle_observed(&mut st, |g| seeds.push(g.members[0]));
             scalar_groups += rep.groups_solved;
+            let lane_seeds: Vec<NodeId> = peng
+                .solves
+                .iter()
+                .filter(|&&(_, kept)| kept & (1 << lane) != 0)
+                .map(|&(seed, _)| seed)
+                .collect();
+            assert_eq!(lane_seeds, seeds, "lane {lane} solves in scalar order");
             for n in net.node_ids() {
                 if st.is_input(n) {
                     continue;
@@ -1190,6 +1240,7 @@ mod tests {
             );
         }
         assert_eq!(prep.groups_solved, scalar_groups, "per-lane solves");
+        prep
     }
 
     #[test]
@@ -1277,6 +1328,81 @@ mod tests {
         assert_eq!(rep.damped_lanes, 0);
         assert_eq!(packed.lane_value(out, 0), Logic::L);
         assert_eq!(packed.lane_value(out, 1), Logic::H, "stuck lane holds");
+    }
+
+    /// A 3T-DRAM read column whose lanes select different rows: the
+    /// lanes' vicinities at the bitline differ in members but share one
+    /// pass, and each lane writes and wakes only its own members (the
+    /// bitline's sense inverter, the selected row's MID), as its scalar
+    /// engine does.
+    #[test]
+    fn packed_engine_matches_scalar_on_ram_column_lanes() {
+        let mut net = Network::new();
+        let (vdd, gnd) = rails(&mut net);
+        let rbl = net.add_storage("RBL", Size::S2);
+        let mut lanes = Vec::new();
+        for r in 0..4 {
+            let rs = net.add_input(format!("RS{r}"), Logic::L);
+            let cell = net.add_storage(format!("CELL{r}"), Size::S1);
+            let mid = net.add_storage(format!("MID{r}"), Size::S1);
+            net.add_transistor(TransistorType::N, Drive::D2, rs, rbl, mid);
+            net.add_transistor(TransistorType::N, Drive::D2, cell, mid, gnd);
+            let value = [Logic::H, Logic::L, Logic::X, Logic::H][r];
+            lanes.push(vec![(rbl, Logic::H), (rs, Logic::H), (cell, value)]);
+        }
+        lanes.push(vec![(rbl, Logic::H)]);
+        cmos_inverter(&mut net, "SENSE", rbl, vdd, gnd);
+        let rep = packed_vs_scalar_settle(&net, &lanes, 400);
+        assert_eq!(rep.damped_lanes, 0);
+    }
+
+    /// S is driven from Vdd and reaches X through T1 and Y through T2;
+    /// X and Y are linked, and each gates an inverter. Lane 0 conducts
+    /// both T1 and T2, lane 1 only T2, so lane 1's own scan finds Y
+    /// before X while the union scan finds X first: the order rule
+    /// evicts lane 1 from the union pass. Its re-solve wakes Y's
+    /// inverter before X's, as its scalar engine does, and every solve
+    /// of the settle follows the scalar order lane by lane.
+    #[test]
+    fn order_evicted_lane_settles_wake_up_for_wake_up() {
+        let mut net = Network::new();
+        let (vdd, gnd) = rails(&mut net);
+        let en = net.add_input("EN", Logic::H);
+        let g1 = net.add_input("G1", Logic::H);
+        let s = net.add_storage("S", Size::S1);
+        let x = net.add_storage("X", Size::S1);
+        let y = net.add_storage("Y", Size::S1);
+        net.add_transistor(TransistorType::N, Drive::D2, en, vdd, s);
+        net.add_transistor(TransistorType::N, Drive::D2, g1, s, x);
+        net.add_transistor(TransistorType::N, Drive::D2, en, s, y);
+        net.add_transistor(TransistorType::N, Drive::D2, en, x, y);
+        let ox = cmos_inverter(&mut net, "OX", x, vdd, gnd);
+        let oy = cmos_inverter(&mut net, "OY", y, vdd, gnd);
+        // OX and OY share a pass gate Y controls, so the order in which
+        // a lane's round solves them decides what each one sees.
+        net.add_transistor(TransistorType::N, Drive::D1, y, ox, oy);
+        let rep = packed_vs_scalar_settle(&net, &[vec![], vec![(g1, Logic::L)]], 400);
+        assert_eq!(rep.damped_lanes, 0);
+        let mut peng = PackedEngine::new(&net);
+        let base = DenseState::new(&net);
+        let mut packed = PackedDenseState::broadcast(&base, 2);
+        packed.force_lane(g1, 1, Logic::L);
+        let registry = Registry::new();
+        peng.attach_metrics(&registry);
+        peng.perturb(s, 0b11);
+        peng.settle(&mut packed);
+        peng.flush_metrics();
+        assert_eq!(peng.solves[..2], [(s, 0b01), (s, 0b10)], "lane 1 evicted");
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters["switch.lane.evictions"], 1);
+        let first = |lane: u64| {
+            peng.solves[2..]
+                .iter()
+                .find(|&&(n, l)| l & lane != 0 && (n == ox || n == oy))
+                .map(|&(n, _)| n)
+        };
+        assert_eq!(first(0b01), Some(ox), "lane 0 wakes X's inverter first");
+        assert_eq!(first(0b10), Some(oy), "lane 1 wakes Y's inverter first");
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Differential tests of the single-node closed form against the
-//! general path, for both solvers.
+//! Differential tests of the packed and single-node solvers.
 //!
 //! A random neighbourhood is one seed storage node with channel
 //! transistors to inputs, to itself (self-loops) and occasionally to
-//! other storage nodes, gated by inputs or storage nodes of any value
-//! (X gates included). Most seeds are one-node vicinities, which the
-//! solvers resolve in closed form; the general path is reached through
-//! the test-only `solve_general` entry points. On the scalar side the
-//! two must agree bit for bit: values, incident transistors and
-//! boundary inputs, under both locality modes. On the packed side every
-//! kept lane of either path must equal a scalar solve of that lane's
-//! own view, members and value; the closed form keeps lanes that differ
-//! only at a boundary transistor, which the general path evicts, so the
-//! two agree pass for pass only on vicinities of more than one node.
+//! other storage nodes, which may also be linked to each other, gated
+//! by inputs or storage nodes of any value (X gates included). Most
+//! seeds are one-node vicinities, which the solvers resolve in closed
+//! form; the general path is reached through the test-only
+//! `solve_general` entry points. On the scalar side the two must agree
+//! bit for bit: values, incident transistors and boundary inputs, under
+//! both locality modes. On the packed side, per-lane gate values,
+//! stuck nodes and forced conduction make the lanes' vicinities differ
+//! in members, and a stuck neighbour is an input in some lanes only.
+//! Every kept lane of either path must equal a scalar solve of that
+//! lane's own view (its members, in order, and their values), and the
+//! closed form and the general path agree pass for pass.
 
 use crate::solve::{PackedScratch, Scratch};
 use crate::state::{DenseState, LaneView, PackedDenseState, PackedState, SwitchState};
@@ -29,7 +30,7 @@ const CONDUCTIONS: [Conduction; 3] = [Conduction::Open, Conduction::Closed, Cond
 /// neighbour, or an input; the gate any node.
 type EdgeRecipe = (u8, u8, u16, u16);
 
-/// A random single-node neighbourhood.
+/// A random neighbourhood of a seed.
 #[derive(Clone, Debug)]
 struct Recipe {
     seed_size: u8,
@@ -39,28 +40,35 @@ struct Recipe {
     /// `(size, value)` of the storage neighbours.
     neighbours: Vec<(u8, u8)>,
     edges: Vec<EdgeRecipe>,
+    /// Channel transistors between two storage neighbours, or from one
+    /// to an input: `(type, drive, gate, ends)`.
+    links: Vec<EdgeRecipe>,
 }
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
     (
         (1u8..=7, 0u8..3),
         prop::collection::vec(0u8..3, 1..5),
-        prop::collection::vec((1u8..=7, 0u8..3), 0..3),
+        prop::collection::vec((1u8..=7, 0u8..3), 0..4),
         prop::collection::vec((0u8..3, 1u8..=7, any::<u16>(), any::<u16>()), 1..7),
+        prop::collection::vec((0u8..3, 1u8..=7, any::<u16>(), any::<u16>()), 0..4),
     )
-        .prop_map(|((seed_size, seed_value), inputs, neighbours, mut edges)| {
-            // One input reached through several transistors: repeat
-            // the first edge's far end with a second transistor.
-            let (ty, g, gate, end) = edges[0];
-            edges.push(((ty + 1) % 3, g % 7 + 1, gate / 3, end));
-            Recipe {
-                seed_size,
-                seed_value,
-                inputs,
-                neighbours,
-                edges,
-            }
-        })
+        .prop_map(
+            |((seed_size, seed_value), inputs, neighbours, mut edges, links)| {
+                // One input reached through several transistors: repeat
+                // the first edge's far end with a second transistor.
+                let (ty, g, gate, end) = edges[0];
+                edges.push(((ty + 1) % 3, g % 7 + 1, gate / 3, end));
+                Recipe {
+                    seed_size,
+                    seed_value,
+                    inputs,
+                    neighbours,
+                    edges,
+                    links,
+                }
+            },
+        )
 }
 
 /// A built neighbourhood: the network, its reset-with-values state, and
@@ -105,6 +113,27 @@ fn build(r: &Recipe) -> Hood {
             Drive::new(g).expect("drive in range"),
             all[gate as usize % all.len()],
             seed,
+            far,
+        );
+    }
+    // Links hang off the neighbours: to another neighbour (a second
+    // level of the vicinity, or a cycle through the seed) or to an
+    // input.
+    for &(ty, g, gate, ends) in &r.links {
+        if storage.len() < 2 {
+            break;
+        }
+        let near = storage[1 + (ends as usize) % (storage.len() - 1)];
+        let far = if ends % 4 == 0 {
+            inputs[(ends as usize / 4) % inputs.len()]
+        } else {
+            storage[1 + (ends as usize / 4) % (storage.len() - 1)]
+        };
+        net.add_transistor(
+            TYPES[ty as usize],
+            Drive::new(g).expect("drive in range"),
+            all[gate as usize % all.len()],
+            near,
             far,
         );
     }
@@ -182,9 +211,10 @@ fn packed<'n>(h: &'n Hood, l: &LaneRecipe) -> PackedDenseState<'n> {
 }
 
 /// Asserts that every lane of `kept` equals a scalar solve of that
-/// lane's own view from `seed`: the same members in the same order,
-/// and the same value at each. Returns whether every lane of `lanes`
-/// has the seed alone as its vicinity.
+/// lane's own view from `seed`: its members (the packed members whose
+/// lane mask holds it) in the same order, and the same value at each.
+/// Returns whether every lane of `lanes` has the seed alone as its
+/// vicinity.
 fn lanes_match_scalar(
     st: &PackedDenseState<'_>,
     seed: NodeId,
@@ -206,8 +236,12 @@ fn lanes_match_scalar(
         if kept & (1 << lane) == 0 {
             continue;
         }
-        prop_assert_eq!(&packed.members, &scalar.members, "lane {} members", lane);
-        for (i, &v) in scalar.out_values.iter().enumerate() {
+        let own: Vec<usize> = (0..packed.members.len())
+            .filter(|&i| packed.member_lanes[i] & (1 << lane) != 0)
+            .collect();
+        let members: Vec<NodeId> = own.iter().map(|&i| packed.members[i]).collect();
+        prop_assert_eq!(&members, &scalar.members, "lane {} members", lane);
+        for (&i, &v) in own.iter().zip(&scalar.out_values) {
             prop_assert_eq!(
                 packed.out_values[i].get(lane),
                 Some(v),
@@ -219,54 +253,75 @@ fn lanes_match_scalar(
     Ok(all_single)
 }
 
+/// What one neighbourhood's packed passes exercised.
+#[derive(Clone, Copy, Debug, Default)]
+struct PassShapes {
+    /// Some pass was a one-node vicinity.
+    single: bool,
+    /// A one-node pass kept lanes that differ in a boundary
+    /// transistor's conduction.
+    boundary_shared: bool,
+    /// A pass kept lanes whose vicinities differ in members.
+    members_differ: bool,
+    /// A pass kept a lane in which a member of another kept lane is an
+    /// input (a stuck node).
+    split_input: bool,
+    /// A pass evicted lanes by the order rule.
+    order_evicted: bool,
+}
+
 /// Solves the packed neighbourhood pass by pass (evicted lanes
-/// re-solve from the seed, as the engine does) with the closed form,
-/// and from each pass's lanes with the general path. Every kept lane of
-/// either equals its scalar solve; a pass whose every lane has a
-/// one-node vicinity evicts nothing; a pass over a larger vicinity
-/// agrees with the general path exactly (kept and evicted lanes,
-/// members, values). Returns whether some pass was a one-node vicinity,
-/// and whether one of those kept lanes the general path evicts.
+/// re-solve from the seed, as the engine does) with the closed form and
+/// with the general path. The two agree pass for pass (kept and evicted
+/// lanes, members, lane masks, values); every kept lane equals its
+/// scalar solve; a pass whose every lane has a one-node vicinity evicts
+/// nothing; and every pass keeps a lane.
 fn packed_kernel_matches(
     st: &PackedDenseState<'_>,
     seed: NodeId,
-) -> Result<(bool, bool), TestCaseError> {
+) -> Result<PassShapes, TestCaseError> {
     let net = st.network();
-    let mut kernel = PackedScratch::new(net.num_nodes(), net.num_transistors());
-    let mut general = PackedScratch::new(net.num_nodes(), net.num_transistors());
+    let mut kernel = PackedScratch::new(net.num_nodes());
+    let mut general = PackedScratch::new(net.num_nodes());
     let mut pending = st.lanes();
-    let (mut single, mut shared) = (false, false);
+    let mut shapes = PassShapes::default();
     while pending != 0 {
         let k = kernel.solve(st, seed, pending);
         let g = general.solve_general(st, seed, pending);
         prop_assert_eq!(k.0 & k.1, 0, "kept and evicted are disjoint");
         prop_assert_eq!(k.0 | k.1, pending, "every pending lane kept or evicted");
-        prop_assert!(k.1 != pending, "eviction makes progress");
+        prop_assert!(k.0 != 0, "every pass keeps a lane");
+        prop_assert_eq!(k, g, "kept/evicted lanes");
+        prop_assert_eq!(&kernel.members, &general.members);
+        prop_assert_eq!(&kernel.member_lanes, &general.member_lanes);
+        prop_assert_eq!(&kernel.out_values, &general.out_values);
         let all_single = lanes_match_scalar(st, seed, &kernel, k.0, pending)?;
-        lanes_match_scalar(st, seed, &general, g.0, g.0)?;
-        if kernel.members.len() == 1 {
-            single = true;
-            shared |= g.0 != k.0;
-            prop_assert_eq!(
-                g.0 & !k.0,
-                0,
-                "the closed form keeps what the general path keeps"
-            );
-        } else {
-            prop_assert_eq!(k, g, "kept/evicted lanes");
-            prop_assert_eq!(&kernel.members, &general.members);
-            prop_assert_eq!(&kernel.out_values, &general.out_values);
-        }
         if all_single {
-            prop_assert_eq!(
-                k.1,
-                0,
-                "lanes differing only at the boundary share the pass"
-            );
+            prop_assert_eq!(k.1, 0, "one-node vicinities evict nothing");
         }
+        let kept = k.0;
+        let several = kept & (kept - 1) != 0;
+        if kernel.members.len() == 1 {
+            shapes.single = true;
+            shapes.boundary_shared |= several
+                && net.channel_transistors(seed).iter().any(|&t| {
+                    let pc = st.conduction(t);
+                    let closed = pc.closed & kept;
+                    let maybe = pc.maybe & kept;
+                    (closed != 0 && closed != kept) || (maybe != 0 && maybe != kept)
+                });
+        }
+        let lanes_of = || kernel.member_lanes.iter().map(|&l| l & kept);
+        shapes.members_differ |= several && lanes_of().any(|l| l != kept);
+        shapes.split_input |= kernel
+            .members
+            .iter()
+            .zip(lanes_of())
+            .any(|(&n, l)| l != 0 && st.is_input_lanes(n) & kept != 0);
+        shapes.order_evicted |= k.1 != 0;
         pending = k.1;
     }
-    Ok((single, shared))
+    Ok(shapes)
 }
 
 proptest! {
@@ -296,9 +351,8 @@ proptest! {
 
     /// The packed closed form and the general packed path, with
     /// per-lane input values, stuck-node lanes and forced-conduction
-    /// lanes: every kept lane equals its scalar solve, and on a
-    /// vicinity of more than one node the two paths agree pass for
-    /// pass.
+    /// lanes: every kept lane equals its scalar solve, and the two
+    /// paths agree pass for pass.
     #[test]
     fn packed_kernel_matches_general_path(r in arb_recipe(), l in arb_lanes()) {
         let h = build(&r);
@@ -309,8 +363,11 @@ proptest! {
 
 /// The generator reaches what the differential tests claim to cover:
 /// one-node vicinities on both solvers, with every transistor type,
-/// drive, seed size and seed value, and X gates, and packed one-node
-/// passes that keep lanes differing at a boundary transistor.
+/// drive, seed size and seed value, and X gates; packed one-node passes
+/// that keep lanes differing at a boundary transistor; and multi-node
+/// passes that keep lanes whose members differ, that keep a lane in
+/// which another lane's member is an input, and that evict by the
+/// order rule.
 #[test]
 fn generator_covers_single_node_shapes() {
     let mut rng = TestRng::deterministic("generator_covers_single_node_shapes");
@@ -319,6 +376,7 @@ fn generator_covers_single_node_shapes() {
     let mut type_drive = [[false; 7]; 3];
     let mut size_value = [[false; 3]; 7];
     let (mut single, mut x_gate, mut packed_single, mut shared) = (0, 0, 0, 0);
+    let (mut differ, mut split, mut evicted) = (0, 0, 0);
     for _ in 0..CASES {
         let r = recipes.new_value(&mut rng);
         let h = build(&r);
@@ -339,16 +397,30 @@ fn generator_covers_single_node_shapes() {
             }
         }
         let l = lanes.new_value(&mut rng);
-        let (one_node, boundary_shared) =
-            packed_kernel_matches(&packed(&h, &l), h.seed).expect("packed kernel agrees");
-        packed_single += usize::from(one_node);
-        shared += usize::from(boundary_shared);
+        let shapes = packed_kernel_matches(&packed(&h, &l), h.seed).expect("packed kernel agrees");
+        packed_single += usize::from(shapes.single);
+        shared += usize::from(shapes.boundary_shared);
+        differ += usize::from(shapes.members_differ);
+        split += usize::from(shapes.split_input);
+        evicted += usize::from(shapes.order_evicted);
     }
     assert!(single * 2 > CASES, "{single} of {CASES} single-node");
     assert!(packed_single * 2 > CASES, "{packed_single} of {CASES}");
     assert!(
         shared * 4 > CASES,
         "{shared} of {CASES} share lanes across a boundary"
+    );
+    assert!(
+        differ * 20 > CASES,
+        "{differ} of {CASES} keep lanes whose members differ"
+    );
+    assert!(
+        split * 50 > CASES,
+        "{split} of {CASES} keep a lane where another lane's member is stuck"
+    );
+    assert!(
+        evicted * 200 > CASES,
+        "{evicted} of {CASES} evict by the order rule"
     );
     assert!(x_gate > 0, "X gates reach one-node vicinities");
     assert!(
@@ -380,7 +452,7 @@ fn cmos_inverter_fault_lanes_share_one_pass() {
     st.force_conduction_lane(up, 1, Conduction::Open);
     st.force_conduction_lane(down, 2, Conduction::Closed);
     st.force_lane(input, 3, Logic::X);
-    let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
+    let mut packed = PackedScratch::new(net.num_nodes());
     assert_eq!(
         packed.solve(&st, out, 0b1111),
         (0b1111, 0),
@@ -401,11 +473,10 @@ fn cmos_inverter_fault_lanes_share_one_pass() {
 }
 
 /// At a NAND2 output the lanes disagree on the series transistor to the
-/// internal node: it decides whether that node is a member, so the
-/// disagreement still evicts, and every lane still equals its scalar
-/// solve.
+/// internal node: MID is a member in lane 0 only, and both lanes share
+/// the pass, each equal to its scalar solve.
 #[test]
-fn nand2_series_transistor_disagreement_evicts() {
+fn nand2_series_transistor_disagreement_shares_the_pass() {
     let mut net = Network::new();
     let vdd = net.add_input("Vdd", Logic::H);
     let gnd = net.add_input("Gnd", Logic::L);
@@ -419,9 +490,120 @@ fn nand2_series_transistor_disagreement_evicts() {
     net.add_transistor(TransistorType::N, Drive::D2, b, mid, gnd);
     let mut st = PackedDenseState::broadcast(&DenseState::new(&net), 2);
     st.force_lane(a, 1, Logic::L);
-    let mut packed = PackedScratch::new(net.num_nodes(), net.num_transistors());
-    let (kept, evicted) = packed.solve(&st, out, 0b11);
-    assert_eq!((kept, evicted), (0b01, 0b10), "lane 1 has no MID: evicted");
+    let mut packed = PackedScratch::new(net.num_nodes());
+    assert_eq!(packed.solve(&st, out, 0b11), (0b11, 0), "one pass");
     assert_eq!(packed.members, [out, mid]);
+    assert_eq!(packed.member_lanes, [0b11, 0b01], "lane 1 has no MID");
+    assert!(!lanes_match_scalar(&st, out, &packed, 0b11, 0b11).expect("lanes match"));
     packed_kernel_matches(&st, out).expect("every lane matches its scalar solve");
+}
+
+/// A 3T-DRAM read column: the precharged bitline RBL reaches each row's
+/// MID through that row's read select, and MID reaches ground through
+/// the transistor its cell gates. Each lane selects a different row (a
+/// decoder fault), and one lane none: the lanes' vicinities share only
+/// RBL, yet one pass keeps them all, each equal to its scalar solve.
+#[test]
+fn ram_column_lanes_selecting_different_cells_share_one_pass() {
+    let mut net = Network::new();
+    let gnd = net.add_input("Gnd", Logic::L);
+    let rbl = net.add_storage("RBL", Size::S2);
+    let mut rows = Vec::new();
+    for r in 0..4 {
+        let rs = net.add_input(format!("RS{r}"), Logic::L);
+        let cell = net.add_storage(format!("CELL{r}"), Size::S1);
+        let mid = net.add_storage(format!("MID{r}"), Size::S1);
+        net.add_transistor(TransistorType::N, Drive::D2, rs, rbl, mid);
+        net.add_transistor(TransistorType::N, Drive::D2, cell, mid, gnd);
+        rows.push((rs, cell, mid));
+    }
+    let mut base = DenseState::new(&net);
+    base.force(rbl, Logic::H);
+    for (r, &(_, cell, mid)) in rows.iter().enumerate() {
+        base.force(cell, [Logic::H, Logic::L, Logic::X, Logic::H][r]);
+        base.force(mid, Logic::L);
+    }
+    let mut st = PackedDenseState::broadcast(&base, 5);
+    for (lane, &(rs, _, _)) in rows.iter().enumerate() {
+        st.force_lane(rs, u32::try_from(lane).expect("lane"), Logic::H);
+    }
+    let mut packed = PackedScratch::new(net.num_nodes());
+    assert_eq!(packed.solve(&st, rbl, 0b11111), (0b11111, 0), "one pass");
+    let mids: Vec<NodeId> = rows.iter().map(|&(_, _, mid)| mid).collect();
+    assert_eq!(packed.members[0], rbl);
+    assert_eq!(&packed.members[1..], &mids[..]);
+    assert_eq!(
+        packed.member_lanes,
+        [0b11111, 0b0001, 0b0010, 0b0100, 0b1000]
+    );
+    assert!(!lanes_match_scalar(&st, rbl, &packed, 0b11111, 0b11111).expect("lanes match"));
+    let rbl_values: Vec<_> = (0..5).map(|l| packed.out_values[0].get(l)).collect();
+    assert_eq!(
+        rbl_values,
+        [
+            Some(Logic::L),
+            Some(Logic::H),
+            Some(Logic::X),
+            Some(Logic::L),
+            Some(Logic::H)
+        ],
+        "discharged; kept; maybe; discharged; unselected"
+    );
+}
+
+/// vdd -(EN)- A -(CLK)- B -(CLK)- C, all gates high. In lane 1 B is
+/// stuck at 0: a source of A's vicinity there, which ends at A, while
+/// lane 0's vicinity runs on to C. One pass keeps both lanes.
+#[test]
+fn stuck_node_lane_sees_the_forced_member_as_a_source() {
+    let mut net = Network::new();
+    let vdd = net.add_input("Vdd", Logic::H);
+    let en = net.add_input("EN", Logic::H);
+    let clk = net.add_input("CLK", Logic::H);
+    let a = net.add_storage("A", Size::S1);
+    let b = net.add_storage("B", Size::S1);
+    let c = net.add_storage("C", Size::S1);
+    net.add_transistor(TransistorType::N, Drive::D2, en, vdd, a);
+    net.add_transistor(TransistorType::N, Drive::D2, clk, a, b);
+    net.add_transistor(TransistorType::N, Drive::D2, clk, b, c);
+    let mut st = PackedDenseState::broadcast(&DenseState::new(&net), 2);
+    st.force_input_lane(b, 1, Logic::L);
+    let mut packed = PackedScratch::new(net.num_nodes());
+    assert_eq!(packed.solve(&st, a, 0b11), (0b11, 0), "one pass");
+    assert_eq!(packed.members, [a, b, c]);
+    assert_eq!(packed.member_lanes, [0b11, 0b01, 0b01]);
+    assert!(!lanes_match_scalar(&st, a, &packed, 0b11, 0b11).expect("lanes match"));
+    assert_eq!(packed.out_values[0].get(0), Some(Logic::H), "driven");
+    assert_eq!(packed.out_values[0].get(1), Some(Logic::X), "fights B");
+    assert_eq!(packed.out_values[2].get(0), Some(Logic::H));
+    assert_eq!(packed.out_values[2].get(1), None, "C is not lane 1's");
+}
+
+/// S reaches X through T1 and Y through T2, and X and Y are linked. Both
+/// lanes conduct T2; only lane 0 conducts T1. The union scan finds X
+/// from S in lane 0 alone, before Y; lane 1 reaches X only later, from
+/// Y, so in lane 1's own scan X comes after Y: the order rule evicts
+/// lane 1, and its re-solve is its scalar solve.
+#[test]
+fn lane_found_out_of_its_own_order_is_evicted() {
+    let mut net = Network::new();
+    let vdd = net.add_input("Vdd", Logic::H);
+    let en = net.add_input("EN", Logic::H);
+    let g1 = net.add_input("G1", Logic::H);
+    let s = net.add_storage("S", Size::S1);
+    let x = net.add_storage("X", Size::S1);
+    let y = net.add_storage("Y", Size::S1);
+    net.add_transistor(TransistorType::N, Drive::D2, en, vdd, s);
+    net.add_transistor(TransistorType::N, Drive::D2, g1, s, x);
+    net.add_transistor(TransistorType::N, Drive::D2, en, s, y);
+    net.add_transistor(TransistorType::N, Drive::D2, en, x, y);
+    let mut st = PackedDenseState::broadcast(&DenseState::new(&net), 2);
+    st.force_lane(g1, 1, Logic::L);
+    let mut packed = PackedScratch::new(net.num_nodes());
+    assert_eq!(packed.solve(&st, s, 0b11), (0b01, 0b10), "lane 1 evicted");
+    assert_eq!(packed.members, [s, x, y]);
+    assert!(!lanes_match_scalar(&st, s, &packed, 0b01, 0b11).expect("lanes match"));
+    assert_eq!(packed.solve(&st, s, 0b10), (0b10, 0), "alone, kept");
+    assert_eq!(packed.members, [s, y, x]);
+    packed_kernel_matches(&st, s).expect("every lane matches its scalar solve");
 }

@@ -22,8 +22,9 @@
 //! * [`PackedState`] / [`PackedEngine`] — the bit-parallel (PPSFP-style)
 //!   path: up to 64 fault machines encoded across two `u64` planes per
 //!   node ([`PackedLogic`]) settle together in one pass of bitwise
-//!   plane operations, with lanes evicted to a re-solve whenever their
-//!   vicinity structure diverges.
+//!   plane operations over the union of their vicinities, each member
+//!   and edge carrying the lanes it belongs to; a lane whose members
+//!   the union scan finds out of that lane's own order re-solves.
 //!
 //! # The steady-state solver
 //!
@@ -71,9 +72,9 @@
 //! propagation along edges, so it is not computed. Extraction saves the
 //! seed's conducting input edges as it scans them; when the scan marks
 //! no storage neighbour, both solvers skip the per-member edge lists and
-//! fold those sources straight-line — the packed solver into one set of
-//! thermometer planes for all kept lanes, with the same eviction as the
-//! general path. The incident transistors and boundary inputs that
+//! fold those sources straight-line — the packed solver walking them
+//! strongest-first under per-lane conduction masks for all kept lanes,
+//! after the same scan as the general path. The incident transistors and boundary inputs that
 //! triggering and the good tape read are reported exactly as before.
 //! Differential tests hold both closed forms bit-identical to the
 //! general fixed points.

@@ -239,9 +239,8 @@ impl PackedLogic {
 /// Per-lane conduction classification of one transistor.
 ///
 /// Active lanes not in `closed` or `maybe` are open. The packed solver
-/// requires each vicinity to be lane-uniform (one class across all
-/// lanes of a group), which extraction enforces by evicting minority
-/// lanes; this struct is the pre-eviction, per-lane answer.
+/// keeps the classes per lane: an edge carries a signal in the lanes
+/// where it may conduct, and definitely in those where it is closed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PackedConduction {
     /// Lanes where the transistor definitely conducts.
