@@ -324,7 +324,7 @@ pub enum Backend {
     /// time, never the verdicts:
     ///
     /// ```
-    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig, ShardStrategy};
+    /// use fmossim_campaign::{Backend, Campaign, ParallelConfig};
     /// use fmossim_circuits::Ram;
     /// use fmossim_faults::FaultUniverse;
     /// use fmossim_testgen::TestSequence;
@@ -337,14 +337,13 @@ pub enum Backend {
     ///     .outputs(ram.observed_outputs())
     ///     .backend(Backend::Parallel(config))
     ///     .run();
-    /// let by_cost = run(ParallelConfig {
-    ///     strategy: ShardStrategy::CostEstimated,
+    /// let oversharded = run(ParallelConfig {
     ///     shards: Some(4),
     ///     ..ParallelConfig::paper(2)
     /// });
     /// let one_shard = run(ParallelConfig::paper(1));
-    /// assert_eq!(by_cost.detections(), one_shard.detections());
-    /// assert_eq!((by_cost.shards, one_shard.shards), (Some(4), Some(1)));
+    /// assert_eq!(oversharded.detections(), one_shard.detections());
+    /// assert_eq!((oversharded.shards, one_shard.shards), (Some(4), Some(1)));
     /// ```
     Parallel(ParallelConfig),
 }

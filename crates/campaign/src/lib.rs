@@ -91,7 +91,7 @@ pub use spec::{universe_from_spec, UNIVERSE_SPECS};
 // Re-export the per-backend configuration types so campaign call sites
 // need only this crate (plus circuits/testgen for the workload).
 pub use fmossim_core::{ConcurrentConfig, DetectionPolicy, SerialConfig};
-pub use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
+pub use fmossim_par::{Jobs, ParallelConfig};
 // Re-export the telemetry vocabulary the campaign API speaks
 // ([`Campaign::with_telemetry`], [`CampaignReport::metrics`]).
 pub use fmossim_telemetry::{MetricsSnapshot, Registry};

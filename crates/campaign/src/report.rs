@@ -177,13 +177,12 @@ fn metrics_to_value(m: &MetricsSnapshot) -> Value {
     ])
 }
 
-/// Parses the `metrics` block; absent/null (pre-v3 documents) is an
-/// empty snapshot.
-fn metrics_from_value(val: Option<&Value>) -> Result<MetricsSnapshot, String> {
+/// Parses the `metrics` block.
+fn metrics_from_value(val: &Value) -> Result<MetricsSnapshot, String> {
+    if !matches!(val, Value::Obj(_)) {
+        return Err("bad metrics".into());
+    }
     let mut snap = MetricsSnapshot::default();
-    let Some(val) = val.filter(|v| !v.is_null()) else {
-        return Ok(snap);
-    };
     let section = |name: &str| -> Result<Vec<(&String, &Value)>, String> {
         match val.get(name) {
             None => Ok(Vec::new()),
@@ -338,16 +337,14 @@ impl CampaignReport {
 
     /// The schema version [`CampaignReport::to_json`] writes.
     ///
-    /// Version 3 adds the `metrics` block (the telemetry snapshot) and
-    /// — as a later lenient addition within the same version — the
-    /// `cancelled` flag (absent parses as `false`).
-    /// Version 2 locked the `tape_*` fields into the schema.
-    /// [`CampaignReport::from_json`] still accepts version-1 and
-    /// version-2 documents (where the newer keys may be absent), and
-    /// ignores keys it does not know — among them the `batches` array
-    /// that documents of the since-deleted batched parallel runs
-    /// carry. The golden fixtures under `tests/fixtures/` pin the
-    /// byte-exact format per backend.
+    /// [`CampaignReport::from_json`] reads this version only. Keys
+    /// added within it parse leniently when absent: the `cancelled`
+    /// flag (as `false`), the `packing` and `collapse` echoes, the
+    /// `collapse` block and the `tape_peak_bytes` / `tape_wait_seconds`
+    /// measurements (as `None`). Keys it does not know are ignored —
+    /// among them the `batches` array that documents of the
+    /// since-deleted batched parallel runs carry. The golden fixtures
+    /// under `tests/fixtures/` pin the byte-exact format per backend.
     pub const JSON_VERSION: usize = 3;
 
     /// Serialises to the stable JSON artifact format (compact, one
@@ -493,12 +490,9 @@ impl CampaignReport {
         if v.get("format").and_then(Value::as_str) != Some("fmossim-campaign-report") {
             return Err("not a fmossim-campaign-report document".into());
         }
-        // Older documents parse leniently: version 1 may lack the
-        // tape keys, versions 1–2 lack the `metrics` block version 3
-        // added. Unknown keys (an archived `batches` array) are
-        // ignored.
+        // Unknown keys (an archived `batches` array) are ignored.
         match v.get("version").and_then(Value::as_usize) {
-            Some(1..=3) => {}
+            Some(Self::JSON_VERSION) => {}
             Some(other) => return Err(format!("unsupported report version {other}")),
             None => return Err("missing report version".into()),
         }
@@ -665,16 +659,8 @@ impl CampaignReport {
             max_shard_seconds: opt_num("max_shard_seconds")?,
             good_seconds: opt_num("good_seconds")?,
             serial_estimate_seconds: opt_num("serial_estimate_seconds")?,
-            // Tape fields are lenient: absent in pre-tape version-1
-            // documents.
-            tape_record_seconds: match v.get("tape_record_seconds") {
-                None | Some(Value::Null) => None,
-                Some(val) => Some(val.as_f64().ok_or("bad tape_record_seconds")?),
-            },
-            tape_groups: match v.get("tape_groups") {
-                None | Some(Value::Null) => None,
-                Some(val) => Some(val.as_usize().ok_or("bad tape_groups")?),
-            },
+            tape_record_seconds: opt_num("tape_record_seconds")?,
+            tape_groups: opt_count("tape_groups")?,
             // Omitted when absent, and in documents written before the
             // tape was streamed.
             tape_peak_bytes: match v.get("tape_peak_bytes") {
@@ -702,9 +688,7 @@ impl CampaignReport {
                     })
                 }
             },
-            // Absent in pre-telemetry version-1/2 documents: default
-            // to an empty snapshot.
-            metrics: metrics_from_value(v.get("metrics"))?,
+            metrics: metrics_from_value(field("metrics")?)?,
             run,
         })
     }
@@ -815,38 +799,14 @@ mod tests {
         assert!(report.detections()[1].is_potential());
     }
 
-    /// Version-1 documents written before the tape subsystem carry no
-    /// tape keys; parsing must default them instead of rejecting the
-    /// archive.
-    #[test]
-    fn parses_pre_tape_documents() {
-        let mut report = sample_report();
-        report.metrics = MetricsSnapshot::default();
-        let text = report
-            .to_json()
-            .replace("\"version\":3", "\"version\":1")
-            .replace(",\"tape_record_seconds\":0.0625", "")
-            .replace(",\"tape_groups\":40", "");
-        let back = CampaignReport::from_json(&text).expect("lenient parse");
-        assert_eq!(back.tape_record_seconds, None);
-        assert_eq!(back.tape_groups, None);
-    }
-
-    /// Documents from both sides of batched parallel runs parse:
-    /// version-1 documents written before batch telemetry existed carry
-    /// no `batches` key, and documents written while it existed carry
-    /// one. The writer no longer emits the key, and the reader ignores
-    /// it like any unknown key.
+    /// Documents written while batched parallel runs existed carry a
+    /// `batches` key. The writer no longer emits it, and the reader
+    /// ignores it like any unknown key.
     #[test]
     fn parses_pre_adaptive_documents() {
         let report = sample_report();
         let text = report.to_json();
         assert!(!text.contains("batches"), "key no longer written: {text}");
-        let v1 = text.replace("\"version\":3", "\"version\":1");
-        assert_eq!(
-            CampaignReport::from_json(&v1).expect("lenient parse"),
-            report
-        );
         let archived = text.replace(
             ",\"metrics\":",
             ",\"batches\":[{\"first_pattern\":0,\"imbalance\":2}],\"metrics\":",
@@ -924,21 +884,6 @@ mod tests {
         assert_eq!(back, report);
     }
 
-    /// Version-2 documents written before the telemetry layer carry no
-    /// `metrics` block; parsing must default to an empty snapshot.
-    #[test]
-    fn parses_pre_telemetry_documents() {
-        let report = sample_report();
-        let v3 = report.to_json();
-        let metrics_block = format!(",\"metrics\":{}", metrics_to_value(&report.metrics));
-        let text = v3
-            .replace("\"version\":3", "\"version\":2")
-            .replace(&metrics_block, "");
-        assert!(!text.contains("metrics"), "key really removed: {text}");
-        let back = CampaignReport::from_json(&text).expect("lenient parse");
-        assert_eq!(back.metrics, MetricsSnapshot::default());
-    }
-
     #[test]
     fn rejects_foreign_documents() {
         assert!(CampaignReport::from_json("{}").is_err());
@@ -952,10 +897,20 @@ mod tests {
             .to_json()
             .replace("\"wall_seconds\"", "\"renamed\"");
         assert!(CampaignReport::from_json(&missing).is_err());
-        // ...as must an unknown format version.
-        let future = sample_report()
-            .to_json()
-            .replace("\"version\":3", "\"version\":4");
-        assert!(CampaignReport::from_json(&future).is_err());
+        // ...as must a missing metrics block,
+        let report = sample_report();
+        let metrics_block = format!(",\"metrics\":{}", metrics_to_value(&report.metrics));
+        let no_metrics = report.to_json().replace(&metrics_block, "");
+        assert!(!no_metrics.contains("metrics"), "key really removed");
+        assert!(CampaignReport::from_json(&no_metrics).is_err());
+        // ...and any format version but 3: the retired 1 and 2 as much
+        // as an unknown 4.
+        for version in [1, 2, 4] {
+            let other = sample_report()
+                .to_json()
+                .replace("\"version\":3", &format!("\"version\":{version}"));
+            let err = CampaignReport::from_json(&other).expect_err("other version");
+            assert_eq!(err, format!("unsupported report version {version}"));
+        }
     }
 }

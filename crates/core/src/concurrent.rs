@@ -93,7 +93,7 @@ use crate::packed::{PackedBucketView, PackedLanes, SeedRun};
 use crate::pattern::{Pattern, Phase};
 use crate::records::StateLists;
 use crate::report::{Detection, DetectionPolicy, PatternStats, RunReport};
-use crate::tape::{GoodTape, PhaseSource, PhaseTape, TapeLeader};
+use crate::tape::{GoodTape, PhaseSource, TapeLeader};
 use fmossim_faults::{Fault, FaultEffect, FaultId};
 use fmossim_netlist::{Logic, Network, NodeId};
 use fmossim_switch::{
@@ -1297,29 +1297,6 @@ impl<'n> ConcurrentSim<'n> {
         })
     }
 
-    /// Simulates one pattern against its recorded phase tapes
-    /// (the replay counterpart of [`ConcurrentSim::step_pattern`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phase_tapes` has a different phase count than
-    /// `pattern`.
-    pub fn step_pattern_replayed(
-        &mut self,
-        pattern: &Pattern,
-        phase_tapes: &[PhaseTape],
-        outputs: &[NodeId],
-        pattern_idx: usize,
-    ) -> PatternStats {
-        assert_eq!(
-            pattern.phases.len(),
-            phase_tapes.len(),
-            "phase tape count mismatch"
-        );
-        self.replay_pattern(pattern, &mut phase_tapes.iter(), outputs, pattern_idx)
-            .expect("one tape per phase")
-    }
-
     /// One pattern of the replay path, its phases read from `source`;
     /// `None` if the source ends first.
     fn replay_pattern(
@@ -1757,7 +1734,9 @@ mod tests {
 
     /// Replay against a recorded tape must match recompute bit for bit
     /// (the workspace-level `replay_equivalence` suite covers the
-    /// benchmark circuits; this is the smallest instance).
+    /// benchmark circuits; this is the smallest instance). The replaying
+    /// simulator is fresh, so the constructor's pending all-storage
+    /// perturbation must not leak into its first faulty settle.
     #[test]
     fn replayed_run_matches_recomputed() {
         let (net, a, out) = inverter();
@@ -1784,44 +1763,6 @@ mod tests {
             assert_eq!(r.circuit_settles, l.circuit_settles);
             assert_eq!(r.damped, l.damped);
         }
-    }
-
-    /// Driving replay pattern by pattern through the public step API
-    /// on a fresh simulator must match the live step API — in
-    /// particular, the constructor's pending all-storage perturbation
-    /// must not leak into the first faulty settle.
-    #[test]
-    fn step_level_replay_matches_live_steps() {
-        let (net, a, out) = inverter();
-        let universe =
-            FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
-        let patterns = toggle_patterns(a);
-        let config = ConcurrentConfig::paper();
-        let tape = crate::tape::GoodTape::record(&net, &patterns, config.engine);
-
-        let mut live = ConcurrentSim::new(&net, universe.faults(), config);
-        let mut replay = ConcurrentSim::new(&net, universe.faults(), config);
-        for (pi, pattern) in patterns.iter().enumerate() {
-            let l = live.step_pattern(pattern, &[out], pi);
-            let r = replay.step_pattern_replayed(pattern, tape.pattern(pi), &[out], pi);
-            assert_eq!(
-                (
-                    r.detected,
-                    r.live_before,
-                    r.faulty_groups,
-                    r.circuit_settles
-                ),
-                (
-                    l.detected,
-                    l.live_before,
-                    l.faulty_groups,
-                    l.circuit_settles
-                ),
-                "pattern {pi}"
-            );
-        }
-        assert_eq!(replay.detections(), live.detections());
-        assert_eq!(replay.record_count(), live.record_count());
     }
 
     #[test]

@@ -60,13 +60,6 @@ pub trait PhaseSource {
     fn next_phase(&mut self) -> Option<&SettleTape>;
 }
 
-/// One pattern's phase tapes.
-impl PhaseSource for std::slice::Iter<'_, PhaseTape> {
-    fn next_phase(&mut self) -> Option<&SettleTape> {
-        self.next().map(|p| &p.settle)
-    }
-}
-
 /// A whole tape's phase tapes ([`GoodTape::reader`]).
 impl PhaseSource for std::iter::Flatten<std::slice::Iter<'_, Vec<PhaseTape>>> {
     fn next_phase(&mut self) -> Option<&SettleTape> {

@@ -190,24 +190,6 @@ impl FaultUniverse {
         shards
     }
 
-    /// Partitions the universe's fault ids into `k` contiguous shards
-    /// of near-equal length (the first `len % k` shards hold one extra
-    /// fault). Always returns exactly `max(k, 1)` shards; trailing
-    /// shards may be empty when the universe is smaller than `k`.
-    #[must_use]
-    pub fn split_contiguous(&self, k: usize) -> Vec<Vec<FaultId>> {
-        let k = k.max(1);
-        let base = self.len() / k;
-        let extra = self.len() % k;
-        let mut ids = self.iter().map(|(id, _)| id);
-        (0..k)
-            .map(|s| {
-                let take = base + usize::from(s < extra);
-                ids.by_ref().take(take).collect()
-            })
-            .collect()
-    }
-
     /// Removes faults that are provably equivalent to the fault-free
     /// circuit and therefore undetectable by construction:
     ///
@@ -371,18 +353,17 @@ mod tests {
         let (net, _, _) = net_with_faults();
         let u = FaultUniverse::stuck_nodes(&net).union(FaultUniverse::stuck_transistors(&net));
         for k in [1, 2, 3, u.len(), u.len() + 5] {
-            for shards in [u.split_round_robin(k), u.split_contiguous(k)] {
-                assert_eq!(shards.len(), k);
-                let mut seen: Vec<FaultId> = shards.iter().flatten().copied().collect();
-                seen.sort_unstable_by_key(|id| id.index());
-                let all: Vec<FaultId> = u.iter().map(|(id, _)| id).collect();
-                assert_eq!(seen, all, "k={k}: shards partition the ids");
-                for shard in &shards {
-                    assert!(
-                        shard.windows(2).all(|w| w[0].index() < w[1].index()),
-                        "ids ascending within a shard"
-                    );
-                }
+            let shards = u.split_round_robin(k);
+            assert_eq!(shards.len(), k);
+            let mut seen: Vec<FaultId> = shards.iter().flatten().copied().collect();
+            seen.sort_unstable_by_key(|id| id.index());
+            let all: Vec<FaultId> = u.iter().map(|(id, _)| id).collect();
+            assert_eq!(seen, all, "k={k}: shards partition the ids");
+            for shard in &shards {
+                assert!(
+                    shard.windows(2).all(|w| w[0].index() < w[1].index()),
+                    "ids ascending within a shard"
+                );
             }
         }
     }
@@ -391,15 +372,13 @@ mod tests {
     fn split_shard_sizes_are_balanced() {
         let (net, _, _) = net_with_faults();
         let u = FaultUniverse::stuck_nodes(&net); // 4 faults
-        for shards in [u.split_round_robin(3), u.split_contiguous(3)] {
-            let sizes: Vec<usize> = shards.iter().map(Vec::len).collect();
-            assert_eq!(sizes.iter().sum::<usize>(), 4);
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        }
+        let sizes: Vec<usize> = u.split_round_robin(3).iter().map(Vec::len).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), 4);
+        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
         // k=0 is clamped to one shard, k > len leaves empties.
         assert_eq!(u.split_round_robin(0).len(), 1);
         assert_eq!(
-            u.split_contiguous(9)
+            u.split_round_robin(9)
                 .iter()
                 .filter(|s| s.is_empty())
                 .count(),

@@ -8,7 +8,7 @@
 
 use crate::exec::{run_shards, ScopedPool, ShardResult, ShardTape, ShardWork};
 use crate::jobs::Jobs;
-use crate::plan::{ShardPlan, ShardStrategy};
+use crate::plan::ShardPlan;
 use fmossim_core::{ConcurrentConfig, Pattern, RunReport, TapeStream};
 use fmossim_faults::FaultUniverse;
 use fmossim_netlist::{Network, NodeId};
@@ -20,15 +20,15 @@ use std::time::Instant;
 /// Configuration of the parallel driver.
 ///
 /// ```
-/// use fmossim_par::{Jobs, ParallelConfig, ShardStrategy};
+/// use fmossim_par::{Jobs, ParallelConfig};
 ///
-/// // An autotuned pool, planned by estimated fault cost.
+/// // Two workers pulling eight shards from the queue.
 /// let config = ParallelConfig {
-///     strategy: ShardStrategy::CostEstimated,
-///     ..ParallelConfig::auto()
+///     shards: Some(8),
+///     ..ParallelConfig::paper(2)
 /// };
-/// assert_eq!(config.jobs, Jobs::Auto);
-/// assert_eq!(config.shards, None, "one shard per worker");
+/// assert_eq!(config.jobs, Jobs::Fixed(2));
+/// assert_eq!(ParallelConfig::auto().shards, None, "one shard per worker");
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParallelConfig {
@@ -36,8 +36,6 @@ pub struct ParallelConfig {
     /// pool from the universe's estimated fault cost. Workers beyond
     /// the number of (non-empty) shards are not spawned.
     pub jobs: Jobs,
-    /// How the universe is partitioned.
-    pub strategy: ShardStrategy,
     /// Number of shards; `None` means one per worker. Oversharding
     /// (`shards > jobs`) turns the pool into a load balancer: workers
     /// pull the next shard when they finish, smoothing out uneven
@@ -178,7 +176,7 @@ impl<'n> ParallelSim<'n> {
     pub fn new(net: &'n Network, universe: FaultUniverse, config: ParallelConfig) -> Self {
         let workers = config.jobs.resolve(net, &universe);
         let k = config.shards.unwrap_or(workers).max(1);
-        let plan = ShardPlan::build(net, &universe, k, config.strategy);
+        let plan = ShardPlan::build(&universe, k);
         ParallelSim {
             net,
             universe,
@@ -345,7 +343,6 @@ impl<'n> ParallelSim<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ShardStrategy;
     use fmossim_core::{ConcurrentSim, Phase, RunReport};
     use fmossim_faults::{Fault, FaultId};
     use fmossim_netlist::{Drive, Logic, Size, TransistorType};
@@ -386,16 +383,11 @@ mod tests {
         let single = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(1))
             .run(&patterns, &outs);
         for jobs in [2, 3, 4] {
-            for strategy in ShardStrategy::ALL {
-                let config = ParallelConfig {
-                    strategy,
-                    ..ParallelConfig::paper(jobs)
-                };
-                let multi = ParallelSim::new(&net, universe.clone(), config).run(&patterns, &outs);
-                assert_eq!(detection_key(&multi), detection_key(&single), "{strategy}");
-                assert_eq!(multi.num_faults, single.num_faults);
-                assert_eq!(multi.coverage(), single.coverage());
-            }
+            let multi = ParallelSim::new(&net, universe.clone(), ParallelConfig::paper(jobs))
+                .run(&patterns, &outs);
+            assert_eq!(detection_key(&multi), detection_key(&single), "jobs={jobs}");
+            assert_eq!(multi.num_faults, single.num_faults);
+            assert_eq!(multi.coverage(), single.coverage());
         }
     }
 
@@ -602,7 +594,6 @@ mod tests {
         faults.push(bad);
         let config = ParallelConfig {
             shards: Some(4),
-            strategy: ShardStrategy::RoundRobin,
             ..ParallelConfig::paper(2)
         };
         let registry = Registry::new();
@@ -649,7 +640,6 @@ mod tests {
         faults.extend_from_slice(FaultUniverse::stuck_nodes(&net).faults());
         let config = ParallelConfig {
             shards: Some(4),
-            strategy: ShardStrategy::RoundRobin,
             ..ParallelConfig::paper(2)
         };
         let registry = Registry::new();
@@ -690,19 +680,15 @@ mod tests {
         let (net, outs, patterns) = two_inverters();
         let universe = FaultUniverse::stuck_nodes(&net);
         let n = universe.len();
-        let config = ParallelConfig {
-            strategy: ShardStrategy::Contiguous,
-            ..ParallelConfig::paper(2)
-        };
-        let report = ParallelSim::new(&net, universe, config).run(&patterns, &outs);
+        let sim = ParallelSim::new(&net, universe, ParallelConfig::paper(2));
+        // Shard 1's local ids start at 0 like shard 0's; its global ids
+        // do not, so an unrelabelled detection would collide.
+        assert!(sim.plan().shard(1).iter().all(|id| id.index() > 0));
+        let report = sim.run(&patterns, &outs);
         let mut ids: Vec<usize> = report.detections.iter().map(|d| d.fault.index()).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), report.detected(), "no duplicate fault ids");
-        assert!(ids.iter().all(|&i| i < n), "ids are parent-universe ids");
-        // Contiguous sharding would produce colliding *local* ids in
-        // every shard; globals must cover the high shard too.
-        assert!(ids.iter().any(|&i| i >= n / 2), "high shard represented");
-        let _ = FaultId(0);
+        assert_eq!(ids, (0..n).collect::<Vec<_>>(), "every parent-universe id");
     }
 }

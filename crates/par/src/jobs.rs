@@ -1,9 +1,16 @@
 //! Worker-count selection: a fixed count, or one sized from the
 //! universe's estimated fault cost ([`Jobs::Auto`]).
 
-use crate::plan::fault_cost;
-use fmossim_faults::FaultUniverse;
+use fmossim_faults::{Fault, FaultUniverse};
 use fmossim_netlist::Network;
+
+/// The simulation cost proxy for one fault: the size of its structural
+/// footprint (nodes whose activity can trigger the faulty circuit),
+/// plus one so that even footprint-free faults carry weight.
+#[must_use]
+pub fn fault_cost(net: &Network, fault: &Fault) -> usize {
+    fault.footprint(net).len() + 1
+}
 
 /// Estimated shard cost (sum of [`fault_cost`] over the shard's faults)
 /// that justifies dedicating one worker to it. Below this threshold the

@@ -4,10 +4,9 @@
 //! simulation pass, but a single [`fmossim_core::ConcurrentSim`] is
 //! strictly sequential. This crate adds the execution layer above it:
 //!
-//! * [`ShardPlan`] partitions a [`fmossim_faults::FaultUniverse`] into
-//!   `K` disjoint shards — [`ShardStrategy::RoundRobin`],
-//!   [`ShardStrategy::Contiguous`], or [`ShardStrategy::CostEstimated`]
-//!   (greedy LPT over per-fault footprint costs).
+//! * [`ShardPlan`] deals a [`fmossim_faults::FaultUniverse`] round-robin
+//!   into `K` disjoint shards. The split is pure scheduling: it cannot
+//!   change a detection.
 //! * [`run_shards`] is the one shard executor: it runs one
 //!   `ConcurrentSim` per shard on a [`ShardPool`] — [`ScopedPool`]'s
 //!   scoped `std::thread` workers offline, the server's shared pool in
@@ -48,5 +47,5 @@ pub use driver::{ParallelConfig, ParallelRun, ParallelSim, ShardOutcome, TapeSta
 pub use exec::{
     run_shards, ScopedPool, ShardJob, ShardPool, ShardResult, ShardTape, ShardTask, ShardWork,
 };
-pub use jobs::{Jobs, AUTO_COST_PER_WORKER};
-pub use plan::{fault_cost, ShardPlan, ShardStrategy};
+pub use jobs::{fault_cost, Jobs, AUTO_COST_PER_WORKER};
+pub use plan::ShardPlan;

@@ -34,7 +34,7 @@ use crate::proto::JobSpec;
 use fmossim_campaign::{BackendRun, CampaignBackend, RunControl, SimEvent, StopRule, Workload};
 use fmossim_core::{ConcurrentConfig, DetectionPolicy, GoodTape, RunReport};
 use fmossim_faults::FaultUniverse;
-use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardStrategy, ShardTape, ShardWork};
+use fmossim_par::{run_shards, ShardJob, ShardPlan, ShardTape, ShardWork};
 use fmossim_telemetry::Registry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,12 +189,7 @@ impl CampaignBackend for ServedBackend {
         let shards = ServedShards {
             spec: Arc::clone(spec),
             universe: w.universe.clone(),
-            plan: ShardPlan::build(
-                &spec.net,
-                w.universe,
-                spec.shards.max(1),
-                ShardStrategy::RoundRobin,
-            ),
+            plan: ShardPlan::build(w.universe, spec.shards.max(1)),
             tape: Arc::clone(&tape),
             config,
             cancel: [

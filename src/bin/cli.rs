@@ -12,7 +12,7 @@
 //!                  [--universe stuck-nodes|stuck-transistors|all]
 //!                  [--sample K] [--seed S] [--serial]
 //!                  [--stop-at-coverage F] [--pattern-limit N]
-//!                  [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
+//!                  [--jobs N|auto]
 //!                  [--metrics <path>[.prom|.json]]
 //! ```
 //!
@@ -28,7 +28,7 @@
 
 use fmossim::campaign::{
     universe_from_spec, Backend, Campaign, ConcurrentConfig, Jobs, ParallelConfig, Registry,
-    SerialConfig, ShardStrategy,
+    SerialConfig,
 };
 use fmossim::circuits::{Ram, RegisterFile};
 use fmossim::concurrent::{Pattern, Phase};
@@ -78,7 +78,7 @@ usage:
                    [--universe stuck-nodes|stuck-transistors|all]
                    [--sample K] [--seed S] [--serial]
                    [--stop-at-coverage F] [--pattern-limit N]
-                   [--jobs N|auto] [--shard-strategy round-robin|contiguous|cost]
+                   [--jobs N|auto]
                    [--metrics <path>[.prom|.json]]
   fmossim serve    [--addr HOST:PORT] [--workers N] [--cache-mb N]
                    [--default-shards N]
@@ -99,13 +99,13 @@ paper's algorithm, default), `serial` (the per-fault baseline), or
 --jobs). Results are identical for every backend and job count.
 
 --jobs N picks the worker count, `auto` sizes the pool from the
-workload. The shard
-count follows from the resolved workers. With more than one shard,
-shard 0 settles the good machine and streams each phase to the other
-shards, which replay it behind it; a single shard settles the good
-circuit itself, so with --jobs auto on a small workload the tape is
-skipped. The post-run `plan:` line echoes what
-actually resolved.
+workload. The shard count follows from the resolved workers, and the
+faults are dealt round-robin into the shards (the split never changes
+a detection). With more than one shard, shard 0 settles the good
+machine and streams each phase to the other shards, which replay it
+behind it; a single shard settles the good circuit itself, so with
+--jobs auto on a small workload the tape is skipped. The post-run
+`plan:` line echoes what actually resolved.
 
 The concurrent and parallel backends settle the fault machines woken
 at the same nodes together, up to 64 per bitwise pass over two-plane
@@ -457,26 +457,16 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
             ))
         })
         .transpose()?;
-    let strategy = match opt(args, "--shard-strategy") {
-        None => ShardStrategy::default(),
-        Some(spec) => ShardStrategy::parse(spec).ok_or_else(|| {
-            format!("unknown shard strategy `{spec}` (round-robin|contiguous|cost)")
-        })?,
-    };
     // --jobs implies the parallel backend, unless --backend overrides.
     let backend_name = opt(args, "--backend").unwrap_or(if jobs.is_some() {
         "parallel"
     } else {
         "concurrent"
     });
-    if backend_name != "parallel" {
-        for flag in ["--jobs", "--shard-strategy"] {
-            if opt(args, flag).is_some() {
-                return Err(format!(
-                    "{flag} requires the parallel backend, not `{backend_name}`"
-                ));
-            }
-        }
+    if backend_name != "parallel" && jobs.is_some() {
+        return Err(format!(
+            "--jobs requires the parallel backend, not `{backend_name}`"
+        ));
     }
     if flag(args, "--json") && flag(args, "--serial") {
         return Err(
@@ -490,7 +480,6 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         "concurrent" => Backend::Concurrent(ConcurrentConfig::paper()),
         "parallel" => Backend::Parallel(ParallelConfig {
             jobs: jobs.unwrap_or(Jobs::Auto),
-            strategy,
             ..ParallelConfig::auto()
         }),
         other => {
@@ -500,7 +489,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
         }
     };
     let pool = match backend {
-        Backend::Parallel(c) => format!(" [jobs {}, {strategy}]", c.jobs),
+        Backend::Parallel(c) => format!(" [jobs {}]", c.jobs),
         _ => String::new(),
     };
     eprintln!(

@@ -32,23 +32,22 @@ fn misspelled_flag_is_an_error() {
 
 #[test]
 fn removed_replay_flag_is_an_error() {
-    assert_unknown_flag(
-        &[
-            "faultsim",
-            "--circuit",
-            "ram4x4",
-            "--jobs",
-            "2",
-            "--replay",
-            "off",
-        ],
-        "--replay",
-    );
+    assert_removed_parallel_flag("--replay", "off");
 }
 
 /// Parallel runs are one-shot; the batched re-planning flag is gone.
 #[test]
 fn removed_batch_flag_is_an_error() {
+    assert_removed_parallel_flag("--batch", "8");
+}
+
+/// Round-robin is the only shard plan; the switch choosing one is gone.
+#[test]
+fn removed_shard_strategy_flag_is_an_error() {
+    assert_removed_parallel_flag("--shard-strategy", "cost");
+}
+
+fn assert_removed_parallel_flag(removed: &str, value: &str) {
     assert_unknown_flag(
         &[
             "faultsim",
@@ -56,10 +55,10 @@ fn removed_batch_flag_is_an_error() {
             "ram4x4",
             "--jobs",
             "2",
-            "--batch",
-            "8",
+            removed,
+            value,
         ],
-        "--batch",
+        removed,
     );
 }
 

@@ -21,7 +21,6 @@
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
-    ShardStrategy,
 };
 use fmossim::concurrent::Pattern;
 use fmossim::faults::{CollapseClasses, FaultId, FaultUniverse};
@@ -56,17 +55,11 @@ fn backend_for(label: &str) -> Backend {
             sim,
             ..ParallelConfig::default()
         }),
-        "cost-k2" => Backend::Parallel(ParallelConfig {
-            jobs: Jobs::Fixed(2),
-            strategy: ShardStrategy::CostEstimated,
-            sim,
-            ..ParallelConfig::default()
-        }),
         other => panic!("unknown backend label {other}"),
     }
 }
 
-const BACKENDS: [&str; 4] = ["concurrent", "concurrent-scalar", "parallel-k2", "cost-k2"];
+const BACKENDS: [&str; 3] = ["concurrent", "concurrent-scalar", "parallel-k2"];
 
 fn run_campaign(
     net: &Network,

@@ -1,5 +1,5 @@
 //! Shard determinism: fault-parallel simulation is a pure throughput
-//! lever. For every shard count and strategy, a `Campaign` on the
+//! lever. For every shard count, a `Campaign` on the
 //! parallel backend must produce exactly the detection set (fault,
 //! pattern, phase, values) and coverage of the same campaign on the
 //! concurrent backend — on the paper's RAM benchmark and on the
@@ -15,7 +15,7 @@ use fmossim::concurrent::{
 };
 use fmossim::faults::FaultUniverse;
 use fmossim::netlist::{Network, NodeId};
-use fmossim::par::{ParallelConfig, ParallelSim, ShardStrategy};
+use fmossim::par::{ParallelConfig, ParallelSim};
 use fmossim::testgen::zoo::{build_zoo, ZOO, ZOO_SEED};
 use fmossim::testgen::TestSequence;
 use std::ops::ControlFlow;
@@ -39,8 +39,8 @@ fn detection_set(report: &CampaignReport) -> Vec<(usize, usize, usize, String)> 
     v
 }
 
-/// The property: for K ∈ {1, 2, 4, 7} shards × all strategies, the
-/// parallel-backend campaign equals the concurrent-backend reference.
+/// The property: for K ∈ {1, 2, 4, 7} shards, the parallel-backend
+/// campaign equals the concurrent-backend reference.
 fn assert_shard_invariance(
     net: &Network,
     universe: &FaultUniverse,
@@ -60,32 +60,24 @@ fn assert_shard_invariance(
     assert!(reference.detected() > 0, "workload must detect something");
 
     for k in [1usize, 2, 4, 7] {
-        for strategy in ShardStrategy::ALL {
-            let config = ParallelConfig {
-                jobs: Jobs::Fixed(k),
-                strategy,
-                sim: ConcurrentConfig::paper(),
-                ..ParallelConfig::default()
-            };
-            let report = campaign(Backend::Parallel(config));
-            assert_eq!(
-                detection_set(&report),
-                expected,
-                "K={k} strategy={strategy}: detection set diverged"
-            );
-            assert_eq!(report.run.num_faults, reference.run.num_faults);
-            assert!(
-                (report.coverage() - reference.coverage()).abs() < 1e-12,
-                "K={k} strategy={strategy}: coverage diverged"
-            );
-            assert_eq!(report.jobs, Some(k), "resolved worker count reported");
-        }
+        let report = campaign(Backend::Parallel(ParallelConfig::paper(k)));
+        assert_eq!(
+            detection_set(&report),
+            expected,
+            "K={k}: detection set diverged"
+        );
+        assert_eq!(report.run.num_faults, reference.run.num_faults);
+        assert!(
+            (report.coverage() - reference.coverage()).abs() < 1e-12,
+            "K={k}: coverage diverged"
+        );
+        assert_eq!(report.jobs, Some(k), "resolved worker count reported");
     }
 }
 
 #[test]
 fn ram_detections_invariant_under_sharding() {
-    // 4×4 keeps the 36-run sweep fast while exercising the full RAM
+    // 4×4 keeps the shard-count sweep fast while exercising the full RAM
     // control/march sequence; the 8×8 acceptance run is CI's
     // campaign smoke (`faultsim --jobs 1` against `--jobs 4`).
     let ram = Ram::new(4, 4);
@@ -163,7 +155,6 @@ fn oversharded_pool_detections_invariant() {
     let config = ParallelConfig {
         jobs: Jobs::Fixed(3),
         shards: Some(11),
-        strategy: ShardStrategy::CostEstimated,
         sim: ConcurrentConfig::paper(),
     };
     let sim = ParallelSim::new(ram.network(), universe, config);

@@ -3,7 +3,7 @@
 //! shard plan run through the shard executor without a tape, where
 //! every shard re-settles the good circuit — same detection sequence
 //! (canonical order), same per-pattern counters, same coverage —
-//! across shard counts, shard strategies, and the benchmark circuits.
+//! across shard counts and the benchmark circuits.
 //! A property test over random small netlists (offline proptest shim)
 //! covers topologies the fixtures do not.
 
@@ -13,7 +13,7 @@ use fmossim::concurrent::{ConcurrentConfig, ConcurrentSim, GoodTape, Pattern, Ph
 use fmossim::faults::FaultUniverse;
 use fmossim::netlist::{Drive, Logic, Network, NodeId, Size, TransistorType};
 use fmossim::par::{
-    run_shards, Jobs, ParallelConfig, ParallelSim, ScopedPool, ShardPlan, ShardStrategy, ShardWork,
+    run_shards, Jobs, ParallelConfig, ParallelSim, ScopedPool, ShardPlan, ShardWork,
 };
 use fmossim::telemetry::Registry;
 use fmossim::testgen::TestSequence;
@@ -58,7 +58,6 @@ fn run_campaign(
     patterns: &[Pattern],
     outputs: &[NodeId],
     jobs: usize,
-    strategy: ShardStrategy,
 ) -> CampaignReport {
     Campaign::new(net)
         .faults(universe.clone())
@@ -66,7 +65,6 @@ fn run_campaign(
         .outputs(outputs)
         .backend(Backend::Parallel(ParallelConfig {
             jobs: Jobs::Fixed(jobs),
-            strategy,
             sim: ConcurrentConfig::paper(),
             ..ParallelConfig::default()
         }))
@@ -106,8 +104,7 @@ fn recompute(
     report
 }
 
-/// The property: for K ∈ {1, 2, 4} × all three strategies, the
-/// campaign equals the same plan recomputed without a tape, bit for
+/// The property: for K ∈ {1, 2, 4}, the campaign equals the same plan recomputed without a tape, bit for
 /// bit, and records a tape iff it has more than one shard.
 fn assert_replay_equivalence(
     net: &Network,
@@ -116,31 +113,29 @@ fn assert_replay_equivalence(
     outputs: &[NodeId],
 ) {
     for k in [1usize, 2, 4] {
-        for strategy in ShardStrategy::ALL {
-            let replay = run_campaign(net, universe, patterns, outputs, k, strategy);
-            let shards = replay.shards.expect("parallel backend reports shards");
-            // The plan `Jobs::Fixed(k)` gives the campaign: k shards.
-            let plan = ShardPlan::build(net, universe, k, strategy);
-            assert_eq!(plan.num_shards(), shards);
-            let reference = recompute(
-                net,
-                universe,
-                &plan,
-                patterns,
-                outputs,
-                ConcurrentConfig::paper(),
-            );
-            assert_eq!(
-                fingerprint(&replay.run),
-                fingerprint(&reference),
-                "K={k} strategy={strategy}: replay diverged from recompute"
-            );
-            assert_eq!(
-                replay.tape_record_seconds.is_some(),
-                shards > 1,
-                "K={k} strategy={strategy}: tape recorded iff it amortises"
-            );
-        }
+        let replay = run_campaign(net, universe, patterns, outputs, k);
+        let shards = replay.shards.expect("parallel backend reports shards");
+        // The plan `Jobs::Fixed(k)` gives the campaign: k shards.
+        let plan = ShardPlan::build(universe, k);
+        assert_eq!(plan.num_shards(), shards);
+        let reference = recompute(
+            net,
+            universe,
+            &plan,
+            patterns,
+            outputs,
+            ConcurrentConfig::paper(),
+        );
+        assert_eq!(
+            fingerprint(&replay.run),
+            fingerprint(&reference),
+            "K={k}: replay diverged from recompute"
+        );
+        assert_eq!(
+            replay.tape_record_seconds.is_some(),
+            shards > 1,
+            "K={k}: tape recorded iff it amortises"
+        );
     }
 }
 
@@ -160,7 +155,7 @@ fn ram4x4_replay_is_bit_identical() {
 #[test]
 fn ram64_replay_is_bit_identical() {
     // The paper's RAM64 on its march sequence; the universe is sampled
-    // to keep the 18-run debug-mode sweep quick (sampling is seeded —
+    // to keep the debug-mode sweep quick (sampling is seeded —
     // same faults every run).
     let ram = Ram::new(8, 8);
     let universe = FaultUniverse::stuck_nodes(ram.network()).sample(48, SEED);
@@ -171,7 +166,6 @@ fn ram64_replay_is_bit_identical() {
         seq.patterns(),
         ram.observed_outputs(),
         2,
-        ShardStrategy::default(),
     );
     assert!(reference.detected() > 0, "workload must detect something");
     assert_replay_equivalence(

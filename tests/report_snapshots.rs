@@ -1,8 +1,8 @@
 //! Golden-report snapshots: one real campaign per backend, archived
 //! as a checked-in JSON fixture under `tests/fixtures/`, locking the
 //! version-3 `CampaignReport` schema (including the v3 `metrics`
-//! block). The previous generation's `report_v2_*.json` fixtures stay
-//! checked in as lenient-parse coverage for archived artifacts.
+//! block). Version 3 is the only version the reader accepts
+//! (`report::tests::rejects_foreign_documents` holds it to that).
 //!
 //! Each fixture is checked three ways:
 //!
@@ -72,10 +72,13 @@ fn run_fixture_campaign(backend: Backend) -> CampaignReport {
         .run()
 }
 
-fn fixture_path(version: usize, name: &str) -> PathBuf {
+fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("report_v{version}_{name}.json"))
+        .join(format!(
+            "report_v{}_{name}.json",
+            CampaignReport::JSON_VERSION
+        ))
 }
 
 /// Zeroes every measured-time field, leaving only deterministic
@@ -107,7 +110,7 @@ fn normalize(r: &mut CampaignReport) {
 fn fixtures_lock_the_v3_schema() {
     let update = std::env::var_os("UPDATE_FIXTURES").is_some();
     for (name, backend) in fixture_backends() {
-        let path = fixture_path(3, name);
+        let path = fixture_path(name);
         if update {
             let report = run_fixture_campaign(backend);
             std::fs::create_dir_all(path.parent().expect("fixture dir"))
@@ -205,7 +208,7 @@ fn collapsed_fixture_locks_the_schema() {
             .with_telemetry(&Registry::new())
             .run()
     };
-    let path = fixture_path(3, "collapsed");
+    let path = fixture_path("collapsed");
     if std::env::var_os("UPDATE_FIXTURES").is_some() {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixtures dir");
         std::fs::write(&path, run().to_json() + "\n").expect("write fixture");
@@ -258,59 +261,6 @@ fn collapsed_fixture_locks_the_schema() {
     );
 }
 
-/// The previous generation's archived v2 fixtures still parse through
-/// the lenient reader: no `metrics` key means an empty snapshot, and
-/// everything deterministic still reproduces against a fresh
-/// (untelemetered) run of the same workload.
-#[test]
-fn v2_fixtures_still_parse() {
-    let ram = Ram::new(4, 4);
-    let seq = TestSequence::full(&ram);
-    for (name, backend) in fixture_backends() {
-        let path = fixture_path(2, name);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing archived v2 fixture {}: {e}", path.display()));
-        let archived = CampaignReport::from_json(text.trim_end())
-            .unwrap_or_else(|e| panic!("{name}: v2 fixture does not parse: {e}"));
-        assert!(
-            archived.metrics.counters.is_empty()
-                && archived.metrics.gauges.is_empty()
-                && archived.metrics.histograms.is_empty(),
-            "{name}: pre-telemetry document reads as an empty snapshot"
-        );
-        // No telemetry attached: the fresh report's metrics block is
-        // empty too, so whole-struct equality holds after normalize.
-        // The archives predate collapsing, so the fresh run grades the
-        // whole universe.
-        let mut fresh = Campaign::new(ram.network())
-            .faults(FaultUniverse::stuck_nodes(ram.network()))
-            .patterns(seq.patterns())
-            .outputs(ram.observed_outputs())
-            .backend(backend)
-            .collapse(false)
-            .run();
-        let mut archived = archived;
-        normalize(&mut fresh);
-        normalize(&mut archived);
-        // The packing echo postdates the v2 archives: they parse as
-        // `None`, while a fresh instrumented backend echoes its knob.
-        assert_eq!(archived.control.packing, None);
-        fresh.control.packing = None;
-        // So do the streamed tape's peak and wait.
-        assert_eq!(
-            (archived.tape_peak_bytes, archived.tape_wait_seconds),
-            (None, None)
-        );
-        fresh.tape_peak_bytes = None;
-        fresh.tape_wait_seconds = None;
-        assert_eq!(archived.backend, name);
-        assert_eq!(
-            fresh, archived,
-            "{name}: fresh run diverged from the archived v2 report"
-        );
-    }
-}
-
 /// The v3 writer round-trips value-exactly through its own parser on
 /// every backend's real output (fixture-independent, so this also
 /// covers hosts where the fixtures were regenerated).
@@ -324,18 +274,4 @@ fn real_runs_roundtrip_value_exactly() {
         assert_eq!(back, report, "{name}: round-trip changed the report");
         assert_eq!(back.to_json(), text, "{name}: re-serialisation drifted");
     }
-}
-
-/// Version-1 documents still parse — the v3 reader keeps the lenient
-/// v1 path alive for archived artifacts.
-#[test]
-fn v1_documents_still_parse() {
-    let report = run_fixture_campaign(Backend::Concurrent(ConcurrentConfig::paper()));
-    let v1 = report.to_json().replace("\"version\":3", "\"version\":1");
-    let back = CampaignReport::from_json(&v1).expect("v1 document parses");
-    assert_eq!(back.run.detections, report.run.detections);
-    assert_eq!(
-        back.metrics, report.metrics,
-        "the metrics block parses even in an old-version document"
-    );
 }

@@ -7,7 +7,6 @@
 
 use fmossim::campaign::{
     universe_from_spec, Backend, Campaign, CampaignReport, ConcurrentConfig, Jobs, ParallelConfig,
-    ShardStrategy,
 };
 use fmossim::serve::{request, served_config, sse_events, Server, ServerConfig};
 use fmossim::telemetry::MetricsSnapshot;
@@ -80,7 +79,6 @@ fn offline_reference(circuit: &str, shards: usize) -> CampaignReport {
             sim: served_config(),
             jobs: Jobs::Fixed(2),
             shards: Some(shards),
-            strategy: ShardStrategy::RoundRobin,
         }))
         .run()
 }

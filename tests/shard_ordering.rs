@@ -39,7 +39,6 @@ fn streamed_reports_are_relabelled_and_merge_canonically() {
         jobs: Jobs::Fixed(3),
         shards: Some(7), // oversharded: workers pull from the queue
         sim: ConcurrentConfig::paper(),
-        ..ParConfig::default()
     };
     let sim = ParallelSim::new(rf.network(), universe.clone(), config);
     let mut streamed: Vec<Detection> = Vec::new();
@@ -102,7 +101,6 @@ fn config_echo_is_order_independent_under_early_stop() {
             jobs: Jobs::Fixed(2),
             shards: Some(6),
             sim: ConcurrentConfig::paper(),
-            ..ParallelConfig::default()
         }))
         .stop_at_coverage(0.25)
         .on_event(|e| {
@@ -148,7 +146,6 @@ fn repeated_racing_runs_are_bit_identical() {
                 jobs: Jobs::Fixed(3),
                 shards: Some(7),
                 sim: ConcurrentConfig::paper(),
-                ..ParallelConfig::default()
             }))
             .run()
     };

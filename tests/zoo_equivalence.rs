@@ -1,7 +1,7 @@
 //! Differential conformance over the benchmark circuit zoo: **every**
 //! zoo workload (including the seeded random netlists) graded by
-//! **every** backend — the parallel one under both the default and the
-//! cost-estimated shard plan — at worker counts K ∈ {1, 2, 4} must produce
+//! **every** backend — the parallel one at worker counts K ∈ {1, 2, 4}
+//! — must produce
 //! bit-identical canonical detection sets under
 //! `DetectionPolicy::DefiniteOnly` — the policy under which detection
 //! is provably schedule-independent (definite 0-vs-1 divergences are
@@ -15,7 +15,7 @@
 
 use fmossim::campaign::{
     Backend, Campaign, CampaignReport, ConcurrentConfig, DetectionPolicy, Jobs, ParallelConfig,
-    SerialConfig, ShardStrategy,
+    SerialConfig,
 };
 use fmossim::faults::FaultUniverse;
 use fmossim::testgen::zoo::{build_zoo, ZOO, ZOO_SEED};
@@ -35,7 +35,7 @@ fn fingerprint(r: &CampaignReport) -> Vec<String> {
         .collect()
 }
 
-/// serial + concurrent + {parallel, cost} × K ∈ {1, 2, 4}, every
+/// serial + concurrent + parallel × K ∈ {1, 2, 4}, every
 /// concurrent-family row on the default packed lanes, plus the scalar
 /// path (`packing: false`) on the concurrent and parallel-k2 rows —
 /// fingerprint conformance is exactly the invariant the packed lanes
@@ -66,15 +66,6 @@ fn all_backends() -> Vec<(String, Backend)> {
             format!("parallel-k{k}"),
             Backend::Parallel(ParallelConfig {
                 jobs: Jobs::Fixed(k),
-                sim,
-                ..ParallelConfig::default()
-            }),
-        ));
-        backends.push((
-            format!("cost-k{k}"),
-            Backend::Parallel(ParallelConfig {
-                jobs: Jobs::Fixed(k),
-                strategy: ShardStrategy::CostEstimated,
                 sim,
                 ..ParallelConfig::default()
             }),
