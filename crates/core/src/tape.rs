@@ -141,16 +141,6 @@ impl GoodTape {
         self.phases.len()
     }
 
-    /// The recorded phase tapes of pattern `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is out of range.
-    #[must_use]
-    pub fn pattern(&self, p: usize) -> &[PhaseTape] {
-        &self.phases[p]
-    }
-
     /// Total solved good-machine vicinities across the whole tape.
     #[must_use]
     pub fn num_groups(&self) -> usize {
@@ -415,8 +405,8 @@ mod tests {
         ];
         let tape = GoodTape::record(&net, &patterns, EngineConfig::default());
         assert_eq!(tape.num_patterns(), 2);
-        assert_eq!(tape.pattern(0).len(), 1);
-        assert_eq!(tape.pattern(1).len(), 2);
+        assert_eq!(tape.phases[0].len(), 1);
+        assert_eq!(tape.phases[1].len(), 2);
         assert!(tape.matches(net.num_nodes(), &patterns));
         assert!(!tape.matches(net.num_nodes() + 1, &patterns));
         assert!(!tape.matches(net.num_nodes(), &patterns[..1]));
@@ -435,8 +425,10 @@ mod tests {
         ];
         let tape = GoodTape::record(&net, &patterns, EngineConfig::default());
         // Pattern 0: OUT settles X -> H. Pattern 1: OUT flips H -> L.
-        let all: Vec<(NodeId, Logic, Logic)> = (0..tape.num_patterns())
-            .flat_map(|p| tape.pattern(p))
+        let all: Vec<(NodeId, Logic, Logic)> = tape
+            .phases
+            .iter()
+            .flatten()
             .flat_map(|ph| {
                 ph.settle
                     .groups()

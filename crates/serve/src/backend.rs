@@ -42,8 +42,10 @@ use std::time::Instant;
 
 /// A served job's good tape, shared between the coordinator and its
 /// [`ServedBackend`]: it holds the cached tape (if any) when the run
-/// starts, and the tape the run replayed when it ends — the one the
-/// coordinator puts into the [`TapeCache`](crate::TapeCache).
+/// starts, and, when it ends, the tape the run recorded (if it
+/// recorded one) — the one the coordinator puts into the
+/// [`TapeCache`](crate::TapeCache). A run that replayed the cached
+/// tape leaves the slot empty.
 pub type TapeSlot = Arc<Mutex<Option<Arc<GoodTape>>>>;
 
 /// The one simulation configuration every served campaign runs under.
@@ -181,10 +183,10 @@ impl CampaignBackend for ServedBackend {
             None => {
                 let t0 = Instant::now();
                 let tape = Arc::new(GoodTape::record(&spec.net, &spec.patterns, config.engine));
+                *self.tape.lock().expect("tape slot poisoned") = Some(Arc::clone(&tape));
                 (tape, t0.elapsed().as_secs_f64())
             }
         };
-        *self.tape.lock().expect("tape slot poisoned") = Some(Arc::clone(&tape));
 
         let shards = ServedShards {
             spec: Arc::clone(spec),
@@ -318,10 +320,16 @@ mod tests {
         assert_eq!(tape.num_patterns(), spec.patterns.len());
         let _ = stimulus_content_hash(&spec.patterns);
 
-        // Warm run: inject the tape back — no record pass, same set.
-        let warm = run_served(&spec, &pool, &slot_with(tape));
+        // Warm run: inject the tape back — no record pass, same set,
+        // and nothing left in the slot for the cache to re-insert.
+        let warm_slot = slot_with(tape);
+        let warm = run_served(&spec, &pool, &warm_slot);
         assert_eq!(warm.tape_record_seconds, Some(0.0), "cache-hit signature");
         assert_eq!(warm.run.detections, offline.run.detections);
+        assert!(
+            warm_slot.lock().unwrap().is_none(),
+            "a hit deposits nothing"
+        );
     }
 
     #[test]

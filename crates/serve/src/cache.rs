@@ -160,6 +160,13 @@ impl TapeCache {
     pub fn bytes(&self) -> usize {
         self.inner.lock().expect("tape cache poisoned").bytes
     }
+
+    /// The cached keys, least recently used first.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<TapeKey> {
+        let inner = self.inner.lock().expect("tape cache poisoned");
+        inner.entries.iter().map(|e| e.key).collect()
+    }
 }
 
 #[cfg(test)]

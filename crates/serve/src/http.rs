@@ -296,6 +296,7 @@ pub fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         409 => "Conflict",
+        410 => "Gone",
         413 => "Content Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",

@@ -1,6 +1,6 @@
 //! The job table: one entry per submitted campaign, carrying its
-//! lifecycle state, cancel token, finished report, and the SSE event
-//! backlog.
+//! lifecycle state, cancel token, rendered status document, and the
+//! SSE event backlog.
 //!
 //! Every job's stream of [`SimEvent`]s is rendered to SSE frames
 //! *once* (by the coordinator thread, via [`crate::proto::sse_event`]) and
@@ -16,16 +16,30 @@
 //! of only discovering it from the terminal count. Lifecycle
 //! (`status`/`done`/`error`) frames and the gap marker are never
 //! dropped.
+//!
+//! A job's terminal status document — the v3 report included — is
+//! rendered once, when the job ends, and the report itself is dropped.
+//! The [`JobTable`] keeps a bounded window of finished jobs
+//! ([`MAX_FINISHED_JOBS`], [`MAX_FINISHED_BYTES`]).
 
 use crate::proto::sse_event;
-use fmossim_campaign::json::{obj, parse, Value};
+use fmossim_campaign::json::{obj, Value};
 use fmossim_campaign::{CampaignReport, SimEvent};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use fmossim_telemetry::{Counter, Gauge, Registry};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Cap on buffered SSE frames per job (see the module docs).
 pub const MAX_EVENT_FRAMES: usize = 8192;
+
+/// Most finished jobs the [`JobTable`] retains.
+pub const MAX_FINISHED_JOBS: usize = 32;
+
+/// Most bytes the [`JobTable`] retains over its finished jobs, each
+/// job counting its rendered status document plus its SSE backlog
+/// text.
+pub const MAX_FINISHED_BYTES: usize = 8 << 20;
 
 /// A job's lifecycle state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,13 +95,27 @@ pub fn parse_job_id(s: &str) -> Option<u64> {
 struct JobState {
     status: JobStatus,
     cache_hit: Option<bool>,
-    report: Option<CampaignReport>,
     error: Option<String>,
+    /// The terminal status document, rendered once when the job ends.
+    doc: Option<Arc<str>>,
     frames: Vec<Arc<str>>,
+    /// Text bytes of `frames`.
+    frame_bytes: usize,
     dropped: usize,
 }
 
+impl JobState {
+    fn push_frame(&mut self, frame: &str) {
+        self.frame_bytes += frame.len();
+        self.frames.push(Arc::from(frame));
+    }
+}
+
 /// One submitted campaign (see the module docs).
+///
+/// A job ends through [`JobTable::finish`] or [`JobTable::fail`],
+/// which render its terminal status document once and enter it into
+/// the table's window of finished jobs.
 pub struct Job {
     /// Numeric id (`format_job_id` for the wire form).
     pub id: u64,
@@ -108,9 +136,10 @@ impl Job {
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
                 cache_hit: None,
-                report: None,
                 error: None,
+                doc: None,
                 frames: Vec::new(),
+                frame_bytes: 0,
                 dropped: 0,
             }),
             cond: Condvar::new(),
@@ -119,7 +148,7 @@ impl Job {
         job
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, JobState> {
+    fn lock(&self) -> MutexGuard<'_, JobState> {
         self.state.lock().expect("job state poisoned")
     }
 
@@ -133,12 +162,6 @@ impl Job {
     #[must_use]
     pub fn cache_hit(&self) -> Option<bool> {
         self.lock().cache_hit
-    }
-
-    /// The finished report, if terminal with one.
-    #[must_use]
-    pub fn report(&self) -> Option<CampaignReport> {
-        self.lock().report.clone()
     }
 
     /// Requests a cooperative cancel. The running backend observes the
@@ -174,58 +197,74 @@ impl Job {
                     ("cap", Value::Num(MAX_EVENT_FRAMES as f64)),
                     ("id", Value::Str(format_job_id(self.id))),
                 ]);
-                let marker = crate::http::sse_frame("frames_dropped", &data.to_string());
-                st.frames.push(Arc::from(marker.as_str()));
+                st.push_frame(&crate::http::sse_frame("frames_dropped", &data.to_string()));
                 drop(st);
                 self.cond.notify_all();
             }
             return;
         }
-        st.frames.push(Arc::from(frame.as_str()));
+        st.push_frame(&frame);
         drop(st);
         self.cond.notify_all();
     }
 
-    /// Finishes the job with its report: [`JobStatus::Cancelled`] when
-    /// the report says so, [`JobStatus::Done`] otherwise.
-    pub fn finish(&self, report: CampaignReport) {
+    /// Ends the job with its report — [`JobStatus::Cancelled`] when
+    /// the report says so, [`JobStatus::Done`] otherwise — and returns
+    /// its retained bytes.
+    fn finish(&self, report: CampaignReport) -> usize {
         let status = if report.cancelled {
             JobStatus::Cancelled
         } else {
             JobStatus::Done
         };
-        let (detected, coverage, dropped) = {
-            let mut st = self.lock();
-            st.status = status;
-            let detected = report.detected();
-            let coverage = report.coverage();
-            st.report = Some(report);
-            (detected, coverage, st.dropped)
-        };
+        let (detected, coverage) = (report.detected(), report.coverage());
+        let report = report.to_json();
+        let st = self.lock();
         let data = obj([
             ("coverage", Value::Num(coverage)),
             ("detected", Value::Num(detected as f64)),
-            ("dropped_frames", Value::Num(dropped as f64)),
+            ("dropped_frames", Value::Num(st.dropped as f64)),
             ("id", Value::Str(format_job_id(self.id))),
             ("status", Value::Str(status.as_str().to_string())),
         ]);
-        self.push_lifecycle_frame("done", &data.to_string());
+        self.end(st, status, "done", &data.to_string(), &report)
     }
 
-    /// Finishes the job as [`JobStatus::Failed`].
-    pub fn fail(&self, error: String) {
-        {
-            let mut st = self.lock();
-            st.status = JobStatus::Failed;
-            st.error = Some(error.clone());
-        }
+    /// Ends the job as [`JobStatus::Failed`] and returns its retained
+    /// bytes.
+    fn fail(&self, error: String) -> usize {
         let data = obj([
-            ("error", Value::Str(error)),
+            ("error", Value::Str(error.clone())),
             ("id", Value::Str(format_job_id(self.id))),
         ]);
-        self.push_lifecycle_frame("error", &data.to_string());
+        let mut st = self.lock();
+        st.error = Some(error);
+        self.end(st, JobStatus::Failed, "error", &data.to_string(), "null")
     }
 
+    /// Moves the job to terminal `status` in one critical section —
+    /// a reader never sees the status without the terminal frame —
+    /// and renders its status document around `report` once. Returns
+    /// the retained bytes: the document plus the backlog text.
+    fn end(
+        &self,
+        mut st: MutexGuard<'_, JobState>,
+        status: JobStatus,
+        event: &str,
+        data: &str,
+        report: &str,
+    ) -> usize {
+        st.status = status;
+        st.push_frame(&crate::http::sse_frame(event, data));
+        let doc: Arc<str> = Arc::from(self.render(&st, report));
+        let bytes = doc.len() + st.frame_bytes;
+        st.doc = Some(doc);
+        drop(st);
+        self.cond.notify_all();
+        bytes
+    }
+
+    /// Lifecycle frames ignore the cap — they are few and load-bearing.
     fn push_status_frame(&self, status: JobStatus, cache_hit: Option<bool>) {
         let mut pairs = vec![
             ("id", Value::Str(format_job_id(self.id))),
@@ -234,14 +273,8 @@ impl Job {
         if let Some(hit) = cache_hit {
             pairs.push(("cache_hit", Value::Bool(hit)));
         }
-        let data = obj(pairs);
-        self.push_lifecycle_frame("status", &data.to_string());
-    }
-
-    /// Lifecycle frames ignore the cap — they are few and load-bearing.
-    fn push_lifecycle_frame(&self, event: &str, data: &str) {
-        let frame = crate::http::sse_frame(event, data);
-        self.lock().frames.push(Arc::from(frame.as_str()));
+        let frame = crate::http::sse_frame("status", &obj(pairs).to_string());
+        self.lock().push_frame(&frame);
         self.cond.notify_all();
     }
 
@@ -261,14 +294,27 @@ impl Job {
 
     /// The status document for `GET /campaigns/{id}`: id, name,
     /// status, cache outcome, error, and — once terminal — the full
-    /// v3 report embedded under `"report"`.
+    /// v3 report embedded under `"report"`. A terminal job's document
+    /// was rendered when it ended.
     #[must_use]
     pub fn status_json(&self) -> String {
         let st = self.lock();
-        let mut pairs = vec![
-            ("id", Value::Str(format_job_id(self.id))),
-            ("name", Value::Str(self.name.clone())),
-            ("status", Value::Str(st.status.as_str().to_string())),
+        match &st.doc {
+            Some(doc) => {
+                let doc = Arc::clone(doc);
+                drop(st);
+                doc.to_string()
+            }
+            None => self.render(&st, "null"),
+        }
+    }
+
+    /// Renders the status document with `report`, JSON text, spliced
+    /// in under `"report"`. The keys come out in sorted order, as
+    /// [`Value`] writes an object's, so the text is the one the parsed
+    /// report would render to.
+    fn render(&self, st: &JobState, report: &str) -> String {
+        let fields = obj([
             ("cache_hit", st.cache_hit.map_or(Value::Null, Value::Bool)),
             (
                 "error",
@@ -276,15 +322,14 @@ impl Job {
                     .as_ref()
                     .map_or(Value::Null, |e| Value::Str(e.clone())),
             ),
-        ];
-        let report = st
-            .report
-            .as_ref()
-            .map(|r| parse(&r.to_json()).expect("report JSON round-trips"));
-        pairs.push(("report", report.unwrap_or(Value::Null)));
-        let doc = obj(pairs);
-        drop(st);
-        doc.to_string()
+            ("id", Value::Str(format_job_id(self.id))),
+            ("name", Value::Str(self.name.clone())),
+        ])
+        .to_string();
+        let status = Value::Str(st.status.as_str().to_string()).to_string();
+        // `report` and `status` sort after every key of `fields`.
+        let fields = fields.strip_suffix('}').expect("an object ends in '}'");
+        format!("{fields},\"report\":{report},\"status\":{status}}}")
     }
 
     /// The one-line summary used by `GET /campaigns` listings.
@@ -300,60 +345,134 @@ impl Job {
     }
 }
 
+struct Table {
+    jobs: BTreeMap<u64, Arc<Job>>,
+    /// The next id to issue; every id in `1..next` was issued.
+    next: u64,
+    /// The retained finished jobs, earliest finished first, with their
+    /// retained bytes.
+    finished: VecDeque<(u64, usize)>,
+    finished_bytes: usize,
+}
+
 /// The server's id-ordered registry of jobs.
-#[derive(Default)]
+///
+/// Queued and running jobs are always held. Finished jobs are held in
+/// a window of at most [`MAX_FINISHED_JOBS`] jobs and
+/// [`MAX_FINISHED_BYTES`] retained bytes: when a job ends, the jobs
+/// that finished earliest are evicted until both bounds hold (a job
+/// whose own bytes exceed the byte bound is evicted as it ends). An
+/// SSE reader already attached to an evicted job holds it until its
+/// stream ends. The table remembers which ids it issued, so the server
+/// can tell an evicted job ([`JobTable::evicted`], `410`) from one
+/// that never existed (`404`).
+///
+/// It publishes the `serve.jobs.evicted` counter and the
+/// `serve.jobs.retained` and `serve.jobs.retained_bytes` gauges.
 pub struct JobTable {
-    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
-    next: AtomicU64,
+    table: Mutex<Table>,
+    evicted: Counter,
+    retained: Gauge,
+    retained_bytes: Gauge,
 }
 
 impl JobTable {
-    /// An empty table; ids start at `job-1`.
+    /// An empty table publishing its metrics into `registry`; ids
+    /// start at `job-1`.
     #[must_use]
-    pub fn new() -> JobTable {
+    pub fn new(registry: &Registry) -> JobTable {
         JobTable {
-            jobs: Mutex::new(BTreeMap::new()),
-            next: AtomicU64::new(1),
+            table: Mutex::new(Table {
+                jobs: BTreeMap::new(),
+                next: 1,
+                finished: VecDeque::new(),
+                finished_bytes: 0,
+            }),
+            evicted: registry.counter("serve.jobs.evicted"),
+            retained: registry.gauge("serve.jobs.retained"),
+            retained_bytes: registry.gauge("serve.jobs.retained_bytes"),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Table> {
+        self.table.lock().expect("job table poisoned")
     }
 
     /// Creates and registers a fresh [`JobStatus::Queued`] job.
     pub fn create(&self, name: String) -> Arc<Job> {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        let mut table = self.lock();
+        let id = table.next;
+        table.next += 1;
         let job = Job::new(id, name);
-        self.jobs
-            .lock()
-            .expect("job table poisoned")
-            .insert(id, Arc::clone(&job));
+        table.jobs.insert(id, Arc::clone(&job));
         job
     }
 
-    /// Looks up a job by numeric id.
+    /// Looks up a held job by numeric id.
     #[must_use]
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs
-            .lock()
-            .expect("job table poisoned")
-            .get(&id)
-            .cloned()
+        self.lock().jobs.get(&id).cloned()
     }
 
-    /// Summaries of every job, in id order.
+    /// True iff the table issued `id` and has since evicted its job.
+    #[must_use]
+    pub fn evicted(&self, id: u64) -> bool {
+        let table = self.lock();
+        (1..table.next).contains(&id) && !table.jobs.contains_key(&id)
+    }
+
+    /// Summaries of every held job, in id order.
     #[must_use]
     pub fn summaries(&self) -> Vec<Value> {
-        self.jobs
-            .lock()
-            .expect("job table poisoned")
+        self.lock()
+            .jobs
             .values()
             .map(|j| j.summary_json())
             .collect()
+    }
+
+    /// Ends `job` with its report ([`JobStatus::Cancelled`] when the
+    /// report says so, [`JobStatus::Done`] otherwise): renders its
+    /// status document, drops the report, and enters the job into the
+    /// window of finished jobs.
+    pub fn finish(&self, job: &Job, report: CampaignReport) {
+        let bytes = job.finish(report);
+        self.retire(job.id, bytes);
+    }
+
+    /// Ends `job` as [`JobStatus::Failed`] and enters it into the
+    /// window of finished jobs.
+    pub fn fail(&self, job: &Job, error: String) {
+        let bytes = job.fail(error);
+        self.retire(job.id, bytes);
+    }
+
+    /// Adds a job that just ended to the window, then evicts the
+    /// earliest-finished jobs until both bounds hold.
+    fn retire(&self, id: u64, bytes: usize) {
+        let mut table = self.lock();
+        table.finished.push_back((id, bytes));
+        table.finished_bytes += bytes;
+        while table.finished.len() > MAX_FINISHED_JOBS || table.finished_bytes > MAX_FINISHED_BYTES
+        {
+            let (old, old_bytes) = table.finished.pop_front().expect("a bound is exceeded");
+            table.finished_bytes -= old_bytes;
+            table.jobs.remove(&old);
+            self.evicted.inc();
+        }
+        self.retained.set(table.finished.len() as f64);
+        self.retained_bytes.set(table.finished_bytes as f64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmossim_campaign::json::parse;
     use fmossim_campaign::StopReason;
+    use fmossim_core::Detection;
+    use fmossim_faults::FaultId;
+    use fmossim_netlist::Logic;
 
     fn report(cancelled: bool) -> CampaignReport {
         let mut r = CampaignReport {
@@ -377,7 +496,7 @@ mod tests {
 
     #[test]
     fn lifecycle_frames_bracket_the_stream() {
-        let table = JobTable::new();
+        let table = JobTable::new(&Registry::null());
         let job = table.create("ram4x4".into());
         assert_eq!(job.status(), JobStatus::Queued);
         job.set_running(true);
@@ -385,7 +504,7 @@ mod tests {
             name: "campaign.run",
             seconds: 0.5,
         });
-        job.finish(report(false));
+        table.finish(&job, report(false));
         assert_eq!(job.status(), JobStatus::Done);
 
         let (frames, complete) = job.wait_frames(0);
@@ -409,7 +528,7 @@ mod tests {
 
     #[test]
     fn backlog_caps_sim_frames_but_never_lifecycle_frames() {
-        let table = JobTable::new();
+        let table = JobTable::new(&Registry::null());
         let job = table.create("x".into());
         job.set_running(false);
         for i in 0..(MAX_EVENT_FRAMES + 10) {
@@ -418,7 +537,7 @@ mod tests {
                 live: 0,
             });
         }
-        job.finish(report(false));
+        table.finish(&job, report(false));
         let (frames, complete) = job.wait_frames(0);
         assert!(complete);
         assert_eq!(
@@ -436,7 +555,7 @@ mod tests {
     /// carries no marker.
     #[test]
     fn a_gap_marker_frame_flags_the_first_drop() {
-        let table = JobTable::new();
+        let table = JobTable::new(&Registry::null());
         let job = table.create("x".into());
         job.set_running(false);
         let push = |i: usize| {
@@ -476,7 +595,7 @@ mod tests {
         for i in 0..5 {
             push(MAX_EVENT_FRAMES + 1 + i);
         }
-        job.finish(report(false));
+        table.finish(&job, report(false));
         let (frames, complete) = job.wait_frames(0);
         assert!(complete);
         let markers = frames
@@ -493,14 +612,14 @@ mod tests {
 
     #[test]
     fn status_json_embeds_the_report_once_terminal() {
-        let table = JobTable::new();
+        let table = JobTable::new(&Registry::null());
         let job = table.create("ram4x4".into());
         let doc = parse(&job.status_json()).unwrap();
         assert!(doc.get("report").unwrap().is_null());
         assert!(doc.get("cache_hit").unwrap().is_null());
 
         job.set_running(false);
-        job.finish(report(true));
+        table.finish(&job, report(true));
         assert_eq!(job.status(), JobStatus::Cancelled);
         let doc = parse(&job.status_json()).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("cancelled"));
@@ -515,14 +634,179 @@ mod tests {
 
     #[test]
     fn failed_jobs_carry_the_error() {
-        let table = JobTable::new();
+        let table = JobTable::new(&Registry::null());
         let job = table.create("x".into());
-        job.fail("boom".into());
+        table.fail(&job, "boom".into());
         assert_eq!(job.status(), JobStatus::Failed);
         let doc = parse(&job.status_json()).unwrap();
         assert_eq!(doc.get("error").unwrap().as_str(), Some("boom"));
         let (frames, complete) = job.wait_frames(0);
         assert!(complete);
         assert!(frames.last().unwrap().starts_with("event: error\n"));
+    }
+
+    /// A done report of `detections` definite detections.
+    fn report_with(detections: usize) -> CampaignReport {
+        let mut r = report(false);
+        r.run.num_faults = detections;
+        r.run.detections = (0..detections)
+            .map(|i| Detection {
+                fault: FaultId(u32::try_from(i).unwrap()),
+                pattern: i % 407,
+                phase: i % 3,
+                good: Logic::H,
+                faulty: Logic::L,
+            })
+            .collect();
+        r
+    }
+
+    /// Ids `1..=n`, each held or evicted as `held` says.
+    fn assert_held(table: &JobTable, n: u64, held: impl Fn(u64) -> bool) {
+        for id in 1..=n {
+            assert_eq!(table.get(id).is_some(), held(id), "job-{id}");
+            assert_eq!(table.evicted(id), !held(id), "job-{id}");
+        }
+    }
+
+    /// A flood of finished jobs keeps the newest `MAX_FINISHED_JOBS`
+    /// of them, in the order they *finished* (here the reverse of the
+    /// id order), and publishes the window's metrics.
+    #[test]
+    fn a_flood_keeps_the_latest_finished_jobs_within_both_bounds() {
+        let registry = Registry::new();
+        let table = JobTable::new(&registry);
+        let n = MAX_FINISHED_JOBS + 8;
+        let jobs: Vec<Arc<Job>> = (0..n).map(|i| table.create(format!("j{i}"))).collect();
+        for job in jobs.iter().rev() {
+            table.finish(job, report(false));
+        }
+        // The highest 8 ids finished first, so they went first.
+        let kept = MAX_FINISHED_JOBS as u64;
+        assert_held(&table, n as u64, |id| id <= kept);
+        assert_eq!(table.summaries().len(), MAX_FINISHED_JOBS);
+        assert_eq!(registry.counter("serve.jobs.evicted").get(), 8);
+        assert_eq!(
+            registry.gauge("serve.jobs.retained").get(),
+            MAX_FINISHED_JOBS as f64
+        );
+        let bytes: usize = jobs[..MAX_FINISHED_JOBS]
+            .iter()
+            .map(|j| {
+                let st = j.lock();
+                st.doc.as_ref().unwrap().len() + st.frame_bytes
+            })
+            .sum();
+        assert!(bytes <= MAX_FINISHED_BYTES);
+        assert_eq!(
+            registry.gauge("serve.jobs.retained_bytes").get(),
+            bytes as f64
+        );
+        // An id never issued is not an evicted one.
+        assert!(!table.evicted(0));
+        assert!(!table.evicted(n as u64 + 1));
+    }
+
+    /// Reports of about 1 MiB each hit the byte bound long before the
+    /// count bound; a job whose own bytes exceed the bound is evicted
+    /// as it ends.
+    #[test]
+    fn the_byte_bound_evicts_large_reports() {
+        let registry = Registry::new();
+        let table = JobTable::new(&registry);
+        let large = report_with(20_000);
+        for i in 0..12 {
+            let job = table.create(format!("large{i}"));
+            table.finish(&job, large.clone());
+        }
+        let retained = registry.gauge("serve.jobs.retained").get() as u64;
+        assert!((1..12).contains(&retained), "{retained} retained");
+        let bytes = registry.gauge("serve.jobs.retained_bytes").get();
+        assert!(bytes <= MAX_FINISHED_BYTES as f64, "{bytes} bytes retained");
+        assert!(
+            bytes > (MAX_FINISHED_BYTES / 2) as f64,
+            "{bytes} bytes retained"
+        );
+        assert_held(&table, 12, |id| id > 12 - retained);
+        assert_eq!(registry.counter("serve.jobs.evicted").get(), 12 - retained);
+
+        let huge = table.create("huge".into());
+        table.fail(&huge, "x".repeat(MAX_FINISHED_BYTES));
+        assert!(table.evicted(huge.id), "over the bound on its own");
+        assert_eq!(huge.status(), JobStatus::Failed);
+        assert_eq!(registry.gauge("serve.jobs.retained_bytes").get(), 0.0);
+    }
+
+    #[test]
+    fn queued_and_running_jobs_survive_a_flood() {
+        let table = JobTable::new(&Registry::null());
+        let queued = table.create("queued".into());
+        let running = table.create("running".into());
+        running.set_running(false);
+        for i in 0..(MAX_FINISHED_JOBS + 8) {
+            let job = table.create(format!("flood{i}"));
+            table.finish(&job, report(false));
+        }
+        assert!(table.get(queued.id).is_some());
+        assert!(table.get(running.id).is_some());
+        assert_eq!(table.summaries().len(), MAX_FINISHED_JOBS + 2);
+
+        // Once it ends, a survivor joins the window like any job.
+        table.finish(&running, report(false));
+        assert!(table.get(running.id).is_some());
+        assert!(table.get(queued.id).is_some());
+        assert_eq!(table.summaries().len(), MAX_FINISHED_JOBS + 1);
+    }
+
+    /// The document a terminal job renders once, with the report text
+    /// spliced in, is byte-identical to rendering the parsed report
+    /// inside the status object — for a done, a cancelled and a failed
+    /// job.
+    #[test]
+    fn the_spliced_document_matches_the_parsed_rendering() {
+        use fmossim_campaign::Campaign;
+        use fmossim_circuits::Ram;
+        use fmossim_faults::FaultUniverse;
+        use fmossim_testgen::TestSequence;
+
+        let ram = Ram::new(2, 2);
+        let done = Campaign::new(ram.network())
+            .faults(FaultUniverse::stuck_nodes(ram.network()))
+            .patterns(TestSequence::full(&ram).patterns())
+            .outputs(ram.observed_outputs())
+            .run();
+        assert!(done.detected() > 0 && done.collapse.is_some());
+        let mut cancelled = done.clone();
+        cancelled.cancelled = true;
+        cancelled.stop = StopReason::Cancelled;
+
+        let table = JobTable::new(&Registry::null());
+        let reference = |job: &Job, expected: Option<&CampaignReport>| {
+            let st = job.lock();
+            obj([
+                ("id", Value::Str(format_job_id(job.id))),
+                ("name", Value::Str(job.name.clone())),
+                ("status", Value::Str(st.status.as_str().to_string())),
+                ("cache_hit", st.cache_hit.map_or(Value::Null, Value::Bool)),
+                ("error", st.error.clone().map_or(Value::Null, Value::Str)),
+                (
+                    "report",
+                    expected.map_or(Value::Null, |e| parse(&e.to_json()).unwrap()),
+                ),
+            ])
+            .to_string()
+        };
+        for expected in [done, cancelled] {
+            let job = table.create("ram2x2 \"quoted\"".into());
+            job.set_running(true);
+            table.finish(&job, expected.clone());
+            assert_eq!(job.status_json(), reference(&job, Some(&expected)));
+        }
+        let failed = table.create("x".into());
+        table.fail(&failed, "boom\nline two".into());
+        assert_eq!(failed.status_json(), reference(&failed, None));
+        // A live document renders the same way.
+        let live = table.create("live".into());
+        assert_eq!(live.status_json(), reference(&live, None));
     }
 }

@@ -7,12 +7,16 @@
 //! | Method   | Path                     | Purpose |
 //! |----------|--------------------------|---------|
 //! | `POST`   | `/campaigns`             | Submit a campaign (JSON body, see [`proto`](crate::proto)); `202` with the job id. |
-//! | `GET`    | `/campaigns`             | List all jobs (id, name, status, cache outcome). |
+//! | `GET`    | `/campaigns`             | List the held jobs (id, name, status, cache outcome). |
 //! | `GET`    | `/campaigns/{id}`        | Status document; embeds the v3 report once terminal. |
 //! | `GET`    | `/campaigns/{id}/events` | SSE stream of the job's lifecycle + simulation events. |
 //! | `DELETE` | `/campaigns/{id}`        | Cooperative cancel. |
 //! | `GET`    | `/metrics`               | Prometheus text: server counters merged with every finished job's telemetry. |
 //! | `GET`    | `/healthz`               | Liveness probe. |
+//!
+//! The three `/campaigns/{id}` routes answer `410 Gone` for a job the
+//! [`JobTable`] has evicted from its window of finished jobs, and
+//! `404` for an id it never issued.
 //!
 //! # Threading model
 //!
@@ -117,7 +121,7 @@ impl Server {
         let registry = Registry::new();
         let state = Arc::new(ServerState {
             pool: Arc::new(SharedPool::new(config.workers, &registry)),
-            jobs: JobTable::new(),
+            jobs: JobTable::new(&registry),
             cache: TapeCache::new(config.cache_bytes, &registry),
             registry,
             default_shards: config.default_shards.clamp(1, crate::proto::MAX_SHARDS),
@@ -184,11 +188,16 @@ fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
         };
         // SSE takes over the connection; everything else is
         // request/response with keep-alive.
-        if let Some(job) = sse_target(state, &req) {
-            let _ = stream_events(&job, &mut writer);
-            return;
-        }
-        let mut resp = route(state, &req);
+        let mut resp = match sse_target(&req) {
+            Some(id) => match lookup(state, id) {
+                Ok(job) => {
+                    let _ = stream_events(&job, &mut writer);
+                    return;
+                }
+                Err(resp) => resp,
+            },
+            None => route(state, &req),
+        };
         resp.keep_alive &= req.keep_alive;
         if write_response(&mut writer, &resp).is_err() || !resp.keep_alive {
             return;
@@ -202,9 +211,10 @@ fn segments(target: &str) -> Vec<&str> {
     path.split('/').filter(|s| !s.is_empty()).collect()
 }
 
-fn sse_target(state: &ServerState, req: &Request) -> Option<Arc<Job>> {
+/// The job id of a `GET /campaigns/{id}/events` request.
+fn sse_target(req: &Request) -> Option<&str> {
     match (req.method.as_str(), segments(&req.target).as_slice()) {
-        ("GET", ["campaigns", id, "events"]) => state.jobs.get(parse_job_id(id)?),
+        ("GET", ["campaigns", id, "events"]) => Some(id),
         _ => None,
     }
 }
@@ -236,9 +246,6 @@ fn route(state: &Arc<ServerState>, req: &Request) -> Response {
             }
             Err(resp) => resp,
         },
-        // `GET /campaigns/{id}/events` is intercepted before routing;
-        // reaching it here means the job id did not resolve.
-        ("GET", ["campaigns", _, "events"]) => not_found("no such campaign"),
         (_, ["healthz" | "metrics"]) | (_, ["campaigns", ..]) => {
             let mut resp = Response::text(405, "method not allowed\n".into());
             resp.keep_alive = true;
@@ -252,10 +259,20 @@ fn not_found(detail: &str) -> Response {
     Response::text(404, format!("{detail}\n"))
 }
 
+/// A held job, or `410` for an evicted one and `404` for an id the
+/// table never issued.
 fn lookup(state: &ServerState, id: &str) -> Result<Arc<Job>, Response> {
-    parse_job_id(id)
-        .and_then(|id| state.jobs.get(id))
-        .ok_or_else(|| not_found("no such campaign"))
+    let id = parse_job_id(id).ok_or_else(|| not_found("no such campaign"))?;
+    state.jobs.get(id).ok_or_else(|| {
+        if state.jobs.evicted(id) {
+            Response::text(
+                410,
+                "campaign evicted from the finished-job window\n".into(),
+            )
+        } else {
+            not_found("no such campaign")
+        }
+    })
 }
 
 fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
@@ -280,7 +297,7 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
             .spawn(move || run_job(&state, &job, spec))
     };
     if let Err(e) = spawned {
-        job.fail(format!("spawn coordinator: {e}"));
+        state.jobs.fail(&job, format!("spawn coordinator: {e}"));
         state.registry.counter("serve.jobs.failed").inc();
         return Response::text(500, "cannot start job\n".into());
     }
@@ -322,10 +339,10 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
         }
         let report = campaign.run();
 
-        // Cache the tape only from complete runs; a cancelled run's
-        // tape is fine too (recording happens before simulation), but
-        // never overwrite on a hit — `insert` refreshing recency via
-        // `get` already happened.
+        // The slot holds a tape only when the run recorded one (a
+        // cancelled run's tape is complete too: recording happens
+        // before simulation). A hit leaves it empty, so the recency
+        // `get` set stands.
         if let Some(tape) = slot.lock().expect("tape slot poisoned").take() {
             state.cache.insert(key, tape);
         }
@@ -344,11 +361,13 @@ fn run_job(state: &Arc<ServerState>, job: &Arc<Job>, spec: JobSpec) {
                 "serve.jobs.completed"
             };
             state.registry.counter(counter).inc();
-            job.finish(report);
+            state.jobs.finish(job, report);
         }
         Err(_) => {
             state.registry.counter("serve.jobs.failed").inc();
-            job.fail("internal error while running the campaign".into());
+            state
+                .jobs
+                .fail(job, "internal error while running the campaign".into());
         }
     }
 }
@@ -379,7 +398,9 @@ fn stream_events(job: &Arc<Job>, w: &mut BufWriter<TcpStream>) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobStatus;
+    use crate::client::{request, sse_events};
+    use crate::job::{JobStatus, MAX_FINISHED_JOBS};
+    use fmossim_campaign::{CampaignReport, SimEvent};
     use fmossim_circuits::Ram;
     use fmossim_faults::{Fault, FaultUniverse};
     use fmossim_netlist::{Logic, NodeId};
@@ -394,7 +415,7 @@ mod tests {
         let registry = Registry::new();
         Arc::new(ServerState {
             pool: Arc::new(SharedPool::new(workers, &registry)),
-            jobs: JobTable::new(),
+            jobs: JobTable::new(&registry),
             cache: TapeCache::new(64 << 20, &registry),
             registry,
             default_shards: DEFAULT_SHARDS,
@@ -424,9 +445,9 @@ mod tests {
         }
     }
 
-    /// Runs one job on its own coordinator thread, as `submit` does,
-    /// and waits at most [`BOUND`] for it to end.
-    fn run_bounded(state: &Arc<ServerState>, spec: JobSpec) -> Arc<Job> {
+    /// Starts one job on its own coordinator thread, as `submit`
+    /// does; the receiver hears when it ends.
+    fn start_job(state: &Arc<ServerState>, spec: JobSpec) -> (Arc<Job>, mpsc::Receiver<()>) {
         let job = state.jobs.create(spec.name.clone());
         let (tx, rx) = mpsc::channel();
         let (state, coordinated) = (Arc::clone(state), Arc::clone(&job));
@@ -434,9 +455,26 @@ mod tests {
             run_job(&state, &coordinated, spec);
             let _ = tx.send(());
         });
-        rx.recv_timeout(BOUND)
+        (job, rx)
+    }
+
+    /// Runs one job as `submit` does and waits at most [`BOUND`] for
+    /// it to end.
+    fn run_bounded(state: &Arc<ServerState>, spec: JobSpec) -> Arc<Job> {
+        let (job, ended) = start_job(state, spec);
+        ended
+            .recv_timeout(BOUND)
             .unwrap_or_else(|_| panic!("job hung for {BOUND:?}"));
         job
+    }
+
+    /// Polls `cond` until it holds, for at most [`BOUND`].
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + BOUND;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 
     /// True iff `n` tasks submitted to `pool` run at the same time,
@@ -477,5 +515,96 @@ mod tests {
             assert_eq!(counters.get("serve.jobs.failed"), Some(&1));
             assert_eq!(counters.get("serve.jobs.completed"), Some(&1));
         }
+    }
+
+    /// A cache hit does not put its tape back: the LRU order is the
+    /// one `get` set, even when another job used the cache while the
+    /// hit was running.
+    #[test]
+    fn a_cache_hit_leaves_the_lru_order_as_get_set_it() {
+        let state = state(1);
+        let key = spec(false).cache_key();
+        assert_eq!(run_bounded(&state, spec(false)).cache_hit(), Some(false));
+        let other = (1, 1);
+        state
+            .cache
+            .insert(other, state.cache.get(key).expect("recorded"));
+        assert_eq!(state.cache.keys(), [key, other]);
+
+        // Hold the only worker so the hit's shards wait in the queue.
+        let (release, held) = mpsc::channel::<()>();
+        state.pool.submit(0, move || {
+            let _ = held.recv_timeout(BOUND);
+        });
+        let (job, ended) = start_job(&state, spec(false));
+        wait_until("the hit to start", || job.status() == JobStatus::Running);
+        assert_eq!(job.cache_hit(), Some(true));
+        assert_eq!(state.cache.keys(), [other, key], "the hit's get");
+        assert!(state.cache.get(other).is_some());
+        release.send(()).unwrap();
+        ended.recv_timeout(BOUND).expect("the hit ended");
+        assert_eq!(job.status(), JobStatus::Done);
+        assert_eq!(state.cache.keys(), [key, other], "the later get stands");
+    }
+
+    /// Over real sockets: a reader attached to a job's event stream
+    /// gets the whole stream though the job is evicted meanwhile; the
+    /// evicted id then answers `410` on every job route, and an id
+    /// never issued `404`.
+    #[test]
+    fn evicted_jobs_answer_gone_and_attached_readers_finish() {
+        let server = Server::bind(&ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("local addr");
+        let state = Arc::clone(&server.state);
+        std::thread::spawn(move || server.run());
+
+        let job = state.jobs.create("first".into());
+        let reader = std::thread::spawn(move || sse_events(addr, "/campaigns/job-1/events"));
+        // The table, this test, and the reader's connection hold it.
+        wait_until("the reader to attach", || Arc::strong_count(&job) >= 3);
+        job.set_running(false);
+        job.push_event(&SimEvent::PatternStart {
+            pattern: 0,
+            live: 1,
+        });
+        state.jobs.finish(&job, CampaignReport::default());
+        for i in 0..MAX_FINISHED_JOBS {
+            let flood = state.jobs.create(format!("flood{i}"));
+            state.jobs.finish(&flood, CampaignReport::default());
+        }
+        assert!(state.jobs.evicted(job.id));
+
+        let events = reader.join().unwrap().expect("stream");
+        let names: Vec<&str> = events.iter().map(|(e, _)| e.as_str()).collect();
+        assert_eq!(names, ["status", "status", "pattern_start", "done"]);
+
+        let status = |method: &str, path: &str| request(addr, method, path, None).unwrap().status;
+        for (method, path) in [
+            ("GET", "/campaigns/job-1"),
+            ("DELETE", "/campaigns/job-1"),
+            ("GET", "/campaigns/job-1/events"),
+        ] {
+            assert_eq!(status(method, path), 410, "{method} {path}");
+            let unissued = path.replace("job-1", "job-99");
+            assert_eq!(status(method, &unissued), 404, "{method} {unissued}");
+        }
+        assert_eq!(status("GET", "/campaigns/job-0"), 404);
+        let last = format!("/campaigns/job-{}", MAX_FINISHED_JOBS + 1);
+        assert_eq!(status("GET", &last), 200);
+
+        let listing = request(addr, "GET", "/campaigns", None).unwrap();
+        let listing = fmossim_campaign::json::parse(listing.body_str().unwrap()).unwrap();
+        let listed = listing.get("jobs").and_then(Value::as_arr).unwrap();
+        assert_eq!(listed.len(), MAX_FINISHED_JOBS);
+        let metrics = request(addr, "GET", "/metrics", None).unwrap();
+        let metrics = metrics.body_str().unwrap();
+        assert!(
+            metrics.contains("\nfmossim_serve_jobs_evicted 1\n"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("\nfmossim_serve_jobs_retained 32\n"),
+            "{metrics}"
+        );
     }
 }
